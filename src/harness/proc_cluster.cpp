@@ -222,7 +222,7 @@ bool ProcCluster::serve_child(int argc, char** argv) {
 // ----------------------------------------------------------- parent client
 
 struct ProcCluster::ClientHost final : core::ClientContext {
-  /// Moves a blocking put/get onto the client's delivery thread (state
+  /// Moves a blocking put/get onto the client's event-loop thread (state
   /// machines are single-threaded). Same pattern as ThreadedCluster's
   /// ControlOp; a distinct kind keeps accidental cross-wiring detectable.
   struct ControlOp final : net::Payload {
@@ -244,7 +244,7 @@ struct ProcCluster::ClientHost final : core::ClientContext {
   net::Transport* transport = nullptr;
   core::ClientSession client;
   clk::SteadyTime epoch = clk::steady_now();
-  /// Touched only on the client's delivery thread.
+  /// Touched only on the client's event-loop thread.
   std::map<RequestId, std::shared_ptr<std::promise<core::OpResult>>> pending;
 
   ClientHost(ClientId id, core::ClientOptions opts) : client(id, opts) {

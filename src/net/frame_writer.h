@@ -14,9 +14,8 @@
 //
 // Buffer-pool ownership rules (D12): a FrameWriter owns its segments for
 // its whole lifetime; iov() views are invalidated by any append or clear();
-// the writer is single-threaded — the transport serializes access with the
-// connection's egress mutex, swapping a staged writer with the flushing one
-// rather than sharing either.
+// the writer is single-threaded — TcpTransport gives each connection one
+// writer owned by the node loop that dialed it, so no lock guards it.
 //
 // FrameDecoder is the ingress twin: it accepts arbitrary byte chunks (a TCP
 // stream tears frames at any offset, including inside the length prefix),
@@ -30,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -216,8 +214,9 @@ class FrameDecoder {
       : max_frame_(max_frame) {}
 
   /// Returns false if the stream is poisoned (oversized length prefix).
-  bool feed(std::string_view chunk,
-            const std::function<void(std::string_view frame)>& on_frame) {
+  /// `on_frame` is any callable taking the frame body as std::string_view.
+  template <typename OnFrame>
+  bool feed(std::string_view chunk, OnFrame&& on_frame) {
     if (poisoned_) return false;
     buf_.append(chunk.data(), chunk.size());
     std::size_t pos = 0;

@@ -13,6 +13,7 @@
 #include <cassert>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -31,6 +32,11 @@ std::map<NodeAddress, std::uint16_t>& ephemeral_ports()
   static std::map<NodeAddress, std::uint16_t> ports;
   return ports;
 }
+
+/// The node whose loop runs on this thread, and its transport (both null
+/// off every loop).
+thread_local void* tl_loop_node = nullptr;
+thread_local const void* tl_loop_owner = nullptr;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -51,7 +57,31 @@ sockaddr_in loopback_addr(std::uint16_t port) {
   return sa;
 }
 
+/// Timer heap order: std::*_heap keep the earliest (deadline, arrival) on
+/// top under this "later than" comparison.
+constexpr auto kLater = [](const auto& a, const auto& b) {
+  return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+};
+
+void epoll_watch(int epoll_fd, int op, int fd, std::uint32_t events,
+                 void* tag) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.ptr = tag;
+  ::epoll_ctl(epoll_fd, op, fd, &ev);
+}
+
 }  // namespace
+
+TcpTransport::Conn::~Conn() {
+  if (!closed && fd >= 0) ::close(fd);
+}
+
+TcpTransport::Node::~Node() {
+  for (const int fd : {listen_fd, epoll_fd, wake_fd}) {
+    if (fd >= 0) ::close(fd);
+  }
+}
 
 TcpTransport::TcpTransport(Options opts) : opts_(std::move(opts)) {
   if (!opts_.encode || !opts_.decode) {
@@ -59,7 +89,13 @@ TcpTransport::TcpTransport(Options opts) : opts_(std::move(opts)) {
   }
 }
 
-TcpTransport::~TcpTransport() { stop(); }
+TcpTransport::~TcpTransport() {
+  stop();
+  if (opts_.base_port != 0) return;
+  const std::vector<Node*> nodes = snapshot_nodes();
+  const sync::MutexLock lock(g_port_mu);
+  for (const Node* n : nodes) ephemeral_ports().erase(n->addr);
+}
 
 std::uint16_t TcpTransport::port_of(NodeAddress addr) const {
   if (opts_.base_port != 0) {
@@ -85,14 +121,15 @@ void TcpTransport::register_node(NodeAddress addr, MessageHandler on_message,
   // Bind the node's listener immediately (before start()) so peers that
   // start earlier can already dial us — the mesh retry loop depends on
   // listeners existing as soon as the hosting process registers its nodes.
+  // Until the loop runs, the kernel's accept queue holds their dials.
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) throw std::runtime_error("TcpTransport: socket() failed");
+  node->listen_fd = fd;
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in sa =
       loopback_addr(opts_.base_port == 0 ? 0 : port_of(addr));
   if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-    ::close(fd);
     throw std::runtime_error("TcpTransport: bind failed for node port " +
                              std::to_string(ntohs(sa.sin_port)) + ": " +
                              std::strerror(errno));
@@ -100,81 +137,55 @@ void TcpTransport::register_node(NodeAddress addr, MessageHandler on_message,
   socklen_t len = sizeof(sa);
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len);
   node->listen_port = ntohs(sa.sin_port);
-  if (::listen(fd, 64) != 0) {
-    ::close(fd);
+  if (::listen(fd, SOMAXCONN) != 0) {
     throw std::runtime_error("TcpTransport: listen failed");
   }
   set_nonblocking(fd);
-  node->listen_fd = fd;
+  node->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+  node->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (node->epoll_fd < 0 || node->wake_fd < 0) {
+    throw std::runtime_error("TcpTransport: epoll/eventfd setup failed");
+  }
+  // Tags: nullptr is the wake fd, the node itself its listener, anything
+  // else a Conn.
+  epoll_watch(node->epoll_fd, EPOLL_CTL_ADD, node->wake_fd, EPOLLIN, nullptr);
+  epoll_watch(node->epoll_fd, EPOLL_CTL_ADD, fd, EPOLLIN, node.get());
   if (opts_.base_port == 0) {
     const sync::MutexLock lock(g_port_mu);
     ephemeral_ports()[addr] = node->listen_port;
   }
 
   Node* raw = node.get();
-  ListenerTag* tag = nullptr;
   {
     const sync::WriterLock lock(registry_mu_);
     assert(!by_addr_.contains(addr));
-    by_addr_[addr] = nodes_.size();
+    by_addr_[addr] = raw;
     nodes_.push_back(std::move(node));
-    listener_tags_.push_back(std::make_unique<ListenerTag>(raw));
-    tag = listener_tags_.back().get();
   }
   if (started_.load(std::memory_order_acquire) &&
       !stopping_.load(std::memory_order_acquire)) {
-    // Live registration (ring spawn during reconfiguration): wire the
-    // listener into the running epoll loop and start the delivery thread.
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.ptr = tag;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, raw->listen_fd, &ev);
-    raw->thread = std::thread([this, raw] { run_node(*raw); });
+    // Live registration (ring spawn during reconfiguration).
+    raw->thread = std::thread([this, raw] { run_loop(*raw); });
   }
 }
 
 void TcpTransport::start() {
   assert(!started_.load(std::memory_order_acquire));
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    throw std::runtime_error("TcpTransport: epoll/eventfd setup failed");
-  }
-  {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.ptr = &wake_tag_;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-  }
-  {
-    const sync::ReaderLock lock(registry_mu_);
-    for (const auto& tag : listener_tags_) {
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.ptr = tag.get();
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, tag->owner->listen_fd, &ev);
-    }
-  }
-
   started_.store(true, std::memory_order_release);
-  for (Node* n : snapshot_nodes()) {
-    n->thread = std::thread([this, n] { run_node(*n); });
-  }
-  timer_thread_ = std::thread([this] { run_timer_thread(); });
-  epoll_thread_ = std::thread([this] { run_epoll_thread(); });
 
   // Failure-detection mesh: every local node eagerly dials every server in
   // the deployment, so a peer's death breaks at least one connection into
   // this process even if no data was ever exchanged. Peer processes may
-  // still be starting — retry with a generous deadline.
+  // still be starting — retry with a generous deadline. The loops are not
+  // running yet, so this thread still owns every node's connections.
   const clk::SteadyTime deadline =
       clk::steady_now() + clk::seconds_to_duration(15.0);
-  for (Node* n : snapshot_nodes()) {
+  const std::vector<Node*> nodes = snapshot_nodes();
+  for (Node* n : nodes) {
     for (const ProcessId p : opts_.servers) {
       const NodeAddress peer = NodeAddress::server(p);
       if (peer == n->addr) continue;
-      while (ensure_conn(n->addr, peer) == nullptr) {
+      while (egress(*n, peer) == nullptr) {
         if (clk::steady_now() >= deadline) {
           throw std::runtime_error("TcpTransport: mesh dial to server " +
                                    std::to_string(p) + " timed out");
@@ -184,7 +195,9 @@ void TcpTransport::start() {
     }
   }
   mesh_formed_.store(true, std::memory_order_release);
-  wake_epoll();  // flush the mesh preambles
+  for (Node* n : nodes) {
+    n->thread = std::thread([this, n] { run_loop(*n); });
+  }
 }
 
 void TcpTransport::stop() {
@@ -192,40 +205,25 @@ void TcpTransport::stop() {
       stopping_.exchange(true, std::memory_order_acq_rel)) {
     return;
   }
-  wake_epoll();
-  if (epoll_thread_.joinable()) epoll_thread_.join();
-  {
-    const sync::MutexLock lock(timer_mu_);
-    timer_cv_.notify_all();
-  }
   const std::vector<Node*> nodes = snapshot_nodes();
+  const std::uint64_t one = 1;
   for (Node* n : nodes) {
-    const sync::MutexLock lock(n->mu);
-    n->cv.notify_all();
+    [[maybe_unused]] const ssize_t w = ::write(n->wake_fd, &one, sizeof(one));
   }
   for (Node* n : nodes) {
     if (n->thread.joinable()) n->thread.join();
   }
-  if (timer_thread_.joinable()) timer_thread_.join();
-  if (opts_.base_port == 0) {
-    const sync::MutexLock lock(g_port_mu);
-    for (const Node* n : nodes) ephemeral_ports().erase(n->addr);
+}
+
+TcpTransport::Node* TcpTransport::find(NodeAddress addr) const {
+  // A handler addressing its own node skips the registry lock.
+  if (tl_loop_owner == this) {
+    auto* self = static_cast<Node*>(tl_loop_node);
+    if (self->addr == addr) return self;
   }
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  wake_fd_ = epoll_fd_ = -1;
-}
-
-TcpTransport::Node* TcpTransport::find(NodeAddress addr) {
   const sync::ReaderLock lock(registry_mu_);
   auto it = by_addr_.find(addr);
-  return it == by_addr_.end() ? nullptr : nodes_[it->second].get();
-}
-
-const TcpTransport::Node* TcpTransport::find(NodeAddress addr) const {
-  const sync::ReaderLock lock(registry_mu_);
-  auto it = by_addr_.find(addr);
-  return it == by_addr_.end() ? nullptr : nodes_[it->second].get();
+  return it == by_addr_.end() ? nullptr : it->second;
 }
 
 std::vector<TcpTransport::Node*> TcpTransport::snapshot_nodes() const {
@@ -236,84 +234,282 @@ std::vector<TcpTransport::Node*> TcpTransport::snapshot_nodes() const {
   return out;
 }
 
-void TcpTransport::enqueue(Node& n, WorkItem item) {
-  const sync::MutexLock lock(n.mu);
-  n.queue.push_back(std::move(item));
-  n.cv.notify_one();
+bool TcpTransport::on_loop(const Node& n) const { return tl_loop_node == &n; }
+
+void TcpTransport::post(Node& n, Mail mail) {
+  bool was_empty = false;
+  {
+    const sync::MutexLock lock(n.mu);
+    was_empty = n.mailbox.empty();
+    n.mailbox.push_back(std::move(mail));
+  }
+  // One wake per batch: the loop swaps the whole mailbox out per wake-up.
+  if (was_empty) {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t w = ::write(n.wake_fd, &one, sizeof(one));
+  }
+}
+
+void TcpTransport::add_timer(Node& n, Timer t) {
+  if (!on_loop(n)) {
+    post(n, Mail{Mail::Kind::kTimer, {}, nullptr, t});
+    return;
+  }
+  t.seq = n.timer_seq++;
+  n.timers.push_back(t);
+  std::push_heap(n.timers.begin(), n.timers.end(), kLater);
 }
 
 void TcpTransport::send(NodeAddress from, NodeAddress to, PayloadPtr msg) {
   Node* src = find(from);
-  Node* dst = find(to);
-  // a crashed process sends nothing; messages to the dead are lost
-  if (src != nullptr && !src->up.load(std::memory_order_acquire)) return;
-  if (dst != nullptr && !dst->up.load(std::memory_order_acquire)) return;
-  if (dst == nullptr) {
-    // Remote destination: the failure detector's verdict stands in for the
-    // local liveness check.
-    if (to.kind == NodeAddress::Kind::kServer) {
-      const sync::MutexLock lock(timer_mu_);
-      if (crash_detected_.contains(static_cast<ProcessId>(to.id))) return;
-    }
-  }
-
+  if (src == nullptr || !src->up.load(std::memory_order_acquire)) return;
   if (from == to) {
     // Self-send: harness control payloads are not wire types; deliver
-    // straight to the local queue (same accounting as InMemTransport).
-    if (dst == nullptr) return;
-    transmissions_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(msg->wire_size(), std::memory_order_relaxed);
-    if (src != nullptr) {
-      src->tx_messages.fetch_add(1, std::memory_order_relaxed);
-      src->tx_bytes.fetch_add(msg->wire_size(), std::memory_order_relaxed);
+    // through the mailbox (same accounting as InMemTransport).
+    count_tx(*src, *msg);
+    post(*src, Mail{Mail::Kind::kMessage, from, std::move(msg), {}});
+  } else if (on_loop(*src)) {
+    stage(*src, to, *msg);
+  } else {
+    post(*src, Mail{Mail::Kind::kSend, to, std::move(msg), {}});
+  }
+}
+
+void TcpTransport::arm_timer(NodeAddress addr, double delay_s,
+                             std::uint64_t token) {
+  Node* n = find(addr);
+  if (n == nullptr) return;
+  add_timer(*n, Timer{clk::steady_now() + clk::seconds_to_duration(delay_s),
+                      0, token, kNoProcess});
+}
+
+void TcpTransport::crash(NodeAddress addr) {
+  assert(addr.kind == NodeAddress::Kind::kServer &&
+         "only server crashes are detected by peers");
+  if (Node* n = find(addr); n != nullptr) {
+    // exchange() claims the up→down transition exactly once. The loop
+    // severs the node's own connections (and nothing else) at its next
+    // wake-up; until then `up` already stops every send and delivery.
+    if (!n->up.exchange(false, std::memory_order_acq_rel)) return;
+    post(*n, Mail{Mail::Kind::kCrash, {}, nullptr, {}});
+  }
+  schedule_crash_notice(static_cast<ProcessId>(addr.id));
+}
+
+bool TcpTransport::is_up(NodeAddress addr) const {
+  if (const Node* n = find(addr); n != nullptr) {
+    return n->up.load(std::memory_order_acquire);
+  }
+  if (addr.kind == NodeAddress::Kind::kServer) {
+    const sync::MutexLock lock(crash_mu_);
+    return !crash_detected_.contains(static_cast<ProcessId>(addr.id));
+  }
+  return true;
+}
+
+void TcpTransport::schedule_crash_notice(ProcessId crashed) {
+  {
+    const sync::MutexLock lock(crash_mu_);
+    if (!crash_detected_.insert(crashed).second) return;  // already noticed
+  }
+  const Timer t{
+      clk::steady_now() + clk::seconds_to_duration(opts_.detection_delay_s), 0,
+      0, crashed};
+  for (Node* n : snapshot_nodes()) {
+    if (!n->up.load(std::memory_order_acquire)) continue;
+    pending_notices_.fetch_add(1, std::memory_order_acq_rel);
+    add_timer(*n, t);
+  }
+}
+
+// ------------------------------------------------------------ node loop
+
+void TcpTransport::run_loop(Node& n) {
+  tl_loop_node = &n;
+  tl_loop_owner = this;
+  constexpr int kMaxEvents = 64;
+  epoll_event events[kMaxEvents];
+  while (!stopping_.load(std::memory_order_acquire)) {
+    // End of the previous iteration: everything the handlers staged leaves
+    // in one sendmsg per connection before the loop blocks.
+    for (std::size_t i = 0; i < n.dirty.size(); ++i) flush(n, *n.dirty[i]);
+    n.dirty.clear();
+    n.busy.store(n.blocked != 0, std::memory_order_release);
+
+    int timeout_ms = -1;
+    if (!n.timers.empty()) {
+      const auto wait = n.timers.front().at - clk::steady_now();
+      const auto ms =
+          std::chrono::ceil<std::chrono::milliseconds>(wait).count();
+      timeout_ms = static_cast<int>(std::clamp<decltype(ms)>(ms, 0, INT_MAX));
     }
-    enqueue(*dst, WorkItem{WorkItem::Kind::kMessage, from, std::move(msg)});
+    const int nev = ::epoll_wait(n.epoll_fd, events, kMaxEvents, timeout_ms);
+    n.busy.store(true, std::memory_order_release);
+    if (nev < 0 && errno != EINTR) break;
+    for (int i = 0; i < nev; ++i) {
+      void* tag = events[i].data.ptr;
+      if (tag == nullptr) {
+        std::uint64_t drained = 0;
+        [[maybe_unused]] const ssize_t r =
+            ::read(n.wake_fd, &drained, sizeof(drained));
+        drain_mailbox(n);
+        continue;
+      }
+      if (tag == &n) {
+        on_accept(n);
+        continue;
+      }
+      auto& c = *static_cast<Conn*>(tag);
+      if (c.closed) continue;
+      if ((events[i].events & EPOLLIN) != 0) {
+        on_readable(n, c);
+      } else if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
+        close_conn(n, c, /*attribute_break=*/true);
+      }
+      if (!c.closed && (events[i].events & EPOLLOUT) != 0) flush(n, c);
+    }
+    fire_timers(n);
+  }
+  teardown(n);
+}
+
+void TcpTransport::drain_mailbox(Node& n) {
+  {
+    // Swapping keeps both vectors' capacity: no allocation in steady state.
+    const sync::MutexLock lock(n.mu);
+    n.inbox.swap(n.mailbox);
+  }
+  for (Mail& m : n.inbox) {
+    switch (m.kind) {
+      case Mail::Kind::kMessage:
+        if (n.up.load(std::memory_order_acquire)) {
+          n.on_message(m.peer, std::move(m.msg));
+        }
+        break;
+      case Mail::Kind::kSend:
+        if (n.up.load(std::memory_order_acquire)) stage(n, m.peer, *m.msg);
+        break;
+      case Mail::Kind::kTimer:
+        add_timer(n, m.timer);
+        break;
+      case Mail::Kind::kCrash:
+        sever(n);
+        break;
+    }
+  }
+  n.inbox.clear();
+}
+
+void TcpTransport::fire_timers(Node& n) {
+  const clk::SteadyTime now = clk::steady_now();
+  while (!n.timers.empty() && n.timers.front().at <= now) {
+    std::pop_heap(n.timers.begin(), n.timers.end(), kLater);
+    const Timer t = n.timers.back();
+    n.timers.pop_back();
+    const bool up = n.up.load(std::memory_order_acquire);
+    if (t.crashed != kNoProcess) {
+      if (up && n.on_crash) n.on_crash(t.crashed);
+      pending_notices_.fetch_sub(1, std::memory_order_acq_rel);
+    } else if (up && n.on_timer) {
+      n.on_timer(t.token);
+    }
+  }
+}
+
+void TcpTransport::sever(Node& n) {
+  // Crash: close every connection the node owns without a bye — remote
+  // processes see a raw break; local peers see EOF on their end. A crashed
+  // node's loop idles until stop(); fired notices still settle the count.
+  for (const auto& c : n.conns) {
+    if (!c->closed) close_conn(n, *c, /*attribute_break=*/false);
+  }
+  if (n.listen_fd >= 0) {
+    ::close(n.listen_fd);
+    n.listen_fd = -1;
+  }
+}
+
+void TcpTransport::teardown(Node& n) {
+  // Graceful stop: best-effort flush, then a bye frame (len == 0) on every
+  // live connection so peers see a close, not a crash. The bye must not
+  // interleave with a torn frame: if the socket stays full the peer would
+  // consume the bye's zeros as the frame's body and misread the close as a
+  // crash — close without a bye instead, a break being the honest signal
+  // for a stream we could not deliver.
+  const char bye[4] = {0, 0, 0, 0};
+  for (const auto& c : n.conns) {
+    for (int attempt = 0; attempt < 200 && !c->closed && !c->out.empty();
+         ++attempt) {
+      flush(n, *c);
+      if (!c->out.empty()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    if (c->closed) continue;
+    if (c->out.empty() && n.up.load(std::memory_order_acquire)) {
+      [[maybe_unused]] const ssize_t w =
+          ::send(c->fd, bye, sizeof(bye), MSG_NOSIGNAL);
+    }
+    close_conn(n, *c, /*attribute_break=*/false);
+  }
+  if (n.listen_fd >= 0) {
+    ::close(n.listen_fd);
+    n.listen_fd = -1;
+  }
+  tl_loop_node = nullptr;
+  tl_loop_owner = nullptr;
+}
+
+// ---------------------------------------------------------------- egress
+
+void TcpTransport::count_tx(Node& src, const Payload& msg) {
+  const std::size_t bytes = msg.wire_size();
+  src.tx_messages.fetch_add(1, std::memory_order_relaxed);
+  src.tx_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  transmissions_.fetch_add(1, std::memory_order_relaxed);
+  bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
+}
+
+void TcpTransport::stage(Node& n, NodeAddress to, const Payload& msg) {
+  Conn* c = egress(n, to);
+  // Messages to the dead (or the unreachable) are lost.
+  if (c == nullptr ||
+      (c->peer != nullptr && !c->peer->up.load(std::memory_order_acquire))) {
     return;
   }
-
-  Conn* c = ensure_conn(from, to);
-  if (c == nullptr) return;  // unreachable peer: message to the dead, lost
-
-  transmissions_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(msg->wire_size(), std::memory_order_relaxed);
-  if (src != nullptr) {
-    src->tx_messages.fetch_add(1, std::memory_order_relaxed);
-    src->tx_bytes.fetch_add(msg->wire_size(), std::memory_order_relaxed);
-  }
-  if (dst != nullptr) {
+  count_tx(n, msg);
+  if (c->peer != nullptr) {
     local_frames_sent_.fetch_add(1, std::memory_order_relaxed);
   }
-  {
-    const sync::MutexLock lock(c->mu);
-    const FrameWriter::Mark m = c->staged.begin_frame();
-    opts_.encode(*msg, c->staged);
-    c->staged.end_frame(m);
-    c->has_staged = true;
+  const FrameWriter::Mark m = c->out.begin_frame();
+  opts_.encode(msg, c->out);
+  c->out.end_frame(m);
+  if (!c->dirty) {
+    c->dirty = true;
+    n.dirty.push_back(c);
   }
-  wake_epoll();
 }
 
-TcpTransport::Conn* TcpTransport::ensure_conn(NodeAddress from,
-                                              NodeAddress to) {
-  {
-    const sync::MutexLock lock(conns_mu_);
-    auto it = egress_.find({from, to});
-    if (it != egress_.end()) {
-      return it->second->closed.load(std::memory_order_acquire)
-                 ? nullptr
-                 : it->second;
+TcpTransport::Conn* TcpTransport::egress(Node& n, NodeAddress to) {
+  if (auto it = n.egress.find(to); it != n.egress.end()) {
+    return it->second->closed ? nullptr : it->second;
+  }
+  if (to.kind == NodeAddress::Kind::kServer) {
+    // The failure detector's verdict stands in for a dial to the dead.
+    const sync::MutexLock lock(crash_mu_);
+    if (crash_detected_.contains(static_cast<ProcessId>(to.id))) {
+      return nullptr;
     }
   }
-  return dial(from, to);
+  return dial(n, to);
 }
 
-TcpTransport::Conn* TcpTransport::dial(NodeAddress from, NodeAddress to) {
+TcpTransport::Conn* TcpTransport::dial(Node& n, NodeAddress to) {
   const std::uint16_t port = port_of(to);
   if (port == 0) return nullptr;  // unknown peer (ephemeral registry miss)
 
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return nullptr;
-  set_nodelay(fd);
   sockaddr_in sa = loopback_addr(port);
   // Blocking connect: on loopback this either completes or refuses fast,
   // and doing it synchronously gives the mesh retry loop (and lazy dials)
@@ -329,471 +525,169 @@ TcpTransport::Conn* TcpTransport::dial(NodeAddress from, NodeAddress to) {
     }
     return nullptr;
   }
+  Conn& c = adopt(n, fd);
+  c.remote = to;
+  c.peer = find(to);
+  c.have_preamble = true;
+  c.out.u32(kMagic);
+  c.out.u8(static_cast<std::uint8_t>(n.addr.kind));
+  c.out.u64(n.addr.id);
+  c.out.u8(static_cast<std::uint8_t>(to.kind));
+  c.out.u64(to.id);
+  c.dirty = true;
+  n.dirty.push_back(&c);
+  n.egress[to] = &c;
+  return &c;
+}
+
+TcpTransport::Conn& TcpTransport::adopt(Node& n, int fd) {
   set_nonblocking(fd);
-
-  auto conn = std::make_unique<Conn>();
-  conn->fd = fd;
-  conn->initiated = true;
-  conn->local = from;
-  conn->remote = to;
-  conn->connected = true;
-  conn->have_preamble = true;
-  {
-    const sync::MutexLock lock(conn->mu);
-    conn->staged.u32(kMagic);
-    conn->staged.u8(static_cast<std::uint8_t>(from.kind));
-    conn->staged.u64(from.id);
-    conn->staged.u8(static_cast<std::uint8_t>(to.kind));
-    conn->staged.u64(to.id);
-    conn->has_staged = true;
-  }
-
-  Conn* raw = nullptr;
-  {
-    const sync::MutexLock lock(conns_mu_);
-    auto it = egress_.find({from, to});
-    if (it != egress_.end()) {
-      // Lost a dial race; keep the established one.
-      ::close(fd);
-      return it->second->closed.load(std::memory_order_acquire) ? nullptr
-                                                                : it->second;
-    }
-    raw = conn.get();
-    conns_.push_back(std::move(conn));
-    egress_[{from, to}] = raw;
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.ptr = static_cast<EpollTag*>(raw);
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-  wake_epoll();
-  return raw;
+  set_nodelay(fd);
+  n.conns.push_back(std::make_unique<Conn>());
+  Conn& c = *n.conns.back();
+  c.fd = fd;
+  epoll_watch(n.epoll_fd, EPOLL_CTL_ADD, fd, EPOLLIN, &c);
+  return c;
 }
 
-void TcpTransport::wake_epoll() const {
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-}
-
-// ------------------------------------------------------------- epoll thread
-
-void TcpTransport::run_epoll_thread() {
-  constexpr int kMaxEvents = 64;
-  epoll_event events[kMaxEvents];
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int nev = ::epoll_wait(epoll_fd_, events, kMaxEvents, 100);
-    if (nev < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    bool woken = false;
-    for (int i = 0; i < nev; ++i) {
-      auto* tag = static_cast<EpollTag*>(events[i].data.ptr);
-      switch (tag->kind) {
-        case EpollTag::Kind::kWake: {
-          std::uint64_t drain = 0;
-          while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
-          }
-          woken = true;
-          break;
-        }
-        case EpollTag::Kind::kListener:
-          on_accept(*static_cast<ListenerTag*>(tag));
-          break;
-        case EpollTag::Kind::kConn: {
-          auto& c = *static_cast<Conn*>(tag);
-          if (c.closed.load(std::memory_order_acquire)) break;
-          if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0 &&
-              (events[i].events & EPOLLIN) == 0) {
-            close_conn(c, /*attribute_break=*/true);
-            break;
-          }
-          if ((events[i].events & EPOLLIN) != 0) on_conn_readable(c);
-          if (!c.closed.load(std::memory_order_acquire) &&
-              (events[i].events & EPOLLOUT) != 0) {
-            on_conn_writable(c);
-          }
-          break;
-        }
-      }
-    }
-    if (woken) {
-      // A sender staged frames on some connection; sweep them all (the
-      // deployment's connection count is tiny: O(nodes²) with n ≤ 8).
-      std::vector<Conn*> sweep;
-      {
-        const sync::MutexLock lock(conns_mu_);
-        sweep.reserve(conns_.size());
-        for (const auto& c : conns_) sweep.push_back(c.get());
-      }
-      for (Conn* c : sweep) {
-        if (!c->closed.load(std::memory_order_acquire)) flush_conn(*c);
-      }
-    }
-  }
-
-  // Graceful teardown: best-effort flush, then a bye frame (len == 0) on
-  // every live connection so peers see a close, not a crash.
-  std::vector<Conn*> sweep;
-  {
-    const sync::MutexLock lock(conns_mu_);
-    for (const auto& c : conns_) sweep.push_back(c.get());
-  }
-  const char bye[4] = {0, 0, 0, 0};
-  for (Conn* c : sweep) {
-    if (c->closed.load(std::memory_order_acquire)) continue;
-    // The bye must not interleave with a torn frame: if flush_conn left
-    // bytes behind (EAGAIN), the peer would consume the bye's zeros as the
-    // frame's body and then misread the close as a crash. Retry the flush
-    // briefly; if the socket stays full, close without a bye — a break is
-    // the honest signal for a stream we could not deliver.
-    bool drained = false;
-    for (int attempt = 0; attempt < 200; ++attempt) {
-      flush_conn(*c);
-      if (c->closed.load(std::memory_order_acquire)) break;
-      bool pending = c->flushing_nonempty;
-      if (!pending) {
-        const sync::MutexLock lock(c->mu);
-        pending = c->has_staged;
-      }
-      if (!pending) {
-        drained = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    if (c->closed.load(std::memory_order_acquire)) continue;
-    if (drained) {
-      [[maybe_unused]] const ssize_t n =
-          ::send(c->fd, bye, sizeof(bye), MSG_NOSIGNAL);
-    }
-    close_conn(*c, /*attribute_break=*/false);
-  }
-  {
-    const sync::ReaderLock lock(registry_mu_);
-    for (const auto& tag : listener_tags_) {
-      if (tag->owner->listen_fd >= 0) {
-        ::close(tag->owner->listen_fd);
-        tag->owner->listen_fd = -1;
-      }
-    }
-  }
-}
-
-void TcpTransport::on_accept(ListenerTag& lt) {
-  for (;;) {
-    const int fd = ::accept4(lt.owner->listen_fd, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN or a transient error: wait for epoll
-    set_nodelay(fd);
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    conn->connected = true;  // addresses arrive with the preamble
-    Conn* raw = conn.get();
-    {
-      const sync::MutexLock lock(conns_mu_);
-      conns_.push_back(std::move(conn));
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.ptr = static_cast<EpollTag*>(raw);
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-  }
-}
-
-void TcpTransport::on_conn_readable(Conn& c) {
-  char buf[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::read(c.fd, buf, sizeof(buf));
-    if (n == 0) {
-      close_conn(c, /*attribute_break=*/true);
-      return;
-    }
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      close_conn(c, /*attribute_break=*/true);
-      return;
-    }
-    std::string_view chunk(buf, static_cast<std::size_t>(n));
-    if (!c.have_preamble) {
-      c.preamble_buf.append(chunk.data(), chunk.size());
-      if (c.preamble_buf.size() < kPreambleBytes) continue;
-      Decoder d(std::string_view(c.preamble_buf).substr(0, kPreambleBytes));
-      if (d.u32() != kMagic) {
-        close_conn(c, /*attribute_break=*/false);
-        return;
-      }
-      NodeAddress src{static_cast<NodeAddress::Kind>(d.u8()), 0};
-      src.id = d.u64();
-      NodeAddress dst{static_cast<NodeAddress::Kind>(d.u8()), 0};
-      dst.id = d.u64();
-      {
-        // Published under conns_mu_: crash() walks connections by address.
-        const sync::MutexLock lock(conns_mu_);
-        c.remote = src;
-        c.local = dst;
-      }
-      c.have_preamble = true;
-      chunk = std::string_view(c.preamble_buf).substr(kPreambleBytes);
-      const bool ok = c.decoder.feed(
-          chunk, [this, &c](std::string_view body) {
-            if (body.empty()) {
-              c.remote_bye = true;
-            } else {
-              deliver_frame(c, body);
-            }
-          });
-      c.preamble_buf.clear();
-      if (!ok) {
-        close_conn(c, /*attribute_break=*/true);
-        return;
-      }
-      continue;
-    }
-    const bool ok =
-        c.decoder.feed(chunk, [this, &c](std::string_view body) {
-          if (body.empty()) {
-            c.remote_bye = true;
-          } else {
-            deliver_frame(c, body);
-          }
-        });
-    if (!ok) {
-      close_conn(c, /*attribute_break=*/true);
-      return;
-    }
-  }
-}
-
-void TcpTransport::deliver_frame(const Conn& c, std::string_view body) {
-  Node* dst = find(c.local);
-  if (dst == nullptr || !dst->up.load(std::memory_order_acquire)) {
-    return;  // messages to the dead (or not-yet-known) are lost
-  }
-  PayloadPtr msg;
-  try {
-    msg = opts_.decode(body);
-  } catch (const std::exception&) {
-    return;  // malformed frame: drop (tests never exercise this path)
-  }
-  dst->rx_messages.fetch_add(1, std::memory_order_relaxed);
-  dst->rx_bytes.fetch_add(body.size(), std::memory_order_relaxed);
-  if (find(c.remote) != nullptr) {
-    local_frames_delivered_.fetch_add(1, std::memory_order_relaxed);
-  }
-  enqueue(*dst, WorkItem{WorkItem::Kind::kMessage, c.remote, std::move(msg)});
-}
-
-void TcpTransport::on_conn_writable(Conn& c) {
-  if (!c.connected) c.connected = true;  // async connect completed
-  flush_conn(c);
-}
-
-void TcpTransport::flush_conn(Conn& c) {
-  if (!c.connected || c.closed.load(std::memory_order_acquire)) return;
-  for (;;) {
-    if (!c.flushing_nonempty) {
-      {
-        const sync::MutexLock lock(c.mu);
-        if (!c.has_staged) break;
-        std::swap(c.staged, c.flushing);
-        c.has_staged = false;
-      }
-      c.flushing_nonempty = true;
-      c.flush_skip = 0;
-    }
-    // The writers are swapped, never shared: from here the epoll thread
-    // owns `flushing` exclusively and can do the syscall without the lock.
-    const std::vector<iovec>& iov = c.flushing.iov(c.flush_skip);
+void TcpTransport::flush(Node& n, Conn& c) {
+  c.dirty = false;
+  if (c.closed) return;
+  if (!n.up.load(std::memory_order_acquire)) return;  // crash pending sever
+  while (!c.out.empty()) {
+    const std::vector<iovec>& iov = c.out.iov(c.out_skip);
     msghdr mh{};
     mh.msg_iov = const_cast<iovec*>(iov.data());
     mh.msg_iovlen = std::min<std::size_t>(iov.size(), 1024);
-    const ssize_t n = ::sendmsg(c.fd, &mh, MSG_NOSIGNAL);
-    if (n < 0) {
+    const ssize_t sent = ::sendmsg(c.fd, &mh, MSG_NOSIGNAL);
+    if (sent < 0) {
+      if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         if (!c.want_write) {
           c.want_write = true;
-          epoll_event ev{};
-          ev.events = EPOLLIN | EPOLLOUT;
-          ev.data.ptr = static_cast<EpollTag*>(&c);
-          ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
+          ++n.blocked;
+          epoll_watch(n.epoll_fd, EPOLL_CTL_MOD, c.fd, EPOLLIN | EPOLLOUT, &c);
         }
         return;
       }
-      if (errno == EINTR) continue;
-      close_conn(c, /*attribute_break=*/true);
+      close_conn(n, c, /*attribute_break=*/true);
       return;
     }
-    c.flush_skip += static_cast<std::size_t>(n);
-    if (c.flush_skip == c.flushing.size()) {
-      c.flushing.clear();
-      c.flushing_nonempty = false;
-      c.flush_skip = 0;
+    c.out_skip += static_cast<std::size_t>(sent);
+    if (c.out_skip == c.out.size()) {
+      c.out.clear();
+      c.out_skip = 0;
     }
   }
   if (c.want_write) {
     c.want_write = false;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.ptr = static_cast<EpollTag*>(&c);
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
+    --n.blocked;
+    epoll_watch(n.epoll_fd, EPOLL_CTL_MOD, c.fd, EPOLLIN, &c);
   }
 }
 
-void TcpTransport::close_conn(Conn& c, bool attribute_break) {
-  if (c.closed.exchange(true, std::memory_order_acq_rel)) return;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c.fd, nullptr);
+// --------------------------------------------------------------- ingress
+
+void TcpTransport::on_accept(Node& n) {
+  for (;;) {
+    const int fd = ::accept4(n.listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) return;  // EAGAIN or a transient error: wait for epoll
+    (void)adopt(n, fd);  // the remote address arrives with the preamble
+  }
+}
+
+void TcpTransport::on_readable(Node& n, Conn& c) {
+  char buf[64 * 1024];
+  const auto on_frame = [this, &n, &c](std::string_view body) {
+    if (body.empty()) {
+      c.remote_bye = true;
+    } else {
+      deliver_frame(n, c, body);
+    }
+  };
+  for (;;) {
+    const ssize_t got = ::read(c.fd, buf, sizeof(buf));
+    if (got == 0) {
+      close_conn(n, c, /*attribute_break=*/true);
+      return;
+    }
+    if (got < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+      if (errno == EINTR) continue;
+      close_conn(n, c, /*attribute_break=*/true);
+      return;
+    }
+    std::string_view chunk(buf, static_cast<std::size_t>(got));
+    // A short read emptied the socket: stop without the read() that would
+    // only return EAGAIN (epoll is level-triggered, so a late byte still
+    // wakes the loop).
+    const bool drained = chunk.size() < sizeof(buf);
+    if (!c.have_preamble) {
+      c.preamble_buf.append(chunk.data(), chunk.size());
+      if (c.preamble_buf.size() < kPreambleBytes) {
+        if (drained) return;
+        continue;
+      }
+      Decoder d(std::string_view(c.preamble_buf).substr(0, kPreambleBytes));
+      if (d.u32() != kMagic) {
+        close_conn(n, c, /*attribute_break=*/false);
+        return;
+      }
+      c.remote.kind = static_cast<NodeAddress::Kind>(d.u8());
+      c.remote.id = d.u64();
+      (void)d.u8();  // destination: this listener's node by construction
+      (void)d.u64();
+      c.peer = find(c.remote);
+      c.have_preamble = true;
+      chunk = std::string_view(c.preamble_buf).substr(kPreambleBytes);
+    }
+    const bool ok = c.decoder.feed(chunk, on_frame);
+    c.preamble_buf.clear();
+    if (!ok) {
+      close_conn(n, c, /*attribute_break=*/true);
+      return;
+    }
+    if (drained) return;
+  }
+}
+
+void TcpTransport::deliver_frame(Node& n, const Conn& c,
+                                 std::string_view body) {
+  // Messages to the dead are lost (the frame still counts as consumed).
+  if (n.up.load(std::memory_order_acquire)) {
+    PayloadPtr msg;
+    try {
+      msg = opts_.decode(body);
+    } catch (const std::exception&) {
+      msg = nullptr;  // malformed frame: drop
+    }
+    if (msg != nullptr) {
+      n.rx_messages.fetch_add(1, std::memory_order_relaxed);
+      n.rx_bytes.fetch_add(body.size(), std::memory_order_relaxed);
+      n.on_message(c.remote, std::move(msg));
+    }
+  }
+  if (c.peer != nullptr) {
+    local_frames_delivered_.fetch_add(1, std::memory_order_release);
+  }
+}
+
+void TcpTransport::close_conn(Node& n, Conn& c, bool attribute_break) {
+  if (c.closed) return;
+  c.closed = true;
+  ::epoll_ctl(n.epoll_fd, EPOLL_CTL_DEL, c.fd, nullptr);
   ::close(c.fd);
-  c.connected = false;
-  if (!attribute_break || c.remote_bye ||
-      c.local_down.load(std::memory_order_acquire) ||
-      stopping_.load(std::memory_order_acquire) || !c.have_preamble) {
-    return;
+  if (c.want_write) {
+    c.want_write = false;
+    --n.blocked;
   }
-  NodeAddress remote;
-  {
-    const sync::MutexLock lock(conns_mu_);
-    remote = c.remote;
-  }
-  if (remote.kind != NodeAddress::Kind::kServer) return;
-  // A break without a bye is a crash — the paper's failure detector.
-  const Node* rn = find(remote);
-  if (rn != nullptr && !rn->up.load(std::memory_order_acquire)) {
-    // Local endpoint already known dead; crash() scheduled the notice.
-    return;
-  }
-  schedule_crash_notice(static_cast<ProcessId>(remote.id));
-}
-
-// ------------------------------------------------ crash / timers / delivery
-
-void TcpTransport::schedule_crash_notice(ProcessId crashed) {
-  const sync::MutexLock lock(timer_mu_);
-  if (!crash_detected_.insert(crashed).second) return;  // already noticed
-  timers_.push_back(PendingTimer{
-      clk::steady_now() + clk::seconds_to_duration(opts_.detection_delay_s),
-      NodeAddress{}, 0, true, crashed});
-  timer_cv_.notify_all();
-}
-
-void TcpTransport::crash(NodeAddress addr) {
-  assert(addr.kind == NodeAddress::Kind::kServer &&
-         "only server crashes are detected by peers");
-  Node* n = find(addr);
-  if (n != nullptr) {
-    // exchange() claims the up→down transition exactly once.
-    if (!n->up.exchange(false, std::memory_order_acq_rel)) return;
-    {
-      const sync::MutexLock lock(n->mu);
-      n->queue.clear();
-      n->cv.notify_all();
-    }
-    // Sever every connection the node touches without a bye: remote
-    // processes see a raw break; shutdown() (not close()) keeps the fd
-    // valid for the epoll thread, which observes EOF and finishes the job.
-    const sync::MutexLock lock(conns_mu_);
-    for (const auto& c : conns_) {
-      if (c->closed.load(std::memory_order_acquire)) continue;
-      if (c->local == addr) {
-        c->local_down.store(true, std::memory_order_release);
-        ::shutdown(c->fd, SHUT_RDWR);
-      }
-    }
-  }
-  schedule_crash_notice(static_cast<ProcessId>(addr.id));
-}
-
-bool TcpTransport::is_up(NodeAddress addr) const {
-  if (const Node* n = find(addr); n != nullptr) {
-    return n->up.load(std::memory_order_acquire);
-  }
-  if (addr.kind == NodeAddress::Kind::kServer) {
-    const sync::MutexLock lock(timer_mu_);
-    return !crash_detected_.contains(static_cast<ProcessId>(addr.id));
-  }
-  return true;
-}
-
-void TcpTransport::arm_timer(NodeAddress addr, double delay_s,
-                             std::uint64_t token) {
-  const sync::MutexLock lock(timer_mu_);
-  timers_.push_back(PendingTimer{
-      clk::steady_now() + clk::seconds_to_duration(delay_s), addr, token,
-      false, kNoProcess});
-  timer_cv_.notify_all();
-}
-
-void TcpTransport::run_node(Node& n) {
-  for (;;) {
-    WorkItem item;
-    {
-      const sync::MutexLock lock(n.mu);
-      while (!stopping_.load(std::memory_order_acquire) && n.queue.empty()) {
-        n.cv.wait(n.mu);
-      }
-      if (stopping_.load(std::memory_order_acquire)) return;
-      item = std::move(n.queue.front());
-      n.queue.pop_front();
-      n.busy = true;
-    }
-    if (n.up.load(std::memory_order_acquire)) {
-      switch (item.kind) {
-        case WorkItem::Kind::kMessage:
-          n.on_message(item.from, std::move(item.msg));
-          break;
-        case WorkItem::Kind::kCrashNotice:
-          if (n.on_crash) n.on_crash(item.crashed);
-          break;
-        case WorkItem::Kind::kTimer:
-          if (n.on_timer) n.on_timer(item.token);
-          break;
-      }
-    }
-    {
-      const sync::MutexLock lock(n.mu);
-      n.busy = false;
-      n.cv.notify_all();  // wait_quiescent watchers
-    }
-  }
-}
-
-void TcpTransport::run_timer_thread() {
-  for (;;) {
-    PendingTimer t;
-    {
-      const sync::MutexLock lock(timer_mu_);
-      for (;;) {
-        if (stopping_.load(std::memory_order_acquire)) return;
-        if (timers_.empty()) {
-          timer_cv_.wait(timer_mu_);
-          continue;
-        }
-        auto next = std::min_element(
-            timers_.begin(), timers_.end(),
-            [](const PendingTimer& a, const PendingTimer& b) {
-              return a.at < b.at;
-            });
-        if (clk::steady_now() < next->at) {
-          const clk::SteadyTime wake = next->at;
-          timer_cv_.wait_until(timer_mu_, wake);
-          continue;
-        }
-        t = *next;
-        timers_.erase(next);
-        break;
-      }
-    }
-    if (t.is_crash_notice) {
-      for (Node* n : snapshot_nodes()) {
-        if (!n->up.load(std::memory_order_acquire)) continue;
-        enqueue(*n, WorkItem{WorkItem::Kind::kCrashNotice, NodeAddress{},
-                             nullptr, t.crashed, 0});
-      }
-    } else if (Node* n = find(t.addr); n != nullptr) {
-      enqueue(*n, WorkItem{WorkItem::Kind::kTimer, NodeAddress{}, nullptr,
-                           kNoProcess, t.token});
-    }
+  // A break without a bye is a crash — the paper's failure detector. A
+  // connection whose preamble never arrived has no known remote to blame.
+  if (attribute_break && !c.remote_bye && c.have_preamble &&
+      n.up.load(std::memory_order_acquire) &&
+      !stopping_.load(std::memory_order_acquire) &&
+      c.remote.kind == NodeAddress::Kind::kServer) {
+    schedule_crash_notice(static_cast<ProcessId>(c.remote.id));
   }
 }
 
@@ -817,39 +711,25 @@ bool TcpTransport::wait_quiescent(double timeout_s) {
   const clk::SteadyTime deadline =
       clk::steady_now() + clk::seconds_to_duration(timeout_s);
   for (;;) {
-    bool quiet = true;
+    // The frame balance is read before and after the node sweep: a handler
+    // that ran in between either sent (the counts move) or was seen busy.
+    const std::uint64_t delivered =
+        local_frames_delivered_.load(std::memory_order_acquire);
+    const std::uint64_t sent = local_frames_sent_.load(std::memory_order_acquire);
+    bool quiet = sent == delivered &&
+                 pending_notices_.load(std::memory_order_acquire) == 0;
     for (Node* n : snapshot_nodes()) {
-      const sync::MutexLock lock(n->mu);
-      if (!n->queue.empty() || n->busy) {
-        quiet = false;
-        break;
+      if (!quiet) break;
+      {
+        const sync::MutexLock lock(n->mu);
+        quiet = n->mailbox.empty();
       }
-    }
-    if (quiet) {
-      // Nothing staged for egress anywhere. (The flushing buffers are
-      // epoll-thread-owned; the loopback frame balance below covers bytes
-      // that left a writer but have not been delivered yet.)
-      const sync::MutexLock lock(conns_mu_);
-      for (const auto& c : conns_) {
-        if (c->closed.load(std::memory_order_acquire)) continue;
-        const sync::MutexLock cl(c->mu);
-        if (c->has_staged) {
-          quiet = false;
-          break;
-        }
-      }
+      quiet = quiet && !n->busy.load(std::memory_order_acquire);
     }
     if (quiet &&
-        local_frames_sent_.load(std::memory_order_acquire) !=
-            local_frames_delivered_.load(std::memory_order_acquire)) {
-      quiet = false;
-    }
-    if (quiet) {
-      const sync::MutexLock lock(timer_mu_);
-      const bool crash_pending =
-          std::any_of(timers_.begin(), timers_.end(),
-                      [](const PendingTimer& t) { return t.is_crash_notice; });
-      if (!crash_pending) return true;
+        local_frames_sent_.load(std::memory_order_acquire) == sent &&
+        local_frames_delivered_.load(std::memory_order_acquire) == delivered) {
+      return true;
     }
     if (clk::steady_now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -1,4 +1,5 @@
-// Real socket transport: epoll event loop over loopback/LAN TCP.
+// Real socket transport: one run-to-completion epoll loop per node over
+// loopback/LAN TCP.
 //
 // TcpTransport implements the same node-facing surface as InMemTransport
 // (net::Transport), but every non-self send crosses a real TCP connection as
@@ -19,15 +20,17 @@
 // honest on a LAN where partitions are out of scope: surviving peers'
 // crash handlers fire after `detection_delay`.
 //
-// Threading: one epoll thread owns every socket's readiness, ingress
-// decoding and egress flushing; one timer thread owns deadlines; each node
-// has a delivery thread running its handlers serialized (same model as
-// InMemTransport). send() encodes into the connection's *staged*
-// FrameWriter under the connection mutex and wakes the epoll thread via
-// eventfd; the epoll thread swaps staged↔flushing and writes the flushing
-// buffer out with one sendmsg (scatter-gather) per readiness — frames
-// accumulated while the socket was busy leave in a single syscall, and the
-// segment pools make the steady state allocation-free.
+// Threading: each node runs one epoll loop thread that owns everything the
+// node touches — its listener, the connections it accepted and dialed, its
+// timer min-heap and its mailbox. A frame read off a socket is decoded and
+// handed to the node's handler inline; a send() from the handler appends
+// the frame to the connection's FrameWriter and marks it dirty, and before
+// the loop blocks again each dirty connection is flushed with one sendmsg
+// (scatter-gather over the writer's pooled segments). The earliest timer
+// deadline is epoll_wait's timeout. Only calls from other threads (caller
+// self-sends, tests, crash(), a foreign arm_timer) go through the mailbox
+// plus an eventfd wake. Handlers of one node therefore run serialized on
+// one thread with no handoff between socket and state machine.
 //
 // Layering: hts_net cannot depend on hts_core, so the codec is injected
 // (Options::encode / Options::decode); the harness wires the core message
@@ -37,7 +40,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -97,27 +99,29 @@ class TcpTransport : public Transport {
                      TimerHandler on_timer = nullptr) override
       HTS_EXCLUDES(registry_mu_);
 
-  void start() override HTS_EXCLUDES(registry_mu_, conns_mu_);
-  void stop() override HTS_EXCLUDES(registry_mu_, conns_mu_, timer_mu_);
+  void start() override HTS_EXCLUDES(registry_mu_);
+  void stop() override HTS_EXCLUDES(registry_mu_);
 
+  /// `from` must be a node registered on this transport. Called on that
+  /// node's loop thread the frame is staged directly; from any other
+  /// thread the send is posted to the node's mailbox.
   void send(NodeAddress from, NodeAddress to, PayloadPtr msg) override
-      HTS_EXCLUDES(registry_mu_, conns_mu_);
+      HTS_EXCLUDES(registry_mu_);
 
   void arm_timer(NodeAddress addr, double delay_s, std::uint64_t token)
-      override HTS_EXCLUDES(timer_mu_);
+      override HTS_EXCLUDES(registry_mu_);
 
-  /// Crashes a *local* server node: its queue is discarded and every
-  /// connection it touches is severed without a bye — remote processes see
-  /// the break, local survivors get the same detection-delay notice.
-  void crash(NodeAddress addr) override HTS_EXCLUDES(registry_mu_, timer_mu_);
+  /// Crashes a *local* server node: its mailbox and timers are discarded and
+  /// every connection it owns is closed without a bye — remote processes
+  /// see the break, local survivors get the same detection-delay notice.
+  void crash(NodeAddress addr) override HTS_EXCLUDES(registry_mu_, crash_mu_);
 
   /// Local nodes report their own liveness; remote servers report "not yet
   /// detected crashed" (the failure detector's view).
   [[nodiscard]] bool is_up(NodeAddress addr) const override
-      HTS_EXCLUDES(registry_mu_, timer_mu_);
+      HTS_EXCLUDES(registry_mu_, crash_mu_);
 
-  bool wait_quiescent(double timeout_s) override
-      HTS_EXCLUDES(registry_mu_, conns_mu_, timer_mu_);
+  bool wait_quiescent(double timeout_s) override HTS_EXCLUDES(registry_mu_);
 
   [[nodiscard]] std::uint64_t total_transmissions() const override {
     return transmissions_.load(std::memory_order_relaxed);
@@ -135,113 +139,113 @@ class TcpTransport : public Transport {
   [[nodiscard]] std::uint16_t port_of(NodeAddress addr) const;
 
  private:
-  // ------------------------------------------------------------ node state
-  struct WorkItem {
-    enum class Kind : std::uint8_t { kMessage, kCrashNotice, kTimer } kind;
-    NodeAddress from;
-    PayloadPtr msg;
-    ProcessId crashed = kNoProcess;
+  struct Node;
+
+  /// A timer or a crash notice (crashed != kNoProcess) in a node's heap.
+  struct Timer {
+    clk::SteadyTime at;
+    std::uint64_t seq = 0;  // FIFO among equal deadlines
     std::uint64_t token = 0;
+    ProcessId crashed = kNoProcess;
+  };
+
+  /// Work posted to a node's loop by another thread.
+  struct Mail {
+    enum class Kind : std::uint8_t { kMessage, kSend, kTimer, kCrash } kind;
+    NodeAddress peer;  // kMessage: sender; kSend: destination
+    PayloadPtr msg;
+    Timer timer;
+  };
+
+  /// One directed TCP connection, owned by one node's loop thread (no lock).
+  /// epoll_event.data.ptr points at it.
+  struct Conn {
+    Conn() = default;
+    ~Conn();
+    Conn(const Conn&) = delete;
+    Conn& operator=(const Conn&) = delete;
+    int fd = -1;
+    NodeAddress remote;    // acceptor side learns it from the preamble
+    Node* peer = nullptr;  // the remote node when it is hosted here too
+    bool have_preamble = false;
+    bool remote_bye = false;  // saw a len==0 frame: close is graceful
+    bool closed = false;
+    bool dirty = false;       // on the owner's flush list
+    bool want_write = false;  // EPOLLOUT armed (socket was full)
+    std::string preamble_buf;  // acceptor: partial preamble bytes
+    FrameDecoder decoder;
+    FrameWriter out;          // egress frames; flushed from out_skip
+    std::size_t out_skip = 0;
   };
 
   struct Node {
+    ~Node();
     NodeAddress addr;
     MessageHandler on_message;
     CrashHandler on_crash;
     TimerHandler on_timer;
 
-    sync::Mutex mu;
-    sync::CondVar cv;
-    std::deque<WorkItem> queue HTS_GUARDED_BY(mu);
-    bool busy HTS_GUARDED_BY(mu) = false;
     std::atomic<bool> up{true};
-    std::thread thread;
-
-    int listen_fd = -1;  // owned by the epoll thread after start()
+    /// The loop is between wake-up and its next epoll_wait, or holds
+    /// unflushed egress: wait_quiescent counts it as work.
+    std::atomic<bool> busy{false};
+    int listen_fd = -1;
+    int epoll_fd = -1;
+    int wake_fd = -1;  // eventfd: foreign threads poke the loop
     std::uint16_t listen_port = 0;
+
+    sync::Mutex mu;
+    std::vector<Mail> mailbox HTS_GUARDED_BY(mu);
+
+    // Loop-thread state (start() touches it before the thread exists).
+    std::vector<Mail> inbox;  // the mailbox batch being handled
+    std::vector<std::unique_ptr<Conn>> conns;  // closed ones stay until stop
+    std::map<NodeAddress, Conn*> egress;
+    std::vector<Conn*> dirty;
+    std::size_t blocked = 0;   // conns waiting for EPOLLOUT
+    std::vector<Timer> timers;  // min-heap on (at, seq)
+    std::uint64_t timer_seq = 0;
 
     std::atomic<std::uint64_t> tx_messages{0};
     std::atomic<std::uint64_t> tx_bytes{0};
     std::atomic<std::uint64_t> rx_messages{0};
     std::atomic<std::uint64_t> rx_bytes{0};
-  };
 
-  // ------------------------------------------------------ connection state
-  /// One directed TCP connection. The epoll thread owns fd lifecycle,
-  /// ingress state and the flushing writer; senders own the staged writer
-  /// under `mu`. epoll_event.data.ptr points at the EpollTag base.
-  struct EpollTag {
-    enum class Kind : std::uint8_t { kWake, kListener, kConn } kind;
-    explicit EpollTag(Kind k) : kind(k) {}
-  };
-  struct ListenerTag : EpollTag {
-    explicit ListenerTag(Node* node)
-        : EpollTag(Kind::kListener), owner(node) {}
-    Node* owner;
-  };
-  struct Conn : EpollTag {
-    Conn() : EpollTag(Kind::kConn) {}
-
-    int fd = -1;
-    bool initiated = false;     // we connect()ed (egress side)
-    NodeAddress local, remote;  // acceptor side learns these from preamble
-    // Epoll-thread-owned ingress state (no lock: single owner).
-    bool connected = false;      // connect() completed (initiated conns)
-    bool have_preamble = false;  // acceptor: (src,dst) known
-    bool remote_bye = false;  // saw a len==0 frame: close is graceful
-    // Closed is cross-thread: the epoll thread sets it, senders read it
-    // under conns_mu_ to refuse egress on dead connections.
-    std::atomic<bool> closed{false};
-    std::string preamble_buf;  // acceptor: partial preamble bytes
-    FrameDecoder decoder;
-    // Set by crash() when the local endpoint died — suppresses attributing
-    // the resulting EOF to the (healthy) remote.
-    std::atomic<bool> local_down{false};
-
-    // Egress. Senders append to `staged`; the epoll thread swaps it with
-    // `flushing` (only when flushing is drained) and writes flushing out
-    // without holding `mu` — the writers are never shared, only swapped.
-    sync::Mutex mu;
-    FrameWriter staged HTS_GUARDED_BY(mu);
-    bool has_staged HTS_GUARDED_BY(mu) = false;
-    FrameWriter flushing;            // epoll thread only
-    std::size_t flush_skip = 0;      // epoll thread only
-    bool flushing_nonempty = false;  // epoll thread only
-    bool want_write = false;         // epoll thread only: EPOLLOUT armed
+    std::thread thread;  // the loop; declared after everything it touches
   };
 
   // ------------------------------------------------------------- internals
-  void run_node(Node& n);
-  void run_timer_thread() HTS_EXCLUDES(timer_mu_);
-  void run_epoll_thread() HTS_EXCLUDES(registry_mu_, conns_mu_, timer_mu_);
-
-  Node* find(NodeAddress addr) HTS_EXCLUDES(registry_mu_);
-  const Node* find(NodeAddress addr) const HTS_EXCLUDES(registry_mu_);
+  Node* find(NodeAddress addr) const HTS_EXCLUDES(registry_mu_);
   std::vector<Node*> snapshot_nodes() const HTS_EXCLUDES(registry_mu_);
+  /// True when the calling thread is `n`'s loop thread.
+  bool on_loop(const Node& n) const;
 
-  /// Returns the egress connection from → to, dialing it if absent.
-  /// Returns nullptr when the peer is unreachable (treated as crashed).
-  Conn* ensure_conn(NodeAddress from, NodeAddress to)
-      HTS_EXCLUDES(conns_mu_, registry_mu_);
-  Conn* dial(NodeAddress from, NodeAddress to)
-      HTS_EXCLUDES(conns_mu_, registry_mu_);
+  void post(Node& n, Mail mail);
+  void add_timer(Node& n, Timer t);
 
-  void enqueue(Node& n, WorkItem item) HTS_EXCLUDES(n.mu);
-  void deliver_frame(const Conn& c, std::string_view body)
-      HTS_EXCLUDES(registry_mu_);
+  // Loop-thread only.
+  void run_loop(Node& n) HTS_EXCLUDES(registry_mu_, crash_mu_);
+  void drain_mailbox(Node& n);
+  void fire_timers(Node& n);
+  void stage(Node& n, NodeAddress to, const Payload& msg);
+  void count_tx(Node& src, const Payload& msg);
+  /// The egress connection n → to, dialing it if absent. nullptr when the
+  /// peer is unreachable or its connection broke (treated as crashed).
+  Conn* egress(Node& n, NodeAddress to) HTS_EXCLUDES(crash_mu_);
+  Conn* dial(Node& n, NodeAddress to) HTS_EXCLUDES(crash_mu_);
+  Conn& adopt(Node& n, int fd);
+  void on_accept(Node& n);
+  void on_readable(Node& n, Conn& c);
+  void deliver_frame(Node& n, const Conn& c, std::string_view body);
+  void flush(Node& n, Conn& c);
+  void close_conn(Node& n, Conn& c, bool attribute_break)
+      HTS_EXCLUDES(crash_mu_);
+  void sever(Node& n);
+  void teardown(Node& n);
 
   /// Failure detector entry point: one notice per crashed server, delivered
   /// to every local surviving node after detection_delay.
-  void schedule_crash_notice(ProcessId crashed) HTS_EXCLUDES(timer_mu_);
-
-  // Epoll-thread handlers.
-  void on_accept(ListenerTag& lt);
-  void on_conn_readable(Conn& c) HTS_EXCLUDES(registry_mu_, timer_mu_);
-  void on_conn_writable(Conn& c) HTS_EXCLUDES(conns_mu_);
-  void flush_conn(Conn& c);
-  void close_conn(Conn& c, bool attribute_break)
-      HTS_EXCLUDES(registry_mu_, timer_mu_);
-  void wake_epoll() const;
+  void schedule_crash_notice(ProcessId crashed) HTS_EXCLUDES(crash_mu_);
 
   Options opts_;
   std::atomic<bool> started_{false};
@@ -250,49 +254,24 @@ class TcpTransport : public Transport {
   std::atomic<bool> mesh_formed_{false};
   std::atomic<bool> stopping_{false};
 
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: senders poke the epoll thread
-  EpollTag wake_tag_{EpollTag::Kind::kWake};
-  std::thread epoll_thread_;
-
   mutable sync::SharedMutex registry_mu_;
   std::vector<std::unique_ptr<Node>> nodes_ HTS_GUARDED_BY(registry_mu_);
-  std::map<NodeAddress, std::size_t> by_addr_ HTS_GUARDED_BY(registry_mu_);
-  std::vector<std::unique_ptr<ListenerTag>> listener_tags_
-      HTS_GUARDED_BY(registry_mu_);
+  std::map<NodeAddress, Node*> by_addr_ HTS_GUARDED_BY(registry_mu_);
 
-  // Connection registry. Conn objects are never destroyed while the
-  // transport runs (closed conns are only marked), so raw pointers handed
-  // out under the lock stay valid.
-  mutable sync::Mutex conns_mu_;
-  std::vector<std::unique_ptr<Conn>> conns_ HTS_GUARDED_BY(conns_mu_);
-  std::map<std::pair<NodeAddress, NodeAddress>, Conn*> egress_
-      HTS_GUARDED_BY(conns_mu_);
-
-  // Timer machinery (same shape as InMemTransport's).
-  struct PendingTimer {
-    clk::SteadyTime at;
-    NodeAddress addr;
-    std::uint64_t token = 0;
-    bool is_crash_notice = false;
-    ProcessId crashed = kNoProcess;
-  };
-  mutable sync::Mutex timer_mu_;
-  sync::CondVar timer_cv_;
-  std::vector<PendingTimer> timers_ HTS_GUARDED_BY(timer_mu_);
-  /// Crashed servers already noticed (dedups break-detection vs local
+  /// Crashed servers already noticed (dedups break detection vs local
   /// crash(), and multiple broken connections to the same peer).
-  std::set<ProcessId> crash_detected_ HTS_GUARDED_BY(timer_mu_);
-  std::thread timer_thread_;
+  mutable sync::Mutex crash_mu_;
+  std::set<ProcessId> crash_detected_ HTS_GUARDED_BY(crash_mu_);
+  /// Crash notices armed on some node's heap that have not fired yet.
+  std::atomic<std::uint64_t> pending_notices_{0};
 
   std::atomic<std::uint64_t> transmissions_{0};
   std::atomic<std::uint64_t> bytes_sent_{0};
 
-  // Loopback frame balance for wait_quiescent: frames addressed to local
-  // nodes that were accepted for egress vs frames from local nodes that
-  // were delivered. Equal ⇒ nothing is in flight inside the kernel between
-  // two local endpoints (the only in-flight bytes a single-process
-  // deployment can have).
+  // Loopback frame balance for wait_quiescent: frames staged for local
+  // nodes vs frames from local nodes whose handler has returned. Equal ⇒
+  // nothing is in flight inside the kernel between two local endpoints, or
+  // in a handler (the only in-flight work a one-process deployment has).
   std::atomic<std::uint64_t> local_frames_sent_{0};
   std::atomic<std::uint64_t> local_frames_delivered_{0};
 };

@@ -10,7 +10,9 @@
 // afterwards.
 //
 // Handler threading: all three handlers for a node run serialized on that
-// node's delivery thread; the state machines stay single-threaded.
+// node's own thread — InMemTransport's delivery thread, TcpTransport's
+// event loop (which also reads, decodes and flushes the node's sockets) —
+// so the state machines stay single-threaded.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +34,8 @@ class Transport : public obs::LinkStatsSource {
 
   ~Transport() override = default;
 
-  /// Registers a node. All three handlers run on the node's delivery
-  /// thread; crash/timer handlers may be null. Registration while the
+  /// Registers a node. All three handlers run on the node's own thread;
+  /// crash/timer handlers may be null. Registration while the
   /// transport is running is allowed (live reconfiguration spawns the
   /// servers of a new ring this way).
   virtual void register_node(NodeAddress addr, MessageHandler on_message,

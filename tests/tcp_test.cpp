@@ -9,14 +9,19 @@
 // GTest::gtest (not gtest_main).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "core/messages.h"
+#include "core/topology.h"
 #include "harness/proc_cluster.h"
 #include "harness/threaded_cluster.h"
 #include "lincheck/checker.h"
@@ -203,6 +208,192 @@ TEST(TcpTransport, QuiescenceSeesQueuedWork) {
   t.stop();
 }
 
+/// Flags any two handlers of one node that overlap in time.
+struct OverlapProbe {
+  std::atomic<bool> inside{false};
+  std::atomic<int> overlaps{0};
+  void enter() {
+    if (inside.exchange(true)) ++overlaps;
+    std::this_thread::yield();  // widen the window a racing handler would hit
+  }
+  void leave() { inside = false; }
+};
+
+TEST(TcpTransport, HandlersNeverOverlapUnderStormTimersAndCrash) {
+  // One node's message, timer and crash handlers run inline on its loop
+  // thread. Drive all three at once — self-sends posted from a foreign
+  // thread, frames from two peers over sockets, 2,000 timers, and a crash
+  // notice — and check that no two handlers of the node ever overlap.
+  constexpr int kForeign = 500;
+  constexpr int kPerPeer = 500;
+  constexpr int kTimers = 2000;
+  TcpTransport t(core_options(0.02, {0, 1, 2, 3}));
+  const NodeAddress hub = NodeAddress::server(0);
+  OverlapProbe probe;
+  std::atomic<int> messages{0}, timers{0}, notices{0};
+  t.register_node(
+      hub,
+      [&](NodeAddress, PayloadPtr) {
+        probe.enter();
+        ++messages;
+        probe.leave();
+      },
+      [&](ProcessId) {
+        probe.enter();
+        ++notices;
+        probe.leave();
+      },
+      [&](std::uint64_t) {
+        probe.enter();
+        ++timers;
+        probe.leave();
+      });
+  for (ProcessId p = 1; p <= 3; ++p) {
+    t.register_node(NodeAddress::server(p), [](NodeAddress, PayloadPtr) {});
+  }
+  t.start();
+
+  std::vector<std::thread> drivers;
+  drivers.emplace_back([&] {
+    for (int i = 0; i < kForeign; ++i) t.send(hub, hub, ping(i));
+  });
+  for (ProcessId p = 1; p <= 2; ++p) {
+    drivers.emplace_back([&, p] {
+      for (int i = 0; i < kPerPeer; ++i) {
+        t.send(NodeAddress::server(p), hub, ping(i));
+      }
+    });
+  }
+  drivers.emplace_back([&] {
+    for (int i = 0; i < kTimers; ++i) {
+      t.arm_timer(hub, 0.001 * (i % 50), static_cast<std::uint64_t>(i));
+    }
+  });
+  t.crash(NodeAddress::server(3));
+  for (auto& d : drivers) d.join();
+
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  const clk::SteadyTime deadline =
+      clk::steady_now() + clk::seconds_to_duration(10.0);
+  while (timers.load() < kTimers && clk::steady_now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(probe.overlaps.load(), 0);
+  EXPECT_EQ(messages.load(), kForeign + 2 * kPerPeer);
+  EXPECT_EQ(timers.load(), kTimers);
+  EXPECT_EQ(notices.load(), 1);
+  t.stop();
+}
+
+TEST(TcpTransport, TimersFromHandlerAndForeignThreadFireInDeadlineOrder) {
+  // 1,200 tokens with shuffled deadlines 0.5 ms apart, half armed by the
+  // test thread (mailbox path) and half by a message handler on the node's
+  // own loop (direct heap push). arm_timer reads the clock itself, so each
+  // token's deadline is only known to lie in [lo, hi]: clock before the
+  // call + delay, clock after it + delay. A token may fire after another
+  // only if its deadline can be the later one.
+  constexpr int kTokens = 1200;
+  TcpTransport t(core_options(0.05, {0}));
+  const NodeAddress node = NodeAddress::client(1);
+  std::vector<int> ranks(kTokens);
+  for (int r = 0; r < kTokens; ++r) ranks[r] = r;
+  std::mt19937 rng(7);
+  std::shuffle(ranks.begin(), ranks.end(), rng);
+  const clk::SteadyTime base =
+      clk::steady_now() + clk::seconds_to_duration(0.2);
+  std::vector<clk::SteadyTime> lo(kTokens), hi(kTokens);
+  const auto arm = [&](int r) {
+    const clk::SteadyTime before = clk::steady_now();
+    const clk::SteadyDuration delay =
+        base - before + clk::seconds_to_duration(0.0005 * r);
+    t.arm_timer(node, std::chrono::duration<double>(delay).count(),
+                static_cast<std::uint64_t>(r));
+    lo[r] = before + delay;
+    hi[r] = clk::steady_now() + delay;
+  };
+  std::mutex mu;
+  std::vector<std::uint64_t> fired;
+  t.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
+  t.register_node(
+      node,
+      [&](NodeAddress, PayloadPtr) {
+        for (int i = kTokens / 2; i < kTokens; ++i) arm(ranks[i]);
+      },
+      nullptr,
+      [&](std::uint64_t token) {
+        const std::scoped_lock lock(mu);
+        fired.push_back(token);
+      });
+  t.start();
+  t.send(node, node, ping(1));  // the handler arms its half on the loop
+  for (int i = 0; i < kTokens / 2; ++i) arm(ranks[i]);
+
+  const clk::SteadyTime deadline =
+      clk::steady_now() + clk::seconds_to_duration(10.0);
+  for (;;) {
+    {
+      const std::scoped_lock lock(mu);
+      if (fired.size() == kTokens) break;
+    }
+    ASSERT_LT(clk::steady_now(), deadline) << "timers did not all fire";
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  t.stop();
+  const std::scoped_lock lock(mu);
+  clk::SteadyTime latest_lo = lo[fired.front()];
+  for (const std::uint64_t token : fired) {
+    EXPECT_GE(hi[token], latest_lo) << "token " << token << " fired late";
+    latest_lo = std::max(latest_lo, lo[token]);
+  }
+  std::vector<std::uint64_t> sorted = fired;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
+}
+
+TEST(TcpTransport, QuiescenceSeesInlineHandlersFromPeersAndTimers) {
+  // A frame from a peer (sent from that peer's own handler) and a timer are
+  // both handled inline on the receiving loop: while either handler runs,
+  // the transport is not quiescent.
+  TcpTransport t(core_options(0.05, {0, 1}));
+  std::atomic<bool> release{false};
+  std::atomic<int> handled{0};
+  const auto hold = [&] {
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ++handled;
+  };
+  const NodeAddress s0 = NodeAddress::server(0);
+  const NodeAddress s1 = NodeAddress::server(1);
+  t.register_node(
+      s0, [&](NodeAddress, PayloadPtr) { hold(); }, nullptr,
+      [&](std::uint64_t) { hold(); });
+  t.register_node(s1, [&](NodeAddress from, PayloadPtr m) {
+    if (from == s1) t.send(s1, s0, std::move(m));  // relay from the loop
+  });
+  t.start();
+
+  t.send(s1, s1, ping(1));
+  EXPECT_FALSE(t.wait_quiescent(0.05)) << "inline message handler is work";
+  release = true;
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  EXPECT_EQ(handled.load(), 1);
+
+  release = false;
+  t.arm_timer(s0, 0.0, 1);
+  const clk::SteadyTime deadline =
+      clk::steady_now() + clk::seconds_to_duration(10.0);
+  // Wait until the timer handler is running (not merely pending).
+  while (t.wait_quiescent(0.0) && clk::steady_now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(t.wait_quiescent(0.05)) << "inline timer handler is work";
+  release = true;
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  EXPECT_EQ(handled.load(), 2);
+  t.stop();
+}
+
 }  // namespace
 }  // namespace hts::net
 
@@ -282,6 +473,44 @@ TEST(TcpCluster, ConcurrentClientsLinearizableOverSockets) {
   }
   for (auto& th : threads) th.join();
   auto verdict = lincheck::check_register(cluster.history());
+  EXPECT_TRUE(verdict.linearizable) << verdict.explanation;
+}
+
+TEST(TcpCluster, LiveRingAddAndCrashOverSockets) {
+  // add_ring registers the new ring's servers on the running transport:
+  // their loops start at once and peers reach them by lazy dials. A ring-0
+  // server crashes while the grow runs; every op still completes.
+  auto cfg = tcp_cluster_config(6);
+  cfg.topology = core::Topology{2, 3};
+  cfg.detection_delay_s = 0.02;
+  cfg.client_retry_timeout_s = 0.05;
+  ThreadedCluster cluster(cfg);
+  auto& alice = cluster.add_client(0);
+  auto& bob = cluster.add_client(3);
+  cluster.start();
+
+  constexpr ObjectId kObjects = 16;
+  std::vector<std::future<core::OpResult>> acks;
+  for (ObjectId obj = 1; obj <= kObjects; ++obj) {
+    acks.push_back(alice.async_write(obj, Value::synthetic(obj, 128)));
+  }
+  for (auto& a : acks) (void)a.get();
+  acks.clear();
+  for (ObjectId obj = 1; obj <= kObjects; ++obj) {
+    acks.push_back(bob.async_write(obj, Value::synthetic(100 + obj, 128)));
+  }
+  cluster.crash_server(1);
+  EXPECT_EQ(cluster.add_ring(3), 1u);
+  for (auto& a : acks) (void)a.get();
+
+  const core::ShardMap map3(3);
+  for (ObjectId obj = 1; obj <= kObjects; ++obj) {
+    auto r = alice.read_result(obj);
+    EXPECT_EQ(r.value, Value::synthetic(100 + obj, 128)) << "object " << obj;
+    EXPECT_EQ(r.ring, map3.ring_of(obj)) << "object " << obj;
+  }
+  auto h = cluster.history();
+  auto verdict = lincheck::check_register(h);
   EXPECT_TRUE(verdict.linearizable) << verdict.explanation;
 }
 
