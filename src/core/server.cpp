@@ -40,6 +40,43 @@ const RingServer::ObjectState* RingServer::find_state(ObjectId id) const {
   return it == objects_.end() ? nullptr : &it->second;
 }
 
+void RingServer::on_message(net::PayloadPtr msg, ServerContext& ctx) {
+  switch (msg->kind()) {
+    case kRingBatch:  // unpacked atomically by on_ring_message
+    case kPreWrite:
+    case kWriteCommit:
+    case kSyncState:
+    case kPreWriteFrag:
+    case kFragRepair:
+      on_ring_message(std::move(msg), ctx);
+      break;
+    case kFragWrite:
+      on_frag_write(static_cast<const FragWrite&>(*msg), ctx);
+      break;
+    case kFragFetch:
+      on_frag_fetch(static_cast<const FragFetch&>(*msg), ctx);
+      break;
+    case kMigrateState:
+      on_migrate_state(static_cast<const MigrateState&>(*msg));
+      break;
+    case kMigrateDedup:
+      on_migrate_dedup(static_cast<const MigrateDedup&>(*msg));
+      break;
+    case kClientWrite: {
+      const auto& m = static_cast<const ClientWrite&>(*msg);
+      on_client_write(m.client, m.req, m.value, ctx, m.object);
+      break;
+    }
+    case kClientRead: {
+      const auto& m = static_cast<const ClientRead&>(*msg);
+      on_client_read(m.client, m.req, ctx, m.object);
+      break;
+    }
+    default:
+      break;
+  }
+}
+
 // ---------------------------------------------------------------- clients
 
 bool RingServer::gate_client_op(bool is_read, ClientId client, RequestId req,
@@ -317,11 +354,18 @@ void RingServer::on_migrate_dedup(const MigrateDedup& m) {
   ++transition_dedup_merges_;
 }
 
-std::vector<ObjectId> RingServer::object_ids() const {
-  std::vector<ObjectId> ids;
-  ids.reserve(objects_.size());
-  for (const auto& [id, obj] : objects_) ids.push_back(id);
-  return ids;
+MigrationProbe RingServer::migration_probe() const {
+  assert(incoming_ && view_.map && incoming_->map);
+  MigrationProbe out;
+  for (const auto& [id, obj] : objects_) {
+    if (!object_moves(id, *view_.map, *incoming_->map)) continue;
+    out.moving.emplace_back(id, obj.tag);
+    if (!object_quiescent(id)) out.quiescent = false;
+  }
+  out.migrated.assign(migrated_in_.begin(), migrated_in_.end());
+  std::sort(out.migrated.begin(), out.migrated.end());
+  out.dedup_merges = transition_dedup_merges_;
+  return out;
 }
 
 bool RingServer::object_quiescent(ObjectId object) const {
@@ -507,7 +551,7 @@ void RingServer::handle_pre_write(const net::PayloadPtr& msg, const PreWrite& m,
     // duplicate must still travel onward: crash recovery re-sends exist
     // precisely to bridge gaps *downstream* of us. Forward without
     // re-inserting into the pending set.
-    sched_.enqueue(ForwardItem{m.tag.id, msg});
+    forward_duplicate(m.tag.id, msg);
     return;
   }
 
@@ -554,7 +598,7 @@ void RingServer::handle_commit(const net::PayloadPtr& msg, const WriteCommit& m,
       ++stats_.duplicates_dropped;
       return;
     }
-    sched_.enqueue(ForwardItem{m.tag.id, msg});
+    forward_duplicate(m.tag.id, msg);
     return;
   }
 
@@ -645,7 +689,7 @@ void RingServer::handle_pre_write_frag(const net::PayloadPtr& msg,
   }
 
   if (obj.pending.contains(m.tag)) {
-    sched_.enqueue(ForwardItem{m.tag.id, msg});
+    forward_duplicate(m.tag.id, msg);
     return;
   }
 
@@ -911,6 +955,8 @@ void RingServer::solo_write(const LocalWrite& w, ServerContext& ctx) {
 
 void RingServer::on_peer_crash(ProcessId crashed, ServerContext& ctx) {
   if (crashed == self_ || !ring_.mark_crashed(crashed)) return;
+  std::vector<net::PayloadPtr> duplicates = std::move(forwarded_duplicates_);
+  forwarded_duplicates_.clear();
 
   if (ring_.alive_count() == 1) {
     resolve_everything_solo(ctx);
@@ -951,6 +997,13 @@ void RingServer::on_peer_crash(ProcessId crashed, ServerContext& ctx) {
         }
       }
     }
+    // Staggered notices: an origin that learned of the crash first re-sent
+    // its current phase, and we forwarded that duplicate into the dead
+    // successor before our own notice arrived — the original commit may
+    // have died there too, so nothing else would ever complete the write.
+    // Re-send every duplicate forwarded since the last notice; downstream
+    // duplicate suppression absorbs the ones that did get through.
+    for (net::PayloadPtr& msg : duplicates) push_urgent(std::move(msg));
   }
 
   for (auto& [id, obj] : objects_) {
@@ -1154,6 +1207,12 @@ void RingServer::unpark_up_to(ObjectState& obj, const Tag& t,
     }
   }
   obj.parked.swap(keep);
+}
+
+void RingServer::forward_duplicate(ProcessId origin,
+                                   const net::PayloadPtr& msg) {
+  sched_.enqueue(ForwardItem{origin, msg});
+  forwarded_duplicates_.push_back(msg);
 }
 
 void RingServer::push_urgent(net::PayloadPtr msg) {

@@ -159,6 +159,11 @@ class RingServer {
 
   // ---------- inputs (driven by the fabric) ----------
 
+  /// Dispatches any server-bound message (ring, fragment, migration or
+  /// client kind) to the handler below; other kinds are ignored. The one
+  /// delivery entry point every fabric's server host uses.
+  void on_message(net::PayloadPtr msg, ServerContext& ctx);
+
   /// ⟨write, v⟩ for `object` from a client (lines 18–20).
   void on_client_write(ClientId client, RequestId req, Value value,
                        ServerContext& ctx, ObjectId object = kDefaultObject);
@@ -229,21 +234,10 @@ class RingServer {
     return transition_parked_.size();
   }
   /// True once `object` was installed by a MigrateState during the current
-  /// view change (coordinators poll this before flipping).
+  /// view change.
   [[nodiscard]] bool has_migrated(ObjectId object) const {
     return migrated_in_.contains(object);
   }
-  /// MigrateDedup messages merged during the *current* view change — reset
-  /// at begin/commit like has_migrated(), so a coordinator's flip gate
-  /// never credits a previous reconfiguration's merges
-  /// (ServerStats::dedup_merges stays cumulative).
-  [[nodiscard]] std::uint64_t dedup_merges_in_change() const {
-    return transition_dedup_merges_;
-  }
-
-  /// Every register this server has materialised state for (coordinators
-  /// enumerate migration candidates from this).
-  [[nodiscard]] std::vector<ObjectId> object_ids() const;
 
   /// True when no protocol work for `object` remains anywhere in this
   /// server: no pending pre-writes, no in-flight own writes, no adopted
@@ -252,6 +246,13 @@ class RingServer {
   /// waits for this on every source-ring server — then the local (tag,
   /// value) of the maximum-tag server is the register's final state.
   [[nodiscard]] bool object_quiescent(ObjectId object) const;
+
+  /// The MigrationCoordinator's view of this server during a view change:
+  /// every materialised register the change moves, with its tag and drain
+  /// state, plus the change's installs and dedup merges (both reset at
+  /// begin/commit, so a flip gate never credits a previous
+  /// reconfiguration; ServerStats::dedup_merges stays cumulative).
+  [[nodiscard]] MigrationProbe migration_probe() const;
 
   /// Snapshot of the per-client completed-write windows (D5/D6) for a
   /// MigrateDedup message.
@@ -469,6 +470,11 @@ class RingServer {
 
   void push_urgent(net::PayloadPtr msg);
 
+  /// Forwards a crash-recovery duplicate (a re-sent pre-write or commit)
+  /// and remembers it until the next crash notice, which re-sends it if
+  /// the notice turns out to be for the successor it went to.
+  void forward_duplicate(ProcessId origin, const net::PayloadPtr& msg);
+
   [[nodiscard]] bool solo() const { return ring_.alive_count() == 1; }
 
   ProcessId self_;
@@ -486,6 +492,10 @@ class RingServer {
   // Paper-direct sends (write-phase starts, crash repair) jump the fairness
   // queue; they correspond to the pseudo-code's immediate `send` statements.
   std::deque<net::PayloadPtr> urgent_;
+
+  // Duplicates forwarded since the last crash notice. Duplicates exist only
+  // on the crash path, so a crash-free run never touches this.
+  std::vector<net::PayloadPtr> forwarded_duplicates_;
 
   // Client-retry dedup (D5/D6): completed write requests per client.
   std::unordered_map<ClientId, CompletedWindow> completed_req_;

@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "core/client.h"
+#include "core/reconfig.h"
 #include "core/server.h"
+#include "harness/ring_traffic.h"
 #include "lincheck/checker.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -156,6 +158,39 @@ inline void export_client_totals(
   for (const auto& [name, v] : total) {
     reg.counter(std::string("client.total.") + name)->set(v);
   }
+}
+
+/// Exports per-ring wire traffic ("ring.<r>.*" plus the "ring.total.*"
+/// sums), the view ("view.epoch" / "view.rings") and the migration
+/// counters — the part of export_metrics() both fabrics share verbatim.
+inline void export_rings_and_view(obs::MetricsRegistry& reg,
+                                  const std::vector<RingTraffic>& rings,
+                                  Epoch epoch,
+                                  const core::MigrationStats& migration) {
+  RingTraffic total;
+  for (std::size_t r = 0; r < rings.size(); ++r) {
+    const RingTraffic& t = rings[r];
+    const std::string prefix = "ring." + std::to_string(r);
+    reg.counter(prefix + ".transmissions")->set(t.transmissions);
+    reg.counter(prefix + ".bytes")->set(t.bytes);
+    reg.counter(prefix + ".ring_messages")->set(t.ring_messages);
+    reg.counter(prefix + ".batches")->set(t.batches);
+    total.transmissions += t.transmissions;
+    total.bytes += t.bytes;
+    total.ring_messages += t.ring_messages;
+    total.batches += t.batches;
+  }
+  reg.counter("ring.total.transmissions")->set(total.transmissions);
+  reg.counter("ring.total.bytes")->set(total.bytes);
+  reg.counter("ring.total.ring_messages")->set(total.ring_messages);
+  reg.counter("ring.total.batches")->set(total.batches);
+
+  reg.gauge("view.epoch")->set(static_cast<double>(epoch));
+  reg.gauge("view.rings")->set(static_cast<double>(rings.size()));
+  reg.counter("migration.objects_moved")->set(migration.objects_moved);
+  reg.counter("migration.bytes_moved")->set(migration.bytes_moved);
+  reg.counter("migration.dedup_bytes")->set(migration.dedup_bytes);
+  reg.counter("migration.reconfigs")->set(migration.reconfigs);
 }
 
 /// Formats the trace spans of a failed lincheck's witness ops: each witness

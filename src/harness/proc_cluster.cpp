@@ -114,34 +114,7 @@ struct ChildServerHost final : core::ServerContext {
 
   void on_message(net::NodeAddress from, net::PayloadPtr msg) {
     (void)from;
-    switch (msg->kind()) {
-      case core::kRingBatch:
-      case core::kPreWrite:
-      case core::kWriteCommit:
-      case core::kSyncState:
-      case core::kPreWriteFrag:
-      case core::kFragRepair:
-        server.on_ring_message(std::move(msg), *this);
-        break;
-      case core::kFragWrite:
-        server.on_frag_write(static_cast<const core::FragWrite&>(*msg), *this);
-        break;
-      case core::kFragFetch:
-        server.on_frag_fetch(static_cast<const core::FragFetch&>(*msg), *this);
-        break;
-      case core::kClientWrite: {
-        const auto& m = static_cast<const core::ClientWrite&>(*msg);
-        server.on_client_write(m.client, m.req, m.value, *this, m.object);
-        break;
-      }
-      case core::kClientRead: {
-        const auto& m = static_cast<const core::ClientRead&>(*msg);
-        server.on_client_read(m.client, m.req, *this, m.object);
-        break;
-      }
-      default:
-        break;
-    }
+    server.on_message(std::move(msg), *this);
     drain();
   }
 

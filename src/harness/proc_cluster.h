@@ -13,10 +13,11 @@
 // immediately followed by exec of /proc/self/exe, so the child gets a fresh
 // address space: safe under sanitizers and with the parent's threads.
 //
-// Scope: single ring, replicated values, no reconfiguration (a ViewControl
-// cannot cross a process boundary — it carries live promises). Ring sizes
-// and client counts stay small; ports are pid-derived so parallel ctest
-// instances do not collide.
+// Scope: single ring, replicated values, no reconfiguration. Migration
+// commands are plain values (core::MigrationCommand), but no wire encoding
+// or control channel carries them to a server process yet, and there is
+// only one ring to migrate between. Ring sizes and client counts stay
+// small; ports are pid-derived so parallel ctest instances do not collide.
 #pragma once
 
 #include <sys/types.h>

@@ -49,40 +49,7 @@ struct SimCluster::ServerNode final : core::ServerContext {
   /// shared-network topology (one NIC for everything) works unchanged.
   void deliver_any(net::PayloadPtr msg) {
     if (!up) return;
-    switch (msg->kind()) {
-      case core::kRingBatch:  // unpacked atomically by the server itself
-      case core::kPreWrite:
-      case core::kWriteCommit:
-      case core::kSyncState:
-      case core::kPreWriteFrag:
-      case core::kFragRepair:
-        server.on_ring_message(std::move(msg), *this);
-        break;
-      case core::kFragWrite:
-        server.on_frag_write(static_cast<const core::FragWrite&>(*msg), *this);
-        break;
-      case core::kFragFetch:
-        server.on_frag_fetch(static_cast<const core::FragFetch&>(*msg), *this);
-        break;
-      case core::kMigrateState:
-        server.on_migrate_state(static_cast<const core::MigrateState&>(*msg));
-        break;
-      case core::kMigrateDedup:
-        server.on_migrate_dedup(static_cast<const core::MigrateDedup&>(*msg));
-        break;
-      case core::kClientWrite: {
-        const auto& m = static_cast<const core::ClientWrite&>(*msg);
-        server.on_client_write(m.client, m.req, m.value, *this, m.object);
-        break;
-      }
-      case core::kClientRead: {
-        const auto& m = static_cast<const core::ClientRead&>(*msg);
-        server.on_client_read(m.client, m.req, *this, m.object);
-        break;
-      }
-      default:
-        break;
-    }
+    server.on_message(std::move(msg), *this);
     pump();
   }
 
@@ -385,18 +352,6 @@ void SimCluster::schedule_crash(double at, ProcessId p) {
 
 // ----------------------------------------------------- reconfiguration
 
-struct SimCluster::Reconfig {
-  core::ClusterView next;
-  std::shared_ptr<const core::ShardMap> old_map, new_map;
-  std::vector<ProcessId> sources;   ///< globals that may lose registers
-  std::vector<ProcessId> dests;     ///< globals that gain registers
-  std::vector<ProcessId> retiring;  ///< globals disabled at the flip
-  std::set<ObjectId> moving;        ///< materialised migrating registers
-  std::set<ObjectId> copied;        ///< MigrateState already emitted
-  std::size_t dedup_expected = 0;   ///< MigrateDedup messages per dest
-  bool dedup_sent = false;
-};
-
 Epoch SimCluster::add_ring(std::size_t n_servers) {
   // Runtime validation, not asserts: a malformed or overlapping schedule
   // must fail loudly in Release too — overwriting an in-flight
@@ -405,12 +360,9 @@ Epoch SimCluster::add_ring(std::size_t n_servers) {
     throw std::logic_error("add_ring: reconfig disabled in this cluster");
   }
   if (rc_) throw std::logic_error("add_ring: reconfiguration in progress");
-  if (n_servers < 1) {
-    throw std::invalid_argument("add_ring: a ring needs at least one server");
-  }
-  core::ClusterView next{view_.epoch + 1, topo_.with_ring(n_servers)};
-  auto new_map =
-      std::make_shared<const core::ShardMap>(next.topology.n_rings());
+  rc_ = std::make_unique<core::MigrationCoordinator>(core::MigrationPlan::grow(
+      view_, map_, n_servers, cfg_.value_policy.active()));
+  const core::MigrationPlan& plan = rc_->plan();
 
   // Spawn the new ring. Its servers come up mid-transition: under the
   // *current* view they own nothing (the current map never routes to their
@@ -418,34 +370,16 @@ Epoch SimCluster::add_ring(std::size_t n_servers) {
   // register is served from pre-migration (initial) state.
   const RingId new_ring = static_cast<RingId>(topo_.n_rings());
   const ProcessId base = static_cast<ProcessId>(topo_.total_servers());
-  std::vector<ProcessId> dests;
   for (ProcessId local = 0; local < n_servers; ++local) {
     ServerNode& node =
         spawn_server(new_ring, local, n_servers,
                      static_cast<ProcessId>(base + local), base);
     node.server.install_view(core::ServerView{view_.epoch, new_ring, map_});
     node.server.begin_view_change(
-        core::ServerView{next.epoch, new_ring, new_map});
-    dests.push_back(node.global);
+        core::ServerView{plan.next.epoch, new_ring, plan.new_map});
   }
-
-  // Freeze: every old server learns the next view — registers moving to the
-  // new ring stop admitting client ops (EpochNack with the next epoch) while
-  // their in-flight ring traffic drains. All old rings are sources: a grow
-  // takes ~1/(R+1) of the namespace from each of them.
-  std::vector<ProcessId> sources;
-  for (ProcessId g = 0; g < base; ++g) {
-    ServerNode& node = *servers_[g];
-    sources.push_back(g);
-    if (node.up) {
-      node.server.begin_view_change(
-          core::ServerView{next.epoch, node.ring, new_map});
-    }
-  }
-
-  start_reconfig(std::move(next), std::move(new_map), std::move(sources),
-                 std::move(dests), {});
-  return view_.epoch + 1;
+  run_coordinator();
+  return plan.next.epoch;
 }
 
 Epoch SimCluster::remove_last_ring() {
@@ -456,54 +390,11 @@ Epoch SimCluster::remove_last_ring() {
   if (rc_) {
     throw std::logic_error("remove_last_ring: reconfiguration in progress");
   }
-  if (topo_.n_rings() < 2) {
-    throw std::logic_error("remove_last_ring: cannot retire the only ring");
-  }
-  core::ClusterView next{view_.epoch + 1, topo_.without_last_ring()};
-  auto new_map =
-      std::make_shared<const core::ShardMap>(next.topology.n_rings());
-
-  const RingId retiring_ring = static_cast<RingId>(topo_.n_rings() - 1);
-  std::vector<ProcessId> sources, dests, retiring;
-  for (ProcessId g = 0; g < topo_.total_servers(); ++g) {
-    ServerNode& node = *servers_[g];
-    if (node.ring == retiring_ring) {
-      // The retiring ring owns nothing under the next view (its ring id no
-      // longer exists in the map): every register it serves freezes.
-      sources.push_back(g);
-      retiring.push_back(g);
-    } else {
-      dests.push_back(g);
-    }
-    if (node.up) {
-      node.server.begin_view_change(
-          core::ServerView{next.epoch, node.ring, new_map});
-    }
-  }
-
-  start_reconfig(std::move(next), std::move(new_map), std::move(sources),
-                 std::move(dests), std::move(retiring));
-  return view_.epoch + 1;
-}
-
-void SimCluster::start_reconfig(core::ClusterView next,
-                                std::shared_ptr<const core::ShardMap> new_map,
-                                std::vector<ProcessId> sources,
-                                std::vector<ProcessId> dests,
-                                std::vector<ProcessId> retiring) {
-  Reconfig rc;
-  rc.next = std::move(next);
-  rc.old_map = map_;
-  rc.new_map = std::move(new_map);  // the map the servers' views share
-  rc.sources = std::move(sources);
-  rc.dests = std::move(dests);
-  rc.retiring = std::move(retiring);
-  rc_ = std::make_unique<Reconfig>(std::move(rc));
-  // Publish immediately: a client NACKed during the freeze refreshes to the
-  // next view and re-routes to the destination, which parks the op until
-  // the flip — no client ever spins against a registry that lags the hint.
-  registry_->publish(rc_->next);
-  sim_.schedule(0.0, [this] { pump_reconfig(); });
+  rc_ = std::make_unique<core::MigrationCoordinator>(
+      core::MigrationPlan::shrink(view_, map_, cfg_.value_policy.active()));
+  const Epoch next = rc_->plan().next.epoch;
+  run_coordinator();
+  return next;
 }
 
 void SimCluster::schedule_add_ring(double at, std::size_t n_servers) {
@@ -514,134 +405,61 @@ void SimCluster::schedule_remove_last_ring(double at) {
   sim_.schedule_at(at, [this] { remove_last_ring(); });
 }
 
-void SimCluster::pump_reconfig() {
-  if (!rc_) return;
-  Reconfig& rc = *rc_;
-  const auto again = [this] {
-    sim_.schedule(cfg_.reconfig_poll_s, [this] { pump_reconfig(); });
-  };
-
-  // Drain: enumerate the materialised migrating registers and wait until
-  // every alive source server has no protocol work left for them. No new
-  // client op on a migrating register is admitted after the freeze, so the
-  // set only shrinks toward quiescence.
-  bool quiescent = true;
-  std::set<ObjectId> moving;
-  for (const ProcessId g : rc.sources) {
-    const ServerNode& node = *servers_[g];
-    if (!node.up) continue;
-    for (const ObjectId obj : node.server.object_ids()) {
-      if (!core::object_moves(obj, *rc.old_map, *rc.new_map)) continue;
-      moving.insert(obj);
-      if (!node.server.object_quiescent(obj)) quiescent = false;
-    }
-  }
-  if (!quiescent) {
-    again();
-    return;
-  }
-  rc.moving = std::move(moving);
-
-  // Copy: each migrating register's final (tag, value) — every alive source
-  // server of its ring agrees after the drain; pick the max tag across all
-  // alive sources — goes to every alive destination server as an
-  // epoch-stamped MigrateState on the server network (charged like all
-  // ring traffic, and counted as migration cost).
-  for (const ObjectId obj : rc.moving) {
-    if (rc.copied.contains(obj)) continue;
-    ServerNode* best = nullptr;
-    for (const ProcessId g : rc.sources) {
-      ServerNode& node = *servers_[g];
-      if (!node.up) continue;
-      if (best == nullptr ||
-          node.server.current_tag(obj) > best->server.current_tag(obj)) {
-        best = &node;
+void SimCluster::run_coordinator() {
+  using Kind = core::MigrationCommand::Kind;
+  for (;;) {
+    const core::MigrationCommand cmd = rc_->next();
+    switch (cmd.kind) {
+      case Kind::kPublish:
+        registry_->publish(rc_->plan().next);
+        break;
+      case Kind::kWait:
+        sim_.schedule(cmd.delay_s, [this] { run_coordinator(); });
+        return;
+      case Kind::kRetire: {
+        // Clean retirement, not a crash: the ring is empty of state by now
+        // and its peers retire with it, so no failure detection fires.
+        ServerNode& node = *servers_[cmd.server];
+        node.up = false;
+        server_net_->disable(node.ring_nic);
+        if (!cfg_.shared_network) client_net_->disable(node.client_nic);
+        break;
       }
-    }
-    if (best == nullptr) continue;  // whole source ring down: nothing to copy
-    for (const ProcessId d : rc.dests) {
-      ServerNode& dst = *servers_[d];
-      if (!dst.up || rc.new_map->ring_of(obj) != dst.ring) continue;
-      auto msg = net::make_payload<core::MigrateState>(
-          best->server.current_tag(obj), best->server.current_value(obj), obj,
-          rc.next.epoch);
-      migration_stats_.bytes_moved += msg->wire_size();
-      server_net_->send(best->ring_nic, dst.ring_nic, std::move(msg));
-    }
-    rc.copied.insert(obj);
-    ++migration_stats_.objects_moved;
-  }
-
-  // Dedup windows: one alive server per source ring ships its completed
-  // write windows (identical ring-wide after the drain) to every
-  // destination, so a write retried across the boundary acks instead of
-  // re-applying (D5/D6 across epochs).
-  if (!rc.dedup_sent) {
-    std::set<RingId> rings_done;
-    std::size_t sent_per_dest = 0;
-    for (const ProcessId g : rc.sources) {
-      ServerNode& node = *servers_[g];
-      if (!node.up || rings_done.contains(node.ring)) continue;
-      rings_done.insert(node.ring);
-      ++sent_per_dest;
-      auto windows = node.server.completed_windows();
-      for (const ProcessId d : rc.dests) {
-        ServerNode& dst = *servers_[d];
-        if (!dst.up) continue;
-        auto msg = net::make_payload<core::MigrateDedup>(windows,
-                                                         rc.next.epoch);
-        migration_stats_.dedup_bytes += msg->wire_size();
-        server_net_->send(node.ring_nic, dst.ring_nic, std::move(msg));
-      }
-    }
-    rc.dedup_expected = sent_per_dest;
-    rc.dedup_sent = true;
-  }
-
-  // Flip once every alive destination has installed every register its ring
-  // gains, plus the dedup windows.
-  for (const ProcessId d : rc.dests) {
-    const ServerNode& dst = *servers_[d];
-    if (!dst.up) continue;
-    if (dst.server.dedup_merges_in_change() < rc.dedup_expected) {
-      again();
-      return;
-    }
-    for (const ObjectId obj : rc.moving) {
-      if (rc.new_map->ring_of(obj) == dst.ring &&
-          !dst.server.has_migrated(obj)) {
-        again();
+      case Kind::kDone: {
+        const core::MigrationPlan& plan = rc_->plan();
+        topo_ = plan.next.topology;
+        view_ = plan.next;
+        map_ = plan.new_map;
+        rings_by_epoch_.push_back(topo_.n_rings());
+        ++migration_stats_.reconfigs;
+        migration_stats_.objects_moved += rc_->copied();
+        rc_.reset();
         return;
       }
+      default: {
+        ServerNode& node = *servers_[cmd.server];
+        if (!node.up) {
+          rc_->on_down();
+          break;
+        }
+        // Copies travel the server network, charged like all ring traffic
+        // and counted as migration cost.
+        auto probe = core::execute_migration_command(
+            cmd, node.server, node,
+            [this, &node](ProcessId to, const net::PayloadPtr& msg) {
+              ServerNode& dst = *servers_[to];
+              if (!dst.up) return;
+              (msg->kind() == core::kMigrateState
+                   ? migration_stats_.bytes_moved
+                   : migration_stats_.dedup_bytes) += msg->wire_size();
+              server_net_->send(node.ring_nic, dst.ring_nic, msg);
+            });
+        if (probe) rc_->on_probe(std::move(*probe));
+        if (cmd.kind == Kind::kCommit) node.pump();
+        break;
+      }
     }
   }
-  finish_reconfig();
-}
-
-void SimCluster::finish_reconfig() {
-  Reconfig rc = std::move(*rc_);
-  // Promote first, then retire: parked ops replay against migrated state.
-  for (auto& node : servers_) {
-    if (node->up && node->server.view_changing()) {
-      node->server.commit_view_change(*node);
-      node->pump();
-    }
-  }
-  for (const ProcessId g : rc.retiring) {
-    ServerNode& node = *servers_[g];
-    if (!node.up) continue;
-    // Clean retirement, not a crash: the ring is empty of state by now and
-    // its peers retire with it, so no failure detection fires.
-    node.up = false;
-    server_net_->disable(node.ring_nic);
-    if (!cfg_.shared_network) client_net_->disable(node.client_nic);
-  }
-  topo_ = rc.next.topology;
-  view_ = rc.next;
-  map_ = rc.new_map;
-  rings_by_epoch_.push_back(topo_.n_rings());
-  ++migration_stats_.reconfigs;
-  rc_.reset();
 }
 
 // ------------------------------------------------------------- accessors
@@ -707,31 +525,8 @@ void SimCluster::export_metrics() {
     obs::export_links(reg, "net.client", *client_net_);
   }
 
-  RingTraffic total;
-  for (RingId r = 0; r < static_cast<RingId>(topo_.n_rings()); ++r) {
-    const RingTraffic t = ring_traffic(r);
-    const std::string prefix = "ring." + std::to_string(r);
-    reg.counter(prefix + ".transmissions")->set(t.transmissions);
-    reg.counter(prefix + ".bytes")->set(t.bytes);
-    reg.counter(prefix + ".ring_messages")->set(t.ring_messages);
-    reg.counter(prefix + ".batches")->set(t.batches);
-    total.transmissions += t.transmissions;
-    total.bytes += t.bytes;
-    total.ring_messages += t.ring_messages;
-    total.batches += t.batches;
-  }
-  reg.counter("ring.total.transmissions")->set(total.transmissions);
-  reg.counter("ring.total.bytes")->set(total.bytes);
-  reg.counter("ring.total.ring_messages")->set(total.ring_messages);
-  reg.counter("ring.total.batches")->set(total.batches);
-
-  reg.gauge("view.epoch")->set(static_cast<double>(view_.epoch));
-  reg.gauge("view.rings")->set(static_cast<double>(topo_.n_rings()));
-  reg.counter("migration.objects_moved")
-      ->set(migration_stats_.objects_moved);
-  reg.counter("migration.bytes_moved")->set(migration_stats_.bytes_moved);
-  reg.counter("migration.dedup_bytes")->set(migration_stats_.dedup_bytes);
-  reg.counter("migration.reconfigs")->set(migration_stats_.reconfigs);
+  export_rings_and_view(reg, traffic_per_ring(), view_.epoch,
+                        migration_stats_);
 }
 
 }  // namespace hts::harness

@@ -17,18 +17,19 @@
 //
 // The deployment is epoch-versioned (DESIGN.md §Reconfiguration, D8):
 // add_ring()/remove_last_ring() run a live freeze → copy → flip migration
-// over simulated time — new servers spawn at runtime, the registers whose
-// shard assignment changes are copied ring-to-ring in epoch-stamped
-// MigrateState messages (charged to the server network like all traffic),
-// and clients re-route via EpochNack + the cluster's ViewRegistry. A
-// deployment that never reconfigures emits bit-for-bit the PR 4 wire
-// traffic (tested).
+// over simulated time. The decisions are core::MigrationCoordinator's; the
+// cluster executes its commands synchronously inside scheduled poll
+// events, so a run stays a pure function of the seed. New servers spawn at
+// runtime, the registers whose shard assignment changes are copied
+// ring-to-ring in epoch-stamped MigrateState messages (charged to the
+// server network like all traffic), and clients re-route via EpochNack +
+// the cluster's ViewRegistry. A deployment that never reconfigures emits
+// bit-for-bit the PR 4 wire traffic (tested).
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "code/policy.h"
@@ -95,8 +96,6 @@ struct SimClusterConfig {
   /// false restores the PR 4 wiring exactly (the epoch-0 golden pin —
   /// with no reconfiguration the two emit identical wire traffic, tested).
   bool enable_reconfig = true;
-  /// How often the migration coordinator re-polls for drain/copy progress.
-  double reconfig_poll_s = 2e-4;
 
   /// Observability (DESIGN.md D9): when set, the cluster drives the
   /// recorder's clock from simulated time, attaches a probe to every server
@@ -193,17 +192,12 @@ class SimCluster {
   struct ServerNode;
   struct ClientMachine;
   struct LogicalClient;
-  struct Reconfig;
 
   ServerNode& spawn_server(RingId ring, ProcessId local, std::size_t ring_size,
                            ProcessId global, ProcessId ring_base);
-  void start_reconfig(core::ClusterView next,
-                      std::shared_ptr<const core::ShardMap> new_map,
-                      std::vector<ProcessId> sources,
-                      std::vector<ProcessId> dests,
-                      std::vector<ProcessId> retiring);
-  void pump_reconfig();
-  void finish_reconfig();
+  /// Executes coordinator commands until it waits (the next poll becomes a
+  /// scheduled event) or finishes the flip.
+  void run_coordinator();
 
   sim::Simulator& sim_;
   SimClusterConfig cfg_;
@@ -213,7 +207,7 @@ class SimCluster {
   std::shared_ptr<const core::ShardMap> map_;  ///< current view's shard map
   std::vector<std::size_t> rings_by_epoch_;
   core::MigrationStats migration_stats_;
-  std::unique_ptr<Reconfig> rc_;
+  std::unique_ptr<core::MigrationCoordinator> rc_;
 
   std::unique_ptr<sim::Network> server_net_;
   std::unique_ptr<sim::Network> client_net_owned_;  // null when shared

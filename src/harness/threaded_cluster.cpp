@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <map>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -48,44 +47,16 @@ struct ControlOp final : net::Payload {
 
 constexpr double kOpTimeoutSeconds = 30.0;
 
-}  // namespace
-
-/// What a migration probe reports back from one server's thread.
-struct ThreadedCluster::ProbeReply {
-  /// (object, local tag) for every materialised register that migrates
-  /// under the probe's map pair.
-  std::vector<std::pair<ObjectId, Tag>> moving;
-  bool all_quiescent = true;      ///< every entry in `moving` is drained
-  std::vector<ObjectId> migrated; ///< subset of check_migrated installed
-  std::uint64_t dedup_merges = 0;
-};
-
-namespace {
-
-/// Coordinator → server control message, executed on the server's delivery
-/// thread (the coordinator never touches server state directly). One kind,
-/// several ops; replies travel through the carried promise.
+/// Envelope for one MigrationCoordinator command, executed on the target
+/// server's delivery thread (the coordinator never touches server state
+/// directly); the reply channel carries a probe's answer back.
 struct ViewControl final : net::Payload {
   static constexpr std::uint16_t kKind = 0x7300;
-  enum class Op : std::uint8_t {
-    kBeginViewChange,  // install `view` as the incoming view
-    kCommitViewChange, // promote + replay parked ops
-    kProbe,            // report moving registers / drain / install progress
-    kEmitState,        // send MigrateState for `object` to `dests`
-    kEmitDedup,        // send MigrateDedup windows to `dests`
-  };
-
-  explicit ViewControl(Op o) : Payload(kKind), op(o) {}
-
-  Op op;
-  core::ServerView view;  // kBeginViewChange
-  std::shared_ptr<const core::ShardMap> old_map, new_map;  // kProbe
-  std::vector<ObjectId> check_migrated;                    // kProbe
-  ObjectId object = kDefaultObject;  // kEmitState
-  Epoch epoch = 0;             // kEmitState / kEmitDedup
-  std::vector<ProcessId> dests;      // kEmitState / kEmitDedup
-  std::shared_ptr<std::promise<ThreadedCluster::ProbeReply>> reply;
-
+  ViewControl(core::MigrationCommand c,
+              std::shared_ptr<std::promise<core::MigrationProbe>> r)
+      : Payload(kKind), cmd(std::move(c)), reply(std::move(r)) {}
+  core::MigrationCommand cmd;
+  std::shared_ptr<std::promise<core::MigrationProbe>> reply;
   [[nodiscard]] std::size_t wire_size() const override { return 0; }
   [[nodiscard]] std::string describe() const override {
     return "ViewControl";
@@ -123,92 +94,29 @@ struct ThreadedCluster::ServerHost final : core::ServerContext {
 
   void on_message(net::NodeAddress from, net::PayloadPtr msg) {
     (void)from;
-    switch (msg->kind()) {
-      case core::kRingBatch:  // unpacked atomically by the server itself
-      case core::kPreWrite:
-      case core::kWriteCommit:
-      case core::kSyncState:
-      case core::kPreWriteFrag:
-      case core::kFragRepair:
-        server.on_ring_message(std::move(msg), *this);
-        break;
-      case core::kFragWrite:
-        server.on_frag_write(static_cast<const core::FragWrite&>(*msg), *this);
-        break;
-      case core::kFragFetch:
-        server.on_frag_fetch(static_cast<const core::FragFetch&>(*msg), *this);
-        break;
-      case core::kMigrateState:
-        server.on_migrate_state(static_cast<const core::MigrateState&>(*msg));
-        break;
-      case core::kMigrateDedup:
-        server.on_migrate_dedup(static_cast<const core::MigrateDedup&>(*msg));
-        break;
-      case ViewControl::kKind:
-        handle_control(static_cast<const ViewControl&>(*msg));
-        break;
-      case core::kClientWrite: {
-        const auto& m = static_cast<const core::ClientWrite&>(*msg);
-        server.on_client_write(m.client, m.req, m.value, *this, m.object);
-        break;
-      }
-      case core::kClientRead: {
-        const auto& m = static_cast<const core::ClientRead&>(*msg);
-        server.on_client_read(m.client, m.req, *this, m.object);
-        break;
-      }
-      default:
-        break;
+    if (msg->kind() == ViewControl::kKind) {
+      handle_control(static_cast<const ViewControl&>(*msg));
+    } else {
+      server.on_message(std::move(msg), *this);
     }
     drain();
   }
 
-  /// Executes one coordinator step on this server's own thread, keeping the
-  /// state machine single-threaded; the promise hands the result back.
+  /// Executes one coordinator command on this server's own thread, keeping
+  /// the state machine single-threaded; the promise hands the result back.
   void handle_control(const ViewControl& c) {
-    ProbeReply out;
-    switch (c.op) {
-      case ViewControl::Op::kBeginViewChange:
-        server.begin_view_change(c.view);
-        break;
-      case ViewControl::Op::kCommitViewChange:
-        if (server.view_changing()) server.commit_view_change(*this);
-        break;
-      case ViewControl::Op::kProbe:
-        for (const ObjectId obj : server.object_ids()) {
-          if (!core::object_moves(obj, *c.old_map, *c.new_map)) continue;
-          out.moving.emplace_back(obj, server.current_tag(obj));
-          if (!server.object_quiescent(obj)) out.all_quiescent = false;
-        }
-        for (const ObjectId obj : c.check_migrated) {
-          if (server.has_migrated(obj)) out.migrated.push_back(obj);
-        }
-        out.dedup_merges = server.dedup_merges_in_change();
-        break;
-      case ViewControl::Op::kEmitState: {
-        auto msg = net::make_payload<core::MigrateState>(
-            server.current_tag(c.object), server.current_value(c.object),
-            c.object, c.epoch);
-        for (const ProcessId d : c.dests) {
-          migrate_bytes.fetch_add(msg->wire_size(),
-                                  std::memory_order_relaxed);
+    auto probe = core::execute_migration_command(
+        c.cmd, server, *this,
+        [this](ProcessId to, const net::PayloadPtr& msg) {
+          if (!cluster->transport_->is_up(net::NodeAddress::server(to))) {
+            return;
+          }
+          (msg->kind() == core::kMigrateState ? migrate_bytes : dedup_bytes)
+              .fetch_add(msg->wire_size(), std::memory_order_relaxed);
           cluster->transport_->send(net::NodeAddress::server(global),
-                                   net::NodeAddress::server(d), msg);
-        }
-        break;
-      }
-      case ViewControl::Op::kEmitDedup: {
-        auto msg = net::make_payload<core::MigrateDedup>(
-            server.completed_windows(), c.epoch);
-        for (const ProcessId d : c.dests) {
-          dedup_bytes.fetch_add(msg->wire_size(), std::memory_order_relaxed);
-          cluster->transport_->send(net::NodeAddress::server(global),
-                                   net::NodeAddress::server(d), msg);
-        }
-        break;
-      }
-    }
-    if (c.reply) c.reply->set_value(std::move(out));
+                                   net::NodeAddress::server(to), msg);
+        });
+    c.reply->set_value(probe.value_or(core::MigrationProbe{}));
   }
 
   void on_crash(ProcessId p) {
@@ -469,17 +377,15 @@ bool ThreadedCluster::server_up(ProcessId p) const {
 
 namespace {
 
-/// Sends one ViewControl to `global` and waits for the reply. Returns
-/// nullopt if the server died (its queue was discarded — no reply will
-/// come); the coordinator skips dead servers exactly like the sim fabric.
-std::optional<ThreadedCluster::ProbeReply> await_control(
-    net::Transport& transport, ProcessId global,
-    const std::shared_ptr<ViewControl>& ctl) {
-  auto reply = std::make_shared<std::promise<ThreadedCluster::ProbeReply>>();
-  ctl->reply = reply;
+/// Sends one command to `global` and waits for the reply. Returns nullopt
+/// if the server died (its queue was discarded — no reply will come).
+std::optional<core::MigrationProbe> await_control(
+    net::Transport& transport, ProcessId global, core::MigrationCommand cmd) {
+  auto reply = std::make_shared<std::promise<core::MigrationProbe>>();
   auto fut = reply->get_future();
   transport.send(net::NodeAddress::server(global),
-                 net::NodeAddress::server(global), ctl);
+                 net::NodeAddress::server(global),
+                 net::make_payload<ViewControl>(std::move(cmd), reply));
   for (;;) {
     if (fut.wait_for(std::chrono::milliseconds(2)) ==
         std::future_status::ready) {
@@ -504,35 +410,28 @@ Epoch ThreadedCluster::add_ring(std::size_t n_servers) {
   if (!cfg_.enable_reconfig) {
     throw std::logic_error("add_ring: reconfig disabled in this cluster");
   }
-  if (n_servers < 1) {
-    throw std::invalid_argument("add_ring: a ring needs at least one server");
-  }
-  const Epoch cur_epoch = view().epoch;
-  core::ClusterView next{cur_epoch + 1, topo_.with_ring(n_servers)};
-  auto new_map =
-      std::make_shared<const core::ShardMap>(next.topology.n_rings());
+  const core::ClusterView current = view();
+  core::MigrationCoordinator coord(core::MigrationPlan::grow(
+      current, map_, n_servers, cfg_.value_policy.active()));
+  const core::MigrationPlan& plan = coord.plan();
 
   // Spawn the new ring: views installed before the node registers, so its
   // thread never sees a serving window. Under the current view the new
   // servers own nothing — every client op parks until the flip.
   const RingId new_ring = static_cast<RingId>(topo_.n_rings());
   const ProcessId base = static_cast<ProcessId>(topo_.total_servers());
-  std::vector<ProcessId> sources, dests;
-  for (ProcessId g = 0; g < base; ++g) sources.push_back(g);
   for (ProcessId local = 0; local < n_servers; ++local) {
-    const ProcessId global = static_cast<ProcessId>(base + local);
-    spawn_server(new_ring, local, n_servers, global, base,
+    spawn_server(new_ring, local, n_servers,
+                 static_cast<ProcessId>(base + local), base,
                  [&](core::RingServer& server) {
                    server.install_view(
-                       core::ServerView{cur_epoch, new_ring, map_});
+                       core::ServerView{current.epoch, new_ring, map_});
                    server.begin_view_change(
-                       core::ServerView{next.epoch, new_ring, new_map});
+                       core::ServerView{plan.next.epoch, new_ring,
+                                        plan.new_map});
                  });
-    dests.push_back(global);
   }
-
-  return run_migration(std::move(next), std::move(sources), std::move(dests),
-                       {}, std::move(new_map));
+  return run_coordinator(coord);
 }
 
 Epoch ThreadedCluster::remove_last_ring() {
@@ -540,177 +439,46 @@ Epoch ThreadedCluster::remove_last_ring() {
     throw std::logic_error(
         "remove_last_ring: reconfig disabled in this cluster");
   }
-  if (topo_.n_rings() < 2) {
-    throw std::logic_error("remove_last_ring: cannot retire the only ring");
-  }
-  core::ClusterView next{view().epoch + 1, topo_.without_last_ring()};
-  auto new_map =
-      std::make_shared<const core::ShardMap>(next.topology.n_rings());
-  const RingId retiring_ring = static_cast<RingId>(topo_.n_rings() - 1);
-  std::vector<ProcessId> sources, dests, retiring;
-  for (ProcessId g = 0; g < topo_.total_servers(); ++g) {
-    if (servers_[g]->ring == retiring_ring) {
-      sources.push_back(g);
-      retiring.push_back(g);
-    } else {
-      dests.push_back(g);
-    }
-  }
-  return run_migration(std::move(next), std::move(sources), std::move(dests),
-                       std::move(retiring), std::move(new_map));
+  core::MigrationCoordinator coord(core::MigrationPlan::shrink(
+      view(), map_, cfg_.value_policy.active()));
+  return run_coordinator(coord);
 }
 
-Epoch ThreadedCluster::run_migration(
-    core::ClusterView next, std::vector<ProcessId> sources,
-    std::vector<ProcessId> dests, std::vector<ProcessId> retiring,
-    std::shared_ptr<const core::ShardMap> new_map) {
+Epoch ThreadedCluster::run_coordinator(core::MigrationCoordinator& coord) {
   if (migrating_.exchange(true)) {
     throw std::logic_error("reconfiguration already in progress");
   }
-  const auto up = [this](ProcessId g) {
-    return transport_->is_up(net::NodeAddress::server(g));
-  };
-
-  // Freeze: every pre-existing server learns the next view on its own
-  // thread. (The new ring's servers, if any, were spawned mid-transition.)
-  for (const ProcessId g : sources) {
-    if (!up(g)) continue;
-    auto ctl = std::make_shared<ViewControl>(
-        ViewControl::Op::kBeginViewChange);
-    ctl->view = core::ServerView{next.epoch, servers_[g]->ring, new_map};
-    (void)await_control(*transport_, g, ctl);
-  }
-  for (const ProcessId g : dests) {
-    if (!up(g) || servers_[g]->server.view_changing()) continue;
-    // Only surviving-ring destinations (ring remove) still need the freeze;
-    // a freshly spawned ring began its change before registering. Reading
-    // view_changing() here is safe: it was set before the node registered.
-    auto ctl = std::make_shared<ViewControl>(
-        ViewControl::Op::kBeginViewChange);
-    ctl->view = core::ServerView{next.epoch, servers_[g]->ring, new_map};
-    (void)await_control(*transport_, g, ctl);
-  }
-
-  // Publish: NACKed clients refresh straight to the next view and re-route;
-  // the destinations park their ops until the flip.
-  registry_->publish(next);
-
-  // Drain + copy + install, re-probed until every migrating register that
-  // still has an alive holder has landed on every alive destination of its
-  // new ring. All progress state persists across rounds, so a server dying
-  // mid-step is simply retried (or dropped when its whole ring is gone —
-  // whatever only it held died with it, exactly as in the sim fabric).
-  std::set<RingId> dedup_rings_done;
-  std::set<ObjectId> copied;
+  using Kind = core::MigrationCommand::Kind;
+  const core::MigrationPlan& plan = coord.plan();
   for (;;) {
-    // Probe sources: enumerate migrating registers, their drain state, and
-    // the max tag per register across the alive source servers.
-    bool quiescent = true;
-    std::map<ObjectId, std::pair<Tag, ProcessId>> best;  // obj → (tag, src)
-    for (const ProcessId g : sources) {
-      if (!up(g)) continue;
-      auto ctl = std::make_shared<ViewControl>(ViewControl::Op::kProbe);
-      ctl->old_map = map_;
-      ctl->new_map = new_map;
-      auto r = await_control(*transport_, g, ctl);
-      if (!r) continue;  // died mid-probe: its ring peers hold the state
-      if (!r->all_quiescent) quiescent = false;
-      for (const auto& [obj, tag] : r->moving) {
-        auto [it, fresh] = best.emplace(obj, std::pair{tag, g});
-        if (!fresh && tag > it->second.first) it->second = {tag, g};
-      }
-    }
-    if (!quiescent) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      continue;
-    }
-
-    // Copy: the max-tag source emits MigrateState to the register's new
-    // ring. Registers no probe lists any more lost every alive holder and
-    // are skipped, like the sim coordinator's "whole source ring down".
-    bool all_copied = true;
-    for (const auto& [obj, tag_src] : best) {
-      if (copied.contains(obj)) continue;
-      const RingId owner = new_map->ring_of(obj);
-      std::vector<ProcessId> obj_dests;
-      for (const ProcessId d : dests) {
-        if (up(d) && servers_[d]->ring == owner) obj_dests.push_back(d);
-      }
-      auto ctl = std::make_shared<ViewControl>(ViewControl::Op::kEmitState);
-      ctl->object = obj;
-      ctl->epoch = next.epoch;
-      ctl->dests = std::move(obj_dests);
-      if (await_control(*transport_, tag_src.second, ctl)) {
-        copied.insert(obj);
-        ++migration_stats_.objects_moved;
-      } else {
-        all_copied = false;  // holder died mid-emit: retry next round
-      }
-    }
-
-    // Dedup windows, once per source ring (identical ring-wide after the
-    // drain): retried until every ring that still has an alive server has
-    // shipped them — a single dead prober must not lose its ring's windows.
-    bool dedup_complete = true;
-    for (const ProcessId g : sources) {
-      const RingId ring = servers_[g]->ring;
-      if (!up(g) || dedup_rings_done.contains(ring)) continue;
-      std::vector<ProcessId> live_dests;
-      for (const ProcessId d : dests) {
-        if (up(d)) live_dests.push_back(d);
-      }
-      auto ctl = std::make_shared<ViewControl>(ViewControl::Op::kEmitDedup);
-      ctl->epoch = next.epoch;
-      ctl->dests = std::move(live_dests);
-      if (await_control(*transport_, g, ctl)) {
-        dedup_rings_done.insert(ring);
-      } else {
-        dedup_complete = false;  // try a ring peer next round
-      }
-    }
-    const std::size_t dedup_expected = dedup_rings_done.size();
-
-    // Install check on every alive destination: the windows of every ring
-    // that shipped so far, and every copied register of the dest's ring.
-    bool installed = true;
-    for (const ProcessId d : dests) {
-      if (!up(d)) continue;
-      auto ctl = std::make_shared<ViewControl>(ViewControl::Op::kProbe);
-      ctl->old_map = map_;
-      ctl->new_map = new_map;
-      ctl->check_migrated.assign(copied.begin(), copied.end());
-      auto r = await_control(*transport_, d, ctl);
-      if (!r) continue;
-      if (r->dedup_merges < dedup_expected) {
-        installed = false;
+    core::MigrationCommand cmd = coord.next();
+    if (cmd.kind == Kind::kDone) break;
+    switch (cmd.kind) {
+      case Kind::kPublish:
+        registry_->publish(plan.next);
+        break;
+      case Kind::kWait:
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(cmd.delay_s));
+        break;
+      case Kind::kRetire:
+        if (server_up(cmd.server)) crash_server(cmd.server);
+        break;
+      default: {
+        const bool is_probe = cmd.kind == Kind::kProbe;
+        auto reply = await_control(*transport_, cmd.server, std::move(cmd));
+        if (!reply) {
+          coord.on_down();
+        } else if (is_probe) {
+          coord.on_probe(std::move(*reply));
+        }
         break;
       }
-      std::set<ObjectId> got(r->migrated.begin(), r->migrated.end());
-      for (const ObjectId obj : copied) {
-        if (new_map->ring_of(obj) == servers_[d]->ring &&
-            !got.contains(obj)) {
-          installed = false;
-          break;
-        }
-      }
-      if (!installed) break;
     }
-    if (installed && all_copied && dedup_complete) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  // Flip: promote every server, then retire the shrunk ring.
-  for (auto& host : servers_) {
-    if (!up(host->global)) continue;
-    auto ctl =
-        std::make_shared<ViewControl>(ViewControl::Op::kCommitViewChange);
-    (void)await_control(*transport_, host->global, ctl);
-  }
-  for (const ProcessId g : retiring) {
-    if (up(g)) transport_->crash(net::NodeAddress::server(g));
   }
 
   // Account migration wire bytes from the per-host atomics.
+  migration_stats_.objects_moved += coord.copied();
   for (const auto& host : servers_) {
     migration_stats_.bytes_moved +=
         host->migrate_bytes.exchange(0, std::memory_order_relaxed);
@@ -721,13 +489,13 @@ Epoch ThreadedCluster::run_migration(
 
   {
     const sync::MutexLock lock(views_mu_);
-    topo_ = next.topology;
-    view_ = next;
-    map_ = new_map;
+    topo_ = plan.next.topology;
+    view_ = plan.next;
+    map_ = plan.new_map;
     rings_by_epoch_.push_back(topo_.n_rings());
   }
   migrating_.store(false);
-  return next.epoch;
+  return plan.next.epoch;
 }
 
 core::ClusterView ThreadedCluster::view() const {
@@ -802,31 +570,8 @@ void ThreadedCluster::export_metrics() {
   // single "net.host" prefix (labels "s<id>" / "c<id>").
   obs::export_links(reg, "net.host", *transport_);
 
-  RingTraffic total;
-  for (RingId r = 0; r < static_cast<RingId>(topo_.n_rings()); ++r) {
-    const RingTraffic t = ring_traffic(r);
-    const std::string prefix = "ring." + std::to_string(r);
-    reg.counter(prefix + ".transmissions")->set(t.transmissions);
-    reg.counter(prefix + ".bytes")->set(t.bytes);
-    reg.counter(prefix + ".ring_messages")->set(t.ring_messages);
-    reg.counter(prefix + ".batches")->set(t.batches);
-    total.transmissions += t.transmissions;
-    total.bytes += t.bytes;
-    total.ring_messages += t.ring_messages;
-    total.batches += t.batches;
-  }
-  reg.counter("ring.total.transmissions")->set(total.transmissions);
-  reg.counter("ring.total.bytes")->set(total.bytes);
-  reg.counter("ring.total.ring_messages")->set(total.ring_messages);
-  reg.counter("ring.total.batches")->set(total.batches);
-
-  reg.gauge("view.epoch")->set(static_cast<double>(view().epoch));
-  reg.gauge("view.rings")->set(static_cast<double>(topo_.n_rings()));
-  reg.counter("migration.objects_moved")
-      ->set(migration_stats_.objects_moved);
-  reg.counter("migration.bytes_moved")->set(migration_stats_.bytes_moved);
-  reg.counter("migration.dedup_bytes")->set(migration_stats_.dedup_bytes);
-  reg.counter("migration.reconfigs")->set(migration_stats_.reconfigs);
+  export_rings_and_view(reg, traffic_per_ring(), view().epoch,
+                        migration_stats_);
 }
 
 // ---------------------------------------------------------------- client

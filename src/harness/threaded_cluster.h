@@ -13,11 +13,13 @@
 //
 // Live reconfiguration (DESIGN.md §Reconfiguration, D8): add_ring() /
 // remove_last_ring() block the calling thread while the freeze → copy →
-// flip migration runs against live traffic. The coordinator never touches
-// server state directly — every step (installing views, probing drain
-// progress, emitting MigrateState/MigrateDedup, committing the flip) is a
-// control message executed on the target server's own delivery thread, so
-// the single-threaded state-machine discipline holds throughout.
+// flip migration runs against live traffic. The decisions are
+// core::MigrationCoordinator's, shared with SimCluster; this fabric only
+// executes its commands. Server-side commands (installing views, probing
+// drain progress, emitting MigrateState/MigrateDedup, committing the flip)
+// travel as control messages executed on the target server's own delivery
+// thread, so the single-threaded state-machine discipline holds
+// throughout.
 #pragma once
 
 #include <atomic>
@@ -91,10 +93,6 @@ struct ThreadedClusterConfig {
 
 class ThreadedCluster {
  public:
-  /// Reply to a coordinator probe, filled on the probed server's thread
-  /// (public so the fabric-internal control payloads can carry it).
-  struct ProbeReply;
-
   explicit ThreadedCluster(ThreadedClusterConfig cfg);
   ~ThreadedCluster();
 
@@ -216,13 +214,9 @@ class ThreadedCluster {
                            ProcessId ring_base,
                            const std::function<void(core::RingServer&)>&
                                before_register = nullptr);
-  /// Runs the drain → copy → flip loop against `sources`/`dests`; promotes
-  /// every server to `next` and retires `retiring` at the end.
-  Epoch run_migration(core::ClusterView next,
-                            std::vector<ProcessId> sources,
-                            std::vector<ProcessId> dests,
-                            std::vector<ProcessId> retiring,
-                            std::shared_ptr<const core::ShardMap> new_map);
+  /// Executes `coord`'s commands — server-side ones as control messages on
+  /// each server's own thread — until the flip completes.
+  Epoch run_coordinator(core::MigrationCoordinator& coord);
 
   ThreadedClusterConfig cfg_;
   // topo_/map_ belong to the controlling thread (see the threading contract

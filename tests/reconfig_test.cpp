@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "code/policy.h"
 #include "core/client.h"
 #include "core/messages.h"
 #include "core/reconfig.h"
@@ -312,6 +316,193 @@ TEST(ServerGating, MigratedDedupWindowsAckRetriesInsteadOfReapplying) {
   EXPECT_FALSE(dst.current_tag().is_initial()) << "fresh write must apply";
 }
 
+// ------------------------------------- migration coordinator, no fabric
+
+using Kind = MigrationCommand::Kind;
+
+/// Runs a MigrationCoordinator against scripted servers: each server
+/// answers probes with a fixed reply, and a hook may change the script
+/// (kill servers, land installs) as commands go by.
+struct ScriptedFabric {
+  explicit ScriptedFabric(MigrationPlan plan) : coord(std::move(plan)) {}
+
+  MigrationCoordinator coord;
+  std::set<ProcessId> down;
+  std::map<ProcessId, MigrationProbe> replies;
+  std::function<void(const MigrationCommand&)> before;
+  std::vector<MigrationCommand> log;
+
+  /// Executes commands until kDone; false if it never gets there.
+  bool run() {
+    for (int step = 0; step < 10000; ++step) {
+      const MigrationCommand cmd = coord.next();
+      if (before) before(cmd);
+      log.push_back(cmd);
+      switch (cmd.kind) {
+        case Kind::kDone:
+          return true;
+        case Kind::kPublish:
+        case Kind::kWait:
+        case Kind::kRetire:
+          break;
+        default:
+          if (down.contains(cmd.server)) {
+            coord.on_down();
+          } else if (cmd.kind == Kind::kProbe) {
+            coord.on_probe(replies[cmd.server]);
+          }
+      }
+    }
+    return false;
+  }
+
+  [[nodiscard]] std::vector<MigrationCommand> commands(Kind kind) const {
+    std::vector<MigrationCommand> out;
+    for (const auto& c : log) {
+      if (c.kind == kind) out.push_back(c);
+    }
+    return out;
+  }
+  [[nodiscard]] std::vector<ProcessId> servers(Kind kind) const {
+    std::vector<ProcessId> out;
+    for (const auto& c : commands(kind)) out.push_back(c.server);
+    return out;
+  }
+};
+
+/// First object (from 1) that `to` assigns to `ring` and `from` elsewhere.
+ObjectId object_moving_to(RingId ring, RingId from_ring, std::size_t from,
+                          std::size_t to) {
+  const ShardMap a(from), b(to);
+  for (ObjectId obj = 1;; ++obj) {
+    if (b.ring_of(obj) == ring && a.ring_of(obj) == from_ring) return obj;
+  }
+}
+
+MigrationPlan grow_plan(const Topology& from, std::size_t ring_size) {
+  return MigrationPlan::grow(ClusterView{0, from},
+                             std::make_shared<const ShardMap>(from.n_rings()),
+                             ring_size, /*coded=*/false);
+}
+
+MigrationProbe holds(std::vector<std::pair<ObjectId, Tag>> moving) {
+  MigrationProbe p;
+  p.moving = std::move(moving);
+  return p;
+}
+
+MigrationProbe installed(std::vector<ObjectId> migrated,
+                         std::uint64_t merges) {
+  MigrationProbe p;
+  p.migrated = std::move(migrated);
+  p.dedup_merges = merges;
+  return p;
+}
+
+TEST(MigrationCoordinator, FreezesPublishesThenPollsInOrder) {
+  ScriptedFabric f(grow_plan(Topology{1, 2}, 1));
+  f.replies[2] = installed({}, 1);
+  ASSERT_TRUE(f.run());
+  // Freeze every member in global order, publish, yield once, then poll.
+  ASSERT_GE(f.log.size(), 5u);
+  EXPECT_EQ(f.log[0].kind, Kind::kBeginViewChange);
+  EXPECT_EQ(f.log[0].view.epoch, 1u);
+  EXPECT_EQ(f.log[2].server, 2u);
+  EXPECT_EQ(f.log[2].view.ring, 1u);
+  EXPECT_EQ(f.log[3].kind, Kind::kPublish);
+  EXPECT_EQ(f.log[4].kind, Kind::kWait);
+  EXPECT_EQ(f.log[4].delay_s, 0.0);
+  // Nothing moves: one dedup shipment, then the flip on every member.
+  EXPECT_EQ(f.servers(Kind::kEmitDedup), (std::vector<ProcessId>{0}));
+  EXPECT_TRUE(f.commands(Kind::kEmitState).empty());
+  EXPECT_EQ(f.servers(Kind::kCommit), (std::vector<ProcessId>{0, 1, 2}));
+}
+
+TEST(MigrationCoordinator, RejectsACodedPlan) {
+  MigrationPlan plan = grow_plan(Topology{2, 3}, 3);
+  plan.coded = true;
+  EXPECT_THROW(MigrationCoordinator{plan}, std::logic_error);
+}
+
+TEST(MigrationCoordinator, SourceDyingMidEmitIsReplacedByTheNextMaxTagHolder) {
+  // One old ring {0,1,2} grows a ring {3,4}; s1 and s2 hold the max tag.
+  const ObjectId obj = object_moving_to(1, 0, 1, 2);
+  ScriptedFabric f(grow_plan(Topology{1, 3}, 2));
+  f.replies[0] = holds({{obj, Tag{4, 1}}});
+  f.replies[1] = holds({{obj, Tag{5, 2}}});
+  f.replies[2] = holds({{obj, Tag{5, 2}}});
+  f.replies[3] = f.replies[4] = installed({obj}, 1);
+  f.before = [&](const MigrationCommand& c) {
+    if (c.kind == Kind::kEmitState && c.server == 1) f.down.insert(1);
+  };
+  ASSERT_TRUE(f.run());
+  const auto emits = f.commands(Kind::kEmitState);
+  ASSERT_EQ(emits.size(), 2u);
+  EXPECT_EQ(emits[0].server, 1u) << "first max-tag holder wins";
+  EXPECT_EQ(emits[1].server, 2u) << "re-emitted from the next holder";
+  for (const auto& e : emits) {
+    EXPECT_EQ(e.object, obj);
+    EXPECT_EQ(e.dests, (std::vector<ProcessId>{3, 4}));
+  }
+  EXPECT_EQ(f.servers(Kind::kCommit), (std::vector<ProcessId>{0, 2, 3, 4}));
+}
+
+TEST(MigrationCoordinator, DeadDedupShipperIsReplacedByARingPeer) {
+  // Rings {0,1} and {2,3} grow a ring {4}: one shipment per source ring.
+  ScriptedFabric f(grow_plan(Topology{2, 2}, 1));
+  f.replies[4] = installed({}, 2);
+  f.before = [&](const MigrationCommand& c) {
+    if (c.kind == Kind::kEmitDedup && c.server == 0) f.down.insert(0);
+  };
+  ASSERT_TRUE(f.run());
+  EXPECT_EQ(f.servers(Kind::kEmitDedup), (std::vector<ProcessId>{0, 1, 2}));
+  EXPECT_EQ(f.commands(Kind::kEmitDedup).back().dests,
+            (std::vector<ProcessId>{4}));
+}
+
+TEST(MigrationCoordinator, RegisterOfAWhollyDeadSourceRingIsSkipped) {
+  // Ring 1 {2,3} dies while its register is being emitted; ring 0's
+  // register still lands and the flip happens without the lost one.
+  const ObjectId a = object_moving_to(2, 0, 2, 3);
+  const ObjectId b = object_moving_to(2, 1, 2, 3);
+  ScriptedFabric f(grow_plan(Topology{2, 2}, 1));
+  f.replies[0] = f.replies[1] = holds({{a, Tag{3, 0}}});
+  f.replies[2] = f.replies[3] = holds({{b, Tag{7, 1}}});
+  f.replies[4] = installed({a}, 2);
+  f.before = [&](const MigrationCommand& c) {
+    if (c.kind == Kind::kEmitState && c.object == b) f.down = {2, 3};
+  };
+  ASSERT_TRUE(f.run());
+  std::vector<ProcessId> b_sources;
+  for (const auto& e : f.commands(Kind::kEmitState)) {
+    if (e.object == b) b_sources.push_back(e.server);
+  }
+  EXPECT_EQ(b_sources, (std::vector<ProcessId>{2, 3}))
+      << "tried every holder, never a non-holder";
+  EXPECT_EQ(f.servers(Kind::kCommit), (std::vector<ProcessId>{0, 1, 4}));
+}
+
+TEST(MigrationCoordinator, FlipWaitsForEveryDestsInstallsAndDedupMerges) {
+  const ObjectId obj = object_moving_to(1, 0, 1, 2);
+  ScriptedFabric f(grow_plan(Topology{1, 2}, 2));
+  f.replies[0] = f.replies[1] = holds({{obj, Tag{2, 0}}});
+  f.replies[2] = installed({obj}, 1);
+  f.replies[3] = installed({}, 0);
+  int polls = 0;
+  f.before = [&](const MigrationCommand& c) {
+    if (c.kind != Kind::kWait) return;
+    ++polls;
+    if (polls == 3) f.replies[3] = installed({obj}, 0);  // state, no windows
+    if (polls == 6) f.replies[3] = installed({obj}, 1);  // now complete
+    if (polls <= 6) EXPECT_TRUE(f.commands(Kind::kCommit).empty());
+  };
+  ASSERT_TRUE(f.run());
+  EXPECT_EQ(polls, 6) << "flip on the first poll after s3 completed";
+  EXPECT_EQ(f.commands(Kind::kEmitState).size(), 1u) << "copied once";
+  EXPECT_EQ(f.commands(Kind::kEmitDedup).size(), 1u) << "shipped once";
+  EXPECT_EQ(f.servers(Kind::kCommit), (std::vector<ProcessId>{0, 1, 2, 3}));
+}
+
 }  // namespace
 }  // namespace hts::core
 
@@ -540,6 +731,43 @@ TEST(ReconfigSim, GrowAfterShrinkReusesTheRetiredSlots) {
   check_epoch_history(history, cluster.rings_by_epoch(),
                       /*expect_epoch1_ops=*/true);
   EXPECT_EQ(cluster.reconfig_stats().reconfigs, 3u);
+}
+
+// ------------------------------------- coded deployments cannot migrate
+
+// MigrateState carries a replicated (tag, value), and a coded register's
+// value is empty at every server: a grow would install empty registers at
+// the destinations. Both fabrics must refuse before spawning anything.
+code::ValuePolicy coded_k2() {
+  code::ValuePolicy p;
+  p.k = 2;
+  p.min_value_size = 0;
+  return p;
+}
+
+TEST(ReconfigSim, ReconfigurationUnderAnActiveValuePolicyIsRejected) {
+  sim::Simulator sim;
+  SimClusterConfig cfg;
+  cfg.topology = core::Topology{2, 3};
+  cfg.value_policy = coded_k2();
+  SimCluster cluster(sim, cfg);
+  EXPECT_THROW(cluster.add_ring(3), std::logic_error);
+  EXPECT_THROW(cluster.remove_last_ring(), std::logic_error);
+  EXPECT_FALSE(cluster.reconfig_in_progress());
+  EXPECT_EQ(cluster.n_servers(), 6u) << "nothing spawned";
+  EXPECT_EQ(cluster.view().epoch, 0u);
+}
+
+TEST(ReconfigThreaded, ReconfigurationUnderAnActiveValuePolicyIsRejected) {
+  ThreadedClusterConfig cfg;
+  cfg.topology = core::Topology{2, 3};
+  cfg.value_policy = coded_k2();
+  ThreadedCluster cluster(cfg);
+  cluster.start();
+  EXPECT_THROW(cluster.add_ring(3), std::logic_error);
+  EXPECT_THROW(cluster.remove_last_ring(), std::logic_error);
+  EXPECT_EQ(cluster.n_servers(), 6u) << "nothing spawned";
+  EXPECT_EQ(cluster.view().epoch, 0u);
 }
 
 // ------------------------------------------- heterogeneous cluster e2e

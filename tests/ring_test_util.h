@@ -61,10 +61,15 @@ class MiniRing {
   MockCtx& ctx() { return ctx_; }
 
   void crash(ProcessId p) {
-    dead_[p] = true;
-    for (ProcessId q = 0; q < servers_.size(); ++q) {
-      if (!dead_[q]) servers_[q]->on_peer_crash(p, ctx_);
-    }
+    kill(p);
+    for (ProcessId q = 0; q < servers_.size(); ++q) notify(q, p);
+  }
+
+  /// Crash-stops p without telling anyone: a staggered-notice schedule
+  /// then delivers the failure detector's notices one peer at a time.
+  void kill(ProcessId p) { dead_[p] = true; }
+  void notify(ProcessId q, ProcessId crashed) {
+    if (!dead_[q]) servers_[q]->on_peer_crash(crashed, ctx_);
   }
 
   /// One egress step from server p: send its next ring message (if any).

@@ -139,6 +139,32 @@ TEST(RingServerUnit, CrashOfSuccessorResendsPending) {
   EXPECT_TRUE(ring.at(1).pending().empty());
 }
 
+TEST(RingServerUnit, CommitsLostUnderStaggeredCrashNoticesAreResent) {
+  // The failure detector notifies peers one at a time. The origin hears of
+  // the crash first and re-issues its commits, but its successor has not
+  // heard yet and forwards originals and re-issues alike into the dead
+  // server. Two registers, so more than one commit is lost this way.
+  MiniRing ring(3);
+  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx(), 0);
+  ring.at(0).on_client_write(8, 1, Value::synthetic(2, 64), ring.ctx(), 1);
+  while (ring.step(0)) {}  // both pre-writes s0 -> s1
+  while (ring.step(1)) {}  // s1 -> s2
+  while (ring.step(2)) {}  // s2 -> s0: s0 enters both write phases
+  ring.kill(2);
+  ring.notify(0, 2);       // only s0 hears: it re-issues both commits
+  while (ring.step(0)) {}  // originals + re-issues reach s1
+  while (ring.step(1)) {}  // s1 forwards all four into dead s2
+  ring.notify(1, 2);
+  ring.settle();
+  EXPECT_EQ(ring.ctx().acks_for(7, 1), 1);
+  EXPECT_EQ(ring.ctx().acks_for(8, 1), 1);
+  for (const ObjectId obj : {ObjectId{0}, ObjectId{1}}) {
+    EXPECT_TRUE(ring.at(0).object_quiescent(obj)) << "object " << obj;
+    EXPECT_TRUE(ring.at(1).object_quiescent(obj)) << "object " << obj;
+    EXPECT_EQ(ring.at(1).current_tag(obj), (Tag{1, 0})) << "object " << obj;
+  }
+}
+
 TEST(RingServerUnit, OrphanedPreWriteAdoptionFullScenario) {
   MiniRing ring(3);
   ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx());
