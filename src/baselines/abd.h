@@ -156,7 +156,7 @@ class AbdServer {
 };
 
 /// Client: drives the two-phase quorum protocol. Same surface as
-/// core::StorageClient so fabrics and drivers host both identically.
+/// core::ClientSession so fabrics and drivers host both identically.
 class AbdClient {
  public:
   struct Options {

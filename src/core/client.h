@@ -18,8 +18,7 @@
 // fabrics can host it.
 //
 // The original single-register single-op API survives as a facade: the
-// object-less begin_read/begin_write overloads address kDefaultObject, and
-// `StorageClient` remains as an alias.
+// object-less begin_read/begin_write overloads address kDefaultObject.
 #pragma once
 
 #include <cstdint>
@@ -291,9 +290,5 @@ class ClientSession {
   std::unordered_set<ObjectId> active_objects_;
   std::unordered_map<std::uint64_t, RequestId> timer_to_req_;
 };
-
-/// The pre-namespace name: a session used through the facade overloads
-/// behaves exactly like the original one-outstanding-op client.
-using StorageClient = ClientSession;
 
 }  // namespace hts::core

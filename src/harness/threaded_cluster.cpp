@@ -48,7 +48,7 @@ struct ControlOp final : net::Payload {
 constexpr double kOpTimeoutSeconds = 30.0;
 
 /// Envelope for one MigrationCoordinator command, executed on the target
-/// server's delivery thread (the coordinator never touches server state
+/// server's loop thread (the coordinator never touches server state
 /// directly); the reply channel carries a probe's answer back.
 struct ViewControl final : net::Payload {
   static constexpr std::uint16_t kKind = 0x7300;
@@ -74,7 +74,7 @@ struct ThreadedCluster::ServerHost final : core::ServerContext {
   ProcessId global = 0;              // ring-major global id
   ProcessId ring_base = 0;
   std::size_t ring_size = 1;
-  // Ring egress accounting (written on this host's delivery thread, read by
+  // Ring egress accounting (written on this host's loop thread, read by
   // the harness after quiescence — atomics keep the access well-defined).
   std::atomic<std::uint64_t> ring_transmissions{0};
   std::atomic<std::uint64_t> ring_bytes{0};

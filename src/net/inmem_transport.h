@@ -1,176 +1,43 @@
-// Threaded in-memory message transport.
+// In-memory message transport: every node runs on a net::NodeLoop, and a
+// send is a direct enqueue into the destination's mailbox.
 //
-// Each registered node gets its own delivery thread; a node's handler runs
-// serialized on that thread (the state machines are single-threaded by
-// design). Links are reliable FIFO channels, exactly the paper's model of
-// "bi-directional reliable communication channels" over TCP. Crashing a node
-// stops its deliveries atomically and, after a configurable detection delay,
-// notifies every surviving node — the perfect failure detector the paper
-// derives from TCP connection breaks on a LAN.
+// A node's handlers run serialized on its own loop thread (the state
+// machines are single-threaded by design), and its timers and crash notices
+// live on that loop's heap. Links are reliable FIFO channels, exactly the
+// paper's model of "bi-directional reliable communication channels" over
+// TCP. Crashing a node stops its deliveries at once and, after a
+// configurable detection delay, notifies every surviving node — the perfect
+// failure detector the paper derives from TCP connection breaks on a LAN.
 //
 // This fabric exists for correctness: integration tests, failure injection
 // and linearizability checking under real (non-deterministic) concurrency.
 // Throughput experiments use the simulator, which models the cluster's
 // bandwidth instead of the host machine's scheduler.
-//
-// Locking (thread-safety annotated, DESIGN.md D10): the node registry is a
-// shared_mutex (lookups concurrent with live registration), each node's
-// queue has its own mutex, and the timer heap its own. Node liveness (`up`)
-// and the transport lifecycle flags are atomics — the send fast path takes
-// no global lock.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
-#include <memory>
-#include <thread>
-#include <vector>
-
-#include "common/clock.h"
-#include "common/thread_annotations.h"
-#include "common/types.h"
+#include "net/node_loop.h"
 #include "net/payload.h"
-#include "net/transport.h"
-#include "obs/net_stats.h"
 
 namespace hts::net {
 
-class InMemTransport : public Transport {
+class InMemTransport : public LoopTransport {
  public:
-  using MessageHandler = Transport::MessageHandler;
-  using CrashHandler = Transport::CrashHandler;
-  using TimerHandler = Transport::TimerHandler;
+  explicit InMemTransport(double detection_delay_s = 0.01)
+      : LoopTransport(detection_delay_s) {}
+  ~InMemTransport() override { stop(); }
 
-  explicit InMemTransport(double detection_delay_s = 0.01);
-  ~InMemTransport() override;
-
-  InMemTransport(const InMemTransport&) = delete;
-  InMemTransport& operator=(const InMemTransport&) = delete;
-
-  /// Registers a node. All three handlers run on the node's delivery
-  /// thread; crash/timer handlers may be null. Nodes may also be registered
-  /// while the transport is running — a live reconfiguration spawns the
-  /// servers of a new ring this way; their threads start immediately.
-  void register_node(NodeAddress addr, MessageHandler on_message,
-                     CrashHandler on_crash = nullptr,
-                     TimerHandler on_timer = nullptr) override
-      HTS_EXCLUDES(registry_mu_);
-
-  void start() override HTS_EXCLUDES(registry_mu_);
-  void stop() override HTS_EXCLUDES(registry_mu_);
-
-  /// Reliable FIFO send. Messages to crashed or unknown nodes are dropped.
-  void send(NodeAddress from, NodeAddress to, PayloadPtr msg) override
-      HTS_EXCLUDES(registry_mu_);
-
-  /// Arms a one-shot timer for `addr` (delivered on its thread).
-  void arm_timer(NodeAddress addr, double delay_s, std::uint64_t token)
-      override HTS_EXCLUDES(timer_mu_);
-
-  /// Crashes a server node: its queue is discarded, no further deliveries,
-  /// and every surviving node's crash handler fires after detection_delay.
-  void crash(NodeAddress addr) override HTS_EXCLUDES(registry_mu_, timer_mu_);
-
-  [[nodiscard]] bool is_up(NodeAddress addr) const override
-      HTS_EXCLUDES(registry_mu_);
-
-  /// Blocks until every queue is empty and every node is idle, or until the
-  /// timeout expires. Returns true on quiescence. (Timers still pending do
-  /// not count as work.)
-  bool wait_quiescent(double timeout_s) override
-      HTS_EXCLUDES(registry_mu_, timer_mu_);
-
-  /// Accounting over everything accepted for delivery: one transmission per
-  /// send() call (a RingBatch counts once) charged at its exact wire size —
-  /// the same per-batch cost model the simulator's network uses.
-  [[nodiscard]] std::uint64_t total_transmissions() const override {
-    return transmissions_.load(std::memory_order_relaxed);
+  /// Reliable FIFO send from any thread. Messages from crashed nodes, and to
+  /// crashed or unknown nodes, are dropped uncharged. One transmission per
+  /// call at the payload's exact wire size — the same per-batch cost model
+  /// the simulator's network uses.
+  void send(NodeAddress from, NodeAddress to, PayloadPtr msg) override {
+    NodeLoop* src = find(from);
+    NodeLoop* dst = to == from ? src : find(to);
+    if (dst == nullptr || !dst->up()) return;
+    if (src != nullptr && !src->up()) return;
+    count_tx(src, *msg);
+    dst->post_message(from, std::move(msg));
   }
-  [[nodiscard]] std::uint64_t total_bytes_sent() const override {
-    return bytes_sent_.load(std::memory_order_relaxed);
-  }
-
-  /// obs::LinkStatsSource: per-node transmit accounting ("s<id>"/"c<id>"
-  /// labels), the counterpart of sim::Network's per-NIC counters. A node's
-  /// counters cover every send() it originated that was accepted for
-  /// delivery.
-  [[nodiscard]] std::vector<obs::LinkCounters> link_counters() const override;
-
- private:
-  struct WorkItem {
-    enum class Kind : std::uint8_t { kMessage, kCrashNotice, kTimer } kind;
-    NodeAddress from;
-    PayloadPtr msg;
-    ProcessId crashed = kNoProcess;
-    std::uint64_t token = 0;
-  };
-
-  struct Node {
-    NodeAddress addr;
-    MessageHandler on_message;
-    CrashHandler on_crash;
-    TimerHandler on_timer;
-
-    sync::Mutex mu;
-    sync::CondVar cv;
-    std::deque<WorkItem> queue HTS_GUARDED_BY(mu);
-    bool busy HTS_GUARDED_BY(mu) = false;
-    /// Liveness. An atomic, not a guarded member: the send path checks it
-    /// lock-free, crash() claims the up→down transition with exchange(), and
-    /// the delivery thread re-checks it per item before dispatch — so a send
-    /// racing a crash can at worst enqueue onto a dead node's queue, where
-    /// the item drains undelivered ("messages to the dead are lost").
-    std::atomic<bool> up{true};
-    std::thread thread;
-
-    // Per-node traffic accounting (obs::LinkStatsSource); relaxed atomics.
-    // tx is bumped on the send path by whichever thread calls send(); rx is
-    // bumped by the node's own delivery thread as messages are dispatched.
-    std::atomic<std::uint64_t> tx_messages{0};
-    std::atomic<std::uint64_t> tx_bytes{0};
-    std::atomic<std::uint64_t> rx_messages{0};
-    std::atomic<std::uint64_t> rx_bytes{0};
-  };
-
-  void run_node(Node& n);
-  void run_timer_thread() HTS_EXCLUDES(timer_mu_);
-  Node* find(NodeAddress addr) HTS_EXCLUDES(registry_mu_);
-  const Node* find(NodeAddress addr) const HTS_EXCLUDES(registry_mu_);
-  /// Stable snapshot of all registered nodes (pointers stay valid: nodes
-  /// are never deregistered, only crashed).
-  std::vector<Node*> snapshot_nodes() const HTS_EXCLUDES(registry_mu_);
-
-  double detection_delay_;
-  // Lifecycle flags. Atomics: start()/stop() run on the controlling thread
-  // but every delivery thread and the timer thread read them.
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
-
-  // Node registry. Lookup is concurrent with runtime registration (live
-  // ring spawn), so reads take the shared side; Node pointers themselves
-  // are stable for the transport's lifetime.
-  mutable sync::SharedMutex registry_mu_;
-  std::vector<std::unique_ptr<Node>> nodes_ HTS_GUARDED_BY(registry_mu_);
-  std::map<NodeAddress, std::size_t> by_addr_ HTS_GUARDED_BY(registry_mu_);
-
-  // Timer machinery.
-  struct PendingTimer {
-    clk::SteadyTime at;
-    NodeAddress addr;
-    std::uint64_t token = 0;
-    bool is_crash_notice = false;
-    ProcessId crashed = kNoProcess;
-  };
-  mutable sync::Mutex timer_mu_;
-  sync::CondVar timer_cv_;
-  std::vector<PendingTimer> timers_ HTS_GUARDED_BY(timer_mu_);
-  std::thread timer_thread_;
-
-  std::atomic<std::uint64_t> transmissions_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
 };
 
 }  // namespace hts::net

@@ -1,0 +1,382 @@
+#include "net/node_loop.h"
+
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cassert>
+#include <cerrno>
+#include <chrono>
+#include <climits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
+namespace hts::net {
+
+namespace {
+
+/// The node whose loop runs on this thread (null off every loop).
+thread_local NodeLoop* tl_node = nullptr;
+
+/// Timer heap order: std::*_heap keep the earliest (deadline, arrival) on
+/// top under this "later than" comparison.
+constexpr auto kLater = [](const auto& a, const auto& b) {
+  return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+};
+
+}  // namespace
+
+// ------------------------------------------------------------ NodeLoop
+
+NodeLoop::NodeLoop(const void* owner, NodeAddress addr,
+                   Transport::MessageHandler on_message,
+                   Transport::CrashHandler on_crash,
+                   Transport::TimerHandler on_timer)
+    : owner_(owner),
+      addr_(addr),
+      on_message_(std::move(on_message)),
+      on_crash_(std::move(on_crash)),
+      on_timer_(std::move(on_timer)),
+      epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
+      wake_fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+  if (epoll_fd_ < 0 || wake_fd_ < 0) {
+    for (const int fd : {epoll_fd_, wake_fd_}) {
+      if (fd >= 0) ::close(fd);
+    }
+    throw std::runtime_error("NodeLoop: epoll/eventfd setup failed");
+  }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.ptr = nullptr;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
+}
+
+NodeLoop::~NodeLoop() {
+  for (const int fd : {epoll_fd_, wake_fd_}) {
+    if (fd >= 0) ::close(fd);
+  }
+}
+
+NodeLoop* NodeLoop::current(const void* owner) {
+  return tl_node != nullptr && tl_node->owner_ == owner ? tl_node : nullptr;
+}
+
+bool NodeLoop::on_loop() const { return tl_node == this; }
+
+void NodeLoop::post(Mail mail) {
+  bool was_empty = false;
+  {
+    const sync::MutexLock lock(mu_);
+    was_empty = mailbox_.empty();
+    mailbox_.push_back(std::move(mail));
+  }
+  // One wake per batch: the loop swaps the whole mailbox out per wake-up.
+  if (was_empty) wake();
+}
+
+void NodeLoop::post_message(NodeAddress from, PayloadPtr msg) {
+  expect();
+  post(Mail{Mail::Kind::kMessage, from, std::move(msg), {}});
+}
+
+void NodeLoop::post_send(NodeAddress to, PayloadPtr msg) {
+  post(Mail{Mail::Kind::kSend, to, std::move(msg), {}});
+}
+
+void NodeLoop::post_sever() { post(Mail{Mail::Kind::kSever, {}, nullptr, {}}); }
+
+void NodeLoop::arm(clk::SteadyTime at, std::uint64_t token,
+                   ProcessId crashed) {
+  if (crashed != kNoProcess) notices_.fetch_add(1, std::memory_order_acq_rel);
+  const Timer t{at, 0, token, crashed};
+  if (on_loop()) {
+    push_timer(t);
+  } else {
+    post(Mail{Mail::Kind::kTimer, {}, nullptr, t});
+  }
+}
+
+void NodeLoop::push_timer(Timer t) {
+  t.seq = timer_seq_++;
+  timers_.push_back(t);
+  std::push_heap(timers_.begin(), timers_.end(), kLater);
+}
+
+bool NodeLoop::quiet() const {
+  {
+    const sync::MutexLock lock(mu_);
+    if (!mailbox_.empty()) return false;
+  }
+  return !busy_.load(std::memory_order_acquire) &&
+         notices_.load(std::memory_order_acquire) == 0 &&
+         (!up() || consumed_.load(std::memory_order_acquire) ==
+                       accepted_.load(std::memory_order_acquire));
+}
+
+void NodeLoop::count_tx(std::size_t bytes) {
+  tx_messages_.fetch_add(1, std::memory_order_relaxed);
+  tx_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+}
+
+obs::LinkCounters NodeLoop::counters() const {
+  const char prefix = addr_.kind == NodeAddress::Kind::kServer ? 's' : 'c';
+  return obs::LinkCounters{prefix + std::to_string(addr_.id),
+                           tx_messages_.load(std::memory_order_relaxed),
+                           tx_bytes_.load(std::memory_order_relaxed),
+                           rx_messages_.load(std::memory_order_relaxed),
+                           rx_bytes_.load(std::memory_order_relaxed)};
+}
+
+void NodeLoop::watch(int op, int fd, std::uint32_t events, void* tag) {
+  assert(tag != nullptr && "the null tag is the loop's wake fd");
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.ptr = tag;
+  ::epoll_ctl(epoll_fd_, op, fd, &ev);
+}
+
+void NodeLoop::dispatch(NodeAddress from, PayloadPtr msg, std::size_t bytes) {
+  if (!up()) return;  // messages to the dead are lost
+  rx_messages_.fetch_add(1, std::memory_order_relaxed);
+  rx_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  on_message_(from, std::move(msg));
+}
+
+void NodeLoop::start(Hooks& hooks, const std::atomic<bool>& stopping) {
+  thread_ = std::thread([this, &hooks, &stopping] { run(hooks, stopping); });
+}
+
+void NodeLoop::wake() const {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t w = ::write(wake_fd_, &one, sizeof(one));
+}
+
+void NodeLoop::join() {
+  if (thread_.joinable()) thread_.join();
+}
+
+void NodeLoop::run(Hooks& hooks, const std::atomic<bool>& stopping) {
+  tl_node = this;
+  constexpr int kMaxEvents = 64;
+  epoll_event events[kMaxEvents];
+  while (!stopping.load(std::memory_order_acquire)) {
+    busy_.store(hooks.before_block(*this), std::memory_order_release);
+    int timeout_ms = -1;
+    if (!timers_.empty()) {
+      const auto wait = timers_.front().at - clk::steady_now();
+      const auto ms =
+          std::chrono::ceil<std::chrono::milliseconds>(wait).count();
+      timeout_ms = static_cast<int>(std::clamp<decltype(ms)>(ms, 0, INT_MAX));
+    }
+    const int nev = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+    busy_.store(true, std::memory_order_release);
+    if (nev < 0 && errno != EINTR) break;
+    for (int i = 0; i < nev; ++i) {
+      if (events[i].data.ptr == nullptr) {
+        std::uint64_t drained = 0;
+        [[maybe_unused]] const ssize_t r =
+            ::read(wake_fd_, &drained, sizeof(drained));
+        drain_mailbox(hooks);
+      } else {
+        hooks.on_io(*this, events[i].data.ptr, events[i].events);
+      }
+    }
+    fire_timers();
+  }
+  hooks.on_stop(*this);
+  tl_node = nullptr;
+}
+
+void NodeLoop::drain_mailbox(Hooks& hooks) {
+  {
+    // Swapping keeps both vectors' capacity: no allocation in steady state.
+    const sync::MutexLock lock(mu_);
+    inbox_.swap(mailbox_);
+  }
+  for (Mail& m : inbox_) {
+    switch (m.kind) {
+      case Mail::Kind::kMessage: {
+        const std::size_t bytes = m.msg->wire_size();
+        dispatch(m.peer, std::move(m.msg), bytes);
+        settle(1);
+        break;
+      }
+      case Mail::Kind::kSend:
+        if (up()) hooks.on_send(*this, m.peer, *m.msg);
+        break;
+      case Mail::Kind::kTimer:
+        push_timer(m.timer);
+        break;
+      case Mail::Kind::kSever:
+        hooks.on_sever(*this);
+        break;
+    }
+  }
+  inbox_.clear();
+}
+
+void NodeLoop::fire_timers() {
+  // A crashed node's loop idles until stop(); its notices still settle.
+  const clk::SteadyTime now = clk::steady_now();
+  while (!timers_.empty() && timers_.front().at <= now) {
+    std::pop_heap(timers_.begin(), timers_.end(), kLater);
+    const Timer t = timers_.back();
+    timers_.pop_back();
+    if (t.crashed != kNoProcess) {
+      if (up() && on_crash_) on_crash_(t.crashed);
+      notices_.fetch_sub(1, std::memory_order_acq_rel);
+    } else if (up() && on_timer_) {
+      on_timer_(t.token);
+    }
+  }
+}
+
+// ------------------------------------------------------- LoopTransport
+
+LoopTransport::LoopTransport(double detection_delay_s)
+    : detection_delay_(detection_delay_s) {}
+
+LoopTransport::~LoopTransport() { stop(); }
+
+std::unique_ptr<NodeLoop> LoopTransport::make_node(NodeAddress addr,
+                                                   MessageHandler on_message,
+                                                   CrashHandler on_crash,
+                                                   TimerHandler on_timer) {
+  return std::make_unique<NodeLoop>(this, addr, std::move(on_message),
+                                    std::move(on_crash), std::move(on_timer));
+}
+
+void LoopTransport::register_node(NodeAddress addr, MessageHandler on_message,
+                                  CrashHandler on_crash,
+                                  TimerHandler on_timer) {
+  std::unique_ptr<NodeLoop> node =
+      make_node(addr, std::move(on_message), std::move(on_crash),
+                std::move(on_timer));
+  NodeLoop* raw = node.get();
+  {
+    const sync::WriterLock lock(registry_mu_);
+    assert(!by_addr_.contains(addr));
+    by_addr_[addr] = raw;
+    nodes_.push_back(std::move(node));
+  }
+  if (started_.load(std::memory_order_acquire) && !stopping()) {
+    raw->start(*this, stopping_);  // live registration (ring spawn)
+  }
+}
+
+void LoopTransport::start() {
+  assert(!started_.load(std::memory_order_acquire));
+  started_.store(true, std::memory_order_release);
+  const std::vector<NodeLoop*> nodes = snapshot_nodes();
+  on_start(nodes);
+  for (NodeLoop* n : nodes) n->start(*this, stopping_);
+}
+
+void LoopTransport::stop() {
+  if (!started_.load(std::memory_order_acquire) ||
+      stopping_.exchange(true, std::memory_order_acq_rel)) {
+    return;
+  }
+  const std::vector<NodeLoop*> nodes = snapshot_nodes();
+  for (NodeLoop* n : nodes) n->wake();
+  for (NodeLoop* n : nodes) n->join();
+}
+
+NodeLoop* LoopTransport::find(NodeAddress addr) const {
+  // A handler addressing its own node skips the registry lock.
+  if (NodeLoop* self = NodeLoop::current(this);
+      self != nullptr && self->addr() == addr) {
+    return self;
+  }
+  const sync::ReaderLock lock(registry_mu_);
+  auto it = by_addr_.find(addr);
+  return it == by_addr_.end() ? nullptr : it->second;
+}
+
+std::vector<NodeLoop*> LoopTransport::snapshot_nodes() const {
+  const sync::ReaderLock lock(registry_mu_);
+  std::vector<NodeLoop*> out;
+  out.reserve(nodes_.size());
+  for (const auto& n : nodes_) out.push_back(n.get());
+  return out;
+}
+
+void LoopTransport::count_tx(NodeLoop* src, const Payload& msg) {
+  const std::size_t bytes = msg.wire_size();
+  if (src != nullptr) src->count_tx(bytes);
+  transmissions_.fetch_add(1, std::memory_order_relaxed);
+  bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
+}
+
+void LoopTransport::arm_timer(NodeAddress addr, double delay_s,
+                              std::uint64_t token) {
+  if (NodeLoop* n = find(addr); n != nullptr) {
+    n->arm(clk::steady_now() + clk::seconds_to_duration(delay_s), token);
+  }
+}
+
+void LoopTransport::crash(NodeAddress addr) {
+  assert(addr.kind == NodeAddress::Kind::kServer &&
+         "only server crashes are detected by peers");
+  if (NodeLoop* n = find(addr); n != nullptr) {
+    // Down at once: no send or delivery after this. The node's own loop
+    // severs what it owns at its next wake-up.
+    if (!n->mark_down()) return;
+    n->post_sever();
+  }
+  schedule_crash_notice(static_cast<ProcessId>(addr.id));
+}
+
+bool LoopTransport::is_up(NodeAddress addr) const {
+  if (const NodeLoop* n = find(addr); n != nullptr) return n->up();
+  return addr.kind != NodeAddress::Kind::kServer ||
+         !crash_detected(static_cast<ProcessId>(addr.id));
+}
+
+bool LoopTransport::crash_detected(ProcessId p) const {
+  const sync::MutexLock lock(crash_mu_);
+  return crash_detected_.contains(p);
+}
+
+void LoopTransport::schedule_crash_notice(ProcessId crashed) {
+  {
+    const sync::MutexLock lock(crash_mu_);
+    if (!crash_detected_.insert(crashed).second) return;  // already noticed
+  }
+  const clk::SteadyTime at =
+      clk::steady_now() + clk::seconds_to_duration(detection_delay_);
+  for (NodeLoop* n : snapshot_nodes()) {
+    if (n->up()) n->arm(at, 0, crashed);
+  }
+}
+
+std::vector<obs::LinkCounters> LoopTransport::link_counters() const {
+  std::vector<obs::LinkCounters> out;
+  for (const NodeLoop* n : snapshot_nodes()) out.push_back(n->counters());
+  return out;
+}
+
+bool LoopTransport::wait_quiescent(double timeout_s) {
+  const clk::SteadyTime deadline =
+      clk::steady_now() + clk::seconds_to_duration(timeout_s);
+  for (;;) {
+    // Acceptance counts are read before and after the sweep: a handler that
+    // ran in between either accepted a message somewhere (a count moves) or
+    // was seen busy.
+    const std::vector<NodeLoop*> nodes = snapshot_nodes();
+    std::uint64_t accepted = 0;
+    bool quiet = true;
+    for (const NodeLoop* n : nodes) {
+      accepted += n->accepted();
+      quiet = quiet && n->quiet();
+    }
+    for (const NodeLoop* n : nodes) accepted -= n->accepted();
+    if (quiet && accepted == 0) return true;
+    if (clk::steady_now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+}  // namespace hts::net

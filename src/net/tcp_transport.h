@@ -20,17 +20,16 @@
 // honest on a LAN where partitions are out of scope: surviving peers'
 // crash handlers fire after `detection_delay`.
 //
-// Threading: each node runs one epoll loop thread that owns everything the
-// node touches — its listener, the connections it accepted and dialed, its
-// timer min-heap and its mailbox. A frame read off a socket is decoded and
-// handed to the node's handler inline; a send() from the handler appends
-// the frame to the connection's FrameWriter and marks it dirty, and before
-// the loop blocks again each dirty connection is flushed with one sendmsg
-// (scatter-gather over the writer's pooled segments). The earliest timer
-// deadline is epoll_wait's timeout. Only calls from other threads (caller
-// self-sends, tests, crash(), a foreign arm_timer) go through the mailbox
-// plus an eventfd wake. Handlers of one node therefore run serialized on
-// one thread with no handoff between socket and state machine.
+// Threading: each node runs on a net::NodeLoop; this transport plugs in
+// only its sockets. The node's loop owns its listener and every connection
+// it accepted or dialed (watched on the loop's epoll set). A frame read off
+// a socket is decoded and handed to the node's handler inline; a send() from
+// the handler appends the frame to the connection's FrameWriter and marks it
+// dirty, and before the loop blocks again each dirty connection is flushed
+// with one sendmsg (scatter-gather over the writer's pooled segments). Only
+// calls from other threads (caller self-sends, tests, crash(), a foreign
+// arm_timer) go through the loop's mailbox. A crash severs the node's
+// connections without a bye; a stop flushes them and says bye.
 //
 // Layering: hts_net cannot depend on hts_core, so the codec is injected
 // (Options::encode / Options::decode); the harness wires the core message
@@ -43,23 +42,18 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
-#include "common/clock.h"
-#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "net/frame_writer.h"
+#include "net/node_loop.h"
 #include "net/payload.h"
-#include "net/transport.h"
-#include "obs/net_stats.h"
 
 namespace hts::net {
 
-class TcpTransport : public Transport {
+class TcpTransport : public LoopTransport {
  public:
   struct Options {
     /// Seconds between a TCP break and the surviving nodes' crash handlers.
@@ -92,81 +86,27 @@ class TcpTransport : public Transport {
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 
-  // ------------------------------------------------- net::Transport surface
-
-  void register_node(NodeAddress addr, MessageHandler on_message,
-                     CrashHandler on_crash = nullptr,
-                     TimerHandler on_timer = nullptr) override
-      HTS_EXCLUDES(registry_mu_);
-
-  void start() override HTS_EXCLUDES(registry_mu_);
-  void stop() override HTS_EXCLUDES(registry_mu_);
-
   /// `from` must be a node registered on this transport. Called on that
   /// node's loop thread the frame is staged directly; from any other
-  /// thread the send is posted to the node's mailbox.
-  void send(NodeAddress from, NodeAddress to, PayloadPtr msg) override
-      HTS_EXCLUDES(registry_mu_);
-
-  void arm_timer(NodeAddress addr, double delay_s, std::uint64_t token)
-      override HTS_EXCLUDES(registry_mu_);
-
-  /// Crashes a *local* server node: its mailbox and timers are discarded and
-  /// every connection it owns is closed without a bye — remote processes
-  /// see the break, local survivors get the same detection-delay notice.
-  void crash(NodeAddress addr) override HTS_EXCLUDES(registry_mu_, crash_mu_);
-
-  /// Local nodes report their own liveness; remote servers report "not yet
-  /// detected crashed" (the failure detector's view).
-  [[nodiscard]] bool is_up(NodeAddress addr) const override
-      HTS_EXCLUDES(registry_mu_, crash_mu_);
-
-  bool wait_quiescent(double timeout_s) override HTS_EXCLUDES(registry_mu_);
-
-  [[nodiscard]] std::uint64_t total_transmissions() const override {
-    return transmissions_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t total_bytes_sent() const override {
-    return bytes_sent_.load(std::memory_order_relaxed);
-  }
-
-  /// Per-local-node counters ("s<id>"/"c<id>"). tx counts payload wire
-  /// bytes accepted at send(); rx counts frame-body bytes delivered.
-  [[nodiscard]] std::vector<obs::LinkCounters> link_counters() const override;
+  /// thread the send is posted to the node's mailbox. Self-sends (harness
+  /// control payloads, not wire types) go through the mailbox unencoded.
+  void send(NodeAddress from, NodeAddress to, PayloadPtr msg) override;
 
   /// The port a node listens on under this transport's port scheme. With an
   /// ephemeral base the process-wide registry answers (local nodes only).
   [[nodiscard]] std::uint16_t port_of(NodeAddress addr) const;
 
  private:
-  struct Node;
-
-  /// A timer or a crash notice (crashed != kNoProcess) in a node's heap.
-  struct Timer {
-    clk::SteadyTime at;
-    std::uint64_t seq = 0;  // FIFO among equal deadlines
-    std::uint64_t token = 0;
-    ProcessId crashed = kNoProcess;
-  };
-
-  /// Work posted to a node's loop by another thread.
-  struct Mail {
-    enum class Kind : std::uint8_t { kMessage, kSend, kTimer, kCrash } kind;
-    NodeAddress peer;  // kMessage: sender; kSend: destination
-    PayloadPtr msg;
-    Timer timer;
-  };
-
   /// One directed TCP connection, owned by one node's loop thread (no lock).
-  /// epoll_event.data.ptr points at it.
+  /// Its epoll tag points at it.
   struct Conn {
     Conn() = default;
     ~Conn();
     Conn(const Conn&) = delete;
     Conn& operator=(const Conn&) = delete;
     int fd = -1;
-    NodeAddress remote;    // acceptor side learns it from the preamble
-    Node* peer = nullptr;  // the remote node when it is hosted here too
+    NodeAddress remote;        // acceptor side learns it from the preamble
+    NodeLoop* peer = nullptr;  // the remote node when it is hosted here too
     bool have_preamble = false;
     bool remote_bye = false;  // saw a len==0 frame: close is graceful
     bool closed = false;
@@ -176,104 +116,53 @@ class TcpTransport : public Transport {
     FrameDecoder decoder;
     FrameWriter out;          // egress frames; flushed from out_skip
     std::size_t out_skip = 0;
+    /// Local peer only: where each frame in `out` ends, so a sever knows
+    /// how many frames it drops unwritten.
+    std::vector<std::size_t> frame_ends;
   };
 
-  struct Node {
-    ~Node();
-    NodeAddress addr;
-    MessageHandler on_message;
-    CrashHandler on_crash;
-    TimerHandler on_timer;
-
-    std::atomic<bool> up{true};
-    /// The loop is between wake-up and its next epoll_wait, or holds
-    /// unflushed egress: wait_quiescent counts it as work.
-    std::atomic<bool> busy{false};
+  /// A node's loop plus the sockets it owns (touched by its loop thread
+  /// only, or by start() before any loop runs).
+  struct Node : NodeLoop {
+    using NodeLoop::NodeLoop;
+    ~Node() override;
     int listen_fd = -1;
-    int epoll_fd = -1;
-    int wake_fd = -1;  // eventfd: foreign threads poke the loop
     std::uint16_t listen_port = 0;
-
-    sync::Mutex mu;
-    std::vector<Mail> mailbox HTS_GUARDED_BY(mu);
-
-    // Loop-thread state (start() touches it before the thread exists).
-    std::vector<Mail> inbox;  // the mailbox batch being handled
     std::vector<std::unique_ptr<Conn>> conns;  // closed ones stay until stop
     std::map<NodeAddress, Conn*> egress;
     std::vector<Conn*> dirty;
-    std::size_t blocked = 0;   // conns waiting for EPOLLOUT
-    std::vector<Timer> timers;  // min-heap on (at, seq)
-    std::uint64_t timer_seq = 0;
-
-    std::atomic<std::uint64_t> tx_messages{0};
-    std::atomic<std::uint64_t> tx_bytes{0};
-    std::atomic<std::uint64_t> rx_messages{0};
-    std::atomic<std::uint64_t> rx_bytes{0};
-
-    std::thread thread;  // the loop; declared after everything it touches
+    std::size_t blocked = 0;  // conns waiting for EPOLLOUT
   };
 
-  // ------------------------------------------------------------- internals
-  Node* find(NodeAddress addr) const HTS_EXCLUDES(registry_mu_);
-  std::vector<Node*> snapshot_nodes() const HTS_EXCLUDES(registry_mu_);
-  /// True when the calling thread is `n`'s loop thread.
-  bool on_loop(const Node& n) const;
-
-  void post(Node& n, Mail mail);
-  void add_timer(Node& n, Timer t);
+  // LoopTransport / NodeLoop::Hooks.
+  std::unique_ptr<NodeLoop> make_node(NodeAddress addr,
+                                      MessageHandler on_message,
+                                      CrashHandler on_crash,
+                                      TimerHandler on_timer) override;
+  void on_start(const std::vector<NodeLoop*>& nodes) override;
+  void on_io(NodeLoop& n, void* tag, std::uint32_t events) override;
+  bool before_block(NodeLoop& n) override;
+  void on_send(NodeLoop& n, NodeAddress to, const Payload& msg) override;
+  void on_sever(NodeLoop& n) override;
+  void on_stop(NodeLoop& n) override;
 
   // Loop-thread only.
-  void run_loop(Node& n) HTS_EXCLUDES(registry_mu_, crash_mu_);
-  void drain_mailbox(Node& n);
-  void fire_timers(Node& n);
   void stage(Node& n, NodeAddress to, const Payload& msg);
-  void count_tx(Node& src, const Payload& msg);
   /// The egress connection n → to, dialing it if absent. nullptr when the
   /// peer is unreachable or its connection broke (treated as crashed).
-  Conn* egress(Node& n, NodeAddress to) HTS_EXCLUDES(crash_mu_);
-  Conn* dial(Node& n, NodeAddress to) HTS_EXCLUDES(crash_mu_);
+  Conn* egress(Node& n, NodeAddress to);
+  Conn* dial(Node& n, NodeAddress to);
   Conn& adopt(Node& n, int fd);
   void on_accept(Node& n);
   void on_readable(Node& n, Conn& c);
   void deliver_frame(Node& n, const Conn& c, std::string_view body);
   void flush(Node& n, Conn& c);
-  void close_conn(Node& n, Conn& c, bool attribute_break)
-      HTS_EXCLUDES(crash_mu_);
-  void sever(Node& n);
-  void teardown(Node& n);
-
-  /// Failure detector entry point: one notice per crashed server, delivered
-  /// to every local surviving node after detection_delay.
-  void schedule_crash_notice(ProcessId crashed) HTS_EXCLUDES(crash_mu_);
+  void close_conn(Node& n, Conn& c, bool attribute_break);
 
   Options opts_;
-  std::atomic<bool> started_{false};
   /// Set once start()'s mesh loop has reached every server: before that,
   /// a refused dial means a peer is still starting, not crashed.
   std::atomic<bool> mesh_formed_{false};
-  std::atomic<bool> stopping_{false};
-
-  mutable sync::SharedMutex registry_mu_;
-  std::vector<std::unique_ptr<Node>> nodes_ HTS_GUARDED_BY(registry_mu_);
-  std::map<NodeAddress, Node*> by_addr_ HTS_GUARDED_BY(registry_mu_);
-
-  /// Crashed servers already noticed (dedups break detection vs local
-  /// crash(), and multiple broken connections to the same peer).
-  mutable sync::Mutex crash_mu_;
-  std::set<ProcessId> crash_detected_ HTS_GUARDED_BY(crash_mu_);
-  /// Crash notices armed on some node's heap that have not fired yet.
-  std::atomic<std::uint64_t> pending_notices_{0};
-
-  std::atomic<std::uint64_t> transmissions_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
-
-  // Loopback frame balance for wait_quiescent: frames staged for local
-  // nodes vs frames from local nodes whose handler has returned. Equal ⇒
-  // nothing is in flight inside the kernel between two local endpoints, or
-  // in a handler (the only in-flight work a one-process deployment has).
-  std::atomic<std::uint64_t> local_frames_sent_{0};
-  std::atomic<std::uint64_t> local_frames_delivered_{0};
 };
 
 }  // namespace hts::net

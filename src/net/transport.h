@@ -2,17 +2,17 @@
 //
 // The protocol hosts (harness/threaded_cluster.*) are written against this
 // surface, so the same ServerHost/ClientHost wiring runs over in-process
-// queues (InMemTransport) or real loopback sockets (TcpTransport) without
+// mailboxes (InMemTransport) or real loopback sockets (TcpTransport) without
 // changes. The contract is the paper's model: reliable FIFO bi-directional
 // channels plus a perfect failure detector — crash(addr) (or a real TCP
 // connection break, for the socket fabric) eventually fires every surviving
 // node's crash handler, and no message from the crashed node is delivered
-// afterwards.
+// afterwards. tests/transport_conformance_test.cpp checks it once for both.
 //
-// Handler threading: all three handlers for a node run serialized on that
-// node's own thread — InMemTransport's delivery thread, TcpTransport's
-// event loop (which also reads, decodes and flushes the node's sockets) —
-// so the state machines stay single-threaded.
+// Handler threading: both transports run each node on one net::NodeLoop
+// (net/node_loop.h), so all three handlers of a node run serialized on that
+// node's own loop thread, and its timers and crash notices live on that
+// loop's heap. The state machines stay single-threaded.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,7 @@ class Transport : public obs::LinkStatsSource {
 
   ~Transport() override = default;
 
-  /// Registers a node. All three handlers run on the node's own thread;
+  /// Registers a node. All three handlers run on the node's loop thread;
   /// crash/timer handlers may be null. Registration while the
   /// transport is running is allowed (live reconfiguration spawns the
   /// servers of a new ring this way).
@@ -50,7 +50,7 @@ class Transport : public obs::LinkStatsSource {
   /// harness control payloads (ControlOp/ViewControl) are not wire types.
   virtual void send(NodeAddress from, NodeAddress to, PayloadPtr msg) = 0;
 
-  /// Arms a one-shot timer for `addr` (delivered on its thread).
+  /// Arms a one-shot timer for `addr` (fired on its loop thread).
   virtual void arm_timer(NodeAddress addr, double delay_s,
                          std::uint64_t token) = 0;
 
@@ -60,9 +60,9 @@ class Transport : public obs::LinkStatsSource {
 
   [[nodiscard]] virtual bool is_up(NodeAddress addr) const = 0;
 
-  /// Blocks until every queue is empty and every node is idle, or until the
-  /// timeout expires. Returns true on quiescence. (Timers still pending do
-  /// not count as work.)
+  /// Blocks until no accepted message is left to handle, no crash notice is
+  /// pending and every node is idle, or until the timeout expires. Returns
+  /// true on quiescence. (Timers still pending do not count as work.)
   virtual bool wait_quiescent(double timeout_s) = 0;
 
   /// Accounting over everything accepted for delivery: one transmission per

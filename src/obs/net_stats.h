@@ -1,10 +1,11 @@
-// One interface over both fabrics' transmit accounting.
+// One interface over every fabric's link accounting.
 //
-// sim::Network keeps per-NIC tx counters; net::InMemTransport keeps per-node
-// atomics. LinkStatsSource is the common read side: a labeled list of
-// {messages, bytes} transmit counters, so the exporter (and any future
-// dashboard) reads either fabric identically. Labels follow the NodeAddress
-// convention: "s<id>" for servers, "c<id>" for clients.
+// sim::Network keeps per-NIC tx counters; both live transports keep per-node
+// atomics on each node's net::NodeLoop (tx charged at send, rx at delivery).
+// LinkStatsSource is the common read side: a labeled list of {messages,
+// bytes} counters, so the exporter (and any future dashboard) reads every
+// fabric identically. Labels follow the NodeAddress convention: "s<id>" for
+// servers, "c<id>" for clients.
 #pragma once
 
 #include <cstdint>

@@ -261,7 +261,7 @@ std::unique_ptr<RingRoundCluster> RingRoundCluster::build(
     copts.n_servers = n_servers;
     copts.preferred_server = server;
     copts.retry_timeout = 1e18;  // failure-free: never retry
-    s->client = std::make_unique<core::StorageClient>(id, copts);
+    s->client = std::make_unique<core::ClientSession>(id, copts);
 
     s->client->on_complete = [s, measure_from](const core::OpResult& r) {
       const double latency = r.completed_at - r.invoked_at;

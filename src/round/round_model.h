@@ -139,7 +139,7 @@ struct RoundClientStats {
   double last_latency_rounds = 0;
 };
 
-/// Hosts a protocol client (core::StorageClient-shaped) as a round node.
+/// Hosts a protocol client (core::ClientSession-shaped) as a round node.
 /// The Issue functor starts the next operation; replies arrive on the client
 /// channel.
 class ClientNode final : public Node {
@@ -261,7 +261,7 @@ class RingRoundServer final : public Node, public core::ServerContext {
 /// Used by bench/table_analytical and tests.
 struct RingRoundCluster {
   struct ClientSlot {
-    std::unique_ptr<core::StorageClient> client;
+    std::unique_ptr<core::ClientSession> client;
     std::unique_ptr<ClientNode> node;
     int node_index = -1;
     RoundClientStats stats;

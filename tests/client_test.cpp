@@ -39,9 +39,9 @@ ClientOptions opts(std::size_t n = 3, ProcessId preferred = 0) {
   return o;
 }
 
-TEST(StorageClient, WriteSendsToPreferredServer) {
+TEST(ClientSession, WriteSendsToPreferredServer) {
   MockClientCtx ctx;
-  StorageClient c(7, opts(3, 1));
+  ClientSession c(7, opts(3, 1));
   const RequestId req = c.begin_write(Value::synthetic(1, 16), ctx);
   ASSERT_EQ(ctx.sent.size(), 1u);
   EXPECT_EQ(ctx.sent[0].server, 1u);
@@ -52,9 +52,9 @@ TEST(StorageClient, WriteSendsToPreferredServer) {
   EXPECT_FALSE(c.idle());
 }
 
-TEST(StorageClient, CompletionDeliversResultOnce) {
+TEST(ClientSession, CompletionDeliversResultOnce) {
   MockClientCtx ctx;
-  StorageClient c(7, opts());
+  ClientSession c(7, opts());
   int completions = 0;
   c.on_complete = [&](const OpResult& r) {
     ++completions;
@@ -69,9 +69,9 @@ TEST(StorageClient, CompletionDeliversResultOnce) {
   EXPECT_TRUE(c.idle());
 }
 
-TEST(StorageClient, ReadResultCarriesValueAndTag) {
+TEST(ClientSession, ReadResultCarriesValueAndTag) {
   MockClientCtx ctx;
-  StorageClient c(7, opts());
+  ClientSession c(7, opts());
   OpResult seen;
   c.on_complete = [&](const OpResult& r) { seen = r; };
   const RequestId req = c.begin_read(ctx);
@@ -85,9 +85,9 @@ TEST(StorageClient, ReadResultCarriesValueAndTag) {
   EXPECT_EQ(seen.completed_at, 0.01);
 }
 
-TEST(StorageClient, TimeoutRotatesServerWithSameRequestId) {
+TEST(ClientSession, TimeoutRotatesServerWithSameRequestId) {
   MockClientCtx ctx;
-  StorageClient c(7, opts(3, 2));
+  ClientSession c(7, opts(3, 2));
   const RequestId req = c.begin_write(Value::synthetic(1, 16), ctx);
   ASSERT_EQ(ctx.timers.size(), 1u);
   c.on_timer(ctx.timers[0].second, ctx);  // fires: retry
@@ -98,9 +98,9 @@ TEST(StorageClient, TimeoutRotatesServerWithSameRequestId) {
   EXPECT_EQ(c.retries(), 1u);
 }
 
-TEST(StorageClient, StaleTimerIgnoredAfterCompletion) {
+TEST(ClientSession, StaleTimerIgnoredAfterCompletion) {
   MockClientCtx ctx;
-  StorageClient c(7, opts());
+  ClientSession c(7, opts());
   const RequestId req = c.begin_write(Value::synthetic(1, 16), ctx);
   const auto token = ctx.timers[0].second;
   ClientWriteAck ack(req);
@@ -110,9 +110,9 @@ TEST(StorageClient, StaleTimerIgnoredAfterCompletion) {
   EXPECT_EQ(c.retries(), 0u);
 }
 
-TEST(StorageClient, MismatchedReplyIgnored) {
+TEST(ClientSession, MismatchedReplyIgnored) {
   MockClientCtx ctx;
-  StorageClient c(7, opts());
+  ClientSession c(7, opts());
   int completions = 0;
   c.on_complete = [&](const OpResult&) { ++completions; };
   const RequestId req = c.begin_read(ctx);
@@ -124,9 +124,9 @@ TEST(StorageClient, MismatchedReplyIgnored) {
   EXPECT_FALSE(c.idle());
 }
 
-TEST(StorageClient, AttemptsCounted) {
+TEST(ClientSession, AttemptsCounted) {
   MockClientCtx ctx;
-  StorageClient c(7, opts());
+  ClientSession c(7, opts());
   OpResult seen;
   c.on_complete = [&](const OpResult& r) { seen = r; };
   const RequestId req = c.begin_write(Value::synthetic(1, 16), ctx);
@@ -137,9 +137,9 @@ TEST(StorageClient, AttemptsCounted) {
   EXPECT_EQ(seen.attempts, 3u);
 }
 
-TEST(StorageClient, RequestIdsIncrease) {
+TEST(ClientSession, RequestIdsIncrease) {
   MockClientCtx ctx;
-  StorageClient c(7, opts());
+  ClientSession c(7, opts());
   const RequestId r1 = c.begin_write(Value::synthetic(1, 16), ctx);
   ClientWriteAck ack1(r1);
   c.on_reply(ack1, ctx);
@@ -226,7 +226,7 @@ TEST(ClientSession, WriteIdsAreGaplessAndReadIdsDisjoint) {
   // Server-side retry dedup (D6) needs write ids 1, 2, 3, … with no holes;
   // reads draw from a separate flagged sequence.
   MockClientCtx ctx;
-  StorageClient c(7, opts());
+  ClientSession c(7, opts());
   const RequestId w1 = c.begin_write(Value::synthetic(1, 16), ctx);
   ClientWriteAck ack1(w1);
   c.on_reply(ack1, ctx);
@@ -244,7 +244,7 @@ TEST(ClientSession, NewOpsStickToTheRotatedTarget) {
   // After a retry rotates off a (dead) preferred server, subsequent ops
   // must start at the rotated-to server instead of paying a timeout each.
   MockClientCtx ctx;
-  StorageClient c(7, opts(3, 0));
+  ClientSession c(7, opts(3, 0));
   const RequestId req = c.begin_write(Value::synthetic(1, 16), ctx);
   EXPECT_EQ(ctx.sent[0].server, 0u);
   c.on_timer(ctx.timers[0].second, ctx);  // retry → server 1

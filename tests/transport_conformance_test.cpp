@@ -1,0 +1,442 @@
+// The net::Transport contract (src/net/transport.h), checked once for every
+// transport: InMemTransport and TcpTransport over loopback sockets run the
+// same typed suite. FIFO order, exact per-batch byte counts, crash notices,
+// no sends from the crashed, drops to unknown nodes, timers in deadline
+// order, one node's handlers never overlapping, and quiescence — with
+// queued work, with handlers running inline, and after a crash inside a
+// handler.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <mutex>
+#include <random>
+#include <string>
+#include <thread>
+#include <type_traits>
+#include <vector>
+
+#include "common/clock.h"
+#include "core/messages.h"
+#include "net/inmem_transport.h"
+#include "net/tcp_transport.h"
+
+namespace hts::net {
+namespace {
+
+PayloadPtr ping(RequestId r) { return make_payload<core::ClientWriteAck>(r); }
+
+RequestId req_of(const Payload& p) {
+  return static_cast<const core::ClientWriteAck&>(p).req;
+}
+
+/// A fresh transport of type T; `servers` is the deployment's server set
+/// (the TCP failure-detection mesh, with the real codec and ephemeral
+/// loopback ports).
+template <typename T>
+std::unique_ptr<T> make_transport(double detection_delay_s,
+                                  std::vector<ProcessId> servers) {
+  if constexpr (std::is_same_v<T, InMemTransport>) {
+    return std::make_unique<InMemTransport>(detection_delay_s);
+  } else {
+    TcpTransport::Options o;
+    o.detection_delay_s = detection_delay_s;
+    o.servers = std::move(servers);
+    o.encode = [](const Payload& m, FrameWriter& w) {
+      core::encode_message_into(m, w);
+    };
+    o.decode = [](std::string_view bytes) {
+      return core::decode_message(bytes);
+    };
+    return std::make_unique<TcpTransport>(std::move(o));
+  }
+}
+
+template <typename T>
+class TransportConformance : public ::testing::Test {
+ protected:
+  T& make(double detection_delay_s, std::vector<ProcessId> servers) {
+    transport_ = make_transport<T>(detection_delay_s, std::move(servers));
+    return *transport_;
+  }
+
+ private:
+  std::unique_ptr<T> transport_;
+};
+
+using Transports = ::testing::Types<InMemTransport, TcpTransport>;
+TYPED_TEST_SUITE(TransportConformance, Transports);
+
+/// Polls `done` until it holds or 10 s pass.
+template <typename Pred>
+bool eventually(Pred done) {
+  const clk::SteadyTime deadline =
+      clk::steady_now() + clk::seconds_to_duration(10.0);
+  while (!done()) {
+    if (clk::steady_now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TYPED_TEST(TransportConformance, DeliversInFifoOrder) {
+  auto& t = this->make(0.02, {0, 1});
+  std::mutex mu;
+  std::vector<RequestId> got;
+  t.register_node(NodeAddress::server(0), [&](NodeAddress, PayloadPtr m) {
+    const std::scoped_lock lock(mu);
+    got.push_back(req_of(*m));
+  });
+  t.register_node(NodeAddress::server(1), [](NodeAddress, PayloadPtr) {});
+  t.start();
+  for (RequestId r = 1; r <= 200; ++r) {
+    t.send(NodeAddress::server(1), NodeAddress::server(0), ping(r));
+  }
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  {
+    const std::scoped_lock lock(mu);
+    ASSERT_EQ(got.size(), 200u);
+    for (RequestId r = 1; r <= 200; ++r) EXPECT_EQ(got[r - 1], r);
+  }
+  t.stop();
+}
+
+TYPED_TEST(TransportConformance, ChargesExactPerBatchByteCounts) {
+  // One send() = one transmission at the payload's exact wire size: a
+  // RingBatch frame is charged once (framing included), not per part —
+  // the same per-batch cost model the simulator's network uses.
+  auto& t = this->make(0.02, {0, 1});
+  t.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
+  t.register_node(NodeAddress::server(1), [](NodeAddress, PayloadPtr) {});
+  t.start();
+
+  auto single = make_payload<core::WriteCommit>(Tag{1, 0}, 7, 1);
+  std::vector<PayloadPtr> parts;
+  parts.push_back(make_payload<core::PreWrite>(Tag{2, 0},
+                                               Value::synthetic(1, 512), 7, 2));
+  parts.push_back(make_payload<core::WriteCommit>(Tag{1, 0}, 7, 1));
+  auto batch = make_payload<core::RingBatch>(std::move(parts));
+  const std::uint64_t expected_bytes = single->wire_size() + batch->wire_size();
+
+  t.send(NodeAddress::server(0), NodeAddress::server(1), single);
+  t.send(NodeAddress::server(0), NodeAddress::server(1), batch);
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  EXPECT_EQ(t.total_transmissions(), 2u);
+  EXPECT_EQ(t.total_bytes_sent(), expected_bytes);
+
+  // Dropped sends (dead destination) are not charged.
+  t.crash(NodeAddress::server(1));
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  t.send(NodeAddress::server(0), NodeAddress::server(1), ping(9));
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  EXPECT_EQ(t.total_transmissions(), 2u);
+  EXPECT_EQ(t.total_bytes_sent(), expected_bytes);
+  t.stop();
+}
+
+TYPED_TEST(TransportConformance, CrashStopsDeliveryAndNotifiesSurvivors) {
+  auto& t = this->make(0.02, {0, 1, 2});
+  std::atomic<int> delivered_to_crashed{0};
+  std::atomic<int> crash_notices{0};
+  std::atomic<ProcessId> crashed_id{kNoProcess};
+  t.register_node(NodeAddress::server(0),
+                  [&](NodeAddress, PayloadPtr) { ++delivered_to_crashed; });
+  t.register_node(
+      NodeAddress::server(1), [](NodeAddress, PayloadPtr) {},
+      [&](ProcessId p) {
+        ++crash_notices;
+        crashed_id = p;
+      });
+  t.register_node(
+      NodeAddress::server(2), [](NodeAddress, PayloadPtr) {},
+      [&](ProcessId) { ++crash_notices; });
+  t.start();
+
+  t.crash(NodeAddress::server(0));
+  EXPECT_FALSE(t.is_up(NodeAddress::server(0)));
+  t.send(NodeAddress::server(1), NodeAddress::server(0), ping(1));
+  // Pending crash notices count as work: quiescence implies delivery.
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  EXPECT_EQ(delivered_to_crashed.load(), 0);
+  EXPECT_EQ(crash_notices.load(), 2) << "both survivors notified";
+  EXPECT_EQ(crashed_id.load(), 0u);
+  t.stop();
+}
+
+TYPED_TEST(TransportConformance, CrashedNodeCannotSend) {
+  auto& t = this->make(0.02, {0, 1});
+  std::atomic<int> got{0};
+  t.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
+  t.register_node(NodeAddress::server(1),
+                  [&](NodeAddress, PayloadPtr) { ++got; });
+  t.start();
+  t.crash(NodeAddress::server(0));
+  t.send(NodeAddress::server(0), NodeAddress::server(1), ping(1));
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(got.load(), 0);
+  EXPECT_EQ(t.total_transmissions(), 0u);
+  t.stop();
+}
+
+TYPED_TEST(TransportConformance, SendToUnknownNodeIsDropped) {
+  auto& t = this->make(0.02, {0});
+  t.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
+  t.start();
+  t.send(NodeAddress::server(0), NodeAddress::server(99), ping(1));
+  EXPECT_TRUE(t.wait_quiescent(5.0));
+  EXPECT_EQ(t.total_transmissions(), 0u);
+  t.stop();
+}
+
+TYPED_TEST(TransportConformance, TimersFireWithTokenInDeadlineOrder) {
+  auto& t = this->make(0.02, {0});
+  std::mutex mu;
+  std::vector<std::uint64_t> order;
+  t.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
+  t.register_node(
+      NodeAddress::client(1), [](NodeAddress, PayloadPtr) {}, nullptr,
+      [&](std::uint64_t token) {
+        const std::scoped_lock lock(mu);
+        order.push_back(token);
+      });
+  t.start();
+  t.arm_timer(NodeAddress::client(1), 0.05, 3);
+  t.arm_timer(NodeAddress::client(1), 0.01, 1);
+  t.arm_timer(NodeAddress::client(1), 0.03, 2);
+  ASSERT_TRUE(eventually([&] {
+    const std::scoped_lock lock(mu);
+    return order.size() == 3;
+  }));
+  {
+    const std::scoped_lock lock(mu);
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3}));
+  }
+  t.stop();
+}
+
+TYPED_TEST(TransportConformance, QuiescenceSeesQueuedWork) {
+  auto& t = this->make(0.02, {0, 1});
+  std::atomic<bool> release{false};
+  std::atomic<int> handled{0};
+  t.register_node(NodeAddress::server(0), [&](NodeAddress, PayloadPtr) {
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ++handled;
+  });
+  t.register_node(NodeAddress::server(1), [](NodeAddress, PayloadPtr) {});
+  t.start();
+  t.send(NodeAddress::server(1), NodeAddress::server(0), ping(1));
+  EXPECT_FALSE(t.wait_quiescent(0.05)) << "busy node is not quiescent";
+  release = true;
+  EXPECT_TRUE(t.wait_quiescent(10.0));
+  EXPECT_EQ(handled.load(), 1);
+  t.stop();
+}
+
+TYPED_TEST(TransportConformance,
+           QuiescenceSeesInlineHandlersFromPeersAndTimers) {
+  // A message from a peer (sent from that peer's own handler) and a timer
+  // are both handled on the receiving node's loop: while either handler
+  // runs, the transport is not quiescent.
+  auto& t = this->make(0.02, {0, 1});
+  std::atomic<bool> release{false};
+  std::atomic<int> handled{0};
+  const auto hold = [&] {
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ++handled;
+  };
+  const NodeAddress s0 = NodeAddress::server(0);
+  const NodeAddress s1 = NodeAddress::server(1);
+  t.register_node(
+      s0, [&](NodeAddress, PayloadPtr) { hold(); }, nullptr,
+      [&](std::uint64_t) { hold(); });
+  t.register_node(s1, [&](NodeAddress from, PayloadPtr m) {
+    if (from == s1) t.send(s1, s0, std::move(m));  // relay from the loop
+  });
+  t.start();
+
+  t.send(s1, s1, ping(1));
+  EXPECT_FALSE(t.wait_quiescent(0.05)) << "inline message handler is work";
+  release = true;
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  EXPECT_EQ(handled.load(), 1);
+
+  release = false;
+  t.arm_timer(s0, 0.0, 1);
+  // Wait until the timer handler is running (not merely pending).
+  ASSERT_TRUE(eventually([&] { return !t.wait_quiescent(0.0); }));
+  EXPECT_FALSE(t.wait_quiescent(0.05)) << "inline timer handler is work";
+  release = true;
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  EXPECT_EQ(handled.load(), 2);
+  t.stop();
+}
+
+TYPED_TEST(TransportConformance, QuiescentAfterCrashInsideAHandler) {
+  // Node 0's handler sends to node 1 (hosted on the same transport), then
+  // node 0 crashes before the handler returns. Whatever the crash drops —
+  // on TCP, a frame staged but never written — must not count as work
+  // forever.
+  auto& t = this->make(0.02, {0, 1});
+  const NodeAddress s0 = NodeAddress::server(0);
+  const NodeAddress s1 = NodeAddress::server(1);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> crashed{false};
+  t.register_node(s0, [&](NodeAddress, PayloadPtr) {
+    t.send(s0, s1, ping(2));
+    entered = true;
+    while (!crashed.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  t.register_node(s1, [](NodeAddress, PayloadPtr) {});
+  t.start();
+  t.send(s1, s0, ping(1));
+  ASSERT_TRUE(eventually([&] { return entered.load(); }));
+  t.crash(s0);
+  crashed = true;
+  EXPECT_TRUE(t.wait_quiescent(2.0));
+  t.stop();
+}
+
+/// Flags any two handlers of one node that overlap in time.
+struct OverlapProbe {
+  std::atomic<bool> inside{false};
+  std::atomic<int> overlaps{0};
+  void enter() {
+    if (inside.exchange(true)) ++overlaps;
+    std::this_thread::yield();  // widen the window a racing handler would hit
+  }
+  void leave() { inside = false; }
+};
+
+TYPED_TEST(TransportConformance, HandlersNeverOverlapUnderStormTimersAndCrash) {
+  // One node's message, timer and crash handlers run serialized on its
+  // loop thread. Drive all three at once — self-sends from a foreign
+  // thread, messages from two peers, 2,000 timers, and a crash notice —
+  // and check that no two handlers of the node ever overlap.
+  constexpr int kForeign = 500;
+  constexpr int kPerPeer = 500;
+  constexpr int kTimers = 2000;
+  auto& t = this->make(0.02, {0, 1, 2, 3});
+  const NodeAddress hub = NodeAddress::server(0);
+  OverlapProbe probe;
+  std::atomic<int> messages{0}, timers{0}, notices{0};
+  t.register_node(
+      hub,
+      [&](NodeAddress, PayloadPtr) {
+        probe.enter();
+        ++messages;
+        probe.leave();
+      },
+      [&](ProcessId) {
+        probe.enter();
+        ++notices;
+        probe.leave();
+      },
+      [&](std::uint64_t) {
+        probe.enter();
+        ++timers;
+        probe.leave();
+      });
+  for (ProcessId p = 1; p <= 3; ++p) {
+    t.register_node(NodeAddress::server(p), [](NodeAddress, PayloadPtr) {});
+  }
+  t.start();
+
+  std::vector<std::thread> drivers;
+  drivers.emplace_back([&] {
+    for (int i = 0; i < kForeign; ++i) t.send(hub, hub, ping(i));
+  });
+  for (ProcessId p = 1; p <= 2; ++p) {
+    drivers.emplace_back([&, p] {
+      for (int i = 0; i < kPerPeer; ++i) {
+        t.send(NodeAddress::server(p), hub, ping(i));
+      }
+    });
+  }
+  drivers.emplace_back([&] {
+    for (int i = 0; i < kTimers; ++i) {
+      t.arm_timer(hub, 0.001 * (i % 50), static_cast<std::uint64_t>(i));
+    }
+  });
+  t.crash(NodeAddress::server(3));
+  for (auto& d : drivers) d.join();
+
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  EXPECT_TRUE(eventually([&] { return timers.load() == kTimers; }));
+  EXPECT_EQ(probe.overlaps.load(), 0);
+  EXPECT_EQ(messages.load(), kForeign + 2 * kPerPeer);
+  EXPECT_EQ(timers.load(), kTimers);
+  EXPECT_EQ(notices.load(), 1);
+  t.stop();
+}
+
+TYPED_TEST(TransportConformance,
+           TimersFromHandlerAndForeignThreadFireInDeadlineOrder) {
+  // 1,200 tokens with shuffled deadlines 0.5 ms apart, half armed by the
+  // test thread (mailbox path) and half by a message handler on the node's
+  // own loop (direct heap push). arm_timer reads the clock itself, so each
+  // token's deadline is only known to lie in [lo, hi]: clock before the
+  // call + delay, clock after it + delay. A token may fire after another
+  // only if its deadline can be the later one.
+  constexpr int kTokens = 1200;
+  auto& t = this->make(0.02, {0});
+  const NodeAddress node = NodeAddress::client(1);
+  std::vector<int> ranks(kTokens);
+  for (int r = 0; r < kTokens; ++r) ranks[r] = r;
+  std::mt19937 rng(7);
+  std::shuffle(ranks.begin(), ranks.end(), rng);
+  const clk::SteadyTime base =
+      clk::steady_now() + clk::seconds_to_duration(0.2);
+  std::vector<clk::SteadyTime> lo(kTokens), hi(kTokens);
+  const auto arm = [&](int r) {
+    const clk::SteadyTime before = clk::steady_now();
+    const clk::SteadyDuration delay =
+        base - before + clk::seconds_to_duration(0.0005 * r);
+    t.arm_timer(node, std::chrono::duration<double>(delay).count(),
+                static_cast<std::uint64_t>(r));
+    lo[r] = before + delay;
+    hi[r] = clk::steady_now() + delay;
+  };
+  std::mutex mu;
+  std::vector<std::uint64_t> fired;
+  t.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
+  t.register_node(
+      node,
+      [&](NodeAddress, PayloadPtr) {
+        for (int i = kTokens / 2; i < kTokens; ++i) arm(ranks[i]);
+      },
+      nullptr,
+      [&](std::uint64_t token) {
+        const std::scoped_lock lock(mu);
+        fired.push_back(token);
+      });
+  t.start();
+  t.send(node, node, ping(1));  // the handler arms its half on the loop
+  for (int i = 0; i < kTokens / 2; ++i) arm(ranks[i]);
+
+  ASSERT_TRUE(eventually([&] {
+    const std::scoped_lock lock(mu);
+    return fired.size() == kTokens;
+  })) << "timers did not all fire";
+  t.stop();
+  const std::scoped_lock lock(mu);
+  clk::SteadyTime latest_lo = lo[fired.front()];
+  for (const std::uint64_t token : fired) {
+    EXPECT_GE(hi[token], latest_lo) << "token " << token << " fired late";
+    latest_lo = std::max(latest_lo, lo[token]);
+  }
+  std::vector<std::uint64_t> sorted = fired;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
+}
+
+}  // namespace
+}  // namespace hts::net

@@ -1,13 +1,16 @@
-// InMemTransport unit tests: delivery, FIFO order, serialization of a
-// node's handlers, crash semantics, timers, quiescence detection — plus the
-// scatter-gather frame codec (FrameWriter/FrameDecoder): byte parity with
-// the legacy string encoder across every MsgKind, torn-stream reassembly at
-// every byte boundary, and pool-reuse guarantees.
+// The scatter-gather frame codec (FrameWriter/FrameDecoder): byte parity
+// with the legacy string encoder across every MsgKind, torn-stream
+// reassembly at every byte boundary, and pool-reuse guarantees — plus the
+// InMemTransport timer tests. The transport contract itself is checked by
+// the typed suite in tests/transport_conformance_test.cpp.
 #include <gtest/gtest.h>
+
+#include <sys/uio.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -20,136 +23,16 @@
 namespace hts::net {
 namespace {
 
-PayloadPtr ping(RequestId r) { return make_payload<core::ClientWriteAck>(r); }
-
-RequestId req_of(const Payload& p) {
-  return static_cast<const core::ClientWriteAck&>(p).req;
-}
-
-TEST(InMemTransport, DeliversInFifoOrder) {
-  InMemTransport t(0.001);
-  std::mutex mu;
-  std::vector<RequestId> got;
-  t.register_node(NodeAddress::server(0),
-                  [&](NodeAddress, PayloadPtr m) {
-                    const std::scoped_lock lock(mu);
-                    got.push_back(req_of(*m));
-                  });
-  t.register_node(NodeAddress::server(1), [](NodeAddress, PayloadPtr) {});
-  t.start();
-  for (RequestId r = 1; r <= 100; ++r) {
-    t.send(NodeAddress::server(1), NodeAddress::server(0), ping(r));
+/// Polls `done` every millisecond for up to `limit_ms`; true once it holds.
+template <typename Pred>
+bool within_ms(int limit_ms, Pred done) {
+  const auto end =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(limit_ms);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= end) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_TRUE(t.wait_quiescent(5.0));
-  const std::scoped_lock lock(mu);
-  ASSERT_EQ(got.size(), 100u);
-  for (RequestId r = 1; r <= 100; ++r) EXPECT_EQ(got[r - 1], r);
-  t.stop();
-}
-
-TEST(InMemTransport, ChargesExactPerBatchByteCounts) {
-  // One send() = one transmission at the payload's exact wire size: a
-  // RingBatch frame is charged once (framing included), not per part —
-  // the same per-batch cost model the simulator's network uses.
-  InMemTransport t(0.001);
-  t.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
-  t.register_node(NodeAddress::server(1), [](NodeAddress, PayloadPtr) {});
-  t.start();
-
-  auto single = make_payload<core::WriteCommit>(Tag{1, 0}, 7, 1);
-  std::vector<PayloadPtr> parts;
-  parts.push_back(make_payload<core::PreWrite>(Tag{2, 0},
-                                               Value::synthetic(1, 512), 7, 2));
-  parts.push_back(make_payload<core::WriteCommit>(Tag{1, 0}, 7, 1));
-  auto batch = make_payload<core::RingBatch>(std::move(parts));
-  const std::uint64_t expected_bytes = single->wire_size() + batch->wire_size();
-
-  t.send(NodeAddress::server(0), NodeAddress::server(1), single);
-  t.send(NodeAddress::server(0), NodeAddress::server(1), batch);
-  ASSERT_TRUE(t.wait_quiescent(5.0));
-
-  EXPECT_EQ(t.total_transmissions(), 2u);
-  EXPECT_EQ(t.total_bytes_sent(), expected_bytes);
-
-  // Dropped sends (dead destination) are not charged.
-  t.crash(NodeAddress::server(1));
-  ASSERT_TRUE(t.wait_quiescent(5.0));
-  t.send(NodeAddress::server(0), NodeAddress::server(1), ping(9));
-  EXPECT_EQ(t.total_transmissions(), 2u);
-  t.stop();
-}
-
-TEST(InMemTransport, HandlerRunsSerialized) {
-  InMemTransport t(0.001);
-  std::atomic<int> concurrent{0};
-  std::atomic<int> max_seen{0};
-  std::atomic<int> handled{0};
-  t.register_node(NodeAddress::server(0),
-                  [&](NodeAddress, PayloadPtr) {
-                    const int c = ++concurrent;
-                    int prev = max_seen.load();
-                    while (c > prev && !max_seen.compare_exchange_weak(prev, c)) {
-                    }
-                    std::this_thread::sleep_for(std::chrono::microseconds(100));
-                    --concurrent;
-                    ++handled;
-                  });
-  for (ProcessId p = 1; p <= 4; ++p) {
-    t.register_node(NodeAddress::server(p), [](NodeAddress, PayloadPtr) {});
-  }
-  t.start();
-  for (int i = 0; i < 50; ++i) {
-    for (ProcessId p = 1; p <= 4; ++p) {
-      t.send(NodeAddress::server(p), NodeAddress::server(0), ping(1));
-    }
-  }
-  ASSERT_TRUE(t.wait_quiescent(10.0));
-  EXPECT_EQ(handled.load(), 200);
-  EXPECT_EQ(max_seen.load(), 1) << "a node's handler must never run "
-                                   "concurrently with itself";
-  t.stop();
-}
-
-TEST(InMemTransport, CrashStopsDeliveryAndNotifiesSurvivors) {
-  InMemTransport t(0.005);
-  std::atomic<int> delivered_to_crashed{0};
-  std::atomic<int> crash_notices{0};
-  std::atomic<ProcessId> crashed_id{kNoProcess};
-  t.register_node(NodeAddress::server(0),
-                  [&](NodeAddress, PayloadPtr) { ++delivered_to_crashed; });
-  t.register_node(
-      NodeAddress::server(1), [](NodeAddress, PayloadPtr) {},
-      [&](ProcessId p) {
-        ++crash_notices;
-        crashed_id = p;
-      });
-  t.register_node(
-      NodeAddress::server(2), [](NodeAddress, PayloadPtr) {},
-      [&](ProcessId) { ++crash_notices; });
-  t.start();
-
-  t.crash(NodeAddress::server(0));
-  EXPECT_FALSE(t.is_up(NodeAddress::server(0)));
-  t.send(NodeAddress::server(1), NodeAddress::server(0), ping(1));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(delivered_to_crashed.load(), 0);
-  EXPECT_EQ(crash_notices.load(), 2);  // both survivors notified
-  EXPECT_EQ(crashed_id.load(), 0u);
-  t.stop();
-}
-
-TEST(InMemTransport, CrashedNodeCannotSend) {
-  InMemTransport t(0.001);
-  std::atomic<int> got{0};
-  t.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
-  t.register_node(NodeAddress::server(1),
-                  [&](NodeAddress, PayloadPtr) { ++got; });
-  t.start();
-  t.crash(NodeAddress::server(0));
-  t.send(NodeAddress::server(0), NodeAddress::server(1), ping(1));
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_EQ(got.load(), 0);
-  t.stop();
+  return true;
 }
 
 TEST(InMemTransport, TimersFireWithToken) {
@@ -160,7 +43,7 @@ TEST(InMemTransport, TimersFireWithToken) {
       [&](std::uint64_t token) { fired = token; });
   t.start();
   t.arm_timer(NodeAddress::client(5), 0.01, 42);
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  EXPECT_TRUE(within_ms(5000, [&] { return fired.load() != 0; }));
   EXPECT_EQ(fired.load(), 42u);
   t.stop();
 }
@@ -179,44 +62,15 @@ TEST(InMemTransport, TimersOrderedByDeadline) {
   t.arm_timer(NodeAddress::client(1), 0.05, 3);
   t.arm_timer(NodeAddress::client(1), 0.01, 1);
   t.arm_timer(NodeAddress::client(1), 0.03, 2);
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  within_ms(5000, [&] {
+    const std::scoped_lock lock(mu);
+    return order.size() >= 3;
+  });
   const std::scoped_lock lock(mu);
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3}));
   t.stop();
 }
-
-TEST(InMemTransport, SendToUnknownNodeIsDropped) {
-  InMemTransport t(0.001);
-  t.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
-  t.start();
-  t.send(NodeAddress::server(0), NodeAddress::server(99), ping(1));  // no-op
-  EXPECT_TRUE(t.wait_quiescent(1.0));
-  t.stop();
-}
-
-TEST(InMemTransport, QuiescenceSeesQueuedWork) {
-  InMemTransport t(0.001);
-  std::atomic<bool> release{false};
-  std::atomic<int> handled{0};
-  t.register_node(NodeAddress::server(0),
-                  [&](NodeAddress, PayloadPtr) {
-                    while (!release.load()) {
-                      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-                    }
-                    ++handled;
-                  });
-  t.register_node(NodeAddress::server(1), [](NodeAddress, PayloadPtr) {});
-  t.start();
-  t.send(NodeAddress::server(1), NodeAddress::server(0), ping(1));
-  EXPECT_FALSE(t.wait_quiescent(0.05)) << "busy node is not quiescent";
-  release = true;
-  EXPECT_TRUE(t.wait_quiescent(5.0));
-  EXPECT_EQ(handled.load(), 1);
-  t.stop();
-}
-
-// ------------------------------------------------- scatter-gather codec
 
 /// One exemplar per MsgKind (1..17), with off-default object/epoch variants
 /// so the flagged header paths are covered too. The transport-parity
