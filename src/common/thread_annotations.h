@@ -14,6 +14,8 @@
 // are zero-overhead shims:
 //
 //   sync::Mutex + sync::MutexLock            exclusive capability
+//   sync::MutexTryLock                       exclusive, if free right now
+//   sync::MutexUnlock                        released for a scope (parking)
 //   sync::SharedMutex + Writer/ReaderLock    shared capability
 //   sync::CondVar                            condition variable over Mutex
 //
@@ -54,6 +56,12 @@
 #define HTS_RELEASE(...) HTS_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 #define HTS_RELEASE_SHARED(...) \
   HTS_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
+/// Function succeeds (returns the first argument) only with it acquired.
+#define HTS_TRY_ACQUIRE(...) \
+  HTS_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
+/// The calling thread is known to hold the capability (a checked fact the
+/// analysis cannot derive, e.g. "this runs on the thread that owns it").
+#define HTS_ASSERT_CAPABILITY(x) HTS_THREAD_ANNOTATION(assert_capability(x))
 /// Caller must NOT hold the capability (deadlock documentation).
 #define HTS_EXCLUDES(...) HTS_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 /// Function returns a reference to the capability guarding its result.
@@ -73,6 +81,9 @@ class HTS_CAPABILITY("mutex") Mutex {
 
   void lock() HTS_ACQUIRE() { mu_.lock(); }
   void unlock() HTS_RELEASE() { mu_.unlock(); }
+  bool try_lock() HTS_TRY_ACQUIRE(true) { return mu_.try_lock(); }
+  /// Tells the analysis the caller holds this mutex; callers document why.
+  void assert_held() const HTS_ASSERT_CAPABILITY(this) {}
 
  private:
   std::mutex mu_;
@@ -101,6 +112,41 @@ class HTS_SCOPED_CAPABILITY MutexLock {
   ~MutexLock() HTS_RELEASE() { mu_.unlock(); }
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
+
+ private:
+  Mutex& mu_;
+};
+
+/// RAII try-lock over Mutex: holds it for the scope iff owns_lock(). The
+/// analysis cannot follow a try that fails, so it treats the scope as
+/// holding the mutex either way: code under the guard tests owns_lock()
+/// before it touches guarded state.
+class HTS_SCOPED_CAPABILITY MutexTryLock {
+ public:
+  explicit MutexTryLock(Mutex& mu) HTS_ACQUIRE(mu)
+      : mu_(mu), owns_(mu.try_lock()) {}
+  ~MutexTryLock() HTS_RELEASE() {
+    if (owns_) mu_.unlock();
+  }
+  MutexTryLock(const MutexTryLock&) = delete;
+  MutexTryLock& operator=(const MutexTryLock&) = delete;
+
+  [[nodiscard]] bool owns_lock() const { return owns_; }
+
+ private:
+  Mutex& mu_;
+  const bool owns_;
+};
+
+/// The reverse of MutexLock: releases a held Mutex for its scope and takes
+/// it back on exit — a loop thread that owns a mutex while it runs lets go
+/// of it while it is parked.
+class HTS_SCOPED_CAPABILITY MutexUnlock {
+ public:
+  explicit MutexUnlock(Mutex& mu) HTS_RELEASE(mu) : mu_(mu) { mu_.unlock(); }
+  ~MutexUnlock() HTS_RELEASE() { mu_.lock(); }
+  MutexUnlock(const MutexUnlock&) = delete;
+  MutexUnlock& operator=(const MutexUnlock&) = delete;
 
  private:
   Mutex& mu_;

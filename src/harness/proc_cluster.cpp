@@ -195,29 +195,10 @@ bool ProcCluster::serve_child(int argc, char** argv) {
 // ----------------------------------------------------------- parent client
 
 struct ProcCluster::ClientHost final : core::ClientContext {
-  /// Moves a blocking put/get onto the client's event-loop thread (state
-  /// machines are single-threaded). Same pattern as ThreadedCluster's
-  /// ControlOp; a distinct kind keeps accidental cross-wiring detectable.
-  struct ControlOp final : net::Payload {
-    static constexpr std::uint16_t kKind = 0x7400;
-    ControlOp(bool read, ObjectId obj, Value v,
-              std::shared_ptr<std::promise<core::OpResult>> p)
-        : Payload(kKind), is_read(read), object(obj), value(std::move(v)),
-          promise(std::move(p)) {}
-    bool is_read;
-    ObjectId object;
-    Value value;
-    std::shared_ptr<std::promise<core::OpResult>> promise;
-    [[nodiscard]] std::size_t wire_size() const override { return 0; }
-    [[nodiscard]] std::string describe() const override {
-      return "ProcControlOp";
-    }
-  };
-
   net::Transport* transport = nullptr;
   core::ClientSession client;
   clk::SteadyTime epoch = clk::steady_now();
-  /// Touched only on the client's event-loop thread.
+  /// Touched only serialized with the client's handlers.
   std::map<RequestId, std::shared_ptr<std::promise<core::OpResult>>> pending;
 
   ClientHost(ClientId id, core::ClientOptions opts) : client(id, opts) {
@@ -231,14 +212,6 @@ struct ProcCluster::ClientHost final : core::ClientContext {
   }
 
   void on_message(net::NodeAddress from, net::PayloadPtr msg) {
-    if (msg->kind() == ControlOp::kKind) {
-      const auto& op = static_cast<const ControlOp&>(*msg);
-      const RequestId req =
-          op.is_read ? client.begin_read(op.object, *this)
-                     : client.begin_write(op.object, op.value, *this);
-      pending.emplace(req, op.promise);
-      return;
-    }
     const ProcessId sender = from.kind == net::NodeAddress::Kind::kServer
                                  ? static_cast<ProcessId>(from.id)
                                  : kNoProcess;
@@ -250,10 +223,17 @@ struct ProcCluster::ClientHost final : core::ClientContext {
   core::OpResult run(bool is_read, ObjectId object, Value v) {
     auto promise = std::make_shared<std::promise<core::OpResult>>();
     auto fut = promise->get_future();
-    const net::NodeAddress self = net::NodeAddress::client(client.id());
-    transport->send(self, self,
-                    net::make_payload<ControlOp>(is_read, object, std::move(v),
-                                                 std::move(promise)));
+    // Moves the put/get onto the client's event loop (state machines are
+    // single-threaded); a socket node's loop always takes it as mail.
+    transport->execute(
+        net::NodeAddress::client(client.id()),
+        [this, is_read, object, v = std::move(v),
+         promise = std::move(promise)]() mutable {
+          const RequestId req =
+              is_read ? client.begin_read(object, *this)
+                      : client.begin_write(object, std::move(v), *this);
+          pending.emplace(req, std::move(promise));
+        });
     if (fut.wait_for(std::chrono::seconds(30)) !=
         std::future_status::ready) {
       throw std::runtime_error("ProcCluster: operation timed out");

@@ -24,44 +24,7 @@ const std::vector<double> kBatchFillBounds = {1, 2, 4, 8, 16, 32, 64, 128};
 const std::vector<double> kBackoffBounds = {0.001, 0.01, 0.1, 0.25,
                                             0.5,   1,    2,   4,   8};
 
-}  // namespace
-
-namespace {
-
-/// Internal control message that moves a begin_read/begin_write request onto
-/// the owning client's transport thread (state machines are single-threaded).
-/// Carries the caller's promise so many operations can be in flight at once.
-struct ControlOp final : net::Payload {
-  static constexpr std::uint16_t kKind = 0x7200;
-  ControlOp(bool read, ObjectId obj, Value v,
-            std::shared_ptr<std::promise<core::OpResult>> p)
-      : Payload(kKind), is_read(read), object(obj), value(std::move(v)),
-        promise(std::move(p)) {}
-  bool is_read;
-  ObjectId object;
-  Value value;
-  std::shared_ptr<std::promise<core::OpResult>> promise;
-  [[nodiscard]] std::size_t wire_size() const override { return 0; }
-  [[nodiscard]] std::string describe() const override { return "ControlOp"; }
-};
-
 constexpr double kOpTimeoutSeconds = 30.0;
-
-/// Envelope for one MigrationCoordinator command, executed on the target
-/// server's loop thread (the coordinator never touches server state
-/// directly); the reply channel carries a probe's answer back.
-struct ViewControl final : net::Payload {
-  static constexpr std::uint16_t kKind = 0x7300;
-  ViewControl(core::MigrationCommand c,
-              std::shared_ptr<std::promise<core::MigrationProbe>> r)
-      : Payload(kKind), cmd(std::move(c)), reply(std::move(r)) {}
-  core::MigrationCommand cmd;
-  std::shared_ptr<std::promise<core::MigrationProbe>> reply;
-  [[nodiscard]] std::size_t wire_size() const override { return 0; }
-  [[nodiscard]] std::string describe() const override {
-    return "ViewControl";
-  }
-};
 
 }  // namespace
 
@@ -94,19 +57,17 @@ struct ThreadedCluster::ServerHost final : core::ServerContext {
 
   void on_message(net::NodeAddress from, net::PayloadPtr msg) {
     (void)from;
-    if (msg->kind() == ViewControl::kKind) {
-      handle_control(static_cast<const ViewControl&>(*msg));
-    } else {
-      server.on_message(std::move(msg), *this);
-    }
+    server.on_message(std::move(msg), *this);
     drain();
   }
 
-  /// Executes one coordinator command on this server's own thread, keeping
-  /// the state machine single-threaded; the promise hands the result back.
-  void handle_control(const ViewControl& c) {
+  /// Executes one coordinator command serialized with this server's
+  /// handlers (Transport::execute), keeping the state machine
+  /// single-threaded.
+  std::optional<core::MigrationProbe> run_command(
+      const core::MigrationCommand& cmd) {
     auto probe = core::execute_migration_command(
-        c.cmd, server, *this,
+        cmd, server, *this,
         [this](ProcessId to, const net::PayloadPtr& msg) {
           if (!cluster->transport_->is_up(net::NodeAddress::server(to))) {
             return;
@@ -116,7 +77,8 @@ struct ThreadedCluster::ServerHost final : core::ServerContext {
           cluster->transport_->send(net::NodeAddress::server(global),
                                    net::NodeAddress::server(to), msg);
         });
-    c.reply->set_value(probe.value_or(core::MigrationProbe{}));
+    drain();
+    return probe;
   }
 
   void on_crash(ProcessId p) {
@@ -157,8 +119,8 @@ struct ThreadedCluster::ClientHost final : core::ClientContext {
   ThreadedCluster* cluster = nullptr;
   core::ClientSession client;
 
-  /// Caller-side state per in-flight request. Touched only on the client's
-  /// transport thread (ControlOp delivery and completion both run there).
+  /// Caller-side state per in-flight request. Touched only serialized with
+  /// the client's handlers (submit closures and completions).
   struct PendingOp {
     std::shared_ptr<std::promise<core::OpResult>> promise;
     std::uint64_t value_seed = 0;
@@ -174,16 +136,17 @@ struct ThreadedCluster::ClientHost final : core::ClientContext {
     }
   }
 
+  /// Starts one operation; runs through Transport::execute.
+  void submit(bool is_read, ObjectId object, Value v,
+              std::shared_ptr<std::promise<core::OpResult>> promise) {
+    const std::uint64_t seed = v.synthetic_seed();
+    const RequestId req =
+        is_read ? client.begin_read(object, *this)
+                : client.begin_write(object, std::move(v), *this);
+    pending.emplace(req, PendingOp{std::move(promise), seed});
+  }
+
   void on_message(net::NodeAddress from, net::PayloadPtr msg) {
-    if (msg->kind() == ControlOp::kKind) {
-      const auto& op = static_cast<const ControlOp&>(*msg);
-      const std::uint64_t seed = op.value.synthetic_seed();
-      const RequestId req =
-          op.is_read ? client.begin_read(op.object, *this)
-                     : client.begin_write(op.object, op.value, *this);
-      pending.emplace(req, PendingOp{op.promise, seed});
-      return;
-    }
     const ProcessId sender =
         from.kind == net::NodeAddress::Kind::kServer
             ? static_cast<ProcessId>(from.id)
@@ -377,15 +340,19 @@ bool ThreadedCluster::server_up(ProcessId p) const {
 
 namespace {
 
-/// Sends one command to `global` and waits for the reply. Returns nullopt
-/// if the server died (its queue was discarded — no reply will come).
+/// Runs one command on server `global` and waits for its result. Returns
+/// nullopt if the server died (its queue was discarded — no reply will
+/// come). Holds no lock while it waits or while `command` may run inline.
 std::optional<core::MigrationProbe> await_control(
-    net::Transport& transport, ProcessId global, core::MigrationCommand cmd) {
+    net::Transport& transport, ProcessId global,
+    std::function<std::optional<core::MigrationProbe>()> command) {
   auto reply = std::make_shared<std::promise<core::MigrationProbe>>();
   auto fut = reply->get_future();
-  transport.send(net::NodeAddress::server(global),
-                 net::NodeAddress::server(global),
-                 net::make_payload<ViewControl>(std::move(cmd), reply));
+  transport.execute(net::NodeAddress::server(global),
+                    [reply, command = std::move(command)] {
+                      reply->set_value(
+                          command().value_or(core::MigrationProbe{}));
+                    });
   for (;;) {
     if (fut.wait_for(std::chrono::milliseconds(2)) ==
         std::future_status::ready) {
@@ -466,7 +433,11 @@ Epoch ThreadedCluster::run_coordinator(core::MigrationCoordinator& coord) {
         break;
       default: {
         const bool is_probe = cmd.kind == Kind::kProbe;
-        auto reply = await_control(*transport_, cmd.server, std::move(cmd));
+        const ProcessId target = cmd.server;
+        ServerHost* host = servers_[target].get();
+        auto reply = await_control(
+            *transport_, target,
+            [host, cmd = std::move(cmd)] { return host->run_command(cmd); });
         if (!reply) {
           coord.on_down();
         } else if (is_probe) {
@@ -581,13 +552,15 @@ std::future<core::OpResult> ThreadedCluster::BlockingClient::launch(
   auto* host = static_cast<ClientHost*>(host_);
   auto promise = std::make_shared<std::promise<core::OpResult>>();
   std::future<core::OpResult> fut = promise->get_future();
-  // Hop onto the client's own thread to start the operation; the session
-  // pipelines or queues it there.
-  host->cluster->transport_->send(
+  // Start the operation serialized with the client's handlers: inline here
+  // while an in-memory client's loop is idle, else on its loop. The session
+  // pipelines or queues it.
+  host->cluster->transport_->execute(
       net::NodeAddress::client(host->client.id()),
-      net::NodeAddress::client(host->client.id()),
-      net::make_payload<ControlOp>(is_read, object, std::move(v),
-                                   std::move(promise)));
+      [host, is_read, object, v = std::move(v),
+       promise = std::move(promise)]() mutable {
+        host->submit(is_read, object, std::move(v), std::move(promise));
+      });
   return fut;
 }
 

@@ -3,11 +3,15 @@
 //
 // A node's handlers run serialized on its own loop thread (the state
 // machines are single-threaded by design), and its timers and crash notices
-// live on that loop's heap. Links are reliable FIFO channels, exactly the
-// paper's model of "bi-directional reliable communication channels" over
-// TCP. Crashing a node stops its deliveries at once and, after a
-// configurable detection delay, notifies every surviving node — the perfect
-// failure detector the paper derives from TCP connection breaks on a LAN.
+// live on that loop's heap. The loop watches no fd, so it parks on a futex
+// until its earliest timer is due and a send wakes it with one futex wake;
+// an execute() from a thread that is not a loop thread runs inline while
+// the loop stays parked (net/node_loop.h), saving the hop onto the loop.
+// Links are reliable FIFO channels, exactly the paper's model of
+// "bi-directional reliable communication channels" over TCP. Crashing a
+// node stops its deliveries at once and, after a configurable detection
+// delay, notifies every surviving node — the perfect failure detector the
+// paper derives from TCP connection breaks on a LAN.
 //
 // This fabric exists for correctness: integration tests, failure injection
 // and linearizability checking under real (non-deterministic) concurrency.

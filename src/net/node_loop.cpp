@@ -1,7 +1,9 @@
 #include "net/node_loop.h"
 
+#include <linux/futex.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
+#include <ctime>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -26,6 +29,38 @@ constexpr auto kLater = [](const auto& a, const auto& b) {
   return a.at != b.at ? a.at > b.at : a.seq > b.seq;
 };
 
+constexpr clk::SteadyTime kNever = clk::SteadyTime::max();
+
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
+              std::atomic<std::uint32_t>::is_always_lock_free);
+
+std::uint32_t* futex_word(std::atomic<std::uint32_t>& word) {
+  return reinterpret_cast<std::uint32_t*>(&word);
+}
+
+/// Sleeps while `word` holds `expected`, until a wake or `deadline` (an
+/// absolute CLOCK_MONOTONIC time, which steady_clock reads).
+void futex_wait(std::atomic<std::uint32_t>& word, std::uint32_t expected,
+                clk::SteadyTime deadline) {
+  timespec at{};
+  const timespec* timeout = nullptr;
+  if (deadline != kNever) {
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        deadline.time_since_epoch())
+                        .count();
+    at.tv_sec = static_cast<std::time_t>(ns / 1'000'000'000);
+    at.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+    timeout = &at;
+  }
+  ::syscall(SYS_futex, futex_word(word), FUTEX_WAIT_BITSET_PRIVATE, expected,
+            timeout, nullptr, FUTEX_BITSET_MATCH_ANY);
+}
+
+void futex_wake(std::atomic<std::uint32_t>& word) {
+  ::syscall(SYS_futex, futex_word(word), FUTEX_WAKE_PRIVATE, 1, nullptr,
+            nullptr, 0);
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ NodeLoop
@@ -38,20 +73,7 @@ NodeLoop::NodeLoop(const void* owner, NodeAddress addr,
       addr_(addr),
       on_message_(std::move(on_message)),
       on_crash_(std::move(on_crash)),
-      on_timer_(std::move(on_timer)),
-      epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
-      wake_fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    for (const int fd : {epoll_fd_, wake_fd_}) {
-      if (fd >= 0) ::close(fd);
-    }
-    throw std::runtime_error("NodeLoop: epoll/eventfd setup failed");
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.ptr = nullptr;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-}
+      on_timer_(std::move(on_timer)) {}
 
 NodeLoop::~NodeLoop() {
   for (const int fd : {epoll_fd_, wake_fd_}) {
@@ -78,23 +100,60 @@ void NodeLoop::post(Mail mail) {
 
 void NodeLoop::post_message(NodeAddress from, PayloadPtr msg) {
   expect();
-  post(Mail{Mail::Kind::kMessage, from, std::move(msg), {}});
+  post(Mail{Mail::Kind::kMessage, from, std::move(msg), {}, {}});
 }
 
 void NodeLoop::post_send(NodeAddress to, PayloadPtr msg) {
-  post(Mail{Mail::Kind::kSend, to, std::move(msg), {}});
+  post(Mail{Mail::Kind::kSend, to, std::move(msg), {}, {}});
 }
 
-void NodeLoop::post_sever() { post(Mail{Mail::Kind::kSever, {}, nullptr, {}}); }
+void NodeLoop::post_sever() {
+  post(Mail{Mail::Kind::kSever, {}, nullptr, {}, {}});
+}
+
+bool NodeLoop::mailbox_empty() const {
+  const sync::MutexLock lock(mu_);
+  return mailbox_.empty();
+}
+
+void NodeLoop::execute(std::function<void()> fn) {
+  expect();
+  // Inline only on a parked fd-less loop with nothing queued ahead (which
+  // keeps one caller's closures in call order), and never from a loop
+  // thread, whose own run lock is held.
+  if (epoll_fd_ < 0 && tl_node == nullptr &&
+      parked_.load(std::memory_order_acquire)) {
+    const sync::MutexTryLock run(run_mu_);
+    if (run.owns_lock() && parked_.load(std::memory_order_acquire) &&
+        mailbox_empty()) {
+      run_inline(fn);
+      return;
+    }
+  }
+  post(Mail{Mail::Kind::kExecute, {}, nullptr, {}, std::move(fn)});
+}
+
+void NodeLoop::run_inline(const std::function<void()>& fn) {
+  // The closure sees itself on this node (own-node lookups, direct timer
+  // pushes) exactly as a handler would.
+  tl_node = this;
+  if (up()) fn();
+  tl_node = nullptr;
+  settle(1);
+  if (!timers_.empty() && timers_.front().at < park_deadline_) wake();
+}
 
 void NodeLoop::arm(clk::SteadyTime at, std::uint64_t token,
                    ProcessId crashed) {
   if (crashed != kNoProcess) notices_.fetch_add(1, std::memory_order_acq_rel);
   const Timer t{at, 0, token, crashed};
   if (on_loop()) {
+    // On the loop thread, or in a closure that execute() runs inline: both
+    // hold the run lock.
+    run_mu_.assert_held();
     push_timer(t);
   } else {
-    post(Mail{Mail::Kind::kTimer, {}, nullptr, t});
+    post(Mail{Mail::Kind::kTimer, {}, nullptr, t, {}});
   }
 }
 
@@ -131,6 +190,18 @@ obs::LinkCounters NodeLoop::counters() const {
 
 void NodeLoop::watch(int op, int fd, std::uint32_t events, void* tag) {
   assert(tag != nullptr && "the null tag is the loop's wake fd");
+  if (epoll_fd_ < 0) {
+    assert(!thread_.joinable() && "the first watch() precedes start()");
+    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+    if (epoll_fd_ < 0 || wake_fd_ < 0) {
+      throw std::runtime_error("NodeLoop: epoll/eventfd setup failed");
+    }
+    epoll_event wake_ev{};
+    wake_ev.events = EPOLLIN;
+    wake_ev.data.ptr = nullptr;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &wake_ev);
+  }
   epoll_event ev{};
   ev.events = events;
   ev.data.ptr = tag;
@@ -148,9 +219,16 @@ void NodeLoop::start(Hooks& hooks, const std::atomic<bool>& stopping) {
   thread_ = std::thread([this, &hooks, &stopping] { run(hooks, stopping); });
 }
 
-void NodeLoop::wake() const {
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t w = ::write(wake_fd_, &one, sizeof(one));
+void NodeLoop::wake() {
+  if (epoll_fd_ >= 0) {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t w = ::write(wake_fd_, &one, sizeof(one));
+    return;
+  }
+  // Dekker pairing with park(): either this load sees the loop parked, or
+  // the loop's futex wait sees the bumped word and returns at once.
+  wake_seq_.fetch_add(1, std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_seq_cst)) futex_wake(wake_seq_);
 }
 
 void NodeLoop::join() {
@@ -159,34 +237,68 @@ void NodeLoop::join() {
 
 void NodeLoop::run(Hooks& hooks, const std::atomic<bool>& stopping) {
   tl_node = this;
+  {
+    const sync::MutexLock running(run_mu_);
+    for (;;) {
+      // Read before every check that may skip the park: a wake() after this
+      // load makes the futex wait return at once.
+      const std::uint32_t seq = wake_seq_.load(std::memory_order_acquire);
+      if (stopping.load(std::memory_order_acquire)) break;
+      busy_.store(hooks.before_block(*this), std::memory_order_release);
+      if (epoll_fd_ >= 0) {
+        if (!wait_events(hooks)) break;
+      } else {
+        park(seq);
+        busy_.store(true, std::memory_order_release);
+        drain_mailbox(hooks);
+      }
+      fire_timers();
+    }
+    hooks.on_stop(*this);
+  }
+  tl_node = nullptr;
+}
+
+bool NodeLoop::wait_events(Hooks& hooks) {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
-  while (!stopping.load(std::memory_order_acquire)) {
-    busy_.store(hooks.before_block(*this), std::memory_order_release);
-    int timeout_ms = -1;
-    if (!timers_.empty()) {
-      const auto wait = timers_.front().at - clk::steady_now();
-      const auto ms =
-          std::chrono::ceil<std::chrono::milliseconds>(wait).count();
-      timeout_ms = static_cast<int>(std::clamp<decltype(ms)>(ms, 0, INT_MAX));
-    }
-    const int nev = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
-    busy_.store(true, std::memory_order_release);
-    if (nev < 0 && errno != EINTR) break;
-    for (int i = 0; i < nev; ++i) {
-      if (events[i].data.ptr == nullptr) {
-        std::uint64_t drained = 0;
-        [[maybe_unused]] const ssize_t r =
-            ::read(wake_fd_, &drained, sizeof(drained));
-        drain_mailbox(hooks);
-      } else {
-        hooks.on_io(*this, events[i].data.ptr, events[i].events);
-      }
-    }
-    fire_timers();
+  int timeout_ms = -1;
+  if (!timers_.empty()) {
+    const auto wait = timers_.front().at - clk::steady_now();
+    const auto ms = std::chrono::ceil<std::chrono::milliseconds>(wait).count();
+    timeout_ms = static_cast<int>(std::clamp<decltype(ms)>(ms, 0, INT_MAX));
   }
-  hooks.on_stop(*this);
-  tl_node = nullptr;
+  int nev = 0;
+  int err = 0;
+  {
+    const sync::MutexUnlock unlocked(run_mu_);
+    nev = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+    if (nev < 0) err = errno;
+  }
+  busy_.store(true, std::memory_order_release);
+  if (nev < 0) return err == EINTR;
+  for (int i = 0; i < nev; ++i) {
+    if (events[i].data.ptr == nullptr) {
+      std::uint64_t drained = 0;
+      [[maybe_unused]] const ssize_t r =
+          ::read(wake_fd_, &drained, sizeof(drained));
+      drain_mailbox(hooks);
+    } else {
+      hooks.on_io(*this, events[i].data.ptr, events[i].events);
+    }
+  }
+  return true;
+}
+
+void NodeLoop::park(std::uint32_t seq) {
+  if (!mailbox_empty()) return;
+  park_deadline_ = timers_.empty() ? kNever : timers_.front().at;
+  parked_.store(true, std::memory_order_seq_cst);
+  {
+    const sync::MutexUnlock unlocked(run_mu_);
+    futex_wait(wake_seq_, seq, park_deadline_);
+  }
+  parked_.store(false, std::memory_order_release);
 }
 
 void NodeLoop::drain_mailbox(Hooks& hooks) {
@@ -211,6 +323,10 @@ void NodeLoop::drain_mailbox(Hooks& hooks) {
         break;
       case Mail::Kind::kSever:
         hooks.on_sever(*this);
+        break;
+      case Mail::Kind::kExecute:
+        if (up()) m.fn();
+        settle(1);
         break;
     }
   }
@@ -314,6 +430,12 @@ void LoopTransport::arm_timer(NodeAddress addr, double delay_s,
                               std::uint64_t token) {
   if (NodeLoop* n = find(addr); n != nullptr) {
     n->arm(clk::steady_now() + clk::seconds_to_duration(delay_s), token);
+  }
+}
+
+void LoopTransport::execute(NodeAddress addr, std::function<void()> fn) {
+  if (NodeLoop* n = find(addr); n != nullptr && n->up()) {
+    n->execute(std::move(fn));
   }
 }
 

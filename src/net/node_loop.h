@@ -3,32 +3,48 @@
 //
 // The paper's server is a single-threaded state machine over reliable FIFO
 // links plus a perfect failure detector. A NodeLoop gives one node exactly
-// that: one thread owning a mailbox (other threads post, an eventfd wakes
-// the loop), a (deadline, seq) timer min-heap whose earliest deadline is
-// epoll_wait's timeout, and the node's three handlers, which it runs
-// serialized — messages, timers and crash notices alike. A transport plugs
-// in through Hooks: the fds it watches on the loop's epoll set, a step
-// before the loop blocks, sends posted by other threads, and what a crash or
-// a stop does to its connections. The loop never knows which transport it
-// serves; InMemTransport plugs in nothing.
+// that: one thread owning a mailbox (other threads post and wake the loop),
+// a (deadline, seq) timer min-heap whose earliest deadline bounds the
+// loop's sleep, and the node's three handlers, which it runs serialized —
+// messages, timers and crash notices alike. A transport plugs in through
+// Hooks: the fds it watches on the loop's epoll set, a step before the loop
+// blocks, sends posted by other threads, and what a crash or a stop does to
+// its connections. The loop never knows which transport it serves;
+// InMemTransport plugs in nothing.
+//
+// Parking: whether the loop watches any fd picks how it sleeps. A loop that
+// watches one (every TcpTransport node: its listener, from make_node on)
+// blocks in epoll_wait and is woken through an eventfd. A loop that watches
+// none (every InMemTransport node) has no epoll set or eventfd at all: it
+// parks on a futex word until the absolute deadline of its earliest timer,
+// and a wake is one futex wake, made only while it is parked.
+//
+// Run lock: the loop thread holds run_mu_ whenever it is not parked.
+// execute() from a thread that is not a loop thread runs its closure inline
+// when the loop watches no fd, is parked and has an empty mailbox: the
+// caller takes the run lock (so the loop cannot resume underneath it), runs
+// the closure as if it were a handler, and wakes the loop only if the
+// closure armed a timer earlier than the deadline the loop sleeps until.
+// Otherwise the closure is posted like a message. send() never runs inline.
 //
 // LoopTransport is the core both transports share around their loops: the
 // node registry (a handler addressing its own node skips the registry
 // lock), crash-notice scheduling, link counters and the quiescence rule.
 //
-// Quiescence: a message counts as work from the moment it is accepted for a
-// node (a mailbox post, or a TCP frame staged for a node of this transport)
-// until its handler returns or it is dropped. wait_quiescent() returns true
-// once one sweep, during which no message was accepted anywhere, finds every
-// node with an empty mailbox, outside any handler, holding no unflushed
-// egress, with no crash notice pending and — if it is up — no accepted
-// message left to consume. A link into a crashed node carries no work; a
-// crashed node's sever settles the frames it staged but never wrote. Plain
-// timers still pending do not count.
+// Quiescence: a message or an execute() closure counts as work from the
+// moment it is accepted for a node (a mailbox post, an inline run, or a TCP
+// frame staged for a node of this transport) until its handler returns or
+// it is dropped. wait_quiescent() returns true once one sweep, during which
+// nothing was accepted anywhere, finds every node with an empty mailbox,
+// outside any handler, holding no unflushed egress, with no crash notice
+// pending and — if it is up — no accepted work left to consume. A link into
+// a crashed node carries no work; a crashed node's sever settles the frames
+// it staged but never wrote. Plain timers still pending do not count.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -92,12 +108,17 @@ class NodeLoop {
   void post_send(NodeAddress to, PayloadPtr msg);
   /// Asks the loop to run Hooks::on_sever.
   void post_sever();
+  /// Runs `fn` serialized with this node's handlers — inline on the calling
+  /// thread while the loop stays parked, when the file comment's rule
+  /// allows, else on the loop. Dropped, unrun, if the node is down by then.
+  void execute(std::function<void()> fn) HTS_EXCLUDES(run_mu_, mu_);
   /// Arms a timer, or a crash notice when `crashed` is a process id. On the
-  /// loop thread this pushes onto the heap; elsewhere it posts.
+  /// loop thread (or inside an inline execute()) this pushes onto the heap;
+  /// elsewhere it posts.
   void arm(clk::SteadyTime at, std::uint64_t token,
            ProcessId crashed = kNoProcess);
-  /// Quiescence accounting: one more message accepted for this node, and
-  /// `n` of them consumed or dropped.
+  /// Quiescence accounting: one more message or closure accepted for this
+  /// node, and `n` of them consumed or dropped.
   void expect() { accepted_.fetch_add(1, std::memory_order_acq_rel); }
   void settle(std::uint64_t n) {
     consumed_.fetch_add(n, std::memory_order_acq_rel);
@@ -113,7 +134,9 @@ class NodeLoop {
 
   // ------------------------------------ loop thread (or before start())
   /// Adds, modifies or removes (`op` = EPOLL_CTL_*) an fd on the loop's
-  /// epoll set; Hooks::on_io receives `tag`, which must not be null.
+  /// epoll set; Hooks::on_io receives `tag`, which must not be null. The
+  /// first call creates the epoll set and eventfd, and must come before
+  /// start(): it switches the loop from futex parking to epoll.
   void watch(int op, int fd, std::uint32_t events, void* tag);
   /// Runs the message handler and counts the delivery, if the node is up.
   void dispatch(NodeAddress from, PayloadPtr msg, std::size_t bytes);
@@ -121,7 +144,8 @@ class NodeLoop {
   // ------------------------------------------------- controlling thread
   /// Spawns the loop thread; it runs until `stopping` is set and wake().
   void start(Hooks& hooks, const std::atomic<bool>& stopping);
-  void wake() const;
+  /// Any thread: an eventfd write, or a futex wake if the loop is parked.
+  void wake();
   void join();
 
  private:
@@ -134,23 +158,39 @@ class NodeLoop {
   };
   /// Work posted by another thread.
   struct Mail {
-    enum class Kind : std::uint8_t { kMessage, kSend, kTimer, kSever } kind;
+    enum class Kind : std::uint8_t {
+      kMessage,
+      kSend,
+      kTimer,
+      kSever,
+      kExecute
+    } kind;
     NodeAddress peer;  // kMessage: sender; kSend: destination
     PayloadPtr msg;
     Timer timer;
+    std::function<void()> fn;  // kExecute
   };
 
   void post(Mail mail) HTS_EXCLUDES(mu_);
-  void push_timer(Timer t);
-  void run(Hooks& hooks, const std::atomic<bool>& stopping);
-  void drain_mailbox(Hooks& hooks) HTS_EXCLUDES(mu_);
-  void fire_timers();
+  [[nodiscard]] bool mailbox_empty() const HTS_EXCLUDES(mu_);
+  void push_timer(Timer t) HTS_REQUIRES(run_mu_);
+  void run(Hooks& hooks, const std::atomic<bool>& stopping)
+      HTS_EXCLUDES(run_mu_);
+  /// One epoll_wait and the events it returns; false on a fatal error.
+  bool wait_events(Hooks& hooks) HTS_REQUIRES(run_mu_);
+  /// Sleeps on the futex until a wake() after `seq` was read, or until the
+  /// earliest timer is due — unless mail is already waiting.
+  void park(std::uint32_t seq) HTS_REQUIRES(run_mu_) HTS_EXCLUDES(mu_);
+  void run_inline(const std::function<void()>& fn) HTS_REQUIRES(run_mu_);
+  void drain_mailbox(Hooks& hooks) HTS_REQUIRES(run_mu_) HTS_EXCLUDES(mu_);
+  void fire_timers() HTS_REQUIRES(run_mu_);
 
   const void* owner_;
   const NodeAddress addr_;
   const Transport::MessageHandler on_message_;
   const Transport::CrashHandler on_crash_;
   const Transport::TimerHandler on_timer_;
+  // Created by the first watch(), before start(); -1 on an fd-less loop.
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd; its epoll tag is null
 
@@ -164,13 +204,23 @@ class NodeLoop {
   /// Crash notices armed on this node that have not fired yet.
   std::atomic<std::uint64_t> notices_{0};
 
+  /// Futex parking (fd-less loops): wake() bumps the word; the loop sleeps
+  /// only while it still holds the value read before its last checks.
+  std::atomic<std::uint32_t> wake_seq_{0};
+  /// Between releasing the run lock to park and taking it back.
+  std::atomic<bool> parked_{false};
+
   mutable sync::Mutex mu_;
   std::vector<Mail> mailbox_ HTS_GUARDED_BY(mu_);
 
-  // Loop-thread state.
-  std::vector<Mail> inbox_;     // the mailbox batch being handled
-  std::vector<Timer> timers_;   // min-heap on (at, seq)
-  std::uint64_t timer_seq_ = 0;
+  /// Held by the loop thread whenever it is not parked, and by a caller
+  /// running an execute() closure inline; it guards the loop-thread state.
+  sync::Mutex run_mu_;
+  std::vector<Mail> inbox_ HTS_GUARDED_BY(run_mu_);  // batch being handled
+  std::vector<Timer> timers_ HTS_GUARDED_BY(run_mu_);  // min-heap (at, seq)
+  std::uint64_t timer_seq_ HTS_GUARDED_BY(run_mu_) = 0;
+  /// The deadline a parked loop sleeps until (max: no timer pending).
+  clk::SteadyTime park_deadline_ HTS_GUARDED_BY(run_mu_);
 
   // Per-node traffic accounting (obs::LinkStatsSource); relaxed atomics.
   std::atomic<std::uint64_t> tx_messages_{0};
@@ -202,6 +252,8 @@ class LoopTransport : public Transport, protected NodeLoop::Hooks {
   void stop() override HTS_EXCLUDES(registry_mu_);
   void arm_timer(NodeAddress addr, double delay_s, std::uint64_t token)
       override HTS_EXCLUDES(registry_mu_);
+  void execute(NodeAddress addr, std::function<void()> fn) override
+      HTS_EXCLUDES(registry_mu_);
   /// A hosted node goes down at once and its loop severs what it owns;
   /// every surviving hosted node gets a notice after the detection delay.
   void crash(NodeAddress addr) override HTS_EXCLUDES(registry_mu_, crash_mu_);

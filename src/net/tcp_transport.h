@@ -27,14 +27,16 @@
 // the handler appends the frame to the connection's FrameWriter and marks it
 // dirty, and before the loop blocks again each dirty connection is flushed
 // with one sendmsg (scatter-gather over the writer's pooled segments). Only
-// calls from other threads (caller self-sends, tests, crash(), a foreign
-// arm_timer) go through the loop's mailbox. A crash severs the node's
-// connections without a bye; a stop flushes them and says bye.
+// calls from other threads (execute() closures, sends, crash(), a foreign
+// arm_timer) go through the loop's mailbox. A socket node's loop always
+// watches its listener, so execute() never runs inline here: handing a
+// caller's submit to the loop lets one flush carry several callers' frames.
+// A crash severs the node's connections without a bye; a stop flushes them
+// and says bye.
 //
 // Layering: hts_net cannot depend on hts_core, so the codec is injected
 // (Options::encode / Options::decode); the harness wires the core message
-// codec in. Self-sends (from == to) carry non-wire harness control payloads
-// and bypass the socket path entirely.
+// codec in. Self-sends (from == to) bypass the socket path entirely.
 #pragma once
 
 #include <atomic>
@@ -88,8 +90,8 @@ class TcpTransport : public LoopTransport {
 
   /// `from` must be a node registered on this transport. Called on that
   /// node's loop thread the frame is staged directly; from any other
-  /// thread the send is posted to the node's mailbox. Self-sends (harness
-  /// control payloads, not wire types) go through the mailbox unencoded.
+  /// thread the send is posted to the node's mailbox. Self-sends go through
+  /// the mailbox unencoded.
   void send(NodeAddress from, NodeAddress to, PayloadPtr msg) override;
 
   /// The port a node listens on under this transport's port scheme. With an

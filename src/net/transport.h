@@ -10,9 +10,12 @@
 // afterwards. tests/transport_conformance_test.cpp checks it once for both.
 //
 // Handler threading: both transports run each node on one net::NodeLoop
-// (net/node_loop.h), so all three handlers of a node run serialized on that
-// node's own loop thread, and its timers and crash notices live on that
-// loop's heap. The state machines stay single-threaded.
+// (net/node_loop.h), so all three handlers of a node, and the closures
+// execute() hands it, run serialized with one another, and its timers and
+// crash notices live on that loop's heap. The state machines stay
+// single-threaded. Handlers run on the node's own loop thread; an execute()
+// closure may instead run on its caller's thread while an in-memory node's
+// loop is parked, holding the loop off until it returns.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +49,19 @@ class Transport : public obs::LinkStatsSource {
   virtual void stop() = 0;
 
   /// Reliable FIFO send. Messages to crashed or unknown nodes are dropped.
-  /// A self-send (from == to) must be delivered without serialization —
-  /// harness control payloads (ControlOp/ViewControl) are not wire types.
+  /// A self-send (from == to) is delivered through the node's mailbox,
+  /// without serialization. Always asynchronous: the handler never runs on
+  /// the calling thread.
   virtual void send(NodeAddress from, NodeAddress to, PayloadPtr msg) = 0;
+
+  /// Runs `fn` serialized with `node`'s handlers, as one more handler would
+  /// run: on the node's loop thread, or inline on the calling thread when
+  /// the node's loop watches no fd, is parked with an empty mailbox, and the
+  /// caller is not a loop thread. One thread's closures run in call order.
+  /// Counted as work for wait_quiescent() until `fn` returns; dropped unrun
+  /// if the node is crashed or unknown. The caller must hold no lock that
+  /// `fn` takes.
+  virtual void execute(NodeAddress node, std::function<void()> fn) = 0;
 
   /// Arms a one-shot timer for `addr` (fired on its loop thread).
   virtual void arm_timer(NodeAddress addr, double delay_s,

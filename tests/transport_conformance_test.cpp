@@ -2,9 +2,10 @@
 // transport: InMemTransport and TcpTransport over loopback sockets run the
 // same typed suite. FIFO order, exact per-batch byte counts, crash notices,
 // no sends from the crashed, drops to unknown nodes, timers in deadline
-// order, one node's handlers never overlapping, and quiescence — with
-// queued work, with handlers running inline, and after a crash inside a
-// handler.
+// order, one node's handlers and execute() closures never overlapping, one
+// thread's closures in call order, timers armed by a closure, and
+// quiescence — with queued work, with handlers and closures running
+// inline, and after a crash inside a handler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -275,6 +276,19 @@ TYPED_TEST(TransportConformance,
   release = true;
   ASSERT_TRUE(t.wait_quiescent(10.0));
   EXPECT_EQ(handled.load(), 2);
+
+  // An execute() closure is work too, wherever it runs: on the loop, or on
+  // the helper thread that called execute() while the loop was parked.
+  release = false;
+  std::thread helper([&] { t.execute(s0, hold); });
+  const bool seen_busy = eventually([&] { return !t.wait_quiescent(0.0); });
+  const bool quiet_while_held = t.wait_quiescent(0.05);
+  release = true;
+  helper.join();
+  EXPECT_TRUE(seen_busy) << "closure never seen as work";
+  EXPECT_FALSE(quiet_while_held) << "running closure is work";
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  EXPECT_EQ(handled.load(), 3);
   t.stop();
 }
 
@@ -317,17 +331,19 @@ struct OverlapProbe {
 };
 
 TYPED_TEST(TransportConformance, HandlersNeverOverlapUnderStormTimersAndCrash) {
-  // One node's message, timer and crash handlers run serialized on its
-  // loop thread. Drive all three at once — self-sends from a foreign
-  // thread, messages from two peers, 2,000 timers, and a crash notice —
-  // and check that no two handlers of the node ever overlap.
+  // One node's message, timer and crash handlers and its execute()
+  // closures run serialized. Drive all four at once — self-sends from a
+  // foreign thread, messages from two peers, 2,000 timers, a crash notice,
+  // and closures from another foreign thread (inline whenever the loop is
+  // parked) — and check that no two of them ever overlap.
   constexpr int kForeign = 500;
   constexpr int kPerPeer = 500;
   constexpr int kTimers = 2000;
+  constexpr int kClosures = 500;
   auto& t = this->make(0.02, {0, 1, 2, 3});
   const NodeAddress hub = NodeAddress::server(0);
   OverlapProbe probe;
-  std::atomic<int> messages{0}, timers{0}, notices{0};
+  std::atomic<int> messages{0}, timers{0}, notices{0}, closures{0};
   t.register_node(
       hub,
       [&](NodeAddress, PayloadPtr) {
@@ -366,6 +382,15 @@ TYPED_TEST(TransportConformance, HandlersNeverOverlapUnderStormTimersAndCrash) {
       t.arm_timer(hub, 0.001 * (i % 50), static_cast<std::uint64_t>(i));
     }
   });
+  drivers.emplace_back([&] {
+    for (int i = 0; i < kClosures; ++i) {
+      t.execute(hub, [&] {
+        probe.enter();
+        ++closures;
+        probe.leave();
+      });
+    }
+  });
   t.crash(NodeAddress::server(3));
   for (auto& d : drivers) d.join();
 
@@ -375,6 +400,122 @@ TYPED_TEST(TransportConformance, HandlersNeverOverlapUnderStormTimersAndCrash) {
   EXPECT_EQ(messages.load(), kForeign + 2 * kPerPeer);
   EXPECT_EQ(timers.load(), kTimers);
   EXPECT_EQ(notices.load(), 1);
+  EXPECT_EQ(closures.load(), kClosures);
+  t.stop();
+}
+
+TYPED_TEST(TransportConformance, RunningClosureHoldsOffTheNodesHandlers) {
+  // While a closure runs — inline on its caller's thread or on the loop —
+  // the node's handlers wait: a message and a due timer that arrive
+  // meanwhile run only after it returns.
+  auto& t = this->make(0.02, {0, 1});
+  const NodeAddress node = NodeAddress::server(0);
+  const NodeAddress peer = NodeAddress::server(1);
+  OverlapProbe probe;
+  std::atomic<int> messages{0}, timers{0};
+  std::atomic<bool> entered{false}, release{false};
+  t.register_node(
+      node,
+      [&](NodeAddress, PayloadPtr) {
+        probe.enter();
+        ++messages;
+        probe.leave();
+      },
+      nullptr,
+      [&](std::uint64_t) {
+        probe.enter();
+        ++timers;
+        probe.leave();
+      });
+  t.register_node(peer, [](NodeAddress, PayloadPtr) {});
+  t.start();
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  std::thread helper([&] {
+    t.execute(node, [&] {
+      probe.enter();
+      entered = true;
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      probe.leave();
+    });
+  });
+  const bool ran = eventually([&] { return entered.load(); });
+  t.send(peer, node, ping(1));
+  t.arm_timer(node, 0.0, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  const int messages_while_held = messages.load();
+  const int timers_while_held = timers.load();
+  release = true;
+  helper.join();
+  ASSERT_TRUE(ran);
+  EXPECT_EQ(messages_while_held, 0);
+  EXPECT_EQ(timers_while_held, 0);
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  EXPECT_TRUE(eventually([&] { return timers.load() == 1; }));
+  EXPECT_EQ(messages.load(), 1);
+  EXPECT_EQ(probe.overlaps.load(), 0);
+  t.stop();
+}
+
+TYPED_TEST(TransportConformance, ExecuteClosuresFromOneThreadRunInCallOrder) {
+  // One foreign thread's closures run in call order while the node's loop
+  // alternates between busy (every 16th closure sleeps, so later calls
+  // queue behind it) and parked (the caller pauses every 64 calls, so the
+  // next call may run inline).
+  constexpr int kClosures = 1000;
+  auto& t = this->make(0.02, {0});
+  const NodeAddress node = NodeAddress::server(0);
+  std::vector<int> order;  // written only by closures, which never overlap
+  t.register_node(node, [](NodeAddress, PayloadPtr) {});
+  t.start();
+  std::thread caller([&] {
+    for (int i = 0; i < kClosures; ++i) {
+      t.execute(node, [&order, i] {
+        order.push_back(i);
+        if (i % 16 == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+      if (i % 64 == 63) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    }
+  });
+  caller.join();
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kClosures));
+  for (int i = 0; i < kClosures; ++i) {
+    ASSERT_EQ(order[static_cast<std::size_t>(i)], i) << "closure " << i;
+  }
+  t.stop();
+}
+
+TYPED_TEST(TransportConformance, TimerArmedInsideAnExecuteClosureFires) {
+  // No timer is pending, so the idle loop sleeps with no deadline. A
+  // closure from a foreign thread arms one 20 ms ahead: run inline, it must
+  // wake the loop to sleep until that deadline instead.
+  auto& t = this->make(0.02, {0});
+  const NodeAddress node = NodeAddress::client(1);
+  std::atomic<bool> fired{false};
+  t.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
+  t.register_node(
+      node, [](NodeAddress, PayloadPtr) {}, nullptr,
+      [&](std::uint64_t token) {
+        if (token == 7) fired = true;
+      });
+  t.start();
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it park
+  const clk::SteadyTime armed = clk::steady_now();
+  std::thread caller(
+      [&] { t.execute(node, [&] { t.arm_timer(node, 0.02, 7); }); });
+  caller.join();
+  while (!fired.load() &&
+         clk::steady_now() - armed < std::chrono::seconds(1)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(fired.load()) << "the timer did not fire within 1 s";
   t.stop();
 }
 

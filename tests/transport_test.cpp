@@ -1,8 +1,9 @@
 // The scatter-gather frame codec (FrameWriter/FrameDecoder): byte parity
 // with the legacy string encoder across every MsgKind, torn-stream
 // reassembly at every byte boundary, and pool-reuse guarantees — plus the
-// InMemTransport timer tests. The transport contract itself is checked by
-// the typed suite in tests/transport_conformance_test.cpp.
+// InMemTransport timer tests and where its execute() closures run. The
+// transport contract itself is checked by the typed suite in
+// tests/transport_conformance_test.cpp.
 #include <gtest/gtest.h>
 
 #include <sys/uio.h>
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -69,6 +71,43 @@ TEST(InMemTransport, TimersOrderedByDeadline) {
   const std::scoped_lock lock(mu);
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3}));
+  t.stop();
+}
+
+TEST(InMemTransport, ExecuteRunsInlineOnAParkedLoopButNotFromALoopThread) {
+  // An idle in-memory loop is parked on its futex: a closure from a thread
+  // that is not a loop thread runs right there, before execute() returns.
+  // A loop thread's closure for another node is posted to that node's loop.
+  InMemTransport t(0.001);
+  const NodeAddress a = NodeAddress::client(1);
+  const NodeAddress b = NodeAddress::client(2);
+  std::atomic<std::thread::id> a_loop{};
+  std::atomic<std::thread::id> ran_on{};
+  t.register_node(a, [&](NodeAddress, PayloadPtr) {
+    a_loop = std::this_thread::get_id();
+    t.execute(b, [&] { ran_on = std::this_thread::get_id(); });
+  });
+  t.register_node(b, [](NodeAddress, PayloadPtr) {});
+  t.start();
+
+  const std::thread::id self = std::this_thread::get_id();
+  bool inline_seen = false;
+  EXPECT_TRUE(within_ms(5000, [&] {
+    // The loop parks shortly after start(); until then closures are mail.
+    if (!t.wait_quiescent(5.0)) return false;
+    auto where = std::make_shared<std::atomic<std::thread::id>>();
+    t.execute(b, [where] { *where = std::this_thread::get_id(); });
+    if (!t.wait_quiescent(5.0)) return false;  // the closure has run
+    inline_seen = where->load() == self;
+    return inline_seen;
+  }));
+  EXPECT_TRUE(inline_seen);
+
+  t.send(a, a, make_payload<core::ClientWriteAck>(1));
+  ASSERT_TRUE(t.wait_quiescent(5.0));
+  EXPECT_NE(ran_on.load(), std::thread::id{});
+  EXPECT_NE(ran_on.load(), a_loop.load()) << "ran inline on a's loop thread";
+  EXPECT_NE(ran_on.load(), self);
   t.stop();
 }
 
