@@ -58,9 +58,11 @@ net::PayloadPtr make_batch(std::uint64_t seed, std::size_t value_size) {
   parts.reserve(16);
   for (std::uint64_t i = 0; i < 8; ++i) {
     parts.push_back(net::make_payload<core::PreWrite>(
-        Tag{seed + i, 0}, Value::synthetic(seed + i, value_size), 7, seed + i));
+        Tag{seed + i, 0}, Value::synthetic(seed + i, value_size), 7, seed + i,
+        kDefaultObject));
     parts.push_back(
-        net::make_payload<core::WriteCommit>(Tag{seed + i, 0}, 7, seed + i));
+        net::make_payload<core::WriteCommit>(Tag{seed + i, 0}, 7, seed + i,
+                                             kDefaultObject));
   }
   return net::make_payload<core::RingBatch>(std::move(parts));
 }

@@ -17,7 +17,8 @@ using namespace hts;
 
 void BM_EncodePreWrite(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
-  core::PreWrite msg(Tag{42, 3}, Value::synthetic(7, size), 99, 5);
+  core::PreWrite msg(Tag{42, 3}, Value::synthetic(7, size), 99, 5,
+                     kDefaultObject);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::encode_message(msg));
   }
@@ -28,7 +29,8 @@ BENCHMARK(BM_EncodePreWrite)->Arg(256)->Arg(8192)->Arg(65536);
 
 void BM_DecodePreWrite(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
-  core::PreWrite msg(Tag{42, 3}, Value::synthetic(7, size), 99, 5);
+  core::PreWrite msg(Tag{42, 3}, Value::synthetic(7, size), 99, 5,
+                     kDefaultObject);
   const std::string bytes = core::encode_message(msg);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::decode_message(bytes));
@@ -61,7 +63,8 @@ void BM_FairSchedulerDecision(benchmark::State& state) {
   for (std::size_t i = 0; i < n; ++i) {
     sched.enqueue(core::ForwardItem{
         static_cast<ProcessId>(i),
-        net::make_payload<core::WriteCommit>(Tag{i + 1, 0}, 1, 1)});
+        net::make_payload<core::WriteCommit>(Tag{i + 1, 0}, 1, 1,
+                                             kDefaultObject)});
   }
   for (auto _ : state) {
     auto d = sched.next(true);
@@ -98,10 +101,10 @@ void BM_LincheckRegister(benchmark::State& state) {
     t += 1.0;
     if (rng.chance(0.3)) {
       const std::uint64_t v = i + 1;
-      h.record_write(1 + i % 8, v, t, t + 0.5);
+      h.record_write(1 + i % 8, v, t, t + 0.5, kDefaultObject);
       latest = v;
     } else {
-      h.record_read(1 + i % 8, latest, t, t + 0.5);
+      h.record_read(1 + i % 8, latest, t, t + 0.5, kInitialTag, kDefaultObject);
     }
   }
   for (auto _ : state) {

@@ -13,6 +13,7 @@
 #include "lincheck/checker.h"
 
 int main() {
+  using hts::kDefaultObject;
   using hts::Value;
   using hts::harness::ThreadedCluster;
   using hts::harness::ThreadedClusterConfig;
@@ -29,13 +30,13 @@ int main() {
 
   std::uint64_t seq = 1;
   auto write_one = [&] {
-    writer.write(Value::synthetic(seq, 64));
+    writer.write(kDefaultObject, Value::synthetic(seq, 64));
     std::printf("  write #%llu acknowledged\n",
                 static_cast<unsigned long long>(seq));
     ++seq;
   };
   auto read_one = [&] {
-    auto r = reader.read_result();
+    auto r = reader.read_result(kDefaultObject);
     std::printf("  read -> value #%llu (tag %s, %u attempt(s))\n",
                 static_cast<unsigned long long>(r.value.synthetic_seed()),
                 r.tag.to_string().c_str(), r.attempts);

@@ -45,8 +45,7 @@ enum AbdMsgKind : std::uint16_t {
 };
 
 struct AbdReadTs final : net::Payload {
-  AbdReadTs(ClientId c, RequestId r, std::uint32_t ph,
-            ObjectId obj = kDefaultObject)
+  AbdReadTs(ClientId c, RequestId r, std::uint32_t ph, ObjectId obj)
       : Payload(kAbdReadTs), client(c), req(r), phase(ph), object(obj) {}
   ClientId client;
   RequestId req;
@@ -72,7 +71,7 @@ struct AbdReadTsAck final : net::Payload {
 
 struct AbdStore final : net::Payload {
   AbdStore(ClientId c, RequestId r, std::uint32_t ph, Tag t, Value v,
-           ObjectId obj = kDefaultObject)
+           ObjectId obj)
       : Payload(kAbdStore), client(c), req(r), phase(ph), tag(t),
         value(std::move(v)), object(obj) {}
   ClientId client;
@@ -97,8 +96,7 @@ struct AbdStoreAck final : net::Payload {
 };
 
 struct AbdGet final : net::Payload {
-  AbdGet(ClientId c, RequestId r, std::uint32_t ph,
-         ObjectId obj = kDefaultObject)
+  AbdGet(ClientId c, RequestId r, std::uint32_t ph, ObjectId obj)
       : Payload(kAbdGet), client(c), req(r), phase(ph), object(obj) {}
   ClientId client;
   RequestId req;
@@ -135,10 +133,8 @@ class AbdServer {
   void on_client_message(const net::Payload& msg, Context& ctx);
 
   [[nodiscard]] ProcessId id() const { return self_; }
-  [[nodiscard]] const Tag& current_tag(
-      ObjectId object = kDefaultObject) const;
-  [[nodiscard]] const Value& current_value(
-      ObjectId object = kDefaultObject) const;
+  [[nodiscard]] const Tag& current_tag(ObjectId object) const;
+  [[nodiscard]] const Value& current_value(ObjectId object) const;
   [[nodiscard]] std::size_t object_count() const { return regs_.size(); }
 
  private:
@@ -171,13 +167,6 @@ class AbdClient {
   RequestId begin_write(ObjectId object, Value v, core::ClientContext& ctx);
   RequestId begin_read(ObjectId object, core::ClientContext& ctx);
 
-  /// Single-register facade (the pre-namespace API, object 0).
-  RequestId begin_write(Value v, core::ClientContext& ctx) {
-    return begin_write(kDefaultObject, std::move(v), ctx);
-  }
-  RequestId begin_read(core::ClientContext& ctx) {
-    return begin_read(kDefaultObject, ctx);
-  }
 
   void on_reply(const net::Payload& msg, core::ClientContext& ctx);
   void on_timer(std::uint64_t token, core::ClientContext& ctx);

@@ -48,7 +48,7 @@ enum ChainMsgKind : std::uint16_t {
 };
 
 struct ChainWrite final : net::Payload {
-  ChainWrite(ClientId c, RequestId r, Value v, ObjectId obj = kDefaultObject)
+  ChainWrite(ClientId c, RequestId r, Value v, ObjectId obj)
       : Payload(kChainWrite), client(c), req(r), value(std::move(v)),
         object(obj) {}
   ClientId client;
@@ -71,7 +71,7 @@ struct ChainWriteAck final : net::Payload {
 };
 
 struct ChainRead final : net::Payload {
-  ChainRead(ClientId c, RequestId r, ObjectId obj = kDefaultObject)
+  ChainRead(ClientId c, RequestId r, ObjectId obj)
       : Payload(kChainRead), client(c), req(r), object(obj) {}
   ClientId client;
   RequestId req;
@@ -99,7 +99,7 @@ struct ChainReadAck final : net::Payload {
 /// subsequence is monotone, which is what read tags expose.
 struct ChainUpdate final : net::Payload {
   ChainUpdate(std::uint64_t s, ClientId c, RequestId r, Value v,
-              ObjectId obj = kDefaultObject)
+              ObjectId obj)
       : Payload(kChainUpdate), seq(s), client(c), req(r), value(std::move(v)),
         object(obj) {}
   std::uint64_t seq;
@@ -136,8 +136,7 @@ class ChainServer {
   [[nodiscard]] bool is_tail() const;
   [[nodiscard]] ProcessId head() const;
   [[nodiscard]] ProcessId tail() const;
-  [[nodiscard]] const Value& current_value(
-      ObjectId object = kDefaultObject) const;
+  [[nodiscard]] const Value& current_value(ObjectId object) const;
   [[nodiscard]] std::uint64_t applied_seq() const { return applied_seq_; }
   [[nodiscard]] std::size_t unacked() const { return sent_unacked_.size(); }
   [[nodiscard]] std::size_t object_count() const { return regs_.size(); }
@@ -186,13 +185,6 @@ class ChainClient {
   RequestId begin_write(ObjectId object, Value v, core::ClientContext& ctx);
   RequestId begin_read(ObjectId object, core::ClientContext& ctx);
 
-  /// Single-register facade (the pre-namespace API, object 0).
-  RequestId begin_write(Value v, core::ClientContext& ctx) {
-    return begin_write(kDefaultObject, std::move(v), ctx);
-  }
-  RequestId begin_read(core::ClientContext& ctx) {
-    return begin_read(kDefaultObject, ctx);
-  }
   void on_reply(const net::Payload& msg, core::ClientContext& ctx);
   void on_timer(std::uint64_t token, core::ClientContext& ctx);
 

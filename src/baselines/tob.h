@@ -45,7 +45,7 @@ enum TobMsgKind : std::uint16_t {
 };
 
 struct TobWrite final : net::Payload {
-  TobWrite(ClientId c, RequestId r, Value v, ObjectId obj = kDefaultObject)
+  TobWrite(ClientId c, RequestId r, Value v, ObjectId obj)
       : Payload(kTobWrite), client(c), req(r), value(std::move(v)),
         object(obj) {}
   ClientId client;
@@ -66,7 +66,7 @@ struct TobWriteAck final : net::Payload {
 };
 
 struct TobRead final : net::Payload {
-  TobRead(ClientId c, RequestId r, ObjectId obj = kDefaultObject)
+  TobRead(ClientId c, RequestId r, ObjectId obj)
       : Payload(kTobRead), client(c), req(r), object(obj) {}
   ClientId client;
   RequestId req;
@@ -91,7 +91,7 @@ struct TobReadAck final : net::Payload {
 
 struct TobOp final : net::Payload {
   TobOp(std::uint64_t s, ProcessId o, ClientId c, RequestId r, bool rd,
-        Value v, ObjectId obj = kDefaultObject)
+        Value v, ObjectId obj)
       : Payload(kTobOp), seq(s), origin(o), client(c), req(r), is_read(rd),
         value(std::move(v)), object(obj) {}
   std::uint64_t seq;
@@ -137,8 +137,7 @@ class TobServer {
   void on_peer_message(net::PayloadPtr msg, Context& ctx);
 
   [[nodiscard]] ProcessId id() const { return self_; }
-  [[nodiscard]] const Value& current_value(
-      ObjectId object = kDefaultObject) const;
+  [[nodiscard]] const Value& current_value(ObjectId object) const;
   [[nodiscard]] std::uint64_t applied_seq() const { return applied_seq_; }
   [[nodiscard]] bool holds_token() const { return token_held_; }
   [[nodiscard]] std::size_t object_count() const { return regs_.size(); }
@@ -209,13 +208,6 @@ class TobClient {
   RequestId begin_write(ObjectId object, Value v, core::ClientContext& ctx);
   RequestId begin_read(ObjectId object, core::ClientContext& ctx);
 
-  /// Single-register facade (the pre-namespace API, object 0).
-  RequestId begin_write(Value v, core::ClientContext& ctx) {
-    return begin_write(kDefaultObject, std::move(v), ctx);
-  }
-  RequestId begin_read(core::ClientContext& ctx) {
-    return begin_read(kDefaultObject, ctx);
-  }
   void on_reply(const net::Payload& msg, core::ClientContext& ctx);
   void on_timer(std::uint64_t token, core::ClientContext& ctx);
 

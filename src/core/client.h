@@ -17,8 +17,10 @@
 // a callback so both the blocking (threaded) and event-driven (simulated)
 // fabrics can host it.
 //
-// The original single-register single-op API survives as a facade: the
-// object-less begin_read/begin_write overloads address kDefaultObject.
+// Every operation names its register; the paper's single register is
+// kDefaultObject. Every session carries an epoch'd view (epoch + topology);
+// the simulated and threaded fabrics also hand it a view provider, which it
+// consults only on an EpochNack or a retry.
 #pragma once
 
 #include <cstdint>
@@ -139,23 +141,11 @@ class ClientSession {
   /// Starts a read of `object`.
   RequestId begin_read(ObjectId object, ClientContext& ctx);
 
-  /// Single-register facade: the original API, addressing kDefaultObject.
-  RequestId begin_write(Value v, ClientContext& ctx) {
-    return begin_write(kDefaultObject, std::move(v), ctx);
-  }
-  RequestId begin_read(ClientContext& ctx) {
-    return begin_read(kDefaultObject, ctx);
-  }
-
   /// Feeds a server reply (ClientWriteAck / ClientReadAck). `from` is the
   /// replying server (fabrics know the sender); it is reported as
   /// OpResult::served_by so tests need not infer which server answered.
+  /// A host that does not track the sender passes kNoProcess.
   void on_reply(const net::Payload& msg, ProcessId from, ClientContext& ctx);
-
-  /// Back-compat overload for hosts that do not track the sender.
-  void on_reply(const net::Payload& msg, ClientContext& ctx) {
-    on_reply(msg, kNoProcess, ctx);
-  }
 
   /// Timer callback from the fabric. Stale tokens are ignored.
   void on_timer(std::uint64_t token, ClientContext& ctx);

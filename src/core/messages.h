@@ -87,8 +87,7 @@ inline constexpr std::size_t kEpochWire = 4;   // u32 Epoch (flag 0x2 only)
 /// Client → server: store `value` in register `object`. `req` makes retries
 /// idempotent. `epoch` is the client's view of the deployment.
 struct ClientWrite final : net::Payload {
-  ClientWrite(ClientId c, RequestId r, Value v, ObjectId obj = kDefaultObject,
-              Epoch e = 0)
+  ClientWrite(ClientId c, RequestId r, Value v, ObjectId obj, Epoch e = 0)
       : Payload(kClientWrite), client(c), req(r), value(std::move(v)),
         object(obj), epoch(e) {}
 
@@ -108,8 +107,7 @@ struct ClientWrite final : net::Payload {
 /// Server → client: the write identified by `req` is complete. `epoch` is
 /// the epoch the serving ring completed it in.
 struct ClientWriteAck final : net::Payload {
-  explicit ClientWriteAck(RequestId r, ObjectId obj = kDefaultObject,
-                          Epoch e = 0)
+  explicit ClientWriteAck(RequestId r, ObjectId obj, Epoch e = 0)
       : Payload(kClientWriteAck), req(r), object(obj), epoch(e) {}
 
   RequestId req;
@@ -124,8 +122,7 @@ struct ClientWriteAck final : net::Payload {
 
 /// Client → server: read register `object`.
 struct ClientRead final : net::Payload {
-  ClientRead(ClientId c, RequestId r, ObjectId obj = kDefaultObject,
-             Epoch e = 0)
+  ClientRead(ClientId c, RequestId r, ObjectId obj, Epoch e = 0)
       : Payload(kClientRead), client(c), req(r), object(obj), epoch(e) {}
 
   ClientId client;
@@ -143,8 +140,7 @@ struct ClientRead final : net::Payload {
 /// verification (linearizability checking); a production deployment could
 /// strip it, it is 12 bytes.
 struct ClientReadAck final : net::Payload {
-  ClientReadAck(RequestId r, Value v, Tag t, ObjectId obj = kDefaultObject,
-                Epoch e = 0)
+  ClientReadAck(RequestId r, Value v, Tag t, ObjectId obj, Epoch e = 0)
       : Payload(kClientReadAck), req(r), value(std::move(v)), tag(t),
         object(obj), epoch(e) {}
 
@@ -185,7 +181,7 @@ struct EpochNack final : net::Payload {
 /// that completion can be recorded for retry deduplication everywhere.
 struct PreWrite final : net::Payload {
   PreWrite(Tag t, Value v, ClientId c, RequestId r,
-           ObjectId obj = kDefaultObject, Epoch e = 0)
+           ObjectId obj, Epoch e = 0)
       : Payload(kPreWrite), tag(t), value(std::move(v)), client(c), req(r),
         object(obj), epoch(e) {}
 
@@ -206,8 +202,7 @@ struct PreWrite final : net::Payload {
 /// Ring phase 2: commit the pre-written `tag` of register `object`. Value
 /// intentionally omitted.
 struct WriteCommit final : net::Payload {
-  WriteCommit(Tag t, ClientId c, RequestId r, ObjectId obj = kDefaultObject,
-              Epoch e = 0)
+  WriteCommit(Tag t, ClientId c, RequestId r, ObjectId obj, Epoch e = 0)
       : Payload(kWriteCommit), tag(t), client(c), req(r), object(obj),
         epoch(e) {}
 
@@ -228,7 +223,7 @@ struct WriteCommit final : net::Payload {
 /// state to its new successor so the splice point is at least as fresh as the
 /// sender (one SyncState per touched object). Never forwarded.
 struct SyncState final : net::Payload {
-  SyncState(Tag t, Value v, ObjectId obj = kDefaultObject, Epoch e = 0)
+  SyncState(Tag t, Value v, ObjectId obj, Epoch e = 0)
       : Payload(kSyncState), tag(t), value(std::move(v)), object(obj),
         epoch(e) {}
 
@@ -331,7 +326,7 @@ struct FragWrite final : net::Payload {
   FragWrite(ClientId c, RequestId r, std::uint8_t n_, std::uint8_t k_,
             std::uint8_t idx, bool init, std::uint64_t vsize,
             std::uint32_t crc, std::string bytes,
-            ObjectId obj = kDefaultObject, Epoch e = 0)
+            ObjectId obj, Epoch e = 0)
       : Payload(kFragWrite), client(c), req(r), n(n_), k(k_), frag_index(idx),
         initiate(init), value_size(vsize), checksum(crc),
         frag(std::move(bytes)), object(obj), epoch(e) {}
@@ -363,7 +358,7 @@ struct FragWrite final : net::Payload {
 struct PreWriteFrag final : net::Payload {
   PreWriteFrag(Tag t, ClientId c, RequestId r, std::uint8_t n_,
                std::uint8_t k_, std::uint64_t vsize,
-               ObjectId obj = kDefaultObject, Epoch e = 0)
+               ObjectId obj, Epoch e = 0)
       : Payload(kPreWriteFrag), tag(t), client(c), req(r), n(n_), k(k_),
         value_size(vsize), object(obj), epoch(e) {}
 
@@ -391,7 +386,7 @@ struct PreWriteFrag final : net::Payload {
 struct CodedReadAck final : net::Payload {
   CodedReadAck(RequestId r, Tag t, std::uint8_t n_, std::uint8_t k_,
                std::uint64_t vsize, std::vector<FragPart> p,
-               ObjectId obj = kDefaultObject, Epoch e = 0)
+               ObjectId obj, Epoch e = 0)
       : Payload(kCodedReadAck), req(r), tag(t), n(n_), k(k_),
         value_size(vsize), parts(std::move(p)), object(obj), epoch(e) {}
 
@@ -414,8 +409,7 @@ struct CodedReadAck final : net::Payload {
 /// Client → server: fetch this server's fragments of `object` at exactly
 /// `tag` (the tag a CodedReadAck named). Answered with a FragFetchAck.
 struct FragFetch final : net::Payload {
-  FragFetch(ClientId c, RequestId r, Tag t, ObjectId obj = kDefaultObject,
-            Epoch e = 0)
+  FragFetch(ClientId c, RequestId r, Tag t, ObjectId obj, Epoch e = 0)
       : Payload(kFragFetch), client(c), req(r), tag(t), object(obj),
         epoch(e) {}
 
@@ -437,8 +431,7 @@ struct FragFetch final : net::Payload {
 /// watermark — the client restarts the read).
 struct FragFetchAck final : net::Payload {
   FragFetchAck(RequestId r, Tag t, std::uint64_t vsize,
-               std::vector<FragPart> p, ObjectId obj = kDefaultObject,
-               Epoch e = 0)
+               std::vector<FragPart> p, ObjectId obj, Epoch e = 0)
       : Payload(kFragFetchAck), req(r), tag(t), value_size(vsize),
         parts(std::move(p)), object(obj), epoch(e) {}
 
@@ -465,8 +458,7 @@ struct FragFetchAck final : net::Payload {
 struct FragRepair final : net::Payload {
   FragRepair(ProcessId o, Tag t, std::uint8_t n_, std::uint8_t k_,
              std::uint8_t missing, std::uint64_t vsize,
-             std::vector<FragPart> p, ObjectId obj = kDefaultObject,
-             Epoch e = 0)
+             std::vector<FragPart> p, ObjectId obj, Epoch e = 0)
       : Payload(kFragRepair), origin(o), tag(t), n(n_), k(k_),
         missing_index(missing), value_size(vsize), parts(std::move(p)),
         object(obj), epoch(e) {}

@@ -67,15 +67,15 @@ struct ClusterView {
 
 /// What one server knows about the deployment: which epoch it serves in,
 /// which ring it belongs to, and the epoch's shard map for ownership
-/// checks. A null map means "no view installed" — the legacy single-ring
-/// server that owns every register (and stamps epoch 0 on nothing).
+/// checks. Every server holds one from construction (RingServer boots with
+/// {epoch 0, ring 0, one-ring map}, which owns every register).
 struct ServerView {
   Epoch epoch = 0;
   RingId ring = kDefaultRing;
   std::shared_ptr<const ShardMap> map;
 
   [[nodiscard]] bool owns(ObjectId object) const {
-    return map == nullptr || map->ring_of(object) == ring;
+    return map->ring_of(object) == ring;
   }
 };
 

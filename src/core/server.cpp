@@ -18,7 +18,8 @@ RingServer::RingServer(ProcessId self, std::size_t n_servers,
       opts_(opts),
       ring_(n_servers),
       successor_(ring_.successor(self)),
-      sched_(n_servers, self) {
+      sched_(n_servers, self),
+      view_{0, kDefaultRing, std::make_shared<const ShardMap>(1)} {
   assert(self < n_servers);
   // The default register always exists: crash repair syncs it even when it
   // was never written, exactly as the single-register protocol did.
@@ -82,7 +83,6 @@ void RingServer::on_message(net::PayloadPtr msg, ServerContext& ctx) {
 bool RingServer::gate_client_op(bool is_read, ClientId client, RequestId req,
                                 Value* value, ObjectId object,
                                 ServerContext& ctx) {
-  if (view_.map == nullptr) return false;  // legacy server: owns everything
   const bool owns_now = view_.owns(object);
   if (!incoming_) {
     if (owns_now) return false;
@@ -126,7 +126,7 @@ bool RingServer::gate_client_op(bool is_read, ClientId client, RequestId req,
 void RingServer::on_client_write(ClientId client, RequestId req, Value value,
                                  ServerContext& ctx, ObjectId object) {
   ++stats_.client_writes_in;
-  if (opts_.dedup_retries && (view_.map == nullptr || view_.owns(object)) &&
+  if (opts_.dedup_retries && view_.owns(object) &&
       request_completed(client, req)) {
     // This request already completed somewhere (we learned via the commit
     // circulating); re-applying would risk the duplicate-write atomicity
@@ -219,7 +219,7 @@ void RingServer::on_frag_write(const FragWrite& m, ServerContext& ctx) {
           *late_tag, code::StoredFragment{m.frag_index, m.n, m.k,
                                           m.value_size, m.checksum, m.frag});
       ++stats_.frag_late_binds;
-      if (m.initiate && (view_.map == nullptr || view_.owns(m.object))) {
+      if (m.initiate && view_.owns(m.object)) {
         ++stats_.dedup_acks;
         probe_.event(obs::EventKind::kDedupAck, m.client, m.req);
         ctx.send_client(m.client, net::make_payload<ClientWriteAck>(
@@ -233,7 +233,7 @@ void RingServer::on_frag_write(const FragWrite& m, ServerContext& ctx) {
   // fragments of completed writes would never be promoted again — a leak).
   const bool done = opts_.dedup_retries && request_completed(m.client, m.req);
   if (done) {
-    if (m.initiate && (view_.map == nullptr || view_.owns(m.object))) {
+    if (m.initiate && view_.owns(m.object)) {
       ++stats_.dedup_acks;
       probe_.event(obs::EventKind::kDedupAck, m.client, m.req);
       ctx.send_client(m.client, net::make_payload<ClientWriteAck>(
@@ -303,7 +303,7 @@ void RingServer::send_coded_read_ack(const ObjectState& obj, ClientId client,
 
 void RingServer::begin_view_change(ServerView next) {
   assert(!incoming_);
-  assert(next.epoch == view_.epoch + 1 || view_.map == nullptr);
+  assert(next.epoch == view_.epoch + 1);
   incoming_ = std::move(next);
   migrated_in_.clear();
   transition_dedup_merges_ = 0;
@@ -355,7 +355,7 @@ void RingServer::on_migrate_dedup(const MigrateDedup& m) {
 }
 
 MigrationProbe RingServer::migration_probe() const {
-  assert(incoming_ && view_.map && incoming_->map);
+  assert(incoming_ && incoming_->map);
   MigrationProbe out;
   for (const auto& [id, obj] : objects_) {
     if (!object_moves(id, *view_.map, *incoming_->map)) continue;

@@ -166,11 +166,11 @@ class RingServer {
 
   /// ⟨write, v⟩ for `object` from a client (lines 18–20).
   void on_client_write(ClientId client, RequestId req, Value value,
-                       ServerContext& ctx, ObjectId object = kDefaultObject);
+                       ServerContext& ctx, ObjectId object);
 
   /// ⟨read⟩ of `object` from a client (lines 76–84).
   void on_client_read(ClientId client, RequestId req, ServerContext& ctx,
-                      ObjectId object = kDefaultObject);
+                      ObjectId object);
 
   /// A ring message from the predecessor (PreWrite / WriteCommit /
   /// SyncState / PreWriteFrag / FragRepair), or a RingBatch of them —
@@ -194,11 +194,13 @@ class RingServer {
 
   // ---------- epoch-versioned views (DESIGN.md §Reconfiguration, D8) ----
   //
-  // A server with no view installed owns every register and stamps epoch 0
-  // on nothing — the legacy single-ring server, bit-for-bit. A fabric that
-  // deploys a sharded topology installs a view (epoch, own ring, shard map)
-  // and from then on the server refuses client ops on registers it does not
-  // own (EpochNack with its newest known epoch as the refresh hint).
+  // A server starts with the boot view {epoch 0, ring 0, one-ring shard
+  // map}: it owns every register and stamps epoch 0, which the wire encodes
+  // as no epoch field at all — the paper's single-ring server, bit-for-bit.
+  // A fabric that deploys a sharded topology installs the server's own view
+  // (epoch, own ring, shard map) and from then on the server refuses client
+  // ops on registers it does not own (EpochNack with its newest known epoch
+  // as the refresh hint).
   //
   // A live reconfiguration hands every server the *next* view first
   // (begin_view_change): ops on registers moving away are NACKed with the
@@ -275,19 +277,15 @@ class RingServer {
 
   // ---------- introspection (tests, benches) ----------
   //
-  // The single-object accessors of the original API read the default
-  // register; every one has an object-keyed overload. Reading a register
-  // that was never written is valid and yields the initial state.
+  // Per-register accessors name their register. Reading a register that
+  // was never written is valid and yields the initial state.
 
   [[nodiscard]] ProcessId id() const { return self_; }
-  [[nodiscard]] const Tag& current_tag(ObjectId object = kDefaultObject) const;
-  [[nodiscard]] const Value& current_value(
-      ObjectId object = kDefaultObject) const;
-  [[nodiscard]] const PendingSet& pending(
-      ObjectId object = kDefaultObject) const;
+  [[nodiscard]] const Tag& current_tag(ObjectId object) const;
+  [[nodiscard]] const Value& current_value(ObjectId object) const;
+  [[nodiscard]] const PendingSet& pending(ObjectId object) const;
   [[nodiscard]] const RingView& ring() const { return ring_; }
-  [[nodiscard]] std::size_t parked_read_count(
-      ObjectId object = kDefaultObject) const;
+  [[nodiscard]] std::size_t parked_read_count(ObjectId object) const;
   [[nodiscard]] std::size_t object_count() const { return objects_.size(); }
   [[nodiscard]] std::size_t write_queue_depth() const {
     return write_queue_.size();
@@ -500,8 +498,7 @@ class RingServer {
   // Client-retry dedup (D5/D6): completed write requests per client.
   std::unordered_map<ClientId, CompletedWindow> completed_req_;
 
-  // Epoch-versioned view (D8). Default: no map — the legacy server that
-  // owns everything and stamps epoch 0 (encoded as no epoch field at all).
+  // Epoch-versioned view (D8); the boot view until a fabric installs one.
   ServerView view_;
   std::optional<ServerView> incoming_;     // next view during a transition
   std::deque<TransitionOp> transition_parked_;

@@ -10,7 +10,6 @@
 
 #include <cassert>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,8 +30,6 @@ struct AbdProtocol {
   using Server = baselines::AbdServer;
   using Client = baselines::AbdClient;
   static constexpr const char* kName = "abd";
-  /// ABD serves the keyed object namespace (per-register quorum state).
-  static constexpr bool kObjectNamespace = true;
 
   static Server make_server(ProcessId p, std::size_t n) { return Server(p, n); }
   static Client make_client(ClientId id, std::size_t n, ProcessId preferred,
@@ -57,8 +54,6 @@ struct ChainProtocol {
   using Server = baselines::ChainServer;
   using Client = baselines::ChainClient;
   static constexpr const char* kName = "chain";
-  /// The chain serves the keyed namespace (per-register tail state).
-  static constexpr bool kObjectNamespace = true;
 
   static Server make_server(ProcessId p, std::size_t n) { return Server(p, n); }
   static Client make_client(ClientId id, std::size_t n, ProcessId preferred,
@@ -89,8 +84,6 @@ struct TobProtocol {
   using Server = baselines::TobServer;
   using Client = baselines::TobClient;
   static constexpr const char* kName = "tob";
-  /// TOB serves the keyed namespace (per-register total-order snapshots).
-  static constexpr bool kObjectNamespace = true;
 
   static Server make_server(ProcessId p, std::size_t n) { return Server(p, n); }
   static Client make_client(ClientId id, std::size_t n, ProcessId preferred,
@@ -247,34 +240,13 @@ class BaselineCluster {
 
     void deliver(const net::Payload& msg) { client.on_reply(msg, *this); }
 
-    // ClientPort. Every baseline now serves the keyed namespace (ABD since
-    // PR 4, chain and TOB since PR 5) and routes the object straight
-    // through; the guard stays for any future single-register protocol —
-    // silently collapsing the namespace onto one register would fabricate
-    // linearizability violations in per-object histories.
+    // ClientPort: every baseline serves the keyed namespace and routes the
+    // object straight through.
     RequestId begin_write(ObjectId object, Value v) override {
-      if constexpr (Protocol::kObjectNamespace) {
-        return client.begin_write(object, std::move(v), *this);
-      } else {
-        require_default(object);
-        return client.begin_write(std::move(v), *this);
-      }
+      return client.begin_write(object, std::move(v), *this);
     }
     RequestId begin_read(ObjectId object) override {
-      if constexpr (Protocol::kObjectNamespace) {
-        return client.begin_read(object, *this);
-      } else {
-        require_default(object);
-        return client.begin_read(*this);
-      }
-    }
-    static void require_default(ObjectId object) {
-      if (object != kDefaultObject) {
-        throw std::logic_error(
-            std::string(Protocol::kName) +
-            " serves only the default register (object 0); got object " +
-            std::to_string(object));
-      }
+      return client.begin_read(object, *this);
     }
     void set_on_complete(
         std::function<void(const core::OpResult&)> cb) override {

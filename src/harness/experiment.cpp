@@ -244,10 +244,7 @@ static ExperimentResult run_baseline(const ExperimentParams& p) {
   // The baseline clients are strictly one-outstanding-op (their begin_*
   // precondition is only an assert, stripped in Release), single-ring, and
   // static-membership: fail loudly in every build rather than silently
-  // corrupt their state. All three baselines serve the object namespace
-  // (ABD since PR 4, chain and TOB since PR 5).
-  static_assert(Protocol::kObjectNamespace,
-                "baselines serve the object namespace");
+  // corrupt their state.
   if (p.pipeline > 1 || p.n_rings > 1 || !p.reconfig.empty()) {
     throw std::logic_error(
         std::string("baseline experiment (") + Protocol::kName +

@@ -234,9 +234,7 @@ SimCluster::SimCluster(sim::Simulator& sim, SimClusterConfig cfg)
       ServerNode& node = spawn_server(r, local, topo_.ring_size(r),
                                       topo_.global_id(r, local),
                                       topo_.ring_base(r));
-      if (cfg_.enable_reconfig) {
-        node.server.install_view(core::ServerView{0, r, map_});
-      }
+      node.server.install_view(core::ServerView{0, r, map_});
     }
   }
 }
@@ -320,10 +318,8 @@ core::ClientSession& SimCluster::add_client(std::size_t machine,
         cfg_.recorder->registry().histogram("client.backoff_delay_s",
                                             kBackoffBounds)});
   }
-  if (cfg_.enable_reconfig) {
-    clients_.back()->client.set_view_provider(
-        [reg = registry_] { return reg->get(); });
-  }
+  clients_.back()->client.set_view_provider(
+      [reg = registry_] { return reg->get(); });
   return clients_.back()->client;
 }
 
@@ -356,9 +352,6 @@ Epoch SimCluster::add_ring(std::size_t n_servers) {
   // Runtime validation, not asserts: a malformed or overlapping schedule
   // must fail loudly in Release too — overwriting an in-flight
   // reconfiguration would hand servers inconsistent views.
-  if (!cfg_.enable_reconfig) {
-    throw std::logic_error("add_ring: reconfig disabled in this cluster");
-  }
   if (rc_) throw std::logic_error("add_ring: reconfiguration in progress");
   rc_ = std::make_unique<core::MigrationCoordinator>(core::MigrationPlan::grow(
       view_, map_, n_servers, cfg_.value_policy.active()));
@@ -383,10 +376,6 @@ Epoch SimCluster::add_ring(std::size_t n_servers) {
 }
 
 Epoch SimCluster::remove_last_ring() {
-  if (!cfg_.enable_reconfig) {
-    throw std::logic_error(
-        "remove_last_ring: reconfig disabled in this cluster");
-  }
   if (rc_) {
     throw std::logic_error("remove_last_ring: reconfiguration in progress");
   }

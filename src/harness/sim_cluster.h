@@ -23,8 +23,10 @@
 // runtime, the registers whose shard assignment changes are copied
 // ring-to-ring in epoch-stamped MigrateState messages (charged to the
 // server network like all traffic), and clients re-route via EpochNack +
-// the cluster's ViewRegistry. A deployment that never reconfigures emits
-// bit-for-bit the PR 4 wire traffic (tested).
+// the cluster's ViewRegistry. Every server is installed with its epoch-0
+// view and every session reads the registry, always; a deployment that
+// never reconfigures still emits the epoch-0 wire traffic byte for byte
+// (golden-pinned network totals, tests/reconfig_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -90,12 +92,6 @@ struct SimClusterConfig {
   /// default: the cluster then emits bit-for-bit the replicated-only wire
   /// traffic (golden-pinned in tests/code_test.cpp).
   code::ValuePolicy value_policy;
-
-  /// Epoch-versioned views: servers get ownership views and sessions a
-  /// registry-backed view provider, enabling add_ring/remove_last_ring.
-  /// false restores the PR 4 wiring exactly (the epoch-0 golden pin —
-  /// with no reconfiguration the two emit identical wire traffic, tested).
-  bool enable_reconfig = true;
 
   /// Observability (DESIGN.md D9): when set, the cluster drives the
   /// recorder's clock from simulated time, attaches a probe to every server

@@ -130,10 +130,7 @@ struct ThreadedCluster::ClientHost final : core::ClientContext {
   ClientHost(ThreadedCluster* cl, ClientId id, core::ClientOptions opts)
       : cluster(cl), client(id, opts) {
     client.on_complete = [this](const core::OpResult& r) { finish(r); };
-    if (cluster->cfg_.enable_reconfig) {
-      client.set_view_provider(
-          [reg = cluster->registry_] { return reg->get(); });
-    }
+    client.set_view_provider([reg = cluster->registry_] { return reg->get(); });
   }
 
   /// Starts one operation; runs through Transport::execute.
@@ -249,12 +246,10 @@ ThreadedCluster::ThreadedCluster(ThreadedClusterConfig cfg)
   }
   for (RingId r = 0; r < static_cast<RingId>(topo_.n_rings()); ++r) {
     for (ProcessId local = 0; local < topo_.ring_size(r); ++local) {
-      ServerHost& host = spawn_server(r, local, topo_.ring_size(r),
-                                      topo_.global_id(r, local),
-                                      topo_.ring_base(r));
-      if (cfg_.enable_reconfig) {
-        host.server.install_view(core::ServerView{0, r, map_});
-      }
+      spawn_server(r, local, topo_.ring_size(r), topo_.global_id(r, local),
+                   topo_.ring_base(r), [&](core::RingServer& server) {
+                     server.install_view(core::ServerView{0, r, map_});
+                   });
     }
   }
 }
@@ -374,9 +369,6 @@ std::optional<core::MigrationProbe> await_control(
 Epoch ThreadedCluster::add_ring(std::size_t n_servers) {
   // Runtime validation, not asserts: malformed calls must fail loudly in
   // Release builds too.
-  if (!cfg_.enable_reconfig) {
-    throw std::logic_error("add_ring: reconfig disabled in this cluster");
-  }
   const core::ClusterView current = view();
   core::MigrationCoordinator coord(core::MigrationPlan::grow(
       current, map_, n_servers, cfg_.value_policy.active()));
@@ -402,10 +394,6 @@ Epoch ThreadedCluster::add_ring(std::size_t n_servers) {
 }
 
 Epoch ThreadedCluster::remove_last_ring() {
-  if (!cfg_.enable_reconfig) {
-    throw std::logic_error(
-        "remove_last_ring: reconfig disabled in this cluster");
-  }
   core::MigrationCoordinator coord(core::MigrationPlan::shrink(
       view(), map_, cfg_.value_policy.active()));
   return run_coordinator(coord);

@@ -11,9 +11,11 @@
 // tag every op with the ring that served it and the epoch it was served in,
 // so the checkers can verify each op went to its epoch's owning ring.
 //
-// Live reconfiguration (DESIGN.md §Reconfiguration, D8): add_ring() /
-// remove_last_ring() block the calling thread while the freeze → copy →
-// flip migration runs against live traffic. The decisions are
+// Live reconfiguration (DESIGN.md §Reconfiguration, D8): every server
+// boots with its epoch-0 view and every session reads the cluster's
+// ViewRegistry, so add_ring() / remove_last_ring() are always available.
+// They block the calling thread while the freeze → copy → flip migration
+// runs against live traffic. The decisions are
 // core::MigrationCoordinator's, shared with SimCluster; this fabric only
 // executes its commands. Server-side commands (installing views, probing
 // drain progress, emitting MigrateState/MigrateDedup, committing the flip)
@@ -75,10 +77,6 @@ struct ThreadedClusterConfig {
   /// Inactive by default (replicated-only traffic, golden-pinned).
   code::ValuePolicy value_policy;
 
-  /// Epoch-versioned views (enables add_ring/remove_last_ring); false
-  /// restores the PR 4 wiring exactly.
-  bool enable_reconfig = true;
-
   /// Observability (DESIGN.md D9): when set, event time is wall-clock
   /// seconds since cluster construction (steady_clock — monotonic, not
   /// deterministic), every server/session gets a probe, and
@@ -111,11 +109,6 @@ class ThreadedCluster {
     Value read(ObjectId object);
     /// Like read() but exposes the full result (tag, attempts, served_by).
     core::OpResult read_result(ObjectId object);
-
-    /// Single-register facade (the original API, object 0).
-    void write(Value v) { write(kDefaultObject, std::move(v)); }
-    Value read() { return read(kDefaultObject); }
-    core::OpResult read_result() { return read_result(kDefaultObject); }
 
     /// Pipelined issue: returns immediately; the future resolves when the
     /// operation completes. Ops on distinct objects proceed in parallel.

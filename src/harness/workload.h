@@ -24,18 +24,12 @@
 namespace hts::harness {
 
 /// Minimal issue/complete surface every protocol's client adapter exposes.
-/// Operations address a register in the object namespace; protocols without
-/// namespace support (the baselines) serve kDefaultObject only. begin_*
-/// returns the request id so pipelining drivers can match completions.
+/// Operations address a register in the object namespace. begin_* returns
+/// the request id so pipelining drivers can match completions.
 class ClientPort {
  public:
   virtual RequestId begin_write(ObjectId object, Value v) = 0;
   virtual RequestId begin_read(ObjectId object) = 0;
-  /// Single-register convenience (the pre-namespace surface).
-  RequestId begin_write(Value v) {
-    return begin_write(kDefaultObject, std::move(v));
-  }
-  RequestId begin_read() { return begin_read(kDefaultObject); }
   /// Invoked exactly once per begin_*; set before the first begin.
   virtual void set_on_complete(
       std::function<void(const core::OpResult&)> cb) = 0;

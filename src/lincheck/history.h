@@ -61,15 +61,15 @@ struct Op {
 class History {
  public:
   void record_write(ClientId c, std::uint64_t value, double inv, double resp,
-                    ObjectId object = kDefaultObject, RingId ring = kNoRing,
+                    ObjectId object, RingId ring = kNoRing,
                     Epoch epoch = 0, RequestId req = 0) {
     ops_.push_back(
         Op{c, false, value, inv, resp, kInitialTag, object, ring, epoch, req});
   }
 
   void record_read(ClientId c, std::uint64_t value, double inv, double resp,
-                   Tag tag = kInitialTag, ObjectId object = kDefaultObject,
-                   RingId ring = kNoRing, Epoch epoch = 0, RequestId req = 0) {
+                   Tag tag, ObjectId object, RingId ring = kNoRing,
+                   Epoch epoch = 0, RequestId req = 0) {
     ops_.push_back(
         Op{c, true, value, inv, resp, tag, object, ring, epoch, req});
   }

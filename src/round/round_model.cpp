@@ -149,7 +149,7 @@ void RingRoundServer::on_client_chan(net::PayloadPtr msg, Api& api) {
   current_api_ = &api;
   if (msg->kind() == core::kClientRead) {
     const auto& m = static_cast<const core::ClientRead&>(*msg);
-    server_.on_client_read(m.client, m.req, *this);
+    server_.on_client_read(m.client, m.req, *this, m.object);
   }
   current_api_ = nullptr;
 }
@@ -158,7 +158,7 @@ void RingRoundServer::on_bulk(net::PayloadPtr msg, Api& api) {
   current_api_ = &api;
   if (msg->kind() == core::kClientWrite) {
     const auto& m = static_cast<const core::ClientWrite&>(*msg);
-    server_.on_client_write(m.client, m.req, m.value, *this);
+    server_.on_client_write(m.client, m.req, m.value, *this, m.object);
   }
   current_api_ = nullptr;
 }
@@ -285,14 +285,15 @@ std::unique_ptr<RingRoundCluster> RingRoundCluster::build(
                      Api& api) mutable {
       RoundClientCtx ctx(api);
       if (is_reader) {
-        s->client->begin_read(ctx);
+        s->client->begin_read(kDefaultObject, ctx);
       } else {
-        s->client->begin_write(Value::synthetic(seed++, 8), ctx);
+        s->client->begin_write(kDefaultObject, Value::synthetic(seed++, 8),
+                               ctx);
       }
     };
     auto reply = [s](net::PayloadPtr msg, Api& api) {
       RoundClientCtx ctx(api);
-      s->client->on_reply(*msg, ctx);
+      s->client->on_reply(*msg, kNoProcess, ctx);
     };
     s->node = std::make_unique<ClientNode>(std::move(issue), std::move(reply));
     s->node_index = cluster->engine.add_node(s->node.get());
@@ -408,9 +409,10 @@ std::unique_ptr<TobRoundCluster> TobRoundCluster::build(
                      Api& api) mutable {
       RoundClientCtx ctx(api);
       if (is_reader) {
-        s->client->begin_read(ctx);
+        s->client->begin_read(kDefaultObject, ctx);
       } else {
-        s->client->begin_write(Value::synthetic(seed++, 8), ctx);
+        s->client->begin_write(kDefaultObject, Value::synthetic(seed++, 8),
+                               ctx);
       }
     };
     auto reply = [s](net::PayloadPtr msg, Api& api) {

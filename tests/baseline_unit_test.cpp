@@ -37,7 +37,7 @@ struct MockPeerCtx final : PeerContext {
 TEST(AbdServerUnit, AnswersReadTsWithCurrentTag) {
   AbdServer s(0, 3);
   MockPeerCtx ctx;
-  s.on_client_message(AbdReadTs(7, 1, 9), ctx);
+  s.on_client_message(AbdReadTs(7, 1, 9, kDefaultObject), ctx);
   ASSERT_EQ(ctx.client.size(), 1u);
   const auto& ack = static_cast<const AbdReadTsAck&>(*ctx.client[0].msg);
   EXPECT_EQ(ack.tag, kInitialTag);
@@ -47,14 +47,16 @@ TEST(AbdServerUnit, AnswersReadTsWithCurrentTag) {
 TEST(AbdServerUnit, StoreAppliesOnlyNewerTags) {
   AbdServer s(0, 3);
   MockPeerCtx ctx;
-  s.on_client_message(AbdStore(7, 1, 1, Tag{5, 1}, Value::synthetic(1, 16)),
+  s.on_client_message(AbdStore(7, 1, 1, Tag{5, 1}, Value::synthetic(1, 16),
+                               kDefaultObject),
                       ctx);
-  EXPECT_EQ(s.current_tag(), (Tag{5, 1}));
+  EXPECT_EQ(s.current_tag(kDefaultObject), (Tag{5, 1}));
   // An older store must not regress the replica.
-  s.on_client_message(AbdStore(7, 2, 2, Tag{3, 9}, Value::synthetic(2, 16)),
+  s.on_client_message(AbdStore(7, 2, 2, Tag{3, 9}, Value::synthetic(2, 16),
+                               kDefaultObject),
                       ctx);
-  EXPECT_EQ(s.current_tag(), (Tag{5, 1}));
-  EXPECT_EQ(s.current_value(), Value::synthetic(1, 16));
+  EXPECT_EQ(s.current_tag(kDefaultObject), (Tag{5, 1}));
+  EXPECT_EQ(s.current_value(kDefaultObject), Value::synthetic(1, 16));
   EXPECT_EQ(ctx.client.size(), 2u);  // but it is still acknowledged
 }
 
@@ -67,7 +69,7 @@ TEST(AbdServerUnit, KeepsIndependentStatePerObject) {
                       ctx);
   EXPECT_EQ(s.current_tag(4), (Tag{3, 2}));
   EXPECT_EQ(s.current_value(4), Value::synthetic(9, 16));
-  EXPECT_EQ(s.current_tag(), kInitialTag);
+  EXPECT_EQ(s.current_tag(kDefaultObject), kInitialTag);
   EXPECT_EQ(s.current_tag(7), kInitialTag);
   EXPECT_EQ(s.object_count(), 1u) << "reads must not materialise registers";
 
@@ -90,9 +92,10 @@ TEST(AbdServerUnit, KeepsIndependentStatePerObject) {
 TEST(AbdServerUnit, GetReturnsTagAndValue) {
   AbdServer s(0, 3);
   MockPeerCtx ctx;
-  s.on_client_message(AbdStore(7, 1, 1, Tag{2, 0}, Value::synthetic(3, 16)),
+  s.on_client_message(AbdStore(7, 1, 1, Tag{2, 0}, Value::synthetic(3, 16),
+                               kDefaultObject),
                       ctx);
-  s.on_client_message(AbdGet(8, 4, 11), ctx);
+  s.on_client_message(AbdGet(8, 4, 11, kDefaultObject), ctx);
   const auto& ack = static_cast<const AbdGetAck&>(*ctx.client.back().msg);
   EXPECT_EQ(ack.tag, (Tag{2, 0}));
   EXPECT_EQ(ack.value, Value::synthetic(3, 16));
@@ -114,7 +117,8 @@ TEST(ChainServerUnit, RolesFollowAliveSet) {
 TEST(ChainServerUnit, HeadSequencesAndForwards) {
   ChainServer head(0, 3);
   MockPeerCtx ctx;
-  head.on_client_message(ChainWrite(7, 1, Value::synthetic(1, 16)), ctx);
+  head.on_client_message(ChainWrite(7, 1, Value::synthetic(1, 16),
+                                    kDefaultObject), ctx);
   ASSERT_EQ(ctx.peer.size(), 1u);
   EXPECT_EQ(ctx.peer[0].to, 1u);
   const auto& u = static_cast<const ChainUpdate&>(*ctx.peer[0].msg);
@@ -126,7 +130,8 @@ TEST(ChainServerUnit, HeadSequencesAndForwards) {
 TEST(ChainServerUnit, NonHeadIgnoresClientWrites) {
   ChainServer mid(1, 3);
   MockPeerCtx ctx;
-  mid.on_client_message(ChainWrite(7, 1, Value::synthetic(1, 16)), ctx);
+  mid.on_client_message(ChainWrite(7, 1, Value::synthetic(1, 16),
+                                   kDefaultObject), ctx);
   EXPECT_TRUE(ctx.peer.empty());
   EXPECT_TRUE(ctx.client.empty());
 }
@@ -134,7 +139,8 @@ TEST(ChainServerUnit, NonHeadIgnoresClientWrites) {
 TEST(ChainServerUnit, TailRepliesAndAcksBack) {
   ChainServer tail(2, 3);
   MockPeerCtx ctx;
-  tail.on_peer_message(ChainUpdate(1, 7, 1, Value::synthetic(1, 16)), ctx);
+  tail.on_peer_message(ChainUpdate(1, 7, 1, Value::synthetic(1, 16),
+                                   kDefaultObject), ctx);
   ASSERT_EQ(ctx.client.size(), 1u);
   EXPECT_EQ(ctx.client[0].to, 7u);
   ASSERT_EQ(ctx.peer.size(), 1u);
@@ -145,7 +151,8 @@ TEST(ChainServerUnit, TailRepliesAndAcksBack) {
 TEST(ChainServerUnit, AckBackClearsResendBuffer) {
   ChainServer head(0, 3);
   MockPeerCtx ctx;
-  head.on_client_message(ChainWrite(7, 1, Value::synthetic(1, 16)), ctx);
+  head.on_client_message(ChainWrite(7, 1, Value::synthetic(1, 16),
+                                    kDefaultObject), ctx);
   EXPECT_EQ(head.unacked(), 1u);
   head.on_peer_message(ChainAckBack(1), ctx);
   EXPECT_EQ(head.unacked(), 0u);
@@ -154,7 +161,8 @@ TEST(ChainServerUnit, AckBackClearsResendBuffer) {
 TEST(ChainServerUnit, SuccessorCrashTriggersResend) {
   ChainServer head(0, 3);
   MockPeerCtx ctx;
-  head.on_client_message(ChainWrite(7, 1, Value::synthetic(1, 16)), ctx);
+  head.on_client_message(ChainWrite(7, 1, Value::synthetic(1, 16),
+                                    kDefaultObject), ctx);
   ctx.peer.clear();
   head.on_peer_crash(1, ctx);  // middle dies holding the update
   ASSERT_EQ(ctx.peer.size(), 1u);
@@ -165,15 +173,18 @@ TEST(ChainServerUnit, SuccessorCrashTriggersResend) {
 TEST(ChainServerUnit, HeadDedupsRetriedWrites) {
   ChainServer head(0, 3);
   MockPeerCtx ctx;
-  head.on_client_message(ChainWrite(7, 1, Value::synthetic(1, 16)), ctx);
-  head.on_client_message(ChainWrite(7, 1, Value::synthetic(1, 16)), ctx);
+  head.on_client_message(ChainWrite(7, 1, Value::synthetic(1, 16),
+                                    kDefaultObject), ctx);
+  head.on_client_message(ChainWrite(7, 1, Value::synthetic(1, 16),
+                                    kDefaultObject), ctx);
   EXPECT_EQ(head.applied_seq(), 1u) << "retried write must not re-sequence";
 }
 
 TEST(ChainServerUnit, BecomingTailFlushesPendingAcks) {
   ChainServer mid(1, 3);
   MockPeerCtx ctx;
-  mid.on_peer_message(ChainUpdate(1, 7, 1, Value::synthetic(1, 16)), ctx);
+  mid.on_peer_message(ChainUpdate(1, 7, 1, Value::synthetic(1, 16),
+                                  kDefaultObject), ctx);
   EXPECT_TRUE(ctx.client.empty());  // not tail yet
   mid.on_peer_crash(2, ctx);        // old tail dies → we are tail
   ASSERT_EQ(ctx.client.size(), 1u);
@@ -191,7 +202,8 @@ TEST(TobServerUnit, Server0StartsWithParkedToken) {
 TEST(TobServerUnit, HolderStampsImmediately) {
   TobServer s(0, 3);
   MockPeerCtx ctx;
-  s.on_client_message(TobWrite(7, 1, Value::synthetic(1, 16)), ctx);
+  s.on_client_message(TobWrite(7, 1, Value::synthetic(1, 16), kDefaultObject),
+                      ctx);
   EXPECT_FALSE(s.holds_token());  // token released with the op
   EXPECT_EQ(s.applied_seq(), 1u);
   // Egress: the op followed by the token.
@@ -203,7 +215,8 @@ TEST(TobServerUnit, HolderStampsImmediately) {
 TEST(TobServerUnit, NonHolderNudges) {
   TobServer s(1, 3);
   MockPeerCtx ctx;
-  s.on_client_message(TobWrite(7, 1, Value::synthetic(1, 16)), ctx);
+  s.on_client_message(TobWrite(7, 1, Value::synthetic(1, 16), kDefaultObject),
+                      ctx);
   ASSERT_EQ(ctx.peer.size(), 1u);
   EXPECT_EQ(ctx.peer[0].msg->kind(), kTobNudge);
   EXPECT_EQ(s.applied_seq(), 0u);  // waits for the token
@@ -213,10 +226,11 @@ TEST(TobServerUnit, OpsDeliverInSeqOrderAndForward) {
   TobServer s(1, 3);
   MockPeerCtx ctx;
   s.on_peer_message(net::make_payload<TobOp>(1, 0, 7, 1, false,
-                                             Value::synthetic(1, 16)),
+                                             Value::synthetic(1, 16),
+                                             kDefaultObject),
                     ctx);
   EXPECT_EQ(s.applied_seq(), 1u);
-  EXPECT_EQ(s.current_value(), Value::synthetic(1, 16));
+  EXPECT_EQ(s.current_value(kDefaultObject), Value::synthetic(1, 16));
   ASSERT_EQ(ctx.peer.size(), 1u);
   EXPECT_EQ(ctx.peer[0].to, 2u);  // forwarded around the ring
 }
@@ -224,12 +238,14 @@ TEST(TobServerUnit, OpsDeliverInSeqOrderAndForward) {
 TEST(TobServerUnit, OwnOpAbsorbedAndRepliedOnReturn) {
   TobServer s(0, 3);
   MockPeerCtx ctx;
-  s.on_client_message(TobWrite(7, 1, Value::synthetic(1, 16)), ctx);
+  s.on_client_message(TobWrite(7, 1, Value::synthetic(1, 16), kDefaultObject),
+                      ctx);
   EXPECT_TRUE(ctx.client.empty()) << "reply must wait for stability";
   ctx.peer.clear();
   // The op completes its loop and returns.
   s.on_peer_message(net::make_payload<TobOp>(1, 0, 7, 1, false,
-                                             Value::synthetic(1, 16)),
+                                             Value::synthetic(1, 16),
+                                             kDefaultObject),
                     ctx);
   ASSERT_EQ(ctx.client.size(), 1u);
   EXPECT_EQ(ctx.client[0].msg->kind(), kTobWriteAck);
@@ -263,10 +279,12 @@ TEST(TobServerUnit, FlowControlBoundsStampsPerVisit) {
   // Queue 20 ops while NOT holding the token... server 0 holds it initially,
   // so first op stamps and releases; park it again via a full-idle token,
   // then queue the rest and count stamps on the next visit.
-  s.on_client_message(TobWrite(7, 1, Value::synthetic(1, 16)), ctx);
+  s.on_client_message(TobWrite(7, 1, Value::synthetic(1, 16), kDefaultObject),
+                      ctx);
   ctx.peer.clear();
   for (RequestId r = 2; r <= 21; ++r) {
-    s.on_client_message(TobWrite(7, r, Value::synthetic(r, 16)), ctx);
+    s.on_client_message(TobWrite(7, r, Value::synthetic(r, 16),
+                                 kDefaultObject), ctx);
   }
   ctx.peer.clear();
   s.on_peer_message(net::make_payload<TobToken>(2, 0), ctx);

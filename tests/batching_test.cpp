@@ -33,7 +33,8 @@ void feed_pre_writes(RingServer& server, ProcessId origin, std::uint64_t first_t
         net::make_payload<PreWrite>(Tag{first_ts + static_cast<std::uint64_t>(i),
                                         origin},
                                     Value::synthetic(100 + static_cast<std::uint64_t>(i), 32),
-                                    /*client=*/50, /*req=*/static_cast<RequestId>(i + 1)),
+                                    /*client=*/50, /*req=*/static_cast<RequestId>(i + 1),
+                                    kDefaultObject),
         ctx);
   }
 }
@@ -46,7 +47,8 @@ TEST(RingBatching, FairnessRuleHoldsWithinBatch) {
 
   feed_pre_writes(server, /*origin=*/0, /*first_ts=*/10, /*k=*/4, ctx);
   for (RequestId r = 1; r <= 3; ++r) {
-    server.on_client_write(/*client=*/7, r, Value::synthetic(r, 32), ctx);
+    server.on_client_write(/*client=*/7, r, Value::synthetic(r, 32), ctx,
+                           kDefaultObject);
   }
 
   auto batch = server.next_ring_batch();
@@ -97,9 +99,10 @@ TEST(RingBatching, MaxBatchOneIsBitForBitTheUnbatchedProtocol) {
 
   auto drive = [&ctx](RingServer& s) {
     feed_pre_writes(s, 0, 10, 3, ctx);
-    s.on_client_write(7, 1, Value::synthetic(1, 64), ctx);
+    s.on_client_write(7, 1, Value::synthetic(1, 64), ctx, kDefaultObject);
     s.on_client_write(7, 2, Value::synthetic(2, 64), ctx, /*object=*/4);
-    s.on_ring_message(net::make_payload<WriteCommit>(Tag{10, 0}, 50, 1), ctx);
+    s.on_ring_message(net::make_payload<WriteCommit>(Tag{10, 0}, 50, 1,
+                                                     kDefaultObject), ctx);
     s.on_ring_message(net::make_payload<PreWrite>(Tag{9, 0},
                                                   Value::synthetic(3, 64), 51,
                                                   2, /*object=*/4),
@@ -149,14 +152,16 @@ TEST(RingBatching, DefaultObjectEncodingsMatchPreRedesignLayout) {
     e.u64(1234);
     e.u64(56);
     e.value(v);
-    EXPECT_EQ(encode_message(ClientWrite(1234, 56, v)), std::move(e).result());
+    EXPECT_EQ(encode_message(ClientWrite(1234, 56, v, kDefaultObject)),
+              std::move(e).result());
   }
   {
     Encoder e;
     e.u8(kClientWriteAck);
     e.u8(0);
     e.u64(77);
-    EXPECT_EQ(encode_message(ClientWriteAck(77)), std::move(e).result());
+    EXPECT_EQ(encode_message(ClientWriteAck(77, kDefaultObject)),
+              std::move(e).result());
   }
   {
     Encoder e;
@@ -164,7 +169,8 @@ TEST(RingBatching, DefaultObjectEncodingsMatchPreRedesignLayout) {
     e.u8(0);
     e.u64(42);
     e.u64(7);
-    EXPECT_EQ(encode_message(ClientRead(42, 7)), std::move(e).result());
+    EXPECT_EQ(encode_message(ClientRead(42, 7, kDefaultObject)),
+              std::move(e).result());
   }
   {
     Encoder e;
@@ -173,7 +179,8 @@ TEST(RingBatching, DefaultObjectEncodingsMatchPreRedesignLayout) {
     e.u64(7);
     e.value(v);
     put_tag_golden(e, t);
-    EXPECT_EQ(encode_message(ClientReadAck(7, v, t)), std::move(e).result());
+    EXPECT_EQ(encode_message(ClientReadAck(7, v, t, kDefaultObject)),
+              std::move(e).result());
   }
   {
     Encoder e;
@@ -183,7 +190,8 @@ TEST(RingBatching, DefaultObjectEncodingsMatchPreRedesignLayout) {
     e.u64(900);
     e.u64(15);
     e.value(v);
-    EXPECT_EQ(encode_message(PreWrite(t, v, 900, 15)), std::move(e).result());
+    EXPECT_EQ(encode_message(PreWrite(t, v, 900, 15, kDefaultObject)),
+              std::move(e).result());
   }
   {
     Encoder e;
@@ -192,7 +200,8 @@ TEST(RingBatching, DefaultObjectEncodingsMatchPreRedesignLayout) {
     put_tag_golden(e, t);
     e.u64(900);
     e.u64(15);
-    EXPECT_EQ(encode_message(WriteCommit(t, 900, 15)), std::move(e).result());
+    EXPECT_EQ(encode_message(WriteCommit(t, 900, 15, kDefaultObject)),
+              std::move(e).result());
   }
   {
     Encoder e;
@@ -200,7 +209,8 @@ TEST(RingBatching, DefaultObjectEncodingsMatchPreRedesignLayout) {
     e.u8(0);
     put_tag_golden(e, t);
     e.value(v);
-    EXPECT_EQ(encode_message(SyncState(t, v)), std::move(e).result());
+    EXPECT_EQ(encode_message(SyncState(t, v, kDefaultObject)),
+              std::move(e).result());
   }
 }
 
@@ -213,8 +223,9 @@ TEST(RingBatching, DefaultObjectServerTrafficCarriesNoObjectBytes) {
   RingServer server(1, 3, opts);
   NullCtx ctx;
   feed_pre_writes(server, 0, 10, 3, ctx);
-  server.on_client_write(7, 1, Value::synthetic(1, 64), ctx);
-  server.on_ring_message(net::make_payload<WriteCommit>(Tag{10, 0}, 50, 1),
+  server.on_client_write(7, 1, Value::synthetic(1, 64), ctx, kDefaultObject);
+  server.on_ring_message(net::make_payload<WriteCommit>(Tag{10, 0}, 50, 1,
+                                                        kDefaultObject),
                          ctx);
   server.on_peer_crash(2, ctx);
 
@@ -370,9 +381,9 @@ TEST(ThreadedBatching, CrashUnderBatchedLoadStaysLinearizable) {
       std::uint64_t op = 0;
       while (!stop.load()) {
         if ((op++ + static_cast<std::uint64_t>(i)) % 2 == 0) {
-          c->write(Value::synthetic(seed.fetch_add(1), 128));
+          c->write(kDefaultObject, Value::synthetic(seed.fetch_add(1), 128));
         } else {
-          (void)c->read();
+          (void)c->read(kDefaultObject);
         }
       }
     });

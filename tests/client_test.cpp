@@ -1,7 +1,7 @@
 // ClientSession unit tests: request/reply matching, timeout-driven retry
 // rotation with exponential backoff, stale-reply and stale-timer handling,
 // pipelining across objects with per-object ordering, and served_by
-// attribution. The facade tests exercise the original single-register API.
+// attribution. The single-register tests address kDefaultObject.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,7 +42,8 @@ ClientOptions opts(std::size_t n = 3, ProcessId preferred = 0) {
 TEST(ClientSession, WriteSendsToPreferredServer) {
   MockClientCtx ctx;
   ClientSession c(7, opts(3, 1));
-  const RequestId req = c.begin_write(Value::synthetic(1, 16), ctx);
+  const RequestId req = c.begin_write(kDefaultObject, Value::synthetic(1, 16),
+                                      ctx);
   ASSERT_EQ(ctx.sent.size(), 1u);
   EXPECT_EQ(ctx.sent[0].server, 1u);
   ASSERT_EQ(ctx.sent[0].msg->kind(), kClientWrite);
@@ -60,11 +61,12 @@ TEST(ClientSession, CompletionDeliversResultOnce) {
     ++completions;
     EXPECT_FALSE(r.is_read);
   };
-  const RequestId req = c.begin_write(Value::synthetic(1, 16), ctx);
+  const RequestId req = c.begin_write(kDefaultObject, Value::synthetic(1, 16),
+                                      ctx);
   ctx.time = 0.02;
-  ClientWriteAck ack(req);
-  c.on_reply(ack, ctx);
-  c.on_reply(ack, ctx);  // duplicate ack ignored
+  ClientWriteAck ack(req, kDefaultObject);
+  c.on_reply(ack, kNoProcess, ctx);
+  c.on_reply(ack, kNoProcess, ctx);  // duplicate ack ignored
   EXPECT_EQ(completions, 1);
   EXPECT_TRUE(c.idle());
 }
@@ -74,10 +76,10 @@ TEST(ClientSession, ReadResultCarriesValueAndTag) {
   ClientSession c(7, opts());
   OpResult seen;
   c.on_complete = [&](const OpResult& r) { seen = r; };
-  const RequestId req = c.begin_read(ctx);
+  const RequestId req = c.begin_read(kDefaultObject, ctx);
   ctx.time = 0.01;
-  ClientReadAck ack(req, Value::synthetic(9, 32), Tag{4, 2});
-  c.on_reply(ack, ctx);
+  ClientReadAck ack(req, Value::synthetic(9, 32), Tag{4, 2}, kDefaultObject);
+  c.on_reply(ack, kNoProcess, ctx);
   EXPECT_TRUE(seen.is_read);
   EXPECT_EQ(seen.value, Value::synthetic(9, 32));
   EXPECT_EQ(seen.tag, (Tag{4, 2}));
@@ -88,7 +90,8 @@ TEST(ClientSession, ReadResultCarriesValueAndTag) {
 TEST(ClientSession, TimeoutRotatesServerWithSameRequestId) {
   MockClientCtx ctx;
   ClientSession c(7, opts(3, 2));
-  const RequestId req = c.begin_write(Value::synthetic(1, 16), ctx);
+  const RequestId req = c.begin_write(kDefaultObject, Value::synthetic(1, 16),
+                                      ctx);
   ASSERT_EQ(ctx.timers.size(), 1u);
   c.on_timer(ctx.timers[0].second, ctx);  // fires: retry
   ASSERT_EQ(ctx.sent.size(), 2u);
@@ -101,10 +104,11 @@ TEST(ClientSession, TimeoutRotatesServerWithSameRequestId) {
 TEST(ClientSession, StaleTimerIgnoredAfterCompletion) {
   MockClientCtx ctx;
   ClientSession c(7, opts());
-  const RequestId req = c.begin_write(Value::synthetic(1, 16), ctx);
+  const RequestId req = c.begin_write(kDefaultObject, Value::synthetic(1, 16),
+                                      ctx);
   const auto token = ctx.timers[0].second;
-  ClientWriteAck ack(req);
-  c.on_reply(ack, ctx);
+  ClientWriteAck ack(req, kDefaultObject);
+  c.on_reply(ack, kNoProcess, ctx);
   c.on_timer(token, ctx);  // stale: op already completed
   EXPECT_EQ(ctx.sent.size(), 1u);
   EXPECT_EQ(c.retries(), 0u);
@@ -115,11 +119,11 @@ TEST(ClientSession, MismatchedReplyIgnored) {
   ClientSession c(7, opts());
   int completions = 0;
   c.on_complete = [&](const OpResult&) { ++completions; };
-  const RequestId req = c.begin_read(ctx);
-  ClientReadAck wrong_req(req + 100, Value{}, kInitialTag);
-  c.on_reply(wrong_req, ctx);
-  ClientWriteAck wrong_kind(req);
-  c.on_reply(wrong_kind, ctx);
+  const RequestId req = c.begin_read(kDefaultObject, ctx);
+  ClientReadAck wrong_req(req + 100, Value{}, kInitialTag, kDefaultObject);
+  c.on_reply(wrong_req, kNoProcess, ctx);
+  ClientWriteAck wrong_kind(req, kDefaultObject);
+  c.on_reply(wrong_kind, kNoProcess, ctx);
   EXPECT_EQ(completions, 0);
   EXPECT_FALSE(c.idle());
 }
@@ -129,21 +133,23 @@ TEST(ClientSession, AttemptsCounted) {
   ClientSession c(7, opts());
   OpResult seen;
   c.on_complete = [&](const OpResult& r) { seen = r; };
-  const RequestId req = c.begin_write(Value::synthetic(1, 16), ctx);
+  const RequestId req = c.begin_write(kDefaultObject, Value::synthetic(1, 16),
+                                      ctx);
   c.on_timer(ctx.timers[0].second, ctx);
   c.on_timer(ctx.timers[1].second, ctx);
-  ClientWriteAck ack(req);
-  c.on_reply(ack, ctx);
+  ClientWriteAck ack(req, kDefaultObject);
+  c.on_reply(ack, kNoProcess, ctx);
   EXPECT_EQ(seen.attempts, 3u);
 }
 
 TEST(ClientSession, RequestIdsIncrease) {
   MockClientCtx ctx;
   ClientSession c(7, opts());
-  const RequestId r1 = c.begin_write(Value::synthetic(1, 16), ctx);
-  ClientWriteAck ack1(r1);
-  c.on_reply(ack1, ctx);
-  const RequestId r2 = c.begin_read(ctx);
+  const RequestId r1 = c.begin_write(kDefaultObject, Value::synthetic(1, 16),
+                                     ctx);
+  ClientWriteAck ack1(r1, kDefaultObject);
+  c.on_reply(ack1, kNoProcess, ctx);
+  const RequestId r2 = c.begin_read(kDefaultObject, ctx);
   EXPECT_GT(r2, r1);
 }
 
@@ -175,7 +181,7 @@ TEST(ClientSession, PipelineCapQueuesExcessOps) {
   c.begin_write(3, Value::synthetic(3, 16), ctx);  // over the cap: queued
   EXPECT_EQ(ctx.sent.size(), 2u);
   EXPECT_EQ(c.backlog_count(), 1u);
-  ClientWriteAck ack(r1);
+  ClientWriteAck ack(r1, kDefaultObject);
   c.on_reply(ack, 0, ctx);  // frees a slot → queued op goes out
   EXPECT_EQ(ctx.sent.size(), 3u);
   EXPECT_EQ(static_cast<const ClientWrite&>(*ctx.sent[2].msg).object, 3u);
@@ -195,11 +201,11 @@ TEST(ClientSession, SameObjectOpsStayOrdered) {
 
   std::vector<RequestId> completed;
   c.on_complete = [&](const OpResult& r) { completed.push_back(r.req); };
-  ClientWriteAck ack1(r1);
+  ClientWriteAck ack1(r1, kDefaultObject);
   c.on_reply(ack1, 0, ctx);
   ASSERT_EQ(ctx.sent.size(), 2u);  // second write released in order
   EXPECT_EQ(static_cast<const ClientWrite&>(*ctx.sent[1].msg).req, r2);
-  ClientWriteAck ack2(r2);
+  ClientWriteAck ack2(r2, kDefaultObject);
   c.on_reply(ack2, 0, ctx);
   EXPECT_EQ(completed, (std::vector<RequestId>{r1, r2}));
   EXPECT_TRUE(c.idle());
@@ -227,14 +233,16 @@ TEST(ClientSession, WriteIdsAreGaplessAndReadIdsDisjoint) {
   // reads draw from a separate flagged sequence.
   MockClientCtx ctx;
   ClientSession c(7, opts());
-  const RequestId w1 = c.begin_write(Value::synthetic(1, 16), ctx);
-  ClientWriteAck ack1(w1);
-  c.on_reply(ack1, ctx);
-  const RequestId r1 = c.begin_read(ctx);
+  const RequestId w1 = c.begin_write(kDefaultObject, Value::synthetic(1, 16),
+                                     ctx);
+  ClientWriteAck ack1(w1, kDefaultObject);
+  c.on_reply(ack1, kNoProcess, ctx);
+  const RequestId r1 = c.begin_read(kDefaultObject, ctx);
   EXPECT_NE(r1 & kReadRequestBit, 0u);
-  ClientReadAck rack(r1, Value{}, kInitialTag);
-  c.on_reply(rack, ctx);
-  const RequestId w2 = c.begin_write(Value::synthetic(2, 16), ctx);
+  ClientReadAck rack(r1, Value{}, kInitialTag, kDefaultObject);
+  c.on_reply(rack, kNoProcess, ctx);
+  const RequestId w2 = c.begin_write(kDefaultObject, Value::synthetic(2, 16),
+                                     ctx);
   EXPECT_EQ(w1, 1u);
   EXPECT_EQ(w2, 2u) << "the interleaved read must not burn a write id";
   EXPECT_EQ(w2 & kReadRequestBit, 0u);
@@ -245,13 +253,14 @@ TEST(ClientSession, NewOpsStickToTheRotatedTarget) {
   // must start at the rotated-to server instead of paying a timeout each.
   MockClientCtx ctx;
   ClientSession c(7, opts(3, 0));
-  const RequestId req = c.begin_write(Value::synthetic(1, 16), ctx);
+  const RequestId req = c.begin_write(kDefaultObject, Value::synthetic(1, 16),
+                                      ctx);
   EXPECT_EQ(ctx.sent[0].server, 0u);
   c.on_timer(ctx.timers[0].second, ctx);  // retry → server 1
   EXPECT_EQ(ctx.sent[1].server, 1u);
-  ClientWriteAck ack(req);
+  ClientWriteAck ack(req, kDefaultObject);
   c.on_reply(ack, 1, ctx);
-  c.begin_read(ctx);
+  c.begin_read(kDefaultObject, ctx);
   ASSERT_EQ(ctx.sent.size(), 3u);
   EXPECT_EQ(ctx.sent[2].server, 1u) << "session target must be sticky";
 }
@@ -261,19 +270,20 @@ TEST(ClientSession, CompletionReportsServedBy) {
   ClientSession c(7, opts(3, 0));
   OpResult seen;
   c.on_complete = [&](const OpResult& r) { seen = r; };
-  const RequestId req = c.begin_read(ctx);
+  const RequestId req = c.begin_read(kDefaultObject, ctx);
   c.on_timer(ctx.timers[0].second, ctx);  // retry lands on server 1
-  ClientReadAck ack(req, Value::synthetic(9, 32), Tag{4, 2});
+  ClientReadAck ack(req, Value::synthetic(9, 32), Tag{4, 2}, kDefaultObject);
   c.on_reply(ack, /*from=*/1, ctx);
   EXPECT_EQ(seen.served_by, 1u);
   EXPECT_EQ(seen.attempts, 2u);
-  // The facade overload (no sender) reports kNoProcess.
-  OpResult facade_seen;
-  c.on_complete = [&](const OpResult& r) { facade_seen = r; };
-  const RequestId req2 = c.begin_read(ctx);
-  ClientReadAck ack2(req2, Value::synthetic(9, 32), Tag{4, 2});
-  c.on_reply(ack2, ctx);
-  EXPECT_EQ(facade_seen.served_by, kNoProcess);
+  // A host that does not track the sender passes kNoProcess; it is
+  // reported as is.
+  OpResult senderless_seen;
+  c.on_complete = [&](const OpResult& r) { senderless_seen = r; };
+  const RequestId req2 = c.begin_read(kDefaultObject, ctx);
+  ClientReadAck ack2(req2, Value::synthetic(9, 32), Tag{4, 2}, kDefaultObject);
+  c.on_reply(ack2, kNoProcess, ctx);
+  EXPECT_EQ(senderless_seen.served_by, kNoProcess);
 }
 
 // ------------------------------------------------------- retry backoff
@@ -284,7 +294,7 @@ TEST(ClientSession, MultiplierOneKeepsSeedFixedIntervalNoJitter) {
   o.retry_timeout = 0.1;
   o.retry_multiplier = 1.0;
   ClientSession c(7, o);
-  c.begin_write(Value::synthetic(1, 16), ctx);
+  c.begin_write(kDefaultObject, Value::synthetic(1, 16), ctx);
   for (int i = 0; i < 4; ++i) c.on_timer(ctx.timers.back().second, ctx);
   ASSERT_EQ(ctx.timers.size(), 5u);
   for (const auto& [delay, token] : ctx.timers) {
@@ -300,7 +310,7 @@ TEST(ClientSession, MultiplierOneIgnoresTheCap) {
   o.retry_timeout = 10.0;  // above the default cap of 8.0
   o.retry_multiplier = 1.0;
   ClientSession c(7, o);
-  c.begin_write(Value::synthetic(1, 16), ctx);
+  c.begin_write(kDefaultObject, Value::synthetic(1, 16), ctx);
   c.on_timer(ctx.timers.back().second, ctx);
   ASSERT_EQ(ctx.timers.size(), 2u);
   EXPECT_DOUBLE_EQ(ctx.timers[0].first, 10.0);
@@ -316,7 +326,7 @@ TEST(ClientSession, BackoffGrowsExponentiallyWithinJitterBandsAndCaps) {
   o.retry_cap = 0.5;
   o.seed = 99;
   ClientSession c(7, o);
-  c.begin_write(Value::synthetic(1, 16), ctx);
+  c.begin_write(kDefaultObject, Value::synthetic(1, 16), ctx);
   for (int i = 0; i < 5; ++i) c.on_timer(ctx.timers.back().second, ctx);
   ASSERT_EQ(ctx.timers.size(), 6u);
   // Schedule: 0.1, 0.2, 0.4, 0.5 (cap), 0.5, 0.5 — each jittered into
@@ -347,7 +357,7 @@ TEST(ClientSession, JitterStreamsDifferPerClient) {
     o.retry_multiplier = 2.0;
     o.seed = 1;
     ClientSession c(id, o);
-    c.begin_write(Value::synthetic(1, 16), ctx);
+    c.begin_write(kDefaultObject, Value::synthetic(1, 16), ctx);
     for (int i = 0; i < 6; ++i) c.on_timer(ctx.timers.back().second, ctx);
     std::vector<double> out;
     for (auto& [d, t] : ctx.timers) out.push_back(d);

@@ -252,7 +252,8 @@ TEST(CodedMessages, FragWriteRoundTrip) {
 }
 
 TEST(CodedMessages, PreWriteFragRoundTripAndIsSmall) {
-  PreWriteFrag m(Tag{12, 3}, 900, 15, /*n=*/5, /*k=*/3, /*vsize=*/1u << 20);
+  PreWriteFrag m(Tag{12, 3}, 900, 15, /*n=*/5, /*k=*/3, /*vsize=*/1u << 20,
+                 kDefaultObject);
   auto bytes = encode_message(m);
   EXPECT_EQ(bytes.size(), m.wire_size());
   // The whole point: the coded ring phase never carries the value.
@@ -301,7 +302,7 @@ TEST(CodedMessages, FragFetchRoundTrip) {
 }
 
 TEST(CodedMessages, FragFetchAckRoundTripIncludingMiss) {
-  FragFetchAck hit(7, Tag{5, 1}, 64, {{0, 0x77, "bytes"}});
+  FragFetchAck hit(7, Tag{5, 1}, 64, {{0, 0x77, "bytes"}}, kDefaultObject);
   auto bytes = encode_message(hit);
   EXPECT_EQ(bytes.size(), hit.wire_size());
   auto d = decode_message(bytes);
@@ -309,7 +310,7 @@ TEST(CodedMessages, FragFetchAckRoundTripIncludingMiss) {
   EXPECT_EQ(as<FragFetchAck>(d).parts.size(), 1u);
   EXPECT_EQ(as<FragFetchAck>(d).value_size, 64u);
   // Empty parts = "not found / GC'd" — must survive the wire too.
-  FragFetchAck miss(8, Tag{5, 1}, 64, {});
+  FragFetchAck miss(8, Tag{5, 1}, 64, {}, kDefaultObject);
   auto mb = encode_message(miss);
   EXPECT_EQ(mb.size(), miss.wire_size());
   EXPECT_TRUE(as<FragFetchAck>(decode_message(mb)).parts.empty());

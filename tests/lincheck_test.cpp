@@ -21,27 +21,27 @@ TEST(Lincheck, EmptyHistoryIsLinearizable) {
 
 TEST(Lincheck, SequentialOpsAreLinearizable) {
   History h;
-  h.record_write(1, 10, 0.0, 1.0);
-  h.record_read(2, 10, 2.0, 3.0);
-  h.record_write(1, 20, 4.0, 5.0);
-  h.record_read(2, 20, 6.0, 7.0);
+  h.record_write(1, 10, 0.0, 1.0, kDefaultObject);
+  h.record_read(2, 10, 2.0, 3.0, kInitialTag, kDefaultObject);
+  h.record_write(1, 20, 4.0, 5.0, kDefaultObject);
+  h.record_read(2, 20, 6.0, 7.0, kInitialTag, kDefaultObject);
   EXPECT_TRUE(check_register(h));
   EXPECT_TRUE(check_register_brute(h));
 }
 
 TEST(Lincheck, InitialValueReadable) {
   History h;
-  h.record_read(1, kInitialValueId, 0.0, 1.0);
-  h.record_write(2, 10, 2.0, 3.0);
+  h.record_read(1, kInitialValueId, 0.0, 1.0, kInitialTag, kDefaultObject);
+  h.record_write(2, 10, 2.0, 3.0, kDefaultObject);
   EXPECT_TRUE(check_register(h));
   EXPECT_TRUE(check_register_brute(h));
 }
 
 TEST(Lincheck, StaleReadAfterWriteCompletes) {
   History h;
-  h.record_write(1, 10, 0.0, 1.0);
+  h.record_write(1, 10, 0.0, 1.0, kDefaultObject);
   // Read strictly after the write completed, yet returns the initial value.
-  h.record_read(2, kInitialValueId, 2.0, 3.0);
+  h.record_read(2, kInitialValueId, 2.0, 3.0, kInitialTag, kDefaultObject);
   EXPECT_FALSE(check_register(h));
   EXPECT_FALSE(check_register_brute(h));
 }
@@ -50,10 +50,12 @@ TEST(Lincheck, ReadInversionDetected) {
   // The paper's §3 violation: reader A sees the new value, then reader B —
   // strictly later — sees the old one, while the write is still in flight.
   History h;
-  h.record_write(1, 1, 0.0, 10.0);   // v1 (completes late)
-  h.record_write(1, 2, 20.0, 100.0); // v2 concurrent with the reads below
-  h.record_read(2, 2, 30.0, 40.0);   // sees new value
-  h.record_read(3, 1, 50.0, 60.0);   // then old value → inversion
+  // v1 completes late; v2 is concurrent with the reads below. The first
+  // read sees the new value, the second (strictly later) the old one.
+  h.record_write(1, 1, 0.0, 10.0, kDefaultObject);
+  h.record_write(1, 2, 20.0, 100.0, kDefaultObject);
+  h.record_read(2, 2, 30.0, 40.0, kInitialTag, kDefaultObject);
+  h.record_read(3, 1, 50.0, 60.0, kInitialTag, kDefaultObject);
   EXPECT_FALSE(check_register(h));
   EXPECT_FALSE(check_register_brute(h));
 }
@@ -62,25 +64,26 @@ TEST(Lincheck, ConcurrentReadsMaySplitAcrossAWrite) {
   // Both reads overlap the write; one sees old, one sees new — fine in
   // either completion order because the ops are concurrent.
   History h;
-  h.record_write(1, 1, 0.0, 1.0);
-  h.record_write(1, 2, 10.0, 20.0);
-  h.record_read(2, 2, 10.0, 21.0);
-  h.record_read(3, 1, 10.0, 22.0);
+  h.record_write(1, 1, 0.0, 1.0, kDefaultObject);
+  h.record_write(1, 2, 10.0, 20.0, kDefaultObject);
+  h.record_read(2, 2, 10.0, 21.0, kInitialTag, kDefaultObject);
+  h.record_read(3, 1, 10.0, 22.0, kInitialTag, kDefaultObject);
   EXPECT_TRUE(check_register(h));
   EXPECT_TRUE(check_register_brute(h));
 }
 
 TEST(Lincheck, ReadOfNeverWrittenValue) {
   History h;
-  h.record_read(1, 999, 0.0, 1.0);
+  h.record_read(1, 999, 0.0, 1.0, kInitialTag, kDefaultObject);
   EXPECT_FALSE(check_register(h));
   EXPECT_FALSE(check_register_brute(h));
 }
 
 TEST(Lincheck, ReadPrecedingItsWrite) {
   History h;
-  h.record_read(1, 5, 0.0, 1.0);  // completes before the write begins
-  h.record_write(2, 5, 2.0, 3.0);
+  // The read completes before the write begins.
+  h.record_read(1, 5, 0.0, 1.0, kInitialTag, kDefaultObject);
+  h.record_write(2, 5, 2.0, 3.0, kDefaultObject);
   EXPECT_FALSE(check_register(h));
   EXPECT_FALSE(check_register_brute(h));
 }
@@ -88,15 +91,16 @@ TEST(Lincheck, ReadPrecedingItsWrite) {
 TEST(Lincheck, PendingWriteMayOrMayNotTakeEffect) {
   {
     History h;  // pending write observed by a read → effective
-    h.record_write(1, 7, 0.0, kPending);
-    h.record_read(2, 7, 1.0, 2.0);
+    h.record_write(1, 7, 0.0, kPending, kDefaultObject);
+    h.record_read(2, 7, 1.0, 2.0, kInitialTag, kDefaultObject);
     EXPECT_TRUE(check_register(h));
     EXPECT_TRUE(check_register_brute(h));
   }
   {
     History h;  // pending write ignored by later reads → also fine
-    h.record_write(1, 7, 0.0, kPending);
-    h.record_read(2, kInitialValueId, 100.0, 101.0);
+    h.record_write(1, 7, 0.0, kPending, kDefaultObject);
+    h.record_read(2, kInitialValueId, 100.0, 101.0, kInitialTag,
+                  kDefaultObject);
     EXPECT_TRUE(check_register(h));
     EXPECT_TRUE(check_register_brute(h));
   }
@@ -108,26 +112,29 @@ TEST(Lincheck, DuplicateWriteApplicationCounterExample) {
   // *single-invocation* history is NOT linearizable — this is why servers
   // must deduplicate retried writes.
   History h;
-  h.record_write(1, 1, 0.0, 100.0);  // W(v): first applied early, retried late
-  h.record_write(2, 2, 10.0, 20.0);  // W(u) in between
-  h.record_read(3, 1, 30.0, 40.0);   // sees v   (first application)
-  h.record_read(3, 2, 50.0, 60.0);   // sees u
-  h.record_read(3, 1, 70.0, 80.0);   // sees v again (second application!)
+  // W(v) is first applied early and retried late, W(u) lands in between;
+  // the reads see v (first application), u, then v again (second
+  // application!).
+  h.record_write(1, 1, 0.0, 100.0, kDefaultObject);
+  h.record_write(2, 2, 10.0, 20.0, kDefaultObject);
+  h.record_read(3, 1, 30.0, 40.0, kInitialTag, kDefaultObject);
+  h.record_read(3, 2, 50.0, 60.0, kInitialTag, kDefaultObject);
+  h.record_read(3, 1, 70.0, 80.0, kInitialTag, kDefaultObject);
   EXPECT_FALSE(check_register(h));
   EXPECT_FALSE(check_register_brute(h));
 }
 
 TEST(Lincheck, DuplicateWriteValueRejected) {
   History h;
-  h.record_write(1, 5, 0.0, 1.0);
-  h.record_write(2, 5, 2.0, 3.0);
+  h.record_write(1, 5, 0.0, 1.0, kDefaultObject);
+  h.record_write(2, 5, 2.0, 3.0, kDefaultObject);
   EXPECT_FALSE(check_register(h));
 }
 
 TEST(Lincheck, ExplanationIsNonEmptyOnViolation) {
   History h;
-  h.record_write(1, 10, 0.0, 1.0);
-  h.record_read(2, kInitialValueId, 2.0, 3.0);
+  h.record_write(1, 10, 0.0, 1.0, kDefaultObject);
+  h.record_read(2, kInitialValueId, 2.0, 3.0, kInitialTag, kDefaultObject);
   auto res = check_register(h);
   ASSERT_FALSE(res.linearizable);
   EXPECT_FALSE(res.explanation.empty());
@@ -169,9 +176,10 @@ TEST_P(LincheckAgreement, FastMatchesBruteForce) {
       if (rng.chance(0.45) && static_cast<int>(written.size()) <= n_values) {
         const std::uint64_t v = written.size();  // unique 1,2,3...
         written.push_back(v);
-        h.record_write(100 + i, v, inv, inv + dur);
+        h.record_write(100 + i, v, inv, inv + dur, kDefaultObject);
       } else {
-        h.record_read(100 + i, rng.pick(written), inv, inv + dur);
+        h.record_read(100 + i, rng.pick(written), inv, inv + dur, kInitialTag,
+                      kDefaultObject);
       }
     }
     const auto fast = check_register(h);

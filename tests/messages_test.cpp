@@ -13,7 +13,7 @@ const T& as(const net::PayloadPtr& p) {
 }
 
 TEST(Messages, ClientWriteRoundTrip) {
-  ClientWrite m(1234, 56, Value::synthetic(9, 512));
+  ClientWrite m(1234, 56, Value::synthetic(9, 512), kDefaultObject);
   auto bytes = encode_message(m);
   EXPECT_EQ(bytes.size(), m.wire_size());
   auto decoded = decode_message(bytes);
@@ -25,7 +25,7 @@ TEST(Messages, ClientWriteRoundTrip) {
 }
 
 TEST(Messages, ClientWriteAckRoundTrip) {
-  ClientWriteAck m(77);
+  ClientWriteAck m(77, kDefaultObject);
   auto bytes = encode_message(m);
   EXPECT_EQ(bytes.size(), m.wire_size());
   auto d = decode_message(bytes);
@@ -34,7 +34,7 @@ TEST(Messages, ClientWriteAckRoundTrip) {
 }
 
 TEST(Messages, ClientReadRoundTrip) {
-  ClientRead m(42, 7);
+  ClientRead m(42, 7, kDefaultObject);
   auto bytes = encode_message(m);
   EXPECT_EQ(bytes.size(), m.wire_size());
   auto d = decode_message(bytes);
@@ -44,7 +44,7 @@ TEST(Messages, ClientReadRoundTrip) {
 }
 
 TEST(Messages, ClientReadAckRoundTrip) {
-  ClientReadAck m(7, Value::synthetic(3, 100), Tag{9, 2});
+  ClientReadAck m(7, Value::synthetic(3, 100), Tag{9, 2}, kDefaultObject);
   auto bytes = encode_message(m);
   EXPECT_EQ(bytes.size(), m.wire_size());
   auto d = decode_message(bytes);
@@ -55,7 +55,7 @@ TEST(Messages, ClientReadAckRoundTrip) {
 }
 
 TEST(Messages, PreWriteRoundTrip) {
-  PreWrite m(Tag{12, 3}, Value::synthetic(4, 2048), 900, 15);
+  PreWrite m(Tag{12, 3}, Value::synthetic(4, 2048), 900, 15, kDefaultObject);
   auto bytes = encode_message(m);
   EXPECT_EQ(bytes.size(), m.wire_size());
   auto d = decode_message(bytes);
@@ -68,7 +68,7 @@ TEST(Messages, PreWriteRoundTrip) {
 }
 
 TEST(Messages, WriteCommitRoundTripAndIsSmall) {
-  WriteCommit m(Tag{12, 3}, 900, 15);
+  WriteCommit m(Tag{12, 3}, 900, 15, kDefaultObject);
   auto bytes = encode_message(m);
   EXPECT_EQ(bytes.size(), m.wire_size());
   // The commit must not carry the value: this is the metadata-only write
@@ -82,7 +82,7 @@ TEST(Messages, WriteCommitRoundTripAndIsSmall) {
 }
 
 TEST(Messages, SyncStateRoundTrip) {
-  SyncState m(Tag{5, 1}, Value::synthetic(8, 64));
+  SyncState m(Tag{5, 1}, Value::synthetic(8, 64), kDefaultObject);
   auto bytes = encode_message(m);
   EXPECT_EQ(bytes.size(), m.wire_size());
   auto d = decode_message(bytes);
@@ -92,7 +92,7 @@ TEST(Messages, SyncStateRoundTrip) {
 }
 
 TEST(Messages, EmptyValueRoundTrip) {
-  PreWrite m(Tag{1, 0}, Value{}, 1, 1);
+  PreWrite m(Tag{1, 0}, Value{}, 1, 1, kDefaultObject);
   auto d = decode_message(encode_message(m));
   EXPECT_TRUE(as<PreWrite>(d).value.empty());
 }
@@ -101,10 +101,12 @@ TEST(Messages, RingBatchRoundTrip) {
   std::vector<net::PayloadPtr> parts;
   parts.push_back(net::make_payload<PreWrite>(Tag{12, 3},
                                               Value::synthetic(4, 2048), 900,
-                                              15));
-  parts.push_back(net::make_payload<WriteCommit>(Tag{11, 2}, 901, 16));
+                                              15, kDefaultObject));
+  parts.push_back(net::make_payload<WriteCommit>(Tag{11, 2}, 901, 16,
+                                                 kDefaultObject));
   parts.push_back(net::make_payload<SyncState>(Tag{5, 1},
-                                               Value::synthetic(8, 64)));
+                                               Value::synthetic(8, 64),
+                                               kDefaultObject));
   RingBatch m(std::move(parts));
   auto bytes = encode_message(m);
   EXPECT_EQ(bytes.size(), m.wire_size());
@@ -136,7 +138,8 @@ TEST(Messages, NonRingPartInBatchRejected) {
   // Only ring traffic is ever batched: a client message smuggled into a
   // batch frame must fail at the codec trust boundary, on both sides.
   std::vector<net::PayloadPtr> parts;
-  parts.push_back(net::make_payload<ClientWrite>(1, 2, Value::synthetic(3, 8)));
+  parts.push_back(net::make_payload<ClientWrite>(1, 2, Value::synthetic(3, 8),
+                                                 kDefaultObject));
   EXPECT_THROW((void)encode_message(RingBatch(std::move(parts))),
                std::logic_error);
 
@@ -144,15 +147,18 @@ TEST(Messages, NonRingPartInBatchRejected) {
   e.u8(kRingBatch);
   e.u8(0);
   e.u32(1);
-  e.bytes(encode_message(ClientWrite(1, 2, Value::synthetic(3, 8))));
+  e.bytes(encode_message(ClientWrite(1, 2, Value::synthetic(3, 8),
+                                     kDefaultObject)));
   EXPECT_THROW((void)decode_message(std::move(e).result()), DecodeError);
 }
 
 TEST(Messages, RingBatchEveryTruncationRejected) {
   std::vector<net::PayloadPtr> parts;
-  parts.push_back(net::make_payload<WriteCommit>(Tag{1, 0}, 7, 1));
+  parts.push_back(net::make_payload<WriteCommit>(Tag{1, 0}, 7, 1,
+                                                 kDefaultObject));
   parts.push_back(net::make_payload<PreWrite>(Tag{2, 1},
-                                              Value::synthetic(3, 100), 8, 2));
+                                              Value::synthetic(3, 100), 8, 2,
+                                              kDefaultObject));
   RingBatch m(std::move(parts));
   auto bytes = encode_message(m);
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
@@ -164,7 +170,8 @@ TEST(Messages, RingBatchEveryTruncationRejected) {
 
 TEST(Messages, NestedRingBatchRejected) {
   std::vector<net::PayloadPtr> inner;
-  inner.push_back(net::make_payload<WriteCommit>(Tag{1, 0}, 7, 1));
+  inner.push_back(net::make_payload<WriteCommit>(Tag{1, 0}, 7, 1,
+                                                 kDefaultObject));
   std::vector<net::PayloadPtr> outer;
   outer.push_back(net::make_payload<RingBatch>(std::move(inner)));
   RingBatch m(std::move(outer));
@@ -176,7 +183,8 @@ TEST(Messages, NestedRingBatchRejected) {
   e.u8(0);
   e.u32(1);
   std::vector<net::PayloadPtr> part;
-  part.push_back(net::make_payload<WriteCommit>(Tag{1, 0}, 7, 1));
+  part.push_back(net::make_payload<WriteCommit>(Tag{1, 0}, 7, 1,
+                                                kDefaultObject));
   e.bytes(encode_message(RingBatch(std::move(part))));
   EXPECT_THROW((void)decode_message(std::move(e).result()), DecodeError);
 }
@@ -184,7 +192,7 @@ TEST(Messages, NestedRingBatchRejected) {
 TEST(Messages, TrailingBytesRejected) {
   // decode_message must consume the whole buffer: framing bugs (a batch part
   // length that lies) surface as DecodeError, not silent truncation.
-  WriteCommit m(Tag{12, 3}, 900, 15);
+  WriteCommit m(Tag{12, 3}, 900, 15, kDefaultObject);
   auto bytes = encode_message(m) + std::string("x");
   EXPECT_THROW((void)decode_message(bytes), DecodeError);
 
@@ -203,22 +211,25 @@ TEST(Messages, PropertyAllMessageTypesRoundTripAtManySizes) {
   for (std::size_t size : {0ul, 1ul, 7ul, 8ul, 255ul, 1448ul, 1449ul, 8192ul}) {
     std::vector<net::PayloadPtr> msgs;
     msgs.push_back(net::make_payload<ClientWrite>(1, 2,
-                                                  Value::synthetic(9, size)));
-    msgs.push_back(net::make_payload<ClientWriteAck>(3));
-    msgs.push_back(net::make_payload<ClientRead>(4, 5));
+                                                  Value::synthetic(9, size),
+                                                  kDefaultObject));
+    msgs.push_back(net::make_payload<ClientWriteAck>(3, kDefaultObject));
+    msgs.push_back(net::make_payload<ClientRead>(4, 5, kDefaultObject));
     msgs.push_back(net::make_payload<ClientReadAck>(6,
                                                     Value::synthetic(10, size),
-                                                    Tag{7, 1}));
+                                                    Tag{7, 1}, kDefaultObject));
     msgs.push_back(net::make_payload<PreWrite>(Tag{8, 2},
                                                Value::synthetic(11, size), 12,
-                                               13));
-    msgs.push_back(net::make_payload<WriteCommit>(Tag{9, 0}, 14, 15));
+                                               13, kDefaultObject));
+    msgs.push_back(net::make_payload<WriteCommit>(Tag{9, 0}, 14, 15,
+                                                  kDefaultObject));
     msgs.push_back(net::make_payload<SyncState>(Tag{10, 1},
-                                                Value::synthetic(12, size)));
+                                                Value::synthetic(12, size),
+                                                kDefaultObject));
     msgs.push_back(net::make_payload<RingBatch>(std::vector<net::PayloadPtr>{
         net::make_payload<PreWrite>(Tag{8, 2}, Value::synthetic(11, size), 12,
-                                    13),
-        net::make_payload<WriteCommit>(Tag{9, 0}, 14, 15)}));
+                                    13, kDefaultObject),
+        net::make_payload<WriteCommit>(Tag{9, 0}, 14, 15, kDefaultObject)}));
     for (const auto& msg : msgs) {
       const auto bytes = encode_message(*msg);
       EXPECT_EQ(bytes.size(), msg->wire_size()) << msg->describe();
@@ -235,7 +246,7 @@ TEST(Messages, UnknownKindRejected) {
 }
 
 TEST(Messages, TruncatedInputRejected) {
-  PreWrite m(Tag{12, 3}, Value::synthetic(4, 2048), 900, 15);
+  PreWrite m(Tag{12, 3}, Value::synthetic(4, 2048), 900, 15, kDefaultObject);
   auto bytes = encode_message(m);
   for (std::size_t cut : {1ul, 2ul, 10ul, bytes.size() - 1}) {
     EXPECT_THROW((void)decode_message(std::string_view(bytes).substr(0, cut)),
@@ -245,7 +256,7 @@ TEST(Messages, TruncatedInputRejected) {
 }
 
 TEST(Messages, DescribeMentionsKeyFields) {
-  PreWrite m(Tag{12, 3}, Value::synthetic(4, 16), 900, 15);
+  PreWrite m(Tag{12, 3}, Value::synthetic(4, 16), 900, 15, kDefaultObject);
   const std::string s = m.describe();
   EXPECT_NE(s.find("12"), std::string::npos);
   EXPECT_NE(s.find("900"), std::string::npos);
@@ -282,7 +293,8 @@ TEST(Messages, ObjectFieldRoundTripsOnEveryKind) {
 }
 
 TEST(Messages, ObjectCostsExactlyEightBytesAndOnlyOffDefault) {
-  const PreWrite def(Tag{8, 2}, Value::synthetic(11, 64), 12, 13);
+  const PreWrite def(Tag{8, 2}, Value::synthetic(11, 64), 12, 13,
+                     kDefaultObject);
   const PreWrite keyed(Tag{8, 2}, Value::synthetic(11, 64), 12, 13, 42);
   EXPECT_EQ(keyed.wire_size(), def.wire_size() + kObjectWire);
   EXPECT_EQ(encode_message(def).size() + kObjectWire,
@@ -290,7 +302,7 @@ TEST(Messages, ObjectCostsExactlyEightBytesAndOnlyOffDefault) {
 }
 
 TEST(Messages, KeyedFrameIsVersionOneDefaultFrameIsVersionZero) {
-  const auto def = encode_message(WriteCommit(Tag{3, 1}, 7, 9));
+  const auto def = encode_message(WriteCommit(Tag{3, 1}, 7, 9, kDefaultObject));
   const auto keyed = encode_message(WriteCommit(Tag{3, 1}, 7, 9, 5));
   ASSERT_GE(def.size(), 2u);
   ASSERT_GE(keyed.size(), 10u);

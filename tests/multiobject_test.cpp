@@ -41,8 +41,8 @@ TEST(MultiObjectServer, ObjectsVersionIndependently) {
     EXPECT_EQ(ring.at(p).current_value(10), Value::synthetic(1, 64));
     EXPECT_EQ(ring.at(p).current_value(20), Value::synthetic(2, 64));
     // The default register is untouched.
-    EXPECT_EQ(ring.at(p).current_tag(), kInitialTag);
-    EXPECT_TRUE(ring.at(p).current_value().empty());
+    EXPECT_EQ(ring.at(p).current_tag(kDefaultObject), kInitialTag);
+    EXPECT_TRUE(ring.at(p).current_value(kDefaultObject).empty());
   }
   EXPECT_EQ(ring.ctx().acks_for(7, 1), 1);
   EXPECT_EQ(ring.ctx().acks_for(8, 1), 1);
@@ -206,8 +206,8 @@ TEST(MultiObjectLincheck, CrossObjectHistoryPassesPerObjectButFailsMerged) {
   EXPECT_TRUE(check_register_brute(per_object).linearizable);
 
   History merged;  // the same ops as the old single-register view saw them
-  merged.record_write(1, 1, 0.0, 1.0);
-  merged.record_read(2, kInitialValueId, 2.0, 3.0);
+  merged.record_write(1, 1, 0.0, 1.0, kDefaultObject);
+  merged.record_read(2, kInitialValueId, 2.0, 3.0, kInitialTag, kDefaultObject);
   auto verdict = check_register(merged);
   EXPECT_FALSE(verdict.linearizable);
   EXPECT_FALSE(check_register_brute(merged).linearizable);

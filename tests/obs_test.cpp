@@ -214,8 +214,8 @@ TEST(WitnessSpans, OpWithoutTraceEventsStillDescribed) {
 
 TEST(WitnessSpans, LinearizableHistoryHasNoWitnesses) {
   lincheck::History h;
-  h.record_write(1, 11, 0.0, 1.0);
-  h.record_read(2, 11, 2.0, 3.0);
+  h.record_write(1, 11, 0.0, 1.0, kDefaultObject);
+  h.record_read(2, 11, 2.0, 3.0, kInitialTag, kDefaultObject);
   const auto verdict = lincheck::check_register(h);
   EXPECT_TRUE(verdict.linearizable);
   EXPECT_TRUE(verdict.witnesses.empty());

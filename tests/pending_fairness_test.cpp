@@ -66,7 +66,8 @@ TEST(PendingSet, SnapshotSortedByTag) {
 
 ForwardItem item(ProcessId origin) {
   return ForwardItem{origin,
-                     net::make_payload<WriteCommit>(Tag{1, origin}, 0, 0)};
+                     net::make_payload<WriteCommit>(Tag{1, origin}, 0, 0,
+                                                    kDefaultObject)};
 }
 
 TEST(FairScheduler, EmptyQueueInitiatesLocal) {
@@ -136,8 +137,8 @@ TEST(FairScheduler, TieBreaksOnSmallestId) {
 
 TEST(FairScheduler, FifoWithinOrigin) {
   FairScheduler s(3, 0);
-  auto first = net::make_payload<WriteCommit>(Tag{1, 1}, 0, 0);
-  auto second = net::make_payload<WriteCommit>(Tag{2, 1}, 0, 0);
+  auto first = net::make_payload<WriteCommit>(Tag{1, 1}, 0, 0, kDefaultObject);
+  auto second = net::make_payload<WriteCommit>(Tag{2, 1}, 0, 0, kDefaultObject);
   s.enqueue(ForwardItem{1, first});
   s.enqueue(ForwardItem{1, second});
   auto d = s.next(false);

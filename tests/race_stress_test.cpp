@@ -198,9 +198,11 @@ TEST(RaceStress, LiveRegistrationDuringTrafficAndCrash) {
   std::thread sender([&] {
     for (int i = 0; i < kSendsPerWave; ++i) {
       t.send(net::NodeAddress::server(0), net::NodeAddress::server(1),
-             net::make_payload<core::ClientWriteAck>(static_cast<RequestId>(i)));
+             net::make_payload<core::ClientWriteAck>(static_cast<RequestId>(i),
+                                                     kDefaultObject));
       t.send(net::NodeAddress::server(1), net::NodeAddress::server(2),
-             net::make_payload<core::ClientWriteAck>(static_cast<RequestId>(i)));
+             net::make_payload<core::ClientWriteAck>(static_cast<RequestId>(i),
+                                                     kDefaultObject));
     }
   });
   std::thread grower([&] {
@@ -210,7 +212,8 @@ TEST(RaceStress, LiveRegistrationDuringTrafficAndCrash) {
         ++late_received;
       });
       t.send(net::NodeAddress::server(0), addr,
-             net::make_payload<core::ClientWriteAck>(static_cast<RequestId>(i)));
+             net::make_payload<core::ClientWriteAck>(static_cast<RequestId>(i),
+                                                     kDefaultObject));
     }
   });
   std::thread crasher([&] { t.crash(net::NodeAddress::server(2)); });

@@ -147,7 +147,8 @@ TEST(EpochWire, EpochZeroFramesAreByteIdenticalToPR4) {
     e.u64(9);
     e.u64(4);
     e.value(v);
-    EXPECT_EQ(encode_message(ClientWrite(9, 4, v)), std::move(e).result());
+    EXPECT_EQ(encode_message(ClientWrite(9, 4, v, kDefaultObject)),
+              std::move(e).result());
   }
   {
     Encoder e;
@@ -201,7 +202,7 @@ TEST(EpochWire, AllMessagesRoundTripWithEpochs) {
     EXPECT_EQ(back->describe(), m->describe());
   }
   // Unknown flag bits are wire garbage, not silently ignored.
-  std::string bad = encode_message(ClientWrite(1, 2, v));
+  std::string bad = encode_message(ClientWrite(1, 2, v, kDefaultObject));
   bad[1] = 0x4;
   EXPECT_THROW((void)decode_message(bad), DecodeError);
 }
@@ -307,13 +308,15 @@ TEST(ServerGating, MigratedDedupWindowsAckRetriesInsteadOfReapplying) {
   CollectCtx ctx;
   // Requests 1..3 and 5 completed on the source ring: retries ack without
   // touching the register. Request 4 is new work.
-  dst.on_client_write(5, 2, Value::synthetic(1, 8), ctx);
+  dst.on_client_write(5, 2, Value::synthetic(1, 8), ctx, kDefaultObject);
   ASSERT_EQ(ctx.last()->kind(), kClientWriteAck);
-  EXPECT_TRUE(dst.current_tag().is_initial()) << "retry must not re-apply";
-  dst.on_client_write(5, 5, Value::synthetic(2, 8), ctx);
-  EXPECT_TRUE(dst.current_tag().is_initial());
-  dst.on_client_write(5, 4, Value::synthetic(3, 8), ctx);
-  EXPECT_FALSE(dst.current_tag().is_initial()) << "fresh write must apply";
+  EXPECT_TRUE(dst.current_tag(kDefaultObject).is_initial())
+      << "retry must not re-apply";
+  dst.on_client_write(5, 5, Value::synthetic(2, 8), ctx, kDefaultObject);
+  EXPECT_TRUE(dst.current_tag(kDefaultObject).is_initial());
+  dst.on_client_write(5, 4, Value::synthetic(3, 8), ctx, kDefaultObject);
+  EXPECT_FALSE(dst.current_tag(kDefaultObject).is_initial())
+      << "fresh write must apply";
 }
 
 // ------------------------------------- migration coordinator, no fabric
@@ -512,61 +515,68 @@ namespace {
 // --------------------------------------------------- epoch-0 golden pin
 
 TEST(ReconfigGolden, NeverReconfiguredClusterMatchesPR4WiringExactly) {
-  // The epoch machinery must be byte-invisible until used: the same
-  // workload on (a) the PR 4 wiring (enable_reconfig = false: no server
-  // views, no client view providers) and (b) the full epoch wiring produces
-  // identical wire histories — message and byte totals on both networks —
-  // and identical final register state. The simulator is deterministic, so
-  // any divergence is machinery leaking into the epoch-0 fast path.
-  auto run = [](bool enable_reconfig) {
-    sim::Simulator sim;
-    SimClusterConfig cfg;
-    cfg.topology = core::Topology{2, 3};
-    cfg.enable_reconfig = enable_reconfig;
-    cfg.client_max_inflight = 4;
-    SimCluster cluster(sim, cfg);
-    UniqueValueSource values;
-    std::vector<std::unique_ptr<ClosedLoopDriver>> drivers;
-    for (ProcessId s = 0; s < 6; ++s) {
-      const auto m = cluster.add_client_machine();
-      cluster.add_client(m, s);
-      const ClientId id = static_cast<ClientId>(cluster.client_count() - 1);
-      WorkloadConfig wl;
-      wl.write_fraction = 0.5;
-      wl.value_size = 512;
-      wl.stop_at = 0.1;
-      wl.measure_from = 0;
-      wl.measure_until = 0.1;
-      wl.seed = 17 + s;
-      wl.n_objects = 16;
-      wl.pipeline = 4;
-      drivers.push_back(std::make_unique<ClosedLoopDriver>(
-          sim, cluster.port(id), id, wl, values, nullptr));
+  // The epoch machinery must be byte-invisible until used. The constants
+  // below were captured from the pre-reconfiguration wiring (no server
+  // views, no client view providers) running this exact workload: message
+  // and byte totals on both networks, every server's final tag per
+  // register, and zero NACKs or parked ops. The cluster now always runs
+  // with views and providers; the simulator is deterministic, so any
+  // divergence is machinery leaking into the epoch-0 fast path.
+  constexpr std::uint64_t kServerMessages = 5521;
+  constexpr std::uint64_t kServerBytes = 2809216;
+  constexpr std::uint64_t kClientMessages = 5182;
+  constexpr std::uint64_t kClientBytes = 1879308;
+  // Final tag of objects 0..15 on each ring (all three servers agree).
+  const std::vector<std::vector<std::string>> kRingTags = {
+      {"[0,-]", "[67,0]", "[86,2]", "[0,-]", "[0,-]", "[0,-]", "[71,0]",
+       "[0,-]", "[68,2]", "[72,1]", "[62,0]", "[0,-]", "[68,1]", "[0,-]",
+       "[76,1]", "[73,0]"},
+      {"[73,0]", "[0,-]", "[0,-]", "[66,1]", "[86,0]", "[70,1]", "[0,-]",
+       "[83,2]", "[0,-]", "[0,-]", "[0,-]", "[68,0]", "[0,-]", "[72,1]",
+       "[0,-]", "[0,-]"}};
+
+  sim::Simulator sim;
+  SimClusterConfig cfg;
+  cfg.topology = core::Topology{2, 3};
+  cfg.client_max_inflight = 4;
+  SimCluster cluster(sim, cfg);
+  UniqueValueSource values;
+  std::vector<std::unique_ptr<ClosedLoopDriver>> drivers;
+  for (ProcessId s = 0; s < 6; ++s) {
+    const auto m = cluster.add_client_machine();
+    cluster.add_client(m, s);
+    const ClientId id = static_cast<ClientId>(cluster.client_count() - 1);
+    WorkloadConfig wl;
+    wl.write_fraction = 0.5;
+    wl.value_size = 512;
+    wl.stop_at = 0.1;
+    wl.measure_from = 0;
+    wl.measure_until = 0.1;
+    wl.seed = 17 + s;
+    wl.n_objects = 16;
+    wl.pipeline = 4;
+    drivers.push_back(std::make_unique<ClosedLoopDriver>(
+        sim, cluster.port(id), id, wl, values, nullptr));
+  }
+  for (auto& d : drivers) d->start();
+  sim.run_to_quiescence();
+
+  EXPECT_EQ(cluster.server_network().total_messages_sent(), kServerMessages);
+  EXPECT_EQ(cluster.server_network().total_bytes_sent(), kServerBytes);
+  EXPECT_EQ(cluster.client_network().total_messages_sent(), kClientMessages);
+  EXPECT_EQ(cluster.client_network().total_bytes_sent(), kClientBytes);
+  std::uint64_t nacks = 0, parked = 0;
+  for (ProcessId p = 0; p < 6; ++p) {
+    const auto& tags = kRingTags[p / 3];
+    for (ObjectId obj = 0; obj < 16; ++obj) {
+      EXPECT_EQ(cluster.server(p).current_tag(obj).to_string(), tags[obj])
+          << "server " << p << " object " << obj;
     }
-    for (auto& d : drivers) d->start();
-    sim.run_to_quiescence();
-    std::vector<std::string> tags;
-    for (ProcessId p = 0; p < 6; ++p) {
-      for (ObjectId obj = 0; obj < 16; ++obj) {
-        tags.push_back(cluster.server(p).current_tag(obj).to_string());
-      }
-    }
-    std::uint64_t nacks = 0, parked = 0;
-    for (ProcessId p = 0; p < 6; ++p) {
-      nacks += cluster.server(p).stats().epoch_nacks;
-      parked += cluster.server(p).stats().transition_parked;
-    }
-    return std::make_tuple(cluster.server_network().total_messages_sent(),
-                           cluster.server_network().total_bytes_sent(),
-                           cluster.client_network().total_messages_sent(),
-                           cluster.client_network().total_bytes_sent(), tags,
-                           nacks, parked);
-  };
-  const auto with = run(true);
-  const auto without = run(false);
-  EXPECT_EQ(with, without);
-  EXPECT_EQ(std::get<5>(with), 0u) << "no op may be NACKed at epoch 0";
-  EXPECT_EQ(std::get<6>(with), 0u) << "no op may park at epoch 0";
+    nacks += cluster.server(p).stats().epoch_nacks;
+    parked += cluster.server(p).stats().transition_parked;
+  }
+  EXPECT_EQ(nacks, 0u) << "no op may be NACKed at epoch 0";
+  EXPECT_EQ(parked, 0u) << "no op may park at epoch 0";
 }
 
 // ----------------------------------------------------- live grow on sim

@@ -244,5 +244,44 @@ TEST(RoundEngine, BacklogObservable) {
   EXPECT_EQ(sink.got, 2);
 }
 
+// ------------------------------------------------------- ring adapter
+
+TEST(RingRoundServer, ClientRequestsKeepTheirObject) {
+  // The adapter hands the server each request's register: a write of
+  // object 7 on the bulk channel advances object 7 (not the default
+  // register), and a read of object 7 is answered from object 7.
+  struct ClientInbox final : Node {
+    std::vector<net::PayloadPtr> got;
+    void on_client_chan(net::PayloadPtr msg, Api&) override {
+      got.push_back(std::move(msg));
+    }
+  };
+  Engine e;
+  ClientInbox client;
+  RingRoundServer server(0, 1, [](ClientId) { return 1; });
+  e.add_node(&server);
+  e.add_node(&client);
+  Api api(e, 0);
+  server.on_bulk(net::make_payload<core::ClientWrite>(
+                     9, 1, Value::synthetic(1, 8), /*obj=*/7),
+                 api);
+  EXPECT_EQ(server.server().current_tag(7), (Tag{1, 0}));
+  EXPECT_TRUE(server.server().current_tag(kDefaultObject).is_initial());
+
+  server.on_client_chan(net::make_payload<core::ClientRead>(
+                            9, core::kReadRequestBit | 1, /*obj=*/7),
+                        api);
+  e.run_rounds(3);  // the client channel delivers one message per round
+  const core::ClientReadAck* read_ack = nullptr;
+  for (const auto& m : client.got) {
+    if (m->kind() == core::kClientReadAck) {
+      read_ack = &static_cast<const core::ClientReadAck&>(*m);
+    }
+  }
+  ASSERT_NE(read_ack, nullptr);
+  EXPECT_EQ(read_ack->object, 7u);
+  EXPECT_EQ(read_ack->value, Value::synthetic(1, 8));
+}
+
 }  // namespace
 }  // namespace hts::round

@@ -19,13 +19,15 @@ using test::MockCtx;
 TEST(RingServerUnit, WriteCompletesAroundTheRing) {
   MiniRing ring(3);
   ring.at(0).on_client_write(/*client=*/7, /*req=*/1, Value::synthetic(1, 64),
-                             ring.ctx());
+                             ring.ctx(), kDefaultObject);
   ring.settle();
   EXPECT_EQ(ring.ctx().acks_for(7, 1), 1);
   for (ProcessId p = 0; p < 3; ++p) {
-    EXPECT_EQ(ring.at(p).current_tag(), (Tag{1, 0})) << "server " << p;
-    EXPECT_EQ(ring.at(p).current_value(), Value::synthetic(1, 64));
-    EXPECT_TRUE(ring.at(p).pending().empty());
+    EXPECT_EQ(ring.at(p).current_tag(kDefaultObject),
+              (Tag{1, 0})) << "server " << p;
+    EXPECT_EQ(ring.at(p).current_value(kDefaultObject),
+              Value::synthetic(1, 64));
+    EXPECT_TRUE(ring.at(p).pending(kDefaultObject).empty());
   }
   // Exactly one pre-write was initiated; no server still queues traffic.
   EXPECT_EQ(ring.at(0).stats().pre_writes_initiated, 1u);
@@ -34,7 +36,7 @@ TEST(RingServerUnit, WriteCompletesAroundTheRing) {
 
 TEST(RingServerUnit, ReadImmediateWithoutPending) {
   MiniRing ring(3);
-  ring.at(1).on_client_read(9, 1, ring.ctx());
+  ring.at(1).on_client_read(9, 1, ring.ctx(), kDefaultObject);
   const auto* ack = ring.ctx().last_read_ack(9);
   ASSERT_NE(ack, nullptr);
   EXPECT_TRUE(ack->value.empty());  // initial value
@@ -44,15 +46,16 @@ TEST(RingServerUnit, ReadImmediateWithoutPending) {
 
 TEST(RingServerUnit, ReadParksDuringPreWriteAndUnparksOnCommit) {
   MiniRing ring(3);
-  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx());
+  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx(),
+                             kDefaultObject);
   // Step the pre-write to s1, and s1's forward to s2 (s1 now has it pending).
   ASSERT_TRUE(ring.step(0));
   ASSERT_TRUE(ring.step(1));
-  EXPECT_TRUE(ring.at(1).pending().contains(Tag{1, 0}));
+  EXPECT_TRUE(ring.at(1).pending(kDefaultObject).contains(Tag{1, 0}));
 
-  ring.at(1).on_client_read(9, 1, ring.ctx());
+  ring.at(1).on_client_read(9, 1, ring.ctx(), kDefaultObject);
   EXPECT_EQ(ring.ctx().last_read_ack(9), nullptr);  // parked
-  EXPECT_EQ(ring.at(1).parked_read_count(), 1u);
+  EXPECT_EQ(ring.at(1).parked_read_count(kDefaultObject), 1u);
   EXPECT_EQ(ring.at(1).stats().reads_parked, 1u);
 
   ring.settle();  // commit circulates
@@ -60,7 +63,7 @@ TEST(RingServerUnit, ReadParksDuringPreWriteAndUnparksOnCommit) {
   ASSERT_NE(ack, nullptr);
   EXPECT_EQ(ack->value, Value::synthetic(1, 64));
   EXPECT_EQ(ack->tag, (Tag{1, 0}));
-  EXPECT_EQ(ring.at(1).parked_read_count(), 0u);
+  EXPECT_EQ(ring.at(1).parked_read_count(kDefaultObject), 0u);
 }
 
 TEST(RingServerUnit, ReadBeforeForwardingSeesOldValueImmediately) {
@@ -68,10 +71,11 @@ TEST(RingServerUnit, ReadBeforeForwardingSeesOldValueImmediately) {
   // semantics): the value cannot have been committed anywhere, so a local
   // read may return the old value immediately.
   MiniRing ring(3);
-  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx());
+  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx(),
+                             kDefaultObject);
   ASSERT_TRUE(ring.step(0));  // pre-write delivered to s1, not yet forwarded
-  EXPECT_FALSE(ring.at(1).pending().contains(Tag{1, 0}));
-  ring.at(1).on_client_read(9, 1, ring.ctx());
+  EXPECT_FALSE(ring.at(1).pending(kDefaultObject).contains(Tag{1, 0}));
+  ring.at(1).on_client_read(9, 1, ring.ctx(), kDefaultObject);
   const auto* ack = ring.ctx().last_read_ack(9);
   ASSERT_NE(ack, nullptr);
   EXPECT_TRUE(ack->value.empty());
@@ -83,10 +87,12 @@ TEST(RingServerUnit, TagsSkipPastPendingTimestamps) {
   // Feed s1 a pre-write with a high timestamp from s0, then let s1 initiate:
   // its tag must exceed the pending one (line 22–23).
   ring.at(1).on_ring_message(
-      net::make_payload<PreWrite>(Tag{41, 0}, Value::synthetic(5, 16), 1, 1),
+      net::make_payload<PreWrite>(Tag{41, 0}, Value::synthetic(5, 16), 1, 1,
+                                  kDefaultObject),
       ring.ctx());
   ASSERT_TRUE(ring.step(1));  // forward → now pending at s1
-  ring.at(1).on_client_write(8, 1, Value::synthetic(6, 16), ring.ctx());
+  ring.at(1).on_client_write(8, 1, Value::synthetic(6, 16), ring.ctx(),
+                             kDefaultObject);
   auto send = ring.at(1).next_ring_send();
   ASSERT_TRUE(send.has_value());
   ASSERT_EQ(send->msg->kind(), kPreWrite);
@@ -96,26 +102,56 @@ TEST(RingServerUnit, TagsSkipPastPendingTimestamps) {
 
 TEST(RingServerUnit, SoloServerServesDirectly) {
   MiniRing ring(1);
-  ring.at(0).on_client_write(3, 1, Value::synthetic(2, 32), ring.ctx());
+  ring.at(0).on_client_write(3, 1, Value::synthetic(2, 32), ring.ctx(),
+                             kDefaultObject);
   EXPECT_EQ(ring.ctx().acks_for(3, 1), 1);
-  EXPECT_EQ(ring.at(0).current_tag(), (Tag{1, 0}));
-  ring.at(0).on_client_read(4, 1, ring.ctx());
+  EXPECT_EQ(ring.at(0).current_tag(kDefaultObject), (Tag{1, 0}));
+  ring.at(0).on_client_read(4, 1, ring.ctx(), kDefaultObject);
   const auto* ack = ring.ctx().last_read_ack(4);
   ASSERT_NE(ack, nullptr);
   EXPECT_EQ(ack->value, Value::synthetic(2, 32));
   EXPECT_FALSE(ring.at(0).has_ring_traffic());
+
+  // No view was installed: the server boots with {epoch 0, ring 0, one-ring
+  // map}, so it owns every register, far object ids included, and NACKs
+  // nothing.
+  RequestId req = 2;
+  for (const ObjectId obj : {ObjectId{7}, ObjectId{1} << 40}) {
+    ring.at(0).on_client_write(3, req, Value::synthetic(req, 32), ring.ctx(),
+                               obj);
+    EXPECT_EQ(ring.ctx().acks_for(3, req), 1) << "object " << obj;
+    EXPECT_EQ(ring.at(0).current_tag(obj), (Tag{1, 0})) << "object " << obj;
+    ring.at(0).on_client_read(4, req, ring.ctx(), obj);
+    const auto* obj_ack = ring.ctx().last_read_ack(4);
+    ASSERT_NE(obj_ack, nullptr);
+    EXPECT_EQ(obj_ack->object, obj);
+    EXPECT_EQ(obj_ack->value, Value::synthetic(req, 32));
+    ++req;
+  }
+  EXPECT_EQ(ring.at(0).stats().epoch_nacks, 0u);
+  EXPECT_EQ(ring.at(0).epoch(), 0u);
+
+  // The boot view is a real epoch 0: the change to epoch 1 is accepted.
+  ring.at(0).begin_view_change(
+      ServerView{1, kDefaultRing, std::make_shared<const ShardMap>(1)});
+  EXPECT_TRUE(ring.at(0).view_changing());
+  ring.at(0).commit_view_change(ring.ctx());
+  EXPECT_EQ(ring.at(0).epoch(), 1u);
+  EXPECT_EQ(ring.at(0).stats().epoch_nacks, 0u);
 }
 
 TEST(RingServerUnit, RetriedWriteIsDeduplicated) {
   MiniRing ring(3);
-  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx());
+  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx(),
+                             kDefaultObject);
   ring.settle();
   ASSERT_EQ(ring.ctx().acks_for(7, 1), 1);
 
   // The client times out (say the first ack was slow) and retries the same
   // request at another server: it must be acked WITHOUT a new ring write.
   const auto initiated_before = ring.at(2).stats().pre_writes_initiated;
-  ring.at(2).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx());
+  ring.at(2).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx(),
+                             kDefaultObject);
   ring.settle();
   EXPECT_EQ(ring.ctx().acks_for(7, 1), 2);  // acked again, harmless
   EXPECT_EQ(ring.at(2).stats().pre_writes_initiated, initiated_before);
@@ -124,7 +160,8 @@ TEST(RingServerUnit, RetriedWriteIsDeduplicated) {
 
 TEST(RingServerUnit, CrashOfSuccessorResendsPending) {
   MiniRing ring(3);
-  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx());
+  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx(),
+                             kDefaultObject);
   ASSERT_TRUE(ring.step(0));  // pre-write at s1
   ASSERT_TRUE(ring.step(1));  // s1 forwarded to s2; s1 has it pending
   // s2 crashes holding the pre-write.
@@ -133,10 +170,10 @@ TEST(RingServerUnit, CrashOfSuccessorResendsPending) {
   // s1 re-sent its pending pre-write to its new successor s0; the write
   // completed on the 2-ring.
   EXPECT_EQ(ring.ctx().acks_for(7, 1), 1);
-  EXPECT_EQ(ring.at(0).current_value(), Value::synthetic(1, 64));
-  EXPECT_EQ(ring.at(1).current_value(), Value::synthetic(1, 64));
-  EXPECT_TRUE(ring.at(0).pending().empty());
-  EXPECT_TRUE(ring.at(1).pending().empty());
+  EXPECT_EQ(ring.at(0).current_value(kDefaultObject), Value::synthetic(1, 64));
+  EXPECT_EQ(ring.at(1).current_value(kDefaultObject), Value::synthetic(1, 64));
+  EXPECT_TRUE(ring.at(0).pending(kDefaultObject).empty());
+  EXPECT_TRUE(ring.at(1).pending(kDefaultObject).empty());
 }
 
 TEST(RingServerUnit, CommitsLostUnderStaggeredCrashNoticesAreResent) {
@@ -167,7 +204,8 @@ TEST(RingServerUnit, CommitsLostUnderStaggeredCrashNoticesAreResent) {
 
 TEST(RingServerUnit, OrphanedPreWriteAdoptionFullScenario) {
   MiniRing ring(3);
-  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx());
+  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx(),
+                             kDefaultObject);
   ASSERT_TRUE(ring.step(0));  // pre-write delivered to s1
   ASSERT_TRUE(ring.step(1));  // s1 forwards to s2; pending at s1
   // s2 received the pre-write but has not forwarded; origin s0 crashes. The
@@ -175,37 +213,39 @@ TEST(RingServerUnit, OrphanedPreWriteAdoptionFullScenario) {
   ring.crash(0);
   // Park a read at s1 on the orphaned tag.
   // (pending at s1 contains {1,0} — the read must wait, then complete.)
-  ring.at(1).on_client_read(9, 1, ring.ctx());
-  EXPECT_EQ(ring.at(1).parked_read_count(), 1u);
+  ring.at(1).on_client_read(9, 1, ring.ctx(), kDefaultObject);
+  EXPECT_EQ(ring.at(1).parked_read_count(kDefaultObject), 1u);
   ring.settle();
-  EXPECT_EQ(ring.at(1).parked_read_count(), 0u);
+  EXPECT_EQ(ring.at(1).parked_read_count(kDefaultObject), 0u);
   const auto* ack = ring.ctx().last_read_ack(9);
   ASSERT_NE(ack, nullptr);
   EXPECT_EQ(ack->value, Value::synthetic(1, 64));
-  EXPECT_TRUE(ring.at(1).pending().empty());
-  EXPECT_TRUE(ring.at(2).pending().empty());
-  EXPECT_EQ(ring.at(1).current_value(), Value::synthetic(1, 64));
-  EXPECT_EQ(ring.at(2).current_value(), Value::synthetic(1, 64));
+  EXPECT_TRUE(ring.at(1).pending(kDefaultObject).empty());
+  EXPECT_TRUE(ring.at(2).pending(kDefaultObject).empty());
+  EXPECT_EQ(ring.at(1).current_value(kDefaultObject), Value::synthetic(1, 64));
+  EXPECT_EQ(ring.at(2).current_value(kDefaultObject), Value::synthetic(1, 64));
   // The surrogate (s2, predecessor of dead s0) did the adoption.
   EXPECT_GE(ring.at(2).stats().adoptions, 1u);
 }
 
 TEST(RingServerUnit, CollapseToSoloResolvesEverything) {
   MiniRing ring(3);
-  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx());
+  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx(),
+                             kDefaultObject);
   ASSERT_TRUE(ring.step(0));  // s1 received pre-write
   ASSERT_TRUE(ring.step(1));  // s1 forwarded → pending at s1
-  ring.at(1).on_client_read(9, 1, ring.ctx());  // parks at s1
-  EXPECT_EQ(ring.at(1).parked_read_count(), 1u);
+  ring.at(1).on_client_read(9, 1, ring.ctx(), kDefaultObject);  // parks at s1
+  EXPECT_EQ(ring.at(1).parked_read_count(kDefaultObject), 1u);
   // Everyone else dies; s1 is alone and must resolve locally.
   ring.crash(2);
   ring.crash(0);
-  EXPECT_EQ(ring.at(1).parked_read_count(), 0u);
+  EXPECT_EQ(ring.at(1).parked_read_count(kDefaultObject), 0u);
   const auto* ack = ring.ctx().last_read_ack(9);
   ASSERT_NE(ack, nullptr);
   EXPECT_EQ(ack->value, Value::synthetic(1, 64));
   // Solo writes now complete immediately.
-  ring.at(1).on_client_write(8, 1, Value::synthetic(2, 64), ring.ctx());
+  ring.at(1).on_client_write(8, 1, Value::synthetic(2, 64), ring.ctx(),
+                             kDefaultObject);
   EXPECT_EQ(ring.ctx().acks_for(8, 1), 1);
 }
 
@@ -216,17 +256,20 @@ TEST(RingServerUnit, ReadFastpathOptionServesDominatedPending) {
   // Complete writes {1,0} and {2,0}, then inject a slow pre-write from s2
   // that still carries timestamp 1 (s2 assigned it before learning of s0's
   // writes): pending = {1,2} < applied {2,0}.
-  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx());
+  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx(),
+                             kDefaultObject);
   ring.settle();
-  ring.at(0).on_client_write(7, 2, Value::synthetic(2, 64), ring.ctx());
+  ring.at(0).on_client_write(7, 2, Value::synthetic(2, 64), ring.ctx(),
+                             kDefaultObject);
   ring.settle();
-  ASSERT_EQ(ring.at(1).current_tag(), (Tag{2, 0}));
+  ASSERT_EQ(ring.at(1).current_tag(kDefaultObject), (Tag{2, 0}));
   ring.at(1).on_ring_message(
-      net::make_payload<PreWrite>(Tag{1, 2}, Value::synthetic(9, 16), 2, 1),
+      net::make_payload<PreWrite>(Tag{1, 2}, Value::synthetic(9, 16), 2, 1,
+                                  kDefaultObject),
       ring.ctx());
   ASSERT_TRUE(ring.step(1));  // forwarded → pending at s1, tag {1,2} < {2,0}
-  ASSERT_TRUE(ring.at(1).pending().contains(Tag{1, 2}));
-  ring.at(1).on_client_read(9, 1, ring.ctx());
+  ASSERT_TRUE(ring.at(1).pending(kDefaultObject).contains(Tag{1, 2}));
+  ring.at(1).on_client_read(9, 1, ring.ctx(), kDefaultObject);
   // Fast path: applied tag {2,0} >= max pending {1,2} → immediate answer.
   const auto* ack = ring.ctx().last_read_ack(9);
   ASSERT_NE(ack, nullptr);
@@ -236,20 +279,23 @@ TEST(RingServerUnit, ReadFastpathOptionServesDominatedPending) {
 
 TEST(RingServerUnit, ConcurrentWritesOrderedByTag) {
   MiniRing ring(3);
-  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx());
-  ring.at(1).on_client_write(8, 1, Value::synthetic(2, 64), ring.ctx());
-  ring.at(2).on_client_write(9, 1, Value::synthetic(3, 64), ring.ctx());
+  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx(),
+                             kDefaultObject);
+  ring.at(1).on_client_write(8, 1, Value::synthetic(2, 64), ring.ctx(),
+                             kDefaultObject);
+  ring.at(2).on_client_write(9, 1, Value::synthetic(3, 64), ring.ctx(),
+                             kDefaultObject);
   ring.settle();
   EXPECT_EQ(ring.ctx().acks_for(7, 1), 1);
   EXPECT_EQ(ring.ctx().acks_for(8, 1), 1);
   EXPECT_EQ(ring.ctx().acks_for(9, 1), 1);
   // All servers converge on the same (maximal) tag and value.
-  const Tag t = ring.at(0).current_tag();
-  const Value v = ring.at(0).current_value();
+  const Tag t = ring.at(0).current_tag(kDefaultObject);
+  const Value v = ring.at(0).current_value(kDefaultObject);
   for (ProcessId p = 1; p < 3; ++p) {
-    EXPECT_EQ(ring.at(p).current_tag(), t);
-    EXPECT_EQ(ring.at(p).current_value(), v);
-    EXPECT_TRUE(ring.at(p).pending().empty());
+    EXPECT_EQ(ring.at(p).current_tag(kDefaultObject), t);
+    EXPECT_EQ(ring.at(p).current_value(kDefaultObject), v);
+    EXPECT_TRUE(ring.at(p).pending(kDefaultObject).empty());
   }
 }
 
@@ -257,17 +303,20 @@ TEST(RingServerUnit, CommitOvertakingPreWriteIsHandled) {
   // Non-FIFO defensive path: a commit arrives before its pre-write.
   MiniRing ring(3);
   const Tag t{5, 0};
-  ring.at(1).on_ring_message(net::make_payload<WriteCommit>(t, 7, 1),
+  ring.at(1).on_ring_message(net::make_payload<WriteCommit>(t, 7, 1,
+                                                            kDefaultObject),
                              ring.ctx());
   // No pending entry: the commit is remembered, not applied.
-  EXPECT_EQ(ring.at(1).current_tag(), kInitialTag);
+  EXPECT_EQ(ring.at(1).current_tag(kDefaultObject), kInitialTag);
   ring.at(1).on_ring_message(
-      net::make_payload<PreWrite>(t, Value::synthetic(1, 64), 7, 1),
+      net::make_payload<PreWrite>(t, Value::synthetic(1, 64), 7, 1,
+                                  kDefaultObject),
       ring.ctx());
-  EXPECT_EQ(ring.at(1).current_tag(), t);
-  EXPECT_EQ(ring.at(1).current_value(), Value::synthetic(1, 64));
-  EXPECT_FALSE(ring.at(1).pending().contains(t));  // must not re-park readers
-  ring.at(1).on_client_read(9, 1, ring.ctx());
+  EXPECT_EQ(ring.at(1).current_tag(kDefaultObject), t);
+  EXPECT_EQ(ring.at(1).current_value(kDefaultObject), Value::synthetic(1, 64));
+  // Must not re-park readers.
+  EXPECT_FALSE(ring.at(1).pending(kDefaultObject).contains(t));
+  ring.at(1).on_client_read(9, 1, ring.ctx(), kDefaultObject);
   ASSERT_NE(ring.ctx().last_read_ack(9), nullptr);
 }
 

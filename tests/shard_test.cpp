@@ -141,9 +141,9 @@ struct RecordingCtx final : ClientContext {
 
 /// Issues the same op/timeout sequence through `session`.
 void drive(ClientSession& session, RecordingCtx& ctx) {
-  session.begin_write(Value::synthetic(1, 64), ctx);      // default object
-  session.begin_read(ctx);                                // queued behind it
-  session.begin_write(7, Value::synthetic(2, 64), ctx);   // explicit object
+  session.begin_write(kDefaultObject, Value::synthetic(1, 64), ctx);
+  session.begin_read(kDefaultObject, ctx);  // queued behind the write
+  session.begin_write(7, Value::synthetic(2, 64), ctx);
   // Time out the first write twice: rotation + re-send, the sticky target.
   const auto timer0 = ctx.timers.at(0).second;
   ctx.clock = 0.25;
@@ -189,10 +189,10 @@ TEST(ShardGolden, SingleRingSessionEmitsTheSeedFrameLayout) {
   ClientSession session(/*id=*/1234, opts);
   RecordingCtx ctx;
   const Value v = Value::synthetic(9, 100);
-  session.begin_write(Value(v), ctx);
+  session.begin_write(kDefaultObject, Value(v), ctx);
   // Complete the write (one op per object) so the read goes out too.
-  session.on_reply(ClientWriteAck(1), /*from=*/0, ctx);
-  session.begin_read(ctx);
+  session.on_reply(ClientWriteAck(1, kDefaultObject), /*from=*/0, ctx);
+  session.begin_read(kDefaultObject, ctx);
 
   ASSERT_EQ(ctx.sent.size(), 2u);
   {

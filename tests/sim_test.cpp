@@ -71,7 +71,7 @@ TEST(Simulator, PastEventsClampToNow) {
 net::PayloadPtr payload_of(std::size_t bytes) {
   // SyncState's wire size = 2 + 12 + 4 + len; choose len for exact control.
   return net::make_payload<core::SyncState>(
-      Tag{1, 0}, Value::synthetic(1, bytes - 18));
+      Tag{1, 0}, Value::synthetic(1, bytes - 18), kDefaultObject);
 }
 
 TEST(NetConfig, WireBytesAddFrameOverhead) {

@@ -29,7 +29,9 @@
 namespace hts::net {
 namespace {
 
-PayloadPtr ping(RequestId r) { return make_payload<core::ClientWriteAck>(r); }
+PayloadPtr ping(RequestId r) {
+  return make_payload<core::ClientWriteAck>(r, kDefaultObject);
+}
 
 /// Transport wired to the real message codec, ephemeral loopback ports.
 TcpTransport::Options core_options(double detection_delay_s,
@@ -69,12 +71,13 @@ TEST(TcpTransport, FramesAreByteIdenticalToLegacyEncoder) {
 
   std::vector<PayloadPtr> sent;
   sent.push_back(make_payload<core::ClientWrite>(1, 2,
-                                                 Value::synthetic(9, 1448)));
+                                                 Value::synthetic(9, 1448),
+                                                 kDefaultObject));
   sent.push_back(make_payload<core::WriteCommit>(Tag{3, 1}, 7, 9, /*obj=*/5));
   sent.push_back(make_payload<core::RingBatch>(std::vector<PayloadPtr>{
       make_payload<core::PreWrite>(Tag{8, 2}, Value::synthetic(11, 512), 12,
-                                   13),
-      make_payload<core::WriteCommit>(Tag{9, 0}, 14, 15)}));
+                                   13, kDefaultObject),
+      make_payload<core::WriteCommit>(Tag{9, 0}, 14, 15, kDefaultObject)}));
   std::uint64_t expected_bytes = 0;
   for (const auto& m : sent) {
     expected_bytes += m->wire_size();
@@ -155,11 +158,11 @@ TEST(TcpCluster, SequentialReadWriteOverSockets) {
   auto& client = cluster.add_client(0);
   cluster.start();
 
-  EXPECT_TRUE(client.read().empty());
-  client.write(Value::synthetic(1, 128));
-  EXPECT_EQ(client.read(), Value::synthetic(1, 128));
-  client.write(Value::synthetic(2, 2048));
-  auto r = client.read_result();
+  EXPECT_TRUE(client.read(kDefaultObject).empty());
+  client.write(kDefaultObject, Value::synthetic(1, 128));
+  EXPECT_EQ(client.read(kDefaultObject), Value::synthetic(1, 128));
+  client.write(kDefaultObject, Value::synthetic(2, 2048));
+  auto r = client.read_result(kDefaultObject);
   EXPECT_EQ(r.value, Value::synthetic(2, 2048));
   EXPECT_EQ(r.tag, (Tag{2, 0}));
 
@@ -179,12 +182,12 @@ TEST(TcpCluster, CrashRepairCompletesOverSockets) {
   cluster.start();
 
   for (std::uint64_t v = 1; v <= 5; ++v) {
-    client.write(Value::synthetic(v, 256));
+    client.write(kDefaultObject, Value::synthetic(v, 256));
   }
   cluster.crash_server(1);
   for (std::uint64_t v = 6; v <= 12; ++v) {
-    client.write(Value::synthetic(v, 256));
-    EXPECT_EQ(other.read().synthetic_seed(), v);
+    client.write(kDefaultObject, Value::synthetic(v, 256));
+    EXPECT_EQ(other.read(kDefaultObject).synthetic_seed(), v);
   }
   auto verdict = lincheck::check_register(cluster.history());
   EXPECT_TRUE(verdict.linearizable) << verdict.explanation;
@@ -205,9 +208,9 @@ TEST(TcpCluster, ConcurrentClientsLinearizableOverSockets) {
     threads.emplace_back([&, c] {
       for (std::uint64_t v = 1; v <= 15; ++v) {
         if ((c + v) % 3 == 0) {
-          (void)clients[c]->read();
+          (void)clients[c]->read(kDefaultObject);
         } else {
-          clients[c]->write(Value::synthetic(c * 100 + v, 64));
+          clients[c]->write(kDefaultObject, Value::synthetic(c * 100 + v, 64));
         }
       }
     });

@@ -20,11 +20,11 @@ TEST(ThreadedCluster, SequentialReadWrite) {
   auto& client = cluster.add_client(0);
   cluster.start();
 
-  EXPECT_TRUE(client.read().empty());
-  client.write(Value::synthetic(1, 128));
-  EXPECT_EQ(client.read(), Value::synthetic(1, 128));
-  client.write(Value::synthetic(2, 128));
-  auto r = client.read_result();
+  EXPECT_TRUE(client.read(kDefaultObject).empty());
+  client.write(kDefaultObject, Value::synthetic(1, 128));
+  EXPECT_EQ(client.read(kDefaultObject), Value::synthetic(1, 128));
+  client.write(kDefaultObject, Value::synthetic(2, 128));
+  auto r = client.read_result(kDefaultObject);
   EXPECT_EQ(r.value, Value::synthetic(2, 128));
   EXPECT_EQ(r.tag, (Tag{2, 0}));
 
@@ -42,10 +42,10 @@ TEST(ThreadedCluster, ReadYourOwnWritesAcrossServers) {
   cluster.start();
 
   for (std::uint64_t v = 1; v <= 10; ++v) {
-    writer.write(Value::synthetic(v, 64));
+    writer.write(kDefaultObject, Value::synthetic(v, 64));
     // Every server must serve the just-written value (write-all-available).
     for (auto* r : readers) {
-      EXPECT_EQ(r->read().synthetic_seed(), v);
+      EXPECT_EQ(r->read(kDefaultObject).synthetic_seed(), v);
     }
   }
   auto verdict = lincheck::check_register(cluster.history());
@@ -69,9 +69,9 @@ TEST(ThreadedCluster, ConcurrentClientsLinearizable) {
       auto* c = clients[static_cast<std::size_t>(i)];
       for (int op = 0; op < 30; ++op) {
         if ((op + i) % 3 == 0) {
-          c->write(Value::synthetic(seed.fetch_add(1), 256));
+          c->write(kDefaultObject, Value::synthetic(seed.fetch_add(1), 256));
         } else {
-          (void)c->read();
+          (void)c->read(kDefaultObject);
         }
       }
     });
@@ -105,9 +105,9 @@ TEST(ThreadedCluster, SurvivesCrashesUnderConcurrentLoad) {
       std::uint64_t op = 0;
       while (!stop.load()) {
         if ((op++ + static_cast<std::uint64_t>(i)) % 2 == 0) {
-          c->write(Value::synthetic(seed.fetch_add(1), 128));
+          c->write(kDefaultObject, Value::synthetic(seed.fetch_add(1), 128));
         } else {
-          (void)c->read();
+          (void)c->read(kDefaultObject);
         }
       }
     });
@@ -140,15 +140,15 @@ TEST(ThreadedCluster, WriteAfterAllButOneCrashed) {
   auto& client = cluster.add_client(0);
   cluster.start();
 
-  client.write(Value::synthetic(1, 64));
+  client.write(kDefaultObject, Value::synthetic(1, 64));
   cluster.crash_server(0);
   cluster.crash_server(2);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
 
   // Server 1 is the sole survivor; the client times out on its preferred
   // server and rotates to it.
-  client.write(Value::synthetic(2, 64));
-  EXPECT_EQ(client.read().synthetic_seed(), 2u);
+  client.write(kDefaultObject, Value::synthetic(2, 64));
+  EXPECT_EQ(client.read(kDefaultObject).synthetic_seed(), 2u);
 
   auto verdict = lincheck::check_register(cluster.history());
   EXPECT_TRUE(verdict.linearizable) << verdict.explanation;

@@ -27,7 +27,9 @@
 namespace hts::net {
 namespace {
 
-PayloadPtr ping(RequestId r) { return make_payload<core::ClientWriteAck>(r); }
+PayloadPtr ping(RequestId r) {
+  return make_payload<core::ClientWriteAck>(r, kDefaultObject);
+}
 
 RequestId req_of(const Payload& p) {
   return static_cast<const core::ClientWriteAck&>(p).req;
@@ -113,11 +115,14 @@ TYPED_TEST(TransportConformance, ChargesExactPerBatchByteCounts) {
   t.register_node(NodeAddress::server(1), [](NodeAddress, PayloadPtr) {});
   t.start();
 
-  auto single = make_payload<core::WriteCommit>(Tag{1, 0}, 7, 1);
+  auto single = make_payload<core::WriteCommit>(Tag{1, 0}, 7, 1,
+                                                kDefaultObject);
   std::vector<PayloadPtr> parts;
   parts.push_back(make_payload<core::PreWrite>(Tag{2, 0},
-                                               Value::synthetic(1, 512), 7, 2));
-  parts.push_back(make_payload<core::WriteCommit>(Tag{1, 0}, 7, 1));
+                                               Value::synthetic(1, 512), 7, 2,
+                                               kDefaultObject));
+  parts.push_back(make_payload<core::WriteCommit>(Tag{1, 0}, 7, 1,
+                                                  kDefaultObject));
   auto batch = make_payload<core::RingBatch>(std::move(parts));
   const std::uint64_t expected_bytes = single->wire_size() + batch->wire_size();
 

@@ -103,7 +103,7 @@ TEST(InMemTransport, ExecuteRunsInlineOnAParkedLoopButNotFromALoopThread) {
   }));
   EXPECT_TRUE(inline_seen);
 
-  t.send(a, a, make_payload<core::ClientWriteAck>(1));
+  t.send(a, a, make_payload<core::ClientWriteAck>(1, kDefaultObject));
   ASSERT_TRUE(t.wait_quiescent(5.0));
   EXPECT_NE(ran_on.load(), std::thread::id{});
   EXPECT_NE(ran_on.load(), a_loop.load()) << "ran inline on a's loop thread";
@@ -123,10 +123,10 @@ std::vector<PayloadPtr> one_of_every_kind(std::size_t value_size) {
   msgs.push_back(make_payload<ClientRead>(4, 5, /*obj=*/7, /*epoch=*/3));
   msgs.push_back(make_payload<ClientReadAck>(6, v, Tag{7, 1}, /*obj=*/7));
   msgs.push_back(make_payload<PreWrite>(Tag{8, 2}, v, 12, 13, /*obj=*/7));
-  msgs.push_back(make_payload<WriteCommit>(Tag{9, 0}, 14, 15));
+  msgs.push_back(make_payload<WriteCommit>(Tag{9, 0}, 14, 15, kDefaultObject));
   msgs.push_back(make_payload<SyncState>(Tag{10, 1}, v, /*obj=*/7));
   msgs.push_back(make_payload<RingBatch>(std::vector<PayloadPtr>{
-      make_payload<PreWrite>(Tag{8, 2}, v, 12, 13),
+      make_payload<PreWrite>(Tag{8, 2}, v, 12, 13, kDefaultObject),
       make_payload<WriteCommit>(Tag{9, 0}, 14, 15, /*obj=*/7),
       make_payload<SyncState>(Tag{5, 1}, v, /*obj=*/9)}));
   msgs.push_back(make_payload<MigrateState>(Tag{4, 1}, v, /*obj=*/5,
@@ -141,7 +141,8 @@ std::vector<PayloadPtr> one_of_every_kind(std::size_t value_size) {
                                          std::string(value_size, 'f'),
                                          /*obj=*/9, /*epoch=*/2));
   msgs.push_back(make_payload<PreWriteFrag>(Tag{12, 3}, 900, 15, /*n=*/5,
-                                            /*k=*/3, /*vsize=*/1u << 20));
+                                            /*k=*/3, /*vsize=*/1u << 20,
+                                            kDefaultObject));
   msgs.push_back(make_payload<CodedReadAck>(
       7, Tag{9, 2}, /*n=*/5, /*k=*/2, /*vsize=*/16,
       std::vector<FragPart>{{2, 0xABCD, "frag-two"}, {4, 0x1234, "frag-4"}},
@@ -149,7 +150,8 @@ std::vector<PayloadPtr> one_of_every_kind(std::size_t value_size) {
   msgs.push_back(make_payload<FragFetch>(42, 7, Tag{5, 1}, /*obj=*/2,
                                          /*epoch=*/1));
   msgs.push_back(make_payload<FragFetchAck>(
-      7, Tag{5, 1}, 64, std::vector<FragPart>{{0, 0x77, "bytes"}}));
+      7, Tag{5, 1}, 64, std::vector<FragPart>{{0, 0x77, "bytes"}},
+      kDefaultObject));
   msgs.push_back(make_payload<FragRepair>(
       /*origin=*/4, Tag{11, 4}, /*n=*/5, /*k=*/2, /*missing=*/1, /*vsize=*/32,
       std::vector<FragPart>{{0, 1, "a"}, {2, 3, "bb"}}, /*obj=*/6,
@@ -324,7 +326,7 @@ TEST(FrameCodec, IovCoversAllBytesAndHonoursSkip) {
   const auto m = w.begin_frame();
   core::encode_message_into(
       *make_payload<core::PreWrite>(Tag{8, 2}, Value::synthetic(3, 200), 12,
-                                    13),
+                                    13, kDefaultObject),
       w);
   w.end_frame(m);
   const std::string all = w.to_string();
