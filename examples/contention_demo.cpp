@@ -4,8 +4,8 @@
 // tracing how a read issued mid-write parks until the commit passes, while
 // a read before the pre-write reaches its server answers immediately with
 // the old value — exactly the execution of the paper's Figure 2. Exits
-// non-zero if a read issued after write #2 was acknowledged does not return
-// value #2.
+// non-zero if server 2 parks no read, or if a read issued after write #2
+// was acknowledged does not return value #2.
 #include <cstdio>
 
 #include "harness/sim_cluster.h"
@@ -59,9 +59,10 @@ int main() {
   harness::ClientPort& r2port = cluster.port(reader2.id());
   harness::ClientPort& r4port = cluster.port(reader4.id());
 
-  // t=0: preload value #1 so readers have something old to see.
+  // t=0: preload value #1 so readers have something old to see. It is
+  // small, so it commits long before t=5ms and write #2 starts on time.
   sim.schedule_at(0.0, [&] {
-    wport.begin_write(kDefaultObject, Value::synthetic(1, 8192));
+    wport.begin_write(kDefaultObject, Value::synthetic(1, 64));
   });
 
   // t=5ms: write value #2 (takes ~2 ring traversals to commit).
@@ -95,14 +96,19 @@ int main() {
   });
 
   sim.run_to_quiescence();
+  const std::uint64_t parked = cluster.server(2).stats().reads_parked;
   std::printf("\nserver 2 parked %llu read(s) during the write — the "
               "read-inversion guard at work.\n",
-              static_cast<unsigned long long>(
-                  cluster.server(2).stats().reads_parked));
+              static_cast<unsigned long long>(parked));
+  int rc = 0;
+  if (parked == 0) {
+    std::printf("FAIL: reader@2's read did not park\n");
+    rc = 1;
+  }
   if (reads_checked == 0 || stale_reads != 0) {
     std::printf("FAIL: %d of %d read(s) after write #2 missed value #2\n",
                 stale_reads, reads_checked);
-    return 1;
+    rc = 1;
   }
-  return 0;
+  return rc;
 }

@@ -77,7 +77,7 @@ void ClientSession::dispatch(ClientContext& ctx) {
     active_objects_.insert(op.object);
     auto [slot, fresh] = inflight_.emplace(op.req, std::move(op));
     assert(fresh);
-    transmit(slot->second, ctx);
+    arm_retry(slot->second.retry_at, transmit(slot->second, ctx), ctx);
   }
 }
 
@@ -110,7 +110,7 @@ void ClientSession::reroute(Op& op) {
   op.target = router_.target_of(op.ring);
 }
 
-void ClientSession::transmit(Op& op, ClientContext& ctx) {
+double ClientSession::transmit(Op& op, ClientContext& ctx) {
   ++op.attempts;
   probe_.event(obs::EventKind::kClientSend, op.req, op.target, op.attempts);
   const Topology& topo = router_.topology();
@@ -161,10 +161,17 @@ void ClientSession::transmit(Op& op, ClientContext& ctx) {
     delay = static_cast<double>(half_us + jitter_.below(half_us + 1)) * 1e-6;
   }
   probe_.record_backoff(delay);
-  timer_to_req_.erase(op.timer_token);
-  op.timer_token = ++timer_seq_;
-  timer_to_req_[op.timer_token] = op.req;
-  ctx.arm_timer(delay, op.timer_token);
+  op.retry_at = ctx.now() + delay;
+  op.retry_seq = ++retry_seq_;
+  return delay;
+}
+
+void ClientSession::arm_retry(double at, double delay, ClientContext& ctx) {
+  // The armed timer already fires by `at`: this deadline waits for it.
+  if (timer_token_ != 0 && timer_at_ <= at) return;
+  timer_token_ = ++timer_seq_;
+  timer_at_ = at;
+  ctx.arm_timer(delay, timer_token_);
 }
 
 void ClientSession::on_reply(const net::Payload& msg, ProcessId from,
@@ -208,7 +215,7 @@ void ClientSession::on_reply(const net::Payload& msg, ProcessId from,
       // to the hint, or the route did): a NACK that changes nothing waits
       // for the retry timer instead of ping-ponging at network rate.
       if (epoch_ >= m.epoch && (refreshed || op.target != before)) {
-        transmit(op, ctx);
+        arm_retry(op.retry_at, transmit(op, ctx), ctx);
       }
       return;
     }
@@ -305,7 +312,6 @@ void ClientSession::on_reply(const net::Payload& msg, ProcessId from,
   probe_.event(obs::EventKind::kClientReply, op.req,
                from == kNoProcess ? 0 : from, op.attempts);
 
-  timer_to_req_.erase(op.timer_token);  // invalidate the retry timer
   active_objects_.erase(op.object);
   inflight_.erase(it);
   dispatch(ctx);  // a freed slot may release queued work
@@ -369,7 +375,6 @@ bool ClientSession::try_complete_coded(std::map<RequestId, Op>::iterator it,
   probe_.event(obs::EventKind::kClientReply, op.req,
                from == kNoProcess ? 0 : from, op.attempts);
 
-  timer_to_req_.erase(op.timer_token);
   active_objects_.erase(op.object);
   inflight_.erase(it);
   dispatch(ctx);
@@ -378,10 +383,40 @@ bool ClientSession::try_complete_coded(std::map<RequestId, Op>::iterator it,
 }
 
 void ClientSession::on_timer(std::uint64_t token, ClientContext& ctx) {
-  auto tok = timer_to_req_.find(token);
-  if (tok == timer_to_req_.end()) return;  // stale timer
-  auto it = inflight_.find(tok->second);
-  if (it == inflight_.end() || it->second.timer_token != token) return;
+  if (token != timer_token_) return;  // superseded by an earlier deadline
+  timer_token_ = 0;
+  // Retry every op due by now in (deadline, arm order) — the order one
+  // timer per op would have fired in — then re-arm once for the earliest
+  // deadline left. A fire that finds nothing due (clock rounding) only
+  // re-arms, so no retry is ever lost.
+  const double now = ctx.now();
+  struct Due {
+    double at;
+    std::uint64_t seq;
+    RequestId req;
+  };
+  std::vector<Due> due;
+  for (const auto& [req, op] : inflight_) {
+    if (op.retry_at <= now) due.push_back({op.retry_at, op.retry_seq, req});
+  }
+  std::sort(due.begin(), due.end(), [](const Due& a, const Due& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  });
+  for (const Due& d : due) {
+    if (auto it = inflight_.find(d.req); it != inflight_.end()) {
+      retry(it->second, ctx);
+    }
+  }
+  if (inflight_.empty()) return;
+  const Op& next = std::min_element(inflight_.begin(), inflight_.end(),
+                                    [](const auto& a, const auto& b) {
+                                      return a.second.retry_at <
+                                             b.second.retry_at;
+                                    })->second;
+  arm_retry(next.retry_at, std::max(0.0, next.retry_at - ctx.now()), ctx);
+}
+
+void ClientSession::retry(Op& op, ClientContext& ctx) {
   // §3: "when their request times out, they simply re-send it to another
   // server". Same request id — servers deduplicate retried writes (D5).
   // Rotation stays inside the op's ring, and later dispatches to that ring
@@ -391,7 +426,6 @@ void ClientSession::on_timer(std::uint64_t token, ClientContext& ctx) {
   // A retry is also the moment to notice a reconfiguration the session has
   // not heard about (e.g. the op's whole ring was retired and nobody is
   // left to NACK): adopt the latest view and re-route before re-sending.
-  Op& op = it->second;
   const bool refreshed = refresh_view();
   if (refreshed) {
     probe_.event(obs::EventKind::kClientEpochRefresh, op.req, epoch_);

@@ -11,11 +11,13 @@
 // Under a multi-ring Topology the session routes every op to its object's
 // ring through a ShardRouter — one in-flight budget spans all rings, while
 // retry rotation and the sticky server target stay per ring.
-// Every in-flight operation has its own retry timer (token scheme) and its
-// own server target rotation; retry delays grow exponentially with jitter
-// (seed behaviour at retry_multiplier = 1). Completion is reported through
-// a callback so both the blocking (threaded) and event-driven (simulated)
-// fabrics can host it.
+// Every in-flight operation has its own retry deadline and its own server
+// target rotation; retry delays grow exponentially with jitter (seed
+// behaviour at retry_multiplier = 1). The session keeps one fabric timer,
+// armed for the earliest deadline in flight: a completed op cancels nothing
+// and a new op arms nothing unless its deadline comes first. Completion is
+// reported through a callback so both the blocking (threaded) and
+// event-driven (simulated) fabrics can host it.
 //
 // Every operation names its register; the paper's single register is
 // kDefaultObject. Every session carries an epoch'd view (epoch + topology);
@@ -29,7 +31,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -49,7 +50,7 @@ class ClientContext {
  public:
   virtual void send_server(ProcessId server, net::PayloadPtr msg) = 0;
   /// Arms a one-shot timer; the fabric calls on_timer(token) after `delay`
-  /// seconds. Tokens distinguish stale timers from live ones.
+  /// seconds. Tokens tell the session's live timer from superseded ones.
   virtual void arm_timer(double delay_seconds, std::uint64_t token) = 0;
   virtual double now() const = 0;
   virtual ~ClientContext() = default;
@@ -147,7 +148,8 @@ class ClientSession {
   /// A host that does not track the sender passes kNoProcess.
   void on_reply(const net::Payload& msg, ProcessId from, ClientContext& ctx);
 
-  /// Timer callback from the fabric. Stale tokens are ignored.
+  /// Timer callback from the fabric: retries every op whose deadline has
+  /// passed, then re-arms. Superseded tokens are ignored.
   void on_timer(std::uint64_t token, ClientContext& ctx);
 
   /// A completion callback; invoked exactly once per begin_*.
@@ -212,7 +214,8 @@ class ClientSession {
     double invoked_at = 0;
     std::uint32_t attempts = 0;         // transmissions so far
     ProcessId target = 0;               // next server to contact (global id)
-    std::uint64_t timer_token = 0;      // current retry timer
+    double retry_at = 0;                // retry deadline (ctx.now() clock)
+    std::uint64_t retry_seq = 0;        // arm order among equal deadlines
 
     // Coded-read fetch phase (D11): set by a CodedReadAck naming the
     // committed tag; fragments accumulate (CRC-verified, by index) until k
@@ -231,8 +234,16 @@ class ClientSession {
   /// Moves backlog ops into flight while capacity and object slots allow.
   void dispatch(ClientContext& ctx);
 
-  /// (Re)transmits an in-flight op and arms its retry timer.
-  void transmit(Op& op, ClientContext& ctx);
+  /// (Re)transmits an in-flight op and sets its retry deadline; returns
+  /// the delay to that deadline.
+  double transmit(Op& op, ClientContext& ctx);
+
+  /// Arms the session's timer `delay` seconds ahead, for deadline `at`,
+  /// unless the armed one fires by then.
+  void arm_retry(double at, double delay, ClientContext& ctx);
+
+  /// Times out one op: rotates (or re-routes) and re-sends it.
+  void retry(Op& op, ClientContext& ctx);
 
   /// Pulls the latest view from the provider; on an epoch advance, adopts
   /// the new topology into the router and returns true.
@@ -265,7 +276,10 @@ class ClientSession {
   ShardRouter router_;
   Epoch epoch_ = 0;  ///< epoch of the view router_ was built from
   ViewProvider view_provider_;
-  std::uint64_t timer_seq_ = 0;
+  std::uint64_t timer_seq_ = 0;    // tokens handed to the fabric
+  std::uint64_t timer_token_ = 0;  // the armed timer (0: none)
+  double timer_at_ = 0;            // the armed timer's deadline
+  std::uint64_t retry_seq_ = 0;    // source of Op::retry_seq
   std::uint64_t total_retries_ = 0;
   std::uint64_t rotations_ = 0;
   std::uint64_t epoch_nacks_ = 0;
@@ -278,7 +292,6 @@ class ClientSession {
   std::map<RequestId, Op> inflight_;           // issue-ordered
   std::deque<Op> backlog_;                     // waiting for a slot
   std::unordered_set<ObjectId> active_objects_;
-  std::unordered_map<std::uint64_t, RequestId> timer_to_req_;
 };
 
 }  // namespace hts::core

@@ -4,9 +4,11 @@
 // A node's handlers run serialized on its own loop thread (the state
 // machines are single-threaded by design), and its timers and crash notices
 // live on that loop's heap. The loop watches no fd, so it parks on a futex
-// until its earliest timer is due and a send wakes it with one futex wake;
-// an execute() from a thread that is not a loop thread runs inline while
-// the loop stays parked (net/node_loop.h), saving the hop onto the loop.
+// until its earliest timer is due and a send wakes it with one futex wake.
+// Two hand-overs skip that wake and run inline while the loop stays parked
+// (net/node_loop.h): an execute() from a thread that is not a loop thread,
+// and a send from a handler on another node's loop — so a message into an
+// idle node costs no thread switch.
 // Links are reliable FIFO channels, exactly the paper's model of
 // "bi-directional reliable communication channels" over TCP. Crashing a
 // node stops its deliveries at once and, after a configurable detection
@@ -30,17 +32,18 @@ class InMemTransport : public LoopTransport {
       : LoopTransport(detection_delay_s) {}
   ~InMemTransport() override { stop(); }
 
-  /// Reliable FIFO send from any thread. Messages from crashed nodes, and to
-  /// crashed or unknown nodes, are dropped uncharged. One transmission per
-  /// call at the payload's exact wire size — the same per-batch cost model
-  /// the simulator's network uses.
+  /// Reliable FIFO send from any thread; from a handler into a parked node
+  /// it runs the destination's handler before returning. Messages from
+  /// crashed nodes, and to crashed or unknown nodes, are dropped uncharged.
+  /// One transmission per call at the payload's exact wire size — the same
+  /// per-batch cost model the simulator's network uses.
   void send(NodeAddress from, NodeAddress to, PayloadPtr msg) override {
     NodeLoop* src = find(from);
     NodeLoop* dst = to == from ? src : find(to);
     if (dst == nullptr || !dst->up()) return;
     if (src != nullptr && !src->up()) return;
     count_tx(src, *msg);
-    dst->post_message(from, std::move(msg));
+    dst->deliver(from, std::move(msg));
   }
 };
 

@@ -20,8 +20,11 @@ namespace hts::net {
 
 namespace {
 
-/// The node whose loop runs on this thread (null off every loop).
+/// The node whose work runs on this thread: its own loop's node, or the
+/// node an inline run has switched to (null off every loop and inline run).
 thread_local NodeLoop* tl_node = nullptr;
+/// The loop this thread runs (null off every loop thread).
+thread_local NodeLoop* tl_loop = nullptr;
 
 /// Timer heap order: std::*_heap keep the earliest (deadline, arrival) on
 /// top under this "later than" comparison.
@@ -98,8 +101,40 @@ void NodeLoop::post(Mail mail) {
   if (was_empty) wake();
 }
 
-void NodeLoop::post_message(NodeAddress from, PayloadPtr msg) {
+template <typename Fn>
+bool NodeLoop::try_run_inline(Fn&& fn) {
+  // Only on a parked fd-less loop with nothing queued ahead: that keeps one
+  // caller's closures in call order and every link FIFO.
+  if (epoll_fd_ >= 0 || !parked_.load(std::memory_order_acquire)) {
+    return false;
+  }
+  const sync::MutexTryLock run(run_mu_);
+  if (!run.owns_lock() || !parked_.load(std::memory_order_acquire) ||
+      !mailbox_empty()) {
+    return false;
+  }
+  // The work sees itself on this node (own-node lookups, direct timer
+  // pushes) exactly as a handler would; the caller's node comes back after.
+  NodeLoop* const caller = tl_node;
+  tl_node = this;
+  if (up()) fn();
+  tl_node = caller;
+  settle(1);
+  if (!timers_.empty() && timers_.front().at < park_deadline_) wake();
+  return true;
+}
+
+void NodeLoop::deliver(NodeAddress from, PayloadPtr msg) {
   expect();
+  // Inline only for a loop thread doing its own node's work (not an inline
+  // run, so runs never nest), and never into that node itself.
+  if (tl_loop != nullptr && tl_node == tl_loop && tl_loop != this &&
+      try_run_inline([&] {
+        const std::size_t bytes = msg->wire_size();
+        dispatch(from, std::move(msg), bytes);
+      })) {
+    return;
+  }
   post(Mail{Mail::Kind::kMessage, from, std::move(msg), {}, {}});
 }
 
@@ -118,29 +153,10 @@ bool NodeLoop::mailbox_empty() const {
 
 void NodeLoop::execute(std::function<void()> fn) {
   expect();
-  // Inline only on a parked fd-less loop with nothing queued ahead (which
-  // keeps one caller's closures in call order), and never from a loop
-  // thread, whose own run lock is held.
-  if (epoll_fd_ < 0 && tl_node == nullptr &&
-      parked_.load(std::memory_order_acquire)) {
-    const sync::MutexTryLock run(run_mu_);
-    if (run.owns_lock() && parked_.load(std::memory_order_acquire) &&
-        mailbox_empty()) {
-      run_inline(fn);
-      return;
-    }
-  }
+  // Inline only from a thread doing no node's work: a loop thread, or a
+  // closure already running inline, posts.
+  if (tl_node == nullptr && try_run_inline(fn)) return;
   post(Mail{Mail::Kind::kExecute, {}, nullptr, {}, std::move(fn)});
-}
-
-void NodeLoop::run_inline(const std::function<void()>& fn) {
-  // The closure sees itself on this node (own-node lookups, direct timer
-  // pushes) exactly as a handler would.
-  tl_node = this;
-  if (up()) fn();
-  tl_node = nullptr;
-  settle(1);
-  if (!timers_.empty() && timers_.front().at < park_deadline_) wake();
 }
 
 void NodeLoop::arm(clk::SteadyTime at, std::uint64_t token,
@@ -148,8 +164,8 @@ void NodeLoop::arm(clk::SteadyTime at, std::uint64_t token,
   if (crashed != kNoProcess) notices_.fetch_add(1, std::memory_order_acq_rel);
   const Timer t{at, 0, token, crashed};
   if (on_loop()) {
-    // On the loop thread, or in a closure that execute() runs inline: both
-    // hold the run lock.
+    // On the loop thread, or in work run inline on this node: both hold
+    // the run lock.
     run_mu_.assert_held();
     push_timer(t);
   } else {
@@ -236,6 +252,7 @@ void NodeLoop::join() {
 }
 
 void NodeLoop::run(Hooks& hooks, const std::atomic<bool>& stopping) {
+  tl_loop = this;
   tl_node = this;
   {
     const sync::MutexLock running(run_mu_);
@@ -257,6 +274,7 @@ void NodeLoop::run(Hooks& hooks, const std::atomic<bool>& stopping) {
     hooks.on_stop(*this);
   }
   tl_node = nullptr;
+  tl_loop = nullptr;
 }
 
 bool NodeLoop::wait_events(Hooks& hooks) {

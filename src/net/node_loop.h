@@ -19,13 +19,22 @@
 // parks on a futex word until the absolute deadline of its earliest timer,
 // and a wake is one futex wake, made only while it is parked.
 //
-// Run lock: the loop thread holds run_mu_ whenever it is not parked.
-// execute() from a thread that is not a loop thread runs its closure inline
-// when the loop watches no fd, is parked and has an empty mailbox: the
-// caller takes the run lock (so the loop cannot resume underneath it), runs
-// the closure as if it were a handler, and wakes the loop only if the
-// closure armed a timer earlier than the deadline the loop sleeps until.
-// Otherwise the closure is posted like a message. send() never runs inline.
+// Run lock: the loop thread holds run_mu_ whenever it is not parked. Work
+// for a node that watches no fd, is parked and has an empty mailbox may run
+// inline, on the thread that hands it over, when that thread wins a
+// try-lock of the run lock (so the loop cannot resume underneath it). Two
+// hand-overs qualify:
+//   - execute() from a thread doing no node's work (not a loop thread);
+//   - a message from a loop thread doing its own node's work (a message, a
+//     timer, a crash notice or a drained execute() closure) to another node.
+// The inline run switches the thread's current node to the destination and
+// back, counts as accepted work until it returns, and wakes the loop only
+// if it armed a timer earlier than the deadline the loop sleeps until.
+// Everything else is posted: foreign-thread messages, self-sends, and every
+// hand-over made inside an inline run — so runs never nest and a thread
+// holds at most two run locks. The empty-mailbox rule keeps one caller's
+// closures in call order and every link FIFO: a parked loop has handled
+// everything posted to it before.
 //
 // LoopTransport is the core both transports share around their loops: the
 // node registry (a handler addressing its own node skips the registry
@@ -102,8 +111,10 @@ class NodeLoop {
   [[nodiscard]] bool on_loop() const;
 
   // ------------------------------------------------------ any thread
-  /// Accepts a message for this node (counted as work until consumed).
-  void post_message(NodeAddress from, PayloadPtr msg);
+  /// Accepts a message for this node (counted as work until consumed):
+  /// runs its handler inline when the file comment's rule allows, else
+  /// posts it to the loop.
+  void deliver(NodeAddress from, PayloadPtr msg) HTS_EXCLUDES(mu_);
   /// Hands a send to the loop (Hooks::on_send).
   void post_send(NodeAddress to, PayloadPtr msg);
   /// Asks the loop to run Hooks::on_sever.
@@ -113,8 +124,8 @@ class NodeLoop {
   /// allows, else on the loop. Dropped, unrun, if the node is down by then.
   void execute(std::function<void()> fn) HTS_EXCLUDES(run_mu_, mu_);
   /// Arms a timer, or a crash notice when `crashed` is a process id. On the
-  /// loop thread (or inside an inline execute()) this pushes onto the heap;
-  /// elsewhere it posts.
+  /// loop thread (or inside work run inline on this node) this pushes onto
+  /// the heap; elsewhere it posts.
   void arm(clk::SteadyTime at, std::uint64_t token,
            ProcessId crashed = kNoProcess);
   /// Quiescence accounting: one more message or closure accepted for this
@@ -181,7 +192,10 @@ class NodeLoop {
   /// Sleeps on the futex until a wake() after `seq` was read, or until the
   /// earliest timer is due — unless mail is already waiting.
   void park(std::uint32_t seq) HTS_REQUIRES(run_mu_) HTS_EXCLUDES(mu_);
-  void run_inline(const std::function<void()>& fn) HTS_REQUIRES(run_mu_);
+  /// Runs `fn` as this node's work on the calling thread when the loop is
+  /// parked as the file comment describes; false, with nothing run, else.
+  template <typename Fn>
+  bool try_run_inline(Fn&& fn) HTS_EXCLUDES(run_mu_, mu_);
   void drain_mailbox(Hooks& hooks) HTS_REQUIRES(run_mu_) HTS_EXCLUDES(mu_);
   void fire_timers() HTS_REQUIRES(run_mu_);
 
@@ -213,8 +227,8 @@ class NodeLoop {
   mutable sync::Mutex mu_;
   std::vector<Mail> mailbox_ HTS_GUARDED_BY(mu_);
 
-  /// Held by the loop thread whenever it is not parked, and by a caller
-  /// running an execute() closure inline; it guards the loop-thread state.
+  /// Held by the loop thread whenever it is not parked, and by a thread
+  /// running work inline on this node; it guards the loop-thread state.
   sync::Mutex run_mu_;
   std::vector<Mail> inbox_ HTS_GUARDED_BY(run_mu_);  // batch being handled
   std::vector<Timer> timers_ HTS_GUARDED_BY(run_mu_);  // min-heap (at, seq)

@@ -156,7 +156,7 @@ void TcpTransport::send(NodeAddress from, NodeAddress to, PayloadPtr msg) {
   if (src == nullptr || !src->up()) return;
   if (from == to) {
     count_tx(src, *msg);
-    src->post_message(from, std::move(msg));
+    src->deliver(from, std::move(msg));
   } else if (src->on_loop()) {
     stage(static_cast<Node&>(*src), to, *msg);
   } else {

@@ -1,7 +1,8 @@
 // ClientSession unit tests: request/reply matching, timeout-driven retry
 // rotation with exponential backoff, stale-reply and stale-timer handling,
-// pipelining across objects with per-object ordering, and served_by
-// attribution. The single-register tests address kDefaultObject.
+// the one session retry timer, pipelining across objects with per-object
+// ordering, and served_by attribution. The single-register tests address
+// kDefaultObject.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +20,8 @@ struct MockClientCtx final : ClientContext {
     net::PayloadPtr msg;
   };
   std::vector<Sent> sent;
-  std::vector<std::pair<double, std::uint64_t>> timers;
+  std::vector<std::pair<double, std::uint64_t>> timers;  // (delay, token)
+  std::vector<double> deadlines;                         // one per timer
   double time = 0;
 
   void send_server(ProcessId server, net::PayloadPtr msg) override {
@@ -27,8 +29,17 @@ struct MockClientCtx final : ClientContext {
   }
   void arm_timer(double delay, std::uint64_t token) override {
     timers.emplace_back(delay, token);
+    deadlines.push_back(time + delay);
   }
   [[nodiscard]] double now() const override { return time; }
+
+  /// Moves `time` to the deadline of the timer armed last — the session's
+  /// live one — and fires it.
+  void fire_next(ClientSession& c) {
+    ASSERT_FALSE(timers.empty());
+    time = std::max(time, deadlines.back());
+    c.on_timer(timers.back().second, *this);
+  }
 };
 
 ClientOptions opts(std::size_t n = 3, ProcessId preferred = 0) {
@@ -93,7 +104,7 @@ TEST(ClientSession, TimeoutRotatesServerWithSameRequestId) {
   const RequestId req = c.begin_write(kDefaultObject, Value::synthetic(1, 16),
                                       ctx);
   ASSERT_EQ(ctx.timers.size(), 1u);
-  c.on_timer(ctx.timers[0].second, ctx);  // fires: retry
+  ctx.fire_next(c);  // fires: retry
   ASSERT_EQ(ctx.sent.size(), 2u);
   EXPECT_EQ(ctx.sent[1].server, 0u);  // (2+1) % 3
   const auto& retry = static_cast<const ClientWrite&>(*ctx.sent[1].msg);
@@ -135,8 +146,8 @@ TEST(ClientSession, AttemptsCounted) {
   c.on_complete = [&](const OpResult& r) { seen = r; };
   const RequestId req = c.begin_write(kDefaultObject, Value::synthetic(1, 16),
                                       ctx);
-  c.on_timer(ctx.timers[0].second, ctx);
-  c.on_timer(ctx.timers[1].second, ctx);
+  ctx.fire_next(c);
+  ctx.fire_next(c);
   ClientWriteAck ack(req, kDefaultObject);
   c.on_reply(ack, kNoProcess, ctx);
   EXPECT_EQ(seen.attempts, 3u);
@@ -212,20 +223,28 @@ TEST(ClientSession, SameObjectOpsStayOrdered) {
 }
 
 TEST(ClientSession, PerOpTimersRetryOnlyTheTimedOutOp) {
+  // Two ops started 50 ms apart: the fire at op 1's deadline retries op 1
+  // alone, and the next fire, at op 2's deadline, retries op 2.
   MockClientCtx ctx;
   ClientOptions o = opts(3, 0);
   o.max_inflight = 2;
   ClientSession c(7, o);
-  c.begin_write(1, Value::synthetic(1, 16), ctx);
+  const RequestId r1 = c.begin_write(1, Value::synthetic(1, 16), ctx);
+  ctx.time = 0.05;
   const RequestId r2 = c.begin_write(2, Value::synthetic(2, 16), ctx);
-  ASSERT_EQ(ctx.timers.size(), 2u);
-  c.on_timer(ctx.timers[1].second, ctx);  // only op 2's timer fires
+  ASSERT_EQ(ctx.timers.size(), 1u) << "op 2's deadline waits for op 1's";
+  ctx.fire_next(c);  // t = 0.1: only op 1 is due
   ASSERT_EQ(ctx.sent.size(), 3u);
   const auto& retry = static_cast<const ClientWrite&>(*ctx.sent[2].msg);
-  EXPECT_EQ(retry.req, r2);
+  EXPECT_EQ(retry.req, r1);
   EXPECT_EQ(ctx.sent[2].server, 1u);  // rotated off server 0
-  EXPECT_EQ(ctx.sent[0].server, 0u);  // op 1 untouched
+  EXPECT_EQ(ctx.sent[1].server, 0u);  // op 2 untouched
   EXPECT_EQ(c.retries(), 1u);
+  EXPECT_DOUBLE_EQ(ctx.deadlines.back(), 0.15) << "re-armed for op 2";
+  ctx.fire_next(c);  // t = 0.15: only op 2 is due
+  ASSERT_EQ(ctx.sent.size(), 4u);
+  EXPECT_EQ(static_cast<const ClientWrite&>(*ctx.sent[3].msg).req, r2);
+  EXPECT_EQ(c.retries(), 2u);
 }
 
 TEST(ClientSession, WriteIdsAreGaplessAndReadIdsDisjoint) {
@@ -256,7 +275,7 @@ TEST(ClientSession, NewOpsStickToTheRotatedTarget) {
   const RequestId req = c.begin_write(kDefaultObject, Value::synthetic(1, 16),
                                       ctx);
   EXPECT_EQ(ctx.sent[0].server, 0u);
-  c.on_timer(ctx.timers[0].second, ctx);  // retry → server 1
+  ctx.fire_next(c);  // retry → server 1
   EXPECT_EQ(ctx.sent[1].server, 1u);
   ClientWriteAck ack(req, kDefaultObject);
   c.on_reply(ack, 1, ctx);
@@ -271,7 +290,7 @@ TEST(ClientSession, CompletionReportsServedBy) {
   OpResult seen;
   c.on_complete = [&](const OpResult& r) { seen = r; };
   const RequestId req = c.begin_read(kDefaultObject, ctx);
-  c.on_timer(ctx.timers[0].second, ctx);  // retry lands on server 1
+  ctx.fire_next(c);  // retry lands on server 1
   ClientReadAck ack(req, Value::synthetic(9, 32), Tag{4, 2}, kDefaultObject);
   c.on_reply(ack, /*from=*/1, ctx);
   EXPECT_EQ(seen.served_by, 1u);
@@ -286,6 +305,73 @@ TEST(ClientSession, CompletionReportsServedBy) {
   EXPECT_EQ(senderless_seen.served_by, kNoProcess);
 }
 
+// ------------------------------------------------- the session timer
+
+TEST(ClientSession, SequentialCompletedOpsArmOneTimer) {
+  // A completed op cancels nothing, and a later op's deadline waits for
+  // the timer already armed: 100 ops, one timer.
+  MockClientCtx ctx;
+  ClientSession c(7, opts());
+  for (int i = 0; i < 100; ++i) {
+    const RequestId req = c.begin_write(
+        kDefaultObject, Value::synthetic(static_cast<std::uint64_t>(i), 16),
+        ctx);
+    ctx.time += 1e-4;
+    ClientWriteAck ack(req, kDefaultObject);
+    c.on_reply(ack, 0, ctx);
+  }
+  EXPECT_EQ(ctx.timers.size(), 1u);
+  ctx.fire_next(c);  // nothing in flight: no retry, no re-arm
+  EXPECT_EQ(ctx.timers.size(), 1u);
+  EXPECT_EQ(c.retries(), 0u);
+  EXPECT_EQ(ctx.sent.size(), 100u);
+}
+
+TEST(ClientSession, AFireRetriesOnlyTheDueOpsInDeadlineOrder) {
+  // A's retry pushes its deadline behind B's, so deadline order (B, A)
+  // differs from start order (A, B). A fire at t = 0.21 finds both due and
+  // C (deadline 0.22) not: it retries B, then A, and re-arms for C.
+  MockClientCtx ctx;
+  ClientOptions o = opts(3, 0);
+  o.max_inflight = 3;
+  ClientSession c(7, o);
+  const RequestId a = c.begin_write(1, Value::synthetic(1, 16), ctx);
+  ctx.time = 0.05;
+  const RequestId b = c.begin_write(2, Value::synthetic(2, 16), ctx);
+  ctx.fire_next(c);  // t = 0.1: A retries, deadline 0.2
+  ASSERT_EQ(c.retries(), 1u);
+  ctx.time = 0.12;
+  const RequestId cc = c.begin_write(3, Value::synthetic(3, 16), ctx);
+  ASSERT_EQ(ctx.sent.size(), 4u);
+  ctx.time = 0.21;
+  c.on_timer(ctx.timers.back().second, ctx);  // armed for B's 0.15
+  ASSERT_EQ(ctx.sent.size(), 6u);
+  EXPECT_EQ(static_cast<const ClientWrite&>(*ctx.sent[4].msg).req, b);
+  EXPECT_EQ(static_cast<const ClientWrite&>(*ctx.sent[5].msg).req, a);
+  EXPECT_EQ(c.retries(), 3u);
+  EXPECT_DOUBLE_EQ(ctx.deadlines.back(), 0.22) << "re-armed for C";
+  ctx.fire_next(c);
+  ASSERT_EQ(ctx.sent.size(), 7u);
+  EXPECT_EQ(static_cast<const ClientWrite&>(*ctx.sent[6].msg).req, cc);
+}
+
+TEST(ClientSession, AnEarlyFireOnlyReArms) {
+  // A fire before any deadline (clock rounding) retries nothing and keeps
+  // the op's retry: the re-armed timer still fires it.
+  MockClientCtx ctx;
+  ClientSession c(7, opts());
+  c.begin_write(kDefaultObject, Value::synthetic(1, 16), ctx);
+  ctx.time = 0.1 - 1e-9;
+  c.on_timer(ctx.timers.back().second, ctx);
+  EXPECT_EQ(c.retries(), 0u);
+  ASSERT_EQ(ctx.timers.size(), 2u);
+  EXPECT_DOUBLE_EQ(ctx.deadlines.back(), 0.1);
+  c.on_timer(ctx.timers.front().second, ctx);  // superseded: ignored
+  EXPECT_EQ(c.retries(), 0u);
+  ctx.fire_next(c);
+  EXPECT_EQ(c.retries(), 1u);
+}
+
 // ------------------------------------------------------- retry backoff
 
 TEST(ClientSession, MultiplierOneKeepsSeedFixedIntervalNoJitter) {
@@ -295,8 +381,9 @@ TEST(ClientSession, MultiplierOneKeepsSeedFixedIntervalNoJitter) {
   o.retry_multiplier = 1.0;
   ClientSession c(7, o);
   c.begin_write(kDefaultObject, Value::synthetic(1, 16), ctx);
-  for (int i = 0; i < 4; ++i) c.on_timer(ctx.timers.back().second, ctx);
+  for (int i = 0; i < 4; ++i) ctx.fire_next(c);
   ASSERT_EQ(ctx.timers.size(), 5u);
+  EXPECT_EQ(c.retries(), 4u);
   for (const auto& [delay, token] : ctx.timers) {
     EXPECT_DOUBLE_EQ(delay, 0.1);  // every attempt: exactly the base timeout
   }
@@ -311,7 +398,8 @@ TEST(ClientSession, MultiplierOneIgnoresTheCap) {
   o.retry_multiplier = 1.0;
   ClientSession c(7, o);
   c.begin_write(kDefaultObject, Value::synthetic(1, 16), ctx);
-  c.on_timer(ctx.timers.back().second, ctx);
+  ctx.fire_next(c);
+  ASSERT_EQ(c.retries(), 1u);
   ASSERT_EQ(ctx.timers.size(), 2u);
   EXPECT_DOUBLE_EQ(ctx.timers[0].first, 10.0);
   EXPECT_DOUBLE_EQ(ctx.timers[1].first, 10.0);
@@ -327,7 +415,8 @@ TEST(ClientSession, BackoffGrowsExponentiallyWithinJitterBandsAndCaps) {
   o.seed = 99;
   ClientSession c(7, o);
   c.begin_write(kDefaultObject, Value::synthetic(1, 16), ctx);
-  for (int i = 0; i < 5; ++i) c.on_timer(ctx.timers.back().second, ctx);
+  for (int i = 0; i < 5; ++i) ctx.fire_next(c);
+  EXPECT_EQ(c.retries(), 5u);
   ASSERT_EQ(ctx.timers.size(), 6u);
   // Schedule: 0.1, 0.2, 0.4, 0.5 (cap), 0.5, 0.5 — each jittered into
   // [delay/2, delay].
@@ -358,7 +447,7 @@ TEST(ClientSession, JitterStreamsDifferPerClient) {
     o.seed = 1;
     ClientSession c(id, o);
     c.begin_write(kDefaultObject, Value::synthetic(1, 16), ctx);
-    for (int i = 0; i < 6; ++i) c.on_timer(ctx.timers.back().second, ctx);
+    for (int i = 0; i < 6; ++i) ctx.fire_next(c);
     std::vector<double> out;
     for (auto& [d, t] : ctx.timers) out.push_back(d);
     return out;

@@ -1,17 +1,20 @@
 // The scatter-gather frame codec (FrameWriter/FrameDecoder): byte parity
 // with the legacy string encoder across every MsgKind, torn-stream
 // reassembly at every byte boundary, and pool-reuse guarantees — plus the
-// InMemTransport timer tests and where its execute() closures run. The
-// transport contract itself is checked by the typed suite in
-// tests/transport_conformance_test.cpp.
+// InMemTransport timer tests and where its execute() closures and inline
+// deliveries run. The transport contract itself is checked by the typed
+// suite in tests/transport_conformance_test.cpp.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
 #include <sys/uio.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -108,6 +111,247 @@ TEST(InMemTransport, ExecuteRunsInlineOnAParkedLoopButNotFromALoopThread) {
   EXPECT_NE(ran_on.load(), std::thread::id{});
   EXPECT_NE(ran_on.load(), a_loop.load()) << "ran inline on a's loop thread";
   EXPECT_NE(ran_on.load(), self);
+  t.stop();
+}
+
+PayloadPtr ping(RequestId r) {
+  return make_payload<core::ClientWriteAck>(r, kDefaultObject);
+}
+
+RequestId req_of(const Payload& p) {
+  return static_cast<const core::ClientWriteAck&>(p).req;
+}
+
+/// Pins the calling thread to one CPU (of those present), so loop threads
+/// that would otherwise share a CPU run in parallel.
+void pin_to_cpu(unsigned i) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(i % std::max(1u, std::thread::hardware_concurrency()), &set);
+  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+}
+
+/// Lets every loop of `t` go idle and park on its futex.
+bool settle_and_park(InMemTransport& t) {
+  if (!t.wait_quiescent(5.0)) return false;
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  return true;
+}
+
+TEST(InMemTransport, HandlerSendIntoAParkedLoopRunsInlineAndIsWork) {
+  // a's handler (kicked by a self-send) sends to b while b is parked: b's
+  // handler runs on a's loop thread before send() returns, counts as work
+  // while it runs, and is settled once it returns.
+  InMemTransport t(0.001);
+  const NodeAddress a = NodeAddress::server(0);
+  const NodeAddress b = NodeAddress::server(1);
+  std::atomic<std::thread::id> a_loop{}, b_ran_on{};
+  std::atomic<bool> returned_after_b{false}, entered{false}, release{false};
+  std::atomic<int> b_done{0};
+  t.register_node(a, [&](NodeAddress, PayloadPtr m) {
+    a_loop = std::this_thread::get_id();
+    const int before = b_done.load();
+    t.send(a, b, std::move(m));
+    returned_after_b = b_done.load() > before;
+  });
+  t.register_node(b, [&](NodeAddress, PayloadPtr m) {
+    b_ran_on = std::this_thread::get_id();
+    if (req_of(*m) == 2) {
+      entered = true;
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    ++b_done;
+  });
+  t.start();
+
+  // b parks shortly after it goes idle; until then a's sends are mail, so
+  // each step retries until its delivery ran inline.
+  bool ran_inline = false;
+  for (int i = 0; i < 20 && !ran_inline; ++i) {
+    ASSERT_TRUE(settle_and_park(t));
+    t.send(a, a, ping(1));
+    ASSERT_TRUE(t.wait_quiescent(5.0));
+    ran_inline = b_ran_on.load() == a_loop.load();
+  }
+  ASSERT_TRUE(ran_inline) << "never run on a's loop thread";
+  EXPECT_TRUE(returned_after_b.load()) << "send() returned before b ran";
+
+  bool held_inline = false;
+  for (int i = 0; i < 20 && !held_inline; ++i) {
+    ASSERT_TRUE(settle_and_park(t));
+    entered = false;
+    t.send(a, a, ping(2));
+    ASSERT_TRUE(within_ms(5000, [&] { return entered.load(); }));
+    held_inline = b_ran_on.load() == a_loop.load();
+    if (held_inline) {
+      EXPECT_FALSE(t.wait_quiescent(0.05))
+          << "a running inline delivery is work";
+    }
+    release = true;
+    EXPECT_TRUE(t.wait_quiescent(5.0)) << "the delivery never settled";
+    release = false;
+  }
+  EXPECT_TRUE(held_inline);
+  t.stop();
+}
+
+TEST(InMemTransport, SendsInsideAnInlineRunArePosted) {
+  // a → b runs inline on a's loop thread; b's own send to c, made inside
+  // that run, is posted: c's handler runs on c's loop, never nested on a's.
+  InMemTransport t(0.001);
+  const NodeAddress a = NodeAddress::server(0);
+  const NodeAddress b = NodeAddress::server(1);
+  const NodeAddress c = NodeAddress::server(2);
+  std::atomic<std::thread::id> a_loop{}, b_ran_on{}, c_ran_on{};
+  t.register_node(a, [&](NodeAddress, PayloadPtr m) {
+    a_loop = std::this_thread::get_id();
+    t.send(a, b, std::move(m));
+  });
+  t.register_node(b, [&](NodeAddress, PayloadPtr m) {
+    b_ran_on = std::this_thread::get_id();
+    t.send(b, c, std::move(m));
+  });
+  t.register_node(c, [&](NodeAddress, PayloadPtr) {
+    c_ran_on = std::this_thread::get_id();
+  });
+  t.start();
+  int inline_runs = 0;
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(settle_and_park(t));
+    c_ran_on = std::thread::id{};
+    t.send(a, a, ping(static_cast<RequestId>(i)));
+    ASSERT_TRUE(t.wait_quiescent(5.0));
+    ASSERT_NE(c_ran_on.load(), std::thread::id{});
+    EXPECT_NE(c_ran_on.load(), a_loop.load()) << "an inline run nested";
+    EXPECT_NE(c_ran_on.load(), b_ran_on.load());
+    if (b_ran_on.load() == a_loop.load()) ++inline_runs;
+  }
+  EXPECT_GT(inline_runs, 0) << "a → b never ran inline";
+  t.stop();
+}
+
+TEST(InMemTransport, ForeignThreadSendsAreNeverRunInline) {
+  // Only loop threads deliver inline: the test thread's sends, even from a
+  // registered node's address into a parked loop, are posted.
+  InMemTransport t(0.001);
+  const NodeAddress a = NodeAddress::server(0);
+  const NodeAddress b = NodeAddress::server(1);
+  std::atomic<std::thread::id> b_ran_on{};
+  t.register_node(a, [](NodeAddress, PayloadPtr) {});
+  t.register_node(b, [&](NodeAddress, PayloadPtr) {
+    b_ran_on = std::this_thread::get_id();
+  });
+  t.start();
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(settle_and_park(t));
+    t.send(a, b, ping(static_cast<RequestId>(i)));
+    ASSERT_TRUE(t.wait_quiescent(5.0));
+    EXPECT_NE(b_ran_on.load(), std::this_thread::get_id());
+  }
+  t.stop();
+}
+
+TEST(InMemTransport, LinksStayFifoUnderMixedInlineAndPostedDelivery) {
+  // Three loop nodes each send a numbered stream to one sink, every loop on
+  // its own CPU. A message runs inline when the sink is parked and free,
+  // and is posted while the sink's loop or another sender's inline run
+  // holds it; no message may overtake an earlier one of its stream still
+  // in the sink's mailbox. Three storms run, each checked, and more (up to
+  // ten) until one has mixed both paths: a loaded machine may keep the sink
+  // from parking.
+  constexpr int kSenders = 3;
+  constexpr RequestId kPerSender = 3000;
+  InMemTransport t(0.001);
+  const NodeAddress sink = NodeAddress::server(0);
+  // Written only by the sink's handler, whose runs never overlap, and read
+  // by this thread while every node is quiescent.
+  std::map<ProcessId, std::vector<RequestId>> got;
+  std::thread::id sink_loop{};
+  std::uint64_t inline_runs = 0, loop_runs = 0;
+  t.register_node(sink, [&](NodeAddress from, PayloadPtr m) {
+    if (from == sink) {
+      sink_loop = std::this_thread::get_id();
+      pin_to_cpu(0);
+      return;
+    }
+    got[static_cast<ProcessId>(from.id)].push_back(req_of(*m));
+    ++(std::this_thread::get_id() == sink_loop ? loop_runs : inline_runs);
+    // Now and then hold the sink while asleep, so other senders find it
+    // taken and post — then race its loop for the run lock once it is free.
+    if (req_of(*m) % 8 == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  for (ProcessId p = 1; p <= kSenders; ++p) {
+    const NodeAddress self = NodeAddress::server(p);
+    t.register_node(self, [&t, self, sink](NodeAddress, PayloadPtr) {
+      pin_to_cpu(self.id);
+      for (RequestId r = 1; r <= kPerSender; ++r) t.send(self, sink, ping(r));
+    });
+  }
+  t.start();
+  t.send(sink, sink, ping(0));  // learns the sink's loop thread
+  bool mixed = false;
+  for (int storm = 0; storm < 10 && (storm < 3 || !mixed); ++storm) {
+    ASSERT_TRUE(settle_and_park(t));
+    got.clear();
+    inline_runs = loop_runs = 0;
+    for (ProcessId p = 1; p <= kSenders; ++p) {
+      t.send(NodeAddress::server(p), NodeAddress::server(p), ping(0));
+    }
+    ASSERT_TRUE(t.wait_quiescent(30.0));
+    for (ProcessId p = 1; p <= kSenders; ++p) {
+      const std::vector<RequestId>& seq = got[p];
+      ASSERT_EQ(seq.size(), kPerSender) << "sender " << p;
+      for (RequestId r = 1; r <= kPerSender; ++r) {
+        ASSERT_EQ(seq[r - 1], r) << "sender " << p << " out of order";
+      }
+    }
+    mixed = mixed || (inline_runs > 0 && loop_runs > 0);
+  }
+  EXPECT_TRUE(mixed) << "no storm mixed inline and posted delivery";
+  t.stop();
+}
+
+TEST(InMemTransport, TimerArmedInsideAnInlineDeliveryFires) {
+  // b is parked with no timer, so it sleeps with no deadline. A message
+  // from a's handler runs b's handler inline, and that arms a timer 20 ms
+  // ahead: the inline run must wake b to sleep until that deadline.
+  InMemTransport t(0.001);
+  const NodeAddress a = NodeAddress::server(0);
+  const NodeAddress b = NodeAddress::server(1);
+  std::atomic<std::thread::id> a_loop{}, b_ran_on{};
+  std::atomic<bool> fired{false};
+  t.register_node(a, [&](NodeAddress, PayloadPtr m) {
+    a_loop = std::this_thread::get_id();
+    t.send(a, b, std::move(m));
+  });
+  t.register_node(
+      b,
+      [&](NodeAddress, PayloadPtr) {
+        b_ran_on = std::this_thread::get_id();
+        t.arm_timer(b, 0.02, 7);
+      },
+      nullptr, [&](std::uint64_t token) { fired = token == 7; });
+  t.start();
+  // Until b has parked, a's send is mail and b arms from its own loop:
+  // retry (letting that timer fire) until the delivery ran inline.
+  bool ran_inline = false;
+  for (int i = 0; i < 20 && !ran_inline; ++i) {
+    ASSERT_TRUE(settle_and_park(t));
+    fired = false;
+    t.send(a, a, ping(1));
+    ASSERT_TRUE(t.wait_quiescent(5.0));
+    ran_inline = b_ran_on.load() == a_loop.load();
+    if (!ran_inline) {
+      ASSERT_TRUE(within_ms(1000, [&] { return fired.load(); }));
+    }
+  }
+  ASSERT_TRUE(ran_inline) << "never delivered inline";
+  EXPECT_TRUE(within_ms(1000, [&] { return fired.load(); }))
+      << "the timer did not fire within 1 s";
   t.stop();
 }
 
