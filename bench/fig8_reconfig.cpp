@@ -129,8 +129,7 @@ RunResult run(std::size_t start_rings, double grow_at, obs::Recorder* rec) {
   for (auto& d : drivers) d->finalize();
 
   r.migration = cluster.reconfig_stats();
-  r.rings_by_epoch.assign(cluster.rings_by_epoch().begin(),
-                          cluster.rings_by_epoch().end());
+  r.rings_by_epoch = cluster.rings_by_epoch();
   cluster.export_metrics();
   auto verdict = lincheck::check_register(r.history);
   auto strict =

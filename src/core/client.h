@@ -294,4 +294,22 @@ class ClientSession {
   std::unordered_set<ObjectId> active_objects_;
 };
 
+/// One exported ClientSession counter: its metric name and its accessor.
+struct ClientStatField {
+  const char* name;
+  std::uint64_t (ClientSession::*get)() const;
+};
+
+/// The one list of ClientSession counters, in export order: the metrics
+/// export walks it per session and sums it across the fleet.
+inline constexpr ClientStatField kClientStatFields[] = {
+    {"retries", &ClientSession::retries},
+    {"rotations", &ClientSession::rotations},
+    {"epoch_nacks", &ClientSession::epoch_nacks},
+    {"view_refreshes", &ClientSession::view_refreshes},
+    {"code.encodes", &ClientSession::coded_encodes},
+    {"code.decodes", &ClientSession::coded_decodes},
+    {"frag_corrupt", &ClientSession::frag_corrupt},
+};
+
 }  // namespace hts::core

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -140,8 +141,7 @@ struct ServerStats {
   std::uint64_t urgent_queue_max = 0;   ///< urgent queue high-watermark
   std::uint64_t forward_queue_max = 0;  ///< fairness queue high-watermark
   std::uint64_t migrate_bytes_in = 0;   ///< MigrateState wire bytes received
-  // Coded value plane (D11). Appended last: obs export rows are
-  // index-aligned with their cluster totals.
+  // Coded value plane (D11).
   std::uint64_t frag_writes_in = 0;     ///< FragWrite messages received
   std::uint64_t frag_fetches_in = 0;    ///< FragFetch messages received
   std::uint64_t coded_commits = 0;      ///< commits applied in coded mode
@@ -152,6 +152,54 @@ struct ServerStats {
   std::uint64_t gc_reclaimed_bytes = 0; ///< fragment bytes reclaimed by GC
   std::uint64_t frag_late_binds = 0;    ///< fragments bound after their commit
 };
+
+/// One exported ServerStats counter: its metric name and its field.
+struct ServerStatField {
+  const char* name;
+  std::uint64_t ServerStats::*field;
+};
+
+/// The one field list of ServerStats, in export order: the metrics export
+/// walks it per server and sums it across the cluster by member pointer.
+inline constexpr ServerStatField kServerStatFields[] = {
+    {"pre_writes_initiated", &ServerStats::pre_writes_initiated},
+    {"commits_sent", &ServerStats::commits_sent},
+    {"forwards", &ServerStats::forwards},
+    {"ring_messages_in", &ServerStats::ring_messages_in},
+    {"ring_messages_out", &ServerStats::ring_messages_out},
+    {"batches_out", &ServerStats::batches_out},
+    {"pre_writes_in", &ServerStats::pre_writes_in},
+    {"commits_in", &ServerStats::commits_in},
+    {"syncs_in", &ServerStats::syncs_in},
+    {"syncs_sent", &ServerStats::syncs_sent},
+    {"client_writes_in", &ServerStats::client_writes_in},
+    {"client_reads_in", &ServerStats::client_reads_in},
+    {"reads_immediate", &ServerStats::reads_immediate},
+    {"reads_parked", &ServerStats::reads_parked},
+    {"duplicates_dropped", &ServerStats::duplicates_dropped},
+    {"dedup_acks", &ServerStats::dedup_acks},
+    {"adoptions", &ServerStats::adoptions},
+    {"epoch_nacks", &ServerStats::epoch_nacks},
+    {"transition_parked", &ServerStats::transition_parked},
+    {"migrations_in", &ServerStats::migrations_in},
+    {"migrate_bytes_in", &ServerStats::migrate_bytes_in},
+    {"dedup_merges", &ServerStats::dedup_merges},
+    {"write_queue_max", &ServerStats::write_queue_max},
+    {"urgent_queue_max", &ServerStats::urgent_queue_max},
+    {"forward_queue_max", &ServerStats::forward_queue_max},
+    {"frag_writes_in", &ServerStats::frag_writes_in},
+    {"frag_fetches_in", &ServerStats::frag_fetches_in},
+    {"code.commits", &ServerStats::coded_commits},
+    {"frag_missing", &ServerStats::frag_missing},
+    {"frag_corrupt", &ServerStats::frag_corrupt},
+    {"frag_repairs", &ServerStats::frag_repairs},
+    {"gc.runs", &ServerStats::gc_runs},
+    {"gc.reclaimed_bytes", &ServerStats::gc_reclaimed_bytes},
+    {"frag_late_binds", &ServerStats::frag_late_binds},
+};
+static_assert(sizeof(ServerStats) ==
+                  std::size(kServerStatFields) * sizeof(std::uint64_t),
+              "kServerStatFields must list every ServerStats counter");
 
 class RingServer {
  public:

@@ -26,75 +26,13 @@
 
 namespace hts::harness {
 
-namespace detail {
-
-inline std::vector<std::pair<const char*, std::uint64_t>> server_stat_rows(
-    const core::ServerStats& st) {
-  return {
-      {"pre_writes_initiated", st.pre_writes_initiated},
-      {"commits_sent", st.commits_sent},
-      {"forwards", st.forwards},
-      {"ring_messages_in", st.ring_messages_in},
-      {"ring_messages_out", st.ring_messages_out},
-      {"batches_out", st.batches_out},
-      {"pre_writes_in", st.pre_writes_in},
-      {"commits_in", st.commits_in},
-      {"syncs_in", st.syncs_in},
-      {"syncs_sent", st.syncs_sent},
-      {"client_writes_in", st.client_writes_in},
-      {"client_reads_in", st.client_reads_in},
-      {"reads_immediate", st.reads_immediate},
-      {"reads_parked", st.reads_parked},
-      {"duplicates_dropped", st.duplicates_dropped},
-      {"dedup_acks", st.dedup_acks},
-      {"adoptions", st.adoptions},
-      {"epoch_nacks", st.epoch_nacks},
-      {"transition_parked", st.transition_parked},
-      {"migrations_in", st.migrations_in},
-      {"migrate_bytes_in", st.migrate_bytes_in},
-      {"dedup_merges", st.dedup_merges},
-      {"write_queue_max", st.write_queue_max},
-      {"urgent_queue_max", st.urgent_queue_max},
-      {"forward_queue_max", st.forward_queue_max},
-      // Coded value plane (DESIGN.md §Coded values). New rows append at the
-      // END: export_server_totals sums by index, so reordering would silently
-      // misattribute counters across fabrics and schema versions.
-      {"frag_writes_in", st.frag_writes_in},
-      {"frag_fetches_in", st.frag_fetches_in},
-      {"code.commits", st.coded_commits},
-      {"frag_missing", st.frag_missing},
-      {"frag_corrupt", st.frag_corrupt},
-      {"frag_repairs", st.frag_repairs},
-      {"gc.runs", st.gc_runs},
-      {"gc.reclaimed_bytes", st.gc_reclaimed_bytes},
-      {"frag_late_binds", st.frag_late_binds},
-  };
-}
-
-inline std::vector<std::pair<const char*, std::uint64_t>> client_stat_rows(
-    const core::ClientSession& c) {
-  return {
-      {"retries", c.retries()},
-      {"rotations", c.rotations()},
-      {"epoch_nacks", c.epoch_nacks()},
-      {"view_refreshes", c.view_refreshes()},
-      // Coded value plane: client-side encode/decode work. Append-only, same
-      // index-alignment contract as server_stat_rows above.
-      {"code.encodes", c.coded_encodes()},
-      {"code.decodes", c.coded_decodes()},
-      {"frag_corrupt", c.frag_corrupt()},
-  };
-}
-
-}  // namespace detail
-
 /// Exports one server's protocol counters under "<prefix>.<stat>" plus its
 /// live queue depths as gauges.
 inline void export_server_stats(obs::MetricsRegistry& reg,
                                 const std::string& prefix,
                                 const core::RingServer& s) {
-  for (const auto& [name, v] : detail::server_stat_rows(s.stats())) {
-    reg.counter(prefix + "." + name)->set(v);
+  for (const auto& [name, field] : core::kServerStatFields) {
+    reg.counter(prefix + "." + name)->set(s.stats().*field);
   }
   reg.gauge(prefix + ".write_queue_depth")
       ->set(static_cast<double>(s.write_queue_depth()));
@@ -108,19 +46,14 @@ inline void export_server_stats(obs::MetricsRegistry& reg,
 
 /// Exports the cluster-wide sums as "server.total.<stat>" so aggregate
 /// dashboards need no per-server arithmetic.
-inline void export_server_totals(obs::MetricsRegistry& reg,
-                                 const std::vector<const core::RingServer*>&
-                                     servers) {
-  std::vector<std::pair<const char*, std::uint64_t>> total =
-      detail::server_stat_rows(core::ServerStats{});
-  for (const core::RingServer* s : servers) {
-    const auto rows = detail::server_stat_rows(s->stats());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      total[i].second += rows[i].second;
-    }
-  }
-  for (const auto& [name, v] : total) {
-    reg.counter(std::string("server.total.") + name)->set(v);
+inline void export_server_totals(
+    obs::MetricsRegistry& reg,
+    const std::vector<std::pair<ProcessId, const core::RingServer*>>&
+        servers) {
+  for (const auto& [name, field] : core::kServerStatFields) {
+    std::uint64_t total = 0;
+    for (const auto& [global, s] : servers) total += s->stats().*field;
+    reg.counter(std::string("server.total.") + name)->set(total);
   }
 }
 
@@ -128,35 +61,20 @@ inline void export_server_totals(obs::MetricsRegistry& reg,
 inline void export_client_stats(obs::MetricsRegistry& reg,
                                 const std::string& prefix,
                                 const core::ClientSession& c) {
-  for (const auto& [name, v] : detail::client_stat_rows(c)) {
-    reg.counter(prefix + "." + name)->set(v);
+  for (const auto& [name, get] : core::kClientStatFields) {
+    reg.counter(prefix + "." + name)->set((c.*get)());
   }
 }
 
-/// Exports the fleet-wide sums as "client.total.<stat>".
+/// Exports the fleet-wide sums as "client.total.<stat>" (zeros when there
+/// are no sessions, so the export satisfies the schema regardless).
 inline void export_client_totals(
     obs::MetricsRegistry& reg,
     const std::vector<const core::ClientSession*>& clients) {
-  std::vector<std::pair<const char*, std::uint64_t>> total;
-  for (const core::ClientSession* c : clients) {
-    const auto rows = detail::client_stat_rows(*c);
-    if (total.empty()) {
-      total = rows;
-    } else {
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        total[i].second += rows[i].second;
-      }
-    }
-  }
-  if (total.empty()) {
-    // No sessions yet: still publish the zeroed totals so the export
-    // satisfies the metrics schema regardless of cluster population.
-    total = {{"retries", 0},      {"rotations", 0},    {"epoch_nacks", 0},
-             {"view_refreshes", 0}, {"code.encodes", 0}, {"code.decodes", 0},
-             {"frag_corrupt", 0}};
-  }
-  for (const auto& [name, v] : total) {
-    reg.counter(std::string("client.total.") + name)->set(v);
+  for (const auto& [name, get] : core::kClientStatFields) {
+    std::uint64_t total = 0;
+    for (const core::ClientSession* c : clients) total += (c->*get)();
+    reg.counter(std::string("client.total.") + name)->set(total);
   }
 }
 

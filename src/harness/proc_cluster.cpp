@@ -10,17 +10,15 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <future>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "common/clock.h"
 #include "core/client.h"
-#include "core/messages.h"
 #include "core/server.h"
 #include "core/topology.h"
+#include "harness/transport_hosts.h"
 #include "net/tcp_transport.h"
 
 namespace hts::harness {
@@ -28,24 +26,6 @@ namespace hts::harness {
 namespace {
 
 constexpr const char* kChildFlag = "--hts-proc-server";
-
-net::TcpTransport::Options tcp_options(std::uint16_t base_port,
-                                       std::size_t n_servers,
-                                       double detection_delay_s) {
-  net::TcpTransport::Options o;
-  o.detection_delay_s = detection_delay_s;
-  o.base_port = base_port;
-  for (std::size_t g = 0; g < n_servers; ++g) {
-    o.servers.push_back(static_cast<ProcessId>(g));
-  }
-  o.encode = [](const net::Payload& m, net::FrameWriter& w) {
-    core::encode_message_into(m, w);
-  };
-  o.decode = [](std::string_view bytes) {
-    return core::decode_message(bytes);
-  };
-  return o;
-}
 
 /// True when every port of a deployment's window — n server ports at
 /// `base + id` plus the parent client's `base + bias` — binds on loopback
@@ -99,46 +79,6 @@ std::uint16_t pick_base_port(std::size_t n_servers) {
   throw std::runtime_error("ProcCluster: no free loopback port window");
 }
 
-// ------------------------------------------------------------ child server
-
-/// One ring server, single-ring deployment: global id == local id. The
-/// message pump is ThreadedCluster's minus the coordinator control plane
-/// (reconfiguration cannot cross a process boundary).
-struct ChildServerHost final : core::ServerContext {
-  net::Transport* transport = nullptr;
-  core::RingServer server;
-  ProcessId self;
-
-  ChildServerHost(ProcessId id, std::size_t n, core::ServerOptions opts)
-      : server(id, n, opts), self(id) {}
-
-  void on_message(net::NodeAddress from, net::PayloadPtr msg) {
-    (void)from;
-    server.on_message(std::move(msg), *this);
-    drain();
-  }
-
-  void on_crash(ProcessId crashed) {
-    if (crashed == self) return;
-    server.on_peer_crash(crashed, *this);
-    drain();
-  }
-
-  void drain() {
-    while (auto batch = server.next_ring_batch()) {
-      const ProcessId to = batch->to;
-      auto wire = std::move(*batch).into_wire();
-      transport->send(net::NodeAddress::server(self),
-                      net::NodeAddress::server(to), std::move(wire));
-    }
-  }
-
-  void send_client(ClientId client, net::PayloadPtr msg) override {
-    transport->send(net::NodeAddress::server(self),
-                    net::NodeAddress::client(client), std::move(msg));
-  }
-};
-
 /// SIGTERM → one byte down the self-pipe; the child's main thread blocks on
 /// the read end (signal-handler-safe shutdown with no polling).
 int g_term_pipe[2] = {-1, -1};
@@ -155,17 +95,13 @@ extern "C" void on_sigterm(int) {
   sa.sa_handler = on_sigterm;
   ::sigaction(SIGTERM, &sa, nullptr);
 
+  // One ring, so global ids are local ids. Reconfiguration cannot cross a
+  // process boundary: the host runs without a migration control plane.
   core::ServerOptions sopts;
   sopts.max_batch = max_batch;
-  ChildServerHost host(id, n, sopts);
-  net::TcpTransport transport(tcp_options(base_port, n, detection_delay_s));
-  host.transport = &transport;
-  transport.register_node(
-      net::NodeAddress::server(id),
-      [&host](net::NodeAddress from, net::PayloadPtr m) {
-        host.on_message(from, std::move(m));
-      },
-      [&host](ProcessId crashed) { host.on_crash(crashed); });
+  net::TcpTransport transport(tcp_options(detection_delay_s, base_port, n));
+  TransportServerHost host(transport, id, n, id, 0, sopts);
+  host.register_node();
   try {
     transport.start();
   } catch (const std::exception&) {
@@ -191,69 +127,6 @@ bool ProcCluster::serve_child(int argc, char** argv) {
       static_cast<std::size_t>(std::strtoul(argv[6], nullptr, 10));
   run_child(id, n, base, delay, max_batch);  // never returns
 }
-
-// ----------------------------------------------------------- parent client
-
-struct ProcCluster::ClientHost final : core::ClientContext {
-  net::Transport* transport = nullptr;
-  core::ClientSession client;
-  clk::SteadyTime epoch = clk::steady_now();
-  /// Touched only serialized with the client's handlers.
-  std::map<RequestId, std::shared_ptr<std::promise<core::OpResult>>> pending;
-
-  ClientHost(ClientId id, core::ClientOptions opts) : client(id, opts) {
-    client.on_complete = [this](const core::OpResult& r) {
-      auto it = pending.find(r.req);
-      if (it != pending.end()) {
-        it->second->set_value(r);
-        pending.erase(it);
-      }
-    };
-  }
-
-  void on_message(net::NodeAddress from, net::PayloadPtr msg) {
-    const ProcessId sender = from.kind == net::NodeAddress::Kind::kServer
-                                 ? static_cast<ProcessId>(from.id)
-                                 : kNoProcess;
-    client.on_reply(*msg, sender, *this);
-  }
-
-  void on_timer(std::uint64_t token) { client.on_timer(token, *this); }
-
-  core::OpResult run(bool is_read, ObjectId object, Value v) {
-    auto promise = std::make_shared<std::promise<core::OpResult>>();
-    auto fut = promise->get_future();
-    // Moves the put/get onto the client's event loop (state machines are
-    // single-threaded); a socket node's loop always takes it as mail.
-    transport->execute(
-        net::NodeAddress::client(client.id()),
-        [this, is_read, object, v = std::move(v),
-         promise = std::move(promise)]() mutable {
-          const RequestId req =
-              is_read ? client.begin_read(object, *this)
-                      : client.begin_write(object, std::move(v), *this);
-          pending.emplace(req, std::move(promise));
-        });
-    if (fut.wait_for(std::chrono::seconds(30)) !=
-        std::future_status::ready) {
-      throw std::runtime_error("ProcCluster: operation timed out");
-    }
-    return fut.get();
-  }
-
-  // core::ClientContext
-  void send_server(ProcessId server, net::PayloadPtr msg) override {
-    transport->send(net::NodeAddress::client(client.id()),
-                    net::NodeAddress::server(server), std::move(msg));
-  }
-  void arm_timer(double delay_seconds, std::uint64_t token) override {
-    transport->arm_timer(net::NodeAddress::client(client.id()), delay_seconds,
-                         token);
-  }
-  [[nodiscard]] double now() const override {
-    return clk::seconds_since(epoch);
-  }
-};
 
 // ----------------------------------------------------------------- cluster
 
@@ -291,23 +164,16 @@ void ProcCluster::start() {
   }
 
   transport_ = std::make_unique<net::TcpTransport>(
-      tcp_options(base_port_, cfg_.n_servers, cfg_.detection_delay_s));
+      tcp_options(cfg_.detection_delay_s, base_port_, cfg_.n_servers));
   core::ClientOptions copts;
   copts.n_servers = cfg_.n_servers;
   copts.topology = core::Topology::single(cfg_.n_servers);
   copts.preferred_server = 0;
   copts.retry_timeout = cfg_.client_retry_timeout_s;
   copts.max_inflight = 8;
-  client_ = std::make_unique<ClientHost>(0, copts);
-  client_->transport = transport_.get();
-  ClientHost* raw = client_.get();
-  transport_->register_node(
-      net::NodeAddress::client(0),
-      [raw](net::NodeAddress from, net::PayloadPtr m) {
-        raw->on_message(from, std::move(m));
-      },
-      nullptr,
-      [raw](std::uint64_t token) { raw->on_timer(token); });
+  client_ = std::make_unique<TransportClientHost>(
+      *transport_, 0, copts, clk::steady_now(), /*history=*/nullptr);
+  client_->register_node();
   transport_->start();  // mesh retries until every child is listening
   started_ = true;
 }

@@ -2,7 +2,9 @@
 //
 // Each ring server runs in its own OS process (fork + exec of the hosting
 // binary), speaking the wire protocol through net::TcpTransport; the parent
-// process hosts one client session and offers blocking put/get. This is the
+// process hosts one client session and offers blocking put/get. Both sides
+// are the transport hosts ThreadedCluster runs (harness/transport_hosts.h),
+// without the migration control plane or a history. This is the
 // deployment shape the paper measures: separate machines joined by TCP,
 // failure detection by connection break — here collapsed onto loopback so
 // tests and benches can run it anywhere.
@@ -31,6 +33,8 @@
 #include "net/transport.h"
 
 namespace hts::harness {
+
+class TransportClientHost;
 
 struct ProcClusterConfig {
   std::size_t n_servers = 3;
@@ -86,13 +90,11 @@ class ProcCluster {
   [[nodiscard]] std::uint16_t base_port() const { return base_port_; }
 
  private:
-  struct ClientHost;
-
   ProcClusterConfig cfg_;
   std::uint16_t base_port_ = 0;
   std::vector<pid_t> children_;  // pid per server slot; -1 once reaped
   std::unique_ptr<net::Transport> transport_;
-  std::unique_ptr<ClientHost> client_;
+  std::unique_ptr<TransportClientHost> client_;
   bool started_ = false;
 };
 

@@ -6,19 +6,9 @@
 #include <utility>
 
 #include "core/messages.h"
-#include "harness/obs_report.h"
 #include "obs/net_stats.h"
 
 namespace hts::harness {
-
-namespace {
-// Shared histogram shapes: every server feeds one "ring.batch_fill"
-// histogram (its mean is exactly ring messages / transmissions, the
-// RingTraffic fill factor) and every session one backoff-delay histogram.
-const std::vector<double> kBatchFillBounds = {1, 2, 4, 8, 16, 32, 64, 128};
-const std::vector<double> kBackoffBounds = {0.001, 0.01, 0.1, 0.25,
-                                            0.5,   1,    2,   4,   8};
-}  // namespace
 
 // ---------------------------------------------------------------- nodes
 
@@ -204,15 +194,10 @@ void SimCluster::ServerNode::send_client(ClientId client,
 // ---------------------------------------------------------------- cluster
 
 SimCluster::SimCluster(sim::Simulator& sim, SimClusterConfig cfg)
-    : sim_(sim), cfg_(cfg), topo_(cfg.resolved_topology()) {
-  assert(topo_.valid());
+    : sim_(sim), cfg_(cfg), core_(cfg) {
   // One coding knob for the whole deployment: servers inherit it through the
   // options every spawn_server call copies; clients pick it up in add_client.
   cfg_.server_options.value_policy = cfg_.value_policy;
-  view_ = core::ClusterView{0, topo_};
-  registry_ = std::make_shared<core::ViewRegistry>(view_);
-  map_ = std::make_shared<const core::ShardMap>(topo_.n_rings());
-  rings_by_epoch_.push_back(topo_.n_rings());
   if (cfg_.recorder != nullptr) {
     // Trace/metric timestamps are simulated seconds: a sim run's entire
     // export is a pure function of the seed.
@@ -229,12 +214,13 @@ SimCluster::SimCluster(sim::Simulator& sim, SimClusterConfig cfg)
   // One ring at a time, ring-major: servers_[global] is server `local` of
   // its ring. Each ring is an independent instance of the protocol; only
   // client traffic (and reconfiguration copies) ever spans rings.
-  for (RingId r = 0; r < static_cast<RingId>(topo_.n_rings()); ++r) {
-    for (ProcessId local = 0; local < topo_.ring_size(r); ++local) {
-      ServerNode& node = spawn_server(r, local, topo_.ring_size(r),
-                                      topo_.global_id(r, local),
-                                      topo_.ring_base(r));
-      node.server.install_view(core::ServerView{0, r, map_});
+  const core::Topology& topo = core_.topo;
+  for (RingId r = 0; r < static_cast<RingId>(topo.n_rings()); ++r) {
+    for (ProcessId local = 0; local < topo.ring_size(r); ++local) {
+      ServerNode& node =
+          spawn_server(r, local, topo.ring_size(r), topo.global_id(r, local),
+                       topo.ring_base(r));
+      node.server.install_view(core::ServerView{0, r, core_.map});
     }
   }
 }
@@ -249,12 +235,7 @@ SimCluster::ServerNode& SimCluster::spawn_server(RingId ring, ProcessId local,
                                            global, ring_base,
                                            cfg_.server_options);
   ServerNode* raw = node.get();
-  if (cfg_.recorder != nullptr) {
-    node->server.attach_obs(obs::ServerProbe{
-        cfg_.recorder, global,
-        cfg_.recorder->registry().histogram("ring.batch_fill",
-                                            kBatchFillBounds)});
-  }
+  core_.adopt(node->server, global);
   std::string label = "s";
   label += std::to_string(global);
   node->ring_nic = server_net_->add_nic(
@@ -298,28 +279,10 @@ core::ClientSession& SimCluster::add_client(std::size_t machine,
                                             ProcessId server) {
   assert(machine < machines_.size());
   assert(server < servers_.size());
-  core::ClientOptions opts;
-  opts.n_servers = topo_.total_servers();
-  opts.topology = topo_;
-  opts.epoch = view_.epoch;
-  opts.preferred_server = server;
-  opts.retry_timeout = cfg_.client_retry_timeout_s;
-  opts.retry_multiplier = cfg_.client_retry_multiplier;
-  opts.retry_cap = cfg_.client_retry_cap;
-  opts.max_inflight = cfg_.client_max_inflight;
-  opts.seed = cfg_.client_seed;
-  opts.value_policy = cfg_.value_policy;
   const ClientId id = static_cast<ClientId>(clients_.size());
-  clients_.push_back(
-      std::make_unique<LogicalClient>(this, machine, id, opts));
-  if (cfg_.recorder != nullptr) {
-    clients_.back()->client.attach_obs(obs::ClientProbe{
-        cfg_.recorder, id,
-        cfg_.recorder->registry().histogram("client.backoff_delay_s",
-                                            kBackoffBounds)});
-  }
-  clients_.back()->client.set_view_provider(
-      [reg = registry_] { return reg->get(); });
+  clients_.push_back(std::make_unique<LogicalClient>(
+      this, machine, id, core_.client_options(server)));
+  core_.adopt(clients_.back()->client);
   return clients_.back()->client;
 }
 
@@ -353,21 +316,23 @@ Epoch SimCluster::add_ring(std::size_t n_servers) {
   // must fail loudly in Release too — overwriting an in-flight
   // reconfiguration would hand servers inconsistent views.
   if (rc_) throw std::logic_error("add_ring: reconfiguration in progress");
+  const core::ClusterView current = core_.view();
   rc_ = std::make_unique<core::MigrationCoordinator>(core::MigrationPlan::grow(
-      view_, map_, n_servers, cfg_.value_policy.active()));
+      current, core_.map, n_servers, cfg_.value_policy.active()));
   const core::MigrationPlan& plan = rc_->plan();
 
   // Spawn the new ring. Its servers come up mid-transition: under the
   // *current* view they own nothing (the current map never routes to their
   // ring id), so every client op they receive before the flip parks — no
   // register is served from pre-migration (initial) state.
-  const RingId new_ring = static_cast<RingId>(topo_.n_rings());
-  const ProcessId base = static_cast<ProcessId>(topo_.total_servers());
+  const RingId new_ring = static_cast<RingId>(core_.topo.n_rings());
+  const ProcessId base = static_cast<ProcessId>(core_.topo.total_servers());
   for (ProcessId local = 0; local < n_servers; ++local) {
     ServerNode& node =
         spawn_server(new_ring, local, n_servers,
                      static_cast<ProcessId>(base + local), base);
-    node.server.install_view(core::ServerView{view_.epoch, new_ring, map_});
+    node.server.install_view(
+        core::ServerView{current.epoch, new_ring, core_.map});
     node.server.begin_view_change(
         core::ServerView{plan.next.epoch, new_ring, plan.new_map});
   }
@@ -380,7 +345,8 @@ Epoch SimCluster::remove_last_ring() {
     throw std::logic_error("remove_last_ring: reconfiguration in progress");
   }
   rc_ = std::make_unique<core::MigrationCoordinator>(
-      core::MigrationPlan::shrink(view_, map_, cfg_.value_policy.active()));
+      core::MigrationPlan::shrink(core_.view(), core_.map,
+                                  cfg_.value_policy.active()));
   const Epoch next = rc_->plan().next.epoch;
   run_coordinator();
   return next;
@@ -400,7 +366,7 @@ void SimCluster::run_coordinator() {
     const core::MigrationCommand cmd = rc_->next();
     switch (cmd.kind) {
       case Kind::kPublish:
-        registry_->publish(rc_->plan().next);
+        core_.registry->publish(rc_->plan().next);
         break;
       case Kind::kWait:
         sim_.schedule(cmd.delay_s, [this] { run_coordinator(); });
@@ -414,17 +380,10 @@ void SimCluster::run_coordinator() {
         if (!cfg_.shared_network) client_net_->disable(node.client_nic);
         break;
       }
-      case Kind::kDone: {
-        const core::MigrationPlan& plan = rc_->plan();
-        topo_ = plan.next.topology;
-        view_ = plan.next;
-        map_ = plan.new_map;
-        rings_by_epoch_.push_back(topo_.n_rings());
-        ++migration_stats_.reconfigs;
-        migration_stats_.objects_moved += rc_->copied();
+      case Kind::kDone:
+        core_.finish(*rc_);
         rc_.reset();
         return;
-      }
       default: {
         ServerNode& node = *servers_[cmd.server];
         if (!node.up) {
@@ -439,8 +398,8 @@ void SimCluster::run_coordinator() {
               ServerNode& dst = *servers_[to];
               if (!dst.up) return;
               (msg->kind() == core::kMigrateState
-                   ? migration_stats_.bytes_moved
-                   : migration_stats_.dedup_bytes) += msg->wire_size();
+                   ? core_.migration_stats.bytes_moved
+                   : core_.migration_stats.dedup_bytes) += msg->wire_size();
               server_net_->send(node.ring_nic, dst.ring_nic, msg);
             });
         if (probe) rc_->on_probe(std::move(*probe));
@@ -468,10 +427,11 @@ ClientPort& SimCluster::port(ClientId id) { return *clients_[id]; }
 std::size_t SimCluster::client_count() const { return clients_.size(); }
 
 RingTraffic SimCluster::ring_traffic(RingId r) const {
-  assert(r < topo_.n_rings());
+  const core::Topology& topo = core_.topo;
+  assert(r < topo.n_rings());
   RingTraffic t;
-  for (ProcessId local = 0; local < topo_.ring_size(r); ++local) {
-    const ServerNode& node = *servers_[topo_.global_id(r, local)];
+  for (ProcessId local = 0; local < topo.ring_size(r); ++local) {
+    const ServerNode& node = *servers_[topo.global_id(r, local)];
     t.transmissions += server_net_->nic_messages_sent(node.ring_nic);
     t.bytes += server_net_->nic_bytes_sent(node.ring_nic);
     t.ring_messages += node.server.stats().ring_messages_out;
@@ -481,41 +441,24 @@ RingTraffic SimCluster::ring_traffic(RingId r) const {
 }
 
 std::vector<RingTraffic> SimCluster::traffic_per_ring() const {
-  std::vector<RingTraffic> v;
-  v.reserve(topo_.n_rings());
-  for (RingId r = 0; r < static_cast<RingId>(topo_.n_rings()); ++r) {
-    v.push_back(ring_traffic(r));
-  }
-  return v;
+  return core_.traffic_per_ring([this](RingId r) { return ring_traffic(r); });
 }
 
 void SimCluster::export_metrics() {
   if (cfg_.recorder == nullptr) return;
-  obs::MetricsRegistry& reg = cfg_.recorder->registry();
-
-  std::vector<const core::RingServer*> live;
+  std::vector<std::pair<ProcessId, const core::RingServer*>> servers;
   for (const auto& node : servers_) {
-    export_server_stats(reg, "server.s" + std::to_string(node->global),
-                        node->server);
-    live.push_back(&node->server);
+    servers.emplace_back(node->global, &node->server);
   }
-  export_server_totals(reg, live);
-
   std::vector<const core::ClientSession*> sessions;
-  for (const auto& lc : clients_) {
-    export_client_stats(reg, "client.c" + std::to_string(lc->client.id()),
-                        lc->client);
-    sessions.push_back(&lc->client);
-  }
-  export_client_totals(reg, sessions);
+  for (const auto& lc : clients_) sessions.push_back(&lc->client);
+  core_.export_metrics(servers, sessions, traffic_per_ring());
 
+  obs::MetricsRegistry& reg = cfg_.recorder->registry();
   obs::export_links(reg, "net.server", *server_net_);
   if (!cfg_.shared_network) {
     obs::export_links(reg, "net.client", *client_net_);
   }
-
-  export_rings_and_view(reg, traffic_per_ring(), view_.epoch,
-                        migration_stats_);
 }
 
 }  // namespace hts::harness

@@ -7,6 +7,10 @@
 // `shared_network = true` the two networks collapse into one and each server
 // uses a single NIC for everything — the paper's bottom-most experiment.
 //
+// The nodes are the simulator's own hosts (NIC pacing, client envelopes);
+// the view, session options, probes and metrics export are the
+// DeploymentCore shared with ThreadedCluster.
+//
 // A cluster is constructed from a core::Topology: R independent rings
 // (possibly heterogeneous sizes) behind a deterministic shard map
 // (DESIGN.md §Sharding). Servers are addressed by global id (ring-major);
@@ -40,6 +44,7 @@
 #include "core/reconfig.h"
 #include "core/server.h"
 #include "core/topology.h"
+#include "harness/deployment_core.h"
 #include "harness/ring_traffic.h"
 #include "harness/workload.h"
 #include "net/payload.h"
@@ -143,14 +148,14 @@ class SimCluster {
   Epoch remove_last_ring();
   void schedule_remove_last_ring(double at);
 
-  [[nodiscard]] const core::ClusterView& view() const { return view_; }
+  [[nodiscard]] core::ClusterView view() const { return core_.view(); }
   [[nodiscard]] bool reconfig_in_progress() const { return rc_ != nullptr; }
   [[nodiscard]] const core::MigrationStats& reconfig_stats() const {
-    return migration_stats_;
+    return core_.migration_stats;
   }
   /// Ring count per epoch so far (input for the epoch-aware lincheck pass).
-  [[nodiscard]] const std::vector<std::size_t>& rings_by_epoch() const {
-    return rings_by_epoch_;
+  [[nodiscard]] std::vector<std::size_t> rings_by_epoch() const {
+    return core_.rings_by_epoch();
   }
 
   [[nodiscard]] bool server_up(ProcessId p) const;
@@ -162,7 +167,7 @@ class SimCluster {
   [[nodiscard]] std::size_t client_count() const;
   /// Servers ever spawned (retired rings keep their slots, marked down).
   [[nodiscard]] std::size_t n_servers() const { return servers_.size(); }
-  [[nodiscard]] const core::Topology& topology() const { return topo_; }
+  [[nodiscard]] const core::Topology& topology() const { return core_.topo; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] sim::Network& server_network() { return *server_net_; }
   [[nodiscard]] sim::Network& client_network() { return *client_net_; }
@@ -197,12 +202,7 @@ class SimCluster {
 
   sim::Simulator& sim_;
   SimClusterConfig cfg_;
-  core::Topology topo_;
-  core::ClusterView view_;
-  std::shared_ptr<core::ViewRegistry> registry_;
-  std::shared_ptr<const core::ShardMap> map_;  ///< current view's shard map
-  std::vector<std::size_t> rings_by_epoch_;
-  core::MigrationStats migration_stats_;
+  DeploymentCore core_;
   std::unique_ptr<core::MigrationCoordinator> rc_;
 
   std::unique_ptr<sim::Network> server_net_;

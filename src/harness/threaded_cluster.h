@@ -1,8 +1,13 @@
-// ThreadedCluster — hosts the ring protocol on the threaded in-memory
-// transport: every server and every client runs on its own thread, exactly
-// one protocol event at a time, with reliable FIFO links. This is the fabric
-// for integration/stress tests under real concurrency and for the runnable
-// examples (it offers a blocking client API).
+// ThreadedCluster — hosts the ring protocol on a net::Transport (in-memory
+// queues, or loopback TCP in tcp mode): every server and every client runs
+// on its own loop, exactly one protocol event at a time, with reliable FIFO
+// links. This is the fabric for integration/stress tests under real
+// concurrency and for the runnable examples (it offers a blocking client
+// API). Servers and sessions live in the shared transport hosts
+// (harness/transport_hosts.h), the same ones ProcCluster runs; the view,
+// session options, probes and metrics export are the DeploymentCore it
+// shares with SimCluster. What is left here is the blocking client handle
+// and the migration control plane.
 //
 // Like SimCluster, the cluster is constructed from a core::Topology — R
 // independent rings (heterogeneous sizes allowed) behind the deterministic
@@ -11,21 +16,17 @@
 // tag every op with the ring that served it and the epoch it was served in,
 // so the checkers can verify each op went to its epoch's owning ring.
 //
-// Live reconfiguration (DESIGN.md §Reconfiguration, D8): every server
-// boots with its epoch-0 view and every session reads the cluster's
-// ViewRegistry, so add_ring() / remove_last_ring() are always available.
-// They block the calling thread while the freeze → copy → flip migration
-// runs against live traffic. The decisions are
-// core::MigrationCoordinator's, shared with SimCluster; this fabric only
-// executes its commands. Server-side commands (installing views, probing
-// drain progress, emitting MigrateState/MigrateDedup, committing the flip)
-// travel as control messages executed on the target server's own delivery
-// thread, so the single-threaded state-machine discipline holds
-// throughout.
+// Live reconfiguration (DESIGN.md §Reconfiguration, D8): add_ring() /
+// remove_last_ring() block the calling thread while the freeze → copy →
+// flip migration runs against live traffic. The decisions are
+// core::MigrationCoordinator's; this fabric only executes its commands.
+// Server-side commands travel as closures executed on the target server's
+// own loop (Transport::execute), so the single-threaded state-machine
+// discipline holds throughout. Retired global ids are never reused: a grow
+// after a shrink is rejected before anything is spawned.
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -33,14 +34,15 @@
 
 #include "code/policy.h"
 #include "common/clock.h"
-#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "common/value.h"
 #include "core/client.h"
 #include "core/reconfig.h"
 #include "core/server.h"
 #include "core/topology.h"
+#include "harness/deployment_core.h"
 #include "harness/ring_traffic.h"
+#include "harness/transport_hosts.h"
 #include "lincheck/history.h"
 #include "net/transport.h"
 #include "obs/probe.h"
@@ -119,10 +121,8 @@ class ThreadedCluster {
 
    private:
     friend class ThreadedCluster;
-    explicit BlockingClient(void* host) : host_(host) {}
-    std::future<core::OpResult> launch(bool is_read, ObjectId object, Value v);
-    core::OpResult run(bool is_read, ObjectId object, Value v);
-    void* host_;  // ClientHost, opaque to keep the header light
+    explicit BlockingClient(TransportClientHost* host) : host_(host) {}
+    TransportClientHost* host_;
   };
 
   /// Adds a client before start(); the reference stays valid for the
@@ -159,13 +159,14 @@ class ThreadedCluster {
   /// ring-local detection fires only among themselves). Blocks until done.
   Epoch remove_last_ring();
 
-  [[nodiscard]] core::ClusterView view() const HTS_EXCLUDES(views_mu_);
+  [[nodiscard]] core::ClusterView view() const { return core_.view(); }
   [[nodiscard]] const core::MigrationStats& reconfig_stats() const {
-    return migration_stats_;
+    return core_.migration_stats;
   }
   /// Ring count per epoch so far (input for the epoch-aware lincheck pass).
-  [[nodiscard]] std::vector<std::size_t> rings_by_epoch() const
-      HTS_EXCLUDES(views_mu_);
+  [[nodiscard]] std::vector<std::size_t> rings_by_epoch() const {
+    return core_.rings_by_epoch();
+  }
 
   /// Blocks until all queues drain (no protocol work left).
   bool wait_quiescent(double timeout_s);
@@ -176,11 +177,13 @@ class ThreadedCluster {
 
   /// Snapshot of the recorded operation history. Ops carry the ring that
   /// served them (from the replying server's global id) and the epoch.
-  [[nodiscard]] lincheck::History history() const HTS_EXCLUDES(history_mu_);
+  [[nodiscard]] lincheck::History history() const {
+    return history_.snapshot();
+  }
 
   /// Servers ever spawned (a retired ring keeps its slots, marked down).
   [[nodiscard]] std::size_t n_servers() const { return servers_.size(); }
-  [[nodiscard]] const core::Topology& topology() const { return topo_; }
+  [[nodiscard]] const core::Topology& topology() const { return core_.topo; }
 
   /// Ring egress of shard `r`: transmissions/bytes the ring's servers handed
   /// to the transport, plus their protocol message/batch stats. Read while
@@ -196,41 +199,28 @@ class ThreadedCluster {
   void export_metrics();
 
  private:
-  struct ServerHost;
-  struct ClientHost;
-
-  double elapsed() const;
-  /// Creates, optionally prepares (views installed before the node can
-  /// receive traffic), and registers one server host.
-  ServerHost& spawn_server(RingId ring, ProcessId local,
-                           std::size_t ring_size, ProcessId global,
-                           ProcessId ring_base,
-                           const std::function<void(core::RingServer&)>&
-                               before_register = nullptr);
+  /// Creates one server host, installs `boot` (and begins the change to
+  /// `next`, if any) before the node can receive traffic, and registers it.
+  void spawn_server(ProcessId local, std::size_t ring_size, ProcessId global,
+                    ProcessId ring_base, core::ServerView boot,
+                    std::optional<core::ServerView> next = std::nullopt);
   /// Executes `coord`'s commands — server-side ones as control messages on
   /// each server's own thread — until the flip completes.
   Epoch run_coordinator(core::MigrationCoordinator& coord);
 
   ThreadedClusterConfig cfg_;
-  // topo_/map_ belong to the controlling thread (see the threading contract
-  // above); the locked snapshots other threads may read live under views_mu_.
-  core::Topology topo_;
-  std::shared_ptr<core::ViewRegistry> registry_;
-  std::shared_ptr<const core::ShardMap> map_;
-  core::MigrationStats migration_stats_;
+  // The view and rings-per-epoch table inside core_ are locked; the rest of
+  // it belongs to the controlling thread (see the threading contract above).
+  DeploymentCore core_;
   std::unique_ptr<net::Transport> transport_;
   clk::SteadyTime epoch_;
-  std::vector<std::unique_ptr<ServerHost>> servers_;
-  std::vector<std::unique_ptr<ClientHost>> clients_;
+  std::vector<std::unique_ptr<TransportServerHost>> servers_;
+  std::vector<std::unique_ptr<TransportClientHost>> clients_;
   std::vector<std::unique_ptr<BlockingClient>> handles_;
-
-  mutable sync::Mutex history_mu_;
-  lincheck::History history_ HTS_GUARDED_BY(history_mu_);
-  /// Guards the snapshots a non-controlling thread may observe while a
-  /// blocking reconfiguration is in progress (view(), rings_by_epoch()).
-  mutable sync::Mutex views_mu_;
-  core::ClusterView view_ HTS_GUARDED_BY(views_mu_);
-  std::vector<std::size_t> rings_by_epoch_ HTS_GUARDED_BY(views_mu_);
+  HistorySink history_;
+  // Migration egress, counted on the servers' threads, read after the flip.
+  std::atomic<std::uint64_t> migrate_bytes_{0};
+  std::atomic<std::uint64_t> dedup_bytes_{0};
   std::atomic<bool> migrating_{false};  ///< rejects concurrent reconfigs
 };
 

@@ -4,12 +4,15 @@
 // wire silence (attaching a recorder changes nothing the protocol does).
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
 #include "harness/experiment.h"
 #include "harness/obs_report.h"
+#include "harness/sim_cluster.h"
+#include "harness/threaded_cluster.h"
 #include "lincheck/checker.h"
 #include "lincheck/history.h"
 #include "obs/export.h"
@@ -307,6 +310,61 @@ TEST(ObsFabric, ExportIncludesWorkloadSeriesAndSessionCounters) {
   const auto rings = gauges.find("view.rings");
   ASSERT_NE(rings, gauges.end());
   EXPECT_DOUBLE_EQ(rings->second.value(), 1.0);
+}
+
+// Both fabrics export one schema: the same counter and gauge names outside
+// each fabric's own link counters ("net.*"). On the threaded export the
+// batch-fill histogram agrees with the independent ring traffic counters.
+TEST(ObsFabric, ThreadedExportMatchesSimNamesAndBatchFill) {
+  const core::Topology topo{2, 3};
+  const auto names = [](const obs::Recorder& rec) {
+    std::set<std::string> out;
+    for (const auto& [name, c] : rec.registry().counters()) {
+      if (!name.starts_with("net.")) out.insert("counter " + name);
+    }
+    for (const auto& [name, g] : rec.registry().gauges()) {
+      if (!name.starts_with("net.")) out.insert("gauge " + name);
+    }
+    return out;
+  };
+
+  obs::Recorder sim_rec;
+  sim::Simulator sim;
+  harness::SimClusterConfig scfg;
+  scfg.topology = topo;
+  scfg.recorder = &sim_rec;
+  harness::SimCluster sc(sim, scfg);
+  sc.add_client(sc.add_client_machine(), 0);
+  for (ObjectId obj = 1; obj <= 4; ++obj) {
+    sc.port(0).begin_write(obj, Value::synthetic(obj, 64));
+    sc.port(0).begin_read(obj);
+  }
+  sim.run_to_quiescence();
+  sc.export_metrics();
+
+  obs::Recorder thr_rec;
+  harness::ThreadedClusterConfig tcfg;
+  tcfg.topology = topo;
+  tcfg.recorder = &thr_rec;
+  harness::ThreadedCluster tc(tcfg);
+  auto& client = tc.add_client(0);
+  tc.start();
+  for (ObjectId obj = 1; obj <= 4; ++obj) {
+    client.write(obj, Value::synthetic(obj, 64));
+    EXPECT_EQ(client.read(obj), Value::synthetic(obj, 64));
+  }
+  ASSERT_TRUE(tc.wait_quiescent(5.0));
+  tc.export_metrics();
+
+  EXPECT_EQ(names(sim_rec), names(thr_rec));
+  const auto& counters = thr_rec.registry().counters();
+  const std::uint64_t msgs = counters.at("ring.total.ring_messages").value();
+  const std::uint64_t txs = counters.at("ring.total.transmissions").value();
+  ASSERT_GT(txs, 0u);
+  const auto& fill = thr_rec.registry().histograms().at("ring.batch_fill");
+  EXPECT_EQ(fill.count(), txs);
+  EXPECT_NEAR(fill.mean(),
+              static_cast<double>(msgs) / static_cast<double>(txs), 1e-9);
 }
 
 }  // namespace

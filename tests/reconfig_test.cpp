@@ -780,6 +780,20 @@ TEST(ReconfigThreaded, ReconfigurationUnderAnActiveValuePolicyIsRejected) {
   EXPECT_EQ(cluster.view().epoch, 0u);
 }
 
+TEST(ReconfigThreaded, GrowAfterShrinkIsRejectedBeforeSpawning) {
+  ThreadedClusterConfig cfg;
+  cfg.topology = core::Topology{2, 3};
+  ThreadedCluster cluster(cfg);
+  cluster.start();
+  EXPECT_EQ(cluster.add_ring(3), 1u);
+  EXPECT_EQ(cluster.remove_last_ring(), 2u);
+  // The retired ring's hosts keep global ids 6..8; a new ring would reuse
+  // them, so the grow is refused before anything is spawned.
+  EXPECT_THROW(cluster.add_ring(3), std::logic_error);
+  EXPECT_EQ(cluster.n_servers(), 9u) << "nothing spawned";
+  EXPECT_EQ(cluster.view().epoch, 2u);
+}
+
 // ------------------------------------------- heterogeneous cluster e2e
 
 TEST(ReconfigSim, HeterogeneousRingSizesServeAndCheckClean) {
