@@ -2,25 +2,13 @@
 
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 
 #include "net/frame_writer.h"
 
 namespace hts::core {
 
 namespace {
-
-template <typename Sink>
-void put_tag(Sink& e, const Tag& t) {
-  e.u64(t.ts);
-  e.u32(t.id);
-}
-
-Tag get_tag(Decoder& d) {
-  Tag t;
-  t.ts = d.u64();
-  t.id = d.u32();
-  return t;
-}
 
 /// Kinds allowed inside a RingBatch: ring traffic only (messages.h). The
 /// coded plane's ring kinds (PreWriteFrag, FragRepair) batch exactly like
@@ -30,32 +18,101 @@ bool is_ring_kind(std::uint16_t k) {
          k == kPreWriteFrag || k == kFragRepair;
 }
 
+// ------------------------------------------------------- field wire forms
+//
+// One put/get pair per field type a layout() may list. Overload resolution
+// picks the pair by the field's exact C++ type, so a field whose type has
+// no pair fails to compile instead of picking a width.
+
 template <typename Sink>
-void put_frag_parts(Sink& e, const std::vector<FragPart>& parts) {
+void put(Sink& e, std::uint8_t v) { e.u8(v); }
+void get(Decoder& d, std::uint8_t& v) { v = d.u8(); }
+
+template <typename Sink>
+void put(Sink& e, bool v) { e.u8(v ? 1 : 0); }
+void get(Decoder& d, bool& v) {
+  const std::uint8_t b = d.u8();
+  if (b > 1) {
+    throw DecodeError("decode_message: bool byte " + std::to_string(b));
+  }
+  v = b == 1;
+}
+
+template <typename Sink>
+void put(Sink& e, std::uint32_t v) { e.u32(v); }
+void get(Decoder& d, std::uint32_t& v) { v = d.u32(); }
+
+template <typename Sink>
+void put(Sink& e, std::uint64_t v) { e.u64(v); }
+void get(Decoder& d, std::uint64_t& v) { v = d.u64(); }
+
+template <typename Sink>
+void put(Sink& e, const Tag& t) {
+  e.u64(t.ts);
+  e.u32(t.id);
+}
+void get(Decoder& d, Tag& t) {
+  t.ts = d.u64();
+  t.id = d.u32();
+}
+
+template <typename Sink>
+void put(Sink& e, const Value& v) { e.value(v); }
+void get(Decoder& d, Value& v) { v = d.value(); }
+
+template <typename Sink>
+void put(Sink& e, const std::string& s) { e.bytes(s); }
+void get(Decoder& d, std::string& s) { s = d.bytes(); }
+
+/// u8 part count, then each part: u8 index, u32 checksum, bytes.
+template <typename Sink>
+void put(Sink& e, const std::vector<FragPart>& parts) {
   if (parts.size() > 255) {
     throw std::logic_error("encode_message: more than 255 fragment parts");
   }
   e.u8(static_cast<std::uint8_t>(parts.size()));
   for (const FragPart& p : parts) {
-    e.u8(p.index);
-    e.u32(p.checksum);
-    e.bytes(p.bytes);
+    put(e, p.index);
+    put(e, p.checksum);
+    put(e, p.bytes);
+  }
+}
+void get(Decoder& d, std::vector<FragPart>& parts) {
+  const std::uint8_t count = d.u8();
+  parts.resize(count);
+  for (FragPart& p : parts) {
+    get(d, p.index);
+    get(d, p.checksum);
+    get(d, p.bytes);
   }
 }
 
-std::vector<FragPart> get_frag_parts(Decoder& d) {
-  const std::uint8_t count = d.u8();
-  std::vector<FragPart> parts;
-  parts.reserve(count);
-  for (std::uint8_t i = 0; i < count; ++i) {
-    FragPart p;
-    p.index = d.u8();
-    p.checksum = d.u32();
-    p.bytes = std::string(d.bytes());
-    parts.push_back(std::move(p));
+/// u32 window count, then each window: u64 client, u64 watermark, u32
+/// count of `above`, then its u64 request ids.
+template <typename Sink>
+void put(Sink& e, const std::vector<MigrateDedup::Window>& windows) {
+  e.u32(static_cast<std::uint32_t>(windows.size()));
+  for (const MigrateDedup::Window& w : windows) {
+    put(e, w.client);
+    put(e, w.watermark);
+    e.u32(static_cast<std::uint32_t>(w.above.size()));
+    for (const RequestId r : w.above) put(e, r);
   }
-  return parts;
 }
+void get(Decoder& d, std::vector<MigrateDedup::Window>& windows) {
+  const std::uint32_t count = d.u32();
+  windows.reserve(count < 1024 ? count : 1024);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    MigrateDedup::Window& w = windows.emplace_back();
+    get(d, w.client);
+    get(d, w.watermark);
+    const std::uint32_t n_above = d.u32();
+    w.above.reserve(n_above < 4096 ? n_above : 4096);
+    for (std::uint32_t k = 0; k < n_above; ++k) get(d, w.above.emplace_back());
+  }
+}
+
+// ------------------------------------------------------------------ header
 
 /// Header flags byte (the original protocol's reserved byte).
 constexpr std::uint8_t kFlagObject = 0x1;  // u64 ObjectId follows
@@ -82,7 +139,8 @@ struct HeaderFields {
 };
 
 /// Reads the post-kind header remainder: flags byte, then the optional
-/// fields it announces. Unknown flag bits are wire garbage.
+/// fields it announces. Unknown flag bits are wire garbage, and so is a flag
+/// announcing a field that holds its default — the encoder never writes one.
 HeaderFields get_header(Decoder& d) {
   const std::uint8_t flags = d.u8();
   if ((flags & ~(kFlagObject | kFlagEpoch)) != 0) {
@@ -92,6 +150,10 @@ HeaderFields get_header(Decoder& d) {
   HeaderFields h;
   if (flags & kFlagObject) h.object = d.u64();
   if (flags & kFlagEpoch) h.epoch = d.u32();
+  if (((flags & kFlagObject) && h.object == kDefaultObject) ||
+      ((flags & kFlagEpoch) && h.epoch == 0)) {
+    throw DecodeError("decode_message: header flag announces a default field");
+  }
   return h;
 }
 
@@ -215,156 +277,40 @@ std::string RingBatch::describe() const {
 
 namespace {
 
+/// Encodes a field-list kind: the header, then its layout() in order.
+template <typename M, typename Sink>
+void put_message(const net::Payload& msg, Sink& e) {
+  const auto& m = static_cast<const M&>(msg);
+  ObjectId object = kDefaultObject;
+  if constexpr (requires { m.object; }) object = m.object;
+  put_header(e, m.kind(), object, m.epoch);
+  std::apply([&](const auto&... f) { (put(e, f), ...); }, M::layout(m));
+}
+
 /// The one encode switch, templated over the byte sink (Encoder for the
 /// legacy string path, net::FrameWriter for the scatter-gather transport
-/// path). One instantiation per sink means the two paths cannot diverge —
-/// the *Parity* tests and the hts-lint transport-parity invariant pin it.
+/// path, ByteCounter for wire_size()). One instantiation per sink means the
+/// paths cannot diverge — the *Parity* tests and the hts-lint
+/// transport-parity invariant pin it.
 template <typename Sink>
 void encode_into_sink(const net::Payload& msg, Sink& e) {
   switch (msg.kind()) {
-    case kClientWrite: {
-      const auto& m = static_cast<const ClientWrite&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      e.u64(m.client);
-      e.u64(m.req);
-      e.value(m.value);
-      break;
-    }
-    case kClientWriteAck: {
-      const auto& m = static_cast<const ClientWriteAck&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      e.u64(m.req);
-      break;
-    }
-    case kClientRead: {
-      const auto& m = static_cast<const ClientRead&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      e.u64(m.client);
-      e.u64(m.req);
-      break;
-    }
-    case kClientReadAck: {
-      const auto& m = static_cast<const ClientReadAck&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      e.u64(m.req);
-      e.value(m.value);
-      put_tag(e, m.tag);
-      break;
-    }
-    case kEpochNack: {
-      const auto& m = static_cast<const EpochNack&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      e.u64(m.req);
-      break;
-    }
-    case kPreWrite: {
-      const auto& m = static_cast<const PreWrite&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      put_tag(e, m.tag);
-      e.u64(m.client);
-      e.u64(m.req);
-      e.value(m.value);
-      break;
-    }
-    case kWriteCommit: {
-      const auto& m = static_cast<const WriteCommit&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      put_tag(e, m.tag);
-      e.u64(m.client);
-      e.u64(m.req);
-      break;
-    }
-    case kSyncState: {
-      const auto& m = static_cast<const SyncState&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      put_tag(e, m.tag);
-      e.value(m.value);
-      break;
-    }
-    case kMigrateState: {
-      const auto& m = static_cast<const MigrateState&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      put_tag(e, m.tag);
-      e.value(m.value);
-      break;
-    }
-    case kMigrateDedup: {
-      const auto& m = static_cast<const MigrateDedup&>(msg);
-      put_header(e, m.kind(), kDefaultObject, m.epoch);
-      e.u32(static_cast<std::uint32_t>(m.windows.size()));
-      for (const MigrateDedup::Window& w : m.windows) {
-        e.u64(w.client);
-        e.u64(w.watermark);
-        e.u32(static_cast<std::uint32_t>(w.above.size()));
-        for (const RequestId r : w.above) e.u64(r);
-      }
-      break;
-    }
-    case kFragWrite: {
-      const auto& m = static_cast<const FragWrite&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      e.u64(m.client);
-      e.u64(m.req);
-      e.u8(m.n);
-      e.u8(m.k);
-      e.u8(m.frag_index);
-      e.u8(m.initiate ? 1 : 0);
-      e.u64(m.value_size);
-      e.u32(m.checksum);
-      e.bytes(m.frag);
-      break;
-    }
-    case kPreWriteFrag: {
-      const auto& m = static_cast<const PreWriteFrag&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      put_tag(e, m.tag);
-      e.u64(m.client);
-      e.u64(m.req);
-      e.u8(m.n);
-      e.u8(m.k);
-      e.u64(m.value_size);
-      break;
-    }
-    case kCodedReadAck: {
-      const auto& m = static_cast<const CodedReadAck&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      e.u64(m.req);
-      put_tag(e, m.tag);
-      e.u8(m.n);
-      e.u8(m.k);
-      e.u64(m.value_size);
-      put_frag_parts(e, m.parts);
-      break;
-    }
-    case kFragFetch: {
-      const auto& m = static_cast<const FragFetch&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      e.u64(m.client);
-      e.u64(m.req);
-      put_tag(e, m.tag);
-      break;
-    }
-    case kFragFetchAck: {
-      const auto& m = static_cast<const FragFetchAck&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      e.u64(m.req);
-      put_tag(e, m.tag);
-      e.u64(m.value_size);
-      put_frag_parts(e, m.parts);
-      break;
-    }
-    case kFragRepair: {
-      const auto& m = static_cast<const FragRepair&>(msg);
-      put_header(e, m.kind(), m.object, m.epoch);
-      e.u32(m.origin);
-      put_tag(e, m.tag);
-      e.u8(m.n);
-      e.u8(m.k);
-      e.u8(m.missing_index);
-      e.u64(m.value_size);
-      put_frag_parts(e, m.parts);
-      break;
-    }
+    case kClientWrite: return put_message<ClientWrite>(msg, e);
+    case kClientWriteAck: return put_message<ClientWriteAck>(msg, e);
+    case kClientRead: return put_message<ClientRead>(msg, e);
+    case kClientReadAck: return put_message<ClientReadAck>(msg, e);
+    case kEpochNack: return put_message<EpochNack>(msg, e);
+    case kPreWrite: return put_message<PreWrite>(msg, e);
+    case kWriteCommit: return put_message<WriteCommit>(msg, e);
+    case kSyncState: return put_message<SyncState>(msg, e);
+    case kMigrateState: return put_message<MigrateState>(msg, e);
+    case kMigrateDedup: return put_message<MigrateDedup>(msg, e);
+    case kFragWrite: return put_message<FragWrite>(msg, e);
+    case kPreWriteFrag: return put_message<PreWriteFrag>(msg, e);
+    case kCodedReadAck: return put_message<CodedReadAck>(msg, e);
+    case kFragFetch: return put_message<FragFetch>(msg, e);
+    case kFragFetchAck: return put_message<FragFetchAck>(msg, e);
+    case kFragRepair: return put_message<FragRepair>(msg, e);
     case kRingBatch: {
       put_header(e, msg.kind(), kDefaultObject, 0);
       // Building a bad batch is a caller bug, not an input error: keep it
@@ -400,7 +346,30 @@ void encode_into_sink(const net::Payload& msg, Sink& e) {
   }
 }
 
+/// The sink wire_size() runs the encoder against: it counts bytes and
+/// stores none.
+struct ByteCounter {
+  std::size_t n = 0;
+  void u8(std::uint8_t) { n += 1; }
+  void u32(std::uint32_t) { n += 4; }
+  void u64(std::uint64_t) { n += 8; }
+  void bytes(std::string_view b) { n += kLenWire + b.size(); }
+  void value(const Value& v) { bytes(v.bytes()); }
+  [[nodiscard]] int mark_u32() {
+    n += 4;
+    return 0;
+  }
+  void patch_u32(int /*mark*/, std::uint32_t /*v*/) {}
+  [[nodiscard]] std::size_t bytes_written() const { return n; }
+};
+
 }  // namespace
+
+std::size_t FieldMessage::wire_size() const {
+  ByteCounter c;
+  encode_into_sink(*this, c);
+  return c.n;
+}
 
 std::string encode_message(const net::Payload& msg) {
   Encoder e;
@@ -414,158 +383,45 @@ void encode_message_into(const net::Payload& msg, net::FrameWriter& writer) {
 
 namespace {
 
+/// Decodes a field-list kind: the header, then its layout() in order, into
+/// a default-constructed message.
+template <typename M>
+net::PayloadPtr get_message(Decoder& d) {
+  auto m = std::make_shared<M>();
+  const HeaderFields h = get_header(d);
+  if constexpr (requires { m->object; }) {
+    m->object = h.object;
+  } else if (h.object != kDefaultObject) {
+    throw DecodeError("decode_message: kind " + std::to_string(m->kind()) +
+                      " carries an object");
+  }
+  m->epoch = h.epoch;
+  std::apply([&](auto&... f) { (get(d, f), ...); }, M::layout(*m));
+  return m;
+}
+
 /// Decodes one message from `d`. `allow_batch` is false for batch parts so
 /// batches cannot nest (and a malicious length field cannot cause unbounded
 /// recursion).
 net::PayloadPtr decode_inner(Decoder& d, bool allow_batch) {
   auto kind = static_cast<MsgKind>(d.u8());
   switch (kind) {
-    case kClientWrite: {
-      HeaderFields h = get_header(d);
-      ClientId c = d.u64();
-      RequestId r = d.u64();
-      Value v = d.value();
-      return net::make_payload<ClientWrite>(c, r, std::move(v), h.object,
-                                            h.epoch);
-    }
-    case kClientWriteAck: {
-      HeaderFields h = get_header(d);
-      RequestId r = d.u64();
-      return net::make_payload<ClientWriteAck>(r, h.object, h.epoch);
-    }
-    case kClientRead: {
-      HeaderFields h = get_header(d);
-      ClientId c = d.u64();
-      RequestId r = d.u64();
-      return net::make_payload<ClientRead>(c, r, h.object, h.epoch);
-    }
-    case kClientReadAck: {
-      HeaderFields h = get_header(d);
-      RequestId r = d.u64();
-      Value v = d.value();
-      Tag t = get_tag(d);
-      return net::make_payload<ClientReadAck>(r, std::move(v), t, h.object,
-                                              h.epoch);
-    }
-    case kEpochNack: {
-      HeaderFields h = get_header(d);
-      RequestId r = d.u64();
-      return net::make_payload<EpochNack>(r, h.object, h.epoch);
-    }
-    case kPreWrite: {
-      HeaderFields h = get_header(d);
-      Tag t = get_tag(d);
-      ClientId c = d.u64();
-      RequestId r = d.u64();
-      Value v = d.value();
-      return net::make_payload<PreWrite>(t, std::move(v), c, r, h.object,
-                                         h.epoch);
-    }
-    case kWriteCommit: {
-      HeaderFields h = get_header(d);
-      Tag t = get_tag(d);
-      ClientId c = d.u64();
-      RequestId r = d.u64();
-      return net::make_payload<WriteCommit>(t, c, r, h.object, h.epoch);
-    }
-    case kSyncState: {
-      HeaderFields h = get_header(d);
-      Tag t = get_tag(d);
-      Value v = d.value();
-      return net::make_payload<SyncState>(t, std::move(v), h.object, h.epoch);
-    }
-    case kMigrateState: {
-      HeaderFields h = get_header(d);
-      Tag t = get_tag(d);
-      Value v = d.value();
-      return net::make_payload<MigrateState>(t, std::move(v), h.object,
-                                             h.epoch);
-    }
-    case kMigrateDedup: {
-      HeaderFields h = get_header(d);
-      if (h.object != kDefaultObject) {
-        throw DecodeError("decode_message: MigrateDedup carries an object");
-      }
-      const std::uint32_t count = d.u32();
-      std::vector<MigrateDedup::Window> windows;
-      windows.reserve(count < 1024 ? count : 1024);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        MigrateDedup::Window w;
-        w.client = d.u64();
-        w.watermark = d.u64();
-        const std::uint32_t n_above = d.u32();
-        w.above.reserve(n_above < 4096 ? n_above : 4096);
-        for (std::uint32_t k = 0; k < n_above; ++k) w.above.push_back(d.u64());
-        windows.push_back(std::move(w));
-      }
-      return net::make_payload<MigrateDedup>(std::move(windows), h.epoch);
-    }
-    case kFragWrite: {
-      HeaderFields h = get_header(d);
-      ClientId c = d.u64();
-      RequestId r = d.u64();
-      const std::uint8_t n = d.u8();
-      const std::uint8_t k = d.u8();
-      const std::uint8_t idx = d.u8();
-      const bool init = d.u8() != 0;
-      const std::uint64_t vsize = d.u64();
-      const std::uint32_t crc = d.u32();
-      std::string frag(d.bytes());
-      return net::make_payload<FragWrite>(c, r, n, k, idx, init, vsize, crc,
-                                          std::move(frag), h.object, h.epoch);
-    }
-    case kPreWriteFrag: {
-      HeaderFields h = get_header(d);
-      Tag t = get_tag(d);
-      ClientId c = d.u64();
-      RequestId r = d.u64();
-      const std::uint8_t n = d.u8();
-      const std::uint8_t k = d.u8();
-      const std::uint64_t vsize = d.u64();
-      return net::make_payload<PreWriteFrag>(t, c, r, n, k, vsize, h.object,
-                                             h.epoch);
-    }
-    case kCodedReadAck: {
-      HeaderFields h = get_header(d);
-      RequestId r = d.u64();
-      Tag t = get_tag(d);
-      const std::uint8_t n = d.u8();
-      const std::uint8_t k = d.u8();
-      const std::uint64_t vsize = d.u64();
-      auto parts = get_frag_parts(d);
-      return net::make_payload<CodedReadAck>(r, t, n, k, vsize,
-                                             std::move(parts), h.object,
-                                             h.epoch);
-    }
-    case kFragFetch: {
-      HeaderFields h = get_header(d);
-      ClientId c = d.u64();
-      RequestId r = d.u64();
-      Tag t = get_tag(d);
-      return net::make_payload<FragFetch>(c, r, t, h.object, h.epoch);
-    }
-    case kFragFetchAck: {
-      HeaderFields h = get_header(d);
-      RequestId r = d.u64();
-      Tag t = get_tag(d);
-      const std::uint64_t vsize = d.u64();
-      auto parts = get_frag_parts(d);
-      return net::make_payload<FragFetchAck>(r, t, vsize, std::move(parts),
-                                             h.object, h.epoch);
-    }
-    case kFragRepair: {
-      HeaderFields h = get_header(d);
-      const ProcessId origin = d.u32();
-      Tag t = get_tag(d);
-      const std::uint8_t n = d.u8();
-      const std::uint8_t k = d.u8();
-      const std::uint8_t missing = d.u8();
-      const std::uint64_t vsize = d.u64();
-      auto parts = get_frag_parts(d);
-      return net::make_payload<FragRepair>(origin, t, n, k, missing, vsize,
-                                           std::move(parts), h.object,
-                                           h.epoch);
-    }
+    case kClientWrite: return get_message<ClientWrite>(d);
+    case kClientWriteAck: return get_message<ClientWriteAck>(d);
+    case kClientRead: return get_message<ClientRead>(d);
+    case kClientReadAck: return get_message<ClientReadAck>(d);
+    case kEpochNack: return get_message<EpochNack>(d);
+    case kPreWrite: return get_message<PreWrite>(d);
+    case kWriteCommit: return get_message<WriteCommit>(d);
+    case kSyncState: return get_message<SyncState>(d);
+    case kMigrateState: return get_message<MigrateState>(d);
+    case kMigrateDedup: return get_message<MigrateDedup>(d);
+    case kFragWrite: return get_message<FragWrite>(d);
+    case kPreWriteFrag: return get_message<PreWriteFrag>(d);
+    case kCodedReadAck: return get_message<CodedReadAck>(d);
+    case kFragFetch: return get_message<FragFetch>(d);
+    case kFragFetchAck: return get_message<FragFetchAck>(d);
+    case kFragRepair: return get_message<FragRepair>(d);
     case kRingBatch: {
       if (!allow_batch) throw DecodeError("decode_message: nested RingBatch");
       HeaderFields h = get_header(d);

@@ -24,11 +24,22 @@
 // to the pre-namespace protocol; an object costs exactly 8 bytes and a
 // non-zero epoch exactly 4 (both pinned by tests). The pre-epoch "version 1"
 // frames are flags == 0x1, so every PR 4 frame decodes unchanged.
+//
+// Body layout (everything after the header): each kind but RingBatch lists
+// its body fields once, in wire order, in a static `layout()`. Encode,
+// decode and wire_size() all walk that one list (messages.cpp), and each
+// field type has one wire form: integers are little-endian u8/u32/u64 by
+// their C++ width, a bool is one byte 0 or 1, a Tag is u64 ts + u32 id, and
+// a Value or std::string is u32-length-prefixed bytes. Decoding is
+// canonical: a frame decodes only if the decoded message re-encodes to the
+// same bytes — a flag announcing a default field (object 0, epoch 0) and a
+// bool byte other than 0 or 1 are DecodeErrors.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -64,12 +75,9 @@ enum MsgKind : std::uint16_t {
 };
 
 // Fixed field widths on the wire.
-inline constexpr std::size_t kTagWire = 12;    // u64 ts + u32 id
 inline constexpr std::size_t kKindWire = 2;    // u16 discriminant (kind+flags)
-inline constexpr std::size_t kIdWire = 8;      // ClientId / RequestId
 inline constexpr std::size_t kLenWire = 4;     // value length prefix
 inline constexpr std::size_t kObjectWire = 8;  // u64 ObjectId (flag 0x1 only)
-inline constexpr std::size_t kEpochWire = 4;   // u32 Epoch (flag 0x2 only)
 
 /// Bytes the object field occupies for a given object: the default object is
 /// encoded implicitly (flag clear), every other object costs u64.
@@ -77,83 +85,83 @@ inline constexpr std::size_t kEpochWire = 4;   // u32 Epoch (flag 0x2 only)
   return object == kDefaultObject ? 0 : kObjectWire;
 }
 
-/// Bytes the epoch field occupies: epoch 0 is encoded implicitly (flag
-/// clear) — which is what keeps a never-reconfigured deployment bit-for-bit
-/// on the PR 4 wire format — every later epoch costs u32.
-[[nodiscard]] constexpr std::size_t epoch_wire(Epoch epoch) {
-  return epoch == 0 ? 0 : kEpochWire;
-}
+/// Base of every kind whose body is a field list (all but RingBatch).
+/// wire_size() is the encoder run against a byte-counting sink, so a
+/// message's size and its bytes come from the same list.
+struct FieldMessage : net::Payload {
+  explicit FieldMessage(MsgKind kind) : Payload(kind) {}
+  [[nodiscard]] std::size_t wire_size() const final;
+};
+
+/// Fixes the kind, so each message's default constructor — the decoder's
+/// starting point before it reads the field list — is `= default`.
+template <MsgKind K>
+struct Message : FieldMessage {
+  Message() : FieldMessage(K) {}
+};
 
 /// Client → server: store `value` in register `object`. `req` makes retries
 /// idempotent. `epoch` is the client's view of the deployment.
-struct ClientWrite final : net::Payload {
+struct ClientWrite final : Message<kClientWrite> {
+  ClientWrite() = default;
   ClientWrite(ClientId c, RequestId r, Value v, ObjectId obj, Epoch e = 0)
-      : Payload(kClientWrite), client(c), req(r), value(std::move(v)),
-        object(obj), epoch(e) {}
+      : client(c), req(r), value(std::move(v)), object(obj), epoch(e) {}
 
-  ClientId client;
-  RequestId req;
+  ClientId client = 0;
+  RequestId req = 0;
   Value value;
-  ObjectId object;
-  Epoch epoch;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + 2 * kIdWire +
-           kLenWire + value.size();
-  }
+  static auto layout(auto& m) { return std::tie(m.client, m.req, m.value); }
   [[nodiscard]] std::string describe() const override;
 };
 
 /// Server → client: the write identified by `req` is complete. `epoch` is
 /// the epoch the serving ring completed it in.
-struct ClientWriteAck final : net::Payload {
+struct ClientWriteAck final : Message<kClientWriteAck> {
+  ClientWriteAck() = default;
   explicit ClientWriteAck(RequestId r, ObjectId obj, Epoch e = 0)
-      : Payload(kClientWriteAck), req(r), object(obj), epoch(e) {}
+      : req(r), object(obj), epoch(e) {}
 
-  RequestId req;
-  ObjectId object;
-  Epoch epoch;
+  RequestId req = 0;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + kIdWire;
-  }
+  static auto layout(auto& m) { return std::tie(m.req); }
   [[nodiscard]] std::string describe() const override;
 };
 
 /// Client → server: read register `object`.
-struct ClientRead final : net::Payload {
+struct ClientRead final : Message<kClientRead> {
+  ClientRead() = default;
   ClientRead(ClientId c, RequestId r, ObjectId obj, Epoch e = 0)
-      : Payload(kClientRead), client(c), req(r), object(obj), epoch(e) {}
+      : client(c), req(r), object(obj), epoch(e) {}
 
-  ClientId client;
-  RequestId req;
-  ObjectId object;
-  Epoch epoch;
+  ClientId client = 0;
+  RequestId req = 0;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + 2 * kIdWire;
-  }
+  static auto layout(auto& m) { return std::tie(m.client, m.req); }
   [[nodiscard]] std::string describe() const override;
 };
 
 /// Server → client: read result. The tag rides along for white-box
 /// verification (linearizability checking); a production deployment could
 /// strip it, it is 12 bytes.
-struct ClientReadAck final : net::Payload {
+struct ClientReadAck final : Message<kClientReadAck> {
+  ClientReadAck() = default;
   ClientReadAck(RequestId r, Value v, Tag t, ObjectId obj, Epoch e = 0)
-      : Payload(kClientReadAck), req(r), value(std::move(v)), tag(t),
-        object(obj), epoch(e) {}
+      : req(r), value(std::move(v)), tag(t), object(obj), epoch(e) {}
 
-  RequestId req;
+  RequestId req = 0;
   Value value;
   Tag tag;
-  ObjectId object;
-  Epoch epoch;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + kIdWire +
-           kLenWire + value.size() + kTagWire;
-  }
+  static auto layout(auto& m) { return std::tie(m.req, m.value, m.tag); }
   [[nodiscard]] std::string describe() const override;
 };
 
@@ -162,80 +170,72 @@ struct ClientReadAck final : net::Payload {
 /// epoch) and re-route. Sent instead of serving when a client op arrives
 /// for a register the server does not own, including during the freeze
 /// phase of a live migration (DESIGN.md D8).
-struct EpochNack final : net::Payload {
+struct EpochNack final : Message<kEpochNack> {
+  EpochNack() = default;
   EpochNack(RequestId r, ObjectId obj, Epoch e)
-      : Payload(kEpochNack), req(r), object(obj), epoch(e) {}
+      : req(r), object(obj), epoch(e) {}
 
-  RequestId req;
-  ObjectId object;
-  Epoch epoch;
+  RequestId req = 0;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + kIdWire;
-  }
+  static auto layout(auto& m) { return std::tie(m.req); }
   [[nodiscard]] std::string describe() const override;
 };
 
 /// Ring phase 1: announce `value` under `tag` for register `object` to every
 /// server. The origin is `tag.id`. Carries the writing client's identity so
 /// that completion can be recorded for retry deduplication everywhere.
-struct PreWrite final : net::Payload {
+struct PreWrite final : Message<kPreWrite> {
+  PreWrite() = default;
   PreWrite(Tag t, Value v, ClientId c, RequestId r,
            ObjectId obj, Epoch e = 0)
-      : Payload(kPreWrite), tag(t), value(std::move(v)), client(c), req(r),
-        object(obj), epoch(e) {}
+      : tag(t), value(std::move(v)), client(c), req(r), object(obj), epoch(e) {}
 
   Tag tag;
   Value value;
-  ClientId client;
-  RequestId req;
-  ObjectId object;
-  Epoch epoch;
+  ClientId client = 0;
+  RequestId req = 0;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + kTagWire +
-           2 * kIdWire + kLenWire + value.size();
+  static auto layout(auto& m) {
+    return std::tie(m.tag, m.client, m.req, m.value);
   }
   [[nodiscard]] std::string describe() const override;
 };
 
 /// Ring phase 2: commit the pre-written `tag` of register `object`. Value
 /// intentionally omitted.
-struct WriteCommit final : net::Payload {
+struct WriteCommit final : Message<kWriteCommit> {
+  WriteCommit() = default;
   WriteCommit(Tag t, ClientId c, RequestId r, ObjectId obj, Epoch e = 0)
-      : Payload(kWriteCommit), tag(t), client(c), req(r), object(obj),
-        epoch(e) {}
+      : tag(t), client(c), req(r), object(obj), epoch(e) {}
 
   Tag tag;
-  ClientId client;
-  RequestId req;
-  ObjectId object;
-  Epoch epoch;
+  ClientId client = 0;
+  RequestId req = 0;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + kTagWire +
-           2 * kIdWire;
-  }
+  static auto layout(auto& m) { return std::tie(m.tag, m.client, m.req); }
   [[nodiscard]] std::string describe() const override;
 };
 
 /// Ring repair: predecessor of a crashed server pushes one register's current
 /// state to its new successor so the splice point is at least as fresh as the
 /// sender (one SyncState per touched object). Never forwarded.
-struct SyncState final : net::Payload {
+struct SyncState final : Message<kSyncState> {
+  SyncState() = default;
   SyncState(Tag t, Value v, ObjectId obj, Epoch e = 0)
-      : Payload(kSyncState), tag(t), value(std::move(v)), object(obj),
-        epoch(e) {}
+      : tag(t), value(std::move(v)), object(obj), epoch(e) {}
 
   Tag tag;
   Value value;
-  ObjectId object;
-  Epoch epoch;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + kTagWire +
-           kLenWire + value.size();
-  }
+  static auto layout(auto& m) { return std::tie(m.tag, m.value); }
   [[nodiscard]] std::string describe() const override;
 };
 
@@ -244,20 +244,17 @@ struct SyncState final : net::Payload {
 /// epoch is the epoch the register moves *into* — a destination applies it
 /// while still on the previous epoch (awaiting its flip) and marks the
 /// register migrated. Cross-ring server→server traffic; never batched.
-struct MigrateState final : net::Payload {
+struct MigrateState final : Message<kMigrateState> {
+  MigrateState() = default;
   MigrateState(Tag t, Value v, ObjectId obj, Epoch e)
-      : Payload(kMigrateState), tag(t), value(std::move(v)), object(obj),
-        epoch(e) {}
+      : tag(t), value(std::move(v)), object(obj), epoch(e) {}
 
   Tag tag;
   Value value;
-  ObjectId object;
-  Epoch epoch;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + kTagWire +
-           kLenWire + value.size();
-  }
+  static auto layout(auto& m) { return std::tie(m.tag, m.value); }
   [[nodiscard]] std::string describe() const override;
 };
 
@@ -267,26 +264,21 @@ struct MigrateState final : net::Payload {
 /// into the destination's windows (watermark = max, out-of-order sets
 /// unioned) — a superset is safe: a completed request id names one specific
 /// operation forever.
-struct MigrateDedup final : net::Payload {
+struct MigrateDedup final : Message<kMigrateDedup> {
   struct Window {
     ClientId client = 0;
     RequestId watermark = 0;
     std::vector<RequestId> above;  ///< completed past a still-open gap
   };
 
+  MigrateDedup() = default;
   MigrateDedup(std::vector<Window> w, Epoch e)
-      : Payload(kMigrateDedup), windows(std::move(w)), epoch(e) {}
+      : windows(std::move(w)), epoch(e) {}
 
   std::vector<Window> windows;
-  Epoch epoch;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    std::size_t s = kKindWire + epoch_wire(epoch) + kLenWire;
-    for (const Window& w : windows) {
-      s += 2 * kIdWire + kLenWire + w.above.size() * kIdWire;
-    }
-    return s;
-  }
+  static auto layout(auto& m) { return std::tie(m.windows); }
   [[nodiscard]] std::string describe() const override;
 };
 
@@ -309,43 +301,36 @@ struct FragPart {
   friend bool operator==(const FragPart&, const FragPart&) = default;
 };
 
-/// Wire bytes of a fragment list: u8 part count, then each part.
-[[nodiscard]] inline std::size_t frag_parts_wire(
-    const std::vector<FragPart>& parts) {
-  std::size_t s = 1;
-  for (const FragPart& p : parts) s += 1 + 4 + kLenWire + p.bytes.size();
-  return s;
-}
-
 /// Client → server: one fragment of a coded write. The client encodes the
 /// value into n fragments and sends fragment i to ring member i, so each
 /// server receives |v|/k instead of |v|. Exactly one copy (the sticky
 /// target's) carries `initiate = true` and doubles as the write request;
 /// the others only stage their fragment for the commit to promote.
-struct FragWrite final : net::Payload {
+struct FragWrite final : Message<kFragWrite> {
+  FragWrite() = default;
   FragWrite(ClientId c, RequestId r, std::uint8_t n_, std::uint8_t k_,
             std::uint8_t idx, bool init, std::uint64_t vsize,
             std::uint32_t crc, std::string bytes,
             ObjectId obj, Epoch e = 0)
-      : Payload(kFragWrite), client(c), req(r), n(n_), k(k_), frag_index(idx),
-        initiate(init), value_size(vsize), checksum(crc),
-        frag(std::move(bytes)), object(obj), epoch(e) {}
+      : client(c), req(r), n(n_), k(k_), frag_index(idx), initiate(init),
+        value_size(vsize), checksum(crc), frag(std::move(bytes)), object(obj),
+        epoch(e) {}
 
-  ClientId client;
-  RequestId req;
-  std::uint8_t n;
-  std::uint8_t k;
-  std::uint8_t frag_index;
-  bool initiate;
-  std::uint64_t value_size;
-  std::uint32_t checksum;
+  ClientId client = 0;
+  RequestId req = 0;
+  std::uint8_t n = 0;
+  std::uint8_t k = 0;
+  std::uint8_t frag_index = 0;
+  bool initiate = false;
+  std::uint64_t value_size = 0;
+  std::uint32_t checksum = 0;
   std::string frag;
-  ObjectId object;
-  Epoch epoch;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + 2 * kIdWire +
-           4 + 8 + 4 + kLenWire + frag.size();
+  static auto layout(auto& m) {
+    return std::tie(m.client, m.req, m.n, m.k, m.frag_index, m.initiate,
+                    m.value_size, m.checksum, m.frag);
   }
   [[nodiscard]] std::string describe() const override;
 };
@@ -355,25 +340,25 @@ struct FragWrite final : net::Payload {
 /// the client's FragWrite — so the ring carries only the tag plus the
 /// coding geometry the commit will need. This is what collapses per-server
 /// ring bytes from |v| to O(1) for coded writes.
-struct PreWriteFrag final : net::Payload {
+struct PreWriteFrag final : Message<kPreWriteFrag> {
+  PreWriteFrag() = default;
   PreWriteFrag(Tag t, ClientId c, RequestId r, std::uint8_t n_,
                std::uint8_t k_, std::uint64_t vsize,
                ObjectId obj, Epoch e = 0)
-      : Payload(kPreWriteFrag), tag(t), client(c), req(r), n(n_), k(k_),
-        value_size(vsize), object(obj), epoch(e) {}
+      : tag(t), client(c), req(r), n(n_), k(k_), value_size(vsize), object(obj),
+        epoch(e) {}
 
   Tag tag;
-  ClientId client;
-  RequestId req;
-  std::uint8_t n;
-  std::uint8_t k;
-  std::uint64_t value_size;
-  ObjectId object;
-  Epoch epoch;
+  ClientId client = 0;
+  RequestId req = 0;
+  std::uint8_t n = 0;
+  std::uint8_t k = 0;
+  std::uint64_t value_size = 0;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + kTagWire +
-           2 * kIdWire + 2 + 8;
+  static auto layout(auto& m) {
+    return std::tie(m.tag, m.client, m.req, m.n, m.k, m.value_size);
   }
   [[nodiscard]] std::string describe() const override;
 };
@@ -383,68 +368,65 @@ struct PreWriteFrag final : net::Payload {
 /// server holds at that tag (usually one; more after repair adoption) —
 /// the client completes the read by collecting k distinct fragments via
 /// FragFetch from ring peers.
-struct CodedReadAck final : net::Payload {
+struct CodedReadAck final : Message<kCodedReadAck> {
+  CodedReadAck() = default;
   CodedReadAck(RequestId r, Tag t, std::uint8_t n_, std::uint8_t k_,
                std::uint64_t vsize, std::vector<FragPart> p,
                ObjectId obj, Epoch e = 0)
-      : Payload(kCodedReadAck), req(r), tag(t), n(n_), k(k_),
-        value_size(vsize), parts(std::move(p)), object(obj), epoch(e) {}
+      : req(r), tag(t), n(n_), k(k_), value_size(vsize), parts(std::move(p)),
+        object(obj), epoch(e) {}
 
-  RequestId req;
+  RequestId req = 0;
   Tag tag;
-  std::uint8_t n;
-  std::uint8_t k;
-  std::uint64_t value_size;
+  std::uint8_t n = 0;
+  std::uint8_t k = 0;
+  std::uint64_t value_size = 0;
   std::vector<FragPart> parts;
-  ObjectId object;
-  Epoch epoch;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + kIdWire +
-           kTagWire + 2 + 8 + frag_parts_wire(parts);
+  static auto layout(auto& m) {
+    return std::tie(m.req, m.tag, m.n, m.k, m.value_size, m.parts);
   }
   [[nodiscard]] std::string describe() const override;
 };
 
 /// Client → server: fetch this server's fragments of `object` at exactly
 /// `tag` (the tag a CodedReadAck named). Answered with a FragFetchAck.
-struct FragFetch final : net::Payload {
+struct FragFetch final : Message<kFragFetch> {
+  FragFetch() = default;
   FragFetch(ClientId c, RequestId r, Tag t, ObjectId obj, Epoch e = 0)
-      : Payload(kFragFetch), client(c), req(r), tag(t), object(obj),
-        epoch(e) {}
+      : client(c), req(r), tag(t), object(obj), epoch(e) {}
 
-  ClientId client;
-  RequestId req;
+  ClientId client = 0;
+  RequestId req = 0;
   Tag tag;
-  ObjectId object;
-  Epoch epoch;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + 2 * kIdWire +
-           kTagWire;
-  }
+  static auto layout(auto& m) { return std::tie(m.client, m.req, m.tag); }
   [[nodiscard]] std::string describe() const override;
 };
 
 /// Server → client: the fragments held at the requested tag; empty parts
 /// means "not found" (never stored, or already reclaimed by the GC
 /// watermark — the client restarts the read).
-struct FragFetchAck final : net::Payload {
+struct FragFetchAck final : Message<kFragFetchAck> {
+  FragFetchAck() = default;
   FragFetchAck(RequestId r, Tag t, std::uint64_t vsize,
                std::vector<FragPart> p, ObjectId obj, Epoch e = 0)
-      : Payload(kFragFetchAck), req(r), tag(t), value_size(vsize),
-        parts(std::move(p)), object(obj), epoch(e) {}
+      : req(r), tag(t), value_size(vsize), parts(std::move(p)), object(obj),
+        epoch(e) {}
 
-  RequestId req;
+  RequestId req = 0;
   Tag tag;
-  std::uint64_t value_size;
+  std::uint64_t value_size = 0;
   std::vector<FragPart> parts;
-  ObjectId object;
-  Epoch epoch;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + kIdWire +
-           kTagWire + 8 + frag_parts_wire(parts);
+  static auto layout(auto& m) {
+    return std::tie(m.req, m.tag, m.value_size, m.parts);
   }
   [[nodiscard]] std::string describe() const override;
 };
@@ -455,27 +437,27 @@ struct FragFetchAck final : net::Payload {
 /// back at the origin, the crashed server's fragment `missing_index` is
 /// regenerated and adopted, restoring the code's failure tolerance without
 /// any server ever materialising the value.
-struct FragRepair final : net::Payload {
+struct FragRepair final : Message<kFragRepair> {
+  FragRepair() = default;
   FragRepair(ProcessId o, Tag t, std::uint8_t n_, std::uint8_t k_,
              std::uint8_t missing, std::uint64_t vsize,
              std::vector<FragPart> p, ObjectId obj, Epoch e = 0)
-      : Payload(kFragRepair), origin(o), tag(t), n(n_), k(k_),
-        missing_index(missing), value_size(vsize), parts(std::move(p)),
-        object(obj), epoch(e) {}
+      : origin(o), tag(t), n(n_), k(k_), missing_index(missing),
+        value_size(vsize), parts(std::move(p)), object(obj), epoch(e) {}
 
-  ProcessId origin;
+  ProcessId origin = 0;
   Tag tag;
-  std::uint8_t n;
-  std::uint8_t k;
-  std::uint8_t missing_index;
-  std::uint64_t value_size;
+  std::uint8_t n = 0;
+  std::uint8_t k = 0;
+  std::uint8_t missing_index = 0;
+  std::uint64_t value_size = 0;
   std::vector<FragPart> parts;
-  ObjectId object;
-  Epoch epoch;
+  ObjectId object = kDefaultObject;
+  Epoch epoch = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override {
-    return kKindWire + object_wire(object) + epoch_wire(epoch) + 4 +
-           kTagWire + 3 + 8 + frag_parts_wire(parts);
+  static auto layout(auto& m) {
+    return std::tie(m.origin, m.tag, m.n, m.k, m.missing_index,
+                    m.value_size, m.parts);
   }
   [[nodiscard]] std::string describe() const override;
 };

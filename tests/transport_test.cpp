@@ -425,6 +425,44 @@ TEST(FrameCodec, EveryMsgKindEncodesIdenticallyThroughFrameWriter) {
   }
 }
 
+TEST(FrameCodec, DecoderAcceptsOnlyFramesTheEncoderWrites) {
+  // Decoder fuzz over every kind's frame: every truncation is a
+  // DecodeError, and every single-byte substitution is either a
+  // DecodeError or decodes to a message that re-encodes to exactly the
+  // mutated frame, with wire_size() equal to its length. No other
+  // exception type may escape the decoder.
+  for (std::size_t size : {0ul, 5ul}) {
+    for (const auto& msg : one_of_every_kind(size)) {
+      const std::string frame = core::encode_message(*msg);
+      ASSERT_EQ(msg->wire_size(), frame.size()) << msg->describe();
+      for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+        EXPECT_THROW(
+            (void)core::decode_message(std::string_view(frame).substr(0, cut)),
+            DecodeError)
+            << msg->describe() << " cut=" << cut;
+      }
+      std::string mutated = frame;
+      for (std::size_t pos = 0; pos < frame.size(); ++pos) {
+        for (int b = 0; b < 256; ++b) {
+          mutated[pos] = static_cast<char>(b);
+          if (mutated[pos] == frame[pos]) continue;
+          PayloadPtr back;
+          try {
+            back = core::decode_message(mutated);
+          } catch (const DecodeError&) {
+            continue;
+          }
+          ASSERT_EQ(core::encode_message(*back), mutated)
+              << msg->describe() << " byte " << pos << " := " << b
+              << " decoded as " << back->describe();
+          ASSERT_EQ(back->wire_size(), mutated.size()) << back->describe();
+        }
+        mutated[pos] = frame[pos];
+      }
+    }
+  }
+}
+
 TEST(FrameCodec, ParityHoldsAcrossSegmentBoundaries) {
   // Tiny segments force every message to straddle segment seams, including
   // the patched RingBatch length prefixes (mark_u32 seals segments).

@@ -320,7 +320,7 @@ def self_test(files: dict[str, str]) -> int:
             "kMigrateDedup = 11,\n  kBogusProbe = 12,")),
         # An encode case deleted: coverage drops below the 2-label floor.
         ("msgkind-coverage", patched(
-            "src/core/messages.cpp", "case kClientRead: {",
+            "src/core/messages.cpp", "case kClientRead:",
             "case kClientRead - 0: {")),
         # A naked lock call outside the wrapper.
         ("raii-locking", patched(
