@@ -25,6 +25,23 @@ namespace {
 thread_local NodeLoop* tl_node = nullptr;
 /// The loop this thread runs (null off every loop thread).
 thread_local NodeLoop* tl_loop = nullptr;
+/// The nodes this thread runs inline, outermost first: each holds its run
+/// lock until its run returns.
+thread_local NodeLoop* tl_held[NodeLoop::kMaxInlineDepth] = {};
+thread_local int tl_depth = 0;
+
+/// Drain rounds a holder runs over mail left to it before it hands the rest
+/// to the loop: a write's two send-backs into the ring's first server (the
+/// pre-write's and then the commit's return) each take one. Mail that keeps
+/// arriving past them is other threads' traffic, which the loop takes.
+constexpr int kHolderDrainRounds = 2;
+
+/// Whether this thread holds `n`'s run lock: its own loop's node, or a node
+/// it runs inline further up its stack.
+bool holds(const NodeLoop* n) {
+  return n == tl_loop || std::find(tl_held, tl_held + tl_depth, n) !=
+                             tl_held + tl_depth;
+}
 
 /// Timer heap order: std::*_heap keep the earliest (deadline, arrival) on
 /// top under this "later than" comparison.
@@ -98,14 +115,19 @@ void NodeLoop::post(Mail mail) {
     mailbox_.push_back(std::move(mail));
   }
   // One wake per batch: the loop swaps the whole mailbox out per wake-up.
-  if (was_empty) wake();
+  // A node run inline needs none: its holder drains the mailbox before it
+  // lets go (the seq_cst pair with try_run_inline's release of held_).
+  if (was_empty && !held_.load(std::memory_order_seq_cst)) wake();
 }
 
 template <typename Fn>
 bool NodeLoop::try_run_inline(Fn&& fn) {
   // Only on a parked fd-less loop with nothing queued ahead: that keeps one
-  // caller's closures in call order and every link FIFO.
-  if (epoll_fd_ >= 0 || !parked_.load(std::memory_order_acquire)) {
+  // caller's closures in call order and every link FIFO. A node this thread
+  // already holds is never re-entered (a held std::mutex is not try-locked
+  // again), and runs nest at most kMaxInlineDepth deep.
+  if (epoll_fd_ >= 0 || !parked_.load(std::memory_order_acquire) ||
+      tl_depth == kMaxInlineDepth || holds(this)) {
     return false;
   }
   const sync::MutexTryLock run(run_mu_);
@@ -113,23 +135,40 @@ bool NodeLoop::try_run_inline(Fn&& fn) {
       !mailbox_empty()) {
     return false;
   }
+  // From here posts skip the futex wake and leave their mail to this thread.
+  held_.store(true, std::memory_order_seq_cst);
   // The work sees itself on this node (own-node lookups, direct timer
   // pushes) exactly as a handler would; the caller's node comes back after.
   NodeLoop* const caller = tl_node;
   tl_node = this;
+  tl_held[tl_depth++] = this;
   if (up()) fn();
-  tl_node = caller;
   settle(1);
-  if (!timers_.empty() && timers_.front().at < park_deadline_) wake();
+  // Mail posted meanwhile — a send back into this node from a run nested
+  // inside this one, or another thread's — is handled here, before the loop
+  // could take it.
+  for (int round = 0; round < kHolderDrainRounds && !mailbox_empty();
+       ++round) {
+    drain_mailbox(*hooks_);
+  }
+  --tl_depth;
+  tl_node = caller;
+  // Posted after this store, mail wakes the loop itself; posted before it,
+  // this check sees it and hands it over with one wake. The loop sleeps in
+  // park() throughout, so other wakes (stop(), a timer) reach it directly.
+  held_.store(false, std::memory_order_seq_cst);
+  if (!mailbox_empty() ||
+      (!timers_.empty() && timers_.front().at < park_deadline_)) {
+    wake();
+  }
   return true;
 }
 
 void NodeLoop::deliver(NodeAddress from, PayloadPtr msg) {
   expect();
-  // Inline only for a loop thread doing its own node's work (not an inline
-  // run, so runs never nest), and never into that node itself.
-  if (tl_loop != nullptr && tl_node == tl_loop && tl_loop != this &&
-      try_run_inline([&] {
+  // Inline only from a thread doing some node's work: a loop thread, or a
+  // run already inline on this thread (nested up to the depth bound).
+  if (tl_node != nullptr && try_run_inline([&] {
         const std::size_t bytes = msg->wire_size();
         dispatch(from, std::move(msg), bytes);
       })) {
@@ -232,6 +271,7 @@ void NodeLoop::dispatch(NodeAddress from, PayloadPtr msg, std::size_t bytes) {
 }
 
 void NodeLoop::start(Hooks& hooks, const std::atomic<bool>& stopping) {
+  hooks_ = &hooks;
   thread_ = std::thread([this, &hooks, &stopping] { run(hooks, stopping); });
 }
 

@@ -24,17 +24,32 @@
 // inline, on the thread that hands it over, when that thread wins a
 // try-lock of the run lock (so the loop cannot resume underneath it). Two
 // hand-overs qualify:
-//   - execute() from a thread doing no node's work (not a loop thread);
-//   - a message from a loop thread doing its own node's work (a message, a
-//     timer, a crash notice or a drained execute() closure) to another node.
-// The inline run switches the thread's current node to the destination and
-// back, counts as accepted work until it returns, and wakes the loop only
-// if it armed a timer earlier than the deadline the loop sleeps until.
-// Everything else is posted: foreign-thread messages, self-sends, and every
-// hand-over made inside an inline run — so runs never nest and a thread
-// holds at most two run locks. The empty-mailbox rule keeps one caller's
-// closures in call order and every link FIFO: a parked loop has handled
-// everything posted to it before.
+//   - execute() from a thread doing no node's work (a caller, not a loop
+//     thread or a run already inline);
+//   - a message from a thread doing some node's work — its own loop's node,
+//     or a node it runs inline, a caller's execute() run included — to a
+//     node the thread does not hold already.
+// Runs nest: a message sent inside an inline run may run inline too, up to
+// kMaxInlineDepth runs deep on one thread, and is posted beyond that. So on
+// an idle ring a caller's execute() runs client → s0 → s1 → s2 on its own
+// thread. The inline run switches the thread's current node to the
+// destination and back and counts as accepted work until it returns.
+//
+// The holder drains: while a thread runs a node inline, posts to that node
+// skip the futex wake and leave their mail to the thread. That covers a
+// send back into a node held further up the stack (s2 → s0 above: never
+// re-entered, it is posted) and other threads' mail. Before it releases the
+// run lock the holder drains the node's mailbox, for a bounded number of
+// rounds, and hands what is left to the loop with one wake — as it does if
+// it armed a timer earlier than the deadline the loop sleeps until. The loop
+// itself stays parked throughout, so a wake that is not mail (stop()) still
+// reaches it and it resumes once the holder lets go.
+//
+// Everything else is posted: foreign-thread messages, self-sends,
+// execute() from a thread doing a node's work, and every TCP hand-over. The
+// empty-mailbox rule keeps one caller's closures in call order and every
+// link FIFO: a parked loop has handled everything posted to it before, and
+// a held node takes no second inline run until its holder has drained it.
 //
 // LoopTransport is the core both transports share around their loops: the
 // node registry (a handler addressing its own node skips the registry
@@ -91,6 +106,10 @@ class NodeLoop {
     /// The loop is exiting because the transport stops.
     virtual void on_stop(NodeLoop& /*n*/) {}
   };
+
+  /// How many inline runs one thread may nest (see the file comment): a
+  /// client plus a full circulation of a ring of up to seven servers.
+  static constexpr int kMaxInlineDepth = 8;
 
   /// `owner` identifies the transport hosting the node (see current()).
   NodeLoop(const void* owner, NodeAddress addr,
@@ -223,6 +242,11 @@ class NodeLoop {
   std::atomic<std::uint32_t> wake_seq_{0};
   /// Between releasing the run lock to park and taking it back.
   std::atomic<bool> parked_{false};
+  /// While another thread runs this (parked) node inline: posts leave their
+  /// mail to that thread instead of waking the loop.
+  std::atomic<bool> held_{false};
+  /// The transport's hooks, set by start(); a holder drains mail with them.
+  Hooks* hooks_ = nullptr;
 
   mutable sync::Mutex mu_;
   std::vector<Mail> mailbox_ HTS_GUARDED_BY(mu_);

@@ -13,9 +13,10 @@
 // (net/node_loop.h), so all three handlers of a node, and the closures
 // execute() hands it, run serialized with one another, and its timers and
 // crash notices live on that loop's heap. The state machines stay
-// single-threaded. Handlers run on the node's own loop thread; an execute()
-// closure may instead run on its caller's thread while an in-memory node's
-// loop is parked, holding the loop off until it returns.
+// single-threaded. Timer and crash handlers run on the node's own loop
+// thread. A message or an execute() closure for an idle in-memory node may
+// instead run inline on the thread that hands it over, holding the node's
+// loop off until it returns; send() and execute() below state when.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +38,10 @@ class Transport : public obs::LinkStatsSource {
 
   ~Transport() override = default;
 
-  /// Registers a node. All three handlers run on the node's loop thread;
-  /// crash/timer handlers may be null. Registration while the
-  /// transport is running is allowed (live reconfiguration spawns the
-  /// servers of a new ring this way).
+  /// Registers a node. Its handlers run serialized, on its loop thread or
+  /// inline as send() and execute() describe; crash/timer handlers may be
+  /// null. Registration while the transport is running is allowed (live
+  /// reconfiguration spawns the servers of a new ring this way).
   virtual void register_node(NodeAddress addr, MessageHandler on_message,
                              CrashHandler on_crash = nullptr,
                              TimerHandler on_timer = nullptr) = 0;
@@ -50,17 +51,25 @@ class Transport : public obs::LinkStatsSource {
 
   /// Reliable FIFO send. Messages to crashed or unknown nodes are dropped.
   /// A self-send (from == to) is delivered through the node's mailbox,
-  /// without serialization. Always asynchronous: the handler never runs on
-  /// the calling thread.
+  /// without serialization. Sent from a thread that is doing some node's
+  /// work (a handler, or a run already inline on it), the destination's
+  /// handler may run inline on that thread before send() returns: when the
+  /// destination's loop watches no fd, is parked with an empty mailbox and
+  /// is not held by this thread, up to a fixed nesting depth
+  /// (net/node_loop.h has the rule). Otherwise — a foreign thread, a
+  /// self-send, any TCP node — the message is posted to the loop. The
+  /// sender must hold no lock that the destination's handler takes.
   virtual void send(NodeAddress from, NodeAddress to, PayloadPtr msg) = 0;
 
   /// Runs `fn` serialized with `node`'s handlers, as one more handler would
   /// run: on the node's loop thread, or inline on the calling thread when
-  /// the node's loop watches no fd, is parked with an empty mailbox, and the
-  /// caller is not a loop thread. One thread's closures run in call order.
-  /// Counted as work for wait_quiescent() until `fn` returns; dropped unrun
-  /// if the node is crashed or unknown. The caller must hold no lock that
-  /// `fn` takes.
+  /// the caller is doing no node's work and the node qualifies as for
+  /// send(). Sends `fn` makes then follow send()'s rule, and mail they bring
+  /// back to the node is handled, for a bounded number of rounds, before
+  /// execute() returns (net/node_loop.h). One thread's closures run in call
+  /// order. Counted as work for wait_quiescent() until `fn` returns; dropped
+  /// unrun if the node is crashed or unknown. The caller must hold no lock
+  /// that `fn` takes.
   virtual void execute(NodeAddress node, std::function<void()> fn) = 0;
 
   /// Arms a one-shot timer for `addr` (fired on its loop thread).

@@ -1,5 +1,12 @@
 // Unit tests for the common module: tags, values, serialization, rng,
 // metrics.
+//
+// hts_common is header-only: its standalone headers come first here, so an
+// include or annotation regression in them breaks this TU.
+#include "common/clock.h"
+#include "common/logging.h"
+#include "common/thread_annotations.h"
+
 #include <gtest/gtest.h>
 
 #include <array>

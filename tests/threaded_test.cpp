@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -28,6 +30,53 @@ TEST(ThreadedCluster, SequentialReadWrite) {
   EXPECT_EQ(r.value, Value::synthetic(2, 128));
   EXPECT_EQ(r.tag, (Tag{2, 0}));
 
+  auto verdict = lincheck::check_register(cluster.history());
+  EXPECT_TRUE(verdict.linearizable) << verdict.explanation;
+}
+
+TEST(ThreadedCluster, IdleRingCompletesAnOpBeforeTheCallReturns) {
+  // On a quiescent in-memory cluster every loop is parked, so a caller's
+  // async_write or async_read runs client → s0 → s1 → s2 inline on the
+  // caller's own thread, and each node's holder drains the sends back into
+  // it: the returned future is already ready. A loop that has not parked
+  // yet (or a retry timer firing) posts instead, so each op may retry.
+  ThreadedClusterConfig cfg;
+  cfg.n_servers = 3;
+  ThreadedCluster cluster(cfg);
+  auto& client = cluster.add_client(0);
+  cluster.start();
+  const auto settle = [&] {
+    const bool quiet = cluster.wait_quiescent(5.0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return quiet;
+  };
+  constexpr int kOps = 10;
+  constexpr int kAttempts = 5;
+  std::uint64_t seed = 0;
+  for (int op = 0; op < kOps; ++op) {
+    bool write_ready = false;
+    for (int i = 0; i < kAttempts && !write_ready; ++i) {
+      ASSERT_TRUE(settle());
+      auto fut = client.async_write(kDefaultObject,
+                                    Value::synthetic(++seed, 64));
+      write_ready = fut.wait_for(std::chrono::seconds(0)) ==
+                    std::future_status::ready;
+      ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)),
+                std::future_status::ready);
+    }
+    EXPECT_TRUE(write_ready) << "write " << op << " returned a pending future";
+    bool read_ready = false;
+    for (int i = 0; i < kAttempts && !read_ready; ++i) {
+      ASSERT_TRUE(settle());
+      auto fut = client.async_read(kDefaultObject);
+      read_ready = fut.wait_for(std::chrono::seconds(0)) ==
+                   std::future_status::ready;
+      ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)),
+                std::future_status::ready);
+      EXPECT_EQ(fut.get().value.synthetic_seed(), seed);
+    }
+    EXPECT_TRUE(read_ready) << "read " << op << " returned a pending future";
+  }
   auto verdict = lincheck::check_register(cluster.history());
   EXPECT_TRUE(verdict.linearizable) << verdict.explanation;
 }

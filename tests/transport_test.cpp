@@ -197,39 +197,215 @@ TEST(InMemTransport, HandlerSendIntoAParkedLoopRunsInlineAndIsWork) {
   t.stop();
 }
 
-TEST(InMemTransport, SendsInsideAnInlineRunArePosted) {
-  // a → b runs inline on a's loop thread; b's own send to c, made inside
-  // that run, is posted: c's handler runs on c's loop, never nested on a's.
+TEST(InMemTransport, InlineRunsNestUpToTheDepthBound) {
+  // A chain n0 → n1 → … → n(kMax+1), kicked on n0's loop: every hop into a
+  // parked node runs inline on the thread that sends it, nested inside the
+  // run that sent it, until kMaxInlineDepth runs are open; the next hop is
+  // posted and runs on its own node's loop.
+  constexpr int kMax = NodeLoop::kMaxInlineDepth;
+  constexpr int kNodes = kMax + 2;
+  InMemTransport t(0.001);
+  std::vector<std::atomic<std::thread::id>> ran_on(kNodes);
+  for (int i = 0; i < kNodes; ++i) {
+    const NodeAddress self = NodeAddress::server(static_cast<ProcessId>(i));
+    t.register_node(self, [&t, &ran_on, i, self](NodeAddress, PayloadPtr m) {
+      ran_on[i] = std::this_thread::get_id();
+      if (i + 1 < kNodes) {
+        t.send(self, NodeAddress::server(static_cast<ProcessId>(i + 1)),
+               std::move(m));
+      }
+    });
+  }
+  t.start();
+  // Until every node has parked some hops are mail: retry until one chain
+  // nested all the way to the bound.
+  bool nested_to_bound = false;
+  for (int round = 0; round < 20 && !nested_to_bound; ++round) {
+    ASSERT_TRUE(settle_and_park(t));
+    for (auto& r : ran_on) r = std::thread::id{};
+    t.send(NodeAddress::server(0), NodeAddress::server(0), ping(1));
+    ASSERT_TRUE(t.wait_quiescent(5.0));
+    const std::thread::id n0 = ran_on[0].load();
+    nested_to_bound = true;
+    for (int i = 1; i <= kMax; ++i) {
+      nested_to_bound = nested_to_bound && ran_on[i].load() == n0;
+    }
+    EXPECT_NE(ran_on[kMax + 1].load(), n0)
+        << "a run nested deeper than kMaxInlineDepth";
+    EXPECT_NE(ran_on[kMax + 1].load(), std::thread::id{});
+  }
+  EXPECT_TRUE(nested_to_bound) << "no chain ran inline down to the bound";
+  t.stop();
+}
+
+TEST(InMemTransport, SendBackIntoAHeldNodeRunsOnItsHolder) {
+  // a → b → c runs on a's loop thread, each hop nested in the one before.
+  // c's reply to b finds b held by that thread: it is never re-entered and
+  // never handed to b's loop; the holder handles it after b's run, before it
+  // lets go of b — so before a's send returns.
   InMemTransport t(0.001);
   const NodeAddress a = NodeAddress::server(0);
   const NodeAddress b = NodeAddress::server(1);
   const NodeAddress c = NodeAddress::server(2);
-  std::atomic<std::thread::id> a_loop{}, b_ran_on{}, c_ran_on{};
+  std::atomic<std::thread::id> a_loop{}, b_loop{}, c_ran_on{}, back_ran_on{};
+  std::atomic<bool> a_returned{false}, back_before_return{false};
   t.register_node(a, [&](NodeAddress, PayloadPtr m) {
     a_loop = std::this_thread::get_id();
     t.send(a, b, std::move(m));
+    a_returned = true;
   });
-  t.register_node(b, [&](NodeAddress, PayloadPtr m) {
-    b_ran_on = std::this_thread::get_id();
-    t.send(b, c, std::move(m));
+  t.register_node(b, [&](NodeAddress from, PayloadPtr m) {
+    if (from == b) {
+      b_loop = std::this_thread::get_id();
+    } else if (from == a) {
+      t.send(b, c, std::move(m));
+    } else {
+      back_ran_on = std::this_thread::get_id();
+      back_before_return = !a_returned.load();
+    }
   });
-  t.register_node(c, [&](NodeAddress, PayloadPtr) {
+  t.register_node(c, [&](NodeAddress from, PayloadPtr m) {
     c_ran_on = std::this_thread::get_id();
+    t.send(c, from, std::move(m));
   });
   t.start();
-  int inline_runs = 0;
-  for (int i = 0; i < 20; ++i) {
+  t.send(b, b, ping(0));  // learns b's loop thread
+  ASSERT_TRUE(t.wait_quiescent(5.0));
+  ASSERT_NE(b_loop.load(), std::thread::id{});
+
+  bool nested = false;
+  for (int i = 0; i < 20 && !nested; ++i) {
     ASSERT_TRUE(settle_and_park(t));
-    c_ran_on = std::thread::id{};
-    t.send(a, a, ping(static_cast<RequestId>(i)));
+    a_returned = false;
+    back_ran_on = std::thread::id{};
+    t.send(a, a, ping(1));
     ASSERT_TRUE(t.wait_quiescent(5.0));
-    ASSERT_NE(c_ran_on.load(), std::thread::id{});
-    EXPECT_NE(c_ran_on.load(), a_loop.load()) << "an inline run nested";
-    EXPECT_NE(c_ran_on.load(), b_ran_on.load());
-    if (b_ran_on.load() == a_loop.load()) ++inline_runs;
+    ASSERT_NE(back_ran_on.load(), std::thread::id{});
+    EXPECT_NE(back_ran_on.load(), b_loop.load())
+        << "the send back was handed to b's loop";
+    nested = c_ran_on.load() == a_loop.load();
+    if (nested) {
+      EXPECT_EQ(back_ran_on.load(), a_loop.load())
+          << "the send back did not run on b's holder";
+      EXPECT_TRUE(back_before_return.load())
+          << "the holder let go of b before handling the send back";
+    }
   }
-  EXPECT_GT(inline_runs, 0) << "a → b never ran inline";
+  EXPECT_TRUE(nested) << "a → b → c never nested on a's loop thread";
   t.stop();
+}
+
+TEST(InMemTransport, LinksStayFifoAlongANestedThreeHopChain) {
+  // Two sources each send a numbered stream to one relay, which forwards
+  // every message to one sink: source → relay → sink, three hops whose
+  // deliveries nest on the source's thread when both are parked and free,
+  // and are posted (or left to a holder) when they are not. Each source's
+  // stream must reach the sink in order. Every loop runs on its own CPU;
+  // the sink now and then sleeps, so hops find it held.
+  constexpr int kSources = 2;
+  constexpr RequestId kPerSource = 3000;
+  constexpr RequestId kStride = 1'000'000;  // req = source * kStride + seq
+  InMemTransport t(0.001);
+  const NodeAddress relay = NodeAddress::server(0);
+  const NodeAddress sink = NodeAddress::server(1);
+  // Written only by the sink's handler, whose runs never overlap, and read
+  // by this thread while every node is quiescent.
+  std::map<RequestId, std::vector<RequestId>> got;
+  std::atomic<std::thread::id> sink_loop{};
+  std::vector<std::atomic<std::thread::id>> source_loop(kSources + 2);
+  std::uint64_t nested = 0;
+  t.register_node(relay, [&](NodeAddress from, PayloadPtr m) {
+    if (from == relay) {
+      pin_to_cpu(0);
+      return;
+    }
+    t.send(relay, sink, std::move(m));
+  });
+  t.register_node(sink, [&](NodeAddress from, PayloadPtr m) {
+    if (from == sink) {
+      sink_loop = std::this_thread::get_id();
+      pin_to_cpu(1);
+      return;
+    }
+    const RequestId r = req_of(*m);
+    got[r / kStride].push_back(r % kStride);
+    const std::thread::id here = std::this_thread::get_id();
+    if (here != sink_loop.load()) {
+      for (const auto& s : source_loop) nested += s.load() == here ? 1 : 0;
+    }
+    if (r % 8 == 0) std::this_thread::sleep_for(std::chrono::microseconds(50));
+  });
+  for (ProcessId p = 2; p < kSources + 2; ++p) {
+    const NodeAddress self = NodeAddress::server(p);
+    t.register_node(self, [&, self, p](NodeAddress, PayloadPtr) {
+      source_loop[p] = std::this_thread::get_id();
+      pin_to_cpu(p);
+      for (RequestId r = 1; r <= kPerSource; ++r) {
+        t.send(self, relay, ping(p * kStride + r));
+      }
+    });
+  }
+  t.start();
+  t.send(relay, relay, ping(0));
+  t.send(sink, sink, ping(0));
+  for (int storm = 0; storm < 3; ++storm) {
+    ASSERT_TRUE(settle_and_park(t));
+    got.clear();
+    for (ProcessId p = 2; p < kSources + 2; ++p) {
+      t.send(NodeAddress::server(p), NodeAddress::server(p), ping(0));
+    }
+    ASSERT_TRUE(t.wait_quiescent(30.0));
+    for (ProcessId p = 2; p < kSources + 2; ++p) {
+      const std::vector<RequestId>& seq = got[p];
+      ASSERT_EQ(seq.size(), kPerSource) << "source " << p;
+      for (RequestId r = 1; r <= kPerSource; ++r) {
+        ASSERT_EQ(seq[r - 1], r) << "source " << p << " out of order";
+      }
+    }
+  }
+  EXPECT_GT(nested, 0u) << "no delivery nested source → relay → sink";
+  t.stop();
+}
+
+TEST(InMemTransport, StopReturnsWhileAForeignThreadHoldsANode) {
+  // A caller's execute() runs inline on a parked node and holds it 200 ms.
+  // stop() from another thread meanwhile must still reach the node's loop:
+  // it returns once the closure has.
+  InMemTransport t(0.001);
+  const NodeAddress a = NodeAddress::client(1);
+  t.register_node(a, [](NodeAddress, PayloadPtr) {});
+  t.start();
+  std::atomic<bool> entered{false}, held_inline{false};
+  std::thread caller;
+  for (int i = 0; i < 20 && !held_inline.load(); ++i) {
+    if (caller.joinable()) caller.join();
+    ASSERT_TRUE(settle_and_park(t));
+    entered = false;
+    caller = std::thread([&] {
+      const std::thread::id self = std::this_thread::get_id();
+      t.execute(a, [&, self] {
+        held_inline = std::this_thread::get_id() == self;
+        entered = true;
+        if (held_inline.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        }
+      });
+    });
+    ASSERT_TRUE(within_ms(5000, [&] { return entered.load(); }));
+  }
+  ASSERT_TRUE(held_inline.load()) << "execute() never ran inline";
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    t.stop();
+    stopped = true;
+  });
+  const bool returned = within_ms(5000, [&] { return stopped.load(); });
+  EXPECT_TRUE(returned) << "stop() lost its wake to the holder";
+  // On failure, unstick the parked loop with a timer's mail so the test
+  // ends instead of hanging in join.
+  if (!returned) t.arm_timer(a, 0.0, 1);
+  stopper.join();
+  caller.join();
 }
 
 TEST(InMemTransport, ForeignThreadSendsAreNeverRunInline) {
