@@ -172,7 +172,7 @@ void ProcCluster::start() {
   copts.retry_timeout = cfg_.client_retry_timeout_s;
   copts.max_inflight = 8;
   client_ = std::make_unique<TransportClientHost>(
-      *transport_, 0, copts, clk::steady_now(), /*history=*/nullptr);
+      *transport_, core::ClientSession(0, copts), /*history=*/nullptr);
   client_->register_node();
   transport_->start();  // mesh retries until every child is listening
   started_ = true;

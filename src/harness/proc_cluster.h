@@ -30,11 +30,10 @@
 
 #include "common/types.h"
 #include "common/value.h"
+#include "harness/transport_hosts.h"
 #include "net/transport.h"
 
 namespace hts::harness {
-
-class TransportClientHost;
 
 struct ProcClusterConfig {
   std::size_t n_servers = 3;

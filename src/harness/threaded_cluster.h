@@ -1,13 +1,12 @@
-// ThreadedCluster — hosts the ring protocol on a net::Transport (in-memory
-// queues, or loopback TCP in tcp mode): every server and every client runs
-// on its own loop, exactly one protocol event at a time, with reliable FIFO
-// links. This is the fabric for integration/stress tests under real
-// concurrency and for the runnable examples (it offers a blocking client
-// API). Servers and sessions live in the shared transport hosts
-// (harness/transport_hosts.h), the same ones ProcCluster runs; the view,
-// session options, probes and metrics export are the DeploymentCore it
-// shares with SimCluster. What is left here is the blocking client handle
-// and the migration control plane.
+// ThreadedCluster — hosts the ring protocol on a live net::Transport
+// (in-memory queues, or loopback TCP in tcp mode): every server and every
+// client runs on its own loop, exactly one protocol event at a time, with
+// reliable FIFO links. This is the fabric for integration/stress tests under
+// real concurrency and for the runnable examples (it offers a blocking
+// client API). It is a thin shell over DeploymentCore, the deployment it
+// shares with SimCluster — transport hosts, view, probes, coordinator
+// driver, traffic and metrics export; what is left here is the choice of
+// transport, the blocking client handle and the lincheck history.
 //
 // Like SimCluster, the cluster is constructed from a core::Topology — R
 // independent rings (heterogeneous sizes allowed) behind the deterministic
@@ -18,33 +17,27 @@
 //
 // Live reconfiguration (DESIGN.md §Reconfiguration, D8): add_ring() /
 // remove_last_ring() block the calling thread while the freeze → copy →
-// flip migration runs against live traffic. The decisions are
-// core::MigrationCoordinator's; this fabric only executes its commands.
-// Server-side commands travel as closures executed on the target server's
-// own loop (Transport::execute), so the single-threaded state-machine
-// discipline holds throughout. Retired global ids are never reused: a grow
-// after a shrink is rejected before anything is spawned.
+// flip migration runs against live traffic. Server-side commands travel as
+// closures executed on the target server's own loop (Transport::execute),
+// so the single-threaded state-machine discipline holds throughout. Retired
+// global ids are never reused: a grow after a shrink is rejected before
+// anything is spawned.
 #pragma once
 
-#include <atomic>
 #include <future>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "code/policy.h"
-#include "common/clock.h"
 #include "common/types.h"
 #include "common/value.h"
 #include "core/client.h"
-#include "core/reconfig.h"
 #include "core/server.h"
 #include "core/topology.h"
 #include "harness/deployment_core.h"
-#include "harness/ring_traffic.h"
 #include "harness/transport_hosts.h"
 #include "lincheck/history.h"
-#include "net/transport.h"
 #include "obs/probe.h"
 
 namespace hts::harness {
@@ -91,13 +84,11 @@ struct ThreadedClusterConfig {
   }
 };
 
-class ThreadedCluster {
+class ThreadedCluster final : public DeploymentCore {
  public:
-  explicit ThreadedCluster(ThreadedClusterConfig cfg);
-  ~ThreadedCluster();
-
-  ThreadedCluster(const ThreadedCluster&) = delete;
-  ThreadedCluster& operator=(const ThreadedCluster&) = delete;
+  explicit ThreadedCluster(const ThreadedClusterConfig& cfg);
+  /// Stops the transport while the history its clients record into lives.
+  ~ThreadedCluster() override;
 
   /// Client handle over one pipelined session. The blocking calls are
   /// thread-safe for one caller at a time; the async_* calls may be issued
@@ -129,51 +120,21 @@ class ThreadedCluster {
   /// cluster's lifetime.
   BlockingClient& add_client(ProcessId preferred_server);
 
-  void start();
+  void start() { transport().start(); }
 
-  /// Crash-stops a server (global id); its ring peers are notified after the
-  /// detection delay. Other rings never notice — shards fail independently.
-  void crash_server(ProcessId p);
-
-  [[nodiscard]] bool server_up(ProcessId p) const;
-
-  // ---------- live reconfiguration (DESIGN.md D8) ----------
-  //
   // Threading contract: one controlling thread drives the cluster —
   // add_client/start/crash_server/add_ring/remove_last_ring and the
   // unlocked introspection accessors (topology(), n_servers(),
   // reconfig_stats(), server()) all belong to it. A *different* thread
   // observing a blocking reconfiguration in progress may only use the
-  // locked observers view() and rings_by_epoch(). Concurrent
-  // reconfigurations are rejected at runtime.
-
-  /// Grows the deployment by one ring of `n_servers`, live: spawns the
-  /// servers (threads and all), migrates the reassigned registers onto them
-  /// under traffic, and flips every server to the next epoch. Blocks until
-  /// the flip completes and returns the new epoch. Call after start(); one
-  /// reconfiguration at a time.
-  Epoch add_ring(std::size_t n_servers);
-
-  /// Shrinks by retiring the last ring, live: migrates its registers back
-  /// to the survivors, flips, then crash-stops the retired servers (their
-  /// ring-local detection fires only among themselves). Blocks until done.
-  Epoch remove_last_ring();
-
-  [[nodiscard]] core::ClusterView view() const { return core_.view(); }
-  [[nodiscard]] const core::MigrationStats& reconfig_stats() const {
-    return core_.migration_stats;
-  }
-  /// Ring count per epoch so far (input for the epoch-aware lincheck pass).
-  [[nodiscard]] std::vector<std::size_t> rings_by_epoch() const {
-    return core_.rings_by_epoch();
-  }
+  // locked observers view() and rings_by_epoch(). add_ring() and
+  // remove_last_ring() (DeploymentCore) block until the flip; call them
+  // after start().
 
   /// Blocks until all queues drain (no protocol work left).
-  bool wait_quiescent(double timeout_s);
-
-  /// Server introspection by global id — only meaningful while quiescent.
-  /// RingServer::id() is the server's local (in-ring) index.
-  [[nodiscard]] core::RingServer& server(ProcessId p);
+  bool wait_quiescent(double timeout_s) {
+    return transport().wait_quiescent(timeout_s);
+  }
 
   /// Snapshot of the recorded operation history. Ops carry the ring that
   /// served them (from the replying server's global id) and the epoch.
@@ -181,47 +142,10 @@ class ThreadedCluster {
     return history_.snapshot();
   }
 
-  /// Servers ever spawned (a retired ring keeps its slots, marked down).
-  [[nodiscard]] std::size_t n_servers() const { return servers_.size(); }
-  [[nodiscard]] const core::Topology& topology() const { return core_.topo; }
-
-  /// Ring egress of shard `r`: transmissions/bytes the ring's servers handed
-  /// to the transport, plus their protocol message/batch stats. Read while
-  /// quiescent.
-  [[nodiscard]] RingTraffic ring_traffic(RingId r) const;
-  [[nodiscard]] std::vector<RingTraffic> traffic_per_ring() const;
-
-  /// Snapshots the deployment into the configured recorder's registry —
-  /// the same metric names SimCluster::export_metrics emits (per-server
-  /// stats, client session counters, per-node transport link counters under
-  /// "net.host.*", per-ring traffic, view epoch). Call while quiescent;
-  /// idempotent; no-op without a recorder.
-  void export_metrics();
-
  private:
-  /// Creates one server host, installs `boot` (and begins the change to
-  /// `next`, if any) before the node can receive traffic, and registers it.
-  void spawn_server(ProcessId local, std::size_t ring_size, ProcessId global,
-                    ProcessId ring_base, core::ServerView boot,
-                    std::optional<core::ServerView> next = std::nullopt);
-  /// Executes `coord`'s commands — server-side ones as control messages on
-  /// each server's own thread — until the flip completes.
-  Epoch run_coordinator(core::MigrationCoordinator& coord);
-
-  ThreadedClusterConfig cfg_;
-  // The view and rings-per-epoch table inside core_ are locked; the rest of
-  // it belongs to the controlling thread (see the threading contract above).
-  DeploymentCore core_;
-  std::unique_ptr<net::Transport> transport_;
-  clk::SteadyTime epoch_;
-  std::vector<std::unique_ptr<TransportServerHost>> servers_;
-  std::vector<std::unique_ptr<TransportClientHost>> clients_;
+  const bool record_history_;
   std::vector<std::unique_ptr<BlockingClient>> handles_;
   HistorySink history_;
-  // Migration egress, counted on the servers' threads, read after the flip.
-  std::atomic<std::uint64_t> migrate_bytes_{0};
-  std::atomic<std::uint64_t> dedup_bytes_{0};
-  std::atomic<bool> migrating_{false};  ///< rejects concurrent reconfigs
 };
 
 }  // namespace hts::harness

@@ -1,7 +1,5 @@
 #include "harness/transport_hosts.h"
 
-#include <chrono>
-#include <stdexcept>
 #include <utility>
 
 #include "core/messages.h"
@@ -40,39 +38,36 @@ TransportServerHost::TransportServerHost(net::Transport& t, ProcessId local,
 
 void TransportServerHost::register_node() {
   transport.register_node(
-      net::NodeAddress::server(global),
+      addr(),
       [this](net::NodeAddress, net::PayloadPtr m) {
-        on_message(std::move(m));
+        server.on_message(std::move(m), *this);
+        transport.pull_egress(addr());
       },
-      [this](ProcessId crashed) { on_crash(crashed); });
+      [this](ProcessId p) {
+        // Host-local ring bounds: the cluster topology may be mid-change.
+        if (p == global || p < ring_base || p >= ring_base + ring_size) return;
+        server.on_peer_crash(static_cast<ProcessId>(p - ring_base), *this);
+        transport.pull_egress(addr());
+      },
+      nullptr, [this] { return send_one_batch(); });
 }
 
-void TransportServerHost::on_message(net::PayloadPtr msg) {
-  server.on_message(std::move(msg), *this);
-  drain();
-}
-
-void TransportServerHost::on_crash(ProcessId p) {
-  // Host-local ring bounds: the cluster topology may be mid-change.
-  if (p == global || p < ring_base || p >= ring_base + ring_size) return;
-  server.on_peer_crash(static_cast<ProcessId>(p - ring_base), *this);
-  drain();
-}
-
-void TransportServerHost::drain() {
-  while (auto batch = server.next_ring_batch()) {
-    const auto to = static_cast<ProcessId>(ring_base + batch->to);
-    auto wire = std::move(*batch).into_wire();
-    ring_transmissions.fetch_add(1, std::memory_order_relaxed);
-    ring_bytes.fetch_add(wire->wire_size(), std::memory_order_relaxed);
-    transport.send(net::NodeAddress::server(global),
-                   net::NodeAddress::server(to), std::move(wire));
-  }
+bool TransportServerHost::send_one_batch() {
+  // A single-message batch goes on the wire unwrapped, so max_batch = 1
+  // reproduces the unbatched protocol bit-for-bit. Ring traffic never
+  // crosses rings: the successor's local id maps into this ring's block.
+  auto batch = server.next_ring_batch();
+  if (!batch) return false;
+  const auto to = static_cast<ProcessId>(ring_base + batch->to);
+  auto wire = std::move(*batch).into_wire();
+  ring_transmissions.fetch_add(1, std::memory_order_relaxed);
+  ring_bytes.fetch_add(wire->wire_size(), std::memory_order_relaxed);
+  transport.send(addr(), net::NodeAddress::server(to), std::move(wire));
+  return true;
 }
 
 void TransportServerHost::send_client(ClientId client, net::PayloadPtr msg) {
-  transport.send(net::NodeAddress::server(global),
-                 net::NodeAddress::client(client), std::move(msg));
+  transport.send(addr(), net::NodeAddress::client(client), std::move(msg));
 }
 
 // ----------------------------------------------------------------- history
@@ -97,81 +92,5 @@ lincheck::History HistorySink::snapshot() const {
   const sync::MutexLock lock(mu_);
   return history_;
 }
-
-// ------------------------------------------------------------------ client
-
-TransportClientHost::TransportClientHost(net::Transport& transport,
-                                         ClientId id, core::ClientOptions opts,
-                                         clk::SteadyTime epoch,
-                                         HistorySink* history)
-    : transport_(transport),
-      session_(id, opts),
-      epoch_(epoch),
-      history_(history) {
-  session_.on_complete = [this](const core::OpResult& r) {
-    auto it = pending_.find(r.req);
-    if (history_ != nullptr) {
-      history_->record(session_.id(), r,
-                       it != pending_.end() ? it->second.value_seed : 0);
-    }
-    if (it != pending_.end()) {
-      it->second.promise->set_value(r);
-      pending_.erase(it);
-    }
-  };
-}
-
-void TransportClientHost::register_node() {
-  transport_.register_node(
-      net::NodeAddress::client(session_.id()),
-      [this](net::NodeAddress from, net::PayloadPtr msg) {
-        const ProcessId sender = from.kind == net::NodeAddress::Kind::kServer
-                                     ? static_cast<ProcessId>(from.id)
-                                     : kNoProcess;
-        session_.on_reply(*msg, sender, *this);
-      },
-      nullptr,
-      [this](std::uint64_t token) { session_.on_timer(token, *this); });
-}
-
-std::future<core::OpResult> TransportClientHost::launch(bool is_read,
-                                                        ObjectId object,
-                                                        Value v) {
-  auto promise = std::make_shared<std::promise<core::OpResult>>();
-  std::future<core::OpResult> fut = promise->get_future();
-  transport_.execute(
-      net::NodeAddress::client(session_.id()),
-      [this, is_read, object, v = std::move(v),
-       promise = std::move(promise)]() mutable {
-        const std::uint64_t seed = v.synthetic_seed();
-        const RequestId req =
-            is_read ? session_.begin_read(object, *this)
-                    : session_.begin_write(object, std::move(v), *this);
-        pending_.emplace(req, PendingOp{std::move(promise), seed});
-      });
-  return fut;
-}
-
-core::OpResult TransportClientHost::run(bool is_read, ObjectId object,
-                                        Value v) {
-  auto fut = launch(is_read, object, std::move(v));
-  if (fut.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
-    throw std::runtime_error("client operation timed out (deadlock?)");
-  }
-  return fut.get();
-}
-
-void TransportClientHost::send_server(ProcessId server, net::PayloadPtr msg) {
-  transport_.send(net::NodeAddress::client(session_.id()),
-                  net::NodeAddress::server(server), std::move(msg));
-}
-
-void TransportClientHost::arm_timer(double delay_seconds,
-                                    std::uint64_t token) {
-  transport_.arm_timer(net::NodeAddress::client(session_.id()), delay_seconds,
-                       token);
-}
-
-double TransportClientHost::now() const { return clk::seconds_since(epoch_); }
 
 }  // namespace hts::harness

@@ -423,11 +423,12 @@ std::unique_ptr<NodeLoop> LoopTransport::make_node(NodeAddress addr,
 }
 
 void LoopTransport::register_node(NodeAddress addr, MessageHandler on_message,
-                                  CrashHandler on_crash,
-                                  TimerHandler on_timer) {
+                                  CrashHandler on_crash, TimerHandler on_timer,
+                                  LinkReadyHandler on_link_ready) {
   std::unique_ptr<NodeLoop> node =
       make_node(addr, std::move(on_message), std::move(on_crash),
                 std::move(on_timer));
+  node->set_link_ready(std::move(on_link_ready));
   NodeLoop* raw = node.get();
   {
     const sync::WriterLock lock(registry_mu_);
@@ -495,6 +496,10 @@ void LoopTransport::execute(NodeAddress addr, std::function<void()> fn) {
   if (NodeLoop* n = find(addr); n != nullptr && n->up()) {
     n->execute(std::move(fn));
   }
+}
+
+void LoopTransport::pull_egress(NodeAddress addr) {
+  if (NodeLoop* n = find(addr); n != nullptr) n->pull_egress();
 }
 
 void LoopTransport::crash(NodeAddress addr) {

@@ -170,8 +170,19 @@ class NodeLoop {
   void watch(int op, int fd, std::uint32_t events, void* tag);
   /// Runs the message handler and counts the delivery, if the node is up.
   void dispatch(NodeAddress from, PayloadPtr msg, std::size_t bytes);
+  /// Calls the link-ready upcall until it has nothing left to send.
+  void pull_egress() {
+    if (on_link_ready_) {
+      while (on_link_ready_()) {
+      }
+    }
+  }
 
   // ------------------------------------------------- controlling thread
+  /// Installs the egress upcall; before the node is registered.
+  void set_link_ready(Transport::LinkReadyHandler fn) {
+    on_link_ready_ = std::move(fn);
+  }
   /// Spawns the loop thread; it runs until `stopping` is set and wake().
   void start(Hooks& hooks, const std::atomic<bool>& stopping);
   /// Any thread: an eventfd write, or a futex wake if the loop is parked.
@@ -223,6 +234,7 @@ class NodeLoop {
   const Transport::MessageHandler on_message_;
   const Transport::CrashHandler on_crash_;
   const Transport::TimerHandler on_timer_;
+  Transport::LinkReadyHandler on_link_ready_;  // set before the node is found
   // Created by the first watch(), before start(); -1 on an fd-less loop.
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd; its epoll tag is null
@@ -284,7 +296,8 @@ class LoopTransport : public Transport, protected NodeLoop::Hooks {
   /// Nodes registered while running (a live ring spawn) start at once.
   void register_node(NodeAddress addr, MessageHandler on_message,
                      CrashHandler on_crash = nullptr,
-                     TimerHandler on_timer = nullptr) override
+                     TimerHandler on_timer = nullptr,
+                     LinkReadyHandler on_link_ready = nullptr) override
       HTS_EXCLUDES(registry_mu_);
   void start() override HTS_EXCLUDES(registry_mu_);
   void stop() override HTS_EXCLUDES(registry_mu_);
@@ -292,6 +305,11 @@ class LoopTransport : public Transport, protected NodeLoop::Hooks {
       override HTS_EXCLUDES(registry_mu_);
   void execute(NodeAddress addr, std::function<void()> fn) override
       HTS_EXCLUDES(registry_mu_);
+  /// Drains the node's egress at once, on the calling thread.
+  void pull_egress(NodeAddress addr) override HTS_EXCLUDES(registry_mu_);
+  [[nodiscard]] double now() const override {
+    return clk::seconds_since(epoch_);
+  }
   /// A hosted node goes down at once and its loop severs what it owns;
   /// every surviving hosted node gets a notice after the detection delay.
   void crash(NodeAddress addr) override HTS_EXCLUDES(registry_mu_, crash_mu_);
@@ -335,6 +353,7 @@ class LoopTransport : public Transport, protected NodeLoop::Hooks {
 
  private:
   const double detection_delay_;
+  const clk::SteadyTime epoch_ = clk::steady_now();  // now()'s zero
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
 

@@ -89,6 +89,15 @@ class Network : public obs::LinkStatsSource {
   /// Transmits `msg` from `from` to `to`. Returns the time the sender's
   /// transmit serializer frees (callers pacing their egress use this).
   double send(NicId from, NicId to, net::PayloadPtr msg) {
+    return transmit(from, to, std::move(msg), nullptr);
+  }
+
+  /// send(), handing the arriving message to `arrive` instead of the
+  /// receiving NIC's deliver function (a transport that knows the sender
+  /// and the receiving node passes them along this way). Either runs only
+  /// if the receiving NIC is still up.
+  double transmit(NicId from, NicId to, net::PayloadPtr msg,
+                  DeliverFn arrive) {
     assert(from < nics_.size() && to < nics_.size());
     Nic& src = nics_[from];
     if (!src.up) return sim_.now();
@@ -113,9 +122,10 @@ class Network : public obs::LinkStatsSource {
     const double deliver_at = begin_rx + wire;
     dst.rx_free = deliver_at;
 
-    sim_.schedule_at(deliver_at, [this, to, m = std::move(msg)]() mutable {
+    sim_.schedule_at(deliver_at, [this, to, m = std::move(msg),
+                                  arrive = std::move(arrive)]() mutable {
       Nic& d = nics_[to];
-      if (d.up) d.deliver(std::move(m));
+      if (d.up) (arrive ? arrive : d.deliver)(std::move(m));
     });
     return depart;
   }

@@ -6,6 +6,16 @@
 // thread's closures in call order, timers armed by a closure, and
 // quiescence — with queued work, with handlers and closures running
 // inline, and after a crash inside a handler.
+//
+// sim::SimTransport runs the cases that need no real threads, as the
+// SimTransportConformance suite at the end of this file. Left out, and why:
+//   - exact per-batch byte counts: the simulator charges modelled wire bytes
+//     (TCP/IP framing per MTU frame), not the payload's wire size;
+//   - handlers, closures and timers that never overlap, closures in one
+//     thread's call order, quiescence while a handler or closure runs
+//     inline, timers armed from a handler and a foreign thread: all need
+//     concurrent threads or wall-clock deadlines, and on the simulator every
+//     handler runs on the one thread driving it, at virtual time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +33,8 @@
 #include "core/messages.h"
 #include "net/inmem_transport.h"
 #include "net/tcp_transport.h"
+#include "sim/sim_transport.h"
+#include "sim/simulator.h"
 
 namespace hts::net {
 namespace {
@@ -582,6 +594,164 @@ TYPED_TEST(TransportConformance,
   std::vector<std::uint64_t> sorted = fired;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
+}
+
+// ------------------------------------------------------------ simulator
+
+class SimTransportConformance : public ::testing::Test {
+ protected:
+  sim::Simulator sim_;
+  sim::SimTransport t_{sim_, sim::SimTransport::Options{}};
+};
+
+TEST_F(SimTransportConformance, DeliversInFifoOrder) {
+  std::vector<RequestId> got;
+  t_.register_node(NodeAddress::server(0), [&](NodeAddress from, PayloadPtr m) {
+    EXPECT_EQ(from, NodeAddress::server(1));
+    got.push_back(req_of(*m));
+  });
+  t_.register_node(NodeAddress::server(1), [](NodeAddress, PayloadPtr) {});
+  t_.start();
+  for (RequestId r = 1; r <= 200; ++r) {
+    t_.send(NodeAddress::server(1), NodeAddress::server(0), ping(r));
+  }
+  ASSERT_TRUE(t_.wait_quiescent(10.0));
+  ASSERT_EQ(got.size(), 200u);
+  for (RequestId r = 1; r <= 200; ++r) EXPECT_EQ(got[r - 1], r);
+  t_.stop();
+}
+
+TEST_F(SimTransportConformance, CrashStopsDeliveryAndNotifiesSurvivors) {
+  int delivered_to_crashed = 0;
+  int crash_notices = 0;
+  ProcessId crashed_id = kNoProcess;
+  t_.register_node(NodeAddress::server(0),
+                   [&](NodeAddress, PayloadPtr) { ++delivered_to_crashed; });
+  t_.register_node(
+      NodeAddress::server(1), [](NodeAddress, PayloadPtr) {},
+      [&](ProcessId p) {
+        ++crash_notices;
+        crashed_id = p;
+      });
+  t_.register_node(
+      NodeAddress::server(2), [](NodeAddress, PayloadPtr) {},
+      [&](ProcessId) { ++crash_notices; });
+  t_.start();
+  // A message already on the wire dies with its destination too.
+  t_.send(NodeAddress::server(2), NodeAddress::server(0), ping(1));
+  t_.crash(NodeAddress::server(0));
+  EXPECT_FALSE(t_.is_up(NodeAddress::server(0)));
+  t_.send(NodeAddress::server(1), NodeAddress::server(0), ping(2));
+  EXPECT_EQ(crash_notices, 0) << "detection takes the detection delay";
+  ASSERT_TRUE(t_.wait_quiescent(10.0));
+  EXPECT_EQ(delivered_to_crashed, 0);
+  EXPECT_EQ(crash_notices, 2) << "both survivors notified";
+  EXPECT_EQ(crashed_id, 0u);
+  EXPECT_DOUBLE_EQ(sim_.now(), sim::SimTransport::Options{}.detection_delay_s);
+  t_.stop();
+}
+
+TEST_F(SimTransportConformance, CrashedNodeCannotSend) {
+  int got = 0;
+  t_.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
+  t_.register_node(NodeAddress::server(1),
+                   [&](NodeAddress, PayloadPtr) { ++got; });
+  t_.start();
+  t_.crash(NodeAddress::server(0));
+  t_.send(NodeAddress::server(0), NodeAddress::server(1), ping(1));
+  ASSERT_TRUE(t_.wait_quiescent(10.0));
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(t_.total_transmissions(), 0u);
+  t_.stop();
+}
+
+TEST_F(SimTransportConformance, SendToUnknownNodeIsDropped) {
+  t_.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
+  t_.start();
+  t_.send(NodeAddress::server(0), NodeAddress::server(99), ping(1));
+  EXPECT_TRUE(t_.wait_quiescent(5.0));
+  EXPECT_EQ(t_.total_transmissions(), 0u);
+  EXPECT_EQ(sim_.pending_events(), 0u);
+  t_.stop();
+}
+
+TEST_F(SimTransportConformance, TimersFireWithTokenInDeadlineOrder) {
+  std::vector<std::uint64_t> order;
+  std::vector<double> fired_at;
+  t_.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
+  t_.register_node(
+      NodeAddress::client(1), [](NodeAddress, PayloadPtr) {}, nullptr,
+      [&](std::uint64_t token) {
+        order.push_back(token);
+        fired_at.push_back(sim_.now());
+      });
+  t_.start();
+  t_.arm_timer(NodeAddress::client(1), 0.05, 3);
+  t_.arm_timer(NodeAddress::client(1), 0.01, 1);
+  t_.arm_timer(NodeAddress::client(1), 0.03, 2);
+  ASSERT_TRUE(t_.wait_quiescent(10.0));
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(fired_at, (std::vector<double>{0.01, 0.03, 0.05}));
+  t_.stop();
+}
+
+TEST_F(SimTransportConformance, TimerArmedInsideAnExecuteClosureFires) {
+  const NodeAddress node = NodeAddress::client(1);
+  bool ran_inline = false;
+  bool fired = false;
+  t_.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
+  t_.register_node(
+      node, [](NodeAddress, PayloadPtr) {}, nullptr,
+      [&](std::uint64_t token) { fired = token == 7; });
+  t_.start();
+  t_.execute(node, [&] {
+    ran_inline = true;
+    t_.arm_timer(node, 0.02, 7);
+  });
+  EXPECT_TRUE(ran_inline) << "execute() runs at the current virtual time";
+  ASSERT_TRUE(t_.wait_quiescent(10.0));
+  EXPECT_TRUE(fired);
+  EXPECT_DOUBLE_EQ(sim_.now(), 0.02);
+  t_.stop();
+}
+
+TEST_F(SimTransportConformance, QuiescenceSeesQueuedWork) {
+  // Accepted mail is work: wait_quiescent() returns only once it has been
+  // handled, however far in virtual time that lies.
+  int handled = 0;
+  t_.register_node(NodeAddress::server(0),
+                   [&](NodeAddress, PayloadPtr) { ++handled; });
+  t_.register_node(NodeAddress::server(1), [](NodeAddress, PayloadPtr) {});
+  t_.start();
+  t_.send(NodeAddress::server(1), NodeAddress::server(0), ping(1));
+  EXPECT_EQ(handled, 0) << "a send is delivered after its transmission";
+  EXPECT_GT(sim_.pending_events(), 0u);
+  EXPECT_TRUE(t_.wait_quiescent(10.0));
+  EXPECT_EQ(handled, 1);
+  EXPECT_EQ(sim_.pending_events(), 0u);
+  t_.stop();
+}
+
+TEST_F(SimTransportConformance, QuiescentAfterCrashInsideAHandler) {
+  // Node 0's handler sends to node 1, then node 0 crashes before the
+  // handler returns. The frame it put on the wire still arrives (it left
+  // before the crash), and nothing is left counting as work.
+  const NodeAddress s0 = NodeAddress::server(0);
+  const NodeAddress s1 = NodeAddress::server(1);
+  std::vector<RequestId> at_s1;
+  t_.register_node(s0, [&](NodeAddress, PayloadPtr) {
+    t_.send(s0, s1, ping(2));
+    t_.crash(s0);
+  });
+  t_.register_node(s1, [&](NodeAddress, PayloadPtr m) {
+    at_s1.push_back(req_of(*m));
+  });
+  t_.start();
+  t_.send(s1, s0, ping(1));
+  EXPECT_TRUE(t_.wait_quiescent(2.0));
+  EXPECT_EQ(at_s1, (std::vector<RequestId>{2}));
+  EXPECT_EQ(sim_.pending_events(), 0u);
+  t_.stop();
 }
 
 }  // namespace

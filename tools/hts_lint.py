@@ -28,6 +28,15 @@ clang-tidy and the -Wthread-safety pass (DESIGN.md D10):
                      by construction), and every enum kind must appear in
                      the parity exemplar list in tests/transport_test.cpp
                      (make_payload<Kind> in the FrameCodec suite).
+  host-once          the protocol is hosted once: no class under src/
+                     outside the shared transport hosts
+                     (src/harness/transport_hosts.{h,cpp}) derives from
+                     core::ServerContext, core::ClientContext or
+                     baselines::PeerContext. Every fabric runs the state
+                     machines through those hosts on a net::Transport; the
+                     one exemption is src/round/, the lock-step round model,
+                     which steps them in synchronous rounds and has no
+                     transport.
 
 Usage:
   tools/hts_lint.py [--repo-root DIR] [--compile-commands PATH]
@@ -74,6 +83,15 @@ PROBE_GUARD_RE = re.compile(
     r"(?:rec|recorder)(?:_)?\s*(?:==|!=)\s*nullptr|attached\s*\(\)"
 )
 PROBE_GUARD_WINDOW = 15  # lines above a dereference the guard may sit in
+
+HOST_FILES = ("src/harness/transport_hosts.h",
+              "src/harness/transport_hosts.cpp")
+HOST_EXEMPT_DIRS = ("src/round/",)
+CLASS_BASES_RE = re.compile(
+    r"\b(?:class|struct)\s+(\w+(?:::\w+)*)(?:\s+final)?\s*:(?!:)\s*"
+    r"(?P<bases>[^{;]*)\{")
+CONTEXT_BASE_RE = re.compile(
+    r"\b(?:core::|baselines::)?(ServerContext|ClientContext|PeerContext)\b")
 
 ENUM_RE = re.compile(r"enum\s+MsgKind[^{]*\{(?P<body>[^}]*)\}", re.S)
 ENUM_ENTRY_RE = re.compile(r"\bk(\w+)\s*=\s*\d+")
@@ -280,12 +298,32 @@ def check_transport_parity(files: dict[str, str]) -> list[Violation]:
     return out
 
 
+def check_host_once(files: dict[str, str]) -> list[Violation]:
+    out: list[Violation] = []
+    for path, text in files.items():
+        if (not path.startswith("src/") or path in HOST_FILES
+                or path.startswith(HOST_EXEMPT_DIRS)):
+            continue
+        code = "\n".join(line.split("//")[0] for line in text.splitlines())
+        for m in CLASS_BASES_RE.finditer(code):
+            ctx = CONTEXT_BASE_RE.search(m.group("bases"))
+            if ctx is None:
+                continue
+            out.append(Violation(
+                "host-once", path, code.count("\n", 0, m.start()) + 1,
+                f"{m.group(1)} derives from {ctx.group(1)} — host state "
+                "machines through the shared transport hosts "
+                "(src/harness/transport_hosts.h) on a net::Transport"))
+    return out
+
+
 CHECKS = {
     "msgkind-coverage": check_msgkind_coverage,
     "raii-locking": check_raii_locking,
     "probe-null-guard": check_probe_null_guard,
     "determinism": check_determinism,
     "transport-parity": check_transport_parity,
+    "host-once": check_host_once,
 }
 
 
@@ -358,6 +396,13 @@ def self_test(files: dict[str, str]) -> int:
             "src/core/messages.cpp",
             "void encode_message_into(const net::Payload& msg,",
             "void encode_message_into_detached(const net::Payload& msg,")),
+        # A fabric grows its own server host again.
+        ("host-once", patched(
+            "src/harness/sim_cluster.cpp", "namespace hts::harness {",
+            "namespace hts::harness {\n"
+            "struct SimCluster::ServerNode final : core::ServerContext {\n"
+            "  void send_client(ClientId, net::PayloadPtr) override {}\n"
+            "};")),
     ]
 
     failures = 0
