@@ -237,9 +237,7 @@ void ClientSession::on_reply(const net::Payload& msg, ProcessId from,
         // with a tag at least as fresh as any server reported.
         op.fetching = true;
         op.frag_tag = m.tag;
-        op.frag_n = m.n;
-        op.frag_k = m.k;
-        op.frag_value_size = m.value_size;
+        op.frag_shape = CodedShape{m.n, m.k, m.value_size};
         op.frag_epoch = m.epoch;
         op.frag_from = from;
         op.frag_parts.clear();
@@ -277,9 +275,19 @@ void ClientSession::on_reply(const net::Payload& msg, ProcessId from,
   }
   auto it = inflight_.find(req);
   if (it == inflight_.end()) return;  // late duplicate after completion
-  Op& op = it->second;
-  if (op.is_read != is_read) return;  // kind mismatch: not our reply
+  if (it->second.is_read != is_read) return;  // kind mismatch: not our reply
+  if (is_read) {
+    const auto& m = static_cast<const ClientReadAck&>(msg);
+    complete(it, from, served_epoch, m.value, m.tag, ctx);
+  } else {
+    complete(it, from, served_epoch, Value{}, Tag{}, ctx);
+  }
+}
 
+void ClientSession::complete(std::map<RequestId, Op>::iterator it,
+                             ProcessId from, Epoch epoch, Value value,
+                             const Tag& tag, ClientContext& ctx) {
+  const Op& op = it->second;
   OpResult result;
   result.is_read = op.is_read;
   result.object = op.object;
@@ -298,13 +306,10 @@ void ClientSession::on_reply(const net::Payload& msg, ProcessId from,
   } else {
     result.ring = kNoRing;
   }
-  result.epoch = served_epoch;
+  result.epoch = epoch;
   result.req = op.req;
-  if (is_read) {
-    const auto& m = static_cast<const ClientReadAck&>(msg);
-    result.value = m.value;
-    result.tag = m.tag;
-  }
+  result.value = std::move(value);
+  result.tag = tag;
   result.invoked_at = op.invoked_at;
   result.completed_at = ctx.now();
   result.attempts = op.attempts;
@@ -320,7 +325,7 @@ void ClientSession::on_reply(const net::Payload& msg, ProcessId from,
 
 void ClientSession::accept_parts(Op& op, const std::vector<FragPart>& parts) {
   for (const FragPart& p : parts) {
-    if (p.index >= op.frag_n) continue;
+    if (p.index >= op.frag_shape.n) continue;
     if (op.frag_parts.contains(p.index)) continue;
     if (code::crc32(p.bytes) != p.checksum) {
       // Corrupt in storage or transit: never feed it to the decoder — k
@@ -336,7 +341,7 @@ void ClientSession::accept_parts(Op& op, const std::vector<FragPart>& parts) {
 bool ClientSession::try_complete_coded(std::map<RequestId, Op>::iterator it,
                                        ClientContext& ctx) {
   Op& op = it->second;
-  if (!op.fetching || op.frag_parts.size() < std::size_t{op.frag_k}) {
+  if (!op.fetching || op.frag_parts.size() < std::size_t{op.frag_shape.k}) {
     return false;
   }
   std::vector<code::FragmentRef> refs;
@@ -346,39 +351,14 @@ bool ClientSession::try_complete_coded(std::map<RequestId, Op>::iterator it,
   }
   std::string bytes;
   try {
-    code::MdsCodec codec(op.frag_n, op.frag_k);
-    bytes = codec.decode(refs, op.frag_value_size);
+    code::MdsCodec codec(op.frag_shape.n, op.frag_shape.k);
+    bytes = codec.decode(refs, op.frag_shape.value_size);
   } catch (const std::invalid_argument&) {
     return false;  // inconsistent geometry; the retry timer restarts
   }
   ++decodes_;
-
-  OpResult result;
-  result.is_read = true;
-  result.object = op.object;
-  const ProcessId from = op.frag_from;
-  if (from == kNoProcess) {
-    result.ring = op.ring;
-  } else if (from < router_.topology().total_servers()) {
-    result.ring = router_.topology().ring_of_server(from);
-  } else {
-    result.ring = kNoRing;
-  }
-  result.epoch = op.frag_epoch;
-  result.req = op.req;
-  result.value = Value(std::move(bytes));
-  result.tag = op.frag_tag;
-  result.invoked_at = op.invoked_at;
-  result.completed_at = ctx.now();
-  result.attempts = op.attempts;
-  result.served_by = from;
-  probe_.event(obs::EventKind::kClientReply, op.req,
-               from == kNoProcess ? 0 : from, op.attempts);
-
-  active_objects_.erase(op.object);
-  inflight_.erase(it);
-  dispatch(ctx);
-  if (on_complete) on_complete(result);
+  complete(it, op.frag_from, op.frag_epoch, Value(std::move(bytes)),
+           op.frag_tag, ctx);
   return true;
 }
 

@@ -223,9 +223,7 @@ class ClientSession {
     // restarts with a plain ClientRead.
     bool fetching = false;
     Tag frag_tag;
-    std::uint8_t frag_n = 0;
-    std::uint8_t frag_k = 0;
-    std::uint64_t frag_value_size = 0;
+    CodedShape frag_shape;
     Epoch frag_epoch = 0;
     ProcessId frag_from = kNoProcess;   // server whose CodedReadAck led here
     std::map<std::uint8_t, std::string> frag_parts;
@@ -256,6 +254,12 @@ class ClientSession {
   /// Folds a reply's fragments into the op's fetch state (CRC-verified,
   /// distinct indices only).
   void accept_parts(Op& op, const std::vector<FragPart>& parts);
+
+  /// Completes an in-flight op with the reply of server `from`: records
+  /// the result, frees the op's slot and dispatches queued work, then
+  /// reports it through on_complete. Consumes the inflight entry.
+  void complete(std::map<RequestId, Op>::iterator it, ProcessId from,
+                Epoch epoch, Value value, const Tag& tag, ClientContext& ctx);
 
   /// Completes the coded read if k distinct fragments have arrived.
   /// Consumes the inflight entry on success.

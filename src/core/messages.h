@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -299,6 +300,28 @@ struct FragPart {
   std::string bytes;
 
   friend bool operator==(const FragPart&, const FragPart&) = default;
+};
+
+/// The shape of a coded value: n fragments, any k of which rebuild its
+/// value_size bytes.
+struct CodedShape {
+  std::uint8_t n = 0;
+  std::uint8_t k = 0;
+  std::uint64_t value_size = 0;
+};
+
+/// What a write installs when it commits: its value (replicated), or only
+/// the shape of its fragments (coded; `value` stays empty — each server's
+/// fragment is staged from the client's FragWrite, never circulated). The
+/// ring treats both alike: a body changes which bytes a server stores,
+/// never which tag a read sees.
+struct WriteBody {
+  WriteBody() = default;
+  WriteBody(Value v) : value(std::move(v)) {}
+  WriteBody(CodedShape s) : coded(s) {}
+
+  Value value;
+  std::optional<CodedShape> coded;
 };
 
 /// Client → server: one fragment of a coded write. The client encodes the

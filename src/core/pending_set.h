@@ -1,8 +1,9 @@
 // The paper's `pending_write_set`: pre-written but not yet committed tags.
 //
-// Entries cache the pre-written value (needed for crash re-sends and for the
-// value-less WriteCommit optimisation) plus the writing client's identity
-// (needed to record completion for retry deduplication).
+// Entries cache the pre-write's body — its value, or a coded write's shape
+// (needed for crash re-sends and for the value-less WriteCommit
+// optimisation) — plus the writing client's identity (needed to record
+// completion for retry deduplication).
 #pragma once
 
 #include <cstddef>
@@ -11,22 +12,15 @@
 #include <vector>
 
 #include "common/types.h"
-#include "common/value.h"
+#include "core/messages.h"
 
 namespace hts::core {
 
 struct PendingEntry {
   Tag tag;
-  Value value;
+  WriteBody body;
   ClientId client = 0;
   RequestId req = 0;
-  /// Coded-plane pre-writes (PreWriteFrag) circulate no value; the entry
-  /// carries the coding geometry instead so the commit can bind the staged
-  /// fragment and crash adoption can re-issue the metadata message.
-  bool coded = false;
-  std::uint8_t cn = 0;
-  std::uint8_t ck = 0;
-  std::uint64_t coded_value_size = 0;
 };
 
 class PendingSet {

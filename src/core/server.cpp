@@ -12,6 +12,56 @@
 
 namespace hts::core {
 
+namespace {
+
+/// What a ring message is about: its register and tag, plus the op's
+/// (client, req) for the write kinds. SyncState and FragRepair carry no op
+/// identity (0, 0).
+struct RingRef {
+  ObjectId object = kDefaultObject;
+  Tag tag;
+  ClientId client = 0;
+  RequestId req = 0;
+};
+
+RingRef ring_ref(const net::Payload& msg) {
+  switch (msg.kind()) {
+    case kPreWrite: {
+      const auto& m = static_cast<const PreWrite&>(msg);
+      return {m.object, m.tag, m.client, m.req};
+    }
+    case kPreWriteFrag: {
+      const auto& m = static_cast<const PreWriteFrag&>(msg);
+      return {m.object, m.tag, m.client, m.req};
+    }
+    case kWriteCommit: {
+      const auto& m = static_cast<const WriteCommit&>(msg);
+      return {m.object, m.tag, m.client, m.req};
+    }
+    case kSyncState: {
+      const auto& m = static_cast<const SyncState&>(msg);
+      return {m.object, m.tag};
+    }
+    case kFragRepair: {
+      const auto& m = static_cast<const FragRepair&>(msg);
+      return {m.object, m.tag};
+    }
+    default:
+      return {};
+  }
+}
+
+/// The body a pre-write (PreWrite or PreWriteFrag) carries.
+WriteBody body_of(const net::Payload& msg) {
+  if (msg.kind() == kPreWriteFrag) {
+    const auto& m = static_cast<const PreWriteFrag&>(msg);
+    return CodedShape{m.n, m.k, m.value_size};
+  }
+  return static_cast<const PreWrite&>(msg).value;
+}
+
+}  // namespace
+
 RingServer::RingServer(ProcessId self, std::size_t n_servers,
                        ServerOptions opts)
     : self_(self),
@@ -81,51 +131,45 @@ void RingServer::on_message(net::PayloadPtr msg, ServerContext& ctx) {
 // ---------------------------------------------------------------- clients
 
 bool RingServer::gate_client_op(bool is_read, ClientId client, RequestId req,
-                                Value* value, ObjectId object,
+                                WriteBody* body, ObjectId object,
                                 ServerContext& ctx) {
-  const bool owns_now = view_.owns(object);
-  if (!incoming_) {
-    if (owns_now) return false;
-    // Misrouted (stale client view): refuse with our newest epoch as the
+  const ServerView& deciding = deciding_view();
+  if (!deciding.owns(object)) {
+    // Misrouted (stale client view), moving away (the freeze half of
+    // freeze→copy→flip), or never ours: refuse with our newest epoch as the
     // refresh hint.
     ++stats_.epoch_nacks;
-    probe_.event(obs::EventKind::kEpochNackSent, client, req, view_.epoch);
+    probe_.event(obs::EventKind::kEpochNackSent, client, req, deciding.epoch);
     ctx.send_client(client,
-                    net::make_payload<EpochNack>(req, object, view_.epoch));
+                    net::make_payload<EpochNack>(req, object, deciding.epoch));
     return true;
   }
-  const bool owns_next = incoming_->owns(object);
-  if (owns_now && owns_next) return false;  // untouched by the change
-  if (!owns_now && owns_next) {
-    // The register is moving onto this server: the op comes from a client
-    // that already refreshed to the next view. Park it until the flip —
-    // serving before the migrated state lands would read/write a stale
-    // (initial) register. Duplicate retries of one write collapse to one
-    // parked copy, so the replay cannot double-apply.
-    if (!is_read) {
-      for (const TransitionOp& t : transition_parked_) {
-        if (!t.is_read && t.client == client && t.req == req) return true;
-      }
+  if (!incoming_ || view_.owns(object)) return false;  // ours now and next
+  // The register is moving onto this server: the op comes from a client
+  // that already refreshed to the next view. Park it until the flip —
+  // serving before the migrated state lands would read/write a stale
+  // (initial) register. Duplicate retries of one write collapse to one
+  // parked copy, so the replay cannot double-apply.
+  if (!is_read) {
+    for (const TransitionOp& t : transition_parked_) {
+      if (!t.is_read && t.client == client && t.req == req) return true;
     }
-    ++stats_.transition_parked;
-    probe_.event(obs::EventKind::kTransitionPark, client, req,
-                 incoming_->epoch);
-    transition_parked_.push_back(TransitionOp{
-        is_read, client, req, value ? std::move(*value) : Value{}, object});
-    return true;
   }
-  // Moving away (the freeze half of freeze→copy→flip), or never ours: the
-  // next epoch is the hint the client needs.
-  ++stats_.epoch_nacks;
-  probe_.event(obs::EventKind::kEpochNackSent, client, req, incoming_->epoch);
-  ctx.send_client(client,
-                  net::make_payload<EpochNack>(req, object, incoming_->epoch));
+  ++stats_.transition_parked;
+  probe_.event(obs::EventKind::kTransitionPark, client, req, deciding.epoch);
+  transition_parked_.push_back(TransitionOp{
+      is_read, client, req, body ? std::move(*body) : WriteBody{}, object});
   return true;
 }
 
 void RingServer::on_client_write(ClientId client, RequestId req, Value value,
                                  ServerContext& ctx, ObjectId object) {
   ++stats_.client_writes_in;
+  submit_write(client, req, std::move(value), object, ctx);
+}
+
+void RingServer::submit_write(ClientId client, RequestId req, WriteBody body,
+                              ObjectId object, ServerContext& ctx) {
   if (opts_.dedup_retries && view_.owns(object) &&
       request_completed(client, req)) {
     // This request already completed somewhere (we learned via the commit
@@ -136,14 +180,11 @@ void RingServer::on_client_write(ClientId client, RequestId req, Value value,
     // server — !owns under the current view — the gate below NACKs instead:
     // the new owner dedup-acks from the merged MigrateDedup windows, so the
     // history never records the old ring serving in the new epoch.
-    ++stats_.dedup_acks;
-    probe_.event(obs::EventKind::kDedupAck, client, req);
-    ctx.send_client(client, net::make_payload<ClientWriteAck>(req, object,
-                                                              view_.epoch));
+    dedup_ack(client, req, object, ctx);
     return;
   }
-  if (gate_client_op(false, client, req, &value, object, ctx)) return;
-  LocalWrite w{object, client, req, std::move(value)};
+  if (gate_client_op(false, client, req, &body, object, ctx)) return;
+  LocalWrite w{object, client, req, std::move(body)};
   if (solo()) {
     solo_write(w, ctx);
     return;
@@ -153,6 +194,14 @@ void RingServer::on_client_write(ClientId client, RequestId req, Value value,
       std::max<std::uint64_t>(stats_.write_queue_max, write_queue_.size());
   probe_.event(obs::EventKind::kWriteEnqueue, client, req,
                write_queue_.size());
+}
+
+void RingServer::dedup_ack(ClientId client, RequestId req, ObjectId object,
+                           ServerContext& ctx) {
+  ++stats_.dedup_acks;
+  probe_.event(obs::EventKind::kDedupAck, client, req);
+  ctx.send_client(client,
+                  net::make_payload<ClientWriteAck>(req, object, view_.epoch));
 }
 
 void RingServer::on_client_read(ClientId client, RequestId req,
@@ -165,12 +214,12 @@ void RingServer::on_client_read(ClientId client, RequestId req,
     // pending pre-writes can exist for it, so the read is immediate.
     ++stats_.reads_immediate;
     probe_.event(obs::EventKind::kReadImmediate, client, req);
-    if (obj != nullptr && obj->coded) {
+    if (obj != nullptr && obj->body.coded) {
       send_coded_read_ack(*obj, client, req, ctx);
       return;
     }
     ctx.send_client(client, net::make_payload<ClientReadAck>(
-                                req, obj ? obj->value : Value{},
+                                req, obj ? obj->body.value : Value{},
                                 obj ? obj->tag : kInitialTag, object,
                                 view_.epoch));
     return;
@@ -181,13 +230,14 @@ void RingServer::on_client_read(ClientId client, RequestId req,
     // pre-write, so it is safe to return it (the paper always parks).
     ++stats_.reads_immediate;
     probe_.event(obs::EventKind::kReadImmediate, client, req);
-    if (obj->coded) {
+    if (obj->body.coded) {
       send_coded_read_ack(*obj, client, req, ctx);
       return;
     }
     ctx.send_client(client,
-                    net::make_payload<ClientReadAck>(req, obj->value, obj->tag,
-                                                     object, view_.epoch));
+                    net::make_payload<ClientReadAck>(req, obj->body.value,
+                                                     obj->tag, object,
+                                                     view_.epoch));
     return;
   }
   ++stats_.reads_parked;
@@ -208,59 +258,41 @@ void RingServer::on_frag_write(const FragWrite& m, ServerContext& ctx) {
     ++stats_.frag_corrupt;
     return;
   }
-  // The commit raced ahead of this fragment (apply_coded promoted nothing
-  // and recorded the tag): bind the fragment to the committed tag now —
+  ObjectState& obj = state_of(m.object);
+  code::StoredFragment frag{m.frag_index, m.n, m.k, m.value_size, m.checksum,
+                            m.frag};
+  // The commit raced ahead of this fragment (install promoted nothing and
+  // recorded the tag): bind the fragment to the committed tag now —
   // staging it would leak, and dropping it would leave this server unable
   // to serve its share to readers and repair. Must run before the dedup
-  // check below, which would otherwise swallow exactly this case.
-  if (ObjectState& late_obj = state_of(m.object); late_obj.frags) {
-    if (auto late_tag = late_obj.frags->take_late(m.client, m.req)) {
-      late_obj.frags->adopt(
-          *late_tag, code::StoredFragment{m.frag_index, m.n, m.k,
-                                          m.value_size, m.checksum, m.frag});
-      ++stats_.frag_late_binds;
-      if (m.initiate && view_.owns(m.object)) {
-        ++stats_.dedup_acks;
-        probe_.event(obs::EventKind::kDedupAck, m.client, m.req);
-        ctx.send_client(m.client, net::make_payload<ClientWriteAck>(
-                                      m.req, m.object, view_.epoch));
-      }
-      return;
-    }
+  // check below, which would otherwise swallow exactly this case. A retry
+  // of a write whose commit already circulated is not staged either: every
+  // server learned completion via note_completed, and staged fragments of
+  // completed writes would never be promoted again — a leak.
+  std::optional<Tag> late_tag;
+  if (obj.frags) late_tag = obj.frags->take_late(m.client, m.req);
+  if (late_tag) {
+    obj.frags->adopt(*late_tag, std::move(frag));
+    ++stats_.frag_late_binds;
   }
-  // A retry of a write whose commit already circulated: every server
-  // learned completion via note_completed, so nobody re-stages (staged
-  // fragments of completed writes would never be promoted again — a leak).
-  const bool done = opts_.dedup_retries && request_completed(m.client, m.req);
-  if (done) {
+  if (late_tag ||
+      (opts_.dedup_retries && request_completed(m.client, m.req))) {
     if (m.initiate && view_.owns(m.object)) {
-      ++stats_.dedup_acks;
-      probe_.event(obs::EventKind::kDedupAck, m.client, m.req);
-      ctx.send_client(m.client, net::make_payload<ClientWriteAck>(
-                                    m.req, m.object, view_.epoch));
+      dedup_ack(m.client, m.req, m.object, ctx);
     }
     return;
   }
-  if (m.initiate &&
-      gate_client_op(false, m.client, m.req, nullptr, m.object, ctx)) {
-    return;
+  // Staged before the gate, so a write parked for a view change replays as
+  // the same coded write — unless the gate will NACK this initiate copy:
+  // its write is retried on another ring, and only a commit frees a staged
+  // fragment.
+  if (!m.initiate || deciding_view().owns(m.object)) {
+    obj.store().stage(m.client, m.req, std::move(frag));
   }
-  ObjectState& obj = state_of(m.object);
-  obj.store().stage(m.client, m.req,
-                    code::StoredFragment{m.frag_index, m.n, m.k, m.value_size,
-                                         m.checksum, m.frag});
-  if (!m.initiate) return;
-  LocalWrite w{m.object, m.client, m.req, Value{},
-               true,     m.n,      m.k,   m.value_size};
-  if (solo()) {
-    solo_write(w, ctx);
-    return;
+  if (m.initiate) {
+    submit_write(m.client, m.req, CodedShape{m.n, m.k, m.value_size},
+                 m.object, ctx);
   }
-  write_queue_.push_back(std::move(w));
-  stats_.write_queue_max =
-      std::max<std::uint64_t>(stats_.write_queue_max, write_queue_.size());
-  probe_.event(obs::EventKind::kWriteEnqueue, m.client, m.req,
-               write_queue_.size());
 }
 
 void RingServer::on_frag_fetch(const FragFetch& m, ServerContext& ctx) {
@@ -293,9 +325,10 @@ void RingServer::send_coded_read_ack(const ObjectState& obj, ClientId client,
       }
     }
   }
+  const CodedShape& shape = *obj.body.coded;
   ctx.send_client(client, net::make_payload<CodedReadAck>(
-                              req, obj.tag, obj.cn, obj.ck,
-                              obj.coded_value_size, std::move(parts), obj.id,
+                              req, obj.tag, shape.n, shape.k,
+                              shape.value_size, std::move(parts), obj.id,
                               view_.epoch));
 }
 
@@ -325,13 +358,13 @@ void RingServer::commit_view_change(ServerContext& ctx) {
     if (op.is_read) {
       on_client_read(op.client, op.req, ctx, op.object);
     } else {
-      on_client_write(op.client, op.req, std::move(op.value), ctx, op.object);
+      submit_write(op.client, op.req, std::move(op.body), op.object, ctx);
     }
   }
 }
 
 void RingServer::on_migrate_state(const MigrateState& m) {
-  apply(state_of(m.object), m.tag, m.value);
+  install(state_of(m.object), m.tag, m.value, 0, 0);
   migrated_in_.insert(m.object);
   ++stats_.migrations_in;
   stats_.migrate_bytes_in += m.wire_size();
@@ -382,27 +415,11 @@ bool RingServer::object_quiescent(ObjectId object) const {
   // Repair re-sends and write-phase starts wait in the urgent queue; the
   // fairness queue holds transit traffic. Either may still reference the
   // register.
-  auto references = [object](const net::Payload& msg) {
-    switch (msg.kind()) {
-      case kPreWrite:
-        return static_cast<const PreWrite&>(msg).object == object;
-      case kWriteCommit:
-        return static_cast<const WriteCommit&>(msg).object == object;
-      case kSyncState:
-        return static_cast<const SyncState&>(msg).object == object;
-      case kPreWriteFrag:
-        return static_cast<const PreWriteFrag&>(msg).object == object;
-      case kFragRepair:
-        return static_cast<const FragRepair&>(msg).object == object;
-      default:
-        return false;
-    }
-  };
   for (const auto& msg : urgent_) {
-    if (references(*msg)) return false;
+    if (ring_ref(*msg).object == object) return false;
   }
   for (const ForwardItem& item : sched_.queue()) {
-    if (references(*item.msg)) return false;
+    if (ring_ref(*item.msg).object == object) return false;
   }
   return true;
 }
@@ -434,8 +451,10 @@ void RingServer::on_ring_message(net::PayloadPtr msg, ServerContext& ctx) {
   ++stats_.ring_messages_in;
   switch (msg->kind()) {
     case kPreWrite:
-      ++stats_.pre_writes_in;
-      handle_pre_write(msg, static_cast<const PreWrite&>(*msg), ctx);
+      ++stats_.pre_writes_in;  // PreWrite alone: the counter predates coding
+      [[fallthrough]];
+    case kPreWriteFrag:
+      handle_pre_write(msg, ctx);
       break;
     case kWriteCommit:
       ++stats_.commits_in;
@@ -444,9 +463,6 @@ void RingServer::on_ring_message(net::PayloadPtr msg, ServerContext& ctx) {
     case kSyncState:
       ++stats_.syncs_in;
       handle_sync(static_cast<const SyncState&>(*msg));
-      break;
-    case kPreWriteFrag:
-      handle_pre_write_frag(msg, static_cast<const PreWriteFrag&>(*msg), ctx);
       break;
     case kFragRepair:
       handle_frag_repair(msg, static_cast<const FragRepair&>(*msg));
@@ -462,8 +478,9 @@ void RingServer::on_ring_message(net::PayloadPtr msg, ServerContext& ctx) {
       std::max<std::uint64_t>(stats_.forward_queue_max, sched_.queue().size());
 }
 
-void RingServer::handle_pre_write(const net::PayloadPtr& msg, const PreWrite& m,
+void RingServer::handle_pre_write(const net::PayloadPtr& msg,
                                   ServerContext& ctx) {
+  const RingRef m = ring_ref(*msg);
   ObjectState& obj = state_of(m.object);
   if (m.tag.id == self_) {
     // My own pre-write completed the loop (lines 32–39).
@@ -483,8 +500,9 @@ void RingServer::handle_pre_write(const net::PayloadPtr& msg, const PreWrite& m,
       return;
     }
     it->second.write_phase = true;
-    obj.pending.erase(m.tag);           // line 37
-    apply(obj, m.tag, it->second.value);  // lines 33–36
+    obj.pending.erase(m.tag);  // line 37
+    install(obj, m.tag, it->second.body, it->second.client,
+            it->second.req);  // lines 33–36
     push_urgent(net::make_payload<WriteCommit>(m.tag, it->second.client,
                                                it->second.req, m.object,
                                                view_.epoch));  // line 38
@@ -504,7 +522,7 @@ void RingServer::handle_pre_write(const net::PayloadPtr& msg, const PreWrite& m,
     // pull time — a pending entry whose commit already passed and will
     // never return, parking every later read forever.
     obj.queued_tags.erase(m.tag);
-    apply(obj, m.tag, m.value);
+    install(obj, m.tag, body_of(*msg), m.client, m.req);
     note_completed(obj, m.tag, m.client, m.req);
     unpark_up_to(obj, m.tag, ctx);
     sched_.enqueue(ForwardItem{m.tag.id, msg});
@@ -539,7 +557,7 @@ void RingServer::handle_pre_write(const net::PayloadPtr& msg, const PreWrite& m,
     }
     ++stats_.adoptions;
     obj.pending.erase(m.tag);
-    apply(obj, m.tag, m.value);
+    install(obj, m.tag, body_of(*msg), m.client, m.req);
     obj.adopted[m.tag] = {m.client, m.req};
     push_urgent(net::make_payload<WriteCommit>(m.tag, m.client, m.req,
                                                m.object, view_.epoch));
@@ -559,7 +577,6 @@ void RingServer::handle_pre_write(const net::PayloadPtr& msg, const PreWrite& m,
   // forward time (line 71) — see next_ring_send().
   sched_.enqueue(ForwardItem{m.tag.id, msg});
   obj.queued_tags.insert(m.tag);
-  (void)ctx;
 }
 
 void RingServer::handle_commit(const net::PayloadPtr& msg, const WriteCommit& m,
@@ -603,13 +620,11 @@ void RingServer::handle_commit(const net::PayloadPtr& msg, const WriteCommit& m,
   }
 
   auto entry = obj.pending.erase(m.tag);  // line 47
-  if (entry && entry->coded) {
-    // Coded write: the value never travelled — bind the fragment this
-    // server staged from the client's FragWrite to the committing tag.
-    apply_coded(obj, m.tag, entry->client, entry->req, entry->cn, entry->ck,
-                entry->coded_value_size);
-  } else if (entry) {
-    apply(obj, m.tag, entry->value);  // lines 43–46, value cached at pre-write
+  if (entry) {
+    // Lines 43–46, the body cached at pre-write time. A coded write's value
+    // never travelled: install binds the fragment this server staged from
+    // the client's FragWrite to the committing tag.
+    install(obj, m.tag, entry->body, entry->client, entry->req);
   } else {
     // Commit overtook its pre-write (only possible on a non-FIFO fabric).
     // Remember it; the pre-write handler completes the work.
@@ -621,81 +636,7 @@ void RingServer::handle_commit(const net::PayloadPtr& msg, const WriteCommit& m,
 }
 
 void RingServer::handle_sync(const SyncState& m) {
-  apply(state_of(m.object), m.tag, m.value);
-}
-
-void RingServer::handle_pre_write_frag(const net::PayloadPtr& msg,
-                                       const PreWriteFrag& m,
-                                       ServerContext& ctx) {
-  // The coded twin of handle_pre_write: identical circulation, no value —
-  // each server already staged its fragment from the client's FragWrite,
-  // and the commit binds it to this tag (apply_coded).
-  ObjectState& obj = state_of(m.object);
-  if (m.tag.id == self_) {
-    auto it = obj.outstanding.find(m.tag);
-    if (it == obj.outstanding.end()) {
-      ++stats_.duplicates_dropped;
-      return;
-    }
-    if (it->second.write_phase) {
-      push_urgent(net::make_payload<WriteCommit>(m.tag, it->second.client,
-                                                 it->second.req, m.object,
-                                                 view_.epoch));
-      return;
-    }
-    it->second.write_phase = true;
-    obj.pending.erase(m.tag);
-    apply_coded(obj, m.tag, it->second.client, it->second.req, m.n, m.k,
-                m.value_size);
-    push_urgent(net::make_payload<WriteCommit>(m.tag, it->second.client,
-                                               it->second.req, m.object,
-                                               view_.epoch));
-    return;
-  }
-
-  if (obj.early_commits.contains(m.tag)) {
-    obj.early_commits.erase(m.tag);
-    obj.queued_tags.erase(m.tag);  // see handle_pre_write: defuse queued copy
-    apply_coded(obj, m.tag, m.client, m.req, m.n, m.k, m.value_size);
-    note_completed(obj, m.tag, m.client, m.req);
-    unpark_up_to(obj, m.tag, ctx);
-    sched_.enqueue(ForwardItem{m.tag.id, msg});
-    return;
-  }
-
-  if (already_committed(obj, m.tag)) {
-    ++stats_.duplicates_dropped;
-    return;
-  }
-  if (obj.queued_tags.contains(m.tag)) {
-    ++stats_.duplicates_dropped;
-    return;
-  }
-
-  const bool origin_dead = !ring_.is_alive(m.tag.id);
-  if (origin_dead && ring_.absorber(m.tag.id) == self_) {
-    if (obj.adopted.contains(m.tag)) {
-      push_urgent(net::make_payload<WriteCommit>(m.tag, m.client, m.req,
-                                                 m.object, view_.epoch));
-      return;
-    }
-    ++stats_.adoptions;
-    obj.pending.erase(m.tag);
-    apply_coded(obj, m.tag, m.client, m.req, m.n, m.k, m.value_size);
-    obj.adopted[m.tag] = {m.client, m.req};
-    push_urgent(net::make_payload<WriteCommit>(m.tag, m.client, m.req,
-                                               m.object, view_.epoch));
-    return;
-  }
-
-  if (obj.pending.contains(m.tag)) {
-    forward_duplicate(m.tag.id, msg);
-    return;
-  }
-
-  sched_.enqueue(ForwardItem{m.tag.id, msg});
-  obj.queued_tags.insert(m.tag);
-  (void)ctx;
+  install(state_of(m.object), m.tag, m.value, 0, 0);
 }
 
 void RingServer::handle_frag_repair(const net::PayloadPtr& msg,
@@ -707,11 +648,7 @@ void RingServer::handle_frag_repair(const net::PayloadPtr& msg,
   // as the predecessor" argument as handle_sync).
   if (m.tag > obj.tag) {
     obj.tag = m.tag;
-    obj.value = Value{};
-    obj.coded = true;
-    obj.cn = m.n;
-    obj.ck = m.k;
-    obj.coded_value_size = m.value_size;
+    obj.body = CodedShape{m.n, m.k, m.value_size};
   }
 
   if (m.origin == self_) {
@@ -781,31 +718,6 @@ bool RingServer::has_ring_traffic() const {
          !write_queue_.empty();
 }
 
-namespace {
-
-/// (client, req) of a protocol message, for trace attribution. SyncState
-/// and RingBatch carry no op identity.
-std::pair<ClientId, RequestId> op_of(const net::Payload& msg) {
-  switch (msg.kind()) {
-    case kPreWrite: {
-      const auto& m = static_cast<const PreWrite&>(msg);
-      return {m.client, m.req};
-    }
-    case kWriteCommit: {
-      const auto& m = static_cast<const WriteCommit&>(msg);
-      return {m.client, m.req};
-    }
-    case kPreWriteFrag: {
-      const auto& m = static_cast<const PreWriteFrag&>(msg);
-      return {m.client, m.req};
-    }
-    default:
-      return {0, 0};
-  }
-}
-
-}  // namespace
-
 std::optional<RingSend> RingServer::next_ring_send() {
   if (solo()) return std::nullopt;
   if (!urgent_.empty()) {
@@ -814,8 +726,8 @@ std::optional<RingSend> RingServer::next_ring_send() {
     if (msg->kind() == kWriteCommit) ++stats_.commits_sent;
     ++stats_.ring_messages_out;
     if (probe_.attached()) {
-      const auto [c, r] = op_of(*msg);
-      probe_.event(obs::EventKind::kFairnessPick, c, r, batch_seq_);
+      const RingRef r = ring_ref(*msg);
+      probe_.event(obs::EventKind::kFairnessPick, r.client, r.req, batch_seq_);
     }
     return RingSend{successor_, std::move(msg)};
   }
@@ -837,42 +749,27 @@ std::optional<RingSend> RingServer::next_ring_send() {
   if (d.forward) {
     ForwardItem item = std::move(*d.forward);
     sched_.count_sent(item.origin);  // line 72
-    if (item.msg->kind() == kPreWrite) {
+    const RingRef ref = ring_ref(*item.msg);
+    if (item.msg->kind() == kPreWrite || item.msg->kind() == kPreWriteFrag) {
       // Line 71: a pre-write enters our pending set when we forward it —
       // unless its commit already overtook it while it sat in this queue
       // (crash re-send timing on a real fabric). Such a tag must apply now
       // and never enter pending: the commit will not come back to erase the
       // entry, and a stale pending tag parks every later read forever.
-      const auto& pw = static_cast<const PreWrite&>(*item.msg);
-      ObjectState& obj = state_of(pw.object);
-      if (obj.queued_tags.erase(pw.tag) > 0) {
-        if (obj.early_commits.erase(pw.tag) > 0) {
-          apply(obj, pw.tag, pw.value);
+      ObjectState& obj = state_of(ref.object);
+      if (obj.queued_tags.erase(ref.tag) > 0) {
+        if (obj.early_commits.erase(ref.tag) > 0) {
+          install(obj, ref.tag, body_of(*item.msg), ref.client, ref.req);
         } else {
-          obj.pending.insert(PendingEntry{pw.tag, pw.value, pw.client,
-                                          pw.req});
-        }
-      }
-    } else if (item.msg->kind() == kPreWriteFrag) {
-      // Same rule for the coded twin; the entry carries geometry, no value.
-      const auto& pw = static_cast<const PreWriteFrag&>(*item.msg);
-      ObjectState& obj = state_of(pw.object);
-      if (obj.queued_tags.erase(pw.tag) > 0) {
-        if (obj.early_commits.erase(pw.tag) > 0) {
-          apply_coded(obj, pw.tag, pw.client, pw.req, pw.n, pw.k,
-                      pw.value_size);
-        } else {
-          obj.pending.insert(PendingEntry{pw.tag, Value{}, pw.client, pw.req,
-                                          true, pw.n, pw.k, pw.value_size});
+          obj.pending.insert(
+              PendingEntry{ref.tag, body_of(*item.msg), ref.client, ref.req});
         }
       }
     }
     ++stats_.forwards;
     ++stats_.ring_messages_out;
-    if (probe_.attached()) {
-      const auto [c, r] = op_of(*item.msg);
-      probe_.event(obs::EventKind::kFairnessPick, c, r, batch_seq_);
-    }
+    probe_.event(obs::EventKind::kFairnessPick, ref.client, ref.req,
+                 batch_seq_);
     return RingSend{successor_, std::move(item.msg)};
   }
   return std::nullopt;
@@ -917,22 +814,24 @@ RingSend RingServer::initiate_write(LocalWrite w) {
   if (auto hp = obj.pending.max_tag()) ts = std::max(ts, hp->ts);
   const Tag tag{ts + 1, self_};
 
-  obj.pending.insert(PendingEntry{tag, w.value, w.client, w.req, w.coded,
-                                  w.cn, w.ck, w.coded_value_size});
-  obj.outstanding[tag] =
-      OutstandingWrite{w.client, w.req,         w.value, false,
-                       w.coded,  w.cn,  w.ck,   w.coded_value_size};
+  obj.pending.insert(PendingEntry{tag, w.body, w.client, w.req});
+  obj.outstanding[tag] = OutstandingWrite{w.client, w.req, w.body};
   sched_.count_sent(self_);  // line 26
   ++stats_.pre_writes_initiated;
-  if (w.coded) {
-    return RingSend{successor_, net::make_payload<PreWriteFrag>(
-                                    tag, w.client, w.req, w.cn, w.ck,
-                                    w.coded_value_size, w.object,
-                                    view_.epoch)};
-  }
   return RingSend{successor_,
-                  net::make_payload<PreWrite>(tag, w.value, w.client, w.req,
-                                              w.object, view_.epoch)};
+                  pre_write(w.object, tag, w.body, w.client, w.req)};
+}
+
+net::PayloadPtr RingServer::pre_write(ObjectId object, const Tag& tag,
+                                      const WriteBody& body, ClientId client,
+                                      RequestId req) const {
+  if (const auto& shape = body.coded) {
+    return net::make_payload<PreWriteFrag>(tag, client, req, shape->n,
+                                           shape->k, shape->value_size,
+                                           object, view_.epoch);
+  }
+  return net::make_payload<PreWrite>(tag, body.value, client, req, object,
+                                     view_.epoch);
 }
 
 void RingServer::solo_write(const LocalWrite& w, ServerContext& ctx) {
@@ -940,11 +839,7 @@ void RingServer::solo_write(const LocalWrite& w, ServerContext& ctx) {
   std::uint64_t ts = obj.tag.ts;
   if (auto hp = obj.pending.max_tag()) ts = std::max(ts, hp->ts);
   const Tag tag{ts + 1, self_};
-  if (w.coded) {
-    apply_coded(obj, tag, w.client, w.req, w.cn, w.ck, w.coded_value_size);
-  } else {
-    apply(obj, tag, w.value);
-  }
+  install(obj, tag, w.body, w.client, w.req);
   note_completed(obj, tag, w.client, w.req);
   ctx.send_client(w.client, net::make_payload<ClientWriteAck>(
                                 w.req, w.object, view_.epoch));
@@ -977,24 +872,17 @@ void RingServer::on_peer_crash(ProcessId crashed, ServerContext& ctx) {
     // the initial tag downstream is a no-op, and with one register per key
     // a namespace-wide sweep should not flood the ring with them.
     for (const auto& [id, obj] : objects_) {
-      if (obj.coded) {
+      if (obj.body.coded) {
         // A coded register syncs through its FragRepair (launched in the
         // absorber pass below — it carries tag + geometry); a SyncState
         // with the empty value would install an empty *replicated* state.
       } else if (id == kDefaultObject || !obj.tag.is_initial()) {
         ++stats_.syncs_sent;
-        push_urgent(net::make_payload<SyncState>(obj.tag, obj.value, id,
+        push_urgent(net::make_payload<SyncState>(obj.tag, obj.body.value, id,
                                                  view_.epoch));
       }
       for (const auto& e : obj.pending.snapshot()) {
-        if (e.coded) {
-          push_urgent(net::make_payload<PreWriteFrag>(
-              e.tag, e.client, e.req, e.cn, e.ck, e.coded_value_size, id,
-              view_.epoch));
-        } else {
-          push_urgent(net::make_payload<PreWrite>(e.tag, e.value, e.client,
-                                                  e.req, id, view_.epoch));
-        }
+        push_urgent(pre_write(id, e.tag, e.body, e.client, e.req));
       }
     }
     // Staggered notices: an origin that learned of the crash first re-sent
@@ -1014,13 +902,8 @@ void RingServer::on_peer_crash(ProcessId crashed, ServerContext& ctx) {
       if (ow.write_phase) {
         push_urgent(net::make_payload<WriteCommit>(tag, ow.client, ow.req, id,
                                                    view_.epoch));
-      } else if (ow.coded) {
-        push_urgent(net::make_payload<PreWriteFrag>(
-            tag, ow.client, ow.req, ow.cn, ow.ck, ow.coded_value_size, id,
-            view_.epoch));
       } else {
-        push_urgent(net::make_payload<PreWrite>(tag, ow.value, ow.client,
-                                                ow.req, id, view_.epoch));
+        push_urgent(pre_write(id, tag, ow.body, ow.client, ow.req));
       }
     }
 
@@ -1030,14 +913,7 @@ void RingServer::on_peer_crash(ProcessId crashed, ServerContext& ctx) {
     if (ring_.absorber(crashed) == self_) {
       for (const auto& e : obj.pending.entries_from(crashed)) {
         ++stats_.adoptions;
-        if (e.coded) {
-          push_urgent(net::make_payload<PreWriteFrag>(
-              e.tag, e.client, e.req, e.cn, e.ck, e.coded_value_size, id,
-              view_.epoch));
-        } else {
-          push_urgent(net::make_payload<PreWrite>(e.tag, e.value, e.client,
-                                                  e.req, id, view_.epoch));
-        }
+        push_urgent(pre_write(id, e.tag, e.body, e.client, e.req));
       }
 
       // D11 — coded repair (the RADON direction): the crashed server's
@@ -1046,7 +922,8 @@ void RingServer::on_peer_crash(ProcessId crashed, ServerContext& ctx) {
       // aboard, and back here the missing index is regenerated and
       // adopted. Doubles as the coded register's splice sync (see
       // handle_frag_repair). Only worthwhile while >= k servers survive.
-      if (obj.coded && ring_.alive_count() >= std::size_t{obj.ck}) {
+      const auto& shape = obj.body.coded;
+      if (shape && ring_.alive_count() >= std::size_t{shape->k}) {
         std::vector<FragPart> parts;
         if (obj.frags) {
           if (const auto* set = obj.frags->at(obj.tag)) {
@@ -1056,8 +933,8 @@ void RingServer::on_peer_crash(ProcessId crashed, ServerContext& ctx) {
           }
         }
         push_urgent(net::make_payload<FragRepair>(
-            self_, obj.tag, obj.cn, obj.ck,
-            static_cast<std::uint8_t>(crashed), obj.coded_value_size,
+            self_, obj.tag, shape->n, shape->k,
+            static_cast<std::uint8_t>(crashed), shape->value_size,
             std::move(parts), id, view_.epoch));
       }
     }
@@ -1070,23 +947,13 @@ void RingServer::resolve_everything_solo(ServerContext& ctx) {
   // write completes.
   for (auto& [id, obj] : objects_) {
     for (const auto& e : obj.pending.snapshot()) {
-      if (e.coded) {
-        apply_coded(obj, e.tag, e.client, e.req, e.cn, e.ck,
-                    e.coded_value_size);
-      } else {
-        apply(obj, e.tag, e.value);
-      }
+      install(obj, e.tag, e.body, e.client, e.req);
       note_completed(obj, e.tag, e.client, e.req);
     }
     obj.pending.clear();
 
     for (auto& [tag, ow] : obj.outstanding) {
-      if (ow.coded) {
-        apply_coded(obj, tag, ow.client, ow.req, ow.cn, ow.ck,
-                    ow.coded_value_size);
-      } else {
-        apply(obj, tag, ow.value);
-      }
+      install(obj, tag, ow.body, ow.client, ow.req);
       note_completed(obj, tag, ow.client, ow.req);
       ctx.send_client(ow.client, net::make_payload<ClientWriteAck>(
                                      ow.req, id, view_.epoch));
@@ -1110,29 +977,16 @@ void RingServer::resolve_everything_solo(ServerContext& ctx) {
 
 // ---------------------------------------------------------------- helpers
 
-void RingServer::apply(ObjectState& obj, const Tag& t, const Value& v) {
+void RingServer::install(ObjectState& obj, const Tag& t, const WriteBody& body,
+                         ClientId client, RequestId req) {
   if (t > obj.tag) {
     obj.tag = t;
-    obj.value = v;
-    // A replicated value superseding a coded state flips the register back
-    // to replicated mode (one register may alternate under a
-    // size-threshold policy). Old fragment sets stay until the GC
-    // watermark of a later coded commit reclaims them.
-    obj.coded = false;
+    obj.body = body;
   }
-}
-
-void RingServer::apply_coded(ObjectState& obj, const Tag& t, ClientId client,
-                             RequestId req, std::uint8_t n, std::uint8_t k,
-                             std::uint64_t value_size) {
-  if (t > obj.tag) {
-    obj.tag = t;
-    obj.value = Value{};
-    obj.coded = true;
-    obj.cn = n;
-    obj.ck = k;
-    obj.coded_value_size = value_size;
-  }
+  // A replicated body superseding a coded one flips the register back to
+  // replicated mode; old fragment sets stay until the GC watermark of a
+  // later coded commit reclaims them.
+  if (!body.coded) return;
   ++stats_.coded_commits;
   // Promote even when t is superseded: the fragment belongs to tag t
   // regardless, and an in-flight read of t may still fetch it (the GC
@@ -1194,11 +1048,11 @@ void RingServer::unpark_up_to(ObjectState& obj, const Tag& t,
     if (r.threshold <= t) {
       // D2: reply with the *current* local value — at least as new as the
       // threshold since the unblocking commit has been applied.
-      if (obj.coded) {
+      if (obj.body.coded) {
         send_coded_read_ack(obj, r.client, r.req, ctx);
       } else {
         ctx.send_client(r.client,
-                        net::make_payload<ClientReadAck>(r.req, obj.value,
+                        net::make_payload<ClientReadAck>(r.req, obj.body.value,
                                                          obj.tag, obj.id,
                                                          view_.epoch));
       }
@@ -1230,7 +1084,7 @@ const Tag& RingServer::current_tag(ObjectId object) const {
 const Value& RingServer::current_value(ObjectId object) const {
   static const Value empty;
   const ObjectState* obj = find_state(object);
-  return obj ? obj->value : empty;
+  return obj ? obj->body.value : empty;
 }
 
 const PendingSet& RingServer::pending(ObjectId object) const {

@@ -135,7 +135,7 @@ struct ServerStats {
   std::uint64_t pre_writes_in = 0;      ///< PreWrite ring messages received
   std::uint64_t commits_in = 0;         ///< WriteCommit ring messages received
   std::uint64_t syncs_in = 0;           ///< SyncState ring messages received
-  std::uint64_t client_writes_in = 0;   ///< on_client_write calls
+  std::uint64_t client_writes_in = 0;   ///< ClientWrites + initiate FragWrites
   std::uint64_t client_reads_in = 0;    ///< on_client_read calls
   std::uint64_t write_queue_max = 0;    ///< write queue high-watermark
   std::uint64_t urgent_queue_max = 0;   ///< urgent queue high-watermark
@@ -362,11 +362,7 @@ class RingServer {
     ObjectId object;
     ClientId client;
     RequestId req;
-    Value value;       // empty for coded writes — the value never travels whole
-    bool coded = false;
-    std::uint8_t cn = 0;
-    std::uint8_t ck = 0;
-    std::uint64_t coded_value_size = 0;
+    WriteBody body;
   };
   struct ParkedRead {
     ClientId client;
@@ -376,12 +372,8 @@ class RingServer {
   struct OutstandingWrite {
     ClientId client;
     RequestId req;
-    Value value;
-    bool write_phase = false;  // own PreWrite completed the loop
-    bool coded = false;        // re-issue PreWriteFrag, not PreWrite (D11)
-    std::uint8_t cn = 0;
-    std::uint8_t ck = 0;
-    std::uint64_t coded_value_size = 0;
+    WriteBody body;
+    bool write_phase = false;  // own pre-write completed the loop
   };
   /// A client op held back during a view change (register moving onto this
   /// server); replayed in arrival order at commit_view_change.
@@ -389,7 +381,7 @@ class RingServer {
     bool is_read = false;
     ClientId client = 0;
     RequestId req = 0;
-    Value value;
+    WriteBody body;
     ObjectId object = kDefaultObject;
   };
 
@@ -397,7 +389,9 @@ class RingServer {
   /// in disjoint spaces: each object counts its own timestamps.
   struct ObjectState {
     ObjectId id = kDefaultObject;  // which register this record is
-    Value value;          // v   (line 12)
+    // v (line 12). A coded body (D11) leaves the value empty: readers are
+    // answered with CodedReadAck from `frags` instead.
+    WriteBody body;
     Tag tag;              // [ts, id]
     PendingSet pending;   // pending_write_set
     std::vector<ParkedRead> parked;
@@ -415,14 +409,8 @@ class RingServer {
     std::unordered_set<Tag> early_commits;
 
     // Coded value plane (D11): the fragment store is lazy — a register that
-    // only ever sees replicated writes never allocates one. `coded` says
-    // whether the *current committed* (tag, value) is a coded state: then
-    // `value` is empty and readers are answered with CodedReadAck instead.
+    // only ever sees replicated writes never allocates one.
     std::unique_ptr<code::FragmentStore> frags;
-    bool coded = false;
-    std::uint8_t cn = 0;
-    std::uint8_t ck = 0;
-    std::uint64_t coded_value_size = 0;
 
     ObjectState(ObjectId object, std::size_t n_servers, const Tag& initial)
         : id(object), tag(initial), commit_watermark(n_servers, 0) {}
@@ -450,18 +438,29 @@ class RingServer {
   /// consumed here (NACKed with an epoch hint, or parked until the flip);
   /// false means the server owns the register and must serve normally.
   bool gate_client_op(bool is_read, ClientId client, RequestId req,
-                      Value* value, ObjectId object, ServerContext& ctx);
+                      WriteBody* body, ObjectId object, ServerContext& ctx);
 
-  void handle_pre_write(const net::PayloadPtr& msg, const PreWrite& m,
-                        ServerContext& ctx);
+  /// The view client ops are gated by: the next one during a view change.
+  [[nodiscard]] const ServerView& deciding_view() const {
+    return incoming_ ? *incoming_ : view_;
+  }
+
+  /// A client write of either body (ClientWrite, an initiate FragWrite, or
+  /// a parked op's replay): dedup-acks a completed retry, gates, then
+  /// queues it for the ring (lines 18–20) or completes it solo.
+  void submit_write(ClientId client, RequestId req, WriteBody body,
+                    ObjectId object, ServerContext& ctx);
+
+  /// Acks a retried write that already completed, without re-applying (D5).
+  void dedup_ack(ClientId client, RequestId req, ObjectId object,
+                 ServerContext& ctx);
+
+  /// A PreWrite or a PreWriteFrag (lines 29–39 + adoption, D4): one
+  /// circulation, duplicate and adoption path for both bodies.
+  void handle_pre_write(const net::PayloadPtr& msg, ServerContext& ctx);
   void handle_commit(const net::PayloadPtr& msg, const WriteCommit& m,
                      ServerContext& ctx);
   void handle_sync(const SyncState& m);
-  /// Coded pre-write: the metadata-only ring circulation of a FragWrite
-  /// fan-out (D11). Mirrors handle_pre_write with an empty value and coding
-  /// geometry riding the pending entry.
-  void handle_pre_write_frag(const net::PayloadPtr& msg, const PreWriteFrag& m,
-                             ServerContext& ctx);
   /// Crash repair for coded registers: collects k fragments around the
   /// ring, regenerates the crashed server's index at the origin (absorber).
   void handle_frag_repair(const net::PayloadPtr& msg, const FragRepair& m);
@@ -469,6 +468,13 @@ class RingServer {
   /// Lines 21–28: assign a tag and start the pre-write phase. Returns the
   /// transmission (caller is next_ring_send).
   RingSend initiate_write(LocalWrite w);
+
+  /// The pre-write of one body: a PreWrite carrying the value, or the
+  /// metadata-only PreWriteFrag of a coded write (D11).
+  [[nodiscard]] net::PayloadPtr pre_write(ObjectId object, const Tag& tag,
+                                          const WriteBody& body,
+                                          ClientId client,
+                                          RequestId req) const;
 
   /// Solo fast path: the ring is just this server; writes apply immediately.
   void solo_write(const LocalWrite& w, ServerContext& ctx);
@@ -478,17 +484,12 @@ class RingServer {
   /// Read-only lookup; nullptr when the register was never touched.
   [[nodiscard]] const ObjectState* find_state(ObjectId id) const;
 
-  /// Applies (tag, value) to the register if newer (lines 33–35/43–45).
-  /// A replicated apply that supersedes a coded state clears the coded
-  /// flag — one register may alternate modes under a size-threshold policy.
-  static void apply(ObjectState& obj, const Tag& t, const Value& v);
-
-  /// Coded counterpart of apply(): installs `t` as a coded committed state
-  /// (empty value, geometry recorded), promotes the writer's staged
-  /// fragment under `t`, and runs the GC watermark (D11).
-  void apply_coded(ObjectState& obj, const Tag& t, ClientId client,
-                   RequestId req, std::uint8_t n, std::uint8_t k,
-                   std::uint64_t value_size);
+  /// Installs (t, body) in the register if newer (lines 33–35/43–45). A
+  /// coded body also promotes the writer's staged fragment under `t` and
+  /// runs the GC watermark (D11). One register may alternate bodies under
+  /// a size-threshold policy.
+  void install(ObjectState& obj, const Tag& t, const WriteBody& body,
+               ClientId client, RequestId req);
 
   /// Replies to a read of a coded register: CodedReadAck carrying whatever
   /// fragments this server holds at the committed tag.

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "code/crc32.h"
 #include "code/policy.h"
 #include "core/client.h"
 #include "core/messages.h"
@@ -317,6 +318,40 @@ TEST(ServerGating, MigratedDedupWindowsAckRetriesInsteadOfReapplying) {
   dst.on_client_write(5, 4, Value::synthetic(3, 8), ctx, kDefaultObject);
   EXPECT_FALSE(dst.current_tag(kDefaultObject).is_initial())
       << "fresh write must apply";
+}
+
+TEST(ServerGating, ParkedCodedWriteReplaysAsTheSameCodedWrite) {
+  // A coded write parked because its register is moving onto this server
+  // must replay at the flip as the same coded write — its fragment staged,
+  // the register's committed state coded — exactly as it is served outside
+  // a transition, not as a replicated write of the empty value.
+  auto old_map = std::make_shared<const ShardMap>(1);
+  auto new_map = std::make_shared<const ShardMap>(2);
+  ObjectId moving = 1;
+  while (new_map->ring_of(moving) != 1) ++moving;
+  const std::string frag(64, 'f');
+  for (const bool parked : {false, true}) {
+    SCOPED_TRACE(parked ? "parked and replayed" : "served directly");
+    ServerOptions opts;
+    opts.value_policy.k = 2;
+    RingServer dst(0, 1, opts);  // the only server of ring 1
+    dst.install_view(ServerView{0, 1, parked ? old_map : new_map});
+    if (parked) dst.begin_view_change(ServerView{1, 1, new_map});
+    CollectCtx ctx;
+    dst.on_frag_write(FragWrite(5, 1, /*n=*/2, /*k=*/2, /*idx=*/0,
+                                /*init=*/true, /*vsize=*/128, code::crc32(frag),
+                                frag, moving),
+                      ctx);
+    if (parked) {
+      EXPECT_TRUE(ctx.sent.empty()) << "transition ops must park";
+      dst.commit_view_change(ctx);
+    }
+    ASSERT_NE(ctx.last(), nullptr);
+    ASSERT_EQ(ctx.last()->kind(), kClientWriteAck);
+    dst.on_client_read(6, kReadRequestBit | 1, ctx, moving);
+    EXPECT_EQ(ctx.last()->kind(), kCodedReadAck);
+    EXPECT_EQ(dst.fragment_bytes(), frag.size());
+  }
 }
 
 // ------------------------------------- migration coordinator, no fabric

@@ -5,9 +5,13 @@
 // settle semantics here so the suites cannot drift apart.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "code/crc32.h"
+#include "code/mds.h"
 #include "core/messages.h"
 #include "core/server.h"
 
@@ -44,7 +48,42 @@ struct MockCtx final : ServerContext {
     }
     return found;
   }
+
+  /// The last read reply to client c on either value plane: a ClientReadAck
+  /// or a CodedReadAck.
+  [[nodiscard]] const net::Payload* last_read_reply(ClientId c) const {
+    const net::Payload* found = nullptr;
+    for (const auto& rep : replies) {
+      if (rep.client == c && (rep.msg->kind() == kClientReadAck ||
+                              rep.msg->kind() == kCodedReadAck)) {
+        found = rep.msg.get();
+      }
+    }
+    return found;
+  }
 };
+
+/// True when a read reply stands for `v` at `tag`: a ClientReadAck with that
+/// value, or a CodedReadAck whose fragments are v's (n, k) fragments at
+/// their indices (at least one — the replier's own share).
+[[nodiscard]] inline bool reply_carries(const net::Payload& reply,
+                                        const Value& v, const Tag& tag) {
+  if (reply.kind() == kClientReadAck) {
+    const auto& ack = static_cast<const ClientReadAck&>(reply);
+    return ack.tag == tag && ack.value == v;
+  }
+  const auto& ack = static_cast<const CodedReadAck&>(reply);
+  if (ack.tag != tag || ack.value_size != v.size() || ack.parts.empty()) {
+    return false;
+  }
+  const auto frags = code::MdsCodec(ack.n, ack.k).encode(v.bytes());
+  for (const FragPart& part : ack.parts) {
+    if (part.index >= frags.size() || part.bytes != frags[part.index]) {
+      return false;
+    }
+  }
+  return true;
+}
 
 /// Mini-ring: delivers every producible ring message until quiescence.
 /// Dead servers swallow anything sent to them (crash-stop).
@@ -70,6 +109,23 @@ class MiniRing {
   void kill(ProcessId p) { dead_[p] = true; }
   void notify(ProcessId q, ProcessId crashed) {
     if (!dead_[q]) servers_[q]->on_peer_crash(crashed, ctx_);
+  }
+
+  /// The coded twin of a ClientWrite (D11): encodes `v` into one (n, k)
+  /// fragment per server and delivers FragWrite i to server i, the copy to
+  /// `at` initiating the write (none when `at` is kNoProcess: every server
+  /// only stages). Dead servers swallow theirs.
+  void frag_write(ProcessId at, ClientId client, RequestId req, const Value& v,
+                  std::uint8_t k, ObjectId object = kDefaultObject) {
+    const auto n = static_cast<std::uint8_t>(servers_.size());
+    const auto frags = code::MdsCodec(n, k).encode(v.bytes());
+    for (ProcessId p = 0; p < n; ++p) {
+      if (dead_[p]) continue;
+      servers_[p]->on_frag_write(
+          FragWrite(client, req, n, k, static_cast<std::uint8_t>(p), p == at,
+                    v.size(), code::crc32(frags[p]), frags[p], object),
+          ctx_);
+    }
   }
 
   /// One egress step from server p: send its next ring message (if any).

@@ -1,8 +1,10 @@
 // RingServer driven directly (no fabric): exact message flows of the paper's
 // pseudo-code, plus the recovery behaviours (crash re-send, orphan adoption,
-// retry dedup) that make the resilience claim hold.
+// retry dedup) that make the resilience claim hold. The crash scenarios run
+// on both value planes, replicated and coded.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -15,6 +17,126 @@ namespace {
 
 using test::MiniRing;
 using test::MockCtx;
+using test::reply_carries;
+
+/// The value planes the crash scenarios run on: replicated values, and
+/// (3, 2)-coded values fanned out as FragWrites (D11). Coding changes which
+/// bytes a server stores, never which tag a read sees, so every scenario
+/// expects the same of both.
+enum class Plane { kReplicated, kCoded };
+
+constexpr std::uint8_t kCodedK = 2;
+
+/// A client write of `v` submitted at server `at` on `plane`.
+void submit(Plane plane, MiniRing& ring, ProcessId at, ClientId client,
+            RequestId req, const Value& v) {
+  if (plane == Plane::kCoded) {
+    ring.frag_write(at, client, req, v, kCodedK);
+  } else {
+    ring.at(at).on_client_write(client, req, v, ring.ctx(), kDefaultObject);
+  }
+}
+
+/// True when a fresh read at server p is answered at once with `v` at `tag`.
+bool reads_back(MiniRing& ring, ProcessId p, const Value& v, const Tag& tag) {
+  static ClientId next_reader = 1000;
+  const ClientId reader = next_reader++;
+  ring.at(p).on_client_read(reader, 1, ring.ctx(), kDefaultObject);
+  const net::Payload* reply = ring.ctx().last_read_reply(reader);
+  return reply != nullptr && reply_carries(*reply, v, tag);
+}
+
+void crash_of_successor_resends_pending(Plane plane) {
+  MiniRing ring(3);
+  const Value v = Value::synthetic(1, 64);
+  submit(plane, ring, 0, 7, 1, v);
+  ASSERT_TRUE(ring.step(0));  // pre-write at s1
+  ASSERT_TRUE(ring.step(1));  // s1 forwarded to s2; s1 has it pending
+  // s2 crashes holding the pre-write.
+  ring.crash(2);
+  ring.settle();
+  // s1 re-sent its pending pre-write to its new successor s0; the write
+  // completed on the 2-ring.
+  EXPECT_EQ(ring.ctx().acks_for(7, 1), 1);
+  for (const ProcessId p : {0u, 1u}) {
+    EXPECT_TRUE(ring.at(p).pending(kDefaultObject).empty()) << "server " << p;
+    EXPECT_TRUE(reads_back(ring, p, v, Tag{1, 0})) << "server " << p;
+  }
+}
+
+void orphaned_pre_write_adoption(Plane plane) {
+  MiniRing ring(3);
+  const Value v = Value::synthetic(1, 64);
+  submit(plane, ring, 0, 7, 1, v);
+  ASSERT_TRUE(ring.step(0));  // pre-write delivered to s1
+  ASSERT_TRUE(ring.step(1));  // s1 forwards to s2; pending at s1
+  // s2 received the pre-write but has not forwarded; origin s0 crashes. The
+  // in-flight pre-write must still commit, else parked reads hang forever.
+  ring.crash(0);
+  // Park a read at s1 on the orphaned tag.
+  // (pending at s1 contains {1,0} — the read must wait, then complete.)
+  ring.at(1).on_client_read(9, 1, ring.ctx(), kDefaultObject);
+  EXPECT_EQ(ring.at(1).parked_read_count(kDefaultObject), 1u);
+  ring.settle();
+  EXPECT_EQ(ring.at(1).parked_read_count(kDefaultObject), 0u);
+  const net::Payload* reply = ring.ctx().last_read_reply(9);
+  ASSERT_NE(reply, nullptr);
+  EXPECT_TRUE(reply_carries(*reply, v, Tag{1, 0}));
+  for (const ProcessId p : {1u, 2u}) {
+    EXPECT_TRUE(ring.at(p).pending(kDefaultObject).empty()) << "server " << p;
+    EXPECT_TRUE(reads_back(ring, p, v, Tag{1, 0})) << "server " << p;
+  }
+  // The surrogate (s2, predecessor of dead s0) did the adoption.
+  EXPECT_GE(ring.at(2).stats().adoptions, 1u);
+}
+
+void collapse_to_solo_resolves_everything(Plane plane) {
+  MiniRing ring(3);
+  const Value v = Value::synthetic(1, 64);
+  submit(plane, ring, 0, 7, 1, v);
+  ASSERT_TRUE(ring.step(0));  // s1 received pre-write
+  ASSERT_TRUE(ring.step(1));  // s1 forwarded → pending at s1
+  ring.at(1).on_client_read(9, 1, ring.ctx(), kDefaultObject);  // parks at s1
+  EXPECT_EQ(ring.at(1).parked_read_count(kDefaultObject), 1u);
+  // Everyone else dies; s1 is alone and must resolve locally.
+  ring.crash(2);
+  ring.crash(0);
+  EXPECT_EQ(ring.at(1).parked_read_count(kDefaultObject), 0u);
+  const net::Payload* reply = ring.ctx().last_read_reply(9);
+  ASSERT_NE(reply, nullptr);
+  EXPECT_TRUE(reply_carries(*reply, v, Tag{1, 0}));
+  // Solo writes now complete immediately.
+  const Value v2 = Value::synthetic(2, 64);
+  submit(plane, ring, 1, 8, 1, v2);
+  EXPECT_EQ(ring.ctx().acks_for(8, 1), 1);
+  EXPECT_TRUE(reads_back(ring, 1, v2, Tag{2, 1}));
+}
+
+void commit_overtaking_pre_write(Plane plane) {
+  // Non-FIFO defensive path: a commit arrives before its pre-write.
+  MiniRing ring(3);
+  const Tag t{5, 0};
+  const Value v = Value::synthetic(1, 64);
+  net::PayloadPtr pre_write =
+      net::make_payload<PreWrite>(t, v, 7, 1, kDefaultObject);
+  if (plane == Plane::kCoded) {
+    // Every server stages its fragment; no copy initiates (the pre-write
+    // below stands for the origin's).
+    ring.frag_write(kNoProcess, 7, 1, v, kCodedK);
+    pre_write = net::make_payload<PreWriteFrag>(t, 7, 1, 3, kCodedK, v.size(),
+                                                kDefaultObject);
+  }
+  ring.at(1).on_ring_message(net::make_payload<WriteCommit>(t, 7, 1,
+                                                            kDefaultObject),
+                             ring.ctx());
+  // No pending entry: the commit is remembered, not applied.
+  EXPECT_EQ(ring.at(1).current_tag(kDefaultObject), kInitialTag);
+  ring.at(1).on_ring_message(pre_write, ring.ctx());
+  EXPECT_EQ(ring.at(1).current_tag(kDefaultObject), t);
+  // Must not re-park readers.
+  EXPECT_FALSE(ring.at(1).pending(kDefaultObject).contains(t));
+  EXPECT_TRUE(reads_back(ring, 1, v, t));
+}
 
 TEST(RingServerUnit, WriteCompletesAroundTheRing) {
   MiniRing ring(3);
@@ -159,21 +281,11 @@ TEST(RingServerUnit, RetriedWriteIsDeduplicated) {
 }
 
 TEST(RingServerUnit, CrashOfSuccessorResendsPending) {
-  MiniRing ring(3);
-  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx(),
-                             kDefaultObject);
-  ASSERT_TRUE(ring.step(0));  // pre-write at s1
-  ASSERT_TRUE(ring.step(1));  // s1 forwarded to s2; s1 has it pending
-  // s2 crashes holding the pre-write.
-  ring.crash(2);
-  ring.settle();
-  // s1 re-sent its pending pre-write to its new successor s0; the write
-  // completed on the 2-ring.
-  EXPECT_EQ(ring.ctx().acks_for(7, 1), 1);
-  EXPECT_EQ(ring.at(0).current_value(kDefaultObject), Value::synthetic(1, 64));
-  EXPECT_EQ(ring.at(1).current_value(kDefaultObject), Value::synthetic(1, 64));
-  EXPECT_TRUE(ring.at(0).pending(kDefaultObject).empty());
-  EXPECT_TRUE(ring.at(1).pending(kDefaultObject).empty());
+  crash_of_successor_resends_pending(Plane::kReplicated);
+}
+
+TEST(RingServerUnit, CrashOfSuccessorResendsPendingCoded) {
+  crash_of_successor_resends_pending(Plane::kCoded);
 }
 
 TEST(RingServerUnit, CommitsLostUnderStaggeredCrashNoticesAreResent) {
@@ -203,50 +315,19 @@ TEST(RingServerUnit, CommitsLostUnderStaggeredCrashNoticesAreResent) {
 }
 
 TEST(RingServerUnit, OrphanedPreWriteAdoptionFullScenario) {
-  MiniRing ring(3);
-  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx(),
-                             kDefaultObject);
-  ASSERT_TRUE(ring.step(0));  // pre-write delivered to s1
-  ASSERT_TRUE(ring.step(1));  // s1 forwards to s2; pending at s1
-  // s2 received the pre-write but has not forwarded; origin s0 crashes. The
-  // in-flight pre-write must still commit, else parked reads hang forever.
-  ring.crash(0);
-  // Park a read at s1 on the orphaned tag.
-  // (pending at s1 contains {1,0} — the read must wait, then complete.)
-  ring.at(1).on_client_read(9, 1, ring.ctx(), kDefaultObject);
-  EXPECT_EQ(ring.at(1).parked_read_count(kDefaultObject), 1u);
-  ring.settle();
-  EXPECT_EQ(ring.at(1).parked_read_count(kDefaultObject), 0u);
-  const auto* ack = ring.ctx().last_read_ack(9);
-  ASSERT_NE(ack, nullptr);
-  EXPECT_EQ(ack->value, Value::synthetic(1, 64));
-  EXPECT_TRUE(ring.at(1).pending(kDefaultObject).empty());
-  EXPECT_TRUE(ring.at(2).pending(kDefaultObject).empty());
-  EXPECT_EQ(ring.at(1).current_value(kDefaultObject), Value::synthetic(1, 64));
-  EXPECT_EQ(ring.at(2).current_value(kDefaultObject), Value::synthetic(1, 64));
-  // The surrogate (s2, predecessor of dead s0) did the adoption.
-  EXPECT_GE(ring.at(2).stats().adoptions, 1u);
+  orphaned_pre_write_adoption(Plane::kReplicated);
+}
+
+TEST(RingServerUnit, OrphanedPreWriteAdoptionFullScenarioCoded) {
+  orphaned_pre_write_adoption(Plane::kCoded);
 }
 
 TEST(RingServerUnit, CollapseToSoloResolvesEverything) {
-  MiniRing ring(3);
-  ring.at(0).on_client_write(7, 1, Value::synthetic(1, 64), ring.ctx(),
-                             kDefaultObject);
-  ASSERT_TRUE(ring.step(0));  // s1 received pre-write
-  ASSERT_TRUE(ring.step(1));  // s1 forwarded → pending at s1
-  ring.at(1).on_client_read(9, 1, ring.ctx(), kDefaultObject);  // parks at s1
-  EXPECT_EQ(ring.at(1).parked_read_count(kDefaultObject), 1u);
-  // Everyone else dies; s1 is alone and must resolve locally.
-  ring.crash(2);
-  ring.crash(0);
-  EXPECT_EQ(ring.at(1).parked_read_count(kDefaultObject), 0u);
-  const auto* ack = ring.ctx().last_read_ack(9);
-  ASSERT_NE(ack, nullptr);
-  EXPECT_EQ(ack->value, Value::synthetic(1, 64));
-  // Solo writes now complete immediately.
-  ring.at(1).on_client_write(8, 1, Value::synthetic(2, 64), ring.ctx(),
-                             kDefaultObject);
-  EXPECT_EQ(ring.ctx().acks_for(8, 1), 1);
+  collapse_to_solo_resolves_everything(Plane::kReplicated);
+}
+
+TEST(RingServerUnit, CollapseToSoloResolvesEverythingCoded) {
+  collapse_to_solo_resolves_everything(Plane::kCoded);
 }
 
 TEST(RingServerUnit, ReadFastpathOptionServesDominatedPending) {
@@ -300,24 +381,11 @@ TEST(RingServerUnit, ConcurrentWritesOrderedByTag) {
 }
 
 TEST(RingServerUnit, CommitOvertakingPreWriteIsHandled) {
-  // Non-FIFO defensive path: a commit arrives before its pre-write.
-  MiniRing ring(3);
-  const Tag t{5, 0};
-  ring.at(1).on_ring_message(net::make_payload<WriteCommit>(t, 7, 1,
-                                                            kDefaultObject),
-                             ring.ctx());
-  // No pending entry: the commit is remembered, not applied.
-  EXPECT_EQ(ring.at(1).current_tag(kDefaultObject), kInitialTag);
-  ring.at(1).on_ring_message(
-      net::make_payload<PreWrite>(t, Value::synthetic(1, 64), 7, 1,
-                                  kDefaultObject),
-      ring.ctx());
-  EXPECT_EQ(ring.at(1).current_tag(kDefaultObject), t);
-  EXPECT_EQ(ring.at(1).current_value(kDefaultObject), Value::synthetic(1, 64));
-  // Must not re-park readers.
-  EXPECT_FALSE(ring.at(1).pending(kDefaultObject).contains(t));
-  ring.at(1).on_client_read(9, 1, ring.ctx(), kDefaultObject);
-  ASSERT_NE(ring.ctx().last_read_ack(9), nullptr);
+  commit_overtaking_pre_write(Plane::kReplicated);
+}
+
+TEST(RingServerUnit, CommitOvertakingPreWriteIsHandledCoded) {
+  commit_overtaking_pre_write(Plane::kCoded);
 }
 
 }  // namespace
