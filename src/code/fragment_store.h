@@ -70,6 +70,13 @@ class FragmentStore {
     return true;
   }
 
+  /// Free every staged fragment: none of their writes can commit here any
+  /// more (the register moved to another ring).
+  void drop_staged() {
+    staged_.clear();
+    staged_bytes_ = 0;
+  }
+
   /// Record a commit that applied before its FragWrite arrived (the fan-out
   /// and the ring share no ordering on a real fabric): when the fragment of
   /// (client, request) finally lands, take_late() hands back the committed

@@ -73,22 +73,20 @@ RingServer::RingServer(ProcessId self, std::size_t n_servers,
   assert(self < n_servers);
   // The default register always exists: crash repair syncs it even when it
   // was never written, exactly as the single-register protocol did.
-  objects_.emplace(kDefaultObject,
-                   ObjectState(kDefaultObject, n_servers, kInitialTag));
+  (void)state_of(kDefaultObject);
 }
 
 RingServer::ObjectState& RingServer::state_of(ObjectId id) {
-  auto it = objects_.find(id);
-  if (it == objects_.end()) {
-    it = objects_.emplace(id, ObjectState(id, ring_.initial_size(), kInitialTag))
-             .first;
-  }
-  return it->second;
+  if (ObjectState* obj = index_.find(id)) return *obj;
+  ObjectState& obj =
+      objects_.emplace(id, ObjectState(id, ring_.initial_size(), kInitialTag))
+          .first->second;
+  index_.insert(id, &obj);
+  return obj;
 }
 
 const RingServer::ObjectState* RingServer::find_state(ObjectId id) const {
-  auto it = objects_.find(id);
-  return it == objects_.end() ? nullptr : &it->second;
+  return index_.find(id);
 }
 
 void RingServer::on_message(net::PayloadPtr msg, ServerContext& ctx) {
@@ -283,10 +281,14 @@ void RingServer::on_frag_write(const FragWrite& m, ServerContext& ctx) {
     return;
   }
   // Staged before the gate, so a write parked for a view change replays as
-  // the same coded write — unless the gate will NACK this initiate copy:
-  // its write is retried on another ring, and only a commit frees a staged
-  // fragment.
-  if (!m.initiate || deciding_view().owns(m.object)) {
+  // the same coded write — but only while this ring may still commit it:
+  // the deciding view owns the register, or (for a non-initiate copy) the
+  // current one does and a write it accepted before the view change may
+  // still be draining. Any other write is NACKed and retried on another
+  // ring, and only a commit frees a staged fragment; the flip drops what
+  // stays staged on registers that moved away.
+  if (deciding_view().owns(m.object) ||
+      (!m.initiate && view_.owns(m.object))) {
     obj.store().stage(m.client, m.req, std::move(frag));
   }
   if (m.initiate) {
@@ -348,6 +350,11 @@ void RingServer::commit_view_change(ServerContext& ctx) {
   incoming_.reset();
   migrated_in_.clear();
   transition_dedup_merges_ = 0;
+  // A register that moved away is drained: no write staged for it here can
+  // commit on this ring any more.
+  for (auto& [id, obj] : objects_) {
+    if (obj.frags && !view_.owns(id)) obj.frags->drop_staged();
+  }
   // Replay in arrival order through the normal handlers: the register's
   // migrated state is installed, so writes tag past it and reads see it.
   std::deque<TransitionOp> parked = std::move(transition_parked_);

@@ -42,6 +42,7 @@
 #include "core/messages.h"
 #include "core/pending_set.h"
 #include "core/reconfig.h"
+#include "core/register_index.h"
 #include "core/ring.h"
 #include "net/payload.h"
 #include "obs/probe.h"
@@ -204,6 +205,14 @@ static_assert(sizeof(ServerStats) ==
 class RingServer {
  public:
   RingServer(ProcessId self, std::size_t n_servers, ServerOptions opts = {});
+
+  /// Not copyable: registers hold their fragment stores by unique_ptr. A
+  /// move carries the register index along with the registers it points
+  /// into (map nodes move, they are not copied).
+  RingServer(const RingServer&) = delete;
+  RingServer& operator=(const RingServer&) = delete;
+  RingServer(RingServer&&) = default;
+  RingServer& operator=(RingServer&&) = default;
 
   // ---------- inputs (driven by the fabric) ----------
 
@@ -532,6 +541,10 @@ class RingServer {
   // Per-register protocol state. std::map: deterministic iteration order for
   // crash re-sends (object 0 first), pointer stability across insertions.
   std::map<ObjectId, ObjectState> objects_;
+  // The same registers by hash, for the per-message lookups (state_of,
+  // find_state): with thousands of registers a map walk per message costs
+  // a dozen cache misses. It points into objects_' nodes.
+  RegisterIndex<ObjectState> index_;
 
   FairScheduler sched_;    // forward_queue + nb_msg — per SERVER, all objects
   std::deque<LocalWrite> write_queue_;

@@ -413,6 +413,9 @@ void TcpTransport::on_readable(Node& n, Conn& c) {
       (void)d.u64();
       c.peer = find(c.remote);
       c.have_preamble = true;
+      // No egress of our own to the dialer yet: answer on its connection.
+      // An existing choice stands, so each direction keeps one FIFO stream.
+      n.egress.try_emplace(c.remote, &c);
       chunk = std::string_view(c.preamble_buf).substr(kPreambleBytes);
     }
     const bool ok = c.decoder.feed(chunk, on_frame);

@@ -14,11 +14,24 @@
 //                        u8 dst_kind · u64 dst_id     (initiator → acceptor)
 //   then frames          u32 body_len · body          (body = encode bytes)
 //   bye                  body_len == 0: graceful close, not a failure
-// Connections are directed: the (src → dst) initiator writes data frames,
-// the acceptor only ever writes a bye. A TCP break (EOF/RST) without a bye
-// is a crash of the remote node — the paper's perfect failure detector,
-// honest on a LAN where partitions are out of scope: surviving peers'
-// crash handlers fire after `detection_delay`.
+// Egress rule: a node sends to a peer on the connection it dialed to that
+// peer or, when it has none, on the connection the peer dialed to it,
+// adopted as soon as that connection's preamble names the peer. The choice
+// never changes afterwards, so each direction rides exactly one FIFO
+// stream. The failure-detection mesh gives every server its own dialed
+// connection to every other server, so in practice only replies move: a
+// server answers a client on the client's mesh connection, and dials the
+// client's listener only when the client never dialed it. With request and
+// reply on one connection, TCP's delayed ACK rides on the next frame the
+// other way instead of costing a pure ACK segment per frame read: on
+// read_proc (3 server processes, 4-vCPU VM, 27 s runs) loopback OutSegs
+// per op fell from 2.56 to 1.44 and, with RingServer's register index,
+// cpu_us_per_op from 52.0 to 46.0 µs (median of 10 interleaved pairs).
+// A TCP break (EOF/RST) without a bye is a crash of the remote node — the
+// paper's perfect failure detector, honest on a LAN where partitions are
+// out of scope: surviving peers' crash handlers fire after
+// `detection_delay`. A server's death breaks every connection a client
+// dialed to it, shared or not.
 //
 // Threading: each node runs on a net::NodeLoop; this transport plugs in
 // only its sockets. The node's loop owns its listener and every connection
@@ -99,8 +112,9 @@ class TcpTransport : public LoopTransport {
   [[nodiscard]] std::uint16_t port_of(NodeAddress addr) const;
 
  private:
-  /// One directed TCP connection, owned by one node's loop thread (no lock).
-  /// Its epoll tag points at it.
+  /// One TCP connection, dialed or accepted, owned by one node's loop
+  /// thread (no lock). Either end may send frames on it once it is that
+  /// end's egress to the other. Its epoll tag points at it.
   struct Conn {
     Conn() = default;
     ~Conn();
@@ -131,7 +145,7 @@ class TcpTransport : public LoopTransport {
     int listen_fd = -1;
     std::uint16_t listen_port = 0;
     std::vector<std::unique_ptr<Conn>> conns;  // closed ones stay until stop
-    std::map<NodeAddress, Conn*> egress;
+    std::map<NodeAddress, Conn*> egress;  // the egress rule (file comment)
     std::vector<Conn*> dirty;
     std::size_t blocked = 0;  // conns waiting for EPOLLOUT
   };
@@ -150,8 +164,9 @@ class TcpTransport : public LoopTransport {
 
   // Loop-thread only.
   void stage(Node& n, NodeAddress to, const Payload& msg);
-  /// The egress connection n → to, dialing it if absent. nullptr when the
-  /// peer is unreachable or its connection broke (treated as crashed).
+  /// The egress connection n → to, dialing it if absent (the file
+  /// comment's rule). nullptr when the peer is unreachable or its
+  /// connection broke (treated as crashed).
   Conn* egress(Node& n, NodeAddress to);
   Conn* dial(Node& n, NodeAddress to);
   Conn& adopt(Node& n, int fd);

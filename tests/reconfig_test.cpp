@@ -354,6 +354,60 @@ TEST(ServerGating, ParkedCodedWriteReplaysAsTheSameCodedWrite) {
   }
 }
 
+TEST(ServerGating, MisroutedCodedFanOutStagesNothing) {
+  // A coded write for a ring-1 register fans out to a two-server ring 0:
+  // the initiate copy is NACKed and the client retries on ring 1, so the
+  // other copy must not stay staged on ring 0 — only a commit frees it.
+  auto map = std::make_shared<const ShardMap>(2);
+  ObjectId elsewhere = 1;
+  while (map->ring_of(elsewhere) != 1) ++elsewhere;
+  ServerOptions opts;
+  opts.value_policy.k = 2;
+  RingServer s0(0, 2, opts);
+  RingServer s1(1, 2, opts);
+  s0.install_view(ServerView{0, 0, map});
+  s1.install_view(ServerView{0, 0, map});
+  const std::string frag(64, 'f');
+  CollectCtx ctx;
+  for (RequestId req = 1; req <= 100; ++req) {
+    s0.on_frag_write(FragWrite(5, req, /*n=*/2, /*k=*/2, /*idx=*/0,
+                               /*init=*/true, /*vsize=*/128,
+                               code::crc32(frag), frag, elsewhere),
+                     ctx);
+    s1.on_frag_write(FragWrite(5, req, /*n=*/2, /*k=*/2, /*idx=*/1,
+                               /*init=*/false, /*vsize=*/128,
+                               code::crc32(frag), frag, elsewhere),
+                     ctx);
+  }
+  EXPECT_EQ(s0.stats().epoch_nacks, 100u);
+  EXPECT_EQ(s0.fragment_bytes(), 0u);
+  EXPECT_EQ(s1.fragment_bytes(), 0u);
+}
+
+TEST(ServerGating, FlipDropsFragmentsStagedForARegisterThatMovedAway) {
+  // A non-initiate copy lands while its register still belongs to this
+  // ring; its initiate copy is NACKed because the register is moving away.
+  // Once the flip drains the register, nothing can commit it here.
+  auto old_map = std::make_shared<const ShardMap>(1);
+  auto new_map = std::make_shared<const ShardMap>(2);
+  ObjectId moving = 1;
+  while (new_map->ring_of(moving) != 1) ++moving;
+  ServerOptions opts;
+  opts.value_policy.k = 2;
+  RingServer src(1, 2, opts);
+  src.install_view(ServerView{0, 0, old_map});
+  const std::string frag(64, 'f');
+  CollectCtx ctx;
+  src.on_frag_write(FragWrite(5, 1, /*n=*/2, /*k=*/2, /*idx=*/1,
+                              /*init=*/false, /*vsize=*/128,
+                              code::crc32(frag), frag, moving),
+                    ctx);
+  EXPECT_EQ(src.fragment_bytes(), frag.size()) << "may still commit here";
+  src.begin_view_change(ServerView{1, 0, new_map});
+  src.commit_view_change(ctx);
+  EXPECT_EQ(src.fragment_bytes(), 0u);
+}
+
 // ------------------------------------- migration coordinator, no fabric
 
 using Kind = MigrationCommand::Kind;

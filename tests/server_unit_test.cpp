@@ -6,9 +6,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/messages.h"
+#include "core/register_index.h"
 #include "core/server.h"
 #include "ring_test_util.h"
 
@@ -260,6 +263,60 @@ TEST(RingServerUnit, SoloServerServesDirectly) {
   ring.at(0).commit_view_change(ring.ctx());
   EXPECT_EQ(ring.at(0).epoch(), 1u);
   EXPECT_EQ(ring.at(0).stats().epoch_nacks, 0u);
+}
+
+TEST(RegisterIndex, FindsEveryIdAcrossGrowth) {
+  // Dense ids, ids strided by a power of two (which share their low bits),
+  // and far ids, inserted through several doublings of the table.
+  std::vector<ObjectId> ids;
+  for (ObjectId i = 1; i <= 1000; ++i) ids.push_back(i);
+  for (ObjectId i = 1; i <= 1000; ++i) ids.push_back(i << 20);
+  for (ObjectId i = 1; i <= 100; ++i) ids.push_back(~ObjectId{0} - i);
+  ids.push_back(0);
+  std::vector<int> values(ids.size());
+  RegisterIndex<int> index;
+  EXPECT_EQ(index.find(1), nullptr);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    index.insert(ids[i], &values[i]);
+    ASSERT_EQ(index.find(ids[i]), &values[i]) << "id " << ids[i];
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(index.find(ids[i]), &values[i]) << "id " << ids[i];
+  }
+  for (const ObjectId absent : {ObjectId{1001}, ObjectId{3} << 40}) {
+    EXPECT_EQ(index.find(absent), nullptr) << "id " << absent;
+  }
+}
+
+static_assert(!std::is_copy_constructible_v<RingServer> &&
+                  !std::is_copy_assignable_v<RingServer>,
+              "a copied register index would point into the source");
+
+TEST(RingServerUnit, MovedServerFindsEveryRegister) {
+  // Registers are looked up through a hash index into the ordered register
+  // table; a move must carry both, so every register stays reachable and a
+  // write after the move lands in the register a read sees.
+  constexpr ObjectId kObjects = 300;
+  MockCtx ctx;
+  RingServer src(0, 1);
+  for (ObjectId obj = 1; obj <= kObjects; ++obj) {
+    src.on_client_write(3, obj, Value::synthetic(obj, 16), ctx, obj);
+  }
+  RingServer moved(std::move(src));
+  RingServer assigned(0, 1);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.object_count(), kObjects + 1);  // plus the default
+  for (ObjectId obj = 1; obj <= kObjects; ++obj) {
+    EXPECT_EQ(assigned.current_value(obj), Value::synthetic(obj, 16));
+    const Value next = Value::synthetic(kObjects + obj, 16);
+    assigned.on_client_write(3, kObjects + obj, next, ctx, obj);
+    assigned.on_client_read(4, obj, ctx, obj);
+    const auto* ack = ctx.last_read_ack(4);
+    ASSERT_NE(ack, nullptr);
+    EXPECT_EQ(ack->value, next) << "object " << obj;
+    EXPECT_EQ(ack->tag, (Tag{2, 0})) << "object " << obj;
+  }
+  EXPECT_EQ(assigned.object_count(), kObjects + 1);
 }
 
 TEST(RingServerUnit, RetriedWriteIsDeduplicated) {

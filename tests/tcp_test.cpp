@@ -1,5 +1,7 @@
 // TcpTransport over real loopback sockets: golden frame pin against the
-// wire codec and crash detection from TCP breaks — then the full protocol
+// wire codec, crash detection from TCP breaks, and replies on the
+// connection the client dialed (in order; a stop on it told apart from a
+// crash) — then the full protocol
 // stack over sockets (ThreadedCluster tcp mode with crash + repair) and the
 // multi-process deployment (ProcCluster: SIGKILL a server process,
 // survivors detect and repair). The net::Transport contract both
@@ -8,7 +10,12 @@
 // This binary has a custom main: when re-exec'd as a ProcCluster server
 // child it runs the server loop instead of the test suite, so it links
 // GTest::gtest (not gtest_main).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -19,6 +26,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/serialize.h"
 #include "core/messages.h"
 #include "core/topology.h"
 #include "harness/proc_cluster.h"
@@ -136,6 +144,152 @@ TEST(TcpTransport, CrashSeversConnectionsAndNotifiesSurvivors) {
   EXPECT_EQ(delivered_to_crashed.load(), 0);
   b.stop();
   a.stop();
+}
+
+/// Polls until `done` holds or 10 s pass.
+template <typename Pred>
+bool eventually(Pred done) {
+  const clk::SteadyTime deadline =
+      clk::steady_now() + clk::seconds_to_duration(10.0);
+  while (!done()) {
+    if (clk::steady_now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+/// A server node that answers every message with the same payload.
+void register_echo_server(TcpTransport& t, ProcessId id) {
+  const NodeAddress self = NodeAddress::server(id);
+  t.register_node(self, [&t, self](NodeAddress from, PayloadPtr m) {
+    t.send(self, from, std::move(m));
+  });
+}
+
+TEST(TcpTransport, ServerAnswersOnTheConnectionTheClientDialed) {
+  // The client is a bare socket with no listener, so no port exists for
+  // the server to dial back to: the reply can only come back on the
+  // connection the client opened.
+  TcpTransport t(core_options(0.05, {0}));
+  register_echo_server(t, 0);
+  t.start();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(t.port_of(NodeAddress::server(0)));
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  Encoder out;
+  out.u32(TcpTransport::kMagic);
+  out.u8(static_cast<std::uint8_t>(NodeAddress::Kind::kClient));
+  out.u64(7);
+  out.u8(static_cast<std::uint8_t>(NodeAddress::Kind::kServer));
+  out.u64(0);
+  out.bytes(core::encode_message(*ping(41)));  // one u32-prefixed frame
+  ASSERT_EQ(::send(fd, out.result().data(), out.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(out.size()));
+
+  std::string in;
+  const clk::SteadyTime deadline =
+      clk::steady_now() + clk::seconds_to_duration(5.0);
+  const auto frame_len = [&in] {
+    return in.size() < 4 ? ~std::size_t{0} : Decoder(in).u32() + 4;
+  };
+  while (in.size() < frame_len() && clk::steady_now() < deadline) {
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, 50) != 1) continue;
+    char buf[4096];
+    const ssize_t got = ::read(fd, buf, sizeof(buf));
+    if (got <= 0) break;
+    in.append(buf, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  ASSERT_GE(in.size(), 4u) << "no reply on the dialed connection";
+  ASSERT_EQ(in.size(), frame_len());
+  const PayloadPtr reply = core::decode_message(std::string_view(in).substr(4));
+  ASSERT_EQ(reply->kind(), core::kClientWriteAck);
+  EXPECT_EQ(static_cast<const core::ClientWriteAck&>(*reply).req, 41u);
+  t.stop();
+}
+
+TEST(TcpTransport, RepliesToInterleavedRequestsArriveInOrder) {
+  // Two clients on one transport and the server on another, as separate
+  // processes would be, interleave their requests; every tenth one carries 256 KiB so both directions of each
+  // shared connection fill their socket buffers at once. Each client must
+  // see its replies in the order it sent the requests.
+  constexpr RequestId kRequests = 200;
+  TcpTransport srv(core_options(0.05, {0}));
+  TcpTransport cli(core_options(0.05, {0}));
+  register_echo_server(srv, 0);
+  std::mutex mu;
+  std::vector<RequestId> seen[2];
+  for (ClientId c = 0; c < 2; ++c) {
+    cli.register_node(NodeAddress::client(c),
+                      [&, c](NodeAddress, PayloadPtr m) {
+                        const std::scoped_lock lock(mu);
+                        seen[c].push_back(
+                            static_cast<const core::ClientWrite&>(*m).req);
+                      });
+  }
+  srv.start();
+  cli.start();
+  for (RequestId r = 1; r <= kRequests; ++r) {
+    for (ClientId c = 0; c < 2; ++c) {
+      const std::size_t size = r % 10 == 0 ? 256 * 1024 : 64;
+      cli.send(NodeAddress::client(c), NodeAddress::server(0),
+               make_payload<core::ClientWrite>(c, r, Value::synthetic(r, size),
+                                               kDefaultObject));
+    }
+  }
+  ASSERT_TRUE(eventually([&] {
+    const std::scoped_lock lock(mu);
+    return seen[0].size() == kRequests && seen[1].size() == kRequests;
+  }));
+  for (ClientId c = 0; c < 2; ++c) {
+    for (RequestId r = 1; r <= kRequests; ++r) {
+      EXPECT_EQ(seen[c][r - 1], r) << "client " << c;
+    }
+  }
+  cli.stop();
+  srv.stop();
+}
+
+TEST(TcpTransport, SharedConnectionTellsAStopFromACrash) {
+  // Request and reply share the client's connection, so the server's end
+  // of it is both the server's egress and its only link to the client. A
+  // graceful stop says bye on it — no crash notice at the client — while a
+  // crash breaks it without one, and the client learns of the crash.
+  for (const bool crash : {false, true}) {
+    SCOPED_TRACE(crash ? "crash" : "graceful stop");
+    std::atomic<int> replies{0};
+    std::atomic<int> notices{0};
+    TcpTransport srv(core_options(0.02, {0}));
+    TcpTransport cli(core_options(0.02, {0}));
+    register_echo_server(srv, 0);
+    cli.register_node(
+        NodeAddress::client(3), [&](NodeAddress, PayloadPtr) { ++replies; },
+        [&](ProcessId) { ++notices; });
+    srv.start();
+    cli.start();
+    cli.send(NodeAddress::client(3), NodeAddress::server(0), ping(1));
+    ASSERT_TRUE(eventually([&] { return replies.load() == 1; }));
+
+    if (crash) {
+      srv.crash(NodeAddress::server(0));
+      ASSERT_TRUE(eventually([&] { return notices.load() == 1; }));
+      EXPECT_FALSE(cli.is_up(NodeAddress::server(0)));
+    } else {
+      srv.stop();
+      // Ten detection delays: a notice the close raised would have fired.
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      EXPECT_EQ(notices.load(), 0);
+      EXPECT_TRUE(cli.is_up(NodeAddress::server(0)));
+    }
+    cli.stop();
+    srv.stop();
+  }
 }
 
 }  // namespace
