@@ -164,8 +164,9 @@ int main(int argc, char** argv) {
           auto* cl = clients[static_cast<std::size_t>(i)];
           std::uint64_t seed = static_cast<std::uint64_t>(i) << 32;
           while (!stop.load(std::memory_order_relaxed)) {
+            ++seed;
             cl->write(static_cast<hts::ObjectId>(seed % 4),
-                      hts::Value::synthetic(++seed, 8192));
+                      hts::Value::synthetic(seed, 8192));
             ops.fetch_add(1, std::memory_order_relaxed);
           }
         });

@@ -117,8 +117,9 @@ int run_tcp_store() {
   cfg.n_servers = 3;
   hts::harness::ProcCluster cluster(cfg);
   cluster.start();
-  std::printf("  servers listening at ports %u..%u, client connected\n",
-              cluster.base_port(), cluster.base_port() + 2);
+  std::printf("  servers listening at ports %u, %u, %u, client connected\n",
+              cluster.server_port(0), cluster.server_port(1),
+              cluster.server_port(2));
 
   const std::vector<std::pair<std::string, std::string>> data = {
       {"alpha", "the first letter"},

@@ -127,7 +127,6 @@ class DeploymentCore {
     session_.retry_multiplier = cfg.client_retry_multiplier;
     session_.retry_cap = cfg.client_retry_cap;
     session_.max_inflight = cfg.client_max_inflight;
-    session_.seed = cfg.client_seed;
     session_.value_policy = cfg.value_policy;
     server_opts_.value_policy = cfg.value_policy;
     boot();

@@ -16,6 +16,9 @@ namespace hts::harness {
 
 namespace {
 
+/// Bucket width of the completion series (seconds).
+constexpr double kSeriesBucketS = 0.1;
+
 struct DriverSet {
   std::vector<std::unique_ptr<ClosedLoopDriver>> drivers;
   std::vector<bool> is_writer;
@@ -206,11 +209,11 @@ ExperimentResult run_core_experiment(const ExperimentParams& p) {
                    cluster.add_client(machine, server);
                    return static_cast<ClientId>(cluster.client_count() - 1);
                  });
-  if (p.recorder != nullptr && p.series_bucket_s > 0) {
+  if (p.recorder != nullptr) {
     obs::TimeSeries* writes = p.recorder->registry().series(
-        "workload.write_bytes", p.series_bucket_s);
+        "workload.write_bytes", kSeriesBucketS);
     obs::TimeSeries* reads = p.recorder->registry().series(
-        "workload.read_bytes", p.series_bucket_s);
+        "workload.read_bytes", kSeriesBucketS);
     for (auto& d : set.drivers) d->set_series(writes, reads);
   }
   for (const ReconfigStep& step : p.reconfig) {

@@ -67,13 +67,11 @@ struct ExperimentParams {
   code::ValuePolicy value_policy;
 
   /// Observability (core protocol only): when set, the cluster attaches
-  /// probes, every driver feeds per-bucket completion series
+  /// probes, every driver feeds 0.1 s-bucket completion series
   /// ("workload.write_bytes" / "workload.read_bytes", covering the whole
   /// run so a reconfiguration's throughput dip is a first-class exported
   /// series), and the run ends with cluster.export_metrics(). Wire-silent.
   obs::Recorder* recorder = nullptr;
-  /// Bucket width of the completion series (seconds).
-  double series_bucket_s = 0.1;
 };
 
 struct ExperimentResult {

@@ -1,9 +1,8 @@
 #include "harness/proc_cluster.h"
 
-#include <netinet/in.h>
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/prctl.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -19,65 +18,37 @@
 #include "core/server.h"
 #include "core/topology.h"
 #include "harness/transport_hosts.h"
-#include "net/tcp_transport.h"
 
 namespace hts::harness {
 
 namespace {
 
+/// A server process's argv: this flag, its id, the detection delay, the fd
+/// of its inherited listener, then every server's port in id order.
 constexpr const char* kChildFlag = "--hts-proc-server";
 
-/// True when every port of a deployment's window — n server ports at
-/// `base + id` plus the parent client's `base + bias` — binds on loopback
-/// right now. The probe sockets use SO_REUSEADDR exactly like the real
-/// listeners, so TIME_WAIT remnants don't fail the probe but a live
-/// listener does.
-bool port_window_free(std::uint16_t base, std::size_t n_servers) {
-  std::vector<int> fds;
-  fds.reserve(n_servers + 1);
-  bool ok = true;
-  const auto try_bind = [&fds](std::uint16_t port) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) return false;
-    fds.push_back(fd);
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    return ::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) == 0;
-  };
-  for (std::size_t id = 0; ok && id < n_servers; ++id) {
-    ok = try_bind(static_cast<std::uint16_t>(base + id));
+/// tcp_options for a process of the deployment: every server's port.
+net::TcpTransport::Options proc_options(
+    double detection_delay_s, const std::vector<std::uint16_t>& ports) {
+  net::TcpTransport::Options o = tcp_options(detection_delay_s, ports.size());
+  for (std::size_t id = 0; id < ports.size(); ++id) {
+    o.listeners[net::NodeAddress::server(static_cast<ProcessId>(id))].port =
+        ports[id];
   }
-  if (ok) {
-    ok = try_bind(
-        static_cast<std::uint16_t>(base + net::TcpTransport::kClientPortBias));
-  }
-  for (const int fd : fds) ::close(fd);
-  return ok;
+  return o;
 }
 
-/// Ports must be unique per concurrently running deployment (parallel
-/// ctest runs many ProcCluster instances at once, and unrelated tests
-/// grab ephemeral ports anywhere above 32768). A pid-derived candidate
-/// seeds the search, but every candidate window is probe-bound before
-/// use — the pid only de-correlates where concurrent instances start
-/// probing; the bind is what guarantees the window is actually free.
-std::uint16_t pick_base_port(std::size_t n_servers) {
-  const auto pid = static_cast<std::uint32_t>(::getpid());
-  for (std::uint32_t attempt = 0; attempt < 512; ++attempt) {
-    // Candidates stay in [10000, 30000): below Linux's default ephemeral
-    // range, so the kernel never hands one of our ports to an unrelated
-    // outgoing connection between the probe and the children's binds.
-    const auto base = static_cast<std::uint16_t>(
-        10000 + ((pid * 509 + attempt * 7919) % 20000));
-    if (port_window_free(base, n_servers)) return base;
+/// The parent's copies of the servers' listeners. Closing them once every
+/// server process holds its own means a dead server's port refuses dials.
+struct ParentListeners {
+  ParentListeners() = default;
+  ParentListeners(const ParentListeners&) = delete;
+  ParentListeners& operator=(const ParentListeners&) = delete;
+  ~ParentListeners() {
+    for (const net::TcpTransport::Listener& l : all) ::close(l.fd);
   }
-  throw std::runtime_error("ProcCluster: no free loopback port window");
-}
+  std::vector<net::TcpTransport::Listener> all;
+};
 
 /// SIGTERM → one byte down the self-pipe; the child's main thread blocks on
 /// the read end (signal-handler-safe shutdown with no polling).
@@ -87,9 +58,16 @@ extern "C" void on_sigterm(int) {
   [[maybe_unused]] const ssize_t n = ::write(g_term_pipe[1], &b, 1);
 }
 
-[[noreturn]] void run_child(ProcessId id, std::size_t n,
-                            std::uint16_t base_port, double detection_delay_s,
-                            std::size_t max_batch) {
+}  // namespace
+
+bool ProcCluster::serve_child(int argc, char** argv) {
+  if (argc < 6 || std::strcmp(argv[1], kChildFlag) != 0) return false;
+  const auto id = static_cast<ProcessId>(std::strtoul(argv[2], nullptr, 10));
+  std::vector<std::uint16_t> ports;
+  for (int i = 5; i < argc; ++i) {
+    ports.push_back(
+        static_cast<std::uint16_t>(std::strtoul(argv[i], nullptr, 10)));
+  }
   if (::pipe(g_term_pipe) != 0) ::_exit(126);
   struct sigaction sa{};
   sa.sa_handler = on_sigterm;
@@ -97,16 +75,14 @@ extern "C" void on_sigterm(int) {
 
   // One ring, so global ids are local ids. Reconfiguration cannot cross a
   // process boundary: the host runs without a migration control plane.
-  core::ServerOptions sopts;
-  sopts.max_batch = max_batch;
-  net::TcpTransport transport(tcp_options(detection_delay_s, base_port, n));
-  TransportServerHost host(transport, id, n, id, 0, sopts);
+  net::TcpTransport::Options o =
+      proc_options(std::strtod(argv[3], nullptr), ports);
+  o.listeners[net::NodeAddress::server(id)].fd = std::atoi(argv[4]);
+  net::TcpTransport transport(std::move(o));
+  TransportServerHost host(transport, id, ports.size(), id, 0,
+                           core::ServerOptions{});
   host.register_node();
-  try {
-    transport.start();
-  } catch (const std::exception&) {
-    ::_exit(125);  // mesh never formed (a peer died before starting)
-  }
+  transport.start();
   char b = 0;
   while (::read(g_term_pipe[0], &b, 1) < 0 && errno == EINTR) {
   }
@@ -114,74 +90,73 @@ extern "C" void on_sigterm(int) {
   ::_exit(0);
 }
 
-}  // namespace
-
-bool ProcCluster::serve_child(int argc, char** argv) {
-  if (argc < 7 || std::strcmp(argv[1], kChildFlag) != 0) return false;
-  const auto id = static_cast<ProcessId>(std::strtoul(argv[2], nullptr, 10));
-  const auto n = static_cast<std::size_t>(std::strtoul(argv[3], nullptr, 10));
-  const auto base =
-      static_cast<std::uint16_t>(std::strtoul(argv[4], nullptr, 10));
-  const double delay = std::strtod(argv[5], nullptr);
-  const auto max_batch =
-      static_cast<std::size_t>(std::strtoul(argv[6], nullptr, 10));
-  run_child(id, n, base, delay, max_batch);  // never returns
-}
-
 // ----------------------------------------------------------------- cluster
 
-ProcCluster::ProcCluster(ProcClusterConfig cfg) : cfg_(cfg) {
-  base_port_ = cfg_.base_port;
-}
+ProcCluster::ProcCluster(ProcClusterConfig cfg) : cfg_(cfg) {}
 
 ProcCluster::~ProcCluster() { stop(); }
 
 void ProcCluster::start() {
   if (started_) return;
-  // Probe immediately before forking so the free window stays free for the
-  // few milliseconds until the children's listeners bind it for real.
-  if (base_port_ == 0) base_port_ = pick_base_port(cfg_.n_servers);
-  children_.assign(cfg_.n_servers, -1);
-  const std::string n_s = std::to_string(cfg_.n_servers);
-  const std::string base_s = std::to_string(base_port_);
-  const std::string delay_s = std::to_string(cfg_.detection_delay_s);
-  const std::string batch_s = std::to_string(cfg_.max_batch);
-  for (std::size_t id = 0; id < cfg_.n_servers; ++id) {
-    const std::string id_s = std::to_string(id);
-    const pid_t pid = ::fork();
-    if (pid < 0) throw std::runtime_error("ProcCluster: fork failed");
-    if (pid == 0) {
-      // exec immediately: the child must not run with the parent's threads'
-      // state (only fork+exec is sanitizer-safe from a threaded process).
-      ::prctl(PR_SET_PDEATHSIG, SIGTERM);  // no orphans if the parent dies
-      const char* args[] = {"/proc/self/exe", kChildFlag,    id_s.c_str(),
-                            n_s.c_str(),      base_s.c_str(), delay_s.c_str(),
-                            batch_s.c_str(),  nullptr};
-      ::execv("/proc/self/exe", const_cast<char* const*>(args));
-      ::_exit(127);
+  const std::size_t n = cfg_.n_servers;
+  std::vector<std::uint16_t> ports;
+  {
+    // Every listener exists before any process of the deployment starts.
+    ParentListeners listeners;
+    for (std::size_t id = 0; id < n; ++id) {
+      listeners.all.push_back(net::TcpTransport::listen_ephemeral());
+      ports.push_back(listeners.all.back().port);
     }
-    children_[id] = pid;
-  }
+    // Every argv is built before the first fork: between fork and exec a
+    // child makes async-signal-safe calls only.
+    std::vector<std::vector<std::string>> words(n);
+    std::vector<std::vector<const char*>> argvs(n);
+    for (std::size_t id = 0; id < n; ++id) {
+      words[id] = {"/proc/self/exe", kChildFlag, std::to_string(id),
+                   std::to_string(cfg_.detection_delay_s),
+                   std::to_string(listeners.all[id].fd)};
+      for (const std::uint16_t port : ports) {
+        words[id].push_back(std::to_string(port));
+      }
+      for (const std::string& w : words[id]) argvs[id].push_back(w.c_str());
+      argvs[id].push_back(nullptr);
+    }
+    children_.assign(n, -1);
+    for (std::size_t id = 0; id < n; ++id) {
+      const pid_t pid = ::fork();
+      if (pid < 0) throw std::runtime_error("ProcCluster: fork failed");
+      if (pid == 0) {
+        // exec immediately: the child must not run with the parent's
+        // threads' state (only fork+exec is sanitizer-safe from a threaded
+        // process). Its own listener is the one fd it keeps across exec.
+        ::prctl(PR_SET_PDEATHSIG, SIGTERM);  // no orphans if the parent dies
+        ::fcntl(listeners.all[id].fd, F_SETFD, 0);
+        ::execv("/proc/self/exe", const_cast<char* const*>(argvs[id].data()));
+        ::_exit(127);
+      }
+      children_[id] = pid;
+    }
+  }  // Each listener now lives in its own server process only.
 
   transport_ = std::make_unique<net::TcpTransport>(
-      tcp_options(cfg_.detection_delay_s, base_port_, cfg_.n_servers));
+      proc_options(cfg_.detection_delay_s, ports));
   core::ClientOptions copts;
-  copts.n_servers = cfg_.n_servers;
-  copts.topology = core::Topology::single(cfg_.n_servers);
+  copts.n_servers = n;
+  copts.topology = core::Topology::single(n);
   copts.preferred_server = 0;
   copts.retry_timeout = cfg_.client_retry_timeout_s;
   copts.max_inflight = 8;
   client_ = std::make_unique<TransportClientHost>(
       *transport_, core::ClientSession(0, copts), /*history=*/nullptr);
   client_->register_node();
-  transport_->start();  // mesh retries until every child is listening
+  transport_->start();
   started_ = true;
 }
 
 void ProcCluster::stop() {
-  // No started_ gate: start() may throw after forking (mesh-dial timeout,
-  // client bind failure), and those children block on the term pipe holding
-  // the port window until killed — reap any pid in children_ regardless.
+  // No started_ gate: start() may throw after forking (the client's
+  // listener failing to bind), and those children block on the term pipe
+  // until killed — reap any pid in children_ regardless.
   for (pid_t& pid : children_) {
     if (pid > 0) ::kill(pid, SIGTERM);
   }
@@ -238,5 +213,9 @@ bool ProcCluster::wait_server_down(ProcessId p, double timeout_s) const {
 }
 
 net::Transport& ProcCluster::transport() { return *transport_; }
+
+std::uint16_t ProcCluster::server_port(ProcessId p) const {
+  return transport_->port_of(net::NodeAddress::server(p));
+}
 
 }  // namespace hts::harness

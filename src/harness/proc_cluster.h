@@ -15,11 +15,16 @@
 // immediately followed by exec of /proc/self/exe, so the child gets a fresh
 // address space: safe under sanitizers and with the parent's threads.
 //
+// Addressing: the parent binds every server's listener on an ephemeral
+// port before forking; each server process inherits only its own listener,
+// and gets every server's port in its argv. So a dial connects or meets a
+// dead server, and parallel ctest instances never share a port.
+//
 // Scope: single ring, replicated values, no reconfiguration. Migration
 // commands are plain values (core::MigrationCommand), but no wire encoding
 // or control channel carries them to a server process yet, and there is
 // only one ring to migrate between. Ring sizes and client counts stay
-// small; ports are pid-derived so parallel ctest instances do not collide.
+// small.
 #pragma once
 
 #include <sys/types.h>
@@ -31,6 +36,7 @@
 #include "common/types.h"
 #include "common/value.h"
 #include "harness/transport_hosts.h"
+#include "net/tcp_transport.h"
 #include "net/transport.h"
 
 namespace hts::harness {
@@ -39,12 +45,6 @@ struct ProcClusterConfig {
   std::size_t n_servers = 3;
   /// Seconds between a TCP break and the survivors' crash handlers.
   double detection_delay_s = 0.05;
-  /// Listen-port base shared by every process of the deployment; 0 derives
-  /// one from the parent pid (stable across the fork, unique per ctest
-  /// instance).
-  std::uint16_t base_port = 0;
-  /// Ring batching knob, forwarded to every server process.
-  std::size_t max_batch = 16;
   double client_retry_timeout_s = 0.2;
 };
 
@@ -61,14 +61,15 @@ class ProcCluster {
   ProcCluster(const ProcCluster&) = delete;
   ProcCluster& operator=(const ProcCluster&) = delete;
 
-  /// Forks + execs one server process per ring slot, then starts the
-  /// parent-side client transport (its failure-detection mesh retries until
-  /// every child is listening).
+  /// Binds every server's listener, forks + execs one server process per
+  /// ring slot with its listener, closes the parent's copies, then starts
+  /// the parent-side client transport (its mesh dial to a server still
+  /// booting waits in that server's accept queue).
   void start();
 
   /// SIGTERMs the children (graceful: their transports send byes), reaps
-  /// them, and stops the client transport. Idempotent; the destructor calls
-  /// it.
+  /// them — SIGKILL after 5 s — and stops the client transport. Idempotent;
+  /// the destructor calls it.
   void stop();
 
   // ---- blocking single-client operations (issued on the parent) ----
@@ -86,13 +87,13 @@ class ProcCluster {
 
   /// Parent-side transport (tx/rx link counters for the example/bench).
   [[nodiscard]] net::Transport& transport();
-  [[nodiscard]] std::uint16_t base_port() const { return base_port_; }
+  /// The loopback port server `p` listens on (after start()).
+  [[nodiscard]] std::uint16_t server_port(ProcessId p) const;
 
  private:
   ProcClusterConfig cfg_;
-  std::uint16_t base_port_ = 0;
   std::vector<pid_t> children_;  // pid per server slot; -1 once reaped
-  std::unique_ptr<net::Transport> transport_;
+  std::unique_ptr<net::TcpTransport> transport_;
   std::unique_ptr<TransportClientHost> client_;
   bool started_ = false;
 };

@@ -62,7 +62,6 @@ struct SimClusterConfig {
   std::size_t client_max_inflight = 1;
   double client_retry_multiplier = 1.0;
   double client_retry_cap = 8.0;
-  std::uint64_t client_seed = 0;
   core::ServerOptions server_options;
 
   /// Coded value plane (DESIGN.md §Coded values): one knob for the whole

@@ -16,7 +16,7 @@ std::unique_ptr<net::Transport> make_transport(
     const ThreadedClusterConfig& cfg) {
   if (cfg.transport == ThreadedClusterConfig::TransportKind::kTcp) {
     return std::make_unique<net::TcpTransport>(
-        tcp_options(cfg.detection_delay_s, cfg.tcp_base_port,
+        tcp_options(cfg.detection_delay_s,
                     cfg.resolved_topology().total_servers()));
   }
   return std::make_unique<net::InMemTransport>(cfg.detection_delay_s);

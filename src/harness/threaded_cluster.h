@@ -50,20 +50,17 @@ struct ThreadedClusterConfig {
   std::optional<core::Topology> topology;
   double detection_delay_s = 0.005;
   /// Fabric selection: in-process queues (default) or real loopback TCP
-  /// sockets (net::TcpTransport) — same deployment, every node hosted in
-  /// this process, frames golden-pinned to the wire codec. The node-facing
-  /// surface is identical; only the bytes' journey differs.
+  /// sockets (net::TcpTransport) on ephemeral ports — same deployment,
+  /// every node hosted in this process, frames golden-pinned to the wire
+  /// codec. The node-facing surface is identical; only the bytes' journey
+  /// differs.
   enum class TransportKind { kInMem, kTcp };
   TransportKind transport = TransportKind::kInMem;
-  /// TCP mode listen-port base; 0 = ephemeral ports (parallel-ctest safe,
-  /// single-process only — which is exactly ThreadedCluster's shape).
-  std::uint16_t tcp_base_port = 0;
   double client_retry_timeout_s = 0.1;
   /// Session pipelining/backoff knobs (core::ClientOptions pass-through).
   std::size_t client_max_inflight = 8;
   double client_retry_multiplier = 1.0;
   double client_retry_cap = 8.0;
-  std::uint64_t client_seed = 0;
   core::ServerOptions server_options;
   bool record_history = true;  ///< collect a lincheck history of all ops
 

@@ -7,11 +7,9 @@
 namespace hts::harness {
 
 net::TcpTransport::Options tcp_options(double detection_delay_s,
-                                       std::uint16_t base_port,
                                        std::size_t n_servers) {
   net::TcpTransport::Options o;
   o.detection_delay_s = detection_delay_s;
-  o.base_port = base_port;
   for (std::size_t g = 0; g < n_servers; ++g) {
     o.servers.push_back(static_cast<ProcessId>(g));
   }

@@ -35,8 +35,8 @@ namespace hts::harness {
 /// TcpTransport options with the core wire codec injected (hts_net cannot
 /// depend on hts_core) and servers 0..n_servers-1 as the failure-detection
 /// mesh.
-[[nodiscard]] net::TcpTransport::Options tcp_options(
-    double detection_delay_s, std::uint16_t base_port, std::size_t n_servers);
+[[nodiscard]] net::TcpTransport::Options tcp_options(double detection_delay_s,
+                                                     std::size_t n_servers);
 
 /// One ring server on a transport node. The protocol runs on local
 /// (in-ring) ids; the host maps them into the ring's global-id block.

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -21,10 +20,9 @@ namespace hts::net {
 
 namespace {
 
-/// Process-wide port registry for ephemeral mode (base_port == 0): each
-/// listener publishes the port the kernel picked. Only meaningful when the
-/// whole deployment shares one process, which is exactly when ephemeral
-/// mode is allowed.
+/// Process-wide port registry: each listener bound by make_node publishes
+/// the port the kernel picked, so the transports of one process find each
+/// other's nodes. Listeners of other processes come in Options::listeners.
 sync::Mutex g_port_mu;
 std::map<NodeAddress, std::uint16_t>& ephemeral_ports()
     HTS_REQUIRES(g_port_mu) {
@@ -70,22 +68,42 @@ TcpTransport::TcpTransport(Options opts)
 
 TcpTransport::~TcpTransport() {
   stop();
-  if (opts_.base_port != 0) return;
   const std::vector<NodeLoop*> nodes = snapshot_nodes();
   const sync::MutexLock lock(g_port_mu);
-  for (const NodeLoop* n : nodes) ephemeral_ports().erase(n->addr());
+  for (const NodeLoop* n : nodes) {
+    // Only this node's own entry: another transport may have published
+    // the same address since.
+    auto it = ephemeral_ports().find(n->addr());
+    if (it != ephemeral_ports().end() &&
+        it->second == static_cast<const Node*>(n)->listen_port) {
+      ephemeral_ports().erase(it);
+    }
+  }
 }
 
 std::uint16_t TcpTransport::port_of(NodeAddress addr) const {
-  if (opts_.base_port != 0) {
-    const auto bias =
-        addr.kind == NodeAddress::Kind::kServer ? 0 : kClientPortBias;
-    assert(addr.id < kClientPortBias && "node id too large for port scheme");
-    return static_cast<std::uint16_t>(opts_.base_port + bias + addr.id);
+  if (auto it = opts_.listeners.find(addr); it != opts_.listeners.end()) {
+    return it->second.port;
   }
   const sync::MutexLock lock(g_port_mu);
   auto it = ephemeral_ports().find(addr);
   return it == ephemeral_ports().end() ? 0 : it->second;
+}
+
+TcpTransport::Listener TcpTransport::listen_ephemeral() {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) throw std::runtime_error("TcpTransport: socket() failed");
+  sockaddr_in sa = loopback_addr(0);
+  socklen_t len = sizeof(sa);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
+      ::listen(fd, SOMAXCONN) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len) != 0) {
+    const int err = errno;
+    ::close(fd);
+    throw std::runtime_error(std::string("TcpTransport: listener: ") +
+                             std::strerror(err));
+  }
+  return Listener{ntohs(sa.sin_port), fd};
 }
 
 std::unique_ptr<NodeLoop> TcpTransport::make_node(NodeAddress addr,
@@ -94,61 +112,45 @@ std::unique_ptr<NodeLoop> TcpTransport::make_node(NodeAddress addr,
                                                   TimerHandler on_timer) {
   auto node = std::make_unique<Node>(this, addr, std::move(on_message),
                                      std::move(on_crash), std::move(on_timer));
-  // Bind the node's listener immediately (before start()) so peers that
-  // start earlier can already dial us — the mesh retry loop depends on
-  // listeners existing as soon as the hosting process registers its nodes.
-  // Until the loop runs, the kernel's accept queue holds their dials.
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("TcpTransport: socket() failed");
-  node->listen_fd = fd;
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in sa =
-      loopback_addr(opts_.base_port == 0 ? 0 : port_of(addr));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-    throw std::runtime_error("TcpTransport: bind failed for node port " +
-                             std::to_string(ntohs(sa.sin_port)) + ": " +
-                             std::strerror(errno));
-  }
-  socklen_t len = sizeof(sa);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len);
-  node->listen_port = ntohs(sa.sin_port);
-  if (::listen(fd, SOMAXCONN) != 0) {
-    throw std::runtime_error("TcpTransport: listen failed");
-  }
-  set_nonblocking(fd);
+  // The listener exists from registration on: until the loop runs, the
+  // kernel's accept queue holds peers' dials. A listener handed in is
+  // adopted; any other binds an ephemeral port and publishes it.
+  auto handed = opts_.listeners.find(addr);
+  const bool adopted =
+      handed != opts_.listeners.end() && handed->second.fd >= 0;
+  const Listener l = adopted ? handed->second : listen_ephemeral();
+  node->listen_fd = l.fd;
+  node->listen_port = l.port;
+  set_nonblocking(l.fd);
   // Tags: the node itself is its listener, anything else a Conn.
-  node->watch(EPOLL_CTL_ADD, fd, EPOLLIN, static_cast<NodeLoop*>(node.get()));
-  if (opts_.base_port == 0) {
+  node->watch(EPOLL_CTL_ADD, l.fd, EPOLLIN,
+              static_cast<NodeLoop*>(node.get()));
+  if (!adopted) {
     const sync::MutexLock lock(g_port_mu);
-    ephemeral_ports()[addr] = node->listen_port;
+    ephemeral_ports()[addr] = l.port;
   }
   return node;
 }
 
 void TcpTransport::on_start(const std::vector<NodeLoop*>& nodes) {
-  // Failure-detection mesh: every local node eagerly dials every server in
-  // the deployment, so a peer's death breaks at least one connection into
-  // this process even if no data was ever exchanged. Peer processes may
-  // still be starting — retry with a generous deadline. The loops are not
-  // running yet, so this thread still owns every node's connections.
-  const clk::SteadyTime deadline =
-      clk::steady_now() + clk::seconds_to_duration(15.0);
+  // Failure-detection mesh: every local node dials every server in the
+  // deployment once, so a peer's death breaks at least one connection into
+  // this process even if no data was ever exchanged. A refused dial is a
+  // crash notice. The loops are not running yet, so this thread still owns
+  // every node's connections.
+  for (const ProcessId p : opts_.servers) {
+    if (port_of(NodeAddress::server(p)) == 0) {
+      throw std::invalid_argument(
+          "TcpTransport: no listener known for server " + std::to_string(p));
+    }
+  }
   for (NodeLoop* loop : nodes) {
     Node& n = static_cast<Node&>(*loop);
     for (const ProcessId p : opts_.servers) {
       const NodeAddress peer = NodeAddress::server(p);
-      if (peer == n.addr()) continue;
-      while (egress(n, peer) == nullptr) {
-        if (clk::steady_now() >= deadline) {
-          throw std::runtime_error("TcpTransport: mesh dial to server " +
-                                   std::to_string(p) + " timed out");
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
+      if (peer != n.addr()) (void)egress(n, peer);
     }
   }
-  mesh_formed_.store(true, std::memory_order_release);
 }
 
 void TcpTransport::send(NodeAddress from, NodeAddress to, PayloadPtr msg) {
@@ -279,21 +281,19 @@ TcpTransport::Conn* TcpTransport::egress(Node& n, NodeAddress to) {
 
 TcpTransport::Conn* TcpTransport::dial(Node& n, NodeAddress to) {
   const std::uint16_t port = port_of(to);
-  if (port == 0) return nullptr;  // unknown peer (ephemeral registry miss)
+  if (port == 0) return nullptr;  // a peer with no known listener
 
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return nullptr;
   sockaddr_in sa = loopback_addr(port);
   // Blocking connect: on loopback this either completes or refuses fast,
-  // and doing it synchronously gives the mesh retry loop (and lazy dials)
-  // an immediate verdict instead of an async SO_ERROR dance.
+  // and doing it synchronously gives the mesh (and lazy dials) an
+  // immediate verdict instead of an async SO_ERROR dance.
   if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
     ::close(fd);
-    // Refused once the mesh has formed means the peer is gone: a break,
-    // detected. During mesh formation a refusal just means the peer has
-    // not bound its listener yet — start()'s retry loop handles it.
-    if (mesh_formed_.load(std::memory_order_acquire) &&
-        to.kind == NodeAddress::Kind::kServer) {
+    // The listener outlives its node's start, so a refusal means the peer
+    // is gone: a break, detected.
+    if (to.kind == NodeAddress::Kind::kServer) {
       schedule_crash_notice(static_cast<ProcessId>(to.id));
     }
     return nullptr;

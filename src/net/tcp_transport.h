@@ -7,7 +7,9 @@
 // encode (golden-pinned in tests/tcp_test.cpp). One transport instance hosts
 // the nodes of one OS process; a deployment is one instance per process
 // (harness/proc_cluster.*) or a single instance hosting every node over
-// loopback (ThreadedCluster's tcp mode).
+// loopback (ThreadedCluster's tcp mode). Every listener exists before any
+// node of its deployment starts (ProcCluster binds its servers' listeners
+// in the parent), so a refused dial always means a dead peer.
 //
 // Wire protocol (DESIGN.md §Transport, D12):
 //   connection preamble  u32 magic 'HTS1' · u8 src_kind · u64 src_id ·
@@ -52,7 +54,6 @@
 // codec in. Self-sends (from == to) bypass the socket path entirely.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -70,19 +71,26 @@ namespace hts::net {
 
 class TcpTransport : public LoopTransport {
  public:
+  /// A node's listening socket on loopback: its port, and its fd where
+  /// this process holds it (-1 otherwise).
+  struct Listener {
+    std::uint16_t port = 0;
+    int fd = -1;
+  };
+
   struct Options {
     /// Seconds between a TCP break and the surviving nodes' crash handlers.
     double detection_delay_s = 0.05;
-    /// Listen-port base: a node's port is base + id (servers) or
-    /// base + kClientPortBias + id (clients). 0 means "ephemeral": each
-    /// listener binds port 0 and publishes its real port in a process-wide
-    /// registry — safe under parallel ctest, valid only when every node of
-    /// the deployment lives in this one process.
-    std::uint16_t base_port = 0;
+    /// Listeners this process cannot discover itself: other processes'
+    /// nodes (a port) and local nodes whose listener was handed in (a port
+    /// and an fd, which make_node adopts). Any other node binds an
+    /// ephemeral port and publishes it in a process-wide registry.
+    std::map<NodeAddress, Listener> listeners;
     /// Full server set of the deployment. At start() every local node
-    /// eagerly connects to each of these (the failure-detection mesh): a
-    /// peer's death must break at least one connection into this process
-    /// even if no data was ever exchanged.
+    /// dials each of these once (the failure-detection mesh): a peer's
+    /// death must break at least one connection into this process even if
+    /// no data was ever exchanged. A server with no known port makes
+    /// start() throw.
     std::vector<ProcessId> servers;
     /// Message codec, injected by the harness (hts_net cannot see
     /// hts_core). encode must append exactly the message's wire bytes;
@@ -92,7 +100,6 @@ class TcpTransport : public LoopTransport {
   };
 
   static constexpr std::uint32_t kMagic = 0x31535448;  // "HTS1" little-endian
-  static constexpr std::uint64_t kClientPortBias = 256;
   static constexpr std::size_t kPreambleBytes = 4 + 1 + 8 + 1 + 8;
 
   explicit TcpTransport(Options opts);
@@ -107,9 +114,13 @@ class TcpTransport : public LoopTransport {
   /// the mailbox unencoded.
   void send(NodeAddress from, NodeAddress to, PayloadPtr msg) override;
 
-  /// The port a node listens on under this transport's port scheme. With an
-  /// ephemeral base the process-wide registry answers (local nodes only).
+  /// The port a node listens on: Options::listeners, else the
+  /// process-wide registry; 0 when neither knows the node.
   [[nodiscard]] std::uint16_t port_of(NodeAddress addr) const;
+
+  /// Binds and listens on an ephemeral loopback port (close-on-exec).
+  /// Throws when the socket cannot be bound.
+  static Listener listen_ephemeral();
 
  private:
   /// One TCP connection, dialed or accepted, owned by one node's loop
@@ -177,9 +188,6 @@ class TcpTransport : public LoopTransport {
   void close_conn(Node& n, Conn& c, bool attribute_break);
 
   Options opts_;
-  /// Set once start()'s mesh loop has reached every server: before that,
-  /// a refused dial means a peer is still starting, not crashed.
-  std::atomic<bool> mesh_formed_{false};
 };
 
 }  // namespace hts::net

@@ -586,7 +586,9 @@ TEST(MigrationCoordinator, FlipWaitsForEveryDestsInstallsAndDedupMerges) {
     ++polls;
     if (polls == 3) f.replies[3] = installed({obj}, 0);  // state, no windows
     if (polls == 6) f.replies[3] = installed({obj}, 1);  // now complete
-    if (polls <= 6) EXPECT_TRUE(f.commands(Kind::kCommit).empty());
+    if (polls <= 6) {
+      EXPECT_TRUE(f.commands(Kind::kCommit).empty());
+    }
   };
   ASSERT_TRUE(f.run());
   EXPECT_EQ(polls, 6) << "flip on the first poll after s3 completed";

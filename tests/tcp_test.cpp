@@ -1,10 +1,11 @@
 // TcpTransport over real loopback sockets: golden frame pin against the
 // wire codec, crash detection from TCP breaks, and replies on the
 // connection the client dialed (in order; a stop on it told apart from a
-// crash) — then the full protocol
+// crash), a dead mesh server met at start() — then the full protocol
 // stack over sockets (ThreadedCluster tcp mode with crash + repair) and the
 // multi-process deployment (ProcCluster: SIGKILL a server process,
-// survivors detect and repair). The net::Transport contract both
+// survivors detect and repair, its port then refuses dials; two
+// deployments side by side). The net::Transport contract both
 // transports share is checked in tests/transport_conformance_test.cpp.
 //
 // This binary has a custom main: when re-exec'd as a ProcCluster server
@@ -18,9 +19,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <future>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,7 +49,6 @@ TcpTransport::Options core_options(double detection_delay_s,
                                    std::vector<ProcessId> servers) {
   TcpTransport::Options o;
   o.detection_delay_s = detection_delay_s;
-  o.base_port = 0;
   o.servers = std::move(servers);
   o.encode = [](const Payload& m, FrameWriter& w) {
     core::encode_message_into(m, w);
@@ -292,6 +294,54 @@ TEST(TcpTransport, SharedConnectionTellsAStopFromACrash) {
   }
 }
 
+TEST(TcpTransport, DeadMeshServerIsOneCrashNoticeWithoutRetrying) {
+  // Server 1's listener is gone before the mesh forms: its transport
+  // registered it and stopped, so its port is known and refuses dials.
+  // start() dials it once, and each surviving node hears of the crash
+  // exactly once — no retry loop waits for the dead server to appear.
+  TcpTransport dead(core_options(0.02, {1}));
+  dead.register_node(NodeAddress::server(1), [](NodeAddress, PayloadPtr) {});
+  dead.start();
+  dead.stop();
+
+  TcpTransport t(core_options(0.02, {0, 1}));
+  std::atomic<int> notices[2] = {0, 0};
+  std::atomic<ProcessId> crashed[2] = {kNoProcess, kNoProcess};
+  const NodeAddress survivors[2] = {NodeAddress::server(0),
+                                    NodeAddress::client(4)};
+  for (int i = 0; i < 2; ++i) {
+    t.register_node(
+        survivors[i], [](NodeAddress, PayloadPtr) {},
+        [&, i](ProcessId p) {
+          ++notices[i];
+          crashed[i] = p;
+        });
+  }
+  const clk::SteadyTime t0 = clk::steady_now();
+  t.start();
+  EXPECT_LT(clk::seconds_since(t0), 0.5);
+  ASSERT_TRUE(eventually([&] {
+    return notices[0].load() >= 1 && notices[1].load() >= 1;
+  }));
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(notices[i].load(), 1) << "node " << i;
+    EXPECT_EQ(crashed[i].load(), 1u) << "node " << i;
+  }
+  EXPECT_FALSE(t.is_up(NodeAddress::server(1)));
+  t.stop();
+}
+
+TEST(TcpTransport, StartThrowsForAMeshServerWithNoKnownPort) {
+  // Server 7 has no listener in this process and none named in
+  // Options::listeners: a configuration error, reported at once.
+  TcpTransport t(core_options(0.02, {0, 7}));
+  t.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
+  const clk::SteadyTime t0 = clk::steady_now();
+  EXPECT_THROW(t.start(), std::invalid_argument);
+  EXPECT_LT(clk::seconds_since(t0), 0.5);
+}
+
 }  // namespace
 }  // namespace hts::net
 
@@ -456,6 +506,62 @@ TEST(ProcCluster, SigkilledServerIsDetectedAndRepaired) {
     EXPECT_EQ(cluster.get(1), Value::synthetic(v, 256));
   }
   cluster.stop();
+}
+
+/// True when a fresh loopback dial to `port` is refused.
+bool dial_refused(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(port);
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const bool refused =
+      ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 &&
+      errno == ECONNREFUSED;
+  ::close(fd);
+  return refused;
+}
+
+TEST(ProcCluster, KilledServersListenerIsGone) {
+  // The parent binds every server's listener and hands each server process
+  // its own. Once server 1 is killed, no copy of its listener may survive
+  // in the parent or in a sibling: a dial to its port must be refused, as
+  // the failure detector's refused-dial rule assumes.
+  ProcClusterConfig cfg;
+  cfg.n_servers = 3;
+  ProcCluster cluster(cfg);
+  cluster.start();
+  cluster.put(1, Value::synthetic(3, 128));
+  EXPECT_EQ(cluster.get(1), Value::synthetic(3, 128));
+  const std::uint16_t port = cluster.server_port(1);
+  ASSERT_NE(port, 0);
+  EXPECT_FALSE(dial_refused(port));
+
+  cluster.kill_server(1);
+  EXPECT_TRUE(dial_refused(port));
+  EXPECT_FALSE(dial_refused(cluster.server_port(0)));
+  cluster.stop();
+}
+
+TEST(ProcCluster, TwoDeploymentsServeSideBySide) {
+  // Two deployments alive at once in one process never reach each other's
+  // servers: each get returns its own deployment's value.
+  ProcClusterConfig cfg;
+  cfg.n_servers = 3;
+  ProcCluster a(cfg);
+  ProcCluster b(cfg);
+  a.start();
+  b.start();
+  for (std::uint64_t v = 1; v <= 4; ++v) {
+    a.put(v, Value::synthetic(100 + v, 256));
+    b.put(v, Value::synthetic(200 + v, 512));
+  }
+  for (std::uint64_t v = 1; v <= 4; ++v) {
+    EXPECT_EQ(a.get(v), Value::synthetic(100 + v, 256)) << "object " << v;
+    EXPECT_EQ(b.get(v), Value::synthetic(200 + v, 512)) << "object " << v;
+  }
+  b.stop();
+  a.stop();
 }
 
 }  // namespace
