@@ -243,20 +243,23 @@ obs::LinkCounters NodeLoop::counters() const {
                            rx_bytes_.load(std::memory_order_relaxed)};
 }
 
+void NodeLoop::use_epoll() {
+  if (epoll_fd_ >= 0) return;
+  assert(!thread_.joinable() && "the epoll set is created before start()");
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (epoll_fd_ < 0 || wake_fd_ < 0) {
+    throw std::runtime_error("NodeLoop: epoll/eventfd setup failed");
+  }
+  epoll_event wake_ev{};
+  wake_ev.events = EPOLLIN;
+  wake_ev.data.ptr = nullptr;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &wake_ev);
+}
+
 void NodeLoop::watch(int op, int fd, std::uint32_t events, void* tag) {
   assert(tag != nullptr && "the null tag is the loop's wake fd");
-  if (epoll_fd_ < 0) {
-    assert(!thread_.joinable() && "the first watch() precedes start()");
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (epoll_fd_ < 0 || wake_fd_ < 0) {
-      throw std::runtime_error("NodeLoop: epoll/eventfd setup failed");
-    }
-    epoll_event wake_ev{};
-    wake_ev.events = EPOLLIN;
-    wake_ev.data.ptr = nullptr;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &wake_ev);
-  }
+  use_epoll();
   epoll_event ev{};
   ev.events = events;
   ev.data.ptr = tag;
@@ -272,6 +275,9 @@ void NodeLoop::dispatch(NodeAddress from, PayloadPtr msg, std::size_t bytes) {
 
 void NodeLoop::start(Hooks& hooks, const std::atomic<bool>& stopping) {
   hooks_ = &hooks;
+  // Busy until the loop's first before_block: egress staged before start()
+  // (the TCP mesh's preambles) is not flushed yet.
+  busy_.store(true, std::memory_order_release);
   thread_ = std::thread([this, &hooks, &stopping] { run(hooks, stopping); });
 }
 
@@ -303,13 +309,13 @@ void NodeLoop::run(Hooks& hooks, const std::atomic<bool>& stopping) {
       if (stopping.load(std::memory_order_acquire)) break;
       busy_.store(hooks.before_block(*this), std::memory_order_release);
       if (epoll_fd_ >= 0) {
-        if (!wait_events(hooks)) break;
+        if (!turn(hooks)) break;
       } else {
         park(seq);
         busy_.store(true, std::memory_order_release);
         drain_mailbox(hooks);
+        fire_timers();
       }
-      fire_timers();
     }
     hooks.on_stop(*this);
   }
@@ -317,11 +323,26 @@ void NodeLoop::run(Hooks& hooks, const std::atomic<bool>& stopping) {
   tl_loop = nullptr;
 }
 
-bool NodeLoop::wait_events(Hooks& hooks) {
+bool NodeLoop::turn(Hooks& hooks) {
+  if (wait_events(hooks, /*block=*/true) < 0) return false;
+  fire_timers();
+  // Staged egress waits for what is already ready, so one flush carries
+  // both; a round that finds nothing ends the turn.
+  for (int round = 0; round < kReadyRounds && hooks.has_staged(*this);
+       ++round) {
+    const int ready = wait_events(hooks, /*block=*/false);
+    if (ready < 0) return false;
+    fire_timers();
+    if (ready == 0) break;
+  }
+  return true;
+}
+
+int NodeLoop::wait_events(Hooks& hooks, bool block) {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
-  int timeout_ms = -1;
-  if (!timers_.empty()) {
+  int timeout_ms = block ? -1 : 0;
+  if (block && !timers_.empty()) {
     const auto wait = timers_.front().at - clk::steady_now();
     const auto ms = std::chrono::ceil<std::chrono::milliseconds>(wait).count();
     timeout_ms = static_cast<int>(std::clamp<decltype(ms)>(ms, 0, INT_MAX));
@@ -334,7 +355,7 @@ bool NodeLoop::wait_events(Hooks& hooks) {
     if (nev < 0) err = errno;
   }
   busy_.store(true, std::memory_order_release);
-  if (nev < 0) return err == EINTR;
+  if (nev < 0) return err == EINTR ? 0 : -1;
   for (int i = 0; i < nev; ++i) {
     if (events[i].data.ptr == nullptr) {
       std::uint64_t drained = 0;
@@ -345,7 +366,7 @@ bool NodeLoop::wait_events(Hooks& hooks) {
       hooks.on_io(*this, events[i].data.ptr, events[i].events);
     }
   }
-  return true;
+  return nev;
 }
 
 void NodeLoop::park(std::uint32_t seq) {

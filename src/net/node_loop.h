@@ -12,12 +12,23 @@
 // its connections. The loop never knows which transport it serves;
 // InMemTransport plugs in nothing.
 //
-// Parking: whether the loop watches any fd picks how it sleeps. A loop that
-// watches one (every TcpTransport node: its listener, from make_node on)
-// blocks in epoll_wait and is woken through an eventfd. A loop that watches
-// none (every InMemTransport node) has no epoll set or eventfd at all: it
-// parks on a futex word until the absolute deadline of its earliest timer,
-// and a wake is one futex wake, made only while it is parked.
+// Parking: whether the loop has an epoll set picks how it sleeps. A loop
+// with one (every TcpTransport node, from make_node on) blocks in
+// epoll_wait and is woken through an eventfd. A loop without (every
+// InMemTransport node) watches no fd at all: it parks on a futex word
+// until the absolute deadline of its earliest timer, and a wake is one
+// futex wake, made only while it is parked.
+//
+// Turn (epoll loops): one blocking epoll_wait and the events it returns
+// (socket frames, the mailbox eventfd), then due timers; then, while the
+// turn holds staged egress (Hooks::has_staged), up to kReadyRounds
+// non-blocking epoll_wait rounds, each handling whatever is already ready
+// and the timers due by then, until one finds nothing; then before_block
+// flushes, and the loop blocks again. A frame that becomes readable while
+// the loop handles the one before it leaves in the same flush as that
+// one's reply, instead of costing its own sendmsg and, on TCP, its own
+// pure ACK. A turn that stages nothing (a client completing a caller)
+// makes no extra epoll_wait. Futex-parked loops run one drain per wake.
 //
 // Run lock: the loop thread holds run_mu_ whenever it is not parked. Work
 // for a node that watches no fd, is parked and has an empty mailbox may run
@@ -98,6 +109,10 @@ class NodeLoop {
     /// still holds work that no event will report (egress a full socket
     /// refused).
     virtual bool before_block(NodeLoop& /*n*/) { return false; }
+    /// Whether this turn has staged egress that before_block will send: an
+    /// epoll loop polls again for ready events only while it has (see the
+    /// turn in the file comment).
+    virtual bool has_staged(NodeLoop& /*n*/) { return false; }
     /// A send another thread posted for this node (post_send).
     virtual void on_send(NodeLoop& /*n*/, NodeAddress /*to*/,
                          const Payload& /*msg*/) {}
@@ -110,6 +125,10 @@ class NodeLoop {
   /// How many inline runs one thread may nest (see the file comment): a
   /// client plus a full circulation of a ring of up to seven servers.
   static constexpr int kMaxInlineDepth = 8;
+  /// Non-blocking polls one turn of an epoll loop may add after its
+  /// blocking wait (see the file comment): a flood of ready events delays
+  /// the turn's flush by at most this many rounds.
+  static constexpr int kReadyRounds = 16;
 
   /// `owner` identifies the transport hosting the node (see current()).
   NodeLoop(const void* owner, NodeAddress addr,
@@ -160,13 +179,16 @@ class NodeLoop {
   [[nodiscard]] bool quiet() const HTS_EXCLUDES(mu_);
   /// tx is charged by the sending transport, rx by dispatch().
   void count_tx(std::size_t bytes);
-  [[nodiscard]] obs::LinkCounters counters() const;
+  /// A transport that counts more per node adds it to these.
+  [[nodiscard]] virtual obs::LinkCounters counters() const;
 
   // ------------------------------------ loop thread (or before start())
+  /// Switches the loop from futex parking to epoll: creates the epoll set
+  /// and eventfd, once. Must come before start().
+  void use_epoll();
   /// Adds, modifies or removes (`op` = EPOLL_CTL_*) an fd on the loop's
-  /// epoll set; Hooks::on_io receives `tag`, which must not be null. The
-  /// first call creates the epoll set and eventfd, and must come before
-  /// start(): it switches the loop from futex parking to epoll.
+  /// epoll set (use_epoll() first, if it has not run); Hooks::on_io
+  /// receives `tag`, which must not be null.
   void watch(int op, int fd, std::uint32_t events, void* tag);
   /// Runs the message handler and counts the delivery, if the node is up.
   void dispatch(NodeAddress from, PayloadPtr msg, std::size_t bytes);
@@ -217,8 +239,13 @@ class NodeLoop {
   void push_timer(Timer t) HTS_REQUIRES(run_mu_);
   void run(Hooks& hooks, const std::atomic<bool>& stopping)
       HTS_EXCLUDES(run_mu_);
-  /// One epoll_wait and the events it returns; false on a fatal error.
-  bool wait_events(Hooks& hooks) HTS_REQUIRES(run_mu_);
+  /// One turn of an epoll loop (see the file comment); false on a fatal
+  /// error.
+  bool turn(Hooks& hooks) HTS_REQUIRES(run_mu_);
+  /// One epoll_wait — until an event or the earliest timer when `block`,
+  /// else over what is ready now — and the events it returns: how many,
+  /// or -1 on a fatal error.
+  int wait_events(Hooks& hooks, bool block) HTS_REQUIRES(run_mu_);
   /// Sleeps on the futex until a wake() after `seq` was read, or until the
   /// earliest timer is due — unless mail is already waiting.
   void park(std::uint32_t seq) HTS_REQUIRES(run_mu_) HTS_EXCLUDES(mu_);
@@ -235,7 +262,7 @@ class NodeLoop {
   const Transport::CrashHandler on_crash_;
   const Transport::TimerHandler on_timer_;
   Transport::LinkReadyHandler on_link_ready_;  // set before the node is found
-  // Created by the first watch(), before start(); -1 on an fd-less loop.
+  // Created by use_epoll(), before start(); -1 on an fd-less loop.
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd; its epoll tag is null
 

@@ -59,6 +59,12 @@ TcpTransport::Node::~Node() {
   if (listen_fd >= 0) ::close(listen_fd);
 }
 
+obs::LinkCounters TcpTransport::Node::counters() const {
+  obs::LinkCounters c = NodeLoop::counters();
+  c.tx_flushes = tx_flushes.load(std::memory_order_relaxed);
+  return c;
+}
+
 TcpTransport::TcpTransport(Options opts)
     : LoopTransport(opts.detection_delay_s), opts_(std::move(opts)) {
   if (!opts_.encode || !opts_.decode) {
@@ -112,8 +118,14 @@ std::unique_ptr<NodeLoop> TcpTransport::make_node(NodeAddress addr,
                                                   TimerHandler on_timer) {
   auto node = std::make_unique<Node>(this, addr, std::move(on_message),
                                      std::move(on_crash), std::move(on_timer));
-  // The listener exists from registration on: until the loop runs, the
-  // kernel's accept queue holds peers' dials. A listener handed in is
+  // A client is answered on the connections it dials, so it listens on
+  // nothing; its loop still runs on epoll, as every socket node's does.
+  if (addr.kind == NodeAddress::Kind::kClient) {
+    node->use_epoll();
+    return node;
+  }
+  // A server's listener exists from registration on: until the loop runs,
+  // the kernel's accept queue holds peers' dials. A listener handed in is
   // adopted; any other binds an ephemeral port and publishes it.
   auto handed = opts_.listeners.find(addr);
   const bool adopted =
@@ -190,6 +202,10 @@ bool TcpTransport::before_block(NodeLoop& loop) {
   for (std::size_t i = 0; i < n.dirty.size(); ++i) flush(n, *n.dirty[i]);
   n.dirty.clear();
   return n.blocked != 0;
+}
+
+bool TcpTransport::has_staged(NodeLoop& loop) {
+  return !static_cast<Node&>(loop).dirty.empty();
 }
 
 void TcpTransport::on_send(NodeLoop& n, NodeAddress to, const Payload& msg) {
@@ -346,6 +362,7 @@ void TcpTransport::flush(Node& n, Conn& c) {
       close_conn(n, c, /*attribute_break=*/true);
       return;
     }
+    if (sent > 0) n.tx_flushes.fetch_add(1, std::memory_order_relaxed);
     c.out_skip += static_cast<std::size_t>(sent);
     if (c.out_skip == c.out.size()) {
       c.out.clear();
@@ -371,61 +388,50 @@ void TcpTransport::on_accept(Node& n) {
 }
 
 void TcpTransport::on_readable(Node& n, Conn& c) {
+  // One read per readiness report: epoll is level-triggered, so bytes left
+  // in the socket are reported again in the turn's next round or the next
+  // turn. A peer that keeps the socket full cannot hold the loop away from
+  // its other connections, its timers or its flush.
   char buf[64 * 1024];
-  const auto on_frame = [this, &n, &c](std::string_view body) {
+  ssize_t got = 0;
+  do {
+    got = ::read(c.fd, buf, sizeof(buf));
+  } while (got < 0 && errno == EINTR);
+  if (got <= 0) {
+    if (got == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      close_conn(n, c, /*attribute_break=*/true);
+    }
+    return;
+  }
+  std::string_view chunk(buf, static_cast<std::size_t>(got));
+  if (!c.have_preamble) {
+    c.preamble_buf.append(chunk.data(), chunk.size());
+    if (c.preamble_buf.size() < kPreambleBytes) return;
+    Decoder d(std::string_view(c.preamble_buf).substr(0, kPreambleBytes));
+    if (d.u32() != kMagic) {
+      close_conn(n, c, /*attribute_break=*/false);
+      return;
+    }
+    c.remote.kind = static_cast<NodeAddress::Kind>(d.u8());
+    c.remote.id = d.u64();
+    (void)d.u8();  // destination: this listener's node by construction
+    (void)d.u64();
+    c.peer = find(c.remote);
+    c.have_preamble = true;
+    // No egress of our own to the dialer yet: answer on its connection.
+    // An existing choice stands, so each direction keeps one FIFO stream.
+    n.egress.try_emplace(c.remote, &c);
+    chunk = std::string_view(c.preamble_buf).substr(kPreambleBytes);
+  }
+  const bool ok = c.decoder.feed(chunk, [this, &n, &c](std::string_view body) {
     if (body.empty()) {
       c.remote_bye = true;
     } else {
       deliver_frame(n, c, body);
     }
-  };
-  for (;;) {
-    const ssize_t got = ::read(c.fd, buf, sizeof(buf));
-    if (got == 0) {
-      close_conn(n, c, /*attribute_break=*/true);
-      return;
-    }
-    if (got < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      close_conn(n, c, /*attribute_break=*/true);
-      return;
-    }
-    std::string_view chunk(buf, static_cast<std::size_t>(got));
-    // A short read emptied the socket: stop without the read() that would
-    // only return EAGAIN (epoll is level-triggered, so a late byte still
-    // wakes the loop).
-    const bool drained = chunk.size() < sizeof(buf);
-    if (!c.have_preamble) {
-      c.preamble_buf.append(chunk.data(), chunk.size());
-      if (c.preamble_buf.size() < kPreambleBytes) {
-        if (drained) return;
-        continue;
-      }
-      Decoder d(std::string_view(c.preamble_buf).substr(0, kPreambleBytes));
-      if (d.u32() != kMagic) {
-        close_conn(n, c, /*attribute_break=*/false);
-        return;
-      }
-      c.remote.kind = static_cast<NodeAddress::Kind>(d.u8());
-      c.remote.id = d.u64();
-      (void)d.u8();  // destination: this listener's node by construction
-      (void)d.u64();
-      c.peer = find(c.remote);
-      c.have_preamble = true;
-      // No egress of our own to the dialer yet: answer on its connection.
-      // An existing choice stands, so each direction keeps one FIFO stream.
-      n.egress.try_emplace(c.remote, &c);
-      chunk = std::string_view(c.preamble_buf).substr(kPreambleBytes);
-    }
-    const bool ok = c.decoder.feed(chunk, on_frame);
-    c.preamble_buf.clear();
-    if (!ok) {
-      close_conn(n, c, /*attribute_break=*/true);
-      return;
-    }
-    if (drained) return;
-  }
+  });
+  c.preamble_buf.clear();
+  if (!ok) close_conn(n, c, /*attribute_break=*/true);
 }
 
 void TcpTransport::deliver_frame(Node& n, const Conn& c,

@@ -342,6 +342,176 @@ TEST(TcpTransport, StartThrowsForAMeshServerWithNoKnownPort) {
   EXPECT_LT(clk::seconds_since(t0), 0.5);
 }
 
+/// sendmsg calls node `label` ("s<id>"/"c<id>") made that wrote bytes.
+std::uint64_t flushes(const TcpTransport& t, const std::string& label) {
+  for (const obs::LinkCounters& c : t.link_counters()) {
+    if (c.label == label) return c.tx_flushes.value_or(0);
+  }
+  return 0;
+}
+
+RequestId req_of(const Payload& p) {
+  return static_cast<const core::ClientWriteAck&>(p).req;
+}
+
+TEST(TcpTransport, FrameReadyDuringAHandlerLeavesInTheSameFlush) {
+  // R's handler for frame A stages a reply to D, then has S send frame B
+  // to R and waits until S has written it. B is ready before R's turn
+  // ends, so the turn handles it too, and both replies leave R in one
+  // flush, in order.
+  const NodeAddress r = NodeAddress::server(0);
+  const NodeAddress s = NodeAddress::server(1);
+  const NodeAddress d = NodeAddress::server(2);
+  TcpTransport t(core_options(0.05, {0, 1, 2}));
+  std::atomic<std::uint64_t> s_before{0};
+  std::mutex mu;
+  std::vector<RequestId> at_d;
+  t.register_node(r, [&](NodeAddress, PayloadPtr m) {
+    const RequestId req = req_of(*m);
+    t.send(r, d, ping(100 + req));
+    if (req != 1) return;
+    t.execute(s, [&] { t.send(s, r, ping(2)); });
+    // S writes nothing but A and B.
+    EXPECT_TRUE(eventually([&] { return flushes(t, "s1") >= s_before + 2; }))
+        << "S never wrote B";
+    // Loopback queues B on R's socket inside S's sendmsg, unless the
+    // kernel defers that work; the pause covers the deferred case.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  });
+  t.register_node(s, [](NodeAddress, PayloadPtr) {});
+  t.register_node(d, [&](NodeAddress, PayloadPtr m) {
+    const std::scoped_lock lock(mu);
+    at_d.push_back(req_of(*m));
+  });
+  t.start();
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  s_before = flushes(t, "s1");
+  const std::uint64_t r_before = flushes(t, "s0");
+
+  t.send(s, r, ping(1));
+  ASSERT_TRUE(eventually([&] {
+    const std::scoped_lock lock(mu);
+    return at_d.size() == 2;
+  }));
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  {
+    const std::scoped_lock lock(mu);
+    EXPECT_EQ(at_d, (std::vector<RequestId>{101, 102}));
+  }
+  EXPECT_EQ(flushes(t, "s0") - r_before, 1u)
+      << "R's replies to A and B left in separate flushes";
+  t.stop();
+}
+
+/// Server 0 (R) under a flood: a foreign thread writes 1 KiB client writes
+/// into it on a raw connection as fast as the socket takes them, and R
+/// spends 20 µs on each, so its socket never runs dry. R's handler answers
+/// the first one with a reply to server 1 (D) and arms a timer 20 ms ahead.
+/// Returns how long the reply took to reach D and how late the timer fired,
+/// both measured while the flood still ran.
+struct FloodDelays {
+  double reply_s = -1;
+  double timer_late_s = -1;
+};
+
+FloodDelays flood_delays() {
+  const NodeAddress r = NodeAddress::server(0);
+  const NodeAddress d = NodeAddress::server(1);
+  constexpr double kTimerDelayS = 0.02;
+  TcpTransport t(core_options(0.05, {0, 1}));
+  std::atomic<bool> first{true};
+  std::atomic<bool> stop{false};
+  std::atomic<std::int64_t> staged_ns{0};
+  std::atomic<std::int64_t> reply_ns{0};
+  std::atomic<std::int64_t> fired_ns{0};
+  const auto now_ns = [] {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               clk::steady_now().time_since_epoch())
+        .count();
+  };
+  t.register_node(
+      r,
+      [&](NodeAddress, PayloadPtr) {
+        if (!first.exchange(false)) {
+          const std::int64_t until = now_ns() + 20'000;
+          while (now_ns() < until) {
+          }
+          return;
+        }
+        staged_ns = now_ns();
+        t.send(r, d, ping(1));
+        t.arm_timer(r, kTimerDelayS, 7);
+      },
+      nullptr,
+      [&](std::uint64_t token) {
+        if (token == 7 && !stop.load()) fired_ns = now_ns();
+      });
+  t.register_node(d, [&](NodeAddress, PayloadPtr) {
+    if (!stop.load()) reply_ns = now_ns();
+  });
+  t.start();
+  EXPECT_TRUE(t.wait_quiescent(10.0));
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(t.port_of(r));
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  Encoder preamble;
+  preamble.u32(TcpTransport::kMagic);
+  preamble.u8(static_cast<std::uint8_t>(NodeAddress::Kind::kClient));
+  preamble.u64(9);
+  preamble.u8(static_cast<std::uint8_t>(NodeAddress::Kind::kServer));
+  preamble.u64(0);
+  Encoder frames;
+  for (RequestId q = 1; q <= 64; ++q) {
+    frames.bytes(core::encode_message(core::ClientWrite(
+        9, q, Value::synthetic(q, 1024), kDefaultObject)));
+  }
+  const std::string& flood = frames.result();
+  std::thread writer([&] {
+    (void)::send(fd, preamble.result().data(), preamble.size(), MSG_NOSIGNAL);
+    std::size_t off = 0;
+    while (!stop.load()) {
+      pollfd p{fd, POLLOUT, 0};
+      if (::poll(&p, 1, 10) != 1) continue;
+      const ssize_t w = ::send(fd, flood.data() + off, flood.size() - off,
+                               MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (w < 0 && errno != EAGAIN && errno != EINTR) break;
+      if (w > 0) off = (off + static_cast<std::size_t>(w)) % flood.size();
+    }
+  });
+  EXPECT_TRUE(eventually([&] { return reply_ns != 0 && fired_ns != 0; }))
+      << "no reply or no timer within 10 s of the flood";
+  stop = true;
+  writer.join();
+  ::close(fd);
+  t.stop();
+
+  FloodDelays out;
+  if (reply_ns != 0) out.reply_s = (reply_ns - staged_ns) * 1e-9;
+  if (fired_ns != 0) {
+    out.timer_late_s = (fired_ns - staged_ns) * 1e-9 - kTimerDelayS;
+  }
+  return out;
+}
+
+TEST(TcpTransport, FloodIntoANodeDoesNotStarveItsFlush) {
+  // However many frames stay ready, a turn polls for them a bounded number
+  // of rounds, then flushes.
+  const FloodDelays f = flood_delays();
+  ASSERT_GE(f.reply_s, 0.0) << "the reply never reached D";
+  EXPECT_LT(f.reply_s, 0.1);
+}
+
+TEST(TcpTransport, TimerFiresOnTimeDuringAFlood) {
+  // Due timers fire between the rounds of a turn, flood or not.
+  const FloodDelays f = flood_delays();
+  ASSERT_GE(f.timer_late_s, -0.001) << "the timer never fired";
+  EXPECT_LT(f.timer_late_s, 0.1);
+}
+
 }  // namespace
 }  // namespace hts::net
 
@@ -349,6 +519,17 @@ TEST(TcpTransport, StartThrowsForAMeshServerWithNoKnownPort) {
 
 namespace hts::harness {
 namespace {
+
+/// Options for a transport that hosts nothing: it only reads the
+/// process-wide port registry.
+net::TcpTransport::Options net_options() {
+  net::TcpTransport::Options o;
+  o.encode = [](const net::Payload& m, net::FrameWriter& w) {
+    core::encode_message_into(m, w);
+  };
+  o.decode = [](std::string_view bytes) { return core::decode_message(bytes); };
+  return o;
+}
 
 ThreadedClusterConfig tcp_cluster_config(std::size_t n_servers) {
   ThreadedClusterConfig cfg;
@@ -372,6 +553,19 @@ TEST(TcpCluster, SequentialReadWriteOverSockets) {
 
   auto verdict = lincheck::check_register(cluster.history());
   EXPECT_TRUE(verdict.linearizable) << verdict.explanation;
+}
+
+TEST(TcpCluster, ClientNodeBindsNoListener) {
+  // Servers answer a client on the connections it dialed, so a client
+  // publishes no port: no transport of this process can find one.
+  ThreadedCluster cluster(tcp_cluster_config(3));
+  auto& client = cluster.add_client(0);
+  cluster.start();
+  client.write(kDefaultObject, Value::synthetic(5, 256));
+  EXPECT_EQ(client.read(kDefaultObject), Value::synthetic(5, 256));
+  const net::TcpTransport probe(net_options());
+  EXPECT_EQ(probe.port_of(net::NodeAddress::client(client.id())), 0);
+  EXPECT_NE(probe.port_of(net::NodeAddress::server(0)), 0);
 }
 
 TEST(TcpCluster, CrashRepairCompletesOverSockets) {
@@ -477,6 +671,24 @@ TEST(ProcCluster, PutGetRoundTripAcrossProcesses) {
   EXPECT_EQ(cluster.get(2), Value::synthetic(8, 4096));
   cluster.put(1, Value::synthetic(9, 64));  // overwrite
   EXPECT_EQ(cluster.get(1), Value::synthetic(9, 64));
+  cluster.stop();
+}
+
+TEST(ProcCluster, ParentClientBindsNoListener) {
+  // The parent's client is answered on its mesh connections: it binds no
+  // listener, and neither its transport nor any other in this process
+  // knows a port for it.
+  ProcClusterConfig cfg;
+  cfg.n_servers = 3;
+  ProcCluster cluster(cfg);
+  cluster.start();
+  cluster.put(1, Value::synthetic(4, 256));
+  EXPECT_EQ(cluster.get(1), Value::synthetic(4, 256));
+  const auto& parent = dynamic_cast<net::TcpTransport&>(cluster.transport());
+  EXPECT_EQ(parent.port_of(net::NodeAddress::client(0)), 0);
+  EXPECT_NE(parent.port_of(net::NodeAddress::server(0)), 0);
+  const net::TcpTransport probe(net_options());
+  EXPECT_EQ(probe.port_of(net::NodeAddress::client(0)), 0);
   cluster.stop();
 }
 

@@ -14,7 +14,9 @@ Checks, in order:
   4. cross-checks: the "ring.batch_fill" histogram mean must equal
      ring.total.ring_messages / ring.total.transmissions (every
      next_ring_batch() pull records into the shared histogram, so the two
-     are the same quantity computed two ways).
+     are the same quantity computed two ways);
+  5. socket counters: an export with any "*.tx_flushes" counter (the
+     socket fabric's) must have every name in "socket_counters".
 
 Exits 0 and prints a one-line summary on success; prints every failure and
 exits 1 otherwise. Stdlib only.
@@ -118,6 +120,14 @@ def check_cross(schema, counters, hists):
                  f"!= {chk['numerator']}/{chk['denominator']} = {want}")
 
 
+def check_socket(schema, counters):
+    if not any(name.endswith(".tx_flushes") for name in counters):
+        return
+    for name in schema.get("socket_counters", []):
+        if name not in counters:
+            fail(f"socket-fabric export lacks {name!r}")
+
+
 def main(argv):
     if len(argv) < 2 or len(argv) > 3:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -153,6 +163,7 @@ def main(argv):
     if trace:
         check_trace(trace)
     check_cross(schema, counters, hists)
+    check_socket(schema, counters)
 
     if errors:
         for e in errors:
