@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -12,24 +11,13 @@
 
 namespace hts::core {
 
-namespace {
-
-/// Distinct jitter streams for equally-seeded sessions.
-std::uint64_t mix_seed(std::uint64_t seed, ClientId id) {
-  return seed ^ (0x9E3779B97F4A7C15ull * (id + 1));
-}
-
-}  // namespace
-
 ClientSession::ClientSession(ClientId id, ClientOptions opts)
     : id_(id),
       opts_(opts),
-      jitter_(mix_seed(opts.seed, id)),
       router_(opts.topology.value_or(Topology::single(opts.n_servers)),
               opts.preferred_server),
       epoch_(opts.epoch) {
   assert(opts_.max_inflight > 0);
-  assert(opts_.retry_multiplier >= 1.0);
 }
 
 RequestId ClientSession::begin_write(ObjectId object, Value v,
@@ -79,20 +67,6 @@ void ClientSession::dispatch(ClientContext& ctx) {
     assert(fresh);
     arm_retry(slot->second.retry_at, transmit(slot->second, ctx), ctx);
   }
-}
-
-double ClientSession::retry_delay(std::uint32_t attempt) const {
-  // The cap exists only to bound exponential growth: at multiplier 1 the
-  // schedule is exactly retry_timeout, whatever its value (fabrics use
-  // huge timeouts to mean "never retry" — the cap must not resurrect
-  // retries there).
-  if (opts_.retry_multiplier == 1.0) return opts_.retry_timeout;
-  double delay = opts_.retry_timeout;
-  if (attempt > 1) {
-    delay *= std::pow(opts_.retry_multiplier,
-                      static_cast<double>(attempt - 1));
-  }
-  return std::min(delay, opts_.retry_cap);
 }
 
 bool ClientSession::refresh_view() {
@@ -151,15 +125,7 @@ double ClientSession::transmit(Op& op, ClientContext& ctx) {
     ctx.send_server(op.target, net::make_payload<ClientWrite>(
                                    id_, op.req, op.value, op.object, epoch_));
   }
-  double delay = retry_delay(op.attempts);
-  if (opts_.retry_multiplier != 1.0) {
-    // Equal jitter: [delay/2, delay], quantised to microseconds via the
-    // bias-free Rng::below. Spreads synchronized retry storms without ever
-    // retrying earlier than half the schedule.
-    const std::uint64_t half_us =
-        std::max<std::uint64_t>(1, static_cast<std::uint64_t>(delay * 5e5));
-    delay = static_cast<double>(half_us + jitter_.below(half_us + 1)) * 1e-6;
-  }
+  const double delay = opts_.retry_timeout;
   probe_.record_backoff(delay);
   op.retry_at = ctx.now() + delay;
   op.retry_seq = ++retry_seq_;

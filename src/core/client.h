@@ -12,8 +12,8 @@
 // ring through a ShardRouter — one in-flight budget spans all rings, while
 // retry rotation and the sticky server target stay per ring.
 // Every in-flight operation has its own retry deadline and its own server
-// target rotation; retry delays grow exponentially with jitter (seed
-// behaviour at retry_multiplier = 1). The session keeps one fabric timer,
+// target rotation; every attempt waits exactly retry_timeout, the paper's
+// fixed interval. The session keeps one fabric timer,
 // armed for the earliest deadline in flight: a completed op cancels nothing
 // and a new op arms nothing unless its deadline comes first. Completion is
 // reported through a callback so both the blocking (threaded) and
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "code/policy.h"
-#include "common/rng.h"
 #include "common/types.h"
 #include "common/value.h"
 #include "core/messages.h"
@@ -69,24 +68,15 @@ struct ClientOptions {
   /// rotation and the sticky target are kept per ring (ShardRouter).
   std::optional<Topology> topology;
 
-  /// Base retry delay (seconds). With retry_multiplier = 1 (default) every
-  /// attempt waits exactly retry_timeout — the original fixed-interval
-  /// behaviour, bit-for-bit, with no jitter and no cap (huge timeouts mean
-  /// "never retry"). With retry_multiplier > 1, attempt k waits
-  ///   min(retry_cap, retry_timeout * retry_multiplier^(k-1)),
-  /// jittered into [delay/2, delay].
+  /// Retry delay (seconds): every attempt of an op waits exactly this long
+  /// for its reply before the op is re-sent to the next server (§3). Huge
+  /// timeouts mean "never retry".
   double retry_timeout = 0.25;
-  double retry_multiplier = 1.0;  ///< exponential backoff factor (>= 1)
-  double retry_cap = 8.0;         ///< bound on backoff growth (multiplier>1)
 
   /// Maximum operations in flight at once (across distinct objects). Ops on
   /// an object with an op already in flight are queued, preserving
   /// per-object order. 1 = the original one-outstanding-op client.
   std::size_t max_inflight = 1;
-
-  /// Seed for the retry-jitter rng (mixed with the client id so equal
-  /// configs on different clients do not retry in lockstep).
-  std::uint64_t seed = 0;
 
   /// Epoch of the view `topology` describes (0 = the boot view). Sessions
   /// created after a reconfiguration start at the deployment's current
@@ -200,10 +190,6 @@ class ClientSession {
   }
   [[nodiscard]] const ShardRouter& router() const { return router_; }
 
-  /// Delay before retry number `attempt` (attempt 1 = first transmission).
-  /// Exposed for tests pinning the backoff schedule.
-  [[nodiscard]] double retry_delay(std::uint32_t attempt) const;
-
  private:
   struct Op {
     ObjectId object = kDefaultObject;
@@ -268,7 +254,6 @@ class ClientSession {
 
   ClientId id_;
   ClientOptions opts_;
-  Rng jitter_;
   RequestId next_write_req_ = 1;
   RequestId next_read_req_ = 1;  // flagged with kReadRequestBit on the wire
   /// Routes each op to its object's ring and keeps, per ring, the server the

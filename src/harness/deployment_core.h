@@ -124,8 +124,6 @@ class DeploymentCore {
         rings_by_epoch_(1, topo_.n_rings()) {
     assert(topo_.valid());
     session_.retry_timeout = cfg.client_retry_timeout_s;
-    session_.retry_multiplier = cfg.client_retry_multiplier;
-    session_.retry_cap = cfg.client_retry_cap;
     session_.max_inflight = cfg.client_max_inflight;
     session_.value_policy = cfg.value_policy;
     server_opts_.value_policy = cfg.value_policy;

@@ -58,10 +58,8 @@ struct SimClusterConfig {
   bool shared_network = false;   ///< one NIC per server for all traffic
   double detection_delay_s = 2e-3;
   double client_retry_timeout_s = 0.25;
-  /// Session pipelining/backoff knobs (core::ClientOptions pass-through).
+  /// Session pipelining width (core::ClientOptions pass-through).
   std::size_t client_max_inflight = 1;
-  double client_retry_multiplier = 1.0;
-  double client_retry_cap = 8.0;
   core::ServerOptions server_options;
 
   /// Coded value plane (DESIGN.md §Coded values): one knob for the whole
@@ -93,7 +91,7 @@ class SimCluster final : public DeploymentCore {
 
   /// Adds a logical client session on `machine`, initially contacting
   /// `server` (a global id); the session routes ops across every ring of the
-  /// topology; pipelining width and backoff follow the cluster config.
+  /// topology; pipelining width and retry timeout follow the cluster config.
   core::ClientSession& add_client(std::size_t machine, ProcessId server);
 
   /// Crashes a server (global id) at `at`: its NICs go down, in-flight

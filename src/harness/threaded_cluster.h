@@ -57,10 +57,8 @@ struct ThreadedClusterConfig {
   enum class TransportKind { kInMem, kTcp };
   TransportKind transport = TransportKind::kInMem;
   double client_retry_timeout_s = 0.1;
-  /// Session pipelining/backoff knobs (core::ClientOptions pass-through).
+  /// Session pipelining width (core::ClientOptions pass-through).
   std::size_t client_max_inflight = 8;
-  double client_retry_multiplier = 1.0;
-  double client_retry_cap = 8.0;
   core::ServerOptions server_options;
   bool record_history = true;  ///< collect a lincheck history of all ops
 
@@ -118,6 +116,10 @@ class ThreadedCluster final : public DeploymentCore {
   BlockingClient& add_client(ProcessId preferred_server);
 
   void start() { transport().start(); }
+
+  /// The fabric every node runs on, as ProcCluster::transport() exposes
+  /// the parent's (link counters; in tcp mode, the servers' ports).
+  using DeploymentCore::transport;
 
   // Threading contract: one controlling thread drives the cluster —
   // add_client/start/crash_server/add_ring/remove_last_ring and the

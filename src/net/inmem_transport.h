@@ -18,10 +18,12 @@
 // delay, notifies every surviving node — the perfect failure detector the
 // paper derives from TCP connection breaks on a LAN.
 //
-// This fabric exists for correctness: integration tests, failure injection
-// and linearizability checking under real (non-deterministic) concurrency.
-// Throughput experiments use the simulator, which models the cluster's
-// bandwidth instead of the host machine's scheduler.
+// This fabric serves integration tests, failure injection and
+// linearizability checking under real (non-deterministic) concurrency, and
+// measures what the protocol costs the host's CPU with no codec or kernel
+// in the way (bench/hts_bench's mixed_inmem workload). The paper's
+// bandwidth figures come from the simulator, which models the cluster's
+// links instead of the host machine's scheduler.
 #pragma once
 
 #include "net/node_loop.h"
@@ -38,9 +40,10 @@ class InMemTransport : public LoopTransport {
   /// Reliable FIFO send from any thread; from a thread doing a node's work
   /// into a parked node it may run the destination's handler before
   /// returning (Transport::send). Messages from crashed nodes, and to
-  /// crashed or unknown nodes, are dropped uncharged. One transmission per
-  /// call at the payload's exact wire size — the same per-batch cost model
-  /// the simulator's network uses.
+  /// crashed or unknown nodes, are dropped uncharged. A hosted sender's
+  /// link counters are charged one transmission per call at the payload's
+  /// exact wire size — the same per-batch cost model the simulator's
+  /// network uses.
   void send(NodeAddress from, NodeAddress to, PayloadPtr msg) override {
     NodeLoop* src = find(from);
     NodeLoop* dst = to == from ? src : find(to);

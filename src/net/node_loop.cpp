@@ -500,10 +500,7 @@ std::vector<NodeLoop*> LoopTransport::snapshot_nodes() const {
 }
 
 void LoopTransport::count_tx(NodeLoop* src, const Payload& msg) {
-  const std::size_t bytes = msg.wire_size();
-  if (src != nullptr) src->count_tx(bytes);
-  transmissions_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
+  if (src != nullptr) src->count_tx(msg.wire_size());
 }
 
 void LoopTransport::arm_timer(NodeAddress addr, double delay_s,

@@ -346,12 +346,6 @@ class LoopTransport : public Transport, protected NodeLoop::Hooks {
       HTS_EXCLUDES(registry_mu_, crash_mu_);
   bool wait_quiescent(double timeout_s) override HTS_EXCLUDES(registry_mu_);
 
-  [[nodiscard]] std::uint64_t total_transmissions() const override {
-    return transmissions_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t total_bytes_sent() const override {
-    return bytes_sent_.load(std::memory_order_relaxed);
-  }
   /// Per hosted node ("s<id>"/"c<id>"), in registration order.
   [[nodiscard]] std::vector<obs::LinkCounters> link_counters() const override
       HTS_EXCLUDES(registry_mu_);
@@ -368,7 +362,7 @@ class LoopTransport : public Transport, protected NodeLoop::Hooks {
   NodeLoop* find(NodeAddress addr) const HTS_EXCLUDES(registry_mu_);
   /// Stable snapshot (nodes are never deregistered, only crashed).
   std::vector<NodeLoop*> snapshot_nodes() const HTS_EXCLUDES(registry_mu_);
-  /// Charges one accepted send to the totals and to `src` when hosted.
+  /// Charges one accepted send to `src` when it is hosted here.
   void count_tx(NodeLoop* src, const Payload& msg);
   /// Failure detector entry point: one notice per crashed server, armed on
   /// every surviving hosted node.
@@ -392,9 +386,6 @@ class LoopTransport : public Transport, protected NodeLoop::Hooks {
   /// connections and refused dials that blame the same server).
   mutable sync::Mutex crash_mu_;
   std::set<ProcessId> crash_detected_ HTS_GUARDED_BY(crash_mu_);
-
-  std::atomic<std::uint64_t> transmissions_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
 };
 
 }  // namespace hts::net

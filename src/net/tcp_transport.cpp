@@ -20,16 +20,6 @@ namespace hts::net {
 
 namespace {
 
-/// Process-wide port registry: each listener bound by make_node publishes
-/// the port the kernel picked, so the transports of one process find each
-/// other's nodes. Listeners of other processes come in Options::listeners.
-sync::Mutex g_port_mu;
-std::map<NodeAddress, std::uint16_t>& ephemeral_ports()
-    HTS_REQUIRES(g_port_mu) {
-  static std::map<NodeAddress, std::uint16_t> ports;
-  return ports;
-}
-
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -72,28 +62,14 @@ TcpTransport::TcpTransport(Options opts)
   }
 }
 
-TcpTransport::~TcpTransport() {
-  stop();
-  const std::vector<NodeLoop*> nodes = snapshot_nodes();
-  const sync::MutexLock lock(g_port_mu);
-  for (const NodeLoop* n : nodes) {
-    // Only this node's own entry: another transport may have published
-    // the same address since.
-    auto it = ephemeral_ports().find(n->addr());
-    if (it != ephemeral_ports().end() &&
-        it->second == static_cast<const Node*>(n)->listen_port) {
-      ephemeral_ports().erase(it);
-    }
-  }
-}
+TcpTransport::~TcpTransport() { stop(); }
 
 std::uint16_t TcpTransport::port_of(NodeAddress addr) const {
-  if (auto it = opts_.listeners.find(addr); it != opts_.listeners.end()) {
-    return it->second.port;
+  if (const NodeLoop* n = find(addr); n != nullptr) {
+    return static_cast<const Node*>(n)->listen_port;
   }
-  const sync::MutexLock lock(g_port_mu);
-  auto it = ephemeral_ports().find(addr);
-  return it == ephemeral_ports().end() ? 0 : it->second;
+  auto it = opts_.listeners.find(addr);
+  return it == opts_.listeners.end() ? 0 : it->second.port;
 }
 
 TcpTransport::Listener TcpTransport::listen_ephemeral() {
@@ -126,7 +102,7 @@ std::unique_ptr<NodeLoop> TcpTransport::make_node(NodeAddress addr,
   }
   // A server's listener exists from registration on: until the loop runs,
   // the kernel's accept queue holds peers' dials. A listener handed in is
-  // adopted; any other binds an ephemeral port and publishes it.
+  // adopted; any other binds an ephemeral port, which port_of reads back.
   auto handed = opts_.listeners.find(addr);
   const bool adopted =
       handed != opts_.listeners.end() && handed->second.fd >= 0;
@@ -137,10 +113,6 @@ std::unique_ptr<NodeLoop> TcpTransport::make_node(NodeAddress addr,
   // Tags: the node itself is its listener, anything else a Conn.
   node->watch(EPOLL_CTL_ADD, l.fd, EPOLLIN,
               static_cast<NodeLoop*>(node.get()));
-  if (!adopted) {
-    const sync::MutexLock lock(g_port_mu);
-    ephemeral_ports()[addr] = l.port;
-  }
   return node;
 }
 

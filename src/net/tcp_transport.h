@@ -91,11 +91,13 @@ class TcpTransport : public LoopTransport {
   struct Options {
     /// Seconds between a TCP break and the surviving nodes' crash handlers.
     double detection_delay_s = 0.05;
-    /// Listeners this process cannot discover itself: other processes'
-    /// servers (a port) and local servers whose listener was handed in (a
-    /// port and an fd, which make_node adopts). Any other local server
-    /// binds an ephemeral port and publishes it in a process-wide
-    /// registry. A client binds no listener: nothing dials it.
+    /// Listeners this transport does not host: servers of other
+    /// transports or processes (a port), and local servers whose listener
+    /// was handed in (a port and an fd, which make_node adopts). Any other
+    /// local server binds an ephemeral port of its own. Nothing else is
+    /// shared: two transports in one process reach each other's servers
+    /// only through these entries. A client binds no listener: nothing
+    /// dials it.
     std::map<NodeAddress, Listener> listeners;
     /// Full server set of the deployment. At start() every local node
     /// dials each of these once (the failure-detection mesh): a peer's
@@ -125,8 +127,9 @@ class TcpTransport : public LoopTransport {
   /// the mailbox unencoded.
   void send(NodeAddress from, NodeAddress to, PayloadPtr msg) override;
 
-  /// The port a node listens on: Options::listeners, else the
-  /// process-wide registry; 0 when neither knows the node.
+  /// The port a node listens on: a node hosted here reports its own
+  /// listener (0 for a client), any other node its Options::listeners
+  /// entry; 0 when neither knows the node.
   [[nodiscard]] std::uint16_t port_of(NodeAddress addr) const;
 
   /// Binds and listens on an ephemeral loopback port (close-on-exec).

@@ -114,11 +114,6 @@ class Transport : public obs::LinkStatsSource {
   /// pending and every node is idle, or until the timeout expires. Returns
   /// true on quiescence. (Timers still pending do not count as work.)
   virtual bool wait_quiescent(double timeout_s) = 0;
-
-  /// Accounting over everything accepted for delivery: one transmission per
-  /// send() call (a RingBatch counts once) charged at its exact wire size.
-  [[nodiscard]] virtual std::uint64_t total_transmissions() const = 0;
-  [[nodiscard]] virtual std::uint64_t total_bytes_sent() const = 0;
 };
 
 }  // namespace hts::net

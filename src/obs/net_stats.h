@@ -39,36 +39,36 @@ class LinkStatsSource {
   [[nodiscard]] virtual std::vector<LinkCounters> link_counters() const = 0;
 };
 
+/// Every endpoint's counters summed, labeled "total"; tx_flushes is set
+/// when any endpoint counts them.
+inline LinkCounters sum_links(const std::vector<LinkCounters>& links) {
+  LinkCounters total{.label = "total"};
+  for (const LinkCounters& lc : links) {
+    total.tx_messages += lc.tx_messages;
+    total.tx_bytes += lc.tx_bytes;
+    total.rx_messages += lc.rx_messages;
+    total.rx_bytes += lc.rx_bytes;
+    if (lc.tx_flushes) {
+      total.tx_flushes = total.tx_flushes.value_or(0) + *lc.tx_flushes;
+    }
+  }
+  return total;
+}
+
 /// Publishes a source's counters into the registry as
 /// "<prefix>.<label>.tx_messages" / ".tx_bytes" / ".rx_*" (and
 /// ".tx_flushes" where the source counts them) plus "<prefix>.total.*".
 inline void export_links(MetricsRegistry& reg, const std::string& prefix,
                          const LinkStatsSource& src) {
-  std::uint64_t total_msgs = 0;
-  std::uint64_t total_bytes = 0;
-  std::uint64_t total_rx_msgs = 0;
-  std::uint64_t total_rx_bytes = 0;
-  std::optional<std::uint64_t> total_flushes;
-  for (const LinkCounters& lc : src.link_counters()) {
-    if (lc.tx_flushes) {
-      reg.counter(prefix + "." + lc.label + ".tx_flushes")->set(*lc.tx_flushes);
-      total_flushes = total_flushes.value_or(0) + *lc.tx_flushes;
-    }
-    reg.counter(prefix + "." + lc.label + ".tx_messages")->set(lc.tx_messages);
-    reg.counter(prefix + "." + lc.label + ".tx_bytes")->set(lc.tx_bytes);
-    reg.counter(prefix + "." + lc.label + ".rx_messages")->set(lc.rx_messages);
-    reg.counter(prefix + "." + lc.label + ".rx_bytes")->set(lc.rx_bytes);
-    total_msgs += lc.tx_messages;
-    total_bytes += lc.tx_bytes;
-    total_rx_msgs += lc.rx_messages;
-    total_rx_bytes += lc.rx_bytes;
-  }
-  reg.counter(prefix + ".total.tx_messages")->set(total_msgs);
-  reg.counter(prefix + ".total.tx_bytes")->set(total_bytes);
-  reg.counter(prefix + ".total.rx_messages")->set(total_rx_msgs);
-  reg.counter(prefix + ".total.rx_bytes")->set(total_rx_bytes);
-  if (total_flushes) {
-    reg.counter(prefix + ".total.tx_flushes")->set(*total_flushes);
+  std::vector<LinkCounters> links = src.link_counters();
+  links.push_back(sum_links(links));
+  for (const LinkCounters& lc : links) {
+    const std::string p = prefix + "." + lc.label + ".";
+    reg.counter(p + "tx_messages")->set(lc.tx_messages);
+    reg.counter(p + "tx_bytes")->set(lc.tx_bytes);
+    reg.counter(p + "rx_messages")->set(lc.rx_messages);
+    reg.counter(p + "rx_bytes")->set(lc.rx_bytes);
+    if (lc.tx_flushes) reg.counter(p + "tx_flushes")->set(*lc.tx_flushes);
   }
 }
 

@@ -195,16 +195,6 @@ bool SimTransport::wait_quiescent(double /*timeout_s*/) {
   return true;
 }
 
-std::uint64_t SimTransport::total_transmissions() const {
-  return server_net_.total_messages_sent() +
-         (client_net_owned_ ? client_net_owned_->total_messages_sent() : 0);
-}
-
-std::uint64_t SimTransport::total_bytes_sent() const {
-  return server_net_.total_bytes_sent() +
-         (client_net_owned_ ? client_net_owned_->total_bytes_sent() : 0);
-}
-
 std::vector<obs::LinkCounters> SimTransport::link_counters() const {
   std::vector<obs::LinkCounters> out = server_net_.link_counters();
   if (client_net_owned_) {

@@ -107,8 +107,6 @@ class SimTransport final : public net::Transport {
   [[nodiscard]] bool is_up(net::NodeAddress addr) const override;
   /// Runs the simulator until no event is left.
   bool wait_quiescent(double timeout_s) override;
-  [[nodiscard]] std::uint64_t total_transmissions() const override;
-  [[nodiscard]] std::uint64_t total_bytes_sent() const override;
   /// Server-network NICs, then client-network NICs ("s<g>.ring",
   /// "s<g>.client", "cm<k>").
   [[nodiscard]] std::vector<obs::LinkCounters> link_counters() const override;

@@ -1,5 +1,5 @@
 // ClientSession unit tests: request/reply matching, timeout-driven retry
-// rotation with exponential backoff, stale-reply and stale-timer handling,
+// rotation at a fixed interval, stale-reply and stale-timer handling,
 // the one session retry timer, pipelining across objects with per-object
 // ordering, and served_by attribution. The single-register tests address
 // kDefaultObject.
@@ -372,13 +372,14 @@ TEST(ClientSession, AnEarlyFireOnlyReArms) {
   EXPECT_EQ(c.retries(), 1u);
 }
 
-// ------------------------------------------------------- retry backoff
+// ------------------------------------------------------- retry interval
 
 TEST(ClientSession, MultiplierOneKeepsSeedFixedIntervalNoJitter) {
+  // §3's fixed interval: every attempt, the first and each retry, waits
+  // exactly retry_timeout — no growth, no jitter, no cap.
   MockClientCtx ctx;
   ClientOptions o = opts();
   o.retry_timeout = 0.1;
-  o.retry_multiplier = 1.0;
   ClientSession c(7, o);
   c.begin_write(kDefaultObject, Value::synthetic(1, 16), ctx);
   for (int i = 0; i < 4; ++i) ctx.fire_next(c);
@@ -387,73 +388,6 @@ TEST(ClientSession, MultiplierOneKeepsSeedFixedIntervalNoJitter) {
   for (const auto& [delay, token] : ctx.timers) {
     EXPECT_DOUBLE_EQ(delay, 0.1);  // every attempt: exactly the base timeout
   }
-}
-
-TEST(ClientSession, MultiplierOneIgnoresTheCap) {
-  // The cap bounds exponential growth only. Fabrics express "never retry"
-  // as a huge retry_timeout; the cap must not resurrect those retries.
-  MockClientCtx ctx;
-  ClientOptions o = opts();
-  o.retry_timeout = 10.0;  // above the default cap of 8.0
-  o.retry_multiplier = 1.0;
-  ClientSession c(7, o);
-  c.begin_write(kDefaultObject, Value::synthetic(1, 16), ctx);
-  ctx.fire_next(c);
-  ASSERT_EQ(c.retries(), 1u);
-  ASSERT_EQ(ctx.timers.size(), 2u);
-  EXPECT_DOUBLE_EQ(ctx.timers[0].first, 10.0);
-  EXPECT_DOUBLE_EQ(ctx.timers[1].first, 10.0);
-  EXPECT_DOUBLE_EQ(c.retry_delay(5), 10.0);
-}
-
-TEST(ClientSession, BackoffGrowsExponentiallyWithinJitterBandsAndCaps) {
-  MockClientCtx ctx;
-  ClientOptions o = opts();
-  o.retry_timeout = 0.1;
-  o.retry_multiplier = 2.0;
-  o.retry_cap = 0.5;
-  o.seed = 99;
-  ClientSession c(7, o);
-  c.begin_write(kDefaultObject, Value::synthetic(1, 16), ctx);
-  for (int i = 0; i < 5; ++i) ctx.fire_next(c);
-  EXPECT_EQ(c.retries(), 5u);
-  ASSERT_EQ(ctx.timers.size(), 6u);
-  // Schedule: 0.1, 0.2, 0.4, 0.5 (cap), 0.5, 0.5 — each jittered into
-  // [delay/2, delay].
-  const double expect[] = {0.1, 0.2, 0.4, 0.5, 0.5, 0.5};
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_GE(ctx.timers[i].first, expect[i] / 2 - 1e-6) << "attempt " << i;
-    EXPECT_LE(ctx.timers[i].first, expect[i] + 1e-6) << "attempt " << i;
-    EXPECT_DOUBLE_EQ(c.retry_delay(static_cast<std::uint32_t>(i + 1)),
-                     expect[i]);
-  }
-  // Jitter must actually jitter: not every delay sits on the nominal value.
-  bool any_off_nominal = false;
-  for (std::size_t i = 0; i < 6; ++i) {
-    if (std::abs(ctx.timers[i].first - expect[i]) > 1e-9) {
-      any_off_nominal = true;
-    }
-  }
-  EXPECT_TRUE(any_off_nominal);
-}
-
-TEST(ClientSession, JitterStreamsDifferPerClient) {
-  auto delays = [](ClientId id) {
-    MockClientCtx ctx;
-    ClientOptions o;
-    o.n_servers = 3;
-    o.retry_timeout = 0.1;
-    o.retry_multiplier = 2.0;
-    o.seed = 1;
-    ClientSession c(id, o);
-    c.begin_write(kDefaultObject, Value::synthetic(1, 16), ctx);
-    for (int i = 0; i < 6; ++i) ctx.fire_next(c);
-    std::vector<double> out;
-    for (auto& [d, t] : ctx.timers) out.push_back(d);
-    return out;
-  };
-  EXPECT_NE(delays(1), delays(2));
-  EXPECT_EQ(delays(1), delays(1));  // deterministic per (seed, client)
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "core/messages.h"
 #include "net/payload.h"
+#include "obs/net_stats.h"
 #include "sim/sim_transport.h"
 #include "sim/simulator.h"
 
@@ -121,7 +122,7 @@ TEST(SimTransport, PullsOneTransmissionPerFreeTransmitSlot) {
   t.pull_egress(s0);
   t.pull_egress(s0);  // the link is busy: no second pull before it frees
   EXPECT_EQ(egress.sent.size(), 1u);
-  EXPECT_EQ(t.total_transmissions(), 1u);
+  EXPECT_EQ(obs::sum_links(t.link_counters()).tx_messages, 1u);
   t.wait_quiescent(1.0);
   EXPECT_EQ(egress.sent, (std::vector<RequestId>{1, 2, 3}));
   // Back to back on the link: each arrival one serialization after the last.

@@ -1,12 +1,14 @@
 // TcpTransport over real loopback sockets: golden frame pin against the
 // wire codec, crash detection from TCP breaks, and replies on the
 // connection the client dialed (in order; a stop on it told apart from a
-// crash), a dead mesh server met at start() — then the full protocol
-// stack over sockets (ThreadedCluster tcp mode with crash + repair) and the
-// multi-process deployment (ProcCluster: SIGKILL a server process,
-// survivors detect and repair, its port then refuses dials; two
-// deployments side by side). The net::Transport contract both
-// transports share is checked in tests/transport_conformance_test.cpp.
+// crash), a dead mesh server met at start(), ports known only for hosted
+// nodes and handed-in listeners — then the full protocol stack over
+// sockets (ThreadedCluster tcp mode with crash + repair; two deployments
+// built before either starts) and the multi-process deployment
+// (ProcCluster: SIGKILL a server process, survivors detect and repair, its
+// port then refuses dials; two deployments side by side). The
+// net::Transport contract both transports share is checked in
+// tests/transport_conformance_test.cpp.
 //
 // This binary has a custom main: when re-exec'd as a ProcCluster server
 // child it runs the server loop instead of the test suite, so it links
@@ -36,6 +38,7 @@
 #include "harness/threaded_cluster.h"
 #include "lincheck/checker.h"
 #include "net/tcp_transport.h"
+#include "obs/net_stats.h"
 
 namespace hts::net {
 namespace {
@@ -57,6 +60,16 @@ TcpTransport::Options core_options(double detection_delay_s,
     return core::decode_message(bytes);
   };
   return o;
+}
+
+/// Server `id`'s listener for a deployment split over two transports in
+/// this process, bound here as ProcCluster binds one in the parent: `host`
+/// adopts the fd, `other` learns only the port.
+void split_listener(ProcessId id, TcpTransport::Options& host,
+                    TcpTransport::Options& other) {
+  const TcpTransport::Listener l = TcpTransport::listen_ephemeral();
+  host.listeners[NodeAddress::server(id)] = l;
+  other.listeners[NodeAddress::server(id)].port = l.port;
 }
 
 TEST(TcpTransport, FramesAreByteIdenticalToLegacyEncoder) {
@@ -104,8 +117,9 @@ TEST(TcpTransport, FramesAreByteIdenticalToLegacyEncoder) {
   }
   // Same per-batch accounting as InMemTransport: one transmission per
   // send() at exactly wire_size — a batch is charged once, not per part.
-  EXPECT_EQ(t.total_transmissions(), sent.size());
-  EXPECT_EQ(t.total_bytes_sent(), expected_bytes);
+  const obs::LinkCounters total = obs::sum_links(t.link_counters());
+  EXPECT_EQ(total.tx_messages, sent.size());
+  EXPECT_EQ(total.tx_bytes, expected_bytes);
   t.stop();
 }
 
@@ -118,8 +132,12 @@ TEST(TcpTransport, CrashSeversConnectionsAndNotifiesSurvivors) {
   std::atomic<int> delivered_to_crashed{0};
   std::atomic<int> crash_notices{0};
   std::atomic<ProcessId> crashed_id{kNoProcess};
-  TcpTransport a(core_options(0.02, {0, 1}));
-  TcpTransport b(core_options(0.02, {0, 1}));
+  auto oa = core_options(0.02, {0, 1});
+  auto ob = core_options(0.02, {0, 1});
+  split_listener(0, oa, ob);
+  split_listener(1, ob, oa);
+  TcpTransport a(std::move(oa));
+  TcpTransport b(std::move(ob));
   a.register_node(NodeAddress::server(0),
                   [&](NodeAddress, PayloadPtr) { ++delivered_to_crashed; });
   b.register_node(
@@ -222,8 +240,11 @@ TEST(TcpTransport, RepliesToInterleavedRequestsArriveInOrder) {
   // shared connection fill their socket buffers at once. Each client must
   // see its replies in the order it sent the requests.
   constexpr RequestId kRequests = 200;
-  TcpTransport srv(core_options(0.05, {0}));
-  TcpTransport cli(core_options(0.05, {0}));
+  auto so = core_options(0.05, {0});
+  auto co = core_options(0.05, {0});
+  split_listener(0, so, co);
+  TcpTransport srv(std::move(so));
+  TcpTransport cli(std::move(co));
   register_echo_server(srv, 0);
   std::mutex mu;
   std::vector<RequestId> seen[2];
@@ -267,8 +288,11 @@ TEST(TcpTransport, SharedConnectionTellsAStopFromACrash) {
     SCOPED_TRACE(crash ? "crash" : "graceful stop");
     std::atomic<int> replies{0};
     std::atomic<int> notices{0};
-    TcpTransport srv(core_options(0.02, {0}));
-    TcpTransport cli(core_options(0.02, {0}));
+    auto so = core_options(0.02, {0});
+    auto co = core_options(0.02, {0});
+    split_listener(0, so, co);
+    TcpTransport srv(std::move(so));
+    TcpTransport cli(std::move(co));
     register_echo_server(srv, 0);
     cli.register_node(
         NodeAddress::client(3), [&](NodeAddress, PayloadPtr) { ++replies; },
@@ -299,12 +323,15 @@ TEST(TcpTransport, DeadMeshServerIsOneCrashNoticeWithoutRetrying) {
   // registered it and stopped, so its port is known and refuses dials.
   // start() dials it once, and each surviving node hears of the crash
   // exactly once — no retry loop waits for the dead server to appear.
-  TcpTransport dead(core_options(0.02, {1}));
+  auto dead_opts = core_options(0.02, {1});
+  auto opts = core_options(0.02, {0, 1});
+  split_listener(1, dead_opts, opts);
+  TcpTransport dead(std::move(dead_opts));
   dead.register_node(NodeAddress::server(1), [](NodeAddress, PayloadPtr) {});
   dead.start();
   dead.stop();
 
-  TcpTransport t(core_options(0.02, {0, 1}));
+  TcpTransport t(std::move(opts));
   std::atomic<int> notices[2] = {0, 0};
   std::atomic<ProcessId> crashed[2] = {kNoProcess, kNoProcess};
   const NodeAddress survivors[2] = {NodeAddress::server(0),
@@ -330,6 +357,25 @@ TEST(TcpTransport, DeadMeshServerIsOneCrashNoticeWithoutRetrying) {
   }
   EXPECT_FALSE(t.is_up(NodeAddress::server(1)));
   t.stop();
+}
+
+TEST(TcpTransport, PortOfKnowsOnlyItsOwnNodesAndListeners) {
+  // A transport finds the servers it hosts and the listeners it was
+  // handed, nothing else: no other transport of this process, even one
+  // hosting the same addresses, can redirect its dials.
+  TcpTransport a(core_options(0.02, {0}));
+  a.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
+  a.register_node(NodeAddress::client(1), [](NodeAddress, PayloadPtr) {});
+  EXPECT_NE(a.port_of(NodeAddress::server(0)), 0);
+  EXPECT_EQ(a.port_of(NodeAddress::client(1)), 0)
+      << "a client binds no listener";
+  auto ob = core_options(0.02, {});
+  ob.listeners[NodeAddress::server(5)].port = 4242;
+  TcpTransport b(std::move(ob));
+  EXPECT_EQ(b.port_of(NodeAddress::server(0)), 0)
+      << "server 0 is hosted by another transport and was never handed in";
+  EXPECT_EQ(b.port_of(NodeAddress::server(5)), 4242);
+  EXPECT_EQ(b.port_of(NodeAddress::server(6)), 0);
 }
 
 TEST(TcpTransport, StartThrowsForAMeshServerWithNoKnownPort) {
@@ -520,17 +566,6 @@ TEST(TcpTransport, TimerFiresOnTimeDuringAFlood) {
 namespace hts::harness {
 namespace {
 
-/// Options for a transport that hosts nothing: it only reads the
-/// process-wide port registry.
-net::TcpTransport::Options net_options() {
-  net::TcpTransport::Options o;
-  o.encode = [](const net::Payload& m, net::FrameWriter& w) {
-    core::encode_message_into(m, w);
-  };
-  o.decode = [](std::string_view bytes) { return core::decode_message(bytes); };
-  return o;
-}
-
 ThreadedClusterConfig tcp_cluster_config(std::size_t n_servers) {
   ThreadedClusterConfig cfg;
   cfg.n_servers = n_servers;
@@ -557,15 +592,36 @@ TEST(TcpCluster, SequentialReadWriteOverSockets) {
 
 TEST(TcpCluster, ClientNodeBindsNoListener) {
   // Servers answer a client on the connections it dialed, so a client
-  // publishes no port: no transport of this process can find one.
+  // binds no listener: its own transport knows no port for it.
   ThreadedCluster cluster(tcp_cluster_config(3));
   auto& client = cluster.add_client(0);
   cluster.start();
   client.write(kDefaultObject, Value::synthetic(5, 256));
   EXPECT_EQ(client.read(kDefaultObject), Value::synthetic(5, 256));
-  const net::TcpTransport probe(net_options());
-  EXPECT_EQ(probe.port_of(net::NodeAddress::client(client.id())), 0);
-  EXPECT_NE(probe.port_of(net::NodeAddress::server(0)), 0);
+  const auto& t = dynamic_cast<net::TcpTransport&>(cluster.transport());
+  EXPECT_EQ(t.port_of(net::NodeAddress::client(client.id())), 0);
+  for (ProcessId s = 0; s < 3; ++s) {
+    EXPECT_NE(t.port_of(net::NodeAddress::server(s)), 0) << "server " << s;
+  }
+}
+
+TEST(TcpCluster, TwoDeploymentsBuiltBeforeEitherStartsStayApart) {
+  // Both deployments bind their servers' listeners when built. Each
+  // transport dials only the servers it hosts, so B's servers never stand
+  // in for A's: a write through A is invisible to B.
+  ThreadedCluster a(tcp_cluster_config(3));
+  ThreadedCluster b(tcp_cluster_config(3));
+  auto& alice = a.add_client(0);
+  auto& bob = b.add_client(0);
+  a.start();
+  b.start();
+  alice.write(kDefaultObject, Value::synthetic(7, 256));
+  EXPECT_TRUE(bob.read(kDefaultObject).empty());
+  EXPECT_EQ(alice.read(kDefaultObject), Value::synthetic(7, 256));
+  for (ThreadedCluster* c : {&a, &b}) {
+    auto verdict = lincheck::check_register(c->history());
+    EXPECT_TRUE(verdict.linearizable) << verdict.explanation;
+  }
 }
 
 TEST(TcpCluster, CrashRepairCompletesOverSockets) {
@@ -676,8 +732,8 @@ TEST(ProcCluster, PutGetRoundTripAcrossProcesses) {
 
 TEST(ProcCluster, ParentClientBindsNoListener) {
   // The parent's client is answered on its mesh connections: it binds no
-  // listener, and neither its transport nor any other in this process
-  // knows a port for it.
+  // listener, and its transport knows a port for every server but none
+  // for it.
   ProcClusterConfig cfg;
   cfg.n_servers = 3;
   ProcCluster cluster(cfg);
@@ -686,9 +742,10 @@ TEST(ProcCluster, ParentClientBindsNoListener) {
   EXPECT_EQ(cluster.get(1), Value::synthetic(4, 256));
   const auto& parent = dynamic_cast<net::TcpTransport&>(cluster.transport());
   EXPECT_EQ(parent.port_of(net::NodeAddress::client(0)), 0);
-  EXPECT_NE(parent.port_of(net::NodeAddress::server(0)), 0);
-  const net::TcpTransport probe(net_options());
-  EXPECT_EQ(probe.port_of(net::NodeAddress::client(0)), 0);
+  for (ProcessId s = 0; s < 3; ++s) {
+    EXPECT_NE(parent.port_of(net::NodeAddress::server(s)), 0)
+        << "server " << s;
+  }
   cluster.stop();
 }
 

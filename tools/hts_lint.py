@@ -37,6 +37,16 @@ clang-tidy and the -Wthread-safety pass (DESIGN.md D10):
                      one exemption is src/round/, the lock-step round model,
                      which steps them in synchronous rounds and has no
                      transport.
+  net-no-globals     src/net holds no process-wide mutable state: no
+                     variable at namespace scope and no `static` variable
+                     (function-local or member) unless it is const,
+                     constexpr or thread_local. A transport knows only the
+                     nodes it hosts and what its Options hand it, so two
+                     deployments in one process cannot reach each other's
+                     servers. The scan is lexical: a direct-initialised
+                     variable whose parentheses hold only names reads as a
+                     function declaration, and any `const` in a
+                     declaration counts it as immutable.
 
 Usage:
   tools/hts_lint.py [--repo-root DIR] [--compile-commands PATH]
@@ -96,6 +106,19 @@ CONTEXT_BASE_RE = re.compile(
 ENUM_RE = re.compile(r"enum\s+MsgKind[^{]*\{(?P<body>[^}]*)\}", re.S)
 ENUM_ENTRY_RE = re.compile(r"\bk(\w+)\s*=\s*\d+")
 TEST_RE = re.compile(r"TEST(?:_F|_P)?\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)")
+
+NET_DIR = "src/net/"
+IMMUTABLE_RE = re.compile(r"\b(?:const|constexpr|thread_local)\b")
+# Namespace-scope statements that declare no variable.
+NOT_A_VARIABLE_RE = re.compile(
+    r"^(?:using|typedef|namespace|static_assert|template)\b")
+TYPE_HEAD_RE = re.compile(r"^(?:class|struct|union|enum)\b")
+TEMPLATE_HEAD_RE = re.compile(r"^template\s*<(?:[^<>]|<[^<>]*>)*>\s*")
+ATTRIBUTE_RE = re.compile(r"\[\[.*?\]\]\s*")
+OPERATOR_RE = re.compile(r"\boperator\s*(?:\(\)|[^\s(]+)")
+# A `static` declaration with no parenthesis before its terminator: a
+# variable (a static function has its parameter list first).
+STATIC_VAR_RE = re.compile(r"(?:^|[{;:])\s*(?:inline\s+)?static\s+[^(]*?[;={]")
 
 
 class Violation:
@@ -317,6 +340,157 @@ def check_host_once(files: dict[str, str]) -> list[Violation]:
     return out
 
 
+def strip_code(text: str) -> str:
+    """Comments, string/char literal contents and preprocessor lines
+    blanked out; newlines kept, so offsets still map to lines."""
+    out: list[str] = []
+    i, n = 0, len(text)
+    at_line_start = True
+    while i < n:
+        c = text[i]
+        if at_line_start and c in " \t":
+            out.append(c)
+            i += 1
+            continue
+        if at_line_start and c == "#":
+            j = text.find("\n", i)
+            while j > 0 and text[j - 1] == "\\":  # continued directive
+                j = text.find("\n", j + 1)
+            j = n if j < 0 else j
+            out.append("\n" * text.count("\n", i, j))
+            i = j
+            continue
+        at_line_start = False
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            i = n if j < 0 else j
+        elif text.startswith("/*", i):
+            j = text.find("*/", i + 2)
+            j = n if j < 0 else j + 2
+            out.append("\n" * text.count("\n", i, j))
+            i = j
+        elif c in "\"'" and not (c == "'" and i > 0 and text[i - 1].isalnum()):
+            j = i + 1
+            while j < n and text[j] != c:
+                j += 2 if text[j] == "\\" else 1
+            out.append(c + "\n" * text.count("\n", i, j) + c)
+            i = j + 1
+        else:
+            out.append(c)
+            if c == "\n":
+                at_line_start = True
+            i += 1
+    return "".join(out)
+
+
+def top_level(s: str) -> str:
+    """`s` with every bracketed group emptied, operator names and ==, !=,
+    <=, >= dropped: an `=` left is an initialiser."""
+    s = re.sub(r"[=!<>]=", "", OPERATOR_RE.sub("operator", s))
+    out, depth = [], 0
+    for c in s:
+        if c in "([{":
+            if depth == 0:
+                out.append(c)
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                out.append(c)
+        elif depth == 0:
+            out.append(c)
+    return "".join(out)
+
+
+def declares_mutable_variable(stmt: str) -> bool:
+    """Whether a ;-terminated namespace-scope statement declares a
+    variable that is not const, constexpr or thread_local."""
+    s = ATTRIBUTE_RE.sub("", " ".join(stmt.split()))
+    s = TEMPLATE_HEAD_RE.sub("", s)
+    if not s or NOT_A_VARIABLE_RE.match(s):
+        return False
+    if TYPE_HEAD_RE.match(s):
+        # A type declaration; only declarators after its body are variables.
+        end = s.rfind("}")
+        if end < 0 or not s[end + 1:].strip():
+            return False
+    if IMMUTABLE_RE.search(s):
+        return False
+    flat = top_level(s)
+    paren, assign = flat.find("("), flat.find("=")
+    if paren >= 0 and (assign < 0 or paren < assign):
+        # A function declaration, unless the parentheses hold a literal
+        # (direct initialisation).
+        args = s[s.find("("):]
+        return bool(re.search(r"\b\d|\"|'", args))
+    return True
+
+
+def namespace_scope_statements(code: str):
+    """(line, text) of every ;-terminated statement at namespace scope of
+    stripped code; bodies of functions and types are skipped, brace
+    initialisers kept (as `{}`)."""
+    stmt: list[str] = []
+    start = -1          # offset of the statement's first non-blank char
+    skip_depth = 0      # inside a function/type/initialiser body
+    keep_after = False  # the skipped body belongs to the statement
+    for i, c in enumerate(code):
+        if skip_depth:
+            if c == "{":
+                skip_depth += 1
+            elif c == "}":
+                skip_depth -= 1
+                if skip_depth == 0:
+                    if keep_after:
+                        stmt.append("{}")
+                    else:
+                        stmt, start = [], -1
+            continue
+        if start < 0 and not c.isspace():
+            start = i
+        if c == "{":
+            header = " ".join("".join(stmt).split())
+            if re.match(r"^(?:inline\s+)?namespace\b[^=]*$", header) or \
+                    re.match(r'^extern\s*""$', header):
+                stmt, start = [], -1
+                continue
+            head = TEMPLATE_HEAD_RE.sub("", header)
+            flat = top_level(head)
+            keep_after = bool(head) and (TYPE_HEAD_RE.match(head) is not None
+                                         or "=" in flat or "(" not in flat)
+            skip_depth = 1
+        elif c == "}":
+            stmt, start = [], -1  # a namespace closes
+        elif c == ";":
+            if start >= 0:
+                yield code.count("\n", 0, start) + 1, "".join(stmt)
+            stmt, start = [], -1
+        else:
+            stmt.append(c)
+
+
+def check_net_no_globals(files: dict[str, str]) -> list[Violation]:
+    out: list[Violation] = []
+    for path, text in files.items():
+        if not path.startswith(NET_DIR):
+            continue
+        code = strip_code(text)
+        flagged: set[int] = set()
+        for ln, stmt in namespace_scope_statements(code):
+            if declares_mutable_variable(stmt):
+                flagged.add(ln)
+        for ln, line in enumerate(code.splitlines(), 1):
+            if STATIC_VAR_RE.search(line) and not IMMUTABLE_RE.search(line):
+                flagged.add(ln)
+        for ln in sorted(flagged):
+            out.append(Violation(
+                "net-no-globals", path, ln,
+                "mutable process-wide variable in src/net — keep transport "
+                "state in the transport (make it const, constexpr or "
+                "thread_local if it must live here)"))
+    return out
+
+
 CHECKS = {
     "msgkind-coverage": check_msgkind_coverage,
     "raii-locking": check_raii_locking,
@@ -324,6 +498,7 @@ CHECKS = {
     "determinism": check_determinism,
     "transport-parity": check_transport_parity,
     "host-once": check_host_once,
+    "net-no-globals": check_net_no_globals,
 }
 
 
@@ -403,6 +578,21 @@ def self_test(files: dict[str, str]) -> int:
             "struct SimCluster::ServerNode final : core::ServerContext {\n"
             "  void send_client(ClientId, net::PayloadPtr) override {}\n"
             "};")),
+        # A process-wide port registry comes back: a namespace-scope lock...
+        ("net-no-globals", patched(
+            "src/net/tcp_transport.cpp", "namespace {\n",
+            "namespace {\n\nsync::Mutex g_port_mu;\n")),
+        # ...or a function-local static map.
+        ("net-no-globals", patched(
+            "src/net/tcp_transport.cpp", "namespace {\n",
+            "namespace {\n\nstd::map<NodeAddress, std::uint16_t>& ports() {\n"
+            "  static std::map<NodeAddress, std::uint16_t> p;\n"
+            "  return p;\n}\n")),
+        # ...or a brace-initialised atomic in a header.
+        ("net-no-globals", patched(
+            "src/net/transport.h", "namespace hts::net {\n",
+            "namespace hts::net {\n\ninline std::atomic<std::uint64_t> "
+            "g_sent{0};\n")),
     ]
 
     failures = 0
