@@ -17,9 +17,9 @@
 // of a tag that was current when the read started, and `gc_keep` bounds
 // that window. Reclaimed bytes are counted for the obs gauge/counter pair.
 //
-// This store is owned by core::ObjectState behind a lazy pointer: a
-// replicated register never allocates one (the default policy stays
-// zero-cost and golden-pinned).
+// This store is owned by a register's activity block (RingServer::Activity)
+// behind a lazy pointer: a replicated register never allocates one (the
+// default policy stays zero-cost and golden-pinned).
 #pragma once
 
 #include <cstdint>

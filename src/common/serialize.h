@@ -102,7 +102,9 @@ class Decoder {
     return out;
   }
 
-  Value value() { return Value(std::string(bytes())); }
+  /// The length-prefixed bytes, copied straight into the value's one
+  /// allocation.
+  Value value() { return Value(bytes()); }
 
   [[nodiscard]] bool exhausted() const { return pos_ == buf_.size(); }
   [[nodiscard]] std::size_t remaining() const { return buf_.size() - pos_; }

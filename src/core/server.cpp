@@ -207,40 +207,39 @@ void RingServer::on_client_read(ClientId client, RequestId req,
   ++stats_.client_reads_in;
   if (gate_client_op(true, client, req, nullptr, object, ctx)) return;
   const ObjectState* obj = find_state(object);
-  if (obj == nullptr || obj->pending.empty()) {  // line 77
+  if (obj == nullptr || !obj->has_pending()) {  // line 77
     // A never-touched register is a register in its initial state — no
     // pending pre-writes can exist for it, so the read is immediate.
     ++stats_.reads_immediate;
     probe_.event(obs::EventKind::kReadImmediate, client, req);
-    if (obj != nullptr && obj->body.coded) {
+    if (obj != nullptr && obj->coded()) {
       send_coded_read_ack(*obj, client, req, ctx);
       return;
     }
     ctx.send_client(client, net::make_payload<ClientReadAck>(
-                                req, obj ? obj->body.value : Value{},
+                                req, obj ? obj->value : Value{},
                                 obj ? obj->tag : kInitialTag, object,
                                 view_.epoch));
     return;
   }
-  const Tag threshold = *obj->pending.max_tag();  // line 80
+  const Tag threshold = *obj->activity->pending.max_tag();  // line 80
   if (opts_.read_fastpath && obj->tag >= threshold) {
     // Ablation: the locally applied value already dominates every pending
     // pre-write, so it is safe to return it (the paper always parks).
     ++stats_.reads_immediate;
     probe_.event(obs::EventKind::kReadImmediate, client, req);
-    if (obj->body.coded) {
+    if (obj->coded()) {
       send_coded_read_ack(*obj, client, req, ctx);
       return;
     }
     ctx.send_client(client,
-                    net::make_payload<ClientReadAck>(req, obj->body.value,
-                                                     obj->tag, object,
-                                                     view_.epoch));
+                    net::make_payload<ClientReadAck>(req, obj->value, obj->tag,
+                                                     object, view_.epoch));
     return;
   }
   ++stats_.reads_parked;
   probe_.event(obs::EventKind::kReadPark, client, req);
-  state_of(object).parked.push_back(
+  busy(state_of(object)).parked.push_back(
       ParkedRead{client, req, threshold});  // line 81
 }
 
@@ -268,9 +267,9 @@ void RingServer::on_frag_write(const FragWrite& m, ServerContext& ctx) {
   // server learned completion via note_completed, and staged fragments of
   // completed writes would never be promoted again — a leak.
   std::optional<Tag> late_tag;
-  if (obj.frags) late_tag = obj.frags->take_late(m.client, m.req);
+  if (obj.frags()) late_tag = obj.activity->frags->take_late(m.client, m.req);
   if (late_tag) {
-    obj.frags->adopt(*late_tag, std::move(frag));
+    obj.activity->frags->adopt(*late_tag, std::move(frag));
     ++stats_.frag_late_binds;
   }
   if (late_tag ||
@@ -289,7 +288,7 @@ void RingServer::on_frag_write(const FragWrite& m, ServerContext& ctx) {
   // stays staged on registers that moved away.
   if (deciding_view().owns(m.object) ||
       (!m.initiate && view_.owns(m.object))) {
-    obj.store().stage(m.client, m.req, std::move(frag));
+    busy(obj).store().stage(m.client, m.req, std::move(frag));
   }
   if (m.initiate) {
     submit_write(m.client, m.req, CodedShape{m.n, m.k, m.value_size},
@@ -301,8 +300,8 @@ void RingServer::on_frag_fetch(const FragFetch& m, ServerContext& ctx) {
   ++stats_.frag_fetches_in;
   std::vector<FragPart> parts;
   std::uint64_t vsize = 0;
-  if (const ObjectState* obj = find_state(m.object); obj && obj->frags) {
-    if (const auto* set = obj->frags->at(m.tag)) {
+  if (const ObjectState* obj = find_state(m.object); obj && obj->frags()) {
+    if (const auto* set = obj->frags()->at(m.tag)) {
       for (const code::StoredFragment& f : *set) {
         parts.push_back(FragPart{f.frag_index, f.checksum, f.bytes});
         vsize = f.value_size;
@@ -320,14 +319,14 @@ void RingServer::on_frag_fetch(const FragFetch& m, ServerContext& ctx) {
 void RingServer::send_coded_read_ack(const ObjectState& obj, ClientId client,
                                      RequestId req, ServerContext& ctx) {
   std::vector<FragPart> parts;
-  if (obj.frags) {
-    if (const auto* set = obj.frags->at(obj.tag)) {
+  if (const code::FragmentStore* frags = obj.frags()) {
+    if (const auto* set = frags->at(obj.tag)) {
       for (const code::StoredFragment& f : *set) {
         parts.push_back(FragPart{f.frag_index, f.checksum, f.bytes});
       }
     }
   }
-  const CodedShape& shape = *obj.body.coded;
+  const CodedShape& shape = *obj.coded();
   ctx.send_client(client, net::make_payload<CodedReadAck>(
                               req, obj.tag, shape.n, shape.k,
                               shape.value_size, std::move(parts), obj.id,
@@ -353,7 +352,7 @@ void RingServer::commit_view_change(ServerContext& ctx) {
   // A register that moved away is drained: no write staged for it here can
   // commit on this ring any more.
   for (auto& [id, obj] : objects_) {
-    if (obj.frags && !view_.owns(id)) obj.frags->drop_staged();
+    if (obj.frags() && !view_.owns(id)) obj.activity->frags->drop_staged();
   }
   // Replay in arrival order through the normal handlers: the register's
   // migrated state is installed, so writes tag past it and reads see it.
@@ -371,7 +370,9 @@ void RingServer::commit_view_change(ServerContext& ctx) {
 }
 
 void RingServer::on_migrate_state(const MigrateState& m) {
-  install(state_of(m.object), m.tag, m.value, 0, 0);
+  ObjectState& obj = state_of(m.object);
+  install(obj, m.tag, m.value, 0, 0);
+  release_if_idle(obj);  // a replicated install may end a coded body
   migrated_in_.insert(m.object);
   ++stats_.migrations_in;
   stats_.migrate_bytes_in += m.wire_size();
@@ -409,10 +410,11 @@ MigrationProbe RingServer::migration_probe() const {
 }
 
 bool RingServer::object_quiescent(ObjectId object) const {
-  if (const ObjectState* obj = find_state(object)) {
-    if (!obj->pending.empty() || !obj->outstanding.empty() ||
-        !obj->adopted.empty() || !obj->queued_tags.empty() ||
-        !obj->early_commits.empty() || !obj->parked.empty()) {
+  if (const ObjectState* obj = find_state(object); obj && obj->activity) {
+    const Activity& a = *obj->activity;
+    if (!a.pending.empty() || !a.outstanding.empty() || !a.adopted.empty() ||
+        !a.queued_tags.empty() || !a.early_commits.empty() ||
+        !a.parked.empty()) {
       return false;
     }
   }
@@ -489,49 +491,51 @@ void RingServer::handle_pre_write(const net::PayloadPtr& msg,
                                   ServerContext& ctx) {
   const RingRef m = ring_ref(*msg);
   ObjectState& obj = state_of(m.object);
+  // Every path below that touches in-flight bookkeeping either leaves some
+  // of it live or ends with release_if_idle(); a duplicate absorbed on an
+  // idle register never takes an activity block.
+  Activity* act = obj.activity.get();
   if (m.tag.id == self_) {
     // My own pre-write completed the loop (lines 32–39).
-    auto it = obj.outstanding.find(m.tag);
-    if (it == obj.outstanding.end()) {
+    if (act == nullptr || !act->outstanding.contains(m.tag)) {
       // Long completed; a crash-recovery duplicate. Absorb.
       ++stats_.duplicates_dropped;
       return;
     }
-    if (it->second.write_phase) {
+    OutstandingWrite& ow = act->outstanding.find(m.tag)->second;
+    if (ow.write_phase) {
       // Duplicate of a pre-write whose commit is already circulating; the
       // duplicate exists because of a crash re-send, so the commit may have
       // been lost too — re-issue it.
-      push_urgent(net::make_payload<WriteCommit>(m.tag, it->second.client,
-                                                 it->second.req, m.object,
-                                                 view_.epoch));
+      push_urgent(net::make_payload<WriteCommit>(m.tag, ow.client, ow.req,
+                                                 m.object, view_.epoch));
       return;
     }
-    it->second.write_phase = true;
-    obj.pending.erase(m.tag);  // line 37
-    install(obj, m.tag, it->second.body, it->second.client,
-            it->second.req);  // lines 33–36
-    push_urgent(net::make_payload<WriteCommit>(m.tag, it->second.client,
-                                               it->second.req, m.object,
-                                               view_.epoch));  // line 38
+    ow.write_phase = true;
+    act->pending.erase(m.tag);  // line 37
+    install(obj, m.tag, ow.body, ow.client, ow.req);  // lines 33–36
+    push_urgent(net::make_payload<WriteCommit>(
+        m.tag, ow.client, ow.req, m.object, view_.epoch));  // line 38
     return;
   }
 
   // Transit. The early-commit case must run before duplicate suppression:
   // processing the overtaking commit set the watermark, but this pre-write
   // is the first copy we see, not a duplicate.
-  if (obj.early_commits.contains(m.tag)) {
+  if (act != nullptr && act->early_commits.contains(m.tag)) {
     // Defensive (non-FIFO fabrics only): the commit overtook this pre-write.
     // Apply now and forward the pre-write so downstream servers can do the
     // same; it must NOT enter the pending set (the commit already passed).
-    obj.early_commits.erase(m.tag);
+    act->early_commits.erase(m.tag);
     // If the original copy still sits in our forward queue, neutralize it:
     // without this, next_ring_send would move it into the pending set at
     // pull time — a pending entry whose commit already passed and will
     // never return, parking every later read forever.
-    obj.queued_tags.erase(m.tag);
+    act->queued_tags.erase(m.tag);
     install(obj, m.tag, body_of(*msg), m.client, m.req);
     note_completed(obj, m.tag, m.client, m.req);
     unpark_up_to(obj, m.tag, ctx);
+    release_if_idle(obj);
     sched_.enqueue(ForwardItem{m.tag.id, msg});
     return;
   }
@@ -543,7 +547,7 @@ void RingServer::handle_pre_write(const net::PayloadPtr& msg,
     ++stats_.duplicates_dropped;
     return;
   }
-  if (obj.queued_tags.contains(m.tag)) {
+  if (act != nullptr && act->queued_tags.contains(m.tag)) {
     // Original copy is still waiting in our forward queue; it will carry the
     // information onward. Drop the duplicate.
     ++stats_.duplicates_dropped;
@@ -555,7 +559,7 @@ void RingServer::handle_pre_write(const net::PayloadPtr& msg,
     // D4: the pre-write of a dead origin completed its loop at us — we are
     // the surrogate. Behave exactly as the origin would at line 32: apply,
     // clear pending, and launch the write phase on the origin's behalf.
-    if (obj.adopted.contains(m.tag)) {
+    if (act != nullptr && act->adopted.contains(m.tag)) {
       // Duplicate while our adoption commit circulates; re-issue the commit
       // in case it was lost with another crash.
       push_urgent(net::make_payload<WriteCommit>(m.tag, m.client, m.req,
@@ -563,15 +567,16 @@ void RingServer::handle_pre_write(const net::PayloadPtr& msg,
       return;
     }
     ++stats_.adoptions;
-    obj.pending.erase(m.tag);
+    Activity& a = busy(obj);
+    a.pending.erase(m.tag);
     install(obj, m.tag, body_of(*msg), m.client, m.req);
-    obj.adopted[m.tag] = {m.client, m.req};
+    a.adopted[m.tag] = {m.client, m.req};
     push_urgent(net::make_payload<WriteCommit>(m.tag, m.client, m.req,
                                                m.object, view_.epoch));
     return;
   }
 
-  if (obj.pending.contains(m.tag)) {
+  if (act != nullptr && act->pending.contains(m.tag)) {
     // We already forwarded this pre-write once (it is pending here). A
     // duplicate must still travel onward: crash recovery re-sends exist
     // precisely to bridge gaps *downstream* of us. Forward without
@@ -583,36 +588,41 @@ void RingServer::handle_pre_write(const net::PayloadPtr& msg,
   // Normal transit path (lines 30–31). The pending insertion happens at
   // forward time (line 71) — see next_ring_send().
   sched_.enqueue(ForwardItem{m.tag.id, msg});
-  obj.queued_tags.insert(m.tag);
+  busy(obj).queued_tags.insert(m.tag);
 }
 
 void RingServer::handle_commit(const net::PayloadPtr& msg, const WriteCommit& m,
                                ServerContext& ctx) {
   ObjectState& obj = state_of(m.object);
+  Activity* act = obj.activity.get();
   if (m.tag.id == self_) {
     // My own commit returned: the write is complete (lines 49–51).
-    auto it = obj.outstanding.find(m.tag);
-    if (it == obj.outstanding.end()) {
+    if (act == nullptr || !act->outstanding.contains(m.tag)) {
       ++stats_.duplicates_dropped;  // duplicate of an acked write
       return;
     }
+    const auto it = act->outstanding.find(m.tag);
     note_completed(obj, m.tag, it->second.client, it->second.req);
     ctx.send_client(it->second.client,
                     net::make_payload<ClientWriteAck>(
                         it->second.req, m.object, view_.epoch));
-    obj.outstanding.erase(it);
+    act->outstanding.erase(it);
     unpark_up_to(obj, m.tag, ctx);
+    release_if_idle(obj);
     return;
   }
 
   // Surrogate absorption: a commit we issued for a dead origin came back.
-  auto ad = obj.adopted.find(m.tag);
-  if (ad != obj.adopted.end() && !ring_.is_alive(m.tag.id) &&
-      ring_.absorber(m.tag.id) == self_) {
-    note_completed(obj, m.tag, ad->second.first, ad->second.second);
-    obj.adopted.erase(ad);
-    unpark_up_to(obj, m.tag, ctx);
-    return;
+  if (act != nullptr) {
+    auto ad = act->adopted.find(m.tag);
+    if (ad != act->adopted.end() && !ring_.is_alive(m.tag.id) &&
+        ring_.absorber(m.tag.id) == self_) {
+      note_completed(obj, m.tag, ad->second.first, ad->second.second);
+      act->adopted.erase(ad);
+      unpark_up_to(obj, m.tag, ctx);
+      release_if_idle(obj);
+      return;
+    }
   }
 
   if (already_committed(obj, m.tag)) {
@@ -626,7 +636,7 @@ void RingServer::handle_commit(const net::PayloadPtr& msg, const WriteCommit& m,
     return;
   }
 
-  auto entry = obj.pending.erase(m.tag);  // line 47
+  auto entry = act ? act->pending.erase(m.tag) : std::nullopt;  // line 47
   if (entry) {
     // Lines 43–46, the body cached at pre-write time. A coded write's value
     // never travelled: install binds the fragment this server staged from
@@ -635,15 +645,18 @@ void RingServer::handle_commit(const net::PayloadPtr& msg, const WriteCommit& m,
   } else {
     // Commit overtook its pre-write (only possible on a non-FIFO fabric).
     // Remember it; the pre-write handler completes the work.
-    obj.early_commits.insert(m.tag);
+    busy(obj).early_commits.insert(m.tag);
   }
   note_completed(obj, m.tag, m.client, m.req);
   unpark_up_to(obj, m.tag, ctx);
+  release_if_idle(obj);
   sched_.enqueue(ForwardItem{m.tag.id, msg});  // line 48
 }
 
 void RingServer::handle_sync(const SyncState& m) {
-  install(state_of(m.object), m.tag, m.value, 0, 0);
+  ObjectState& obj = state_of(m.object);
+  install(obj, m.tag, m.value, 0, 0);
+  release_if_idle(obj);  // a replicated install may end a coded body
 }
 
 void RingServer::handle_frag_repair(const net::PayloadPtr& msg,
@@ -655,7 +668,8 @@ void RingServer::handle_frag_repair(const net::PayloadPtr& msg,
   // as the predecessor" argument as handle_sync).
   if (m.tag > obj.tag) {
     obj.tag = m.tag;
-    obj.body = CodedShape{m.n, m.k, m.value_size};
+    obj.value = Value{};
+    busy(obj).coded = CodedShape{m.n, m.k, m.value_size};
   }
 
   if (m.origin == self_) {
@@ -672,10 +686,9 @@ void RingServer::handle_frag_repair(const net::PayloadPtr& msg,
         std::string frag = codec.regenerate(m.missing_index, refs,
                                             m.value_size);
         const std::uint32_t crc = code::crc32(frag);
-        obj.store().adopt(m.tag,
-                          code::StoredFragment{m.missing_index, m.n, m.k,
-                                               m.value_size, crc,
-                                               std::move(frag)});
+        busy(obj).store().adopt(
+            m.tag, code::StoredFragment{m.missing_index, m.n, m.k,
+                                        m.value_size, crc, std::move(frag)});
         ++stats_.frag_repairs;
       } catch (const std::invalid_argument&) {
         ++stats_.frag_corrupt;  // inconsistent contributions: abandon
@@ -692,8 +705,8 @@ void RingServer::handle_frag_repair(const net::PayloadPtr& msg,
   // ring message).
   std::vector<FragPart> parts = m.parts;
   bool contributed = false;
-  if (obj.frags && parts.size() < std::size_t{m.k}) {
-    if (const auto* set = obj.frags->at(m.tag)) {
+  if (obj.frags() && parts.size() < std::size_t{m.k}) {
+    if (const auto* set = obj.frags()->at(m.tag)) {
       for (const code::StoredFragment& f : *set) {
         if (parts.size() >= std::size_t{m.k}) break;
         if (f.frag_index == m.missing_index) continue;
@@ -764,11 +777,13 @@ std::optional<RingSend> RingServer::next_ring_send() {
       // and never enter pending: the commit will not come back to erase the
       // entry, and a stale pending tag parks every later read forever.
       ObjectState& obj = state_of(ref.object);
-      if (obj.queued_tags.erase(ref.tag) > 0) {
-        if (obj.early_commits.erase(ref.tag) > 0) {
+      if (Activity* act = obj.activity.get();
+          act != nullptr && act->queued_tags.erase(ref.tag) > 0) {
+        if (act->early_commits.erase(ref.tag) > 0) {
           install(obj, ref.tag, body_of(*item.msg), ref.client, ref.req);
+          release_if_idle(obj);
         } else {
-          obj.pending.insert(
+          act->pending.insert(
               PendingEntry{ref.tag, body_of(*item.msg), ref.client, ref.req});
         }
       }
@@ -817,12 +832,13 @@ RingSend RingServer::initiate_write(LocalWrite w) {
   // Lines 22–26: tag = [max(highest pending ts, local ts) + 1, i]. The
   // timestamp space is per object: registers version independently.
   ObjectState& obj = state_of(w.object);
+  Activity& act = busy(obj);
   std::uint64_t ts = obj.tag.ts;
-  if (auto hp = obj.pending.max_tag()) ts = std::max(ts, hp->ts);
+  if (auto hp = act.pending.max_tag()) ts = std::max(ts, hp->ts);
   const Tag tag{ts + 1, self_};
 
-  obj.pending.insert(PendingEntry{tag, w.body, w.client, w.req});
-  obj.outstanding[tag] = OutstandingWrite{w.client, w.req, w.body};
+  act.pending.insert(PendingEntry{tag, w.body, w.client, w.req});
+  act.outstanding[tag] = OutstandingWrite{w.client, w.req, w.body};
   sched_.count_sent(self_);  // line 26
   ++stats_.pre_writes_initiated;
   return RingSend{successor_,
@@ -844,13 +860,16 @@ net::PayloadPtr RingServer::pre_write(ObjectId object, const Tag& tag,
 void RingServer::solo_write(const LocalWrite& w, ServerContext& ctx) {
   ObjectState& obj = state_of(w.object);
   std::uint64_t ts = obj.tag.ts;
-  if (auto hp = obj.pending.max_tag()) ts = std::max(ts, hp->ts);
+  if (obj.has_pending()) {
+    ts = std::max(ts, obj.activity->pending.max_tag()->ts);
+  }
   const Tag tag{ts + 1, self_};
   install(obj, tag, w.body, w.client, w.req);
   note_completed(obj, tag, w.client, w.req);
   ctx.send_client(w.client, net::make_payload<ClientWriteAck>(
                                 w.req, w.object, view_.epoch));
   unpark_up_to(obj, tag, ctx);
+  release_if_idle(obj);
 }
 
 // ---------------------------------------------------------------- crashes
@@ -879,16 +898,17 @@ void RingServer::on_peer_crash(ProcessId crashed, ServerContext& ctx) {
     // the initial tag downstream is a no-op, and with one register per key
     // a namespace-wide sweep should not flood the ring with them.
     for (const auto& [id, obj] : objects_) {
-      if (obj.body.coded) {
+      if (obj.coded()) {
         // A coded register syncs through its FragRepair (launched in the
         // absorber pass below — it carries tag + geometry); a SyncState
         // with the empty value would install an empty *replicated* state.
       } else if (id == kDefaultObject || !obj.tag.is_initial()) {
         ++stats_.syncs_sent;
-        push_urgent(net::make_payload<SyncState>(obj.tag, obj.body.value, id,
+        push_urgent(net::make_payload<SyncState>(obj.tag, obj.value, id,
                                                  view_.epoch));
       }
-      for (const auto& e : obj.pending.snapshot()) {
+      if (!obj.has_pending()) continue;
+      for (const auto& e : obj.activity->pending.snapshot()) {
         push_urgent(pre_write(id, e.tag, e.body, e.client, e.req));
       }
     }
@@ -901,11 +921,15 @@ void RingServer::on_peer_crash(ProcessId crashed, ServerContext& ctx) {
     for (net::PayloadPtr& msg : duplicates) push_urgent(std::move(msg));
   }
 
-  for (auto& [id, obj] : objects_) {
+  for (const auto& [id, obj] : objects_) {
+    // Only a register with an activity block has anything to repair: the
+    // rest have no in-flight write and no fragments.
+    if (!obj.activity) continue;
+    const Activity& act = *obj.activity;
     // Origin-side repair: any of my in-flight writes may have died inside
     // the crashed server. Re-issue the current phase; duplicates are
     // absorbed.
-    for (auto& [tag, ow] : obj.outstanding) {
+    for (const auto& [tag, ow] : act.outstanding) {
       if (ow.write_phase) {
         push_urgent(net::make_payload<WriteCommit>(tag, ow.client, ow.req, id,
                                                    view_.epoch));
@@ -918,7 +942,7 @@ void RingServer::on_peer_crash(ProcessId crashed, ServerContext& ctx) {
     // circulation of every pre-write it originated that is still pending
     // here; when each loops back to us we commit it on the origin's behalf.
     if (ring_.absorber(crashed) == self_) {
-      for (const auto& e : obj.pending.entries_from(crashed)) {
+      for (const auto& e : act.pending.entries_from(crashed)) {
         ++stats_.adoptions;
         push_urgent(pre_write(id, e.tag, e.body, e.client, e.req));
       }
@@ -929,11 +953,11 @@ void RingServer::on_peer_crash(ProcessId crashed, ServerContext& ctx) {
       // aboard, and back here the missing index is regenerated and
       // adopted. Doubles as the coded register's splice sync (see
       // handle_frag_repair). Only worthwhile while >= k servers survive.
-      const auto& shape = obj.body.coded;
+      const auto& shape = act.coded;
       if (shape && ring_.alive_count() >= std::size_t{shape->k}) {
         std::vector<FragPart> parts;
-        if (obj.frags) {
-          if (const auto* set = obj.frags->at(obj.tag)) {
+        if (act.frags) {
+          if (const auto* set = act.frags->at(obj.tag)) {
             for (const code::StoredFragment& f : *set) {
               parts.push_back(FragPart{f.frag_index, f.checksum, f.bytes});
             }
@@ -953,26 +977,29 @@ void RingServer::resolve_everything_solo(ServerContext& ctx) {
   // resolves by local application in tag order; every queued/outstanding
   // write completes.
   for (auto& [id, obj] : objects_) {
-    for (const auto& e : obj.pending.snapshot()) {
+    if (!obj.activity) continue;  // nothing in flight
+    Activity& act = *obj.activity;
+    for (const auto& e : act.pending.snapshot()) {
       install(obj, e.tag, e.body, e.client, e.req);
       note_completed(obj, e.tag, e.client, e.req);
     }
-    obj.pending.clear();
+    act.pending.clear();
 
-    for (auto& [tag, ow] : obj.outstanding) {
+    for (auto& [tag, ow] : act.outstanding) {
       install(obj, tag, ow.body, ow.client, ow.req);
       note_completed(obj, tag, ow.client, ow.req);
       ctx.send_client(ow.client, net::make_payload<ClientWriteAck>(
                                      ow.req, id, view_.epoch));
     }
-    obj.outstanding.clear();
-    obj.adopted.clear();
-    obj.queued_tags.clear();
-    obj.early_commits.clear();
+    act.outstanding.clear();
+    act.adopted.clear();
+    act.queued_tags.clear();
+    act.early_commits.clear();
 
     // Parked reads: every threshold tag has now been applied or superseded,
     // so the current tag dominates every parked threshold.
     unpark_up_to(obj, obj.tag, ctx);
+    release_if_idle(obj);
   }
   urgent_.clear();
 
@@ -988,7 +1015,12 @@ void RingServer::install(ObjectState& obj, const Tag& t, const WriteBody& body,
                          ClientId client, RequestId req) {
   if (t > obj.tag) {
     obj.tag = t;
-    obj.body = body;
+    obj.value = body.value;
+    if (body.coded) {
+      busy(obj).coded = body.coded;
+    } else if (obj.activity) {
+      obj.activity->coded.reset();
+    }
   }
   // A replicated body superseding a coded one flips the register back to
   // replicated mode; old fragment sets stay until the GC watermark of a
@@ -1004,12 +1036,12 @@ void RingServer::install(ObjectState& obj, const Tag& t, const WriteBody& body,
   // availability loss of one fragment, never an atomicity violation.
   // Remember the tag so a late-arriving fragment binds to it directly
   // (on_frag_write); repair can also refill it.
-  if (!obj.store().promote(client, req, t)) {
+  code::FragmentStore& store = busy(obj).store();
+  if (!store.promote(client, req, t)) {
     ++stats_.frag_missing;
-    obj.store().note_missing(client, req, t);
+    store.note_missing(client, req, t);
   }
-  const std::size_t freed =
-      obj.store().gc_below(obj.tag, opts_.value_policy.gc_keep);
+  const std::size_t freed = store.gc_below(obj.tag, opts_.value_policy.gc_keep);
   if (freed > 0) {
     ++stats_.gc_runs;
     stats_.gc_reclaimed_bytes += freed;
@@ -1018,7 +1050,7 @@ void RingServer::install(ObjectState& obj, const Tag& t, const WriteBody& body,
 
 void RingServer::note_completed(ObjectState& obj, const Tag& t,
                                 ClientId client, RequestId req) {
-  if (t.id < obj.commit_watermark.size()) {
+  if (t.id < ring_.initial_size()) {
     obj.commit_watermark[t.id] = std::max(obj.commit_watermark[t.id], t.ts);
   }
   if (!opts_.dedup_retries) return;
@@ -1042,24 +1074,26 @@ bool RingServer::request_completed(ClientId client, RequestId req) const {
   return req <= it->second.watermark || it->second.above.contains(req);
 }
 
-bool RingServer::already_committed(const ObjectState& obj, const Tag& t) {
-  return t.id < obj.commit_watermark.size() &&
-         t.ts <= obj.commit_watermark[t.id];
+bool RingServer::already_committed(const ObjectState& obj,
+                                   const Tag& t) const {
+  return t.id < ring_.initial_size() && t.ts <= obj.commit_watermark[t.id];
 }
 
 void RingServer::unpark_up_to(ObjectState& obj, const Tag& t,
                               ServerContext& ctx) {
+  if (!obj.activity || obj.activity->parked.empty()) return;
+  std::vector<ParkedRead>& parked = obj.activity->parked;
   std::vector<ParkedRead> keep;
-  keep.reserve(obj.parked.size());
-  for (ParkedRead& r : obj.parked) {
+  keep.reserve(parked.size());
+  for (ParkedRead& r : parked) {
     if (r.threshold <= t) {
       // D2: reply with the *current* local value — at least as new as the
       // threshold since the unblocking commit has been applied.
-      if (obj.body.coded) {
+      if (obj.coded()) {
         send_coded_read_ack(obj, r.client, r.req, ctx);
       } else {
         ctx.send_client(r.client,
-                        net::make_payload<ClientReadAck>(r.req, obj.body.value,
+                        net::make_payload<ClientReadAck>(r.req, obj.value,
                                                          obj.tag, obj.id,
                                                          view_.epoch));
       }
@@ -1067,7 +1101,7 @@ void RingServer::unpark_up_to(ObjectState& obj, const Tag& t,
       keep.push_back(std::move(r));
     }
   }
-  obj.parked.swap(keep);
+  parked.swap(keep);
 }
 
 void RingServer::forward_duplicate(ProcessId origin,
@@ -1091,25 +1125,54 @@ const Tag& RingServer::current_tag(ObjectId object) const {
 const Value& RingServer::current_value(ObjectId object) const {
   static const Value empty;
   const ObjectState* obj = find_state(object);
-  return obj ? obj->body.value : empty;
+  return obj ? obj->value : empty;
 }
 
 const PendingSet& RingServer::pending(ObjectId object) const {
   static const PendingSet none;
   const ObjectState* obj = find_state(object);
-  return obj ? obj->pending : none;
+  return obj && obj->activity ? obj->activity->pending : none;
 }
 
 std::size_t RingServer::parked_read_count(ObjectId object) const {
   const ObjectState* obj = find_state(object);
-  return obj ? obj->parked.size() : 0;
+  return obj && obj->activity ? obj->activity->parked.size() : 0;
+}
+
+RingServer::Activity& RingServer::busy(ObjectState& obj) {
+  if (!obj.activity) {
+    if (spares_.empty()) {
+      obj.activity = std::make_unique<Activity>();
+    } else {
+      obj.activity = std::move(spares_.back());
+      spares_.pop_back();
+    }
+  }
+  return *obj.activity;
+}
+
+void RingServer::release_if_idle(ObjectState& obj) {
+  if (!obj.activity || !obj.activity->idle()) return;
+  // An idle block is empty, so it serves the next activation as it is
+  // (with whatever bucket and vector capacity it grew).
+  if (spares_.size() < kSpareActivities) {
+    spares_.push_back(std::move(obj.activity));
+  } else {
+    obj.activity.reset();
+  }
+}
+
+std::size_t RingServer::active_registers() const {
+  return static_cast<std::size_t>(std::count_if(
+      objects_.begin(), objects_.end(),
+      [](const auto& entry) { return entry.second.activity != nullptr; }));
 }
 
 std::size_t RingServer::fragment_bytes() const {
   std::size_t total = 0;
   for (const auto& [id, obj] : objects_) {
-    if (obj.frags) {
-      total += obj.frags->stored_bytes() + obj.frags->staged_bytes();
+    if (const code::FragmentStore* frags = obj.frags()) {
+      total += frags->stored_bytes() + frags->staged_bytes();
     }
   }
   return total;

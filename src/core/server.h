@@ -10,14 +10,16 @@
 // whenever the ring link is free. This mirrors the paper's model where a
 // server emits at most one ring message per round.
 //
-// Multi-object layout (DESIGN.md §Multi-object): everything the paper's
-// pseudo-code keeps per register — tag, value, pending_write_set, parked
-// reads, the origin's in-flight writes — lives in one ObjectState record,
-// keyed by ObjectId. Everything that belongs to the *server* — the ring view,
-// the fairness scheduler with its per-origin nb_msg counters, the local write
-// queue, the urgent queue, retry deduplication — stays singular, so one ring
-// and one batching pipeline carry the traffic of every object and commits for
-// many objects amortise into one train.
+// Multi-object layout (DESIGN.md §Multi-object, §Server layer): everything
+// the paper's pseudo-code keeps per register lives in one ObjectState
+// record, keyed by ObjectId — a hot part every register keeps (tag, value,
+// commit watermark) and an activity block (pending_write_set, parked reads,
+// the origin's in-flight writes, fragments) that exists only while the
+// register has something in flight. Everything that belongs to the *server*
+// — the ring view, the fairness scheduler with its per-origin nb_msg
+// counters, the local write queue, the urgent queue, retry deduplication —
+// stays singular, so one ring and one batching pipeline carry the traffic of
+// every object and commits for many objects amortise into one train.
 //
 // Correctness-critical behaviours beyond the paper's pseudo-code are flagged
 // with DESIGN.md deviation numbers (D1..D6).
@@ -344,6 +346,10 @@ class RingServer {
   [[nodiscard]] const RingView& ring() const { return ring_; }
   [[nodiscard]] std::size_t parked_read_count(ObjectId object) const;
   [[nodiscard]] std::size_t object_count() const { return objects_.size(); }
+  /// Registers holding an activity block (DESIGN.md §Server layer): those
+  /// with anything in flight, plus coded ones. 0 on a drained replicated
+  /// server.
+  [[nodiscard]] std::size_t active_registers() const;
   [[nodiscard]] std::size_t write_queue_depth() const {
     return write_queue_.size();
   }
@@ -394,15 +400,14 @@ class RingServer {
     ObjectId object = kDefaultObject;
   };
 
-  /// Everything the paper keeps per register. Tags of different objects live
-  /// in disjoint spaces: each object counts its own timestamps.
-  struct ObjectState {
-    ObjectId id = kDefaultObject;  // which register this record is
-    // v (line 12). A coded body (D11) leaves the value empty: readers are
-    // answered with CodedReadAck from `frags` instead.
-    WriteBody body;
-    Tag tag;              // [ts, id]
-    PendingSet pending;   // pending_write_set
+  /// A register's in-flight bookkeeping (DESIGN.md §Multi-object, "Hot
+  /// record and activity block"): what the paper keeps per register beyond
+  /// (tag, value), plus a coded body's fragments. busy() gives a register
+  /// one on its first in-flight write or parked read; release_if_idle()
+  /// takes it back once all of it is empty again. A register that holds a
+  /// fragment store or a coded body keeps it.
+  struct Activity {
+    PendingSet pending;  // pending_write_set
     std::vector<ParkedRead> parked;
 
     // Origin bookkeeping: my in-flight writes, keyed by tag (D3).
@@ -410,23 +415,58 @@ class RingServer {
     // Surrogate bookkeeping: writes I am completing for a dead origin (D4).
     std::map<Tag, std::pair<ClientId, RequestId>> adopted;
 
-    // Duplicate suppression (D5): per-origin highest committed timestamp.
-    std::vector<std::uint64_t> commit_watermark;
     // Tags currently sitting in the forward queue (cheap duplicate test).
     std::unordered_set<Tag> queued_tags;
     // Defensive: commits that arrived before their pre-write (non-FIFO).
     std::unordered_set<Tag> early_commits;
 
-    // Coded value plane (D11): the fragment store is lazy — a register that
-    // only ever sees replicated writes never allocates one.
+    // Coded value plane (D11): the committed body's shape, when it is coded
+    // (the register's value then stays empty: readers are answered with
+    // CodedReadAck from `frags`). The fragment store is lazy — a register
+    // that only ever sees replicated writes never allocates one.
+    std::optional<CodedShape> coded;
     std::unique_ptr<code::FragmentStore> frags;
 
-    ObjectState(ObjectId object, std::size_t n_servers, const Tag& initial)
-        : id(object), tag(initial), commit_watermark(n_servers, 0) {}
+    [[nodiscard]] bool idle() const {
+      return pending.empty() && parked.empty() && outstanding.empty() &&
+             adopted.empty() && queued_tags.empty() && early_commits.empty() &&
+             !coded && !frags;
+    }
 
     code::FragmentStore& store() {
       if (!frags) frags = std::make_unique<code::FragmentStore>();
       return *frags;
+    }
+  };
+
+  /// The hot record every register keeps. Tags of different objects live
+  /// in disjoint spaces: each object counts its own timestamps. Read paths
+  /// go through the const accessors, which never create an activity
+  /// block.
+  struct ObjectState {
+    ObjectId id = kDefaultObject;  // which register this record is
+    Tag tag;                       // [ts, id]
+    Value value;                   // v (line 12); empty for a coded body
+    // Duplicate suppression (D5): per-origin highest committed timestamp,
+    // one slot per server of the initial ring. Hot, not in the activity
+    // block: it suppresses a crash re-send of an already-committed
+    // pre-write on a register that has nothing in flight.
+    std::unique_ptr<std::uint64_t[]> commit_watermark;
+    std::unique_ptr<Activity> activity;
+
+    ObjectState(ObjectId object, std::size_t n_servers, const Tag& initial)
+        : id(object),
+          tag(initial),
+          commit_watermark(std::make_unique<std::uint64_t[]>(n_servers)) {}
+
+    [[nodiscard]] const CodedShape* coded() const {
+      return activity && activity->coded ? &*activity->coded : nullptr;
+    }
+    [[nodiscard]] const code::FragmentStore* frags() const {
+      return activity ? activity->frags.get() : nullptr;
+    }
+    [[nodiscard]] bool has_pending() const {
+      return activity && !activity->pending.empty();
     }
   };
 
@@ -490,6 +530,12 @@ class RingServer {
 
   /// Fetches (creating on first touch) the state of one register.
   ObjectState& state_of(ObjectId id);
+  /// The register's activity block, taken on first use: one of the
+  /// server's spare blocks, or a new one.
+  Activity& busy(ObjectState& obj);
+  /// Takes the register's activity block back once nothing in it is live:
+  /// it becomes a spare, or is freed when kSpareActivities are kept.
+  void release_if_idle(ObjectState& obj);
   /// Read-only lookup; nullptr when the register was never touched.
   [[nodiscard]] const ObjectState* find_state(ObjectId id) const;
 
@@ -518,8 +564,8 @@ class RingServer {
   void unpark_up_to(ObjectState& obj, const Tag& t, ServerContext& ctx);
 
   /// True if a commit for this tag was already processed here.
-  [[nodiscard]] static bool already_committed(const ObjectState& obj,
-                                              const Tag& t);
+  [[nodiscard]] bool already_committed(const ObjectState& obj,
+                                       const Tag& t) const;
 
   /// When the view collapses to {self}, every pending write resolves locally.
   void resolve_everything_solo(ServerContext& ctx);
@@ -545,6 +591,14 @@ class RingServer {
   // find_state): with thousands of registers a map walk per message costs
   // a dozen cache misses. It points into objects_' nodes.
   RegisterIndex<ObjectState> index_;
+  // Emptied activity blocks kept for the next activations, so registers
+  // that go busy and idle per write cost no allocation. Freed instead, the
+  // blocks spread over the allocator caches of every thread that runs this
+  // server's handlers (in-memory callers run them inline), which raised the
+  // in-memory deployment's peak RSS. The cap covers the registers a server
+  // usually has in flight at once and bounds what idle spares hold.
+  static constexpr std::size_t kSpareActivities = 8;
+  std::vector<std::unique_ptr<Activity>> spares_;
 
   FairScheduler sched_;    // forward_queue + nb_msg — per SERVER, all objects
   std::deque<LocalWrite> write_queue_;

@@ -20,15 +20,18 @@
 // FrameDecoder is the ingress twin: it accepts arbitrary byte chunks (a TCP
 // stream tears frames at any offset, including inside the length prefix),
 // reassembles u32-length-prefixed frames, and invokes a callback per
-// complete frame. tests/transport_test.cpp splits captured streams at every
-// byte boundary and asserts identical decode.
+// complete frame — straight from the chunk, copying only a torn frame.
+// tests/transport_test.cpp splits captured streams at every byte boundary
+// and asserts identical decode.
 #pragma once
 
 #include <sys/uio.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -94,7 +97,7 @@ class FrameWriter {
   }
 
   void patch_u32(Mark m, std::uint32_t v) {
-    char* p = segments_[m.segment].data() + m.offset;
+    char* p = segments_[m.segment].get() + m.offset;
     for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
   }
 
@@ -127,7 +130,7 @@ class FrameWriter {
     iov_.clear();
     for (std::size_t s = 0; s < segments_in_use_; ++s) {
       std::size_t used = used_[s];
-      const char* base = segments_[s].data();
+      const char* base = segments_[s].get();
       if (skip >= used) {
         skip -= used;
         continue;
@@ -151,7 +154,7 @@ class FrameWriter {
     std::string out;
     out.reserve(total_);
     for (std::size_t s = 0; s < segments_in_use_; ++s) {
-      out.append(segments_[s].data(), used_[s]);
+      out.append(segments_[s].get(), used_[s]);
     }
     return out;
   }
@@ -169,7 +172,7 @@ class FrameWriter {
       std::size_t& used = used_[segments_in_use_ - 1];
       const std::size_t room = segment_bytes_ - used;
       const std::size_t take = n < room ? n : room;
-      std::memcpy(segments_[segments_in_use_ - 1].data() + used, data, take);
+      std::memcpy(segments_[segments_in_use_ - 1].get() + used, data, take);
       used += take;
       total_ += take;
       data += take;
@@ -187,7 +190,11 @@ class FrameWriter {
 
   void grow() {
     if (segments_in_use_ == segments_.size()) {
-      segments_.emplace_back(segment_bytes_);
+      // Not zero-filled: only the bytes appended are ever read, and the
+      // pages of the segment's unused tail are never touched, so a writer
+      // that only ever sends a preamble does not make them resident.
+      segments_.push_back(
+          std::make_unique_for_overwrite<char[]>(segment_bytes_));
       used_.push_back(0);
     }
     used_[segments_in_use_] = 0;
@@ -195,7 +202,7 @@ class FrameWriter {
   }
 
   std::size_t segment_bytes_;
-  std::vector<std::vector<char>> segments_;  // pool; never shrinks
+  std::vector<std::unique_ptr<char[]>> segments_;  // pool; never shrinks
   std::vector<std::size_t> used_;            // bytes used per segment
   std::size_t segments_in_use_ = 0;
   std::size_t total_ = 0;
@@ -205,7 +212,9 @@ class FrameWriter {
 
 /// Incremental reassembly of u32-length-prefixed frames from a torn byte
 /// stream. feed() accepts chunks of any size (down to one byte) and invokes
-/// `on_frame` once per complete frame body, in order. A frame larger than
+/// `on_frame` once per complete frame body, in order. Whole frames are
+/// handed over straight from the chunk; only a frame the chunk tears is
+/// copied, into a buffer that the next chunks complete. A frame larger than
 /// `max_frame` poisons the decoder (returns false forever) — a transport
 /// treats that as a broken connection, not a recoverable input.
 class FrameDecoder {
@@ -214,38 +223,60 @@ class FrameDecoder {
       : max_frame_(max_frame) {}
 
   /// Returns false if the stream is poisoned (oversized length prefix).
-  /// `on_frame` is any callable taking the frame body as std::string_view.
+  /// `on_frame` is any callable taking the frame body as std::string_view;
+  /// the view is valid only during the call.
   template <typename OnFrame>
   bool feed(std::string_view chunk, OnFrame&& on_frame) {
     if (poisoned_) return false;
-    buf_.append(chunk.data(), chunk.size());
-    std::size_t pos = 0;
-    for (;;) {
-      if (buf_.size() - pos < 4) break;
-      const auto* p = reinterpret_cast<const unsigned char*>(buf_.data() + pos);
-      const std::uint32_t len = static_cast<std::uint32_t>(p[0]) |
-                                (static_cast<std::uint32_t>(p[1]) << 8) |
-                                (static_cast<std::uint32_t>(p[2]) << 16) |
-                                (static_cast<std::uint32_t>(p[3]) << 24);
-      if (len > max_frame_) {
-        poisoned_ = true;
-        return false;
-      }
-      if (buf_.size() - pos - 4 < len) break;
-      on_frame(std::string_view(buf_).substr(pos + 4, len));
-      pos += 4 + len;
+    if (!torn_.empty()) {
+      // Complete the frame the previous chunk tore: its length prefix
+      // first, then its body.
+      if (torn_.size() < 4) take_into_torn(chunk, 4 - torn_.size());
+      if (torn_.size() < 4) return true;
+      const std::uint32_t len = length_at(torn_.data());
+      if (len > max_frame_) return poison();
+      take_into_torn(chunk, 4 + std::size_t{len} - torn_.size());
+      if (torn_.size() < 4 + std::size_t{len}) return true;
+      on_frame(std::string_view(torn_).substr(4, len));
+      torn_.clear();
     }
-    // Keep only the torn tail; the common case (whole frames) erases all.
-    buf_.erase(0, pos);
+    while (chunk.size() >= 4) {
+      const std::uint32_t len = length_at(chunk.data());
+      if (len > max_frame_) return poison();
+      if (chunk.size() - 4 < len) break;
+      on_frame(chunk.substr(4, len));
+      chunk.remove_prefix(4 + std::size_t{len});
+    }
+    torn_.assign(chunk.data(), chunk.size());
     return true;
   }
 
   /// Bytes buffered waiting for the rest of a torn frame.
-  [[nodiscard]] std::size_t pending_bytes() const { return buf_.size(); }
+  [[nodiscard]] std::size_t pending_bytes() const { return torn_.size(); }
 
  private:
+  static std::uint32_t length_at(const char* at) {
+    const auto* p = reinterpret_cast<const unsigned char*>(at);
+    return static_cast<std::uint32_t>(p[0]) |
+           (static_cast<std::uint32_t>(p[1]) << 8) |
+           (static_cast<std::uint32_t>(p[2]) << 16) |
+           (static_cast<std::uint32_t>(p[3]) << 24);
+  }
+
+  /// Moves up to `n` bytes from the front of `chunk` to the torn frame.
+  void take_into_torn(std::string_view& chunk, std::size_t n) {
+    n = std::min(n, chunk.size());
+    torn_.append(chunk.data(), n);
+    chunk.remove_prefix(n);
+  }
+
+  bool poison() {
+    poisoned_ = true;
+    return false;
+  }
+
   std::size_t max_frame_;
-  std::string buf_;
+  std::string torn_;  // a frame's leading bytes, until its last one arrives
   bool poisoned_ = false;
 };
 

@@ -332,6 +332,8 @@ bool NodeLoop::turn(Hooks& hooks) {
        ++round) {
     const int ready = wait_events(hooks, /*block=*/false);
     if (ready < 0) return false;
+    ready_polls_.fetch_add(1, std::memory_order_relaxed);
+    if (ready > 0) ready_poll_hits_.fetch_add(1, std::memory_order_relaxed);
     fire_timers();
     if (ready == 0) break;
   }

@@ -181,6 +181,14 @@ class NodeLoop {
   void count_tx(std::size_t bytes);
   /// A transport that counts more per node adds it to these.
   [[nodiscard]] virtual obs::LinkCounters counters() const;
+  /// An epoll loop's non-blocking polls (the rounds a turn adds after its
+  /// blocking wait), and how many of them found an event.
+  [[nodiscard]] std::uint64_t ready_polls() const {
+    return ready_polls_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t ready_poll_hits() const {
+    return ready_poll_hits_.load(std::memory_order_relaxed);
+  }
 
   // ------------------------------------ loop thread (or before start())
   /// Switches the loop from futex parking to epoll: creates the epoll set
@@ -304,6 +312,9 @@ class NodeLoop {
   std::atomic<std::uint64_t> tx_bytes_{0};
   std::atomic<std::uint64_t> rx_messages_{0};
   std::atomic<std::uint64_t> rx_bytes_{0};
+  // Written by the loop thread only, read by any.
+  std::atomic<std::uint64_t> ready_polls_{0};
+  std::atomic<std::uint64_t> ready_poll_hits_{0};
 
   std::thread thread_;  // declared last: the loop touches everything above
 };

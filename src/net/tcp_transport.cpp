@@ -52,6 +52,8 @@ TcpTransport::Node::~Node() {
 obs::LinkCounters TcpTransport::Node::counters() const {
   obs::LinkCounters c = NodeLoop::counters();
   c.tx_flushes = tx_flushes.load(std::memory_order_relaxed);
+  c.ready_polls = ready_polls();
+  c.ready_poll_hits = ready_poll_hits();
   return c;
 }
 

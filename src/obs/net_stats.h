@@ -7,7 +7,9 @@
 // fabric identically. Labels follow the NodeAddress convention: "s<id>" for
 // servers, "c<id>" for clients. The socket fabric adds how many writes
 // carried its frames (tx_flushes), so frames per flush is
-// tx_messages / tx_flushes; no other fabric has, or exports, that count.
+// tx_messages / tx_flushes, and how many non-blocking polls its loops made
+// after a blocking wait (ready_polls), of which ready_poll_hits found an
+// event; no other fabric has, or exports, these counts.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +30,11 @@ struct LinkCounters {
   // track rx (sim::Network charges the sender only) leave these at zero.
   std::uint64_t rx_messages = 0;
   std::uint64_t rx_bytes = 0;
-  // sendmsg calls that wrote bytes: set by the socket fabric only.
+  // Set by the socket fabric only: sendmsg calls that wrote bytes, and its
+  // loops' non-blocking polls and the polls that found an event.
   std::optional<std::uint64_t> tx_flushes = std::nullopt;
+  std::optional<std::uint64_t> ready_polls = std::nullopt;
+  std::optional<std::uint64_t> ready_poll_hits = std::nullopt;
 };
 
 class LinkStatsSource {
@@ -39,25 +44,30 @@ class LinkStatsSource {
   [[nodiscard]] virtual std::vector<LinkCounters> link_counters() const = 0;
 };
 
-/// Every endpoint's counters summed, labeled "total"; tx_flushes is set
-/// when any endpoint counts them.
+/// Every endpoint's counters summed, labeled "total"; each optional count
+/// is set when any endpoint counts it.
 inline LinkCounters sum_links(const std::vector<LinkCounters>& links) {
   LinkCounters total{.label = "total"};
+  auto add = [](std::optional<std::uint64_t>& sum,
+                const std::optional<std::uint64_t>& v) {
+    if (v) sum = sum.value_or(0) + *v;
+  };
   for (const LinkCounters& lc : links) {
     total.tx_messages += lc.tx_messages;
     total.tx_bytes += lc.tx_bytes;
     total.rx_messages += lc.rx_messages;
     total.rx_bytes += lc.rx_bytes;
-    if (lc.tx_flushes) {
-      total.tx_flushes = total.tx_flushes.value_or(0) + *lc.tx_flushes;
-    }
+    add(total.tx_flushes, lc.tx_flushes);
+    add(total.ready_polls, lc.ready_polls);
+    add(total.ready_poll_hits, lc.ready_poll_hits);
   }
   return total;
 }
 
 /// Publishes a source's counters into the registry as
 /// "<prefix>.<label>.tx_messages" / ".tx_bytes" / ".rx_*" (and
-/// ".tx_flushes" where the source counts them) plus "<prefix>.total.*".
+/// ".tx_flushes" / ".ready_polls" / ".ready_poll_hits" where the source
+/// counts them) plus "<prefix>.total.*".
 inline void export_links(MetricsRegistry& reg, const std::string& prefix,
                          const LinkStatsSource& src) {
   std::vector<LinkCounters> links = src.link_counters();
@@ -69,6 +79,10 @@ inline void export_links(MetricsRegistry& reg, const std::string& prefix,
     reg.counter(p + "rx_messages")->set(lc.rx_messages);
     reg.counter(p + "rx_bytes")->set(lc.rx_bytes);
     if (lc.tx_flushes) reg.counter(p + "tx_flushes")->set(*lc.tx_flushes);
+    if (lc.ready_polls) reg.counter(p + "ready_polls")->set(*lc.ready_polls);
+    if (lc.ready_poll_hits) {
+      reg.counter(p + "ready_poll_hits")->set(*lc.ready_poll_hits);
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 #include "common/serialize.h"
 #include "common/types.h"
 #include "common/value.h"
+#include "heap_meter.h"
 
 namespace hts {
 namespace {
@@ -80,6 +81,64 @@ TEST(Value, CopyIsShallowAndEqual) {
   EXPECT_EQ(a.bytes().data(), b.bytes().data());
 }
 
+TEST(Value, CopiesAndMovesShareOneAllocation) {
+  const test::HeapReading start = test::heap_now();
+  {
+    const Value a = Value::synthetic(7, 1024);
+    const test::HeapReading made = test::heap_now();
+    Value b = a;
+    Value c;
+    c = b;
+    Value d(std::move(c));
+    Value e;
+    e = std::move(d);
+    EXPECT_TRUE(c.empty());  // NOLINT(bugprone-use-after-move): moved-from
+    EXPECT_TRUE(d.empty());  // NOLINT(bugprone-use-after-move): moved-from
+    for (const Value* v : {&b, &e}) {
+      EXPECT_EQ(v->bytes().data(), a.bytes().data());
+      EXPECT_EQ(*v, a);
+    }
+    if (test::kHeapMetered) {
+      EXPECT_EQ(made.calls, start.calls + 1) << "one allocation per value";
+      EXPECT_EQ(test::heap_now().calls, made.calls) << "a copy allocated";
+    }
+  }
+  if (test::kHeapMetered) {
+    EXPECT_EQ(test::heap_now().live_bytes, start.live_bytes)
+        << "the last copy frees the bytes";
+  }
+}
+
+TEST(Value, ConstructionCopiesTheBytesAndEmptyAllocatesNothing) {
+  std::string bytes = "register value";
+  const Value v(bytes);
+  bytes[0] = 'R';
+  EXPECT_EQ(v.bytes(), "register value");
+  const test::HeapReading before = test::heap_now();
+  const Value empty{std::string_view{}};
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty, Value());
+  EXPECT_EQ(test::heap_now().calls, before.calls);
+}
+
+TEST(Value, SyntheticBytesFollowTheSeedRecipe) {
+  // The recipe every workload's values come from: the seed's 8 bytes, then
+  // an xorshift stream from the seed, padded up to 8 bytes.
+  for (const std::size_t size : {0ul, 1ul, 7ul, 8ul, 9ul, 100ul, 1024ul}) {
+    const std::uint64_t seed = 0x0123456789ABCDEFull + size;
+    std::string want;
+    for (int i = 0; i < 8; ++i) want.push_back(static_cast<char>(seed >> (8 * i)));
+    std::uint64_t x = seed;
+    while (want.size() < size) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      want.push_back(static_cast<char>(x));
+    }
+    EXPECT_EQ(Value::synthetic(seed, size).bytes(), want) << "size=" << size;
+  }
+}
+
 TEST(Serialize, RoundTripsScalars) {
   Encoder e;
   e.u8(0xAB);
@@ -100,6 +159,21 @@ TEST(Serialize, RoundTripsValues) {
   e.value(v);
   Decoder d(e.result());
   EXPECT_EQ(d.value(), v);
+}
+
+TEST(Serialize, DecodingAValueAllocatesItOnce) {
+  if (!test::kHeapMetered) GTEST_SKIP() << test::kHeapMeterOffReason;
+  const Value v = Value::synthetic(99, 1024);
+  Encoder e;
+  e.value(v);
+  Decoder d(e.result());
+  const test::HeapReading before = test::heap_now();
+  const Value back = d.value();
+  const test::HeapReading after = test::heap_now();
+  EXPECT_EQ(after.calls, before.calls + 1);
+  // The 1 KiB plus its 16-byte header (reference count and length).
+  EXPECT_EQ(after.live_bytes - before.live_bytes, 1024 + 16);
+  EXPECT_EQ(back, v);
 }
 
 TEST(Serialize, UnderrunThrows) {

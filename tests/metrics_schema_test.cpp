@@ -104,10 +104,15 @@ TEST(MetricsSchema, SocketCountersAreExportedBySocketsOnly) {
   for (const std::string& n : socket) {
     EXPECT_TRUE(tcp.contains(n)) << n << " is missing from a tcp export";
   }
+  for (const char* n : {"net.host.s0.tx_flushes", "net.host.s0.ready_polls",
+                        "net.host.s0.ready_poll_hits"}) {
+    EXPECT_TRUE(tcp.contains(n)) << n << " is missing from a tcp export";
+  }
   const std::set<std::string> inmem =
       exported_counters(harness::ThreadedClusterConfig::TransportKind::kInMem);
   for (const std::string& n : inmem) {
-    EXPECT_FALSE(n.ends_with(".tx_flushes"))
+    EXPECT_FALSE(n.ends_with(".tx_flushes") || n.ends_with(".ready_polls") ||
+                 n.ends_with(".ready_poll_hits"))
         << n << " is exported by the in-memory fabric";
   }
 }

@@ -1,10 +1,12 @@
 // RingServer driven directly (no fabric): exact message flows of the paper's
 // pseudo-code, plus the recovery behaviours (crash re-send, orphan adoption,
 // retry dedup) that make the resilience claim hold. The crash scenarios run
-// on both value planes, replicated and coded.
+// on both value planes, replicated and coded. The register footprint tests
+// meter the heap (heap_meter.h) to pin what an idle register costs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -13,7 +15,12 @@
 #include "core/messages.h"
 #include "core/register_index.h"
 #include "core/server.h"
+#include "harness/sim_cluster.h"
+#include "harness/workload.h"
+#include "heap_meter.h"
+#include "lincheck/checker.h"
 #include "ring_test_util.h"
+#include "sim/simulator.h"
 
 namespace hts::core {
 namespace {
@@ -443,6 +450,160 @@ TEST(RingServerUnit, CommitOvertakingPreWriteIsHandled) {
 
 TEST(RingServerUnit, CommitOvertakingPreWriteIsHandledCoded) {
   commit_overtaking_pre_write(Plane::kCoded);
+}
+
+// ------------------------------------------------------ register footprint
+
+/// Keeps only the last reply: records nothing that allocates.
+struct LastReplyCtx final : ServerContext {
+  net::PayloadPtr last;
+  void send_client(ClientId, net::PayloadPtr msg) override {
+    last = std::move(msg);
+  }
+};
+
+/// Server `s` (not the origin) sees a write of `v` by server 0 pass through:
+/// the pre-write arrives and is forwarded, then the commit arrives and is
+/// forwarded. The register ends committed and idle.
+void pass_write_through(RingServer& s, ServerContext& ctx, ObjectId obj,
+                        RequestId req, const Value& v) {
+  const Tag tag{1, 0};
+  s.on_ring_message(
+      net::make_payload<PreWrite>(tag, v, /*client=*/7, req, obj), ctx);
+  ASSERT_TRUE(s.next_ring_send().has_value());  // forward: now pending
+  s.on_ring_message(net::make_payload<WriteCommit>(tag, 7, req, obj), ctx);
+  ASSERT_TRUE(s.next_ring_send().has_value());  // forward the commit
+  ASSERT_FALSE(s.has_ring_traffic());
+}
+
+TEST(RegisterFootprint, IdleRegisterCostsItsValuePlusAtMost200Bytes) {
+  if (!hts::test::kHeapMetered) GTEST_SKIP() << hts::test::kHeapMeterOffReason;
+  // The read_proc deployment's shape: thousands of 1 KiB registers, each
+  // written once and then idle. What the server holds per register beyond
+  // the value's bytes is its hot record, the value's header and its index
+  // slot — no in-flight bookkeeping once the commit has passed.
+  constexpr ObjectId kRegisters = 4096;
+  constexpr std::size_t kValueBytes = 1024;
+  constexpr double kBudget = 200.0;
+  LastReplyCtx ctx;
+  RingServer s(/*self=*/1, /*n_servers=*/3);
+  const hts::test::HeapReading before = hts::test::heap_now();
+  for (ObjectId obj = 1; obj <= kRegisters; ++obj) {
+    pass_write_through(s, ctx, obj, obj, Value::synthetic(obj, kValueBytes));
+  }
+  const hts::test::HeapReading after = hts::test::heap_now();
+  ASSERT_EQ(s.object_count(), kRegisters + 1);  // plus the default register
+  EXPECT_EQ(s.active_registers(), 0u);
+  const double per_register =
+      static_cast<double>(after.live_bytes - before.live_bytes -
+                          static_cast<std::int64_t>(kRegisters * kValueBytes)) /
+      static_cast<double>(kRegisters);
+  std::printf("heap bytes per idle register beyond its value: %.1f\n",
+              per_register);
+  EXPECT_LE(per_register, kBudget);
+}
+
+TEST(RegisterFootprint, ReadOfAnIdleRegisterAllocatesOnlyItsReply) {
+  if (!hts::test::kHeapMetered) GTEST_SKIP() << hts::test::kHeapMeterOffReason;
+  LastReplyCtx ctx;
+  RingServer s(1, 3);
+  const Value v = Value::synthetic(5, 256);
+  pass_write_through(s, ctx, /*obj=*/5, /*req=*/1, v);
+  ctx.last.reset();
+
+  const hts::test::HeapReading before = hts::test::heap_now();
+  EXPECT_TRUE(s.pending(5).empty());
+  EXPECT_EQ(s.parked_read_count(5), 0u);
+  EXPECT_TRUE(s.object_quiescent(5));
+  EXPECT_EQ(hts::test::heap_now().calls, before.calls)
+      << "read-only accessors allocated";
+  s.on_client_read(/*client=*/9, /*req=*/1, ctx, 5);
+  EXPECT_EQ(hts::test::heap_now().calls, before.calls + 1)
+      << "a read of an idle register allocates its reply and nothing else";
+
+  ASSERT_NE(ctx.last, nullptr);
+  ASSERT_EQ(ctx.last->kind(), kClientReadAck);
+  const auto& ack = static_cast<const ClientReadAck&>(*ctx.last);
+  EXPECT_EQ(ack.value, v);
+  EXPECT_EQ(ack.tag, (Tag{1, 0}));
+  ctx.last.reset();
+  EXPECT_EQ(hts::test::heap_now().live_bytes, before.live_bytes);
+  EXPECT_EQ(s.active_registers(), 0u);
+}
+
+TEST(RingServerUnit, CommittedPreWriteStaysSuppressedOnAnIdleRegister) {
+  // The commit watermark (D5) lives in the hot record: once the register's
+  // activity block is gone, a crash re-send of the committed pre-write must
+  // still be absorbed — entering the pending set again would park every
+  // later read of the register forever.
+  LastReplyCtx ctx;
+  RingServer s(1, 3);
+  const Value v = Value::synthetic(1, 64);
+  pass_write_through(s, ctx, kDefaultObject, 1, v);
+  ASSERT_EQ(s.active_registers(), 0u);
+
+  const std::uint64_t dropped = s.stats().duplicates_dropped;
+  s.on_ring_message(
+      net::make_payload<PreWrite>(Tag{1, 0}, v, 7, 1, kDefaultObject), ctx);
+  EXPECT_EQ(s.stats().duplicates_dropped, dropped + 1);
+  EXPECT_FALSE(s.has_ring_traffic());
+  EXPECT_TRUE(s.pending(kDefaultObject).empty());
+  EXPECT_EQ(s.active_registers(), 0u);
+  s.on_client_read(9, 1, ctx, kDefaultObject);
+  ASSERT_NE(ctx.last, nullptr);
+  EXPECT_EQ(ctx.last->kind(), kClientReadAck);  // immediate, not parked
+}
+
+TEST(RegisterFootprint, CrashBetweenPreWriteAndCommitOver256Registers) {
+  // Writes and reads spread over 256 registers, and server 1 crashes with
+  // writes between their pre-write and their commit. Every surviving server
+  // re-sends or absorbs them from registers whose activity blocks come and
+  // go; the history stays linearizable, every op completes, and the
+  // drained survivors hold no activity block.
+  sim::Simulator sim;
+  harness::SimClusterConfig cfg;
+  cfg.n_servers = 3;
+  cfg.client_retry_timeout_s = 0.02;
+  cfg.client_max_inflight = 4;
+  harness::SimCluster cluster(sim, cfg);
+  lincheck::History history;
+  harness::UniqueValueSource values;
+  std::vector<std::unique_ptr<harness::ClosedLoopDriver>> drivers;
+  for (ProcessId at = 0; at < 3; ++at) {
+    const auto m = cluster.add_client_machine();
+    cluster.add_client(m, at);
+    const ClientId id = static_cast<ClientId>(cluster.client_count() - 1);
+    harness::WorkloadConfig wl;
+    wl.write_fraction = 0.6;
+    wl.value_size = 256;
+    wl.stop_at = 0.2;
+    wl.measure_from = 0;
+    wl.measure_until = 0.2;
+    wl.seed = 4100 + at;
+    wl.n_objects = 256;
+    wl.pipeline = 4;
+    drivers.push_back(std::make_unique<harness::ClosedLoopDriver>(
+        sim, cluster.port(id), id, wl, values, &history));
+  }
+  cluster.schedule_crash(0.05, 1);
+  for (auto& d : drivers) d->start();
+  sim.run_to_quiescence();
+  for (auto& d : drivers) d->finalize();
+
+  EXPECT_GT(history.size(), 100u);
+  const auto verdict = lincheck::check_register(history);
+  EXPECT_TRUE(verdict.linearizable) << verdict.explanation;
+  for (const auto& op : history.ops()) {
+    EXPECT_FALSE(op.pending()) << op.describe();
+  }
+  std::uint64_t crash_work = 0;
+  for (const ProcessId p : {0u, 2u}) {
+    const RingServer& s = cluster.server(p);
+    crash_work += s.stats().duplicates_dropped + s.stats().adoptions;
+    EXPECT_GT(s.object_count(), 200u) << "server " << p;
+    EXPECT_EQ(s.active_registers(), 0u) << "server " << p;
+  }
+  EXPECT_GT(crash_work, 0u) << "the crash caught no write in flight";
 }
 
 }  // namespace

@@ -708,6 +708,41 @@ TEST(FrameCodec, DecodedTornFramesSurviveTheRealDecoder) {
   EXPECT_EQ(i, msgs.size());
 }
 
+TEST(FrameCodec, WholeFramesComeStraightFromTheChunkAndATornTailWaits) {
+  // One chunk holds three whole frames and the first half of a fourth; the
+  // next chunk completes it. The three whole frames are handed over as
+  // views into the chunk itself (no copy), the torn one only once complete.
+  FrameWriter w;
+  std::vector<std::string> bodies;
+  for (std::uint64_t i = 1; i <= 4; ++i) {
+    const auto msg = make_payload<core::PreWrite>(
+        Tag{i, 1}, Value::synthetic(i, 100), 7, i, kDefaultObject);
+    const auto m = w.begin_frame();
+    core::encode_message_into(*msg, w);
+    w.end_frame(m);
+    bodies.push_back(core::encode_message(*msg));
+  }
+  const std::string stream = w.to_string();
+  const std::size_t fourth = stream.size() - (4 + bodies[3].size());
+  const std::size_t cut = fourth + 4 + bodies[3].size() / 2;
+  const std::string_view first = std::string_view(stream).substr(0, cut);
+
+  FrameDecoder d;
+  std::vector<std::string> got;
+  ASSERT_TRUE(d.feed(first, [&](std::string_view f) {
+    EXPECT_GE(f.data(), first.data());
+    EXPECT_LE(f.data() + f.size(), first.data() + first.size());
+    got.emplace_back(f);
+  }));
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(d.pending_bytes(), cut - fourth);
+
+  ASSERT_TRUE(d.feed(std::string_view(stream).substr(cut),
+                     [&](std::string_view f) { got.emplace_back(f); }));
+  EXPECT_EQ(got, bodies);
+  EXPECT_EQ(d.pending_bytes(), 0u);
+}
+
 TEST(FrameCodec, OversizedFramePoisonsDecoder) {
   FrameDecoder d(/*max_frame=*/1024);
   std::string huge(4, '\0');

@@ -16,7 +16,8 @@ Checks, in order:
      next_ring_batch() pull records into the shared histogram, so the two
      are the same quantity computed two ways);
   5. socket counters: an export with any "*.tx_flushes" counter (the
-     socket fabric's) must have every name in "socket_counters".
+     socket fabric's) must have every name in "socket_counters", and for
+     every "<x>.ready_polls" a "<x>.ready_poll_hits" no larger than it.
 
 Exits 0 and prints a one-line summary on success; prints every failure and
 exits 1 otherwise. Stdlib only.
@@ -126,6 +127,15 @@ def check_socket(schema, counters):
     for name in schema.get("socket_counters", []):
         if name not in counters:
             fail(f"socket-fabric export lacks {name!r}")
+    for name, polls in counters.items():
+        if not name.endswith(".ready_polls"):
+            continue
+        hits_name = name[:-len("polls")] + "poll_hits"
+        hits = counters.get(hits_name)
+        if hits is None:
+            fail(f"{name!r} has no {hits_name!r}")
+        elif hits > polls:
+            fail(f"{hits_name} = {hits} exceeds {name} = {polls}")
 
 
 def main(argv):
