@@ -107,10 +107,11 @@ class KvStore {
 
 /// --tcp: the same store shape served over real sockets. Each ring server is
 /// its own OS process on loopback (harness::ProcCluster), the parent hosts
-/// the client, and every PUT/GET round-trips through net::TcpTransport — the
+/// the clients, and every PUT/GET round-trips through net::TcpTransport — the
 /// deployment the paper measures, collapsed onto one machine. Single ring,
 /// replicated values (ProcCluster's scope); per-link byte counters at the
-/// end come from the parent's socket accounting.
+/// end come from the parent's socket accounting: c0 carries the puts, c1
+/// the gets (each concurrent get has a reader client of its own).
 int run_tcp_store() {
   std::printf("deploying 3 server processes on loopback tcp...\n");
   hts::harness::ProcClusterConfig cfg;

@@ -1,11 +1,15 @@
 #include "harness/proc_cluster.h"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/prctl.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -56,6 +60,26 @@ int g_term_pipe[2] = {-1, -1};
 extern "C" void on_sigterm(int) {
   const char b = 1;
   [[maybe_unused]] const ssize_t n = ::write(g_term_pipe[1], &b, 1);
+}
+
+/// Waits until child `pid` exits (it stays unreaped) or `deadline`
+/// passes: poll on a pidfd, which turns readable at the exit. False on
+/// timeout, or when no pidfd can be had.
+bool exits_by(pid_t pid, clk::SteadyTime deadline) {
+  const int fd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  if (fd < 0) return false;
+  bool exited = false;
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                          deadline - clk::steady_now())
+                          .count();
+    pollfd p{fd, POLLIN, 0};
+    const int r = ::poll(&p, 1, static_cast<int>(std::max<long>(left, 0)));
+    if (r > 0) exited = true;
+    if (r >= 0 || errno != EINTR) break;
+  }
+  ::close(fd);
+  return exited;
 }
 
 }  // namespace
@@ -140,44 +164,46 @@ void ProcCluster::start() {
 
   transport_ = std::make_unique<net::TcpTransport>(
       proc_options(cfg_.detection_delay_s, ports));
-  core::ClientOptions copts;
-  copts.n_servers = n;
-  copts.topology = core::Topology::single(n);
-  copts.preferred_server = 0;
-  copts.retry_timeout = cfg_.client_retry_timeout_s;
-  copts.max_inflight = 8;
   client_ = std::make_unique<TransportClientHost>(
-      *transport_, core::ClientSession(0, copts), /*history=*/nullptr);
+      *transport_, core::ClientSession(0, client_options()),
+      /*history=*/nullptr);
   client_->register_node();
   transport_->start();
   started_ = true;
 }
 
+core::ClientOptions ProcCluster::client_options() const {
+  core::ClientOptions copts;
+  copts.n_servers = cfg_.n_servers;
+  copts.topology = core::Topology::single(cfg_.n_servers);
+  copts.preferred_server = 0;
+  copts.retry_timeout = cfg_.client_retry_timeout_s;
+  copts.max_inflight = 8;
+  return copts;
+}
+
 void ProcCluster::stop() {
+  // The client transport first: a get blocked in epoll_wait gives up at
+  // once instead of waiting for its server to answer or die.
+  if (transport_) transport_->stop();
   // No started_ gate: start() may throw after forking (the client's
   // listener failing to bind), and those children block on the term pipe
   // until killed — reap any pid in children_ regardless.
-  for (pid_t& pid : children_) {
-    if (pid > 0) ::kill(pid, SIGTERM);
+  for (const pid_t pid : children_) {
+    if (pid > 0) {
+      ::kill(pid, SIGTERM);
+      ::kill(pid, SIGCONT);  // a stopped child handles the SIGTERM now
+    }
   }
   const clk::SteadyTime deadline =
       clk::steady_now() + clk::seconds_to_duration(5.0);
   for (pid_t& pid : children_) {
     if (pid <= 0) continue;
-    for (;;) {
-      int status = 0;
-      const pid_t r = ::waitpid(pid, &status, WNOHANG);
-      if (r == pid || r < 0) break;
-      if (clk::steady_now() >= deadline) {
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, &status, 0);
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+    if (!exits_by(pid, deadline)) ::kill(pid, SIGKILL);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
     pid = -1;
   }
-  if (transport_) transport_->stop();
   started_ = false;
 }
 
@@ -186,7 +212,33 @@ void ProcCluster::put(ObjectId object, Value v) {
 }
 
 Value ProcCluster::get(ObjectId object) {
-  return client_->run(/*is_read=*/true, object, Value()).value;
+  TransportClientHost& reader = checkout_reader();
+  struct Lease {
+    ProcCluster& cluster;
+    TransportClientHost& reader;
+    ~Lease() { cluster.return_reader(reader); }
+  } lease{*this, reader};
+  return reader.run(/*is_read=*/true, object, Value()).value;
+}
+
+TransportClientHost& ProcCluster::checkout_reader() {
+  const sync::MutexLock lock(readers_mu_);
+  if (!idle_readers_.empty()) {
+    TransportClientHost* r = idle_readers_.back();
+    idle_readers_.pop_back();
+    return *r;
+  }
+  const auto id = static_cast<ClientId>(readers_.size() + 1);
+  readers_.push_back(std::make_unique<TransportClientHost>(
+      *transport_, core::ClientSession(id, client_options()),
+      /*history=*/nullptr));
+  readers_.back()->register_driven_node(*transport_);
+  return *readers_.back();
+}
+
+void ProcCluster::return_reader(TransportClientHost& r) {
+  const sync::MutexLock lock(readers_mu_);
+  idle_readers_.push_back(&r);
 }
 
 void ProcCluster::kill_server(ProcessId p) {
@@ -216,6 +268,11 @@ net::Transport& ProcCluster::transport() { return *transport_; }
 
 std::uint16_t ProcCluster::server_port(ProcessId p) const {
   return transport_->port_of(net::NodeAddress::server(p));
+}
+
+pid_t ProcCluster::server_pid(ProcessId p) const {
+  const auto idx = static_cast<std::size_t>(p);
+  return idx < children_.size() ? children_[idx] : -1;
 }
 
 }  // namespace hts::harness

@@ -2,9 +2,22 @@
 //
 // Each ring server runs in its own OS process (fork + exec of the hosting
 // binary), speaking the wire protocol through net::TcpTransport; the parent
-// process hosts one client session and offers blocking put/get. Both sides
-// are the transport hosts ThreadedCluster runs (harness/transport_hosts.h),
-// without the migration control plane or a history. This is the
+// process offers blocking put/get. Both sides are the transport hosts
+// ThreadedCluster runs (harness/transport_hosts.h), without the migration
+// control plane or a history.
+//
+// Client sessions in the parent: every put goes through one shared session
+// (client 0) whose loop thread sends it, so concurrent callers' writes
+// share sendmsgs and the ring's batching sees them together. Each get
+// checks a reader out of a small pool, one per concurrent get: a session
+// of its own (client 1, 2, ...) on a driven TCP node
+// (net::TcpTransport::register_driven_client), which dials only the server
+// it sends to, on first use. The get runs entirely on its caller's thread:
+// submit, one sendmsg, epoll_wait for the reply or the retry deadline, the
+// reply's dispatch. A reader whose preferred server has died waits out one
+// retry timeout on its first get after the death, as a fresh session would;
+// readers persist, so its later gets do not. DESIGN.md D12 has the
+// measurements behind the split. This is the
 // deployment shape the paper measures: separate machines joined by TCP,
 // failure detection by connection break — here collapsed onto loopback so
 // tests and benches can run it anywhere.
@@ -33,8 +46,10 @@
 #include <memory>
 #include <vector>
 
+#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "common/value.h"
+#include "core/client.h"
 #include "harness/transport_hosts.h"
 #include "net/tcp_transport.h"
 #include "net/transport.h"
@@ -67,12 +82,13 @@ class ProcCluster {
   /// booting waits in that server's accept queue).
   void start();
 
-  /// SIGTERMs the children (graceful: their transports send byes), reaps
-  /// them — SIGKILL after 5 s — and stops the client transport. Idempotent;
-  /// the destructor calls it.
+  /// Stops the client transport (a get blocked in it throws at once), then
+  /// SIGTERMs the children (graceful: their transports send byes; a
+  /// stopped child is continued) and reaps them — SIGKILL after 5 s.
+  /// Idempotent; the destructor calls it. Callable from any thread.
   void stop();
 
-  // ---- blocking single-client operations (issued on the parent) ----
+  // ---- blocking operations, from any number of parent threads ----
   void put(ObjectId object, Value v);
   [[nodiscard]] Value get(ObjectId object);
 
@@ -89,12 +105,25 @@ class ProcCluster {
   [[nodiscard]] net::Transport& transport();
   /// The loopback port server `p` listens on (after start()).
   [[nodiscard]] std::uint16_t server_port(ProcessId p) const;
+  /// Server `p`'s process id; -1 once it is reaped.
+  [[nodiscard]] pid_t server_pid(ProcessId p) const;
 
  private:
+  /// The session options every parent client shares.
+  [[nodiscard]] core::ClientOptions client_options() const;
+  /// An idle reader, or a new one when every reader is busy.
+  TransportClientHost& checkout_reader() HTS_EXCLUDES(readers_mu_);
+  void return_reader(TransportClientHost& r) HTS_EXCLUDES(readers_mu_);
+
   ProcClusterConfig cfg_;
   std::vector<pid_t> children_;  // pid per server slot; -1 once reaped
   std::unique_ptr<net::TcpTransport> transport_;
-  std::unique_ptr<TransportClientHost> client_;
+  std::unique_ptr<TransportClientHost> client_;  // puts (client 0)
+  sync::Mutex readers_mu_;
+  /// Every reader made so far (clients 1, 2, ...), and the idle ones.
+  std::vector<std::unique_ptr<TransportClientHost>> readers_
+      HTS_GUARDED_BY(readers_mu_);
+  std::vector<TransportClientHost*> idle_readers_ HTS_GUARDED_BY(readers_mu_);
   bool started_ = false;
 };
 

@@ -11,15 +11,19 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
 #include "baselines/context.h"
+#include "common/clock.h"
+#include "common/futex.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "common/value.h"
@@ -126,9 +130,14 @@ class HistorySink {
 
 /// One client state machine on a transport node — the core ClientSession
 /// or a baseline client — with two ways to run operations: launch()/run()
-/// from any thread, through Transport::execute, and the ClientPort surface
+/// from any thread, and the ClientPort surface
 /// for the simulator's workload drivers, which issue on the thread that
 /// runs the node's handlers.
+/// launch() hands its op to the node through Transport::execute and returns
+/// a future. run() blocks: on a node a loop runs it also goes through
+/// execute, then sleeps on a completion slot on its own stack; on a driven
+/// node (register_driven_node) it drives the node itself and sees the
+/// completion with no wake at all.
 template <class Session>
 class ClientHost final : public core::ClientContext, public ClientPort {
  public:
@@ -142,25 +151,17 @@ class ClientHost final : public core::ClientContext, public ClientPort {
   ClientHost& operator=(const ClientHost&) = delete;
 
   void register_node() {
-    transport_.register_node(
-        addr(),
-        [this](net::NodeAddress from, net::PayloadPtr msg) {
-          // The core session is told which server replied; the baseline
-          // clients take the reply alone.
-          if constexpr (requires {
-                          session_.on_reply(*msg, kNoProcess, *this);
-                        }) {
-            const ProcessId sender =
-                from.kind == net::NodeAddress::Kind::kServer
-                    ? static_cast<ProcessId>(from.id)
-                    : kNoProcess;
-            session_.on_reply(*msg, sender, *this);
-          } else {
-            session_.on_reply(*msg, *this);
-          }
-        },
-        nullptr,
-        [this](std::uint64_t token) { session_.on_timer(token, *this); });
+    transport_.register_node(addr(), message_handler(), nullptr,
+                             timer_handler());
+  }
+  /// Registers the node caller-driven on `tcp`, which must be this host's
+  /// transport (net::TcpTransport::register_driven_client): each run() then
+  /// runs on its caller's thread, one caller at a time. Not for launch().
+  void register_driven_node(net::TcpTransport& tcp) {
+    assert(&tcp == &transport_);
+    tcp_ = &tcp;
+    tcp.register_driven_client(session_.id(), message_handler(), nullptr,
+                               timer_handler());
   }
   [[nodiscard]] Session& session() { return session_; }
   [[nodiscard]] const Session& session() const { return session_; }
@@ -176,17 +177,43 @@ class ClientHost final : public core::ClientContext, public ClientPort {
       const RequestId req =
           is_read ? session_.begin_read(object, *this)
                   : session_.begin_write(object, std::move(v), *this);
-      pending_.emplace(req, PendingOp{std::move(promise), seed});
+      const sync::MutexLock lock(pending_mu_);
+      pending_.emplace(req, PendingOp{std::move(promise), nullptr, seed});
     });
     return fut;
   }
-  /// launch() and wait; throws if the op does not complete within 30 s.
+  /// Runs one operation and waits for it; throws if it does not complete
+  /// within 30 s, or if the driven node's transport stops first.
   core::OpResult run(bool is_read, ObjectId object, Value v) {
-    auto fut = launch(is_read, object, std::move(v));
-    if (fut.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
-      throw std::runtime_error("client operation timed out (deadlock?)");
+    const clk::SteadyTime deadline =
+        clk::steady_now() + std::chrono::seconds(30);
+    const std::uint64_t ticket =
+        tickets_.fetch_add(1, std::memory_order_relaxed);
+    Completion slot;
+    Request q{is_read, object, std::move(v), &slot, ticket};
+    bool finished = false;
+    if (tcp_ != nullptr) {
+      finished = tcp_->drive(
+          addr(), [this, &q] { submit(q); },
+          [&slot] {
+            return slot.state.load(std::memory_order_acquire) ==
+                   Completion::kDone;
+          },
+          deadline);
+    } else {
+      transport_.execute(addr(),
+                         [this, q = std::move(q)]() mutable { submit(q); });
+      finished = slot.wait(deadline);
     }
-    return fut.get();
+    // A drive ran its submit, or never will; a posted one may still run.
+    const bool may_run_later = tcp_ == nullptr;
+    if (!finished && !unhook(slot, ticket, may_run_later)) {
+      throw std::runtime_error(clk::steady_now() < deadline
+                                   ? "client operation abandoned: the "
+                                     "transport stopped"
+                                   : "client operation timed out (deadlock?)");
+    }
+    return std::move(slot.result);
   }
 
   // harness::ClientPort — completions then go to the driver's callback
@@ -212,31 +239,130 @@ class ClientHost final : public core::ClientContext, public ClientPort {
   [[nodiscard]] double now() const override { return transport_.now(); }
 
  private:
+  /// A run()'s result, on the caller's stack; the op's pending entry points
+  /// at it until the op completes or the caller gives up (unhook()).
+  struct Completion {
+    static constexpr std::uint32_t kPending = 0;
+    static constexpr std::uint32_t kSleeping = 1;  // the caller is parked
+    static constexpr std::uint32_t kDone = 2;
+
+    /// On the completing thread, under pending_mu_.
+    void fill(const core::OpResult& r) {
+      result = r;
+      if (state.exchange(kDone, std::memory_order_acq_rel) == kSleeping) {
+        futex::wake(state);
+      }
+    }
+    /// The caller: false if `deadline` passes first.
+    bool wait(clk::SteadyTime deadline) {
+      std::uint32_t s = state.load(std::memory_order_acquire);
+      while (s != kDone) {
+        if (clk::steady_now() >= deadline) return false;
+        if (s == kPending &&
+            !state.compare_exchange_weak(s, kSleeping,
+                                         std::memory_order_acq_rel)) {
+          continue;
+        }
+        futex::wait(state, kSleeping, deadline);
+        s = state.load(std::memory_order_acquire);
+      }
+      return true;
+    }
+
+    core::OpResult result;
+    std::atomic<std::uint32_t> state{kPending};
+  };
+  /// What a run() submits. `ticket` names the run in abandoned_.
+  struct Request {
+    bool is_read = false;
+    ObjectId object = kDefaultObject;
+    Value value;
+    Completion* slot = nullptr;
+    std::uint64_t ticket = 0;
+  };
+
   [[nodiscard]] net::NodeAddress addr() const {
     return net::NodeAddress::client(session_.id());
   }
-  void complete(const core::OpResult& r) {
+  net::Transport::MessageHandler message_handler() {
+    return [this](net::NodeAddress from, net::PayloadPtr msg) {
+      // The core session is told which server replied; the baseline
+      // clients take the reply alone.
+      if constexpr (requires { session_.on_reply(*msg, kNoProcess, *this); }) {
+        const ProcessId sender = from.kind == net::NodeAddress::Kind::kServer
+                                     ? static_cast<ProcessId>(from.id)
+                                     : kNoProcess;
+        session_.on_reply(*msg, sender, *this);
+      } else {
+        session_.on_reply(*msg, *this);
+      }
+    };
+  }
+  net::Transport::TimerHandler timer_handler() {
+    return [this](std::uint64_t token) { session_.on_timer(token, *this); };
+  }
+  /// Serialized with the session's handlers.
+  void submit(Request& q) HTS_EXCLUDES(pending_mu_) {
+    const std::uint64_t seed = q.value.synthetic_seed();
+    const RequestId req =
+        q.is_read ? session_.begin_read(q.object, *this)
+                  : session_.begin_write(q.object, std::move(q.value), *this);
+    const sync::MutexLock lock(pending_mu_);
+    // A caller that gave up before its submit ran leaves its ticket behind:
+    // the op still runs, with no slot to fill.
+    Completion* slot = abandoned_.erase(q.ticket) == 0 ? q.slot : nullptr;
+    pending_.emplace(req, PendingOp{nullptr, slot, seed});
+  }
+  /// A run() whose wait failed: true when its op completed after all (the
+  /// result is in the slot); else nothing touches the slot any more.
+  bool unhook(Completion& slot, std::uint64_t ticket, bool may_run_later)
+      HTS_EXCLUDES(pending_mu_) {
+    const sync::MutexLock lock(pending_mu_);
+    if (slot.state.load(std::memory_order_acquire) == Completion::kDone) {
+      return true;
+    }
+    for (auto& [req, op] : pending_) {
+      if (op.slot == &slot) {
+        op.slot = nullptr;
+        return false;
+      }
+    }
+    if (may_run_later) abandoned_.insert(ticket);  // its submit has not run
+    return false;
+  }
+  void complete(const core::OpResult& r) HTS_EXCLUDES(pending_mu_) {
+    const sync::MutexLock lock(pending_mu_);
     auto it = pending_.find(r.req);
     if (history_ != nullptr) {
       history_->record(session_.id(), r,
                        it != pending_.end() ? it->second.value_seed : 0);
     }
-    if (it != pending_.end()) {
+    if (it == pending_.end()) return;
+    if (it->second.slot != nullptr) {
+      it->second.slot->fill(r);
+    } else if (it->second.promise) {
       it->second.promise->set_value(r);
-      pending_.erase(it);
     }
+    pending_.erase(it);
   }
 
   net::Transport& transport_;
+  net::TcpTransport* tcp_ = nullptr;  // set when the node is driven
   Session session_;
   HistorySink* history_;
-  /// Caller-side state per in-flight request. Touched only serialized with
-  /// the session's handlers (submit closures and completions).
+  /// Caller-side state per in-flight request: launch()'s promise or run()'s
+  /// slot. Written serialized with the session's handlers (submits and
+  /// completions), and by a run() that gives up (unhook()).
   struct PendingOp {
     std::shared_ptr<std::promise<core::OpResult>> promise;
+    Completion* slot = nullptr;
     std::uint64_t value_seed = 0;
   };
-  std::map<RequestId, PendingOp> pending_;
+  sync::Mutex pending_mu_;
+  std::map<RequestId, PendingOp> pending_ HTS_GUARDED_BY(pending_mu_);
+  /// Tickets of run()s that gave up before their submit ran.
+  std::set<std::uint64_t> abandoned_ HTS_GUARDED_BY(pending_mu_);
+  std::atomic<std::uint64_t> tickets_{0};
 };
 
 using TransportClientHost = ClientHost<core::ClientSession>;

@@ -1,9 +1,7 @@
 #include "net/node_loop.h"
 
-#include <linux/futex.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,10 +9,11 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
-#include <ctime>
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "common/futex.h"
 
 namespace hts::net {
 
@@ -49,37 +48,7 @@ constexpr auto kLater = [](const auto& a, const auto& b) {
   return a.at != b.at ? a.at > b.at : a.seq > b.seq;
 };
 
-constexpr clk::SteadyTime kNever = clk::SteadyTime::max();
-
-static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
-              std::atomic<std::uint32_t>::is_always_lock_free);
-
-std::uint32_t* futex_word(std::atomic<std::uint32_t>& word) {
-  return reinterpret_cast<std::uint32_t*>(&word);
-}
-
-/// Sleeps while `word` holds `expected`, until a wake or `deadline` (an
-/// absolute CLOCK_MONOTONIC time, which steady_clock reads).
-void futex_wait(std::atomic<std::uint32_t>& word, std::uint32_t expected,
-                clk::SteadyTime deadline) {
-  timespec at{};
-  const timespec* timeout = nullptr;
-  if (deadline != kNever) {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        deadline.time_since_epoch())
-                        .count();
-    at.tv_sec = static_cast<std::time_t>(ns / 1'000'000'000);
-    at.tv_nsec = static_cast<long>(ns % 1'000'000'000);
-    timeout = &at;
-  }
-  ::syscall(SYS_futex, futex_word(word), FUTEX_WAIT_BITSET_PRIVATE, expected,
-            timeout, nullptr, FUTEX_BITSET_MATCH_ANY);
-}
-
-void futex_wake(std::atomic<std::uint32_t>& word) {
-  ::syscall(SYS_futex, futex_word(word), FUTEX_WAKE_PRIVATE, 1, nullptr,
-            nullptr, 0);
-}
+constexpr clk::SteadyTime kNever = futex::kNever;
 
 }  // namespace
 
@@ -219,6 +188,8 @@ void NodeLoop::push_timer(Timer t) {
 }
 
 bool NodeLoop::quiet() const {
+  // Nothing runs on an undriven node until its next drive (file comment).
+  if (driven_ && !driving_.load(std::memory_order_acquire)) return true;
   {
     const sync::MutexLock lock(mu_);
     if (!mailbox_.empty()) return false;
@@ -275,6 +246,8 @@ void NodeLoop::dispatch(NodeAddress from, PayloadPtr msg, std::size_t bytes) {
 
 void NodeLoop::start(Hooks& hooks, const std::atomic<bool>& stopping) {
   hooks_ = &hooks;
+  stopping_ = &stopping;
+  if (driven_) return;  // drive() runs its turns
   // Busy until the loop's first before_block: egress staged before start()
   // (the TCP mesh's preambles) is not flushed yet.
   busy_.store(true, std::memory_order_release);
@@ -290,11 +263,56 @@ void NodeLoop::wake() {
   // Dekker pairing with park(): either this load sees the loop parked, or
   // the loop's futex wait sees the bumped word and returns at once.
   wake_seq_.fetch_add(1, std::memory_order_seq_cst);
-  if (parked_.load(std::memory_order_seq_cst)) futex_wake(wake_seq_);
+  if (parked_.load(std::memory_order_seq_cst)) futex::wake(wake_seq_);
 }
 
 void NodeLoop::join() {
   if (thread_.joinable()) thread_.join();
+  if (driven_ && hooks_ != nullptr) {
+    // The wake made a drive's epoll_wait return and the drive give up.
+    const sync::MutexLock running(run_mu_);
+    hooks_->on_stop(*this);
+  }
+}
+
+bool NodeLoop::drive(const std::function<void()>& submit,
+                     const std::function<bool()>& done,
+                     clk::SteadyTime deadline) {
+  assert(driven_);
+  const sync::MutexLock running(run_mu_);
+  if (stopping_ == nullptr || stopping_->load(std::memory_order_acquire)) {
+    return false;
+  }
+  // The driving thread does this node's work as a loop thread would:
+  // own-node lookups, direct staging and timer pushes.
+  NodeLoop* const caller = tl_node;
+  tl_node = this;
+  driving_.store(true, std::memory_order_release);
+  busy_.store(true, std::memory_order_release);
+  expect();
+  if (up()) submit();
+  settle(1);
+  bool ok = true;
+  for (;;) {
+    if (done()) break;
+    if (stopping_->load(std::memory_order_acquire) ||
+        clk::steady_now() >= deadline) {
+      ok = false;
+      break;
+    }
+    busy_.store(hooks_->before_block(*this), std::memory_order_release);
+    if (!turn(*hooks_, deadline)) {
+      ok = false;
+      break;
+    }
+  }
+  // What the last turn staged leaves now; bytes a full socket refused wait
+  // for the next drive.
+  (void)hooks_->before_block(*this);
+  busy_.store(false, std::memory_order_release);
+  driving_.store(false, std::memory_order_release);
+  tl_node = caller;
+  return ok;
 }
 
 void NodeLoop::run(Hooks& hooks, const std::atomic<bool>& stopping) {
@@ -309,7 +327,7 @@ void NodeLoop::run(Hooks& hooks, const std::atomic<bool>& stopping) {
       if (stopping.load(std::memory_order_acquire)) break;
       busy_.store(hooks.before_block(*this), std::memory_order_release);
       if (epoll_fd_ >= 0) {
-        if (!turn(hooks)) break;
+        if (!turn(hooks, kNever)) break;
       } else {
         park(seq);
         busy_.store(true, std::memory_order_release);
@@ -323,14 +341,14 @@ void NodeLoop::run(Hooks& hooks, const std::atomic<bool>& stopping) {
   tl_loop = nullptr;
 }
 
-bool NodeLoop::turn(Hooks& hooks) {
-  if (wait_events(hooks, /*block=*/true) < 0) return false;
+bool NodeLoop::turn(Hooks& hooks, clk::SteadyTime until) {
+  if (wait_events(hooks, /*block=*/true, until) < 0) return false;
   fire_timers();
   // Staged egress waits for what is already ready, so one flush carries
   // both; a round that finds nothing ends the turn.
   for (int round = 0; round < kReadyRounds && hooks.has_staged(*this);
        ++round) {
-    const int ready = wait_events(hooks, /*block=*/false);
+    const int ready = wait_events(hooks, /*block=*/false, until);
     if (ready < 0) return false;
     ready_polls_.fetch_add(1, std::memory_order_relaxed);
     if (ready > 0) ready_poll_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -340,12 +358,13 @@ bool NodeLoop::turn(Hooks& hooks) {
   return true;
 }
 
-int NodeLoop::wait_events(Hooks& hooks, bool block) {
+int NodeLoop::wait_events(Hooks& hooks, bool block, clk::SteadyTime until) {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   int timeout_ms = block ? -1 : 0;
-  if (block && !timers_.empty()) {
-    const auto wait = timers_.front().at - clk::steady_now();
+  if (block && !timers_.empty()) until = std::min(until, timers_.front().at);
+  if (block && until != kNever) {
+    const auto wait = until - clk::steady_now();
     const auto ms = std::chrono::ceil<std::chrono::milliseconds>(wait).count();
     timeout_ms = static_cast<int>(std::clamp<decltype(ms)>(ms, 0, INT_MAX));
   }
@@ -377,7 +396,7 @@ void NodeLoop::park(std::uint32_t seq) {
   parked_.store(true, std::memory_order_seq_cst);
   {
     const sync::MutexUnlock unlocked(run_mu_);
-    futex_wait(wake_seq_, seq, park_deadline_);
+    futex::wait(wake_seq_, seq, park_deadline_);
   }
   parked_.store(false, std::memory_order_release);
 }
@@ -452,14 +471,23 @@ void LoopTransport::register_node(NodeAddress addr, MessageHandler on_message,
       make_node(addr, std::move(on_message), std::move(on_crash),
                 std::move(on_timer));
   node->set_link_ready(std::move(on_link_ready));
+  add_node(std::move(node));
+}
+
+void LoopTransport::add_node(std::unique_ptr<NodeLoop> node) {
+  const NodeAddress addr = node->addr();
   NodeLoop* raw = node.get();
+  const bool live = started_.load(std::memory_order_acquire) && !stopping();
+  // A driven node's start() only hands it the hooks: done before anyone can
+  // find it, so a stop() that finds it sees them.
+  if (live && raw->driven()) raw->start(*this, stopping_);
   {
     const sync::WriterLock lock(registry_mu_);
     assert(!by_addr_.contains(addr));
     by_addr_[addr] = raw;
     nodes_.push_back(std::move(node));
   }
-  if (started_.load(std::memory_order_acquire) && !stopping()) {
+  if (live && !raw->driven()) {
     raw->start(*this, stopping_);  // live registration (ring spawn)
   }
 }

@@ -19,6 +19,19 @@
 // until the absolute deadline of its earliest timer, and a wake is one
 // futex wake, made only while it is parked.
 //
+// Driven nodes: a node marked driven before registration gets no loop
+// thread. Its turns run on the thread that calls drive(), one drive at a
+// time under the run lock: the driving thread runs its submit closure
+// inline, then turns of the loop (the same turn as below, its epoll_wait
+// bounded by the earliest timer and the drive's deadline) until its done()
+// predicate holds, the deadline passes or the transport stops. Mail posted
+// while nobody drives waits in the mailbox, and the next drive drains it.
+// An undriven node counts as quiet whatever waits for it: nothing happens
+// there until the next drive. stop() wakes a drive blocked in epoll_wait
+// (it returns false), then waits for the drive to end and runs
+// Hooks::on_stop on the stopping thread. Only TcpTransport makes driven
+// nodes (a drive blocks in epoll_wait, so the node needs an epoll set).
+//
 // Turn (epoll loops): one blocking epoll_wait and the events it returns
 // (socket frames, the mailbox eventfd), then due timers; then, while the
 // turn holds staged egress (Hooks::has_staged), up to kReadyRounds
@@ -78,6 +91,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -213,11 +227,30 @@ class NodeLoop {
   void set_link_ready(Transport::LinkReadyHandler fn) {
     on_link_ready_ = std::move(fn);
   }
-  /// Spawns the loop thread; it runs until `stopping` is set and wake().
+  /// Marks the node driven (see the file comment); before it is
+  /// registered, and after use_epoll().
+  void make_driven() {
+    assert(epoll_fd_ >= 0 && "a drive blocks in epoll_wait");
+    driven_ = true;
+  }
+  [[nodiscard]] bool driven() const { return driven_; }
+  /// Spawns the loop thread — none on a driven node — that runs until
+  /// `stopping` is set and wake().
   void start(Hooks& hooks, const std::atomic<bool>& stopping);
   /// Any thread: an eventfd write, or a futex wake if the loop is parked.
   void wake();
-  void join();
+  /// Once `stopping` is set and wake(): joins the loop thread, or on a
+  /// driven node waits for a drive to end and runs Hooks::on_stop here.
+  void join() HTS_EXCLUDES(run_mu_);
+
+  // ------------------------------------------------------- driving thread
+  /// A driven node, after start(): runs `submit` serialized with the
+  /// node's handlers on the calling thread, then turns of the loop until
+  /// `done()` holds. False when the transport stops or `deadline` passes
+  /// first. One drive at a time: a second one waits for the run lock.
+  bool drive(const std::function<void()>& submit,
+             const std::function<bool()>& done, clk::SteadyTime deadline)
+      HTS_EXCLUDES(run_mu_);
 
  private:
   /// A timer, or a crash notice (crashed != kNoProcess).
@@ -247,13 +280,14 @@ class NodeLoop {
   void push_timer(Timer t) HTS_REQUIRES(run_mu_);
   void run(Hooks& hooks, const std::atomic<bool>& stopping)
       HTS_EXCLUDES(run_mu_);
-  /// One turn of an epoll loop (see the file comment); false on a fatal
-  /// error.
-  bool turn(Hooks& hooks) HTS_REQUIRES(run_mu_);
-  /// One epoll_wait — until an event or the earliest timer when `block`,
-  /// else over what is ready now — and the events it returns: how many,
-  /// or -1 on a fatal error.
-  int wait_events(Hooks& hooks, bool block) HTS_REQUIRES(run_mu_);
+  /// One turn of an epoll loop (see the file comment), blocking no later
+  /// than `until`; false on a fatal error.
+  bool turn(Hooks& hooks, clk::SteadyTime until) HTS_REQUIRES(run_mu_);
+  /// One epoll_wait — until an event, the earliest timer or `until` when
+  /// `block`, else over what is ready now — and the events it returns: how
+  /// many, or -1 on a fatal error.
+  int wait_events(Hooks& hooks, bool block, clk::SteadyTime until)
+      HTS_REQUIRES(run_mu_);
   /// Sleeps on the futex until a wake() after `seq` was read, or until the
   /// earliest timer is due — unless mail is already waiting.
   void park(std::uint32_t seq) HTS_REQUIRES(run_mu_) HTS_EXCLUDES(mu_);
@@ -294,6 +328,12 @@ class NodeLoop {
   std::atomic<bool> held_{false};
   /// The transport's hooks, set by start(); a holder drains mail with them.
   Hooks* hooks_ = nullptr;
+  /// The transport's stop flag, set by start(); drive() checks it.
+  const std::atomic<bool>* stopping_ = nullptr;
+  /// Driven nodes: no loop thread (set before registration).
+  bool driven_ = false;
+  /// While a drive runs turns: the node counts for quiescence only then.
+  std::atomic<bool> driving_{false};
 
   mutable sync::Mutex mu_;
   std::vector<Mail> mailbox_ HTS_GUARDED_BY(mu_);
@@ -369,6 +409,9 @@ class LoopTransport : public Transport, protected NodeLoop::Hooks {
                                               TimerHandler on_timer);
   /// Runs in start() before any loop thread exists.
   virtual void on_start(const std::vector<NodeLoop*>& /*nodes*/) {}
+  /// Registers a node built by make_node(); one registered while running
+  /// starts at once.
+  void add_node(std::unique_ptr<NodeLoop> node) HTS_EXCLUDES(registry_mu_);
 
   NodeLoop* find(NodeAddress addr) const HTS_EXCLUDES(registry_mu_);
   /// Stable snapshot (nodes are never deregistered, only crashed).

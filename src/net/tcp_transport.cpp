@@ -131,12 +131,31 @@ void TcpTransport::on_start(const std::vector<NodeLoop*>& nodes) {
     }
   }
   for (NodeLoop* loop : nodes) {
+    if (loop->driven()) continue;  // it dials on first use
     Node& n = static_cast<Node&>(*loop);
     for (const ProcessId p : opts_.servers) {
       const NodeAddress peer = NodeAddress::server(p);
       if (peer != n.addr()) (void)egress(n, peer);
     }
   }
+}
+
+void TcpTransport::register_driven_client(ClientId id,
+                                          MessageHandler on_message,
+                                          CrashHandler on_crash,
+                                          TimerHandler on_timer) {
+  std::unique_ptr<NodeLoop> node =
+      make_node(NodeAddress::client(id), std::move(on_message),
+                std::move(on_crash), std::move(on_timer));
+  node->make_driven();
+  add_node(std::move(node));
+}
+
+bool TcpTransport::drive(NodeAddress addr, const std::function<void()>& submit,
+                         const std::function<bool()>& done,
+                         clk::SteadyTime deadline) {
+  NodeLoop* n = find(addr);
+  return n != nullptr && n->driven() && n->drive(submit, done, deadline);
 }
 
 void TcpTransport::send(NodeAddress from, NodeAddress to, PayloadPtr msg) {

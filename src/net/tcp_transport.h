@@ -55,6 +55,12 @@
 // always runs on epoll, a client's too, so execute() never runs inline
 // here: handing a caller's submit to the loop lets one flush carry several
 // callers' frames.
+// Driven clients (register_driven_client) are the exception: no loop
+// thread runs them. A caller drives one (drive()): its submit runs inline,
+// leaves in one sendmsg, and the caller blocks in the node's own epoll_wait
+// until the reply is handled, so a request and its reply cost the calling
+// process no thread switch. A driven client joins no failure-detection
+// mesh: it dials a server on its first send there, as a lazy dial does.
 // A crash severs the node's connections without a bye; a stop flushes them
 // and says bye.
 //
@@ -72,6 +78,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/types.h"
 #include "net/frame_writer.h"
 #include "net/node_loop.h"
@@ -126,6 +133,18 @@ class TcpTransport : public LoopTransport {
   /// thread the send is posted to the node's mailbox. Self-sends go through
   /// the mailbox unencoded.
   void send(NodeAddress from, NodeAddress to, PayloadPtr msg) override;
+
+  /// Registers client `id` as a driven node (file comment): registered
+  /// after start(), it still gets no loop thread and dials nothing yet.
+  void register_driven_client(ClientId id, MessageHandler on_message,
+                              CrashHandler on_crash = nullptr,
+                              TimerHandler on_timer = nullptr);
+  /// Drives a client registered with register_driven_client, after
+  /// start(): runs `submit` on the calling thread as the node's work, then
+  /// the node's loop turns until `done()` holds (NodeLoop::drive). False
+  /// when the transport stops or `deadline` passes first.
+  bool drive(NodeAddress addr, const std::function<void()>& submit,
+             const std::function<bool()>& done, clk::SteadyTime deadline);
 
   /// The port a node listens on: a node hosted here reports its own
   /// listener (0 for a client), any other node its Options::listeners

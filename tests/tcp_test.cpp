@@ -17,12 +17,15 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <mutex>
 #include <stdexcept>
@@ -558,6 +561,151 @@ TEST(TcpTransport, TimerFiresOnTimeDuringAFlood) {
   EXPECT_LT(f.timer_late_s, 0.1);
 }
 
+/// Threads of this process (its /proc/self/task entries).
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+clk::SteadyTime in_seconds(double s) {
+  return clk::steady_now() + clk::seconds_to_duration(s);
+}
+
+TEST(TcpTransport, DrivenClientRunsOnTheCallersThread) {
+  // A driven client has no loop thread, even registered after start():
+  // its submit, its flush and the reply's handler all run on the thread
+  // that drives it.
+  auto so = core_options(0.05, {0});
+  auto co = core_options(0.05, {0});
+  split_listener(0, so, co);
+  TcpTransport srv(std::move(so));
+  TcpTransport cli(std::move(co));
+  register_echo_server(srv, 0);
+  srv.start();
+  cli.start();
+  const std::size_t threads = thread_count();
+  const NodeAddress me = NodeAddress::client(1);
+  std::thread::id handled_on;
+  std::vector<RequestId> replies;
+  cli.register_driven_client(1, [&](NodeAddress from, PayloadPtr m) {
+    EXPECT_EQ(from, NodeAddress::server(0));
+    handled_on = std::this_thread::get_id();
+    replies.push_back(static_cast<const core::ClientWriteAck&>(*m).req);
+  });
+  EXPECT_EQ(thread_count(), threads) << "a driven node starts no thread";
+  for (RequestId r = 1; r <= 3; ++r) {
+    ASSERT_TRUE(cli.drive(
+        me, [&] { cli.send(me, NodeAddress::server(0), ping(r)); },
+        [&] { return replies.size() == r; }, in_seconds(10.0)));
+    EXPECT_EQ(handled_on, std::this_thread::get_id());
+  }
+  EXPECT_EQ(replies, (std::vector<RequestId>{1, 2, 3}));
+  cli.stop();
+  srv.stop();
+}
+
+TEST(TcpTransport, DrivenClientTimerFiresWhileDriving) {
+  // The server drops the first request. The driven client's retry timer,
+  // armed from its submit, fires inside the same drive — on the driving
+  // thread — and its re-send is answered.
+  auto so = core_options(0.05, {0});
+  auto co = core_options(0.05, {0});
+  split_listener(0, so, co);
+  TcpTransport srv(std::move(so));
+  TcpTransport cli(std::move(co));
+  std::atomic<int> requests{0};
+  const NodeAddress s0 = NodeAddress::server(0);
+  srv.register_node(s0, [&](NodeAddress from, PayloadPtr m) {
+    if (++requests > 1) srv.send(s0, from, std::move(m));
+  });
+  const NodeAddress me = NodeAddress::client(1);
+  std::vector<std::thread::id> fired_on;
+  std::vector<RequestId> replies;
+  cli.register_driven_client(
+      1,
+      [&](NodeAddress, PayloadPtr m) {
+        replies.push_back(static_cast<const core::ClientWriteAck&>(*m).req);
+      },
+      nullptr,
+      [&](std::uint64_t token) {
+        EXPECT_EQ(token, 7u);
+        fired_on.push_back(std::this_thread::get_id());
+        cli.send(me, s0, ping(2));
+      });
+  srv.start();
+  cli.start();
+  ASSERT_TRUE(cli.drive(
+      me,
+      [&] {
+        cli.send(me, s0, ping(1));
+        cli.arm_timer(me, 0.05, 7);
+      },
+      [&] { return !replies.empty(); }, in_seconds(10.0)));
+  EXPECT_EQ(replies, (std::vector<RequestId>{2}));
+  EXPECT_EQ(fired_on,
+            (std::vector<std::thread::id>{std::this_thread::get_id()}));
+  EXPECT_EQ(requests.load(), 2);
+  cli.stop();
+  srv.stop();
+}
+
+TEST(TcpTransport, MailForAnUndrivenClientWaitsForItsNextDrive) {
+  // Nothing runs on a driven node between drives: a closure posted to it
+  // waits in its mailbox, and wait_quiescent does not wait for it — the
+  // node counts as quiet until a drive comes. The next drive runs it.
+  TcpTransport cli(core_options(0.05, {}));
+  const NodeAddress me = NodeAddress::client(1);
+  cli.register_driven_client(1, [](NodeAddress, PayloadPtr) {});
+  cli.start();
+  std::atomic<bool> ran{false};
+  std::thread::id ran_on;
+  cli.execute(me, [&] {
+    ran_on = std::this_thread::get_id();
+    ran = true;
+  });
+  EXPECT_TRUE(cli.wait_quiescent(1.0));
+  EXPECT_FALSE(ran.load());
+  ASSERT_TRUE(cli.drive(
+      me, [] {}, [&] { return ran.load(); }, in_seconds(10.0)));
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_TRUE(cli.wait_quiescent(1.0));
+  cli.stop();
+}
+
+TEST(TcpTransport, StopReleasesADriveBlockedInEpollWait) {
+  // A server that never answers: the drive blocks in epoll_wait until
+  // stop(), from another thread, wakes it; drive() then returns false
+  // long before its deadline.
+  auto so = core_options(0.05, {0});
+  auto co = core_options(0.05, {0});
+  split_listener(0, so, co);
+  TcpTransport srv(std::move(so));
+  TcpTransport cli(std::move(co));
+  srv.register_node(NodeAddress::server(0), [](NodeAddress, PayloadPtr) {});
+  const NodeAddress me = NodeAddress::client(1);
+  cli.register_driven_client(1, [](NodeAddress, PayloadPtr) {});
+  srv.start();
+  cli.start();
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    cli.stop();
+  });
+  const clk::SteadyTime t0 = clk::steady_now();
+  EXPECT_FALSE(cli.drive(
+      me, [&] { cli.send(me, NodeAddress::server(0), ping(1)); },
+      [] { return false; }, in_seconds(30.0)));
+  EXPECT_LT(clk::seconds_since(t0), 5.0);
+  stopper.join();
+  EXPECT_FALSE(cli.drive(
+      me, [] {}, [] { return true; }, in_seconds(30.0)))
+      << "a stopped transport drives nothing";
+  srv.stop();
+}
+
 }  // namespace
 }  // namespace hts::net
 
@@ -831,6 +979,139 @@ TEST(ProcCluster, TwoDeploymentsServeSideBySide) {
   }
   b.stop();
   a.stop();
+}
+
+TEST(ProcCluster, ConcurrentReadersAndWritersAreLinearizable) {
+  // Two writer threads share the put session; three reader threads each
+  // get through a driven reader of their own. Server 2 (not the readers'
+  // preferred server) is SIGKILLed mid-run. Every written value carries a
+  // unique seed, so each read maps back to the write it saw, and the
+  // history the test records must be linearizable.
+  ProcClusterConfig cfg;
+  cfg.n_servers = 3;
+  cfg.detection_delay_s = 0.02;
+  ProcCluster cluster(cfg);
+  cluster.start();
+  constexpr ObjectId kRegisters = 8;
+  constexpr int kWrites = 100;
+  constexpr int kReads = 150;
+  constexpr std::size_t kValueSize = 64;
+  const clk::SteadyTime t0 = clk::steady_now();
+  const auto now = [t0] { return clk::seconds_since(t0); };
+  std::mutex mu;
+  lincheck::History history;
+  std::atomic<int> finished{0};
+  std::vector<std::thread> threads;
+  for (ClientId w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 1; i <= kWrites; ++i) {
+        const ObjectId object = 1 + static_cast<ObjectId>(i + w) % kRegisters;
+        const std::uint64_t seed = (w + 1) * 1'000'000 + i;
+        const double inv = now();
+        cluster.put(object, Value::synthetic(seed, kValueSize));
+        const double resp = now();
+        const std::scoped_lock lock(mu);
+        history.record_write(w, seed, inv, resp, object);
+        ++finished;
+      }
+    });
+  }
+  for (ClientId r = 0; r < 3; ++r) {
+    threads.emplace_back([&, r] {
+      for (int i = 0; i < kReads; ++i) {
+        const ObjectId object =
+            1 + static_cast<ObjectId>(i * 3 + r) % kRegisters;
+        const double inv = now();
+        const Value v = cluster.get(object);
+        const double resp = now();
+        const std::uint64_t seen =
+            v.empty() ? lincheck::kInitialValueId : v.synthetic_seed();
+        if (!v.empty()) {
+          EXPECT_EQ(v, Value::synthetic(seen, kValueSize));
+        }
+        const std::scoped_lock lock(mu);
+        history.record_read(10 + r, seen, inv, resp, kInitialTag, object);
+        ++finished;
+      }
+    });
+  }
+  constexpr int kOps = 2 * kWrites + 3 * kReads;
+  while (finished.load() < kOps / 3) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  cluster.kill_server(2);
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(history.size(), static_cast<std::size_t>(kOps));
+  const auto verdict = lincheck::check_register(history);
+  EXPECT_TRUE(verdict.linearizable) << verdict.explanation;
+  cluster.stop();
+}
+
+/// SIGSTOPs server `p` and waits until it has stopped: kill() returns
+/// before the signal takes effect.
+void stop_server(const ProcCluster& cluster, ProcessId p) {
+  const pid_t pid = cluster.server_pid(p);
+  ASSERT_EQ(::kill(pid, SIGSTOP), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, WUNTRACED), pid);
+  ASSERT_TRUE(WIFSTOPPED(status));
+}
+
+TEST(ProcCluster, BlockedGetsSurviveTheirServersSigkill) {
+  // Two gets wait on a stopped server 0. Once it is SIGKILLed, both must
+  // complete from server 1 or 2 within 2 s: their readers see the break,
+  // and the retry timer sends each get on.
+  ProcClusterConfig cfg;
+  cfg.n_servers = 3;
+  cfg.detection_delay_s = 0.02;
+  cfg.client_retry_timeout_s = 0.5;
+  ProcCluster cluster(cfg);
+  cluster.start();
+  cluster.put(1, Value::synthetic(11, 256));
+  cluster.put(2, Value::synthetic(12, 256));
+  stop_server(cluster, 0);
+  auto a = std::async(std::launch::async, [&] { return cluster.get(1); });
+  auto b = std::async(std::launch::async, [&] { return cluster.get(2); });
+  EXPECT_EQ(a.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+  EXPECT_EQ(b.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::timeout);
+  const auto killed = std::chrono::steady_clock::now();
+  cluster.kill_server(0);
+  ASSERT_EQ(a.wait_until(killed + std::chrono::seconds(2)),
+            std::future_status::ready);
+  ASSERT_EQ(b.wait_until(killed + std::chrono::seconds(2)),
+            std::future_status::ready);
+  EXPECT_EQ(a.get(), Value::synthetic(11, 256));
+  EXPECT_EQ(b.get(), Value::synthetic(12, 256));
+  cluster.stop();
+}
+
+TEST(ProcCluster, StopReleasesABlockedGet) {
+  // A get waits on a stopped server 0, with a retry timeout far beyond the
+  // test. stop() from another thread must make it throw within 1 s, and
+  // must still reap the stopped child.
+  ProcClusterConfig cfg;
+  cfg.n_servers = 3;
+  cfg.client_retry_timeout_s = 60.0;
+  ProcCluster cluster(cfg);
+  cluster.start();
+  cluster.put(1, Value::synthetic(21, 128));
+  const pid_t s0 = cluster.server_pid(0);
+  stop_server(cluster, 0);
+  auto get = std::async(std::launch::async, [&] { return cluster.get(1); });
+  EXPECT_EQ(get.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+  const auto stopping = std::chrono::steady_clock::now();
+  std::thread stopper([&] { cluster.stop(); });
+  ASSERT_EQ(get.wait_until(stopping + std::chrono::seconds(1)),
+            std::future_status::ready);
+  EXPECT_THROW((void)get.get(), std::runtime_error);
+  stopper.join();
+  EXPECT_EQ(cluster.server_pid(0), -1);
+  int status = 0;
+  EXPECT_EQ(::waitpid(s0, &status, WNOHANG), -1) << "s0 was reaped";
+  EXPECT_EQ(errno, ECHILD);
 }
 
 }  // namespace
