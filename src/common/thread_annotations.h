@@ -16,7 +16,6 @@
 //   sync::Mutex + sync::MutexLock            exclusive capability
 //   sync::MutexTryLock                       exclusive, if free right now
 //   sync::MutexUnlock                        released for a scope (parking)
-//   sync::SharedMutex + Writer/ReaderLock    shared capability
 //   sync::CondVar                            condition variable over Mutex
 //
 // Locking discipline (enforced by tools/hts_lint.py): RAII guards only —
@@ -25,7 +24,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__) && defined(__has_attribute)
 #if __has_attribute(capability)
@@ -89,22 +87,6 @@ class HTS_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Annotated shared mutex (std::shared_mutex underneath).
-class HTS_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() HTS_ACQUIRE() { mu_.lock(); }
-  void unlock() HTS_RELEASE() { mu_.unlock(); }
-  void lock_shared() HTS_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() HTS_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// RAII exclusive guard over Mutex (the only sanctioned way to hold one).
 class HTS_SCOPED_CAPABILITY MutexLock {
  public:
@@ -150,34 +132,6 @@ class HTS_SCOPED_CAPABILITY MutexUnlock {
 
  private:
   Mutex& mu_;
-};
-
-/// RAII exclusive guard over SharedMutex.
-class HTS_SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) HTS_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~WriterLock() HTS_RELEASE() { mu_.unlock(); }
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII shared guard over SharedMutex.
-class HTS_SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) HTS_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderLock() HTS_RELEASE() { mu_.unlock_shared(); }
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable over sync::Mutex. wait/wait_until release and

@@ -366,8 +366,13 @@ struct ByteCounter {
 }  // namespace
 
 std::size_t FieldMessage::wire_size() const {
+  if (const std::size_t known = wire_size_.load(std::memory_order_relaxed);
+      known != 0) {
+    return known;
+  }
   ByteCounter c;
   encode_into_sink(*this, c);
+  wire_size_.store(c.n, std::memory_order_relaxed);
   return c.n;
 }
 

@@ -36,6 +36,7 @@
 // bool byte other than 0 or 1 are DecodeErrors.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -88,10 +89,19 @@ inline constexpr std::size_t kObjectWire = 8;  // u64 ObjectId (flag 0x1 only)
 
 /// Base of every kind whose body is a field list (all but RingBatch).
 /// wire_size() is the encoder run against a byte-counting sink, so a
-/// message's size and its bytes come from the same list.
+/// message's size and its bytes come from the same list. A sent message is
+/// immutable, so the first call's answer is kept: each hop asks for the
+/// size two or three times (the sender's tx count, the receiver's rx
+/// count, the ring's egress count). Whoever fills a message's fields (the
+/// decoder, a test) does so before anything asks for its size.
 struct FieldMessage : net::Payload {
   explicit FieldMessage(MsgKind kind) : Payload(kind) {}
   [[nodiscard]] std::size_t wire_size() const final;
+
+ private:
+  /// 0 until the first wire_size(): no message is empty (a header alone is
+  /// kKindWire bytes). Racing first calls store the same value.
+  mutable std::atomic<std::size_t> wire_size_{0};
 };
 
 /// Fixes the kind, so each message's default constructor — the decoder's

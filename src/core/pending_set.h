@@ -6,8 +6,8 @@
 // completion for retry deduplication).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -28,20 +28,21 @@ class PendingSet {
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
-  [[nodiscard]] bool contains(const Tag& t) const {
-    return entries_.count(t) > 0;
-  }
+  [[nodiscard]] bool contains(const Tag& t) const { return find(t) != nullptr; }
 
   /// Inserts (idempotent). Returns false if the tag was already pending.
   bool insert(PendingEntry e) {
-    return entries_.emplace(e.tag, std::move(e)).second;
+    const auto it = lower(entries_, e.tag);
+    if (it != entries_.end() && it->tag == e.tag) return false;
+    entries_.insert(it, std::move(e));
+    return true;
   }
 
   /// Removes and returns the entry if present.
   std::optional<PendingEntry> erase(const Tag& t) {
-    auto it = entries_.find(t);
-    if (it == entries_.end()) return std::nullopt;
-    PendingEntry e = std::move(it->second);
+    const auto it = lower(entries_, t);
+    if (it == entries_.end() || it->tag != t) return std::nullopt;
+    PendingEntry e = std::move(*it);
     entries_.erase(it);
     return e;
   }
@@ -49,35 +50,41 @@ class PendingSet {
   /// maxlex(pending_write_set) — the highest pending tag (paper line 22/80).
   [[nodiscard]] std::optional<Tag> max_tag() const {
     if (entries_.empty()) return std::nullopt;
-    return entries_.rbegin()->first;
+    return entries_.back().tag;
   }
 
   [[nodiscard]] const PendingEntry* find(const Tag& t) const {
-    auto it = entries_.find(t);
-    return it == entries_.end() ? nullptr : &it->second;
+    const auto it = lower(entries_, t);
+    return it == entries_.end() || it->tag != t ? nullptr : &*it;
   }
 
   /// All entries whose tag was assigned by `origin` (crash adoption scan).
   [[nodiscard]] std::vector<PendingEntry> entries_from(ProcessId origin) const {
     std::vector<PendingEntry> out;
-    for (const auto& [t, e] : entries_) {
-      if (t.id == origin) out.push_back(e);
+    for (const PendingEntry& e : entries_) {
+      if (e.tag.id == origin) out.push_back(e);
     }
     return out;
   }
 
+  /// Keeps the capacity (the activity block's spares reuse it).
   void clear() { entries_.clear(); }
 
   /// Snapshot in tag order (crash re-send path, tests).
-  [[nodiscard]] std::vector<PendingEntry> snapshot() const {
-    std::vector<PendingEntry> out;
-    out.reserve(entries_.size());
-    for (const auto& [t, e] : entries_) out.push_back(e);
-    return out;
-  }
+  [[nodiscard]] std::vector<PendingEntry> snapshot() const { return entries_; }
 
  private:
-  std::map<Tag, PendingEntry> entries_;  // ordered: rbegin() is maxlex
+  template <typename Entries>
+  static auto lower(Entries& entries, const Tag& t)
+      -> decltype(entries.begin()) {
+    return std::lower_bound(
+        entries.begin(), entries.end(), t,
+        [](const PendingEntry& e, const Tag& key) { return e.tag < key; });
+  }
+
+  // Ascending by tag, so back() is maxlex: a sorted vector, not a tree — a
+  // register has a few writes pending at most (core/flat.h says why).
+  std::vector<PendingEntry> entries_;
 };
 
 }  // namespace hts::core

@@ -799,8 +799,8 @@ std::optional<RingSend> RingServer::next_ring_send() {
 
 net::PayloadPtr RingBatchSend::into_wire() && {
   assert(!msgs.empty());
-  return msgs.size() == 1 ? std::move(msgs.front())
-                          : net::make_payload<RingBatch>(std::move(msgs));
+  return msgs.n_ == 1 ? std::move(msgs.first_)
+                      : net::make_payload<RingBatch>(std::move(msgs.train_));
 }
 
 std::optional<RingBatchSend> RingServer::next_ring_batch() {
@@ -1056,12 +1056,18 @@ void RingServer::note_completed(ObjectState& obj, const Tag& t,
   if (!opts_.dedup_retries) return;
   CompletedWindow& w = completed_req_[client];
   if (req <= w.watermark) return;  // stale duplicate
-  w.above.insert(req);
   // D6: advance the watermark over the gapless completed prefix. Write ids
   // are gapless per client (reads use a disjoint id space), so a gap is a
   // write whose commit has not circulated yet — it will, and `above`
   // drains. No forced compaction: guessing a gap closed could ack a write
-  // that was never applied (an acked-but-lost write).
+  // that was never applied (an acked-but-lost write). An in-order
+  // completion (the usual one) advances the watermark without touching
+  // `above`.
+  if (req != w.watermark + 1) {
+    w.above.insert(req);
+    return;
+  }
+  w.watermark = req;
   while (!w.above.empty() && *w.above.begin() == w.watermark + 1) {
     w.watermark = *w.above.begin();
     w.above.erase(w.above.begin());

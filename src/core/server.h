@@ -41,6 +41,7 @@
 #include "common/types.h"
 #include "common/value.h"
 #include "core/fairness.h"
+#include "core/flat.h"
 #include "core/messages.h"
 #include "core/pending_set.h"
 #include "core/reconfig.h"
@@ -70,8 +71,37 @@ struct RingSend {
 /// policy — the paper's nb_msg rule holds *within* a batch exactly as it
 /// does across batches. Messages of different objects share trains freely.
 struct RingBatchSend {
+  /// The batch's messages in pull order. The first is held inline, so the
+  /// common pull of a lone message allocates nothing; a train moves to one
+  /// vector, which becomes the RingBatch's parts.
+  class Msgs {
+   public:
+    void push_back(net::PayloadPtr m) {
+      if (n_ == 0) {
+        first_ = std::move(m);
+      } else {
+        if (n_ == 1) train_.push_back(std::move(first_));
+        train_.push_back(std::move(m));
+      }
+      ++n_;
+    }
+    [[nodiscard]] std::size_t size() const { return n_; }
+    [[nodiscard]] bool empty() const { return n_ == 0; }
+    [[nodiscard]] const net::PayloadPtr* begin() const {
+      return n_ <= 1 ? &first_ : train_.data();
+    }
+    [[nodiscard]] const net::PayloadPtr* end() const { return begin() + n_; }
+    [[nodiscard]] const net::PayloadPtr& front() const { return *begin(); }
+
+   private:
+    friend struct RingBatchSend;
+    net::PayloadPtr first_;
+    std::vector<net::PayloadPtr> train_;  // every message, once n_ > 1
+    std::size_t n_ = 0;
+  };
+
   ProcessId to = kNoProcess;
-  std::vector<net::PayloadPtr> msgs;
+  Msgs msgs;
 
   /// Wire form shared by every fabric: a lone message travels unwrapped —
   /// the max_batch = 1 bit-for-bit guarantee — and a train becomes one
@@ -405,18 +435,20 @@ class RingServer {
   /// (tag, value), plus a coded body's fragments. busy() gives a register
   /// one on its first in-flight write or parked read; release_if_idle()
   /// takes it back once all of it is empty again. A register that holds a
-  /// fragment store or a coded body keeps it.
+  /// fragment store or a coded body keeps it. The per-write containers are
+  /// flat (core/flat.h): an emptied block keeps their capacity, so a spare
+  /// serves its next register without allocating.
   struct Activity {
     PendingSet pending;  // pending_write_set
     std::vector<ParkedRead> parked;
 
     // Origin bookkeeping: my in-flight writes, keyed by tag (D3).
-    std::map<Tag, OutstandingWrite> outstanding;
+    FlatMap<Tag, OutstandingWrite> outstanding;
     // Surrogate bookkeeping: writes I am completing for a dead origin (D4).
     std::map<Tag, std::pair<ClientId, RequestId>> adopted;
 
     // Tags currently sitting in the forward queue (cheap duplicate test).
-    std::unordered_set<Tag> queued_tags;
+    FlatSet<Tag> queued_tags;
     // Defensive: commits that arrived before their pre-write (non-FIFO).
     std::unordered_set<Tag> early_commits;
 

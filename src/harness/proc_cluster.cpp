@@ -184,8 +184,10 @@ core::ClientOptions ProcCluster::client_options() const {
 
 void ProcCluster::stop() {
   // The client transport first: a get blocked in epoll_wait gives up at
-  // once instead of waiting for its server to answer or die.
+  // once instead of waiting for its server to answer or die. A put waits on
+  // the stopped loop, which will never complete it: fail it now.
   if (transport_) transport_->stop();
+  if (client_) client_->abandon_runs();
   // No started_ gate: start() may throw after forking (the client's
   // listener failing to bind), and those children block on the term pipe
   // until killed — reap any pid in children_ regardless.

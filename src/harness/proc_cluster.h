@@ -82,7 +82,8 @@ class ProcCluster {
   /// booting waits in that server's accept queue).
   void start();
 
-  /// Stops the client transport (a get blocked in it throws at once), then
+  /// Stops the client transport (a get or put blocked on it throws at
+  /// once, as does every later one), then
   /// SIGTERMs the children (graceful: their transports send byes; a
   /// stopped child is continued) and reaps them — SIGKILL after 5 s.
   /// Idempotent; the destructor calls it. Callable from any thread.

@@ -17,7 +17,7 @@
 #include <future>
 #include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -168,52 +168,63 @@ class ClientHost final : public core::ClientContext, public ClientPort {
 
   /// Starts an operation serialized with the session's handlers
   /// (Transport::execute: inline while the loop is parked, else on it).
+  /// The op and its promise wait in the pending record, so the closure
+  /// handed over is two words (no allocation of its own).
   std::future<core::OpResult> launch(bool is_read, ObjectId object, Value v) {
-    auto promise = std::make_shared<std::promise<core::OpResult>>();
-    std::future<core::OpResult> fut = promise->get_future();
-    transport_.execute(addr(), [this, is_read, object, v = std::move(v),
-                                promise = std::move(promise)]() mutable {
-      const std::uint64_t seed = v.synthetic_seed();
-      const RequestId req =
-          is_read ? session_.begin_read(object, *this)
-                  : session_.begin_write(object, std::move(v), *this);
-      const sync::MutexLock lock(pending_mu_);
-      pending_.emplace(req, PendingOp{std::move(promise), nullptr, seed});
-    });
+    PendingOp op = request(is_read, object, std::move(v));
+    std::future<core::OpResult> fut = op.promise.emplace().get_future();
+    // Once abandon_runs() ran the op is dropped: its future is broken.
+    if (const auto ticket = enqueue(std::move(op))) {
+      transport_.execute(addr(), [this, t = *ticket] { submit(t); });
+    }
     return fut;
   }
   /// Runs one operation and waits for it; throws if it does not complete
-  /// within 30 s, or if the driven node's transport stops first.
+  /// within 30 s, or if the transport stops first (a driven node's, or
+  /// abandon_runs() for a node a loop runs).
   core::OpResult run(bool is_read, ObjectId object, Value v) {
     const clk::SteadyTime deadline =
         clk::steady_now() + std::chrono::seconds(30);
-    const std::uint64_t ticket =
-        tickets_.fetch_add(1, std::memory_order_relaxed);
     Completion slot;
-    Request q{is_read, object, std::move(v), &slot, ticket};
+    PendingOp op = request(is_read, object, std::move(v));
+    op.slot = &slot;
+    const std::optional<std::uint64_t> ticket = enqueue(std::move(op));
     bool finished = false;
-    if (tcp_ != nullptr) {
+    if (ticket && tcp_ != nullptr) {
       finished = tcp_->drive(
-          addr(), [this, &q] { submit(q); },
+          addr(), [this, t = *ticket] { submit(t); },
           [&slot] {
             return slot.state.load(std::memory_order_acquire) ==
                    Completion::kDone;
           },
           deadline);
-    } else {
-      transport_.execute(addr(),
-                         [this, q = std::move(q)]() mutable { submit(q); });
+    } else if (ticket) {
+      transport_.execute(addr(), [this, t = *ticket] { submit(t); });
       finished = slot.wait(deadline);
     }
     // A drive ran its submit, or never will; a posted one may still run.
     const bool may_run_later = tcp_ == nullptr;
-    if (!finished && !unhook(slot, ticket, may_run_later)) {
+    if (!finished && !unhook(slot, may_run_later)) {
       throw std::runtime_error(clk::steady_now() < deadline
                                    ? "client operation abandoned: the "
                                      "transport stopped"
                                    : "client operation timed out (deadlock?)");
     }
     return std::move(slot.result);
+  }
+  /// Fails every run() waiting on this node — call it once the transport
+  /// has stopped, so nothing will complete them — and every later one, with
+  /// "the transport stopped". For nodes a loop runs; a driven node's run()
+  /// sees the stop itself.
+  void abandon_runs() HTS_EXCLUDES(pending_mu_) {
+    const sync::MutexLock lock(pending_mu_);
+    stopped_ = true;
+    for (auto* ops : {&queued_, &pending_}) {
+      for (auto& [key, op] : *ops) {
+        if (op.slot != nullptr) op.slot->abandon();
+        op.slot = nullptr;
+      }
+    }
   }
 
   // harness::ClientPort — completions then go to the driver's callback
@@ -239,12 +250,13 @@ class ClientHost final : public core::ClientContext, public ClientPort {
   [[nodiscard]] double now() const override { return transport_.now(); }
 
  private:
-  /// A run()'s result, on the caller's stack; the op's pending entry points
-  /// at it until the op completes or the caller gives up (unhook()).
+  /// A run()'s result, on the caller's stack; the op's pending record
+  /// points at it until the op completes or the caller gives up (unhook()).
   struct Completion {
     static constexpr std::uint32_t kPending = 0;
     static constexpr std::uint32_t kSleeping = 1;  // the caller is parked
     static constexpr std::uint32_t kDone = 2;
+    static constexpr std::uint32_t kAbandoned = 3;  // abandon_runs()
 
     /// On the completing thread, under pending_mu_.
     void fill(const core::OpResult& r) {
@@ -253,11 +265,18 @@ class ClientHost final : public core::ClientContext, public ClientPort {
         futex::wake(state);
       }
     }
-    /// The caller: false if `deadline` passes first.
+    /// Under pending_mu_: the op will never complete.
+    void abandon() {
+      if (state.exchange(kAbandoned, std::memory_order_acq_rel) ==
+          kSleeping) {
+        futex::wake(state);
+      }
+    }
+    /// The caller: false if `deadline` passes first or the op is abandoned.
     bool wait(clk::SteadyTime deadline) {
       std::uint32_t s = state.load(std::memory_order_acquire);
       while (s != kDone) {
-        if (clk::steady_now() >= deadline) return false;
+        if (s == kAbandoned || clk::steady_now() >= deadline) return false;
         if (s == kPending &&
             !state.compare_exchange_weak(s, kSleeping,
                                          std::memory_order_acq_rel)) {
@@ -272,14 +291,18 @@ class ClientHost final : public core::ClientContext, public ClientPort {
     core::OpResult result;
     std::atomic<std::uint32_t> state{kPending};
   };
-  /// What a run() submits. `ticket` names the run in abandoned_.
-  struct Request {
+  /// Caller-side state of one op: what submit() starts, then launch()'s
+  /// promise or run()'s slot until the op completes.
+  struct PendingOp {
     bool is_read = false;
     ObjectId object = kDefaultObject;
-    Value value;
+    Value value;  // a write's, until submit() hands it to the session
+    std::uint64_t value_seed = 0;
+    std::optional<std::promise<core::OpResult>> promise;
     Completion* slot = nullptr;
-    std::uint64_t ticket = 0;
   };
+  /// Keyed by ticket until submit(), then by request id.
+  using PendingOps = std::map<std::uint64_t, PendingOp>;
 
   [[nodiscard]] net::NodeAddress addr() const {
     return net::NodeAddress::client(session_.id());
@@ -301,33 +324,67 @@ class ClientHost final : public core::ClientContext, public ClientPort {
   net::Transport::TimerHandler timer_handler() {
     return [this](std::uint64_t token) { session_.on_timer(token, *this); };
   }
-  /// Serialized with the session's handlers.
-  void submit(Request& q) HTS_EXCLUDES(pending_mu_) {
-    const std::uint64_t seed = q.value.synthetic_seed();
-    const RequestId req =
-        q.is_read ? session_.begin_read(q.object, *this)
-                  : session_.begin_write(q.object, std::move(q.value), *this);
-    const sync::MutexLock lock(pending_mu_);
-    // A caller that gave up before its submit ran leaves its ticket behind:
-    // the op still runs, with no slot to fill.
-    Completion* slot = abandoned_.erase(q.ticket) == 0 ? q.slot : nullptr;
-    pending_.emplace(req, PendingOp{nullptr, slot, seed});
+  [[nodiscard]] static PendingOp request(bool is_read, ObjectId object,
+                                         Value v) {
+    PendingOp op;
+    op.is_read = is_read;
+    op.object = object;
+    op.value_seed = v.synthetic_seed();
+    op.value = std::move(v);
+    return op;
   }
-  /// A run() whose wait failed: true when its op completed after all (the
-  /// result is in the slot); else nothing touches the slot any more.
-  bool unhook(Completion& slot, std::uint64_t ticket, bool may_run_later)
+  /// Files an op for submit(ticket): its ticket, or none once
+  /// abandon_runs() ran.
+  std::optional<std::uint64_t> enqueue(PendingOp op)
       HTS_EXCLUDES(pending_mu_) {
     const sync::MutexLock lock(pending_mu_);
-    if (slot.state.load(std::memory_order_acquire) == Completion::kDone) {
-      return true;
+    if (stopped_) return std::nullopt;
+    const std::uint64_t ticket = next_ticket_++;
+    queued_.emplace(ticket, std::move(op));
+    return ticket;
+  }
+  /// Serialized with the session's handlers: starts the op and re-keys its
+  /// record (the same map node) by request id.
+  void submit(std::uint64_t ticket) HTS_EXCLUDES(pending_mu_) {
+    PendingOp* op = nullptr;
+    {
+      const sync::MutexLock lock(pending_mu_);
+      op = &queued_.find(ticket)->second;  // map nodes stay put
     }
+    // Only `slot` is shared with the caller (unhook()); the rest is ours.
+    const RequestId req =
+        op->is_read ? session_.begin_read(op->object, *this)
+                    : session_.begin_write(op->object, std::move(op->value),
+                                           *this);
+    const sync::MutexLock lock(pending_mu_);
+    typename PendingOps::node_type node = queued_.extract(ticket);
+    node.key() = req;
+    pending_.insert(std::move(node));
+  }
+  /// A run() whose wait failed: true when its op completed after all (the
+  /// result is in the slot); else nothing touches the slot any more. An op
+  /// whose submit `may_run_later` still runs, with no slot to fill.
+  bool unhook(Completion& slot, bool may_run_later)
+      HTS_EXCLUDES(pending_mu_) {
+    const sync::MutexLock lock(pending_mu_);
+    const std::uint32_t state = slot.state.load(std::memory_order_acquire);
+    if (state == Completion::kDone) return true;
+    if (state == Completion::kAbandoned) return false;  // already unhooked
     for (auto& [req, op] : pending_) {
       if (op.slot == &slot) {
         op.slot = nullptr;
         return false;
       }
     }
-    if (may_run_later) abandoned_.insert(ticket);  // its submit has not run
+    for (auto it = queued_.begin(); it != queued_.end(); ++it) {
+      if (it->second.slot != &slot) continue;
+      if (may_run_later) {
+        it->second.slot = nullptr;
+      } else {
+        queued_.erase(it);
+      }
+      break;
+    }
     return false;
   }
   void complete(const core::OpResult& r) HTS_EXCLUDES(pending_mu_) {
@@ -350,19 +407,13 @@ class ClientHost final : public core::ClientContext, public ClientPort {
   net::TcpTransport* tcp_ = nullptr;  // set when the node is driven
   Session session_;
   HistorySink* history_;
-  /// Caller-side state per in-flight request: launch()'s promise or run()'s
-  /// slot. Written serialized with the session's handlers (submits and
-  /// completions), and by a run() that gives up (unhook()).
-  struct PendingOp {
-    std::shared_ptr<std::promise<core::OpResult>> promise;
-    Completion* slot = nullptr;
-    std::uint64_t value_seed = 0;
-  };
+  /// Written by callers (enqueue, unhook, abandon_runs) and serialized with
+  /// the session's handlers (submits and completions).
   sync::Mutex pending_mu_;
-  std::map<RequestId, PendingOp> pending_ HTS_GUARDED_BY(pending_mu_);
-  /// Tickets of run()s that gave up before their submit ran.
-  std::set<std::uint64_t> abandoned_ HTS_GUARDED_BY(pending_mu_);
-  std::atomic<std::uint64_t> tickets_{0};
+  PendingOps queued_ HTS_GUARDED_BY(pending_mu_);   // by ticket
+  PendingOps pending_ HTS_GUARDED_BY(pending_mu_);  // by request id
+  std::uint64_t next_ticket_ HTS_GUARDED_BY(pending_mu_) = 0;
+  bool stopped_ HTS_GUARDED_BY(pending_mu_) = false;  // abandon_runs() ran
 };
 
 using TransportClientHost = ClientHost<core::ClientSession>;

@@ -29,12 +29,6 @@ thread_local NodeLoop* tl_loop = nullptr;
 thread_local NodeLoop* tl_held[NodeLoop::kMaxInlineDepth] = {};
 thread_local int tl_depth = 0;
 
-/// Drain rounds a holder runs over mail left to it before it hands the rest
-/// to the loop: a write's two send-backs into the ring's first server (the
-/// pre-write's and then the commit's return) each take one. Mail that keeps
-/// arriving past them is other threads' traffic, which the loop takes.
-constexpr int kHolderDrainRounds = 2;
-
 /// Whether this thread holds `n`'s run lock: its own loop's node, or a node
 /// it runs inline further up its stack.
 bool holds(const NodeLoop* n) {
@@ -50,16 +44,21 @@ constexpr auto kLater = [](const auto& a, const auto& b) {
 
 constexpr clk::SteadyTime kNever = futex::kNever;
 
+/// The first entry of a registry's address index not below `addr`.
+auto first_not_below(auto& by_addr, NodeAddress addr) {
+  return std::lower_bound(
+      by_addr.begin(), by_addr.end(), addr,
+      [](const auto& entry, NodeAddress a) { return entry.first < a; });
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ NodeLoop
 
-NodeLoop::NodeLoop(const void* owner, NodeAddress addr,
-                   Transport::MessageHandler on_message,
+NodeLoop::NodeLoop(NodeAddress addr, Transport::MessageHandler on_message,
                    Transport::CrashHandler on_crash,
                    Transport::TimerHandler on_timer)
-    : owner_(owner),
-      addr_(addr),
+    : addr_(addr),
       on_message_(std::move(on_message)),
       on_crash_(std::move(on_crash)),
       on_timer_(std::move(on_timer)) {}
@@ -68,10 +67,6 @@ NodeLoop::~NodeLoop() {
   for (const int fd : {epoll_fd_, wake_fd_}) {
     if (fd >= 0) ::close(fd);
   }
-}
-
-NodeLoop* NodeLoop::current(const void* owner) {
-  return tl_node != nullptr && tl_node->owner_ == owner ? tl_node : nullptr;
 }
 
 bool NodeLoop::on_loop() const { return tl_node == this; }
@@ -114,10 +109,9 @@ bool NodeLoop::try_run_inline(Fn&& fn) {
   if (up()) fn();
   settle(1);
   // Mail posted meanwhile — a send back into this node from a run nested
-  // inside this one, or another thread's — is handled here, before the loop
-  // could take it.
-  for (int round = 0; round < kHolderDrainRounds && !mailbox_empty();
-       ++round) {
+  // inside this one, or another thread's — is handled here, until none is
+  // left, before the loop could take it.
+  for (int round = 0; round < kHolderDrainCap && !mailbox_empty(); ++round) {
     drain_mailbox(*hooks_);
   }
   --tl_depth;
@@ -207,11 +201,16 @@ void NodeLoop::count_tx(std::size_t bytes) {
 
 obs::LinkCounters NodeLoop::counters() const {
   const char prefix = addr_.kind == NodeAddress::Kind::kServer ? 's' : 'c';
-  return obs::LinkCounters{prefix + std::to_string(addr_.id),
-                           tx_messages_.load(std::memory_order_relaxed),
-                           tx_bytes_.load(std::memory_order_relaxed),
-                           rx_messages_.load(std::memory_order_relaxed),
-                           rx_bytes_.load(std::memory_order_relaxed)};
+  obs::LinkCounters c{prefix + std::to_string(addr_.id),
+                      tx_messages_.load(std::memory_order_relaxed),
+                      tx_bytes_.load(std::memory_order_relaxed),
+                      rx_messages_.load(std::memory_order_relaxed),
+                      rx_bytes_.load(std::memory_order_relaxed)};
+  if (epoll_fd_ < 0) {  // a futex-parked loop
+    c.loop_wakes = loop_wakes();
+    c.parks = parks();
+  }
+  return c;
 }
 
 void NodeLoop::use_epoll() {
@@ -263,7 +262,10 @@ void NodeLoop::wake() {
   // Dekker pairing with park(): either this load sees the loop parked, or
   // the loop's futex wait sees the bumped word and returns at once.
   wake_seq_.fetch_add(1, std::memory_order_seq_cst);
-  if (parked_.load(std::memory_order_seq_cst)) futex::wake(wake_seq_);
+  if (parked_.load(std::memory_order_seq_cst)) {
+    loop_wakes_.fetch_add(1, std::memory_order_relaxed);
+    futex::wake(wake_seq_);
+  }
 }
 
 void NodeLoop::join() {
@@ -394,6 +396,7 @@ void NodeLoop::park(std::uint32_t seq) {
   if (!mailbox_empty()) return;
   park_deadline_ = timers_.empty() ? kNever : timers_.front().at;
   parked_.store(true, std::memory_order_seq_cst);
+  parks_.fetch_add(1, std::memory_order_relaxed);
   {
     const sync::MutexUnlock unlocked(run_mu_);
     futex::wait(wake_seq_, seq, park_deadline_);
@@ -452,7 +455,11 @@ void NodeLoop::fire_timers() {
 // ------------------------------------------------------- LoopTransport
 
 LoopTransport::LoopTransport(double detection_delay_s)
-    : detection_delay_(detection_delay_s) {}
+    : detection_delay_(detection_delay_s) {
+  const sync::MutexLock lock(registry_mu_);
+  registries_.push_back(std::make_unique<const Registry>());
+  registry_.store(registries_.back().get(), std::memory_order_release);
+}
 
 LoopTransport::~LoopTransport() { stop(); }
 
@@ -460,7 +467,7 @@ std::unique_ptr<NodeLoop> LoopTransport::make_node(NodeAddress addr,
                                                    MessageHandler on_message,
                                                    CrashHandler on_crash,
                                                    TimerHandler on_timer) {
-  return std::make_unique<NodeLoop>(this, addr, std::move(on_message),
+  return std::make_unique<NodeLoop>(addr, std::move(on_message),
                                     std::move(on_crash), std::move(on_timer));
 }
 
@@ -482,10 +489,16 @@ void LoopTransport::add_node(std::unique_ptr<NodeLoop> node) {
   // find it, so a stop() that finds it sees them.
   if (live && raw->driven()) raw->start(*this, stopping_);
   {
-    const sync::WriterLock lock(registry_mu_);
-    assert(!by_addr_.contains(addr));
-    by_addr_[addr] = raw;
-    nodes_.push_back(std::move(node));
+    // Publishes a new snapshot; readers of the old one keep it valid.
+    const sync::MutexLock lock(registry_mu_);
+    auto next = std::make_unique<Registry>(*registries_.back());
+    next->nodes.push_back(raw);
+    const auto at = first_not_below(next->by_addr, addr);
+    assert(at == next->by_addr.end() || at->first != addr);
+    next->by_addr.insert(at, {addr, raw});
+    owned_.push_back(std::move(node));
+    registries_.push_back(std::move(next));
+    registry_.store(registries_.back().get(), std::memory_order_release);
   }
   if (live && !raw->driven()) {
     raw->start(*this, stopping_);  // live registration (ring spawn)
@@ -495,7 +508,7 @@ void LoopTransport::add_node(std::unique_ptr<NodeLoop> node) {
 void LoopTransport::start() {
   assert(!started_.load(std::memory_order_acquire));
   started_.store(true, std::memory_order_release);
-  const std::vector<NodeLoop*> nodes = snapshot_nodes();
+  const std::vector<NodeLoop*>& nodes = snapshot_nodes();
   on_start(nodes);
   for (NodeLoop* n : nodes) n->start(*this, stopping_);
 }
@@ -505,28 +518,19 @@ void LoopTransport::stop() {
       stopping_.exchange(true, std::memory_order_acq_rel)) {
     return;
   }
-  const std::vector<NodeLoop*> nodes = snapshot_nodes();
+  const std::vector<NodeLoop*>& nodes = snapshot_nodes();
   for (NodeLoop* n : nodes) n->wake();
   for (NodeLoop* n : nodes) n->join();
 }
 
 NodeLoop* LoopTransport::find(NodeAddress addr) const {
-  // A handler addressing its own node skips the registry lock.
-  if (NodeLoop* self = NodeLoop::current(this);
-      self != nullptr && self->addr() == addr) {
-    return self;
-  }
-  const sync::ReaderLock lock(registry_mu_);
-  auto it = by_addr_.find(addr);
-  return it == by_addr_.end() ? nullptr : it->second;
+  const auto& by_addr = registry_.load(std::memory_order_acquire)->by_addr;
+  const auto at = first_not_below(by_addr, addr);
+  return at != by_addr.end() && at->first == addr ? at->second : nullptr;
 }
 
-std::vector<NodeLoop*> LoopTransport::snapshot_nodes() const {
-  const sync::ReaderLock lock(registry_mu_);
-  std::vector<NodeLoop*> out;
-  out.reserve(nodes_.size());
-  for (const auto& n : nodes_) out.push_back(n.get());
-  return out;
+const std::vector<NodeLoop*>& LoopTransport::snapshot_nodes() const {
+  return registry_.load(std::memory_order_acquire)->nodes;
 }
 
 void LoopTransport::count_tx(NodeLoop* src, const Payload& msg) {
@@ -598,7 +602,7 @@ bool LoopTransport::wait_quiescent(double timeout_s) {
     // Acceptance counts are read before and after the sweep: a handler that
     // ran in between either accepted a message somewhere (a count moves) or
     // was seen busy.
-    const std::vector<NodeLoop*> nodes = snapshot_nodes();
+    const std::vector<NodeLoop*>& nodes = snapshot_nodes();
     std::uint64_t accepted = 0;
     bool quiet = true;
     for (const NodeLoop* n : nodes) {

@@ -63,11 +63,14 @@
 // skip the futex wake and leave their mail to the thread. That covers a
 // send back into a node held further up the stack (s2 → s0 above: never
 // re-entered, it is posted) and other threads' mail. Before it releases the
-// run lock the holder drains the node's mailbox, for a bounded number of
-// rounds, and hands what is left to the loop with one wake — as it does if
-// it armed a timer earlier than the deadline the loop sleeps until. The loop
-// itself stays parked throughout, so a wake that is not mail (stop()) still
-// reaches it and it resumes once the holder lets go.
+// run lock the holder drains the node's mailbox until it finds it empty, up
+// to kHolderDrainCap rounds (a liveness bound: a node other threads keep
+// feeding is handed back), and hands what is left to the loop with one
+// wake — as it does if it armed a timer earlier than the deadline the loop
+// sleeps until. Contended mail so stays on the thread already running the
+// node instead of waking a loop thread that would wait for the run lock.
+// The loop itself stays parked throughout, so a wake that is not mail
+// (stop()) still reaches it and it resumes once the holder lets go.
 //
 // Everything else is posted: foreign-thread messages, self-sends,
 // execute() from a thread doing a node's work, and every TCP hand-over. The
@@ -76,8 +79,16 @@
 // a held node takes no second inline run until its holder has drained it.
 //
 // LoopTransport is the core both transports share around their loops: the
-// node registry (a handler addressing its own node skips the registry
-// lock), crash-notice scheduling, link counters and the quiescence rule.
+// node registry, crash-notice scheduling, link counters and the quiescence
+// rule. A lookup takes no lock: each registration publishes a new immutable
+// snapshot of the registry, and every snapshot lives until the transport
+// does (nodes are never deregistered, so there are at most as many as
+// nodes).
+//
+// Layout: the fields other threads write sit on cache lines of their own —
+// the mailbox (posters), the run-lock state (the thread running the node),
+// the tx counters (the sending node's thread) and the parking words
+// (wakers) — so a poster does not invalidate the line the holder works on.
 //
 // Quiescence: a message or an execute() closure counts as work from the
 // moment it is accepted for a node (a mailbox post, an inline run, or a TCP
@@ -92,12 +103,13 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -139,22 +151,23 @@ class NodeLoop {
   /// How many inline runs one thread may nest (see the file comment): a
   /// client plus a full circulation of a ring of up to seven servers.
   static constexpr int kMaxInlineDepth = 8;
+  /// Drain rounds a holder may run before it hands what is left to the
+  /// loop (see the file comment): bounds how long other threads' mail can
+  /// keep one caller's run going.
+  static constexpr int kHolderDrainCap = 16;
+  /// The unit the layout below separates fields by.
+  static constexpr std::size_t kCacheLine = 64;
   /// Non-blocking polls one turn of an epoll loop may add after its
   /// blocking wait (see the file comment): a flood of ready events delays
   /// the turn's flush by at most this many rounds.
   static constexpr int kReadyRounds = 16;
 
-  /// `owner` identifies the transport hosting the node (see current()).
-  NodeLoop(const void* owner, NodeAddress addr,
-           Transport::MessageHandler on_message,
+  NodeLoop(NodeAddress addr, Transport::MessageHandler on_message,
            Transport::CrashHandler on_crash, Transport::TimerHandler on_timer);
   virtual ~NodeLoop();
 
   NodeLoop(const NodeLoop&) = delete;
   NodeLoop& operator=(const NodeLoop&) = delete;
-
-  /// The node whose loop runs on the calling thread, when `owner` hosts it.
-  static NodeLoop* current(const void* owner);
 
   [[nodiscard]] NodeAddress addr() const { return addr_; }
   [[nodiscard]] bool up() const { return up_.load(std::memory_order_acquire); }
@@ -202,6 +215,14 @@ class NodeLoop {
   }
   [[nodiscard]] std::uint64_t ready_poll_hits() const {
     return ready_poll_hits_.load(std::memory_order_relaxed);
+  }
+  /// A futex-parked loop's wakes (futex wakes other threads sent it) and
+  /// parks (futex waits it entered).
+  [[nodiscard]] std::uint64_t loop_wakes() const {
+    return loop_wakes_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t parks() const {
+    return parks_.load(std::memory_order_relaxed);
   }
 
   // ------------------------------------ loop thread (or before start())
@@ -298,7 +319,6 @@ class NodeLoop {
   void drain_mailbox(Hooks& hooks) HTS_REQUIRES(run_mu_) HTS_EXCLUDES(mu_);
   void fire_timers() HTS_REQUIRES(run_mu_);
 
-  const void* owner_;
   const NodeAddress addr_;
   const Transport::MessageHandler on_message_;
   const Transport::CrashHandler on_crash_;
@@ -310,22 +330,8 @@ class NodeLoop {
 
   /// Liveness: send paths read it lock-free, crash() claims the transition.
   std::atomic<bool> up_{true};
-  /// From wake-up until the loop blocks again (or while before_block
-  /// reports held work).
-  std::atomic<bool> busy_{false};
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> consumed_{0};
   /// Crash notices armed on this node that have not fired yet.
   std::atomic<std::uint64_t> notices_{0};
-
-  /// Futex parking (fd-less loops): wake() bumps the word; the loop sleeps
-  /// only while it still holds the value read before its last checks.
-  std::atomic<std::uint32_t> wake_seq_{0};
-  /// Between releasing the run lock to park and taking it back.
-  std::atomic<bool> parked_{false};
-  /// While another thread runs this (parked) node inline: posts leave their
-  /// mail to that thread instead of waking the loop.
-  std::atomic<bool> held_{false};
   /// The transport's hooks, set by start(); a holder drains mail with them.
   Hooks* hooks_ = nullptr;
   /// The transport's stop flag, set by start(); drive() checks it.
@@ -335,26 +341,44 @@ class NodeLoop {
   /// While a drive runs turns: the node counts for quiescence only then.
   std::atomic<bool> driving_{false};
 
-  mutable sync::Mutex mu_;
+  // Posters: the mailbox and the acceptance count every post bumps.
+  alignas(kCacheLine) mutable sync::Mutex mu_;
   std::vector<Mail> mailbox_ HTS_GUARDED_BY(mu_);
+  std::atomic<std::uint64_t> accepted_{0};
 
   /// Held by the loop thread whenever it is not parked, and by a thread
   /// running work inline on this node; it guards the loop-thread state.
-  sync::Mutex run_mu_;
+  alignas(kCacheLine) sync::Mutex run_mu_;
+  /// From wake-up until the loop blocks again (or while before_block
+  /// reports held work).
+  std::atomic<bool> busy_{false};
+  std::atomic<std::uint64_t> consumed_{0};
   std::vector<Mail> inbox_ HTS_GUARDED_BY(run_mu_);  // batch being handled
   std::vector<Timer> timers_ HTS_GUARDED_BY(run_mu_);  // min-heap (at, seq)
   std::uint64_t timer_seq_ HTS_GUARDED_BY(run_mu_) = 0;
   /// The deadline a parked loop sleeps until (max: no timer pending).
   clk::SteadyTime park_deadline_ HTS_GUARDED_BY(run_mu_);
-
-  // Per-node traffic accounting (obs::LinkStatsSource); relaxed atomics.
-  std::atomic<std::uint64_t> tx_messages_{0};
-  std::atomic<std::uint64_t> tx_bytes_{0};
+  // Per-node traffic accounting (obs::LinkStatsSource) and loop counts,
+  // written by the thread running the node; relaxed atomics.
   std::atomic<std::uint64_t> rx_messages_{0};
   std::atomic<std::uint64_t> rx_bytes_{0};
-  // Written by the loop thread only, read by any.
   std::atomic<std::uint64_t> ready_polls_{0};
   std::atomic<std::uint64_t> ready_poll_hits_{0};
+  std::atomic<std::uint64_t> parks_{0};
+
+  // Charged by the sending transport on the sender's thread.
+  alignas(kCacheLine) std::atomic<std::uint64_t> tx_messages_{0};
+  std::atomic<std::uint64_t> tx_bytes_{0};
+
+  /// Futex parking (fd-less loops): wake() bumps the word; the loop sleeps
+  /// only while it still holds the value read before its last checks.
+  alignas(kCacheLine) std::atomic<std::uint32_t> wake_seq_{0};
+  /// Between releasing the run lock to park and taking it back.
+  std::atomic<bool> parked_{false};
+  /// While another thread runs this (parked) node inline: posts leave their
+  /// mail to that thread instead of waking the loop.
+  std::atomic<bool> held_{false};
+  std::atomic<std::uint64_t> loop_wakes_{0};
 
   std::thread thread_;  // declared last: the loop touches everything above
 };
@@ -377,29 +401,27 @@ class LoopTransport : public Transport, protected NodeLoop::Hooks {
                      TimerHandler on_timer = nullptr,
                      LinkReadyHandler on_link_ready = nullptr) override
       HTS_EXCLUDES(registry_mu_);
-  void start() override HTS_EXCLUDES(registry_mu_);
-  void stop() override HTS_EXCLUDES(registry_mu_);
-  void arm_timer(NodeAddress addr, double delay_s, std::uint64_t token)
-      override HTS_EXCLUDES(registry_mu_);
-  void execute(NodeAddress addr, std::function<void()> fn) override
-      HTS_EXCLUDES(registry_mu_);
+  void start() override;
+  void stop() override;
+  void arm_timer(NodeAddress addr, double delay_s,
+                 std::uint64_t token) override;
+  void execute(NodeAddress addr, std::function<void()> fn) override;
   /// Drains the node's egress at once, on the calling thread.
-  void pull_egress(NodeAddress addr) override HTS_EXCLUDES(registry_mu_);
+  void pull_egress(NodeAddress addr) override;
   [[nodiscard]] double now() const override {
     return clk::seconds_since(epoch_);
   }
   /// A hosted node goes down at once and its loop severs what it owns;
   /// every surviving hosted node gets a notice after the detection delay.
-  void crash(NodeAddress addr) override HTS_EXCLUDES(registry_mu_, crash_mu_);
+  void crash(NodeAddress addr) override HTS_EXCLUDES(crash_mu_);
   /// Hosted nodes report their own liveness; any other server is up until
   /// its crash is detected.
   [[nodiscard]] bool is_up(NodeAddress addr) const override
-      HTS_EXCLUDES(registry_mu_, crash_mu_);
-  bool wait_quiescent(double timeout_s) override HTS_EXCLUDES(registry_mu_);
+      HTS_EXCLUDES(crash_mu_);
+  bool wait_quiescent(double timeout_s) override;
 
   /// Per hosted node ("s<id>"/"c<id>"), in registration order.
-  [[nodiscard]] std::vector<obs::LinkCounters> link_counters() const override
-      HTS_EXCLUDES(registry_mu_);
+  [[nodiscard]] std::vector<obs::LinkCounters> link_counters() const override;
 
  protected:
   /// Builds a node's loop; a subclass returns its own NodeLoop subtype.
@@ -413,9 +435,12 @@ class LoopTransport : public Transport, protected NodeLoop::Hooks {
   /// starts at once.
   void add_node(std::unique_ptr<NodeLoop> node) HTS_EXCLUDES(registry_mu_);
 
-  NodeLoop* find(NodeAddress addr) const HTS_EXCLUDES(registry_mu_);
-  /// Stable snapshot (nodes are never deregistered, only crashed).
-  std::vector<NodeLoop*> snapshot_nodes() const HTS_EXCLUDES(registry_mu_);
+  /// Lock-free: a lookup in the current registry snapshot.
+  NodeLoop* find(NodeAddress addr) const;
+  /// Every node registered so far, in registration order. The snapshot
+  /// stays valid until the transport dies (nodes are never deregistered,
+  /// only crashed).
+  const std::vector<NodeLoop*>& snapshot_nodes() const;
   /// Charges one accepted send to `src` when it is hosted here.
   void count_tx(NodeLoop* src, const Payload& msg);
   /// Failure detector entry point: one notice per crashed server, armed on
@@ -432,9 +457,19 @@ class LoopTransport : public Transport, protected NodeLoop::Hooks {
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
 
-  mutable sync::SharedMutex registry_mu_;
-  std::vector<std::unique_ptr<NodeLoop>> nodes_ HTS_GUARDED_BY(registry_mu_);
-  std::map<NodeAddress, NodeLoop*> by_addr_ HTS_GUARDED_BY(registry_mu_);
+  /// One immutable registry snapshot: the nodes in registration order,
+  /// and the same nodes sorted by address.
+  struct Registry {
+    std::vector<NodeLoop*> nodes;
+    std::vector<std::pair<NodeAddress, NodeLoop*>> by_addr;
+  };
+  /// Serializes registrations; lookups read `registry_` instead.
+  sync::Mutex registry_mu_;
+  std::vector<std::unique_ptr<NodeLoop>> owned_ HTS_GUARDED_BY(registry_mu_);
+  /// Every snapshot published so far, the current one last.
+  std::vector<std::unique_ptr<const Registry>> registries_
+      HTS_GUARDED_BY(registry_mu_);
+  std::atomic<const Registry*> registry_;
 
   /// Crashed servers already noticed (dedups local crash(), broken
   /// connections and refused dials that blame the same server).

@@ -94,7 +94,7 @@ std::unique_ptr<NodeLoop> TcpTransport::make_node(NodeAddress addr,
                                                   MessageHandler on_message,
                                                   CrashHandler on_crash,
                                                   TimerHandler on_timer) {
-  auto node = std::make_unique<Node>(this, addr, std::move(on_message),
+  auto node = std::make_unique<Node>(addr, std::move(on_message),
                                      std::move(on_crash), std::move(on_timer));
   // A client is answered on the connections it dials, so it listens on
   // nothing; its loop still runs on epoll, as every socket node's does.

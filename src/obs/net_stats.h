@@ -9,7 +9,9 @@
 // carried its frames (tx_flushes), so frames per flush is
 // tx_messages / tx_flushes, and how many non-blocking polls its loops made
 // after a blocking wait (ready_polls), of which ready_poll_hits found an
-// event; no other fabric has, or exports, these counts.
+// event; no other fabric has, or exports, these counts. The in-memory
+// fabric's futex-parked loops add the futex wakes other threads sent them
+// (loop_wakes) and the parks they took (parks); only it exports those.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +37,10 @@ struct LinkCounters {
   std::optional<std::uint64_t> tx_flushes = std::nullopt;
   std::optional<std::uint64_t> ready_polls = std::nullopt;
   std::optional<std::uint64_t> ready_poll_hits = std::nullopt;
+  // Set by the in-memory fabric only: futex wakes sent to the node's loop,
+  // and the futex waits the loop entered.
+  std::optional<std::uint64_t> loop_wakes = std::nullopt;
+  std::optional<std::uint64_t> parks = std::nullopt;
 };
 
 class LinkStatsSource {
@@ -60,14 +66,16 @@ inline LinkCounters sum_links(const std::vector<LinkCounters>& links) {
     add(total.tx_flushes, lc.tx_flushes);
     add(total.ready_polls, lc.ready_polls);
     add(total.ready_poll_hits, lc.ready_poll_hits);
+    add(total.loop_wakes, lc.loop_wakes);
+    add(total.parks, lc.parks);
   }
   return total;
 }
 
 /// Publishes a source's counters into the registry as
 /// "<prefix>.<label>.tx_messages" / ".tx_bytes" / ".rx_*" (and
-/// ".tx_flushes" / ".ready_polls" / ".ready_poll_hits" where the source
-/// counts them) plus "<prefix>.total.*".
+/// ".tx_flushes" / ".ready_polls" / ".ready_poll_hits" / ".loop_wakes" /
+/// ".parks" where the source counts them) plus "<prefix>.total.*".
 inline void export_links(MetricsRegistry& reg, const std::string& prefix,
                          const LinkStatsSource& src) {
   std::vector<LinkCounters> links = src.link_counters();
@@ -83,6 +91,8 @@ inline void export_links(MetricsRegistry& reg, const std::string& prefix,
     if (lc.ready_poll_hits) {
       reg.counter(p + "ready_poll_hits")->set(*lc.ready_poll_hits);
     }
+    if (lc.loop_wakes) reg.counter(p + "loop_wakes")->set(*lc.loop_wakes);
+    if (lc.parks) reg.counter(p + "parks")->set(*lc.parks);
   }
 }
 

@@ -44,6 +44,13 @@ struct Fixture {
   }
 };
 
+/// A simulated deployment of `n` servers, every other field at its default.
+SimClusterConfig sim_config(std::size_t n) {
+  SimClusterConfig cfg;
+  cfg.n_servers = n;
+  return cfg;
+}
+
 WorkloadConfig mixed(double stop, double wf, std::uint64_t seed) {
   WorkloadConfig wl;
   wl.write_fraction = wf;
@@ -58,7 +65,7 @@ WorkloadConfig mixed(double stop, double wf, std::uint64_t seed) {
 // --------------------------------------------------------------------- ABD
 
 TEST(AbdBaseline, SequentialWriteRead) {
-  Fixture<AbdProtocol> f(SimClusterConfig{.n_servers = 3});
+  Fixture<AbdProtocol> f(sim_config(3));
   f.add_driver(0, mixed(0.3, 0.5, 1));
   f.run(0.3);
   EXPECT_GT(f.history.size(), 10u);
@@ -67,7 +74,7 @@ TEST(AbdBaseline, SequentialWriteRead) {
 }
 
 TEST(AbdBaseline, ConcurrentClientsLinearizable) {
-  Fixture<AbdProtocol> f(SimClusterConfig{.n_servers = 5});
+  Fixture<AbdProtocol> f(sim_config(5));
   for (int i = 0; i < 6; ++i) {
     f.add_driver(static_cast<ProcessId>(i % 5), mixed(0.3, 0.4, 10 + i));
   }
@@ -79,7 +86,7 @@ TEST(AbdBaseline, ConcurrentClientsLinearizable) {
 }
 
 TEST(AbdBaseline, ToleratesMinorityCrashes) {
-  SimClusterConfig cfg{.n_servers = 5};
+  SimClusterConfig cfg = sim_config(5);
   cfg.client_retry_timeout_s = 0.05;
   Fixture<AbdProtocol> f(cfg);
   for (int i = 0; i < 4; ++i) {
@@ -101,7 +108,7 @@ TEST(AbdBaseline, ToleratesMinorityCrashes) {
 TEST(AbdBaseline, ReadsDoWriteBack) {
   // A reader's write-back phase makes a subsequent reader see the same
   // value even if the writer stalled — white-box: server tags converge.
-  Fixture<AbdProtocol> f(SimClusterConfig{.n_servers = 3});
+  Fixture<AbdProtocol> f(sim_config(3));
   f.add_driver(0, mixed(0.05, 1.0, 3));  // brief writer
   f.add_driver(1, mixed(0.20, 0.0, 4));  // reader keeps reading
   f.run(0.25);
@@ -112,7 +119,7 @@ TEST(AbdBaseline, ReadsDoWriteBack) {
 TEST(AbdBaseline, ServesTheObjectNamespace) {
   // ABD over many registers: per-object quorum state, per-object
   // linearizability — the apples-to-apples setup for fig6/fig7 comparisons.
-  Fixture<AbdProtocol> f(SimClusterConfig{.n_servers = 3});
+  Fixture<AbdProtocol> f(sim_config(3));
   for (int i = 0; i < 4; ++i) {
     WorkloadConfig wl = mixed(0.3, 0.5, 40 + i);
     wl.n_objects = 6;
@@ -152,7 +159,7 @@ void run_namespace_history_check() {
   // All three baselines serve the keyed namespace: a multi-object mixed
   // workload stays per-object linearizable, registers hold independent
   // values, and tag spaces are per register (monotone within each object).
-  Fixture<Protocol> f(SimClusterConfig{.n_servers = 3});
+  Fixture<Protocol> f(sim_config(3));
   for (int i = 0; i < 4; ++i) {
     WorkloadConfig wl = mixed(0.3, 0.5, 40 + i);
     wl.n_objects = 5;
@@ -225,7 +232,7 @@ TEST(BaselinePort, ChainAndTobWorkThroughTheExperimentHarness) {
 // ------------------------------------------------------------------- chain
 
 TEST(ChainBaseline, SequentialWriteRead) {
-  Fixture<ChainProtocol> f(SimClusterConfig{.n_servers = 3});
+  Fixture<ChainProtocol> f(sim_config(3));
   f.add_driver(0, mixed(0.3, 0.5, 5));
   f.run(0.3);
   EXPECT_GT(f.history.size(), 10u);
@@ -234,7 +241,7 @@ TEST(ChainBaseline, SequentialWriteRead) {
 }
 
 TEST(ChainBaseline, ConcurrentClientsLinearizable) {
-  Fixture<ChainProtocol> f(SimClusterConfig{.n_servers = 4});
+  Fixture<ChainProtocol> f(sim_config(4));
   for (int i = 0; i < 6; ++i) {
     f.add_driver(static_cast<ProcessId>(i % 4), mixed(0.3, 0.4, 30 + i));
   }
@@ -245,7 +252,7 @@ TEST(ChainBaseline, ConcurrentClientsLinearizable) {
 }
 
 TEST(ChainBaseline, SurvivesMiddleAndTailCrash) {
-  SimClusterConfig cfg{.n_servers = 4};
+  SimClusterConfig cfg = sim_config(4);
   cfg.client_retry_timeout_s = 0.05;
   Fixture<ChainProtocol> f(cfg);
   for (int i = 0; i < 4; ++i) {
@@ -264,7 +271,7 @@ TEST(ChainBaseline, SurvivesMiddleAndTailCrash) {
 }
 
 TEST(ChainBaseline, SurvivesHeadCrash) {
-  SimClusterConfig cfg{.n_servers = 3};
+  SimClusterConfig cfg = sim_config(3);
   cfg.client_retry_timeout_s = 0.05;
   Fixture<ChainProtocol> f(cfg);
   for (int i = 0; i < 3; ++i) {
@@ -284,7 +291,7 @@ TEST(ChainBaseline, SurvivesHeadCrash) {
 // --------------------------------------------------------------------- TOB
 
 TEST(TobBaseline, SequentialWriteRead) {
-  Fixture<TobProtocol> f(SimClusterConfig{.n_servers = 3});
+  Fixture<TobProtocol> f(sim_config(3));
   f.add_driver(0, mixed(0.3, 0.5, 7));
   f.run(0.3);
   EXPECT_GT(f.history.size(), 10u);
@@ -293,7 +300,7 @@ TEST(TobBaseline, SequentialWriteRead) {
 }
 
 TEST(TobBaseline, ConcurrentClientsAcrossServers) {
-  Fixture<TobProtocol> f(SimClusterConfig{.n_servers = 5});
+  Fixture<TobProtocol> f(sim_config(5));
   for (int i = 0; i < 8; ++i) {
     f.add_driver(static_cast<ProcessId>(i % 5), mixed(0.3, 0.3, 60 + i));
   }
@@ -307,7 +314,7 @@ TEST(TobBaseline, ConcurrentClientsAcrossServers) {
 TEST(TobBaseline, TokenParksWhenIdle) {
   // After load stops, the simulator must reach quiescence — the token may
   // not spin forever (the park/nudge mechanism).
-  Fixture<TobProtocol> f(SimClusterConfig{.n_servers = 4});
+  Fixture<TobProtocol> f(sim_config(4));
   f.add_driver(2, mixed(0.05, 0.5, 70));
   f.run(0.05);
   // run() already drained to quiescence: if the token spun forever this

@@ -3,7 +3,8 @@
 // a row of core::kServerStatFields / core::kClientStatFields, the one list
 // each export walks. A stat renamed or dropped in the code then fails here,
 // not first in a CI run of tools/check_metrics.py. The schema's
-// "socket_counters" must be exported by the socket fabric and by no other.
+// "socket_counters" must be exported by the socket fabric and by no other,
+// its "inmem_counters" by the in-memory fabric and by no other.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -114,6 +115,20 @@ TEST(MetricsSchema, SocketCountersAreExportedBySocketsOnly) {
     EXPECT_FALSE(n.ends_with(".tx_flushes") || n.ends_with(".ready_polls") ||
                  n.ends_with(".ready_poll_hits"))
         << n << " is exported by the in-memory fabric";
+  }
+  // The in-memory fabric's futex-parked loops count their wakes and parks;
+  // sockets have no such loops.
+  const std::set<std::string> loop = schema_names("inmem_counters");
+  ASSERT_FALSE(loop.empty()) << "schema has no in-memory loop counters";
+  for (const std::string& n : loop) {
+    EXPECT_TRUE(inmem.contains(n)) << n << " is missing from an inmem export";
+  }
+  for (const char* n : {"net.host.s0.loop_wakes", "net.host.s0.parks"}) {
+    EXPECT_TRUE(inmem.contains(n)) << n << " is missing from an inmem export";
+  }
+  for (const std::string& n : tcp) {
+    EXPECT_FALSE(n.ends_with(".loop_wakes") || n.ends_with(".parks"))
+        << n << " is exported by the socket fabric";
   }
 }
 

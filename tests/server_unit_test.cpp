@@ -5,9 +5,12 @@
 // meter the heap (heap_meter.h) to pin what an idle register costs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "core/register_index.h"
 #include "core/server.h"
 #include "harness/sim_cluster.h"
+#include "harness/threaded_cluster.h"
 #include "harness/workload.h"
 #include "heap_meter.h"
 #include "lincheck/checker.h"
@@ -476,6 +480,30 @@ void pass_write_through(RingServer& s, ServerContext& ctx, ObjectId obj,
   ASSERT_FALSE(s.has_ring_traffic());
 }
 
+TEST(RingServerUnit, OutOfOrderCompletionsWaitAboveAGap) {
+  // D6 over one client's writes 1, 3, 2 (each on its own register): write 3
+  // completes past the gap of write 2 and waits in `above`, which stays
+  // non-empty until write 2 completes and the watermark covers all three.
+  LastReplyCtx ctx;
+  RingServer s(1, 3);
+  const auto window = [&s] {
+    const std::vector<MigrateDedup::Window> w = s.completed_windows();
+    EXPECT_EQ(w.size(), 1u);
+    return w.empty() ? MigrateDedup::Window{} : w.front();
+  };
+  pass_write_through(s, ctx, /*obj=*/1, /*req=*/1, Value::synthetic(1, 64));
+  EXPECT_EQ(window().watermark, 1u);
+  EXPECT_TRUE(window().above.empty());
+
+  pass_write_through(s, ctx, /*obj=*/2, /*req=*/3, Value::synthetic(3, 64));
+  EXPECT_EQ(window().watermark, 1u);
+  EXPECT_EQ(window().above, std::vector<RequestId>{3});
+
+  pass_write_through(s, ctx, /*obj=*/3, /*req=*/2, Value::synthetic(2, 64));
+  EXPECT_EQ(window().watermark, 3u);
+  EXPECT_TRUE(window().above.empty());
+}
+
 TEST(RegisterFootprint, IdleRegisterCostsItsValuePlusAtMost200Bytes) {
   if (!hts::test::kHeapMetered) GTEST_SKIP() << hts::test::kHeapMeterOffReason;
   // The read_proc deployment's shape: thousands of 1 KiB registers, each
@@ -529,6 +557,56 @@ TEST(RegisterFootprint, ReadOfAnIdleRegisterAllocatesOnlyItsReply) {
   ctx.last.reset();
   EXPECT_EQ(hts::test::heap_now().live_bytes, before.live_bytes);
   EXPECT_EQ(s.active_registers(), 0u);
+}
+
+/// Heap allocations of one blocking in-memory op on a settled 3-server
+/// ThreadedCluster: the fewest over several tries, so a loop woken by a
+/// stale retry timer in the middle of one try does not count.
+/// Pinned by the test below: an allocation added to (or cut from) the
+/// in-memory op path shows up here.
+constexpr std::uint64_t kWriteAllocations = 7;
+constexpr std::uint64_t kReadAllocations = 5;
+
+template <typename Op>
+std::uint64_t fewest_allocations(harness::ThreadedCluster& cluster, Op op) {
+  std::uint64_t fewest = UINT64_MAX;
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_TRUE(cluster.wait_quiescent(5.0));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));  // loops park
+    const std::uint64_t before = hts::test::heap_now().calls;
+    op();
+    fewest = std::min(fewest, hts::test::heap_now().calls - before);
+  }
+  return fewest;
+}
+
+TEST(OpAllocations, SequentialInMemWriteAndReadOnAThreeServerRing) {
+  if (!hts::test::kHeapMetered) GTEST_SKIP() << hts::test::kHeapMeterOffReason;
+  // With every loop parked, one caller's op runs the whole ring on its own
+  // thread. What it allocates is its messages (one per hop), the write's
+  // value copy and the client's pending record.
+  harness::ThreadedClusterConfig cfg;
+  cfg.n_servers = 3;
+  cfg.record_history = false;
+  harness::ThreadedCluster cluster(cfg);
+  auto& client = cluster.add_client(0);
+  cluster.start();
+  const Value v = Value::synthetic(1, 256);
+  for (int i = 0; i < 4; ++i) {  // warm: registers, windows, capacities
+    client.write(5, v);
+    (void)client.read(5);
+  }
+  const std::uint64_t write = fewest_allocations(cluster, [&] {
+    client.write(5, v);
+  });
+  const std::uint64_t read = fewest_allocations(cluster, [&] {
+    (void)client.read(5);
+  });
+  std::printf("allocations per in-memory write: %llu, per read: %llu\n",
+              static_cast<unsigned long long>(write),
+              static_cast<unsigned long long>(read));
+  EXPECT_EQ(write, kWriteAllocations);
+  EXPECT_EQ(read, kReadAllocations);
 }
 
 TEST(RingServerUnit, CommittedPreWriteStaysSuppressedOnAnIdleRegister) {

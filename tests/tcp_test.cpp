@@ -1114,6 +1114,31 @@ TEST(ProcCluster, StopReleasesABlockedGet) {
   EXPECT_EQ(errno, ECHILD);
 }
 
+TEST(ProcCluster, StopReleasesABlockedPut) {
+  // A put waits on a stopped server 0, with a retry timeout far beyond the
+  // test. Its loop-driven client never completes it once the transport
+  // stops: stop() from another thread must make it throw within 1 s.
+  ProcClusterConfig cfg;
+  cfg.n_servers = 3;
+  cfg.client_retry_timeout_s = 60.0;
+  ProcCluster cluster(cfg);
+  cluster.start();
+  cluster.put(1, Value::synthetic(31, 128));
+  stop_server(cluster, 0);
+  auto put = std::async(std::launch::async,
+                        [&] { cluster.put(1, Value::synthetic(32, 128)); });
+  EXPECT_EQ(put.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+  const auto stopping = std::chrono::steady_clock::now();
+  std::thread stopper([&] { cluster.stop(); });
+  ASSERT_EQ(put.wait_until(stopping + std::chrono::seconds(1)),
+            std::future_status::ready);
+  EXPECT_THROW(put.get(), std::runtime_error);
+  stopper.join();
+  // Later puts throw at once.
+  EXPECT_THROW(cluster.put(1, Value::synthetic(33, 128)), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace hts::harness
 

@@ -531,6 +531,127 @@ TEST(InMemTransport, TimerArmedInsideAnInlineDeliveryFires) {
   t.stop();
 }
 
+/// `addr`'s counters in `t`'s link export.
+obs::LinkCounters counters_of(const InMemTransport& t, NodeAddress addr) {
+  const std::string label =
+      (addr.kind == NodeAddress::Kind::kServer ? "s" : "c") +
+      std::to_string(addr.id);
+  for (const obs::LinkCounters& c : t.link_counters()) {
+    if (c.label == label) return c;
+  }
+  ADD_FAILURE() << label << " is not in the link export";
+  return {};
+}
+
+TEST(InMemTransport, HolderDrainsContendedMailWithoutWakingTheLoop) {
+  // A caller's execute() holds a parked node inline while a foreign thread
+  // posts kMessages messages into it one at a time, each only once the one
+  // before is being handled: more than two drain rounds' worth. The holder
+  // handles every one itself before it lets go, and the node's loop is
+  // never woken.
+  constexpr int kMessages = 5;
+  InMemTransport t(0.001);
+  const NodeAddress a = NodeAddress::client(1);
+  const NodeAddress foreign = NodeAddress::client(99);  // never registered
+  std::atomic<int> requested{0}, posted{0};
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  // Asks the foreign thread for message `k` and waits until it is posted.
+  const auto request_and_wait = [&](int k) {
+    requested = k;
+    while (posted.load() < k) std::this_thread::yield();
+  };
+  t.register_node(a, [&](NodeAddress, PayloadPtr m) {
+    {
+      const std::scoped_lock lock(mu);
+      ran_on.push_back(std::this_thread::get_id());
+    }
+    const auto k = static_cast<int>(req_of(*m));
+    if (k < kMessages) request_and_wait(k + 1);
+  });
+  t.start();
+
+  std::atomic<bool> held_inline{false};
+  for (int i = 0; i < 20 && !held_inline.load(); ++i) {
+    ASSERT_TRUE(settle_and_park(t));
+    requested = 0;
+    posted = 0;
+    {
+      const std::scoped_lock lock(mu);
+      ran_on.clear();
+    }
+    const std::uint64_t wakes_before =
+        counters_of(t, a).loop_wakes.value_or(0);
+    std::thread poster([&] {
+      for (int k = 1; k <= kMessages; ++k) {
+        while (requested.load() < k) std::this_thread::yield();
+        t.send(foreign, a, ping(static_cast<RequestId>(k)));
+        posted = k;
+      }
+    });
+    std::atomic<std::thread::id> caller{};
+    std::thread holder([&] {
+      caller = std::this_thread::get_id();
+      t.execute(a, [&] {
+        held_inline = std::this_thread::get_id() == caller.load();
+        request_and_wait(1);
+      });
+    });
+    holder.join();
+    poster.join();
+    ASSERT_TRUE(t.wait_quiescent(5.0));
+    if (!held_inline.load()) continue;  // the loop was awake: try again
+    const std::scoped_lock lock(mu);
+    ASSERT_EQ(ran_on.size(), static_cast<std::size_t>(kMessages));
+    for (int k = 0; k < kMessages; ++k) {
+      EXPECT_EQ(ran_on[k], caller.load()) << "message " << k + 1
+                                   << " was handed to the loop thread";
+    }
+    const obs::LinkCounters c = counters_of(t, a);
+    ASSERT_TRUE(c.loop_wakes.has_value());
+    EXPECT_EQ(*c.loop_wakes, wakes_before) << "the holder woke the loop";
+  }
+  EXPECT_TRUE(held_inline.load()) << "execute() never ran inline";
+  t.stop();
+}
+
+TEST(InMemTransport, NodeRegisteredWhileRunningIsFoundFromAnotherThread) {
+  // A ring spawn registers servers while the transport runs. A thread that
+  // keeps sending to each new address (a send to an unknown node is
+  // dropped) finds the node once it is registered: its sends arrive and
+  // is_up() holds.
+  constexpr int kSpawned = 4;
+  InMemTransport t(0.001);
+  const NodeAddress sender = NodeAddress::client(1);
+  t.register_node(sender, [](NodeAddress, PayloadPtr) {});
+  t.start();
+  std::atomic<int> received[kSpawned] = {};
+  std::atomic<bool> done{false};
+  std::atomic<int> found{0};
+  std::thread looker([&] {
+    for (int i = 0; i < kSpawned && !done.load(); ++i) {
+      const NodeAddress target = NodeAddress::server(10 + i);
+      while (!done.load() && received[i].load() == 0) {
+        t.send(sender, target, ping(static_cast<RequestId>(i)));
+        std::this_thread::yield();
+      }
+      if (t.is_up(target)) ++found;
+    }
+  });
+  for (int i = 0; i < kSpawned; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    t.register_node(NodeAddress::server(10 + i),
+                    [&, i](NodeAddress, PayloadPtr) { ++received[i]; });
+  }
+  const bool all = within_ms(5000, [&] { return found.load() == kSpawned; });
+  done = true;
+  looker.join();
+  EXPECT_TRUE(all) << "found " << found.load() << " of " << kSpawned;
+  ASSERT_TRUE(t.wait_quiescent(5.0));
+  for (int i = 0; i < kSpawned; ++i) EXPECT_GE(received[i].load(), 1);
+  t.stop();
+}
+
 /// One exemplar per MsgKind (1..17), with off-default object/epoch variants
 /// so the flagged header paths are covered too. The transport-parity
 /// invariant (tools/hts_lint.py) requires every kind listed here.

@@ -17,7 +17,10 @@ Checks, in order:
      are the same quantity computed two ways);
   5. socket counters: an export with any "*.tx_flushes" counter (the
      socket fabric's) must have every name in "socket_counters", and for
-     every "<x>.ready_polls" a "<x>.ready_poll_hits" no larger than it.
+     every "<x>.ready_polls" a "<x>.ready_poll_hits" no larger than it;
+  6. in-memory loop counters: an export with any "*.loop_wakes" counter
+     (the in-memory fabric's) must have every name in "inmem_counters", a
+     "<x>.parks" for every "<x>.loop_wakes", and no socket counter.
 
 Exits 0 and prints a one-line summary on success; prints every failure and
 exits 1 otherwise. Stdlib only.
@@ -138,6 +141,22 @@ def check_socket(schema, counters):
             fail(f"{hits_name} = {hits} exceeds {name} = {polls}")
 
 
+def check_inmem(schema, counters):
+    wakes = [n for n in counters if n.endswith(".loop_wakes")]
+    if not wakes:
+        return
+    for name in schema.get("inmem_counters", []):
+        if name not in counters:
+            fail(f"in-memory export lacks {name!r}")
+    for name in wakes:
+        parks_name = name[:-len("loop_wakes")] + "parks"
+        if parks_name not in counters:
+            fail(f"{name!r} has no {parks_name!r}")
+    for name in counters:
+        if name.endswith((".tx_flushes", ".ready_polls", ".ready_poll_hits")):
+            fail(f"in-memory export has the socket counter {name!r}")
+
+
 def main(argv):
     if len(argv) < 2 or len(argv) > 3:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -174,6 +193,7 @@ def main(argv):
         check_trace(trace)
     check_cross(schema, counters, hists)
     check_socket(schema, counters)
+    check_inmem(schema, counters)
 
     if errors:
         for e in errors:

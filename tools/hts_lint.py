@@ -11,7 +11,7 @@ clang-tidy and the -Wthread-safety pass (DESIGN.md D10):
   raii-locking       no naked .lock()/.unlock()/.lock_shared()/... calls in
                      src/ outside the annotated wrapper
                      (src/common/thread_annotations.h) — locking is RAII
-                     via sync::MutexLock/WriterLock/ReaderLock only, so the
+                     via sync::MutexLock and its siblings only, so the
                      thread-safety analysis sees every critical section.
   probe-null-guard   every obs probe dereference (`rec->`, `recorder->`)
                      sits within a few lines of a null guard — probes are
@@ -223,9 +223,9 @@ def check_raii_locking(files: dict[str, str]) -> list[Violation]:
             if NAKED_LOCK_RE.search(code):
                 out.append(Violation(
                     "raii-locking", path, ln,
-                    "naked mutex lock/unlock call — use sync::MutexLock/"
-                    "WriterLock/ReaderLock so the thread-safety analysis "
-                    "sees the critical section"))
+                    "naked mutex lock/unlock call — use sync::MutexLock "
+                    "so the thread-safety analysis sees the critical "
+                    "section"))
     return out
 
 
