@@ -207,8 +207,8 @@ obs::LinkCounters NodeLoop::counters() const {
                       rx_messages_.load(std::memory_order_relaxed),
                       rx_bytes_.load(std::memory_order_relaxed)};
   if (epoll_fd_ < 0) {  // a futex-parked loop
-    c.loop_wakes = loop_wakes();
-    c.parks = parks();
+    c.loop_wakes = loop_wakes_.load(std::memory_order_relaxed);
+    c.parks = parks_.load(std::memory_order_relaxed);
   }
   return c;
 }

@@ -216,14 +216,6 @@ class NodeLoop {
   [[nodiscard]] std::uint64_t ready_poll_hits() const {
     return ready_poll_hits_.load(std::memory_order_relaxed);
   }
-  /// A futex-parked loop's wakes (futex wakes other threads sent it) and
-  /// parks (futex waits it entered).
-  [[nodiscard]] std::uint64_t loop_wakes() const {
-    return loop_wakes_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t parks() const {
-    return parks_.load(std::memory_order_relaxed);
-  }
 
   // ------------------------------------ loop thread (or before start())
   /// Switches the loop from futex parking to epoll: creates the epoll set
@@ -364,7 +356,7 @@ class NodeLoop {
   std::atomic<std::uint64_t> rx_bytes_{0};
   std::atomic<std::uint64_t> ready_polls_{0};
   std::atomic<std::uint64_t> ready_poll_hits_{0};
-  std::atomic<std::uint64_t> parks_{0};
+  std::atomic<std::uint64_t> parks_{0};  // futex waits entered
 
   // Charged by the sending transport on the sender's thread.
   alignas(kCacheLine) std::atomic<std::uint64_t> tx_messages_{0};
@@ -378,7 +370,7 @@ class NodeLoop {
   /// While another thread runs this (parked) node inline: posts leave their
   /// mail to that thread instead of waking the loop.
   std::atomic<bool> held_{false};
-  std::atomic<std::uint64_t> loop_wakes_{0};
+  std::atomic<std::uint64_t> loop_wakes_{0};  // futex wakes sent the loop
 
   std::thread thread_;  // declared last: the loop touches everything above
 };
