@@ -85,9 +85,9 @@
 // does (nodes are never deregistered, so there are at most as many as
 // nodes).
 //
-// Layout: the fields other threads write sit on cache lines of their own —
-// the mailbox (posters), the run-lock state (the thread running the node),
-// the tx counters (the sending node's thread) and the parking words
+// Layout: the fields other threads write are kept off each other's cache
+// lines — the mailbox (posters), the run-lock state (the thread running the
+// node), the tx counters (the sending node's thread) and the parking words
 // (wakers) — so a poster does not invalidate the line the holder works on.
 //
 // Quiescence: a message or an execute() closure counts as work from the
@@ -155,7 +155,7 @@ class NodeLoop {
   /// loop (see the file comment): bounds how long other threads' mail can
   /// keep one caller's run going.
   static constexpr int kHolderDrainCap = 16;
-  /// The unit the layout below separates fields by.
+  /// The gap the layout below leaves between field groups.
   static constexpr std::size_t kCacheLine = 64;
   /// Non-blocking polls one turn of an epoll loop may add after its
   /// blocking wait (see the file comment): a flood of ready events delays
@@ -333,14 +333,20 @@ class NodeLoop {
   /// While a drive runs turns: the node counts for quiescence only then.
   std::atomic<bool> driving_{false};
 
+  // Field groups written by different threads are kCacheLine bytes apart,
+  // so no two share a cache line. Padding, not alignas: an over-aligned
+  // NodeLoop would take the aligned operator new, and with it more
+  // resident pages per process.
+  [[maybe_unused]] char gap0_[kCacheLine];
   // Posters: the mailbox and the acceptance count every post bumps.
-  alignas(kCacheLine) mutable sync::Mutex mu_;
+  mutable sync::Mutex mu_;
   std::vector<Mail> mailbox_ HTS_GUARDED_BY(mu_);
   std::atomic<std::uint64_t> accepted_{0};
 
+  [[maybe_unused]] char gap1_[kCacheLine];
   /// Held by the loop thread whenever it is not parked, and by a thread
   /// running work inline on this node; it guards the loop-thread state.
-  alignas(kCacheLine) sync::Mutex run_mu_;
+  sync::Mutex run_mu_;
   /// From wake-up until the loop blocks again (or while before_block
   /// reports held work).
   std::atomic<bool> busy_{false};
@@ -358,19 +364,22 @@ class NodeLoop {
   std::atomic<std::uint64_t> ready_poll_hits_{0};
   std::atomic<std::uint64_t> parks_{0};  // futex waits entered
 
+  [[maybe_unused]] char gap2_[kCacheLine];
   // Charged by the sending transport on the sender's thread.
-  alignas(kCacheLine) std::atomic<std::uint64_t> tx_messages_{0};
+  std::atomic<std::uint64_t> tx_messages_{0};
   std::atomic<std::uint64_t> tx_bytes_{0};
 
+  [[maybe_unused]] char gap3_[kCacheLine];
   /// Futex parking (fd-less loops): wake() bumps the word; the loop sleeps
   /// only while it still holds the value read before its last checks.
-  alignas(kCacheLine) std::atomic<std::uint32_t> wake_seq_{0};
+  std::atomic<std::uint32_t> wake_seq_{0};
   /// Between releasing the run lock to park and taking it back.
   std::atomic<bool> parked_{false};
   /// While another thread runs this (parked) node inline: posts leave their
   /// mail to that thread instead of waking the loop.
   std::atomic<bool> held_{false};
   std::atomic<std::uint64_t> loop_wakes_{0};  // futex wakes sent the loop
+  [[maybe_unused]] char gap4_[kCacheLine];
 
   std::thread thread_;  // declared last: the loop touches everything above
 };

@@ -436,7 +436,9 @@ TEST(InMemTransport, LinksStayFifoUnderMixedInlineAndPostedDelivery) {
   // holds it; no message may overtake an earlier one of its stream still
   // in the sink's mailbox. Three storms run, each checked, and more (up to
   // ten) until one has mixed both paths: a loaded machine may keep the sink
-  // from parking.
+  // from parking. A holder drains the sink's mailbox until it is empty, so
+  // the sink also arms a due timer now and then: its loop wakes to fire it
+  // and takes the mail posted meanwhile, racing the senders' inline runs.
   constexpr int kSenders = 3;
   constexpr RequestId kPerSender = 3000;
   InMemTransport t(0.001);
@@ -446,20 +448,25 @@ TEST(InMemTransport, LinksStayFifoUnderMixedInlineAndPostedDelivery) {
   std::map<ProcessId, std::vector<RequestId>> got;
   std::thread::id sink_loop{};
   std::uint64_t inline_runs = 0, loop_runs = 0;
-  t.register_node(sink, [&](NodeAddress from, PayloadPtr m) {
-    if (from == sink) {
-      sink_loop = std::this_thread::get_id();
-      pin_to_cpu(0);
-      return;
-    }
-    got[static_cast<ProcessId>(from.id)].push_back(req_of(*m));
-    ++(std::this_thread::get_id() == sink_loop ? loop_runs : inline_runs);
-    // Now and then hold the sink while asleep, so other senders find it
-    // taken and post — then race its loop for the run lock once it is free.
-    if (req_of(*m) % 8 == 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  });
+  t.register_node(
+      sink,
+      [&](NodeAddress from, PayloadPtr m) {
+        if (from == sink) {
+          sink_loop = std::this_thread::get_id();
+          pin_to_cpu(0);
+          return;
+        }
+        got[static_cast<ProcessId>(from.id)].push_back(req_of(*m));
+        ++(std::this_thread::get_id() == sink_loop ? loop_runs : inline_runs);
+        // Now and then hold the sink while asleep, so other senders find
+        // it taken and post — then race its loop for the run lock once it
+        // is free.
+        if (req_of(*m) % 8 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        if (req_of(*m) % 128 == 0) t.arm_timer(sink, 0.0, 1);
+      },
+      nullptr, [](std::uint64_t) {});
   for (ProcessId p = 1; p <= kSenders; ++p) {
     const NodeAddress self = NodeAddress::server(p);
     t.register_node(self, [&t, self, sink](NodeAddress, PayloadPtr) {
