@@ -126,7 +126,6 @@ double ClientSession::transmit(Op& op, ClientContext& ctx) {
                                    id_, op.req, op.value, op.object, epoch_));
   }
   const double delay = opts_.retry_timeout;
-  probe_.record_backoff(delay);
   op.retry_at = ctx.now() + delay;
   op.retry_seq = ++retry_seq_;
   return delay;

@@ -15,13 +15,10 @@
 namespace hts::harness {
 
 namespace {
-// One histogram shape per name for every fabric, so their exports validate
-// against one schema: every server feeds "ring.batch_fill" (its mean is
-// exactly ring messages / transmissions, the RingTraffic fill factor) and
-// every session one backoff-delay histogram.
+// One histogram shape for every fabric, so their exports validate against
+// one schema: every server feeds "ring.batch_fill" (its mean is exactly ring
+// messages / transmissions, the RingTraffic fill factor).
 const std::vector<double> kBatchFillBounds = {1, 2, 4, 8, 16, 32, 64, 128};
-const std::vector<double> kBackoffBounds = {0.001, 0.01, 0.1, 0.25,
-                                            0.5,   1,    2,   4,   8};
 
 net::NodeAddress server_addr(ProcessId p) {
   return net::NodeAddress::server(p);
@@ -91,10 +88,7 @@ TransportClientHost& DeploymentCore::add_client_host(ProcessId preferred,
       *transport_, core::ClientSession(id, opts), history);
   core::ClientSession& session = host->session();
   if (recorder_ != nullptr) {
-    session.attach_obs(obs::ClientProbe{
-        recorder_, id,
-        recorder_->registry().histogram("client.backoff_delay_s",
-                                        kBackoffBounds)});
+    session.attach_obs(obs::ClientProbe{recorder_, id});
   }
   session.set_view_provider([reg = registry_] { return reg->get(); });
   host->register_node();

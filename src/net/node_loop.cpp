@@ -112,7 +112,7 @@ bool NodeLoop::try_run_inline(Fn&& fn) {
   // inside this one, or another thread's — is handled here, until none is
   // left, before the loop could take it.
   for (int round = 0; round < kHolderDrainCap && !mailbox_empty(); ++round) {
-    drain_mailbox(*hooks_);
+    drain_mailbox();
   }
   --tl_depth;
   tl_node = caller;
@@ -137,15 +137,7 @@ void NodeLoop::deliver(NodeAddress from, PayloadPtr msg) {
       })) {
     return;
   }
-  post(Mail{Mail::Kind::kMessage, from, std::move(msg), {}, {}});
-}
-
-void NodeLoop::post_send(NodeAddress to, PayloadPtr msg) {
-  post(Mail{Mail::Kind::kSend, to, std::move(msg), {}, {}});
-}
-
-void NodeLoop::post_sever() {
-  post(Mail{Mail::Kind::kSever, {}, nullptr, {}, {}});
+  post(Mail{from, std::move(msg), {}});
 }
 
 bool NodeLoop::mailbox_empty() const {
@@ -158,7 +150,7 @@ void NodeLoop::execute(std::function<void()> fn) {
   // Inline only from a thread doing no node's work: a loop thread, or a
   // closure already running inline, posts.
   if (tl_node == nullptr && try_run_inline(fn)) return;
-  post(Mail{Mail::Kind::kExecute, {}, nullptr, {}, std::move(fn)});
+  post(Mail{{}, nullptr, std::move(fn)});
 }
 
 void NodeLoop::arm(clk::SteadyTime at, std::uint64_t token,
@@ -171,7 +163,12 @@ void NodeLoop::arm(clk::SteadyTime at, std::uint64_t token,
     run_mu_.assert_held();
     push_timer(t);
   } else {
-    post(Mail{Mail::Kind::kTimer, {}, nullptr, t, {}});
+    // On a parked fd-less loop the closure may run inline; try_run_inline
+    // then wakes the loop if this deadline precedes the one it sleeps until.
+    execute([this, t] {
+      run_mu_.assert_held();
+      push_timer(t);
+    });
   }
 }
 
@@ -188,10 +185,11 @@ bool NodeLoop::quiet() const {
     const sync::MutexLock lock(mu_);
     if (!mailbox_.empty()) return false;
   }
+  // A crashed node owes nothing: its notices and work are never done.
   return !busy_.load(std::memory_order_acquire) &&
-         notices_.load(std::memory_order_acquire) == 0 &&
-         (!up() || consumed_.load(std::memory_order_acquire) ==
-                       accepted_.load(std::memory_order_acquire));
+         (!up() || (notices_.load(std::memory_order_acquire) == 0 &&
+                    consumed_.load(std::memory_order_acquire) ==
+                        accepted_.load(std::memory_order_acquire)));
 }
 
 void NodeLoop::count_tx(std::size_t bytes) {
@@ -209,6 +207,9 @@ obs::LinkCounters NodeLoop::counters() const {
   if (epoll_fd_ < 0) {  // a futex-parked loop
     c.loop_wakes = loop_wakes_.load(std::memory_order_relaxed);
     c.parks = parks_.load(std::memory_order_relaxed);
+  } else {
+    c.ready_polls = ready_polls_.load(std::memory_order_relaxed);
+    c.ready_poll_hits = ready_poll_hits_.load(std::memory_order_relaxed);
   }
   return c;
 }
@@ -327,13 +328,18 @@ void NodeLoop::run(Hooks& hooks, const std::atomic<bool>& stopping) {
       // load makes the futex wait return at once.
       const std::uint32_t seq = wake_seq_.load(std::memory_order_acquire);
       if (stopping.load(std::memory_order_acquire)) break;
+      // crash() marked the node down and woke the loop.
+      if (!up() && !severed_) {
+        severed_ = true;
+        hooks.on_sever(*this);
+      }
       busy_.store(hooks.before_block(*this), std::memory_order_release);
       if (epoll_fd_ >= 0) {
         if (!turn(hooks, kNever)) break;
       } else {
         park(seq);
         busy_.store(true, std::memory_order_release);
-        drain_mailbox(hooks);
+        drain_mailbox();
         fire_timers();
       }
     }
@@ -384,7 +390,7 @@ int NodeLoop::wait_events(Hooks& hooks, bool block, clk::SteadyTime until) {
       std::uint64_t drained = 0;
       [[maybe_unused]] const ssize_t r =
           ::read(wake_fd_, &drained, sizeof(drained));
-      drain_mailbox(hooks);
+      drain_mailbox();
     } else {
       hooks.on_io(*this, events[i].data.ptr, events[i].events);
     }
@@ -404,34 +410,20 @@ void NodeLoop::park(std::uint32_t seq) {
   parked_.store(false, std::memory_order_release);
 }
 
-void NodeLoop::drain_mailbox(Hooks& hooks) {
+void NodeLoop::drain_mailbox() {
   {
     // Swapping keeps both vectors' capacity: no allocation in steady state.
     const sync::MutexLock lock(mu_);
     inbox_.swap(mailbox_);
   }
   for (Mail& m : inbox_) {
-    switch (m.kind) {
-      case Mail::Kind::kMessage: {
-        const std::size_t bytes = m.msg->wire_size();
-        dispatch(m.peer, std::move(m.msg), bytes);
-        settle(1);
-        break;
-      }
-      case Mail::Kind::kSend:
-        if (up()) hooks.on_send(*this, m.peer, *m.msg);
-        break;
-      case Mail::Kind::kTimer:
-        push_timer(m.timer);
-        break;
-      case Mail::Kind::kSever:
-        hooks.on_sever(*this);
-        break;
-      case Mail::Kind::kExecute:
-        if (up()) m.fn();
-        settle(1);
-        break;
+    if (m.msg != nullptr) {
+      const std::size_t bytes = m.msg->wire_size();
+      dispatch(m.peer, std::move(m.msg), bytes);
+    } else if (up()) {
+      m.fn();
     }
+    settle(1);
   }
   inbox_.clear();
 }
@@ -559,9 +551,9 @@ void LoopTransport::crash(NodeAddress addr) {
          "only server crashes are detected by peers");
   if (NodeLoop* n = find(addr); n != nullptr) {
     // Down at once: no send or delivery after this. The node's own loop
-    // severs what it owns at its next wake-up.
+    // severs what it owns when this wakes it.
     if (!n->mark_down()) return;
-    n->post_sever();
+    n->wake();
   }
   schedule_crash_notice(static_cast<ProcessId>(addr.id));
 }

@@ -8,9 +8,8 @@
 // loop's sleep, and the node's three handlers, which it runs serialized —
 // messages, timers and crash notices alike. A transport plugs in through
 // Hooks: the fds it watches on the loop's epoll set, a step before the loop
-// blocks, sends posted by other threads, and what a crash or a stop does to
-// its connections. The loop never knows which transport it serves;
-// InMemTransport plugs in nothing.
+// blocks, and what a crash or a stop does to its connections. The loop
+// never knows which transport it serves; InMemTransport plugs in nothing.
 //
 // Parking: whether the loop has an epoll set picks how it sleeps. A loop
 // with one (every TcpTransport node, from make_node on) blocks in
@@ -73,10 +72,19 @@
 // (stop()) still reaches it and it resumes once the holder lets go.
 //
 // Everything else is posted: foreign-thread messages, self-sends,
-// execute() from a thread doing a node's work, and every TCP hand-over. The
-// empty-mailbox rule keeps one caller's closures in call order and every
-// link FIFO: a parked loop has handled everything posted to it before, and
-// a held node takes no second inline run until its holder has drained it.
+// execute() from a thread doing a node's work, and every TCP hand-over.
+// The mailbox holds two kinds of item, messages and closures; a transport's
+// other foreign-thread work (a TCP send, a timer armed off the loop) travels
+// as a closure. The empty-mailbox rule keeps one caller's closures in call
+// order and every link FIFO: a parked loop has handled everything posted
+// to it before, and a held node takes no second inline run until its
+// holder has drained it.
+//
+// Crash: crash() marks the node down and wakes its loop, which runs
+// Hooks::on_sever once at the top of its next turn. From the crash on,
+// mail still queued for the node is dropped unrun, as are timers and
+// crash notices that fall due on it. Only servers crash, and no server is
+// driven, so every node that severs has a loop thread.
 //
 // LoopTransport is the core both transports share around their loops: the
 // node registry, crash-notice scheduling, link counters and the quiescence
@@ -90,15 +98,17 @@
 // node), the tx counters (the sending node's thread) and the parking words
 // (wakers) — so a poster does not invalidate the line the holder works on.
 //
-// Quiescence: a message or an execute() closure counts as work from the
-// moment it is accepted for a node (a mailbox post, an inline run, or a TCP
-// frame staged for a node of this transport) until its handler returns or
-// it is dropped. wait_quiescent() returns true once one sweep, during which
-// nothing was accepted anywhere, finds every node with an empty mailbox,
-// outside any handler, holding no unflushed egress, with no crash notice
-// pending and — if it is up — no accepted work left to consume. A link into
-// a crashed node carries no work; a crashed node's sever settles the frames
-// it staged but never wrote. Plain timers still pending do not count.
+// Quiescence: a message or a closure counts as work from the moment it is
+// accepted for a node (a mailbox post, an inline run, or a TCP frame staged
+// for a node of this transport) until it runs or is dropped; each is
+// settled exactly once. wait_quiescent() returns true once one sweep,
+// during which nothing was accepted anywhere, finds every node with an
+// empty mailbox, outside any handler, holding no unflushed egress and — if
+// it is up — with no crash notice pending and no accepted work left to
+// consume. A crashed node owes nothing: what it was owed is never done. A
+// link into a crashed node carries no work; a crashed node's sever settles
+// the frames it staged but never wrote. Plain timers still pending do not
+// count.
 #pragma once
 
 #include <atomic>
@@ -139,10 +149,8 @@ class NodeLoop {
     /// epoll loop polls again for ready events only while it has (see the
     /// turn in the file comment).
     virtual bool has_staged(NodeLoop& /*n*/) { return false; }
-    /// A send another thread posted for this node (post_send).
-    virtual void on_send(NodeLoop& /*n*/, NodeAddress /*to*/,
-                         const Payload& /*msg*/) {}
-    /// The node crashed: drop what it owns, without goodbyes.
+    /// The node crashed: drop what it owns, without goodbyes. The loop
+    /// calls it once, on the first turn after the crash woke it.
     virtual void on_sever(NodeLoop& /*n*/) {}
     /// The loop is exiting because the transport stops.
     virtual void on_stop(NodeLoop& /*n*/) {}
@@ -180,21 +188,17 @@ class NodeLoop {
   /// runs its handler inline when the file comment's rule allows, else
   /// posts it to the loop.
   void deliver(NodeAddress from, PayloadPtr msg) HTS_EXCLUDES(mu_);
-  /// Hands a send to the loop (Hooks::on_send).
-  void post_send(NodeAddress to, PayloadPtr msg);
-  /// Asks the loop to run Hooks::on_sever.
-  void post_sever();
   /// Runs `fn` serialized with this node's handlers — inline on the calling
   /// thread while the loop stays parked, when the file comment's rule
   /// allows, else on the loop. Dropped, unrun, if the node is down by then.
   void execute(std::function<void()> fn) HTS_EXCLUDES(run_mu_, mu_);
   /// Arms a timer, or a crash notice when `crashed` is a process id. On the
   /// loop thread (or inside work run inline on this node) this pushes onto
-  /// the heap; elsewhere it posts.
+  /// the heap; elsewhere it hands execute() a closure that does.
   void arm(clk::SteadyTime at, std::uint64_t token,
            ProcessId crashed = kNoProcess);
   /// Quiescence accounting: one more message or closure accepted for this
-  /// node, and `n` of them consumed or dropped.
+  /// node, and `n` of them run or dropped.
   void expect() { accepted_.fetch_add(1, std::memory_order_acq_rel); }
   void settle(std::uint64_t n) {
     consumed_.fetch_add(n, std::memory_order_acq_rel);
@@ -208,14 +212,6 @@ class NodeLoop {
   void count_tx(std::size_t bytes);
   /// A transport that counts more per node adds it to these.
   [[nodiscard]] virtual obs::LinkCounters counters() const;
-  /// An epoll loop's non-blocking polls (the rounds a turn adds after its
-  /// blocking wait), and how many of them found an event.
-  [[nodiscard]] std::uint64_t ready_polls() const {
-    return ready_polls_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t ready_poll_hits() const {
-    return ready_poll_hits_.load(std::memory_order_relaxed);
-  }
 
   // ------------------------------------ loop thread (or before start())
   /// Switches the loop from futex parking to epoll: creates the epoll set
@@ -273,19 +269,11 @@ class NodeLoop {
     std::uint64_t token = 0;
     ProcessId crashed = kNoProcess;
   };
-  /// Work posted by another thread.
+  /// Work posted by another thread: a message from `peer`, or a closure.
   struct Mail {
-    enum class Kind : std::uint8_t {
-      kMessage,
-      kSend,
-      kTimer,
-      kSever,
-      kExecute
-    } kind;
-    NodeAddress peer;  // kMessage: sender; kSend: destination
-    PayloadPtr msg;
-    Timer timer;
-    std::function<void()> fn;  // kExecute
+    NodeAddress peer;
+    PayloadPtr msg;            // null for a closure
+    std::function<void()> fn;  // empty for a message
   };
 
   void post(Mail mail) HTS_EXCLUDES(mu_);
@@ -308,7 +296,8 @@ class NodeLoop {
   /// parked as the file comment describes; false, with nothing run, else.
   template <typename Fn>
   bool try_run_inline(Fn&& fn) HTS_EXCLUDES(run_mu_, mu_);
-  void drain_mailbox(Hooks& hooks) HTS_REQUIRES(run_mu_) HTS_EXCLUDES(mu_);
+  /// Runs or drops each item of the mailbox, settling each once.
+  void drain_mailbox() HTS_REQUIRES(run_mu_) HTS_EXCLUDES(mu_);
   void fire_timers() HTS_REQUIRES(run_mu_);
 
   const NodeAddress addr_;
@@ -324,7 +313,8 @@ class NodeLoop {
   std::atomic<bool> up_{true};
   /// Crash notices armed on this node that have not fired yet.
   std::atomic<std::uint64_t> notices_{0};
-  /// The transport's hooks, set by start(); a holder drains mail with them.
+  /// The transport's hooks, set by start(); drive() and join() run a
+  /// driven node's with them.
   Hooks* hooks_ = nullptr;
   /// The transport's stop flag, set by start(); drive() checks it.
   const std::atomic<bool>* stopping_ = nullptr;
@@ -354,6 +344,8 @@ class NodeLoop {
   std::vector<Mail> inbox_ HTS_GUARDED_BY(run_mu_);  // batch being handled
   std::vector<Timer> timers_ HTS_GUARDED_BY(run_mu_);  // min-heap (at, seq)
   std::uint64_t timer_seq_ HTS_GUARDED_BY(run_mu_) = 0;
+  /// Hooks::on_sever has run (once, after a crash).
+  bool severed_ HTS_GUARDED_BY(run_mu_) = false;
   /// The deadline a parked loop sleeps until (max: no timer pending).
   clk::SteadyTime park_deadline_ HTS_GUARDED_BY(run_mu_);
   // Per-node traffic accounting (obs::LinkStatsSource) and loop counts,
@@ -412,8 +404,9 @@ class LoopTransport : public Transport, protected NodeLoop::Hooks {
   [[nodiscard]] double now() const override {
     return clk::seconds_since(epoch_);
   }
-  /// A hosted node goes down at once and its loop severs what it owns;
-  /// every surviving hosted node gets a notice after the detection delay.
+  /// A hosted node goes down at once and its woken loop severs what it
+  /// owns; every surviving hosted node gets a notice after the detection
+  /// delay.
   void crash(NodeAddress addr) override HTS_EXCLUDES(crash_mu_);
   /// Hosted nodes report their own liveness; any other server is up until
   /// its crash is detected.

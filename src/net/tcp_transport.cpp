@@ -52,8 +52,6 @@ TcpTransport::Node::~Node() {
 obs::LinkCounters TcpTransport::Node::counters() const {
   obs::LinkCounters c = NodeLoop::counters();
   c.tx_flushes = tx_flushes.load(std::memory_order_relaxed);
-  c.ready_polls = ready_polls();
-  c.ready_poll_hits = ready_poll_hits();
   return c;
 }
 
@@ -167,7 +165,9 @@ void TcpTransport::send(NodeAddress from, NodeAddress to, PayloadPtr msg) {
   } else if (src->on_loop()) {
     stage(static_cast<Node&>(*src), to, *msg);
   } else {
-    src->post_send(to, std::move(msg));
+    src->execute([this, src, to, msg = std::move(msg)] {
+      stage(static_cast<Node&>(*src), to, *msg);
+    });
   }
 }
 
@@ -199,10 +199,6 @@ bool TcpTransport::before_block(NodeLoop& loop) {
 
 bool TcpTransport::has_staged(NodeLoop& loop) {
   return !static_cast<Node&>(loop).dirty.empty();
-}
-
-void TcpTransport::on_send(NodeLoop& n, NodeAddress to, const Payload& msg) {
-  stage(static_cast<Node&>(n), to, msg);
 }
 
 void TcpTransport::on_sever(NodeLoop& loop) {

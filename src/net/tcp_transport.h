@@ -50,11 +50,13 @@
 // one before it leaves in the same flush: on write_proc (3 server
 // processes, 4-vCPU VM, medians of 10 interleaved 27 s runs) loopback
 // segments per op fell from 6.29 to 4.24.
-// Only calls from other threads (execute() closures, sends, crash(), a
-// foreign arm_timer) go through the loop's mailbox. A socket node's loop
-// always runs on epoll, a client's too, so execute() never runs inline
-// here: handing a caller's submit to the loop lets one flush carry several
-// callers' frames.
+// Only calls from other threads go through the loop's mailbox, each as a
+// closure: an execute(), a send (staging its frame) and an arm_timer
+// (pushing its timer). crash() posts nothing: it marks the node down and
+// wakes the loop, which severs the node's connections itself. A socket
+// node's loop always runs on epoll, a client's too, so execute() never runs
+// inline here: handing a caller's submit to the loop lets one flush carry
+// several callers' frames.
 // Driven clients (register_driven_client) are the exception: no loop
 // thread runs them. A caller drives one (drive()): its submit runs inline,
 // leaves in one sendmsg, and the caller blocks in the node's own epoll_wait
@@ -130,8 +132,8 @@ class TcpTransport : public LoopTransport {
 
   /// `from` must be a node registered on this transport. Called on that
   /// node's loop thread the frame is staged directly; from any other
-  /// thread the send is posted to the node's mailbox. Self-sends go through
-  /// the mailbox unencoded.
+  /// thread a closure that stages it is posted to the node's mailbox
+  /// (NodeLoop::execute). Self-sends go through the mailbox unencoded.
   void send(NodeAddress from, NodeAddress to, PayloadPtr msg) override;
 
   /// Registers client `id` as a driven node (file comment): registered
@@ -207,7 +209,6 @@ class TcpTransport : public LoopTransport {
   void on_io(NodeLoop& n, void* tag, std::uint32_t events) override;
   bool before_block(NodeLoop& n) override;
   bool has_staged(NodeLoop& n) override;
-  void on_send(NodeLoop& n, NodeAddress to, const Payload& msg) override;
   void on_sever(NodeLoop& n) override;
   void on_stop(NodeLoop& n) override;
 

@@ -106,17 +106,6 @@ std::string registry_to_json(const MetricsRegistry& reg) {
   return out;
 }
 
-std::string registry_to_csv(const MetricsRegistry& reg) {
-  std::string out = "name,value\n";
-  for (const auto& [name, c] : reg.counters()) {
-    out += name + "," + std::to_string(c.value()) + "\n";
-  }
-  for (const auto& [name, g] : reg.gauges()) {
-    out += name + "," + format_double(g.value()) + "\n";
-  }
-  return out;
-}
-
 std::string trace_to_csv(const TraceBuffer& trace) {
   std::string out = "t,kind,actor,side,client,req,a,b\n";
   for (const TraceEvent& ev : trace.snapshot()) {

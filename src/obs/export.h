@@ -25,9 +25,6 @@ namespace hts::obs {
 /// Registry as a "hts-metrics-v1" JSON document.
 [[nodiscard]] std::string registry_to_json(const MetricsRegistry& reg);
 
-/// Counters and gauges as "name,value" CSV rows (sorted by name).
-[[nodiscard]] std::string registry_to_csv(const MetricsRegistry& reg);
-
 /// Trace events as CSV: t,kind,actor,side,client,req,a,b (header row first).
 [[nodiscard]] std::string trace_to_csv(const TraceBuffer& trace);
 

@@ -73,12 +73,10 @@ struct ServerProbe {
   }
 };
 
-/// Client-side attach point. `backoff` collects the retry backoff delays the
-/// session actually slept (seconds).
+/// Client-side attach point.
 struct ClientProbe {
   Recorder* rec = nullptr;
   std::uint64_t actor = 0;  ///< client id (label "c<actor>")
-  Histogram* backoff = nullptr;
 
   [[nodiscard]] bool attached() const { return rec != nullptr; }
 
@@ -87,10 +85,6 @@ struct ClientProbe {
     if (rec == nullptr) return;
     rec->trace().record(TraceEvent{rec->now(), kind, actor, false,
                                    static_cast<ClientId>(actor), req, a, b});
-  }
-
-  void record_backoff(double delay_s) const {
-    if (backoff != nullptr) backoff->record(delay_s);
   }
 };
 

@@ -124,8 +124,7 @@ TEST(Probes, DetachedProbesAreNoOps) {
   EXPECT_FALSE(cp.attached());
   sp.event(obs::EventKind::kWriteEnqueue, 1, 2);
   sp.record_batch_fill(3.0);
-  cp.event(obs::EventKind::kClientSubmit, 2);
-  cp.record_backoff(0.1);  // must not crash
+  cp.event(obs::EventKind::kClientSubmit, 2);  // must not crash
 }
 
 // ------------------------------------------------------------------- exporters

@@ -1,7 +1,8 @@
 // TcpTransport over real loopback sockets: golden frame pin against the
 // wire codec, crash detection from TCP breaks, and replies on the
 // connection the client dialed (in order; a stop on it told apart from a
-// crash), a dead mesh server met at start(), ports known only for hosted
+// crash), foreign-thread sends and closures in call order, a dead mesh
+// server met at start(), ports known only for hosted
 // nodes and handed-in listeners — then the full protocol stack over
 // sockets (ThreadedCluster tcp mode with crash + repair; two deployments
 // built before either starts) and the multi-process deployment
@@ -280,6 +281,42 @@ TEST(TcpTransport, RepliesToInterleavedRequestsArriveInOrder) {
   }
   cli.stop();
   srv.stop();
+}
+
+TEST(TcpTransport, ForeignSendsAndClosuresRunInCallOrder) {
+  // A send from a thread other than the sending node's loop reaches the
+  // loop as a closure in the node's mailbox, behind the execute() closures
+  // called before it. Alternate the two, each closure sending as well: the
+  // peer must receive every request in call order, and wait_quiescent
+  // counts each until the peer has handled it.
+  constexpr RequestId kRequests = 2000;
+  TcpTransport t(core_options(0.05, {0, 1}));
+  const NodeAddress s0 = NodeAddress::server(0);
+  const NodeAddress s1 = NodeAddress::server(1);
+  std::mutex mu;
+  std::vector<RequestId> seen;
+  t.register_node(s0, [](NodeAddress, PayloadPtr) {});
+  t.register_node(s1, [&](NodeAddress, PayloadPtr m) {
+    const std::scoped_lock lock(mu);
+    seen.push_back(static_cast<const core::ClientWriteAck&>(*m).req);
+  });
+  t.start();
+  for (RequestId r = 1; r <= kRequests; ++r) {
+    if (r % 2 == 0) {
+      t.send(s0, s1, ping(r));
+    } else {
+      t.execute(s0, [&t, s0, s1, r] { t.send(s0, s1, ping(r)); });
+    }
+  }
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  {
+    const std::scoped_lock lock(mu);
+    ASSERT_EQ(seen.size(), kRequests);
+    for (RequestId r = 1; r <= kRequests; ++r) {
+      ASSERT_EQ(seen[r - 1], r) << "request " << r;
+    }
+  }
+  t.stop();
 }
 
 TEST(TcpTransport, SharedConnectionTellsAStopFromACrash) {

@@ -3,9 +3,10 @@
 // same typed suite. FIFO order, exact per-batch byte counts, crash notices,
 // no sends from the crashed, drops to unknown nodes, timers in deadline
 // order, one node's handlers and execute() closures never overlapping, one
-// thread's closures in call order, timers armed by a closure, and
-// quiescence — with queued work, with handlers and closures running
-// inline, and after a crash inside a handler.
+// thread's closures in call order, timers armed by a closure, a crashed
+// node's queued timer and closure dropped unrun, and quiescence — with
+// queued work, with handlers and closures running inline, and after a
+// crash inside a handler.
 //
 // sim::SimTransport runs the cases that need no real threads, as the
 // SimTransportConformance suite at the end of this file. Left out, and why:
@@ -339,6 +340,53 @@ TYPED_TEST(TransportConformance, QuiescentAfterCrashInsideAHandler) {
   t.crash(s0);
   crashed = true;
   EXPECT_TRUE(t.wait_quiescent(2.0));
+  t.stop();
+}
+
+TYPED_TEST(TransportConformance, CrashedNodeDropsTheWorkInItsMailbox) {
+  // A timer armed from a foreign thread and an execute() closure wait in
+  // node 0's mailbox while its message handler holds the loop; node 0
+  // crashes before the handler returns. Work owed to a crashed node is
+  // never done: neither the timer handler nor the closure runs, each
+  // survivor gets one crash notice, and the transport goes quiescent.
+  auto& t = this->make(0.02, {0, 1, 2});
+  const NodeAddress s0 = NodeAddress::server(0);
+  std::atomic<bool> entered{false}, release{false};
+  std::atomic<int> timers{0}, closures{0}, own_notices{0}, s1_notices{0},
+      s2_notices{0};
+  t.register_node(
+      s0,
+      [&](NodeAddress, PayloadPtr) {
+        entered = true;
+        while (!release.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      },
+      [&](ProcessId) { ++own_notices; }, [&](std::uint64_t) { ++timers; });
+  t.register_node(
+      NodeAddress::server(1), [](NodeAddress, PayloadPtr) {},
+      [&](ProcessId p) {
+        if (p == 0) ++s1_notices;
+      });
+  t.register_node(
+      NodeAddress::server(2), [](NodeAddress, PayloadPtr) {},
+      [&](ProcessId p) {
+        if (p == 0) ++s2_notices;
+      });
+  t.start();
+  t.send(NodeAddress::server(1), s0, ping(1));
+  ASSERT_TRUE(eventually([&] { return entered.load(); }));
+  t.arm_timer(s0, 0.0, 7);
+  t.execute(s0, [&] { ++closures; });
+  t.crash(s0);
+  release = true;
+  // Pending crash notices count as work: quiescence implies delivery.
+  ASSERT_TRUE(t.wait_quiescent(10.0));
+  EXPECT_EQ(timers.load(), 0);
+  EXPECT_EQ(closures.load(), 0);
+  EXPECT_EQ(own_notices.load(), 0);
+  EXPECT_EQ(s1_notices.load(), 1);
+  EXPECT_EQ(s2_notices.load(), 1);
   t.stop();
 }
 
