@@ -112,7 +112,8 @@ class Transport : public obs::LinkStatsSource {
 
   /// Blocks until no accepted message is left to handle, no crash notice is
   /// pending and every node is idle, or until the timeout expires. Returns
-  /// true on quiescence. (Timers still pending do not count as work.)
+  /// true on quiescence. (Timers still pending do not count as work, nor
+  /// does anything owed to a crashed node: it is never done.)
   virtual bool wait_quiescent(double timeout_s) = 0;
 };
 

@@ -4,9 +4,9 @@
 // no sends from the crashed, drops to unknown nodes, timers in deadline
 // order, one node's handlers and execute() closures never overlapping, one
 // thread's closures in call order, timers armed by a closure, a crashed
-// node's queued timer and closure dropped unrun, and quiescence — with
-// queued work, with handlers and closures running inline, and after a
-// crash inside a handler.
+// node's queued timer, closure and crash notice dropped unrun, and
+// quiescence — with queued work, with handlers and closures running
+// inline, and after a crash inside a handler.
 //
 // sim::SimTransport runs the cases that need no real threads, as the
 // SimTransportConformance suite at the end of this file. Left out, and why:
@@ -344,16 +344,18 @@ TYPED_TEST(TransportConformance, QuiescentAfterCrashInsideAHandler) {
 }
 
 TYPED_TEST(TransportConformance, CrashedNodeDropsTheWorkInItsMailbox) {
-  // A timer armed from a foreign thread and an execute() closure wait in
-  // node 0's mailbox while its message handler holds the loop; node 0
-  // crashes before the handler returns. Work owed to a crashed node is
-  // never done: neither the timer handler nor the closure runs, each
-  // survivor gets one crash notice, and the transport goes quiescent.
-  auto& t = this->make(0.02, {0, 1, 2});
+  // While node 0's message handler holds its loop, three items wait in its
+  // mailbox: a timer armed from a foreign thread, an execute() closure and
+  // the notice of node 3's crash. Node 0 crashes before the handler
+  // returns. Work owed to a crashed node is never done: no timer handler,
+  // closure or notice runs on node 0, each survivor gets one notice per
+  // crash, and the transport goes quiescent although node 0's own notice
+  // of node 3 never fires.
+  auto& t = this->make(0.02, {0, 1, 2, 3});
   const NodeAddress s0 = NodeAddress::server(0);
   std::atomic<bool> entered{false}, release{false};
-  std::atomic<int> timers{0}, closures{0}, own_notices{0}, s1_notices{0},
-      s2_notices{0};
+  std::atomic<int> timers{0}, closures{0}, own_notices{0};
+  std::atomic<int> notices[3][4] = {};  // [survivor][crashed server]
   t.register_node(
       s0,
       [&](NodeAddress, PayloadPtr) {
@@ -363,21 +365,18 @@ TYPED_TEST(TransportConformance, CrashedNodeDropsTheWorkInItsMailbox) {
         }
       },
       [&](ProcessId) { ++own_notices; }, [&](std::uint64_t) { ++timers; });
-  t.register_node(
-      NodeAddress::server(1), [](NodeAddress, PayloadPtr) {},
-      [&](ProcessId p) {
-        if (p == 0) ++s1_notices;
-      });
-  t.register_node(
-      NodeAddress::server(2), [](NodeAddress, PayloadPtr) {},
-      [&](ProcessId p) {
-        if (p == 0) ++s2_notices;
-      });
+  for (const ProcessId s : {1, 2}) {
+    t.register_node(
+        NodeAddress::server(s), [](NodeAddress, PayloadPtr) {},
+        [&notices, s](ProcessId p) { ++notices[s][p]; });
+  }
+  t.register_node(NodeAddress::server(3), [](NodeAddress, PayloadPtr) {});
   t.start();
   t.send(NodeAddress::server(1), s0, ping(1));
   ASSERT_TRUE(eventually([&] { return entered.load(); }));
   t.arm_timer(s0, 0.0, 7);
   t.execute(s0, [&] { ++closures; });
+  t.crash(NodeAddress::server(3));
   t.crash(s0);
   release = true;
   // Pending crash notices count as work: quiescence implies delivery.
@@ -385,8 +384,10 @@ TYPED_TEST(TransportConformance, CrashedNodeDropsTheWorkInItsMailbox) {
   EXPECT_EQ(timers.load(), 0);
   EXPECT_EQ(closures.load(), 0);
   EXPECT_EQ(own_notices.load(), 0);
-  EXPECT_EQ(s1_notices.load(), 1);
-  EXPECT_EQ(s2_notices.load(), 1);
+  for (const ProcessId s : {1, 2}) {
+    EXPECT_EQ(notices[s][0].load(), 1) << "survivor " << s;
+    EXPECT_EQ(notices[s][3].load(), 1) << "survivor " << s;
+  }
   t.stop();
 }
 
